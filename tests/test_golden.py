@@ -1,0 +1,55 @@
+"""Pinned SHA-256 digests of the run artifacts.
+
+A refactor of the slot pipeline must leave ``slots.csv`` and ``summary.json``
+byte-identical.  These digests were computed before the delivery loop was
+routed through the ``qoe``/``channel`` kernels.  Never re-pin them to make a
+refactor pass; a change that alters results on purpose says so and shows the
+rows that moved.
+"""
+
+import hashlib
+
+import pytest
+
+from uavcache import sim
+from uavcache.generators import SyntheticWorld
+from uavcache.predictors import train_content_model, train_mobility_model
+
+from conftest import desk_config
+
+# baseline -> (slots.csv, summary.json) for the desk preset in oracle mode
+DESK_ORACLE = {
+    None: ("96a228cbdb0d6740f88c047786e6f1427934f13417309b8aee749803732b4fbb",
+           "9264b392941cba5de7af2b526406a3b01b15cd3baa5a21d3dfcf0d320948e30d"),
+    "no_uav": ("dea52a99c74e5abf337c4347fc321313016498c6143cf8e718cb35b9ff13b0cc",
+               "e5694f460ffdfac3d302bed3a5bc2ff3d7bcf97d1f789a6d1449f0612c08a4d4"),
+    "no_cache": ("cd28748e71810c64311db0ed06f360f7feb1d07402fe32e4ef4bcbf496ddfcbe",
+                 "2d6accb23e9e3d82b7a8807ac82d2b84cd6cad2d432c7f09a2447e504ad37077"),
+    "random_cache": ("557d9cdcfea5be7a5a57d98917735916a04a3a28a9a5f3743772e00640463acf",
+                     "36d2d23845af35cfc2bd8779f60a4cdd6eb5940f68581a773e71e261aa4b7601"),
+    "fixed_placement": ("e8d7796cc6db78b570c5bf7705571d2776556c3d03ac85d4aefa335ee48ec90c",
+                        "647e5f4160ccf577c1445e77f9e4e052193823a132acb93060bc4e9fcd2e439a"),
+}
+
+# tiny_cfg in esn mode, models trained from the same world
+TINY_ESN = ("b9c955801c4ce598843d37cff88b68e24f7ff6306bd38446dab6db4774ca8f53",
+            "588f28e7789dcfed68ae0fc44ab46febb3b4ae51d1ea2efcedd6b381c0783df7")
+
+
+def digests(logs, summary) -> tuple[str, str]:
+    return (hashlib.sha256(sim.slots_csv_text(logs).encode("utf-8")).hexdigest(),
+            hashlib.sha256(sim.summary_json_text(summary).encode("utf-8")).hexdigest())
+
+
+@pytest.mark.parametrize("baseline", list(DESK_ORACLE), ids=lambda b: b or "none")
+def test_desk_oracle_artifacts_pinned(baseline):
+    logs, summary = sim.run_period(desk_config(), mode="oracle", baseline=baseline)
+    assert digests(logs, summary) == DESK_ORACLE[baseline]
+
+
+def test_tiny_esn_artifacts_pinned(tiny_cfg):
+    world = SyntheticWorld(tiny_cfg)
+    content = [train_content_model(tiny_cfg, world, u)[0] for u in range(tiny_cfg.num_users)]
+    mobility = [train_mobility_model(tiny_cfg, world, u)[0] for u in range(tiny_cfg.num_users)]
+    logs, summary = sim.run_period(tiny_cfg, mode="esn", models=(content, mobility), world=world)
+    assert digests(logs, summary) == TINY_ESN
