@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .config import EsnConfig, RandomSource
+from .config import EsnConfig, RandomSource, esn_violations
 
 # Free-memory fraction below which further loading must grow the reservoir.
 QUOTA_MIN = 0.01
@@ -44,14 +44,9 @@ class UntrainedModel(RuntimeError):
 def validate_esn(cfg: EsnConfig) -> None:
     if cfg.input_dim is None or cfg.output_dim is None:
         raise ValueError("input_dim and output_dim must be set to build a model")
-    if not (0.0 < cfg.spectral_radius < 1.0):
-        raise ValueError(f"spectral radius must lie in (0, 1), got {cfg.spectral_radius}")
-    if cfg.aperture <= 0.0:
-        raise ValueError(f"aperture must be positive, got {cfg.aperture}")
-    if cfg.ridge < 0.0:
-        raise ValueError(f"ridge must be nonnegative, got {cfg.ridge}")
-    if cfg.washout >= cfg.training_length:
-        raise ValueError("washout must be shorter than the training length")
+    problems = esn_violations(cfg)
+    if problems:
+        raise ValueError("; ".join(problems))
 
 
 # -- conceptor algebra --------------------------------------------------------

@@ -16,8 +16,6 @@ them come out in seconds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import linalg
@@ -28,27 +26,6 @@ SPEED_OF_LIGHT = 3e8
 
 class ChannelError(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class FadingDraw:
-    """One realization of the random channel components.
-
-    Shadowing terms are dB offsets (zero-mean Gaussian); ``rayleigh_gain`` is a
-    unit-mean exponential power gain.
-    """
-
-    shadow_los_db: float = 0.0
-    shadow_nlos_db: float = 0.0
-    rayleigh_gain: float = 1.0
-
-
-@dataclass(frozen=True)
-class LinkBudget:
-    pathloss_db: float
-    los_probability: float
-    snr_linear: float
-    rate_bps: float
 
 
 def free_space_pl_db(d0_m: float, carrier_hz: float) -> float:
@@ -65,66 +42,53 @@ def distance_3d(uav_xyz, user_xy):
     return np.sqrt(dx * dx + dy * dy + uav_xyz[2] ** 2)
 
 
-def los_probability(uav_xyz, user_xy, p: ChannelParams):
-    """Logistic LoS probability in the elevation angle (degrees)."""
-    d = distance_3d(uav_xyz, user_xy)
-    if np.any(d <= 0.0):
-        raise ChannelError("zero distance between transmitter and receiver")
-    phi_deg = np.degrees(np.arcsin(np.clip(uav_xyz[2] / d, -1.0, 1.0)))
-    return 1.0 / (1.0 + p.env_x * np.exp(-p.env_y * (phi_deg - p.env_x)))
-
-
-def mixed_pathloss_db(dist, altitude, p: ChannelParams,
-                      shadow_los_db=0.0, shadow_nlos_db=0.0):
-    """LoS-probability-weighted log-distance path loss, vectorized over links.
+def los_probability(dist, altitude, p: ChannelParams):
+    """Logistic LoS probability in the elevation angle (degrees).
 
     ``dist`` is the 3-D transmitter-receiver distance and ``altitude`` the
-    transmitter height (both broadcastable); shadowing offsets default to
-    their zero mean.
+    transmitter height (both broadcastable).
     """
     dist = np.asarray(dist, dtype=float)
     if np.any(dist <= 0.0):
         raise ChannelError("zero distance between transmitter and receiver")
-    l_fs = free_space_pl_db(p.fs_ref_distance_m, p.carrier_hz)
     phi_deg = np.degrees(np.arcsin(np.clip(np.asarray(altitude, dtype=float) / dist, -1.0, 1.0)))
-    pr = 1.0 / (1.0 + p.env_x * np.exp(-p.env_y * (phi_deg - p.env_x)))
+    return 1.0 / (1.0 + p.env_x * np.exp(-p.env_y * (phi_deg - p.env_x)))
+
+
+def mixed_pathloss_db(dist, altitude, p: ChannelParams):
+    """LoS-probability-weighted log-distance path loss, vectorized over links.
+
+    Shadowing sits at its zero mean, so the result is deterministic.
+    """
+    pr = los_probability(dist, altitude, p)
+    l_fs = free_space_pl_db(p.fs_ref_distance_m, p.carrier_hz)
     log_d = np.log10(dist)
-    l_los = l_fs + 10.0 * p.exponent_los * log_d + shadow_los_db
-    l_nlos = l_fs + 10.0 * p.exponent_nlos * log_d + shadow_nlos_db
+    l_los = l_fs + 10.0 * p.exponent_los * log_d
+    l_nlos = l_fs + 10.0 * p.exponent_nlos * log_d
     return pr * l_los + (1.0 - pr) * l_nlos
 
 
-def uav_user_pathloss_db(uav_xyz, user_xy, p: ChannelParams,
-                         fading: FadingDraw | None = None):
-    """Average (or sampled) access-link path loss in dB.
-
-    With ``fading=None`` the shadowing terms sit at their zero mean and the
-    result is the LoS-probability-weighted mix of the two log-distance laws.
-    """
+def uav_user_pathloss_db(uav_xyz, user_xy, p: ChannelParams):
+    """Average access-link path loss in dB from a UAV to users' positions."""
     uav_xyz = np.asarray(uav_xyz, dtype=float)
-    d = distance_3d(uav_xyz, user_xy)
-    shadow_los = fading.shadow_los_db if fading is not None else 0.0
-    shadow_nlos = fading.shadow_nlos_db if fading is not None else 0.0
-    return mixed_pathloss_db(d, uav_xyz[2], p, shadow_los, shadow_nlos)
+    return mixed_pathloss_db(distance_3d(uav_xyz, user_xy), uav_xyz[2], p)
 
 
 def uav_user_snr(power_w, pathloss_db, noise_w: float):
     return np.asarray(power_w) / (10.0 ** (np.asarray(pathloss_db) / 10.0) * noise_w)
 
 
-def uav_slot_capacity_bits(uav_xyz, user_xy_per_interval, power_per_interval_w,
-                           n_served: int, p: ChannelParams, bandwidth_hz: float,
-                           noise_w: float, slot_duration_s: float) -> float:
-    """Bits deliverable to one user over a slot, splitting the band n_served ways."""
+def link_rates_bps(sinr, bandwidth_hz: float, n_served: int = 1):
+    """Per-interval Shannon rate of one user on a band split n_served ways."""
     if n_served < 1:
         raise ChannelError("capacity undefined for an empty association set")
-    user_xy = np.atleast_2d(np.asarray(user_xy_per_interval, dtype=float))
-    power = np.broadcast_to(np.asarray(power_per_interval_w, dtype=float), (user_xy.shape[0],))
-    pl = uav_user_pathloss_db(uav_xyz, user_xy, p)
-    snr = uav_user_snr(power, pl, noise_w)
-    per_interval_rate = (bandwidth_hz / n_served) * np.log2(1.0 + snr)
-    dt = slot_duration_s / user_xy.shape[0]
-    return float(np.sum(per_interval_rate) * dt)
+    return (bandwidth_hz / n_served) * np.log2(1.0 + np.asarray(sinr, dtype=float))
+
+
+def slot_capacity_bits(rates_bps, slot_duration_s: float) -> float:
+    """Bits deliverable over one slot at the given per-interval rates."""
+    rates = np.atleast_1d(np.asarray(rates_bps, dtype=float))
+    return float(rates.sum() * slot_duration_s / rates.shape[0])
 
 
 def g2a_gain(uav_xyz, bbu_xy, p: ChannelParams):
@@ -134,9 +98,7 @@ def g2a_gain(uav_xyz, bbu_xy, p: ChannelParams):
     average gain is Pr_LoS * d**-beta + (1 - Pr_LoS) * d**-beta / eta.
     """
     d = distance_3d(uav_xyz, bbu_xy)
-    if np.any(d <= 0.0):
-        raise ChannelError("zero distance between BBU and UAV")
-    pr = los_probability(uav_xyz, bbu_xy, p)
+    pr = los_probability(d, uav_xyz[2], p)
     base = d ** (-p.g2a_exponent)
     return pr * base + (1.0 - pr) * base / p.g2a_nlos_factor
 
@@ -148,13 +110,6 @@ def g2a_fronthaul_bits(uav_xyz, bbu_xy, p: ChannelParams, bbu_power_w: float,
     gain = g2a_gain(uav_xyz, bbu_xy, p)
     snr = bbu_power_w * gain / noise_w
     return float(bandwidth_hz * np.log2(1.0 + snr) * slot_duration_s)
-
-
-def rrh_slot_capacity_bits(sinr_per_interval, bandwidth_hz: float,
-                           slot_duration_s: float) -> float:
-    sinr = np.atleast_1d(np.asarray(sinr_per_interval, dtype=float))
-    dt = slot_duration_s / sinr.shape[0]
-    return float(np.sum(bandwidth_hz * np.log2(1.0 + sinr)) * dt)
 
 
 def rayleigh_channel_rows(user_xy, antennas, gains, exponent: float) -> np.ndarray:

@@ -18,6 +18,7 @@ period, a smaller reservoir) is merged underneath the user's config document.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import os
@@ -30,7 +31,7 @@ import numpy as np
 from . import cesn, linalg, placement, sim
 from .channel import zf_beamformer
 from .config import (DESK_PRESET, ConfigError, RandomSource, ScenarioConfig, load_config_dict,
-                     merge_documents, serialize)
+                     merge_documents, parse_document, serialize)
 from .generators import SyntheticWorld
 from .predictors import train_content_model, train_mobility_model
 from .qoe import delay_lower_bound_s
@@ -94,13 +95,7 @@ def _load_scenario(args) -> ScenarioConfig:
         path = Path(args.config)
         if not path.exists():
             raise UsageError(f"config file not found: {path}")
-        text = path.read_text()
-        try:
-            doc = json.loads(text) if text.strip() else {}
-        except json.JSONDecodeError as exc:
-            raise ConfigError([f"parse failure: {exc}"]) from exc
-        if not isinstance(doc, dict):
-            raise ConfigError(["parse failure: top-level value must be an object"])
+        doc = parse_document(path.read_text())
     if not args.paper_scale:
         doc = merge_documents(DESK_PRESET, doc)
     if getattr(args, "seed", None) is not None:
@@ -115,7 +110,18 @@ def _out_dir(args) -> Path:
     return path
 
 
-def _manifest_start(out: Path, args, cfg: ScenarioConfig) -> dict:
+def _timestamp() -> str:
+    return time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
+
+
+@contextlib.contextmanager
+def _manifest(out: Path, args, cfg: ScenarioConfig):
+    """Write run_manifest.json as "running", then finalize it however the run ends.
+
+    The body appends the paths it wrote to ``manifest["outputs"]``.  A run that
+    raises is recorded as "failed" with the error before the error propagates.
+    """
+    path = out / "run_manifest.json"
     manifest = {
         "tool_version": TOOL_VERSION,
         "command": args.command,
@@ -123,18 +129,21 @@ def _manifest_start(out: Path, args, cfg: ScenarioConfig) -> dict:
         "seed": cfg.seed,
         "config": json.loads(serialize(cfg)),
         "outputs": [],
-        "started_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
+        "started_at": _timestamp(),
         "status": "running",
     }
-    (out / "run_manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
-    return manifest
-
-
-def _manifest_finish(out: Path, manifest: dict, outputs: list[str]) -> None:
-    manifest["outputs"] = outputs
-    manifest["finished_at"] = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
-    manifest["status"] = "complete"
-    (out / "run_manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
+    path.write_text(json.dumps(manifest, indent=2) + "\n")
+    try:
+        yield manifest
+    except BaseException as exc:
+        manifest["status"] = "failed"
+        manifest["error"] = f"{type(exc).__name__}: {exc}"
+        raise
+    else:
+        manifest["status"] = "complete"
+    finally:
+        manifest["finished_at"] = _timestamp()
+        path.write_text(json.dumps(manifest, indent=2) + "\n")
 
 
 # -- commands ----------------------------------------------------------------------
@@ -143,31 +152,29 @@ def _manifest_finish(out: Path, manifest: dict, outputs: list[str]) -> None:
 def cmd_train(args) -> int:
     cfg = _load_scenario(args)
     out = _out_dir(args)
-    manifest = _manifest_start(out, args, cfg)
-    world = SyntheticWorld(cfg)
-    models_dir = out / "models"
-    models_dir.mkdir(exist_ok=True)
-    lines = ["user,task,pattern,quota_before,quota_after,quota_used,nrmse"]
-    outputs = []
-    for u in range(cfg.num_users):
-        for task, trainer in (("content", train_content_model),
-                              ("mobility", train_mobility_model)):
-            model, reports = trainer(cfg, world, u)
-            path = models_dir / f"user{u:03d}_{task}.npz"
-            cesn.save_model(model, path)
-            outputs.append(str(path))
-            for rep in reports:
-                fit = model.training_nrmse(rep["pattern"])
-                lines.append(",".join([
-                    str(u), task, str(rep["pattern"]),
-                    format(rep["quota_before"], ".9g"),
-                    format(rep["quota_after"], ".9g"),
-                    format(rep["quota_used"], ".9g"),
-                    format(fit, ".9g")]))
-    report_path = out / "training_report.csv"
-    report_path.write_text("\n".join(lines) + "\n")
-    outputs.append(str(report_path))
-    _manifest_finish(out, manifest, outputs)
+    with _manifest(out, args, cfg) as manifest:
+        world = SyntheticWorld(cfg)
+        models_dir = out / "models"
+        models_dir.mkdir(exist_ok=True)
+        lines = ["user,task,pattern,quota_before,quota_after,quota_used,nrmse"]
+        for u in range(cfg.num_users):
+            for task, trainer in (("content", train_content_model),
+                                  ("mobility", train_mobility_model)):
+                model, reports = trainer(cfg, world, u)
+                path = models_dir / f"user{u:03d}_{task}.npz"
+                cesn.save_model(model, path)
+                manifest["outputs"].append(str(path))
+                for rep in reports:
+                    fit = model.training_nrmse(rep["pattern"])
+                    lines.append(",".join([
+                        str(u), task, str(rep["pattern"]),
+                        format(rep["quota_before"], ".9g"),
+                        format(rep["quota_after"], ".9g"),
+                        format(rep["quota_used"], ".9g"),
+                        format(fit, ".9g")]))
+        report_path = out / "training_report.csv"
+        report_path.write_text("\n".join(lines) + "\n")
+        manifest["outputs"].append(str(report_path))
     print(f"trained {cfg.num_users} users x 2 tasks -> {models_dir}")
     return EXIT_OK
 
@@ -196,18 +203,18 @@ def _load_models(cfg: ScenarioConfig, models_dir: str):
 def cmd_simulate(args) -> int:
     cfg = _load_scenario(args)
     out = _out_dir(args)
-    manifest = _manifest_start(out, args, cfg)
-    if args.oracle:
-        mode, models = "oracle", None
-    else:
-        mode = "esn"
-        models = _load_models(cfg, args.models)
-    logs, summary = sim.run_period(cfg, mode=mode, models=models, baseline=args.baseline)
-    slots_path = out / "slots.csv"
-    summary_path = out / "summary.json"
-    slots_path.write_text(sim.slots_csv_text(logs))
-    summary_path.write_text(sim.summary_json_text(summary))
-    _manifest_finish(out, manifest, [str(slots_path), str(summary_path)])
+    with _manifest(out, args, cfg) as manifest:
+        if args.oracle:
+            mode, models = "oracle", None
+        else:
+            mode = "esn"
+            models = _load_models(cfg, args.models)
+        logs, summary = sim.run_period(cfg, mode=mode, models=models, baseline=args.baseline)
+        slots_path = out / "slots.csv"
+        summary_path = out / "summary.json"
+        slots_path.write_text(sim.slots_csv_text(logs))
+        summary_path.write_text(sim.summary_json_text(summary))
+        manifest["outputs"] += [str(slots_path), str(summary_path)]
     print(f"simulated {summary['slots']} slots: total_uav_power_w="
           f"{summary['total_uav_power_w']:.6g} satisfied_fraction="
           f"{summary['satisfied_fraction']:.4f}")
@@ -223,11 +230,11 @@ def cmd_sweep(args) -> int:
         raise UsageError(f"--values must be comma-separated integers: {exc}") from exc
     if not values:
         raise UsageError("--values must list at least one value")
-    manifest = _manifest_start(out, args, cfg)
-    rows = sim.sweep(cfg, args.param, values, baseline=args.baseline)
-    sweep_path = out / "sweep.csv"
-    sweep_path.write_text(sim.sweep_csv_text(rows))
-    _manifest_finish(out, manifest, [str(sweep_path)])
+    with _manifest(out, args, cfg) as manifest:
+        rows = sim.sweep(cfg, args.param, values, baseline=args.baseline)
+        sweep_path = out / "sweep.csv"
+        sweep_path.write_text(sim.sweep_csv_text(rows))
+        manifest["outputs"].append(str(sweep_path))
     print(f"swept {args.param} over {values} -> {sweep_path}")
     return EXIT_OK
 

@@ -1,4 +1,4 @@
-"""Scenario configuration, domain state types, and deterministic random streams.
+"""Scenario configuration, the radio-head cluster type, and deterministic random streams.
 
 Every tunable constant of the simulator lives in :class:`ScenarioConfig` and its
 nested blocks.  Configs are immutable, JSON round-trippable, and validated as a
@@ -142,16 +142,6 @@ class ScenarioConfig:
     generators: GeneratorConfig = field(default_factory=GeneratorConfig)
     seed: int = 20240001
 
-    # -- derived quantities -------------------------------------------------
-
-    @property
-    def interval_duration_s(self) -> float:
-        return self.slot_duration_s / self.intervals_per_slot
-
-    @property
-    def subperiods_per_period(self) -> int:
-        return self.slots_per_cache_period // self.slots_per_collection
-
     def device_rate_bps(self, screen_factor: float, content: int) -> float:
         """Per-content rate floor for a device with the given screen factor."""
         if self.content_base_rates_bps is not None:
@@ -178,6 +168,26 @@ DESK_PRESET: dict[str, Any] = {
 def _positive(name: str, value: float, out: list[str]) -> None:
     if not (value > 0):
         out.append(f"{name}: must be strictly positive, got {value!r}")
+
+
+def esn_violations(e: EsnConfig) -> list[str]:
+    """Violated invariants of one ESN's hyperparameters, as "field: problem"."""
+    v: list[str] = []
+    if e.reservoir_size < 1:
+        v.append(f"reservoir_size: must be positive, got {e.reservoir_size}")
+    if not (0.0 < e.spectral_radius < 1.0):
+        v.append(f"spectral_radius: must lie in (0, 1), got {e.spectral_radius}")
+    if not (0.0 < e.density <= 1.0):
+        v.append(f"density: must lie in (0, 1], got {e.density}")
+    if e.washout >= e.training_length:
+        v.append(f"washout: must be smaller than training_length ({e.washout} >= {e.training_length})")
+    if e.aperture <= 0:
+        v.append(f"aperture: must be positive, got {e.aperture}")
+    if e.ridge < 0:
+        v.append(f"ridge: must be nonnegative, got {e.ridge}")
+    if e.horizon < 1:
+        v.append(f"horizon: must be at least 1, got {e.horizon}")
+    return v
 
 
 def validate(cfg: ScenarioConfig) -> list[str]:
@@ -225,8 +235,8 @@ def validate(cfg: ScenarioConfig) -> list[str]:
             "content_base_rates_bps: need one rate per content "
             f"({len(cfg.content_base_rates_bps)} given, {cfg.num_contents} contents)"
         )
-    if any(s <= 0 for s in cfg.screen_factors):
-        v.append(f"screen_factors: all factors must be positive, got {cfg.screen_factors}")
+    if not cfg.screen_factors or any(s <= 0 for s in cfg.screen_factors):
+        v.append(f"screen_factors: need at least one factor, all positive, got {cfg.screen_factors}")
 
     p = cfg.pathloss
     if not (p.exponent_nlos >= p.exponent_los > 0):
@@ -243,15 +253,7 @@ def validate(cfg: ScenarioConfig) -> list[str]:
     _positive("pathloss.fs_ref_distance_m", p.fs_ref_distance_m, v)
     _positive("pathloss.carrier_hz", p.carrier_hz, v)
 
-    e = cfg.esn
-    if e.reservoir_size < 1:
-        v.append(f"esn.reservoir_size: must be positive, got {e.reservoir_size}")
-    if e.washout >= e.training_length:
-        v.append(f"esn.washout: must be smaller than training_length ({e.washout} >= {e.training_length})")
-    if e.aperture <= 0:
-        v.append(f"esn.aperture: must be positive, got {e.aperture}")
-    if e.ridge < 0:
-        v.append(f"esn.ridge: must be nonnegative, got {e.ridge}")
+    v.extend(f"esn.{problem}" for problem in esn_violations(cfg.esn))
 
     g = cfg.generators
     if g.position_noise_m < 0:
@@ -269,12 +271,31 @@ _NESTED = {"pathloss": ChannelParams, "esn": EsnConfig, "generators": GeneratorC
 _TUPLE_FIELDS = {"screen_factors", "content_base_rates_bps"}
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _type_problem(annotation: str, value) -> str | None:
+    """Why ``value`` cannot fill a field annotated ``annotation``; None if it can."""
+    if value is None:
+        return None if annotation.endswith(" | None") else "must not be null"
+    kind = annotation.removesuffix(" | None")
+    if kind == "int":
+        ok = isinstance(value, int) and not isinstance(value, bool)
+        return None if ok else f"expected an integer, got {value!r}"
+    if kind == "float":
+        return None if _is_number(value) else f"expected a number, got {value!r}"
+    if isinstance(value, (list, tuple)) and all(_is_number(x) for x in value):
+        return None
+    return f"expected a list of numbers, got {value!r}"
+
+
 def _build(cls, doc: dict, path: str, violations: list[str]):
-    known = {f.name for f in dataclasses.fields(cls)}
+    annotations = {f.name: f.type for f in dataclasses.fields(cls)}
     kwargs = {}
     for key, value in doc.items():
         where = f"{path}{key}"
-        if key not in known:
+        if key not in annotations:
             violations.append(f"{where}: unknown field")
             continue
         if key in _NESTED:
@@ -282,6 +303,10 @@ def _build(cls, doc: dict, path: str, violations: list[str]):
                 violations.append(f"{where}: expected an object")
                 continue
             kwargs[key] = _build(_NESTED[key], value, where + ".", violations)
+            continue
+        problem = _type_problem(annotations[key], value)
+        if problem is not None:
+            violations.append(f"{where}: {problem}")
         elif key in _TUPLE_FIELDS and value is not None:
             kwargs[key] = tuple(value)
         else:
@@ -309,15 +334,20 @@ def load_config_dict(doc: dict) -> ScenarioConfig:
     return cfg
 
 
-def load_config(text: str) -> ScenarioConfig:
-    """Parse a JSON config document; unset fields take the built-in defaults."""
+def parse_document(text: str) -> dict:
+    """Parse the JSON text of a config document; blank text is an empty document."""
     try:
         doc = json.loads(text) if text.strip() else {}
     except json.JSONDecodeError as exc:
         raise ConfigError([f"parse failure: {exc}"]) from exc
     if not isinstance(doc, dict):
         raise ConfigError(["parse failure: top-level value must be an object"])
-    return load_config_dict(doc)
+    return doc
+
+
+def load_config(text: str) -> ScenarioConfig:
+    """Parse a JSON config document; unset fields take the built-in defaults."""
+    return load_config_dict(parse_document(text))
 
 
 def serialize(cfg: ScenarioConfig) -> str:
@@ -329,54 +359,16 @@ def serialize(cfg: ScenarioConfig) -> str:
     return json.dumps(doc, indent=2, sort_keys=True)
 
 
-# -- state types -------------------------------------------------------------
-
-
-@dataclass
-class UserState:
-    """One ground user: position, static context, and current service state."""
-
-    id: int
-    position: np.ndarray  # (2,) meters
-    context: np.ndarray  # static demographic features in [-1, 1]
-    screen_factor: float
-    current_request: int | None = None
-    association: tuple[str, int] | None = None  # ("rrh", q) or ("uav", k)
-
-
-@dataclass
-class UavState:
-    """One aerial base station: 3-D position, cache contents, served users."""
-
-    id: int
-    position: np.ndarray  # (3,) meters, z >= min altitude
-    cache: tuple[int, ...] = ()
-    served_users: tuple[int, ...] = ()
-
-
 @dataclass
 class RrhCluster:
     """A zero-forcing cluster of radio heads acting as one distributed array."""
 
     id: int
     antennas: np.ndarray  # (R_q, 2) meters
-    served_users: tuple[int, ...] = ()
 
     @property
     def n_antennas(self) -> int:
         return int(self.antennas.shape[0])
-
-
-def check_uav_constraints(uav: UavState, cfg: ScenarioConfig) -> list[str]:
-    """Check the per-UAV feasibility predicates (altitude floor, cache shape)."""
-    problems = []
-    if uav.position[2] < cfg.min_altitude_m:
-        problems.append(f"uav {uav.id}: altitude {uav.position[2]:.3f} below floor {cfg.min_altitude_m}")
-    if len(uav.cache) != len(set(uav.cache)):
-        problems.append(f"uav {uav.id}: cache holds duplicate contents {uav.cache}")
-    if len(uav.cache) > cfg.cache_size:
-        problems.append(f"uav {uav.id}: cache holds {len(uav.cache)} contents, limit {cfg.cache_size}")
-    return problems
 
 
 # -- deterministic random streams --------------------------------------------

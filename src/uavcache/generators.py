@@ -90,9 +90,6 @@ class SyntheticWorld:
     def screen_factor(self, user: int) -> float:
         return self.profiles[user].screen_factor
 
-    def device_requirement_bps(self, user: int, content: int) -> float:
-        return self.cfg.device_rate_bps(self.profiles[user].screen_factor, content)
-
     def context_features(self, user: int, global_slot: int) -> np.ndarray:
         """Reservoir input: day phase (sin, cos) plus static demographics."""
         t = self.cfg.slots_per_cache_period

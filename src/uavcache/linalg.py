@@ -32,13 +32,6 @@ def _as_matrix(a) -> np.ndarray:
     return a
 
 
-def matmul(a, b) -> np.ndarray:
-    a, b = _as_matrix(a), _as_matrix(b)
-    if a.shape[1] != b.shape[0]:
-        raise LinalgError(f"dimension mismatch: {a.shape} @ {b.shape}")
-    return a @ b
-
-
 def solve_spd(a, b) -> np.ndarray:
     """Solve a x = b for symmetric positive definite a (Cholesky-backed)."""
     a, b = _as_matrix(a), np.asarray(b, dtype=float)

@@ -47,7 +47,6 @@ class PlacementResult:
     position: np.ndarray  # (3,)
     objective_w: float
     evaluations: int
-    max_power_w: float
 
 
 def rrh_rate_threshold_bits(n_fr: int, device_req_bps, cfg: ScenarioConfig):
@@ -147,11 +146,6 @@ def cluster_users(xy, k: int, rs: RandomSource | None = None,
             if members.shape[0]:
                 centroids[q] = members.mean(axis=0)
     return labels, centroids
-
-
-def within_cluster_sse(xy, labels, centroids) -> float:
-    xy = np.asarray(xy, dtype=float)
-    return float(np.sum((xy - centroids[labels]) ** 2))
 
 
 def delta_power_saving(pathloss_db, delay_req_cached_bits: float,
@@ -299,10 +293,7 @@ def place_uav_local_search(user_pos, rate_targets_bps, init_xyz, n_served: int,
                 improved = True
             if evals >= max_evals:
                 break
-    max_power = _max_interval_power(pos, user_pos, rate_targets_bps, n_served,
-                                    p, bandwidth_hz, noise_w)
-    return PlacementResult(position=pos, objective_w=best, evaluations=evals,
-                           max_power_w=max_power)
+    return PlacementResult(position=pos, objective_w=best, evaluations=evals)
 
 
 def place_uav_exhaustive(user_pos, rate_targets_bps, grid_step_m: float,
@@ -337,37 +328,4 @@ def place_uav_exhaustive(user_pos, rate_targets_bps, grid_step_m: float,
         if totals[idx] < best_val:
             best_val = float(totals[idx])
             best_pos = np.array([grid[idx, 0], grid[idx, 1], h])
-    max_power = _max_interval_power(best_pos, user_pos, rate_targets_bps, n_served,
-                                    p, bandwidth_hz, noise_w)
-    return PlacementResult(position=best_pos, objective_w=best_val,
-                           evaluations=evals, max_power_w=max_power)
-
-
-def _max_interval_power(xyz, user_pos, rate_targets_bps, n_served, p, bandwidth_hz, noise_w):
-    pos, _ = _flatten_positions(user_pos)
-    pl = uav_user_pathloss_db(np.asarray(xyz, dtype=float), pos, p)
-    power = min_uav_power_w(pl, np.asarray(rate_targets_bps, dtype=float)[:, None],
-                            n_served, bandwidth_hz, noise_w)
-    return float(power.max())
-
-
-def total_power_objective(per_uav: list[dict], p: ChannelParams, bandwidth_hz: float,
-                          noise_w: float, max_power_w: float) -> tuple[float, int]:
-    """Aggregate objective over UAVs, counting per-link power-cap violations.
-
-    Each entry carries position, user interval positions, per-user rate
-    targets, and the served count; entries with no users contribute zero.
-    """
-    total = 0.0
-    violations = 0
-    for entry in per_uav:
-        targets = np.asarray(entry["rate_targets_bps"], dtype=float)
-        if targets.size == 0:
-            continue
-        pos, _ = _flatten_positions(entry["user_pos"])
-        pl = uav_user_pathloss_db(np.asarray(entry["position"], dtype=float), pos, p)
-        power = min_uav_power_w(pl, targets[:, None], entry["n_served"],
-                                bandwidth_hz, noise_w)
-        total += float(power.sum())
-        violations += int(np.count_nonzero(power > max_power_w))
-    return total, violations
+    return PlacementResult(position=best_pos, objective_w=best_val, evaluations=evals)

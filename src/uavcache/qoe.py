@@ -113,8 +113,9 @@ def delay_score(value_s: float, cfg: ScenarioConfig) -> float:
     return float(np.clip(score, 0.0, 1.0))
 
 
-def device_score(rate_bps: float, required_bps: float) -> int:
-    return 1 if rate_bps >= required_bps else 0
+def device_score(rates_bps, required_bps: float) -> float:
+    """Fraction of intervals whose rate meets the device's rate floor."""
+    return float(np.mean(np.asarray(rates_bps, dtype=float) >= required_bps))
 
 
 def mos_label(qoe: float) -> str:
@@ -124,10 +125,9 @@ def mos_label(qoe: float) -> str:
     return "Poor"
 
 
-def qoe_score(delay_score_value: float, device_scores, weight_delay: float,
+def qoe_score(delay_score_value: float, device_score_value: float, weight_delay: float,
               weight_device: float) -> tuple[float, str]:
-    scores = np.asarray(device_scores, dtype=float)
-    q = weight_delay * delay_score_value + weight_device * float(scores.mean())
+    q = weight_delay * delay_score_value + weight_device * device_score_value
     return float(q), mos_label(q)
 
 

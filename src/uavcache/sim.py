@@ -20,14 +20,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import placement
-from .channel import (g2a_fronthaul_bits, rrh_slot_capacity_bits, uav_user_pathloss_db,
-                      uav_user_snr, zfbf_sinr)
+from .channel import (g2a_fronthaul_bits, link_rates_bps, slot_capacity_bits,
+                      uav_user_pathloss_db, uav_user_snr, zfbf_sinr)
 from .config import ConfigError, RandomSource, RrhCluster, ScenarioConfig, validate
 from .generators import SyntheticWorld
 from .predictors import EsnPredictor, OraclePredictor
-from .qoe import (LINK_RRH, LINK_UAV_CACHE, LINK_UAV_FRONTHAUL, MOS_BINS, InfeasibleDelay,
-                  QoeReport, delay_lower_bound_s, delay_rate_requirement_bits, delay_score,
-                  min_uav_power_w, mos_label, qoe_rate_target_bps)
+from .qoe import (LINK_RRH, LINK_UAV_CACHE, LINK_UAV_FRONTHAUL, MOS_BINS, DeliveryPath,
+                  InfeasibleDelay, QoeReport, delay_lower_bound_s, delay_rate_requirement_bits,
+                  delay_s, delay_score, device_score, min_uav_power_w, qoe_rate_target_bps,
+                  qoe_score)
 
 # A delivery satisfies the user when its score reaches the top opinion bin.
 SATISFIED_QOE = MOS_BINS[0][0]
@@ -113,8 +114,8 @@ def _rrh_rates_bits(cfg, world, clusters, assigned, user_xy, fading, interferenc
                      cfg.noise_power_w, cfg.pathloss.g2a_exponent)
     rates = np.zeros(user_xy.shape[0])
     for i, gamma in sinr.items():
-        rates[i] = rrh_slot_capacity_bits(np.array([gamma]), cfg.rrh_bandwidth_hz,
-                                          cfg.slot_duration_s)
+        rates[i] = slot_capacity_bits(link_rates_bps(gamma, cfg.rrh_bandwidth_hz),
+                                      cfg.slot_duration_s)
     return rates, sinr
 
 
@@ -353,68 +354,43 @@ def run_period(cfg: ScenarioConfig, mode: str = "oracle", models=None,
             device_req = cfg.device_rate_bps(screen[u], content)
 
             if u in plan.rrh_users:
-                access_bits = rates_true[u]
-                if access_bits <= 0.0:
-                    reports.append(_failure_report(u, content, LINK_RRH))
-                    n_failures += 1
-                    continue
-                delay = (cfg.content_size_bits / v_fu_bps
-                         + cfg.slot_duration_s * cfg.content_size_bits / access_bits)
-                rate_bps = access_bits / cfg.slot_duration_s
-                report = _score(cfg, u, content, LINK_RRH, delay, rate_bps, device_req,
-                                power_w=0.0, cache_hit=False, feasible=True)
-                reports.append(report)
-                n_delivered += report.delivered
-                n_failures += not report.delivered
-                continue
-
-            if u not in user_uav:
-                reports.append(_failure_report(u, content, "unserved"))
-                n_failures += 1
-                continue
-
-            k = user_uav[u]
-            n_served = len(members[k])
-            cache_hit = content in caches[k]
-            n_uav_deliveries += 1
-            n_hits += cache_hit
-            fronthaul_bits = None
-            if not cache_hit:
-                total_fh = g2a_fronthaul_bits(positions[k], world.bbu_xy, cfg.pathloss,
-                                              cfg.bbu_power_w, cfg.rrh_bandwidth_hz,
-                                              cfg.noise_power_w, cfg.slot_duration_s)
-                fronthaul_bits = total_fh / max(n_fetch, 1)
-            target = _rate_target_bps(cfg, cache_hit, fronthaul_bits, device_req)
-            interval_pos = world.interval_positions(u, gs, f_int)
-            pl = uav_user_pathloss_db(positions[k], interval_pos, cfg.pathloss)
-            if np.isfinite(target):
-                power = min_uav_power_w(pl, target, n_served, cfg.uav_bandwidth_hz,
-                                        cfg.noise_power_w)
+                path = DeliveryPath(LINK_RRH, rates_true[u], v_fu_bps * cfg.slot_duration_s)
+                report = _score(cfg, u, content, path, rates_true[u] / cfg.slot_duration_s,
+                                device_req)
+            elif u not in user_uav:
+                report = _failure_report(u, content, "unserved")
             else:
-                power = np.full(f_int, np.inf)
-            feasible = bool(np.all(power <= cfg.uav_max_power_w))
-            tx_power = np.minimum(power, cfg.uav_max_power_w)
-            snr = uav_user_snr(tx_power, pl, cfg.noise_power_w)
-            rates_bps = (cfg.uav_bandwidth_hz / n_served) * np.log2(1.0 + snr)
-            access_bits = float(rates_bps.sum() * cfg.slot_duration_s / f_int)
-            if access_bits <= 0.0:
-                reports.append(_failure_report(u, content,
-                                               LINK_UAV_CACHE if cache_hit else LINK_UAV_FRONTHAUL,
-                                               power_w=float(tx_power.mean()),
-                                               cache_hit=cache_hit))
-                uav_power[k] += float(tx_power.mean())
-                n_failures += 1
-                continue
-            delay = cfg.slot_duration_s * cfg.content_size_bits / access_bits
-            if not cache_hit:
-                delay += cfg.slot_duration_s * cfg.content_size_bits / fronthaul_bits
-            mean_power = float(tx_power.mean())
-            report = _score(cfg, u, content,
-                            LINK_UAV_CACHE if cache_hit else LINK_UAV_FRONTHAUL,
-                            delay, rates_bps, device_req, power_w=mean_power,
-                            cache_hit=cache_hit, feasible=feasible)
+                k = user_uav[u]
+                n_served = len(members[k])
+                cache_hit = content in caches[k]
+                n_uav_deliveries += 1
+                n_hits += cache_hit
+                fronthaul_bits = None
+                if not cache_hit:
+                    total_fh = g2a_fronthaul_bits(positions[k], world.bbu_xy, cfg.pathloss,
+                                                  cfg.bbu_power_w, cfg.rrh_bandwidth_hz,
+                                                  cfg.noise_power_w, cfg.slot_duration_s)
+                    fronthaul_bits = total_fh / max(n_fetch, 1)
+                target = _rate_target_bps(cfg, cache_hit, fronthaul_bits, device_req)
+                interval_pos = world.interval_positions(u, gs, f_int)
+                pl = uav_user_pathloss_db(positions[k], interval_pos, cfg.pathloss)
+                if np.isfinite(target):
+                    power = min_uav_power_w(pl, target, n_served, cfg.uav_bandwidth_hz,
+                                            cfg.noise_power_w)
+                else:
+                    power = np.full(f_int, np.inf)
+                tx_power = np.minimum(power, cfg.uav_max_power_w)
+                rates_bps = link_rates_bps(uav_user_snr(tx_power, pl, cfg.noise_power_w),
+                                           cfg.uav_bandwidth_hz, n_served)
+                path = DeliveryPath(LINK_UAV_CACHE if cache_hit else LINK_UAV_FRONTHAUL,
+                                    slot_capacity_bits(rates_bps, cfg.slot_duration_s),
+                                    fronthaul_bits)
+                mean_power = float(tx_power.mean())
+                report = _score(cfg, u, content, path, rates_bps, device_req,
+                                power_w=mean_power, cache_hit=cache_hit,
+                                feasible=bool(np.all(power <= cfg.uav_max_power_w)))
+                uav_power[k] += mean_power
             reports.append(report)
-            uav_power[k] += mean_power
             n_delivered += report.delivered
             n_failures += not report.delivered
 
@@ -445,19 +421,23 @@ def _failure_report(user: int, content: int, link: str, power_w: float = 0.0,
                      power_w=power_w, cache_hit=cache_hit, power_feasible=True)
 
 
-def _score(cfg: ScenarioConfig, user: int, content: int, link: str, delay: float,
-           rates_bps, device_req: float, power_w: float, cache_hit: bool,
-           feasible: bool) -> QoeReport:
+def _score(cfg: ScenarioConfig, user: int, content: int, path: DeliveryPath, rates_bps,
+           device_req: float, power_w: float = 0.0, cache_hit: bool = False,
+           feasible: bool = True) -> QoeReport:
+    """Score one delivery over ``path`` at the per-interval access rates ``rates_bps``."""
+    try:
+        delay = delay_s(path, cfg.content_size_bits, cfg.slot_duration_s)
+    except InfeasibleDelay:
+        return _failure_report(user, content, path.kind, power_w=power_w, cache_hit=cache_hit)
     if delay > cfg.slot_duration_s:
-        report = _failure_report(user, content, link, power_w=power_w, cache_hit=cache_hit)
+        report = _failure_report(user, content, path.kind, power_w=power_w, cache_hit=cache_hit)
         return dataclasses.replace(report, delay_s=delay, power_feasible=feasible)
     d_score = delay_score(delay, cfg)
-    rates = np.atleast_1d(np.asarray(rates_bps, dtype=float))
-    device_frac = float(np.mean(rates >= device_req))
-    q = cfg.qoe_weight_delay * d_score + cfg.qoe_weight_device * device_frac
-    return QoeReport(user=user, content=content, link=link, delay_s=delay,
+    device_frac = device_score(rates_bps, device_req)
+    q, label = qoe_score(d_score, device_frac, cfg.qoe_weight_delay, cfg.qoe_weight_device)
+    return QoeReport(user=user, content=content, link=path.kind, delay_s=delay,
                      delay_score=d_score, device_score_frac=device_frac, qoe=q,
-                     mos_label=mos_label(q), satisfied=q >= SATISFIED_QOE, delivered=True,
+                     mos_label=label, satisfied=q >= SATISFIED_QOE, delivered=True,
                      power_w=power_w, cache_hit=cache_hit, power_feasible=feasible)
 
 

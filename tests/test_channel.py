@@ -30,11 +30,11 @@ class TestLosProbability:
         # elevation exactly env_x degrees makes the exponent vanish
         horizontal = 300.0
         altitude = horizontal * math.tan(math.radians(P.env_x))
-        pr = channel.los_probability([0.0, 0.0, altitude], [horizontal, 0.0], P)
+        pr = channel.los_probability(math.hypot(horizontal, altitude), altitude, P)
         assert pr == pytest.approx(1.0 / (1.0 + P.env_x), rel=1e-9)
 
     def test_overhead_user(self):
-        pr = channel.los_probability([0.0, 0.0, 100.0], [0.0, 0.0], P)
+        pr = channel.los_probability(100.0, 100.0, P)
         expected = 1.0 / (1.0 + P.env_x * math.exp(-P.env_y * (90.0 - P.env_x)))
         assert pr == pytest.approx(expected, rel=1e-12)
         assert pr == pytest.approx(0.9995, abs=5e-4)
@@ -45,8 +45,8 @@ class TestLosProbability:
         lo, hi = sorted((h1, h2))
         if hi - lo < 1e-6:
             return
-        p1 = channel.los_probability([0.0, 0.0, lo], [200.0, 0.0], P)
-        p2 = channel.los_probability([0.0, 0.0, hi], [200.0, 0.0], P)
+        p1 = channel.los_probability(math.hypot(200.0, lo), lo, P)
+        p2 = channel.los_probability(math.hypot(200.0, hi), hi, P)
         assert 0.0 < p1 < p2 < 1.0
 
 
@@ -64,7 +64,7 @@ class TestPathloss:
     def test_expected_mode_hand_formula(self):
         uav, user = [0.0, 0.0, 60.0], [80.0, 0.0]
         d = channel.distance_3d(uav, user)
-        pr = channel.los_probability(uav, user, P)
+        pr = channel.los_probability(d, uav[2], P)
         l_fs = channel.free_space_pl_db(P.fs_ref_distance_m, P.carrier_hz)
         expected = (pr * (l_fs + 10.0 * P.exponent_los * math.log10(d))
                     + (1 - pr) * (l_fs + 10.0 * P.exponent_nlos * math.log10(d)))
@@ -110,47 +110,38 @@ class TestSnrAndCapacity:
     def test_unit_snr_slot_capacity(self):
         # constant SNR=1 on the full band for one second: B log2(2) = 1 Gbit
         noise = 1e-12
-        pl_db = 0.0
-        power = noise  # snr exactly 1
         f = 8
-        user_xy = np.tile([[0.0, 0.0]], (f, 1))
-        uav = [0.0, 0.0, 1.0]
-        p_flat = ChannelParams(exponent_los=0.0, exponent_nlos=0.0, carrier_hz=38e9,
-                               fs_ref_distance_m=channel.SPEED_OF_LIGHT / (4 * math.pi * 38e9))
-        bits = channel.uav_slot_capacity_bits(uav, user_xy, np.full(f, power), 1, p_flat,
-                                              1e9, noise, 1.0)
-        assert bits == pytest.approx(1e9, rel=1e-9)
-        assert pl_db == 0.0
+        snr = channel.uav_user_snr(np.full(f, noise), np.zeros(f), noise)  # 0 dB loss
+        rates = channel.link_rates_bps(snr, 1e9, 1)
+        assert channel.slot_capacity_bits(rates, 1.0) == pytest.approx(1e9, rel=1e-9)
 
     def test_zero_power_zero_bits(self):
-        user_xy = np.tile([[50.0, 0.0]], (4, 1))
-        bits = channel.uav_slot_capacity_bits([0, 0, 100.0], user_xy, np.zeros(4), 1, P,
-                                              1e9, 1e-12, 1.0)
-        assert bits == 0.0
+        pl = channel.uav_user_pathloss_db([0, 0, 100.0], np.tile([[50.0, 0.0]], (4, 1)), P)
+        rates = channel.link_rates_bps(channel.uav_user_snr(np.zeros(4), pl, 1e-12), 1e9, 1)
+        assert channel.slot_capacity_bits(rates, 1.0) == 0.0
 
     def test_band_split_halves_capacity(self):
-        user_xy = np.tile([[50.0, 0.0]], (4, 1))
-        kwargs = dict(p=P, bandwidth_hz=1e9, noise_w=1e-12, slot_duration_s=1.0)
-        one = channel.uav_slot_capacity_bits([0, 0, 100.0], user_xy, np.full(4, 0.1), 1, **kwargs)
-        two = channel.uav_slot_capacity_bits([0, 0, 100.0], user_xy, np.full(4, 0.1), 2, **kwargs)
+        pl = channel.uav_user_pathloss_db([0, 0, 100.0], np.tile([[50.0, 0.0]], (4, 1)), P)
+        snr = channel.uav_user_snr(np.full(4, 0.1), pl, 1e-12)
+        one = channel.slot_capacity_bits(channel.link_rates_bps(snr, 1e9, 1), 1.0)
+        two = channel.slot_capacity_bits(channel.link_rates_bps(snr, 1e9, 2), 1.0)
         assert two == pytest.approx(one / 2.0, rel=1e-12)
 
     def test_empty_association_rejected(self):
         with pytest.raises(channel.ChannelError):
-            channel.uav_slot_capacity_bits([0, 0, 100.0], [[1.0, 1.0]], [0.1], 0, P,
-                                           1e9, 1e-12, 1.0)
+            channel.link_rates_bps([1.0], 1e9, 0)
 
     def test_rrh_capacity_log4(self):
         # constant SINR 3 over 1 MHz for one second: log2(4) = 2 Mbit
-        bits = channel.rrh_slot_capacity_bits(np.full(5, 3.0), 1e6, 1.0)
+        bits = channel.slot_capacity_bits(channel.link_rates_bps(np.full(5, 3.0), 1e6), 1.0)
         assert bits == pytest.approx(2e6, rel=1e-12)
 
     def test_rrh_capacity_zero(self):
-        assert channel.rrh_slot_capacity_bits(np.zeros(5), 1e6, 1.0) == 0.0
+        assert channel.slot_capacity_bits(channel.link_rates_bps(np.zeros(5), 1e6), 1.0) == 0.0
 
     def test_rrh_interval_additivity(self):
-        single = channel.rrh_slot_capacity_bits(np.array([3.0]), 1e6, 1.0)
-        many = channel.rrh_slot_capacity_bits(np.full(10, 3.0), 1e6, 1.0)
+        single = channel.slot_capacity_bits(channel.link_rates_bps(3.0, 1e6), 1.0)
+        many = channel.slot_capacity_bits(channel.link_rates_bps(np.full(10, 3.0), 1e6), 1.0)
         assert many == pytest.approx(single, rel=1e-12)
 
 

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from uavcache.config import (ConfigError, RandomSource, ScenarioConfig, load_config,
+from uavcache.cesn import validate_esn
+from uavcache.config import (ConfigError, EsnConfig, RandomSource, ScenarioConfig, load_config,
                              load_config_dict, merge_documents, serialize, validate)
 
 
@@ -89,31 +90,49 @@ def test_merge_documents_is_deep():
     assert merged["num_users"] == 9
 
 
+@pytest.mark.parametrize("doc, field", [
+    ({"num_users": "70"}, "num_users"),
+    ({"num_users": 70.0}, "num_users"),
+    ({"num_uavs": True}, "num_uavs"),
+    ({"uav_max_power_w": "20"}, "uav_max_power_w"),
+    ({"uav_max_power_w": None}, "uav_max_power_w"),
+    ({"screen_factors": [1.0, "big"]}, "screen_factors"),
+    ({"esn": {"washout": False}}, "esn.washout"),
+    ({"pathloss": {"env_x": [11.9]}}, "pathloss.env_x"),
+])
+def test_wrong_type_rejected_with_path(doc, field):
+    with pytest.raises(ConfigError) as err:
+        load_config_dict(doc)
+    assert [v.split(":")[0] for v in err.value.violations] == [field]
+
+
+def test_integers_accepted_for_float_fields():
+    cfg = load_config_dict({"uav_max_power_w": 20, "esn": {"input_dim": None}})
+    assert cfg.uav_max_power_w == 20.0
+
+
+@pytest.mark.parametrize("esn, field", [
+    ({"spectral_radius": 1.2}, "spectral_radius"),
+    ({"spectral_radius": 0.0}, "spectral_radius"),
+    ({"density": 0.0}, "density"),
+    ({"density": 1.5}, "density"),
+    ({"horizon": 0}, "horizon"),
+    ({"aperture": 0.0}, "aperture"),
+    ({"ridge": -1.0}, "ridge"),
+    ({"washout": 2000}, "washout"),
+])
+def test_esn_invariants_shared_by_validate_and_model_build(esn, field):
+    cfg = dataclasses.replace(ScenarioConfig(), esn=dataclasses.replace(EsnConfig(), **esn))
+    assert [v.split(":")[0] for v in validate(cfg)] == [f"esn.{field}"]
+    with pytest.raises(ValueError, match=f"^{field}: "):
+        validate_esn(dataclasses.replace(cfg.esn, input_dim=4, output_dim=3))
+
+
 def test_per_content_rates_validated_against_catalog():
     with pytest.raises(ConfigError):
         load_config_dict({"num_contents": 3, "content_base_rates_bps": [1e6, 2e6]})
     cfg = load_config_dict({"num_contents": 2, "content_base_rates_bps": [1e6, 2e6]})
     assert cfg.device_rate_bps(0.5, 1) == 1e6
-
-
-class TestUavConstraints:
-    def test_valid_state_has_no_problems(self):
-        import numpy as np
-        from uavcache.config import UavState, check_uav_constraints
-        cfg = ScenarioConfig()
-        uav = UavState(id=0, position=np.array([0.0, 0.0, 150.0]), cache=(1, 2))
-        assert check_uav_constraints(uav, dataclasses.replace(cfg, cache_size=2)) == []
-
-    def test_violations_flagged(self):
-        import numpy as np
-        from uavcache.config import UavState, check_uav_constraints
-        cfg = ScenarioConfig()
-        low = UavState(id=0, position=np.array([0.0, 0.0, 50.0]), cache=(1, 1))
-        problems = check_uav_constraints(low, cfg)
-        assert any("altitude" in p for p in problems)
-        assert any("duplicate" in p for p in problems)
-        fat = UavState(id=1, position=np.array([0.0, 0.0, 150.0]), cache=(1, 2, 3))
-        assert any("limit" in p for p in check_uav_constraints(fat, cfg))
 
 
 class TestRandomSource:

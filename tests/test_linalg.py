@@ -9,24 +9,6 @@ def rng():
     return np.random.default_rng(7)
 
 
-class TestMatmul:
-    def test_identity(self):
-        a = rng().standard_normal((4, 4))
-        assert np.allclose(linalg.matmul(np.eye(4), a), a)
-
-    def test_hand_example(self):
-        out = linalg.matmul([[1, 2], [3, 4]], [[0], [1]])
-        assert np.array_equal(out, [[2], [4]])
-
-    def test_transpose_identity(self):
-        a, b = rng().standard_normal((5, 5)), rng().standard_normal((5, 5))
-        assert np.abs(linalg.matmul(a, b).T - linalg.matmul(b.T, a.T)).max() < 1e-12
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(linalg.LinalgError):
-            linalg.matmul(np.ones((2, 3)), np.ones((2, 3)))
-
-
 class TestSolveSpd:
     def test_identity(self):
         b = rng().standard_normal((4, 2))

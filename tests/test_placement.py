@@ -94,7 +94,7 @@ class TestClustering:
         sses = []
         for iters in (1, 2, 3, 5, 10, 100):
             labels, centroids = placement.cluster_users(xy, 4, rs, max_iter=iters)
-            sses.append(placement.within_cluster_sse(xy, labels, centroids))
+            sses.append(float(np.sum((xy - centroids[labels]) ** 2)))
         assert all(a >= b - 1e-9 for a, b in zip(sses, sses[1:]))
 
     def test_fewer_points_than_clusters(self):
@@ -291,37 +291,19 @@ class TestExhaustive:
                                            [100.0], 1, CFG.pathloss, 1e9, 1e-12)
 
 
-class TestTotalObjective:
-    def entry(self, seed, position, scale=1.0):
-        users, targets, _ = low_regime_instance(seed, n_users=4)
-        return {"position": position, "user_pos": users,
-                "rate_targets_bps": targets * scale, "n_served": 4}
+class TestObjective:
+    def objective(self, users, targets):
+        return placement.placement_objective([0.0, 0.0, 100.0], users, targets, 4,
+                                             CFG.pathloss, 1e9, 1e-12)
 
     def test_no_users_zero(self):
-        total, violations = placement.total_power_objective(
-            [{"position": [0, 0, 100.0], "user_pos": np.zeros((0, 1, 2)),
-              "rate_targets_bps": np.zeros(0), "n_served": 1}],
-            CFG.pathloss, 1e9, 1e-12, 20.0)
-        assert total == 0.0
-        assert violations == 0
+        assert self.objective(np.zeros((0, 1, 2)), np.zeros(0)) == 0.0
 
-    def test_additive_over_uavs(self):
-        e1 = self.entry(1, [0.0, 0.0, 100.0])
-        e2 = self.entry(2, [200.0, 0.0, 120.0])
-        alone = [placement.total_power_objective([e], CFG.pathloss, 1e9, 1e-12, 20.0)[0]
-                 for e in (e1, e2)]
-        both, _ = placement.total_power_objective([e1, e2], CFG.pathloss, 1e9, 1e-12, 20.0)
-        assert both == pytest.approx(sum(alone), rel=1e-12)
+    def test_additive_over_users(self):
+        users, targets, _ = low_regime_instance(1, n_users=4)
+        parts = self.objective(users[:2], targets[:2]) + self.objective(users[2:], targets[2:])
+        assert self.objective(users, targets) == pytest.approx(parts, rel=1e-12)
 
     def test_lower_rate_targets_cost_less(self):
-        hungry = self.entry(3, [0.0, 0.0, 100.0], scale=2.0)
-        modest = self.entry(3, [0.0, 0.0, 100.0], scale=1.0)
-        a, _ = placement.total_power_objective([hungry], CFG.pathloss, 1e9, 1e-12, 20.0)
-        b, _ = placement.total_power_objective([modest], CFG.pathloss, 1e9, 1e-12, 20.0)
-        assert b < a
-
-    def test_cap_violations_flagged(self):
-        entry = self.entry(4, [0.0, 0.0, 100.0], scale=50.0)
-        _, violations = placement.total_power_objective([entry], CFG.pathloss, 1e6,
-                                                        1e-12, 1e-9)
-        assert violations > 0
+        users, targets, _ = low_regime_instance(3, n_users=4)
+        assert self.objective(users, targets) < self.objective(users, 2.0 * targets)

@@ -97,6 +97,9 @@ class TestDeviceScore:
     def test_zero_rate(self):
         assert qoe.device_score(0.0, 5e6) == 0
 
+    def test_fraction_of_intervals(self):
+        assert qoe.device_score([1e6, 5e6, 6e6, 0.0], 5e6) == 0.5
+
     def test_screen_factor_scales_threshold(self):
         cfg = ScenarioConfig()
         assert cfg.device_rate_bps(1.0, 0) == 5e6
@@ -105,17 +108,17 @@ class TestDeviceScore:
 
 class TestQoeScore:
     def test_perfect(self):
-        q, label = qoe.qoe_score(1.0, np.ones(10), 0.5, 0.5)
+        q, label = qoe.qoe_score(1.0, qoe.device_score(np.full(10, 5e6), 5e6), 0.5, 0.5)
         assert q == pytest.approx(1.0)
         assert label == "Excellent"
 
     def test_worst(self):
-        q, label = qoe.qoe_score(0.0, np.zeros(10), 0.5, 0.5)
+        q, label = qoe.qoe_score(0.0, qoe.device_score(np.zeros(10), 5e6), 0.5, 0.5)
         assert q == 0.0
         assert label == "Poor"
 
     def test_half_is_good(self):
-        q, label = qoe.qoe_score(1.0, np.zeros(10), 0.5, 0.5)
+        q, label = qoe.qoe_score(1.0, qoe.device_score(np.zeros(10), 5e6), 0.5, 0.5)
         assert q == pytest.approx(0.5)
         assert label == "Good"
 

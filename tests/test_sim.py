@@ -6,7 +6,7 @@ import pytest
 from uavcache import sim
 from uavcache.generators import SyntheticWorld
 from uavcache.predictors import train_content_model, train_mobility_model
-from uavcache.qoe import delay_lower_bound_s
+from uavcache.qoe import LINK_UAV_CACHE, LINK_UAV_FRONTHAUL, delay_lower_bound_s
 
 
 def run(cfg, **kwargs):
@@ -79,6 +79,20 @@ class TestRunPeriod:
     def test_unknown_mode_rejected(self, tiny_cfg):
         with pytest.raises(ValueError):
             run(tiny_cfg, mode="psychic")
+
+
+class TestPowerCap:
+    def test_cap_violations_flagged(self, tiny_cfg):
+        cap = 1e-3  # binds on most, not all, aerial deliveries of tiny_cfg
+        logs, summary = run(dataclasses.replace(tiny_cfg, uav_max_power_w=cap))
+        reports = [r for log in logs for r in log.reports]
+        infeasible = [r for r in reports if not r.power_feasible]
+        assert 0 < summary["power_cap_violations"] < summary["uav_deliveries"]
+        assert summary["power_cap_violations"] == len(infeasible)
+        assert all(r.link in (LINK_UAV_CACHE, LINK_UAV_FRONTHAUL) for r in infeasible)
+        # power_w is the mean of the clamped per-interval powers; a mean of
+        # values all equal to the cap may round one ulp above it.
+        assert max(r.power_w for r in reports) <= cap * (1.0 + 1e-12)
 
 
 class TestBaselines:
