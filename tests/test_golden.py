@@ -7,11 +7,13 @@ refactor pass; a change that alters results on purpose says so and shows the
 rows that moved.
 """
 
+import dataclasses
 import hashlib
 
 import pytest
 
 from uavcache import sim
+from uavcache.config import ScenarioConfig
 from uavcache.generators import SyntheticWorld
 from uavcache.predictors import train_content_model, train_mobility_model
 
@@ -36,6 +38,15 @@ TINY_ESN = ("b9c955801c4ce598843d37cff88b68e24f7ff6306bd38446dab6db4774ca8f53",
             "588f28e7789dcfed68ae0fc44ab46febb3b4ae51d1ea2efcedd6b381c0783df7")
 
 
+# the built-in defaults (paper scale) in oracle mode
+PAPER_ORACLE = ("b4240b6aaf4e7071b6cfb7d4f19c5a1537ec04e4329e19e65c0ca44b4bc48f1d",
+                "98d78bc23245801e7f6bfe19e454935d9dd3cb97e257ad7484485550b2da1c46")
+
+# tiny_cfg in oracle mode with one base rate per content
+TINY_PER_CONTENT_RATES = ("1130a2ce5879d840f1adf7c8ac1637e52e62c7396863b8b4baaae27518c62664",
+                          "c6fdbff7d077eeb417d317100bfab38f5919066d4efb0522a163d3fd59716ef5")
+
+
 def digests(logs, summary) -> tuple[str, str]:
     return (hashlib.sha256(sim.slots_csv_text(logs).encode("utf-8")).hexdigest(),
             hashlib.sha256(sim.summary_json_text(summary).encode("utf-8")).hexdigest())
@@ -53,3 +64,16 @@ def test_tiny_esn_artifacts_pinned(tiny_cfg):
     mobility = [train_mobility_model(tiny_cfg, world, u)[0] for u in range(tiny_cfg.num_users)]
     logs, summary = sim.run_period(tiny_cfg, mode="esn", models=(content, mobility), world=world)
     assert digests(logs, summary) == TINY_ESN
+
+
+@pytest.mark.slow
+def test_paper_oracle_artifacts_pinned():
+    logs, summary = sim.run_period(ScenarioConfig(), mode="oracle")
+    assert digests(logs, summary) == PAPER_ORACLE
+
+
+def test_per_content_rates_artifacts_pinned(tiny_cfg):
+    cfg = dataclasses.replace(tiny_cfg,
+                              content_base_rates_bps=tuple(1e6 + 1e5 * i for i in range(25)))
+    logs, summary = sim.run_period(cfg, mode="oracle")
+    assert digests(logs, summary) == TINY_PER_CONTENT_RATES
