@@ -142,13 +142,11 @@ class ScenarioConfig:
     generators: GeneratorConfig = field(default_factory=GeneratorConfig)
     seed: int = 20240001
 
-    def device_rate_bps(self, screen_factor: float, content: int) -> float:
-        """Per-content rate floor for a device with the given screen factor."""
+    def device_rate_bps(self, screen_factor, content):
+        """Rate floor of a device with this screen factor; ``content`` may be an index array."""
         if self.content_base_rates_bps is not None:
-            base = self.content_base_rates_bps[content]
-        else:
-            base = self.content_base_rate_bps
-        return screen_factor * base
+            return screen_factor * np.asarray(self.content_base_rates_bps)[content]
+        return screen_factor * np.full(np.shape(content), self.content_base_rate_bps)[()]
 
 
 # Desk-scale preset applied by the CLI unless --paper-scale is given.  Fewer

@@ -1,21 +1,23 @@
-"""Slot-by-slot orchestration: predict, associate, cache, place, deliver, score.
+"""Slot-by-slot orchestration in four stages: plan, cache, place, deliver.
 
-One run covers one caching period (a synthetic day of T slots).  Planning uses
-predicted positions and request distributions; delivery and scoring use the
-generator's true state, so prediction error shows up as extra transmit power
-and missed QoE, exactly where it would hurt a real deployment.
+One run covers one caching period (a synthetic day of T slots).  ``plan_slots``,
+``select_caches`` and ``place_uavs`` work from predicted positions and request
+distributions; ``deliver`` serves and scores the generator's true state, so
+prediction error shows up as extra transmit power and missed QoE, exactly where
+it would hurt a real deployment.  The stages pass one :class:`PeriodPlan`.
 
-Ablation baselines reuse the identical pipeline with one stage disabled:
-``no_uav`` (terrestrial service only), ``no_cache`` (every aerial delivery
-rides the wireless fronthaul), ``random_cache`` (uniform cache picks), and
-``fixed_placement`` (UAVs parked over their first-slot cluster centroids).
+Each ablation baseline swaps stages (:data:`BASELINES`): ``no_uav`` plans with
+no UAVs, ``no_cache`` and ``random_cache`` replace ``select_caches`` with empty
+or uniform caches, and ``fixed_placement`` replaces ``place_uavs`` by parking
+each UAV over its first-slot anchor.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -32,8 +34,6 @@ from .qoe import (LINK_RRH, LINK_UAV_CACHE, LINK_UAV_FRONTHAUL, MOS_BINS, Delive
 
 # A delivery satisfies the user when its score reaches the top opinion bin.
 SATISFIED_QOE = MOS_BINS[0][0]
-
-BASELINES = ("no_uav", "no_cache", "random_cache", "fixed_placement")
 
 SUMMARY_SCHEMA_VERSION = 1
 SLOTS_SCHEMA_VERSION = 1
@@ -116,7 +116,7 @@ def _rrh_rates_bits(cfg, world, clusters, assigned, user_xy, fading, interferenc
     for i, gamma in sinr.items():
         rates[i] = slot_capacity_bits(link_rates_bps(gamma, cfg.rrh_bandwidth_hz),
                                       cfg.slot_duration_s)
-    return rates, sinr
+    return rates
 
 
 def _rate_target_bps(cfg: ScenarioConfig, cached: bool, fronthaul_bits: float,
@@ -129,231 +129,202 @@ def _rate_target_bps(cfg: ScenarioConfig, cached: bool, fronthaul_bits: float,
     return qoe_rate_target_bps(req_bits, device_req_bps, cfg.slot_duration_s)
 
 
-def run_period(cfg: ScenarioConfig, mode: str = "oracle", models=None,
-               baseline: str | None = None,
-               world: SyntheticWorld | None = None) -> tuple[list[SlotLog], dict]:
-    """Simulate one caching period; returns per-slot logs and the summary."""
-    if baseline is not None and baseline not in BASELINES:
-        raise ValueError(f"unknown baseline {baseline!r}; expected one of {BASELINES}")
-    if mode not in ("oracle", "esn"):
-        raise ValueError(f"unknown mode {mode!r}")
+@dataclass
+class PeriodPlan:
+    """What planning fixes for one period; the cache, placement and delivery stages read it.
 
-    world = world if world is not None else SyntheticWorld(cfg)
-    rs = RandomSource(cfg.seed).derive("sim")
-    t_slots = cfg.slots_per_cache_period
-    h = cfg.slots_per_collection
-    f_int = cfg.intervals_per_slot
+    The per-slot lists hold one entry per slot; inside a slot, ``members``,
+    ``anchors`` and ``fronthaul_bits`` hold one entry per UAV.
+    """
+
+    cfg: ScenarioConfig
+    world: SyntheticWorld
+    predictor: OraclePredictor | EsnPredictor
+    rs: RandomSource
+    n_uavs: int
+    slot0: int  # global index of the period's first slot
+    clusters: list[RrhCluster]
+    screen: np.ndarray  # (U,) screen factor per user
+    association: list[placement.AssociationPlan] = field(default_factory=list)
+    members: list[list[list[int]]] = field(default_factory=list)  # users served by each UAV
+    anchors: list[np.ndarray] = field(default_factory=list)  # (K, 3) centroids at the floor
+    midpoints: list[np.ndarray] = field(default_factory=list)  # (U, 2) predicted mid-slot xy
+    fading: list[list[np.ndarray]] = field(default_factory=list)  # per RRH cluster
+    # Fronthaul bits at each anchor at the altitude floor; None where a UAV serves nobody.
+    fronthaul_bits: list[list[float | None]] = field(default_factory=list)
+
+
+def plan_slots(cfg: ScenarioConfig, world: SyntheticWorld, predictor,
+               n_uavs: int | None = None) -> PeriodPlan:
+    """Stage 1: per slot, associate users with the radio heads and cluster the rest."""
+    n_uavs = cfg.num_uavs if n_uavs is None else n_uavs
     n_users = cfg.num_users
-    n_uavs = 0 if baseline == "no_uav" else cfg.num_uavs
-    sim_day = world.first_sim_day
-    slot0 = sim_day * t_slots
-
+    rs = RandomSource(cfg.seed).derive("sim")
     # Terrestrial infrastructure: group radio heads into beamforming clusters.
     labels, _ = placement.cluster_users(world.rrh_xy, cfg.num_rrh_clusters,
                                         rs.derive("rrh-grouping"))
     clusters = [RrhCluster(id=q, antennas=world.rrh_xy[labels == q])
                 for q in range(cfg.num_rrh_clusters) if np.any(labels == q)]
-
-    if mode == "oracle":
-        predictor = OraclePredictor(world)
-    else:
-        if models is None:
-            raise ValueError("esn mode needs trained models")
-        content_models, mobility_models = models
-        predictor = EsnPredictor(cfg, world, content_models, mobility_models, sim_day)
-
-    screen = np.array([world.screen_factor(u) for u in range(n_users)])
-    interference_when_planning = n_uavs > 0
-
-    # ---- planning pass: association and clustering per slot --------------------
-    plans: list[placement.AssociationPlan] = []
-    member_lists: list[list[list[int]]] = []  # per slot, per uav
-    centroids_per_slot: list[np.ndarray] = []
-    pred_xy_per_slot: list[np.ndarray] = []
-    fading_per_slot = []
+    plan = PeriodPlan(cfg, world, predictor, rs, n_uavs,
+                      world.first_sim_day * cfg.slots_per_cache_period, clusters,
+                      np.array([world.screen_factor(u) for u in range(n_users)]))
     prev_centroids = None
-    for s in range(t_slots):
-        gs = slot0 + s
-        sub = s // h
-        pred_xy = np.array([predictor.slot_midpoint(u, gs)
+    for s in range(cfg.slots_per_cache_period):
+        pred_xy = np.array([predictor.slot_midpoint(u, plan.slot0 + s)
                             for u in range(n_users)]).reshape(n_users, 2)
-        pred_xy_per_slot.append(pred_xy)
         fading = _zf_fading(rs, s, clusters, n_users)
-        fading_per_slot.append(fading)
-        reference = _reference_sets(pred_xy, clusters)
-        rates, _ = _rrh_rates_bits(cfg, world, clusters, reference, pred_xy, fading,
-                                   interference_when_planning)
-        device_req = np.array([
-            cfg.device_rate_bps(screen[u], int(np.argmax(predictor.request_distribution(u, sub))))
-            for u in range(n_users)])
-        plan = placement.associate_rrh(rates, pred_xy, device_req, clusters, cfg)
-        plans.append(plan)
-
-        if n_uavs and plan.uav_pool:
-            pool_xy = pred_xy[plan.uav_pool]
-            init = prev_centroids if prev_centroids is not None else None
+        rates = _rrh_rates_bits(cfg, world, clusters, _reference_sets(pred_xy, clusters),
+                                pred_xy, fading, n_uavs > 0)
+        sub = s // cfg.slots_per_collection
+        likely = np.array([np.argmax(predictor.request_distribution(u, sub))
+                           for u in range(n_users)], dtype=int)
+        association = placement.associate_rrh(
+            rates, pred_xy, cfg.device_rate_bps(plan.screen, likely), clusters, cfg)
+        pool = association.uav_pool
+        if n_uavs and pool:
             pool_labels, centroids = placement.cluster_users(
-                pool_xy, n_uavs, rs.derive(f"kmeans-{s}"), init_centroids=init)
+                pred_xy[pool], n_uavs, rs.derive(f"kmeans-{s}"), init_centroids=prev_centroids)
             prev_centroids = centroids
-            members = [[plan.uav_pool[j] for j in range(len(plan.uav_pool))
-                        if pool_labels[j] == k] for k in range(n_uavs)]
+            members = [[pool[j] for j in range(len(pool)) if pool_labels[j] == k]
+                       for k in range(n_uavs)]
         else:
-            centroids = prev_centroids if prev_centroids is not None else np.zeros((max(n_uavs, 1), 2))
+            centroids = prev_centroids if prev_centroids is not None else np.zeros((n_uavs, 2))
             members = [[] for _ in range(n_uavs)]
-        member_lists.append(members)
-        centroids_per_slot.append(np.array(centroids, copy=True))
+        plan.association.append(association)
+        plan.members.append(members)
+        plan.anchors.append(np.column_stack([centroids, np.full(n_uavs, cfg.min_altitude_m)]))
+        plan.midpoints.append(pred_xy)
+        plan.fading.append(fading)
+        plan.fronthaul_bits.append([
+            g2a_fronthaul_bits(plan.anchors[s][k], world.bbu_xy, cfg.pathloss,
+                               cfg.bbu_power_w, cfg.rrh_bandwidth_hz, cfg.noise_power_w,
+                               cfg.slot_duration_s) if members[k] else None
+            for k in range(n_uavs)])
+    return plan
 
-    # ---- cache selection (once per period) --------------------------------------
+
+def select_caches(plan: PeriodPlan) -> list[tuple[int, ...]]:
+    """Stage 2: each UAV caches the contents with the largest expected power saving."""
+    cfg, predictor = plan.cfg, plan.predictor
+    all_contents = np.arange(cfg.num_contents)
+    c_r_cached = delay_rate_requirement_bits(True, cfg)
     caches: list[tuple[int, ...]] = []
-    base_rates = (np.asarray(cfg.content_base_rates_bps, dtype=float)
-                  if cfg.content_base_rates_bps is not None
-                  else np.full(cfg.num_contents, cfg.content_base_rate_bps))
-    for k in range(n_uavs):
-        if baseline == "no_cache":
-            caches.append(())
-            continue
-        if baseline == "random_cache":
-            rng = rs.derive(f"random-cache-{k}").generator()
-            picks = rng.choice(cfg.num_contents, size=cfg.cache_size, replace=False)
-            caches.append(tuple(sorted(int(n) for n in picks)))
-            continue
+    for k in range(plan.n_uavs):
         prob_rows, saving_rows = [], []
-        c_r_cached = delay_rate_requirement_bits(True, cfg)
-        for s in range(t_slots):
-            members = member_lists[s][k]
+        for s, members in enumerate(m[k] for m in plan.members):
             if not members:
                 continue
-            sub = s // h
-            proxy = np.array([centroids_per_slot[s][k][0], centroids_per_slot[s][k][1],
-                              cfg.min_altitude_m])
-            fronthaul = g2a_fronthaul_bits(proxy, world.bbu_xy, cfg.pathloss,
-                                           cfg.bbu_power_w, cfg.rrh_bandwidth_hz,
-                                           cfg.noise_power_w, cfg.slot_duration_s)
             try:
-                c_r_uncached = delay_rate_requirement_bits(False, cfg, fronthaul)
+                c_r_uncached = delay_rate_requirement_bits(False, cfg, plan.fronthaul_bits[s][k])
             except InfeasibleDelay:
                 c_r_uncached = None
             for u in members:
-                pl = float(uav_user_pathloss_db(proxy, pred_xy_per_slot[s][u], cfg.pathloss))
-                device_req = screen[u] * base_rates
-                saving = placement.delta_power_saving(pl, c_r_cached, c_r_uncached,
-                                                      device_req, len(members), cfg)
-                prob_rows.append(predictor.request_distribution(u, sub))
-                saving_rows.append(saving)
-        if prob_rows:
-            caches.append(placement.select_cache(k, np.array(prob_rows),
-                                                 np.array(saving_rows),
-                                                 cfg.cache_size).contents)
-        else:
-            caches.append(())
+                pl = float(uav_user_pathloss_db(plan.anchors[s][k], plan.midpoints[s][u],
+                                                cfg.pathloss))
+                device_req = cfg.device_rate_bps(plan.screen[u], all_contents)
+                prob_rows.append(predictor.request_distribution(u, s // cfg.slots_per_collection))
+                saving_rows.append(placement.delta_power_saving(
+                    pl, c_r_cached, c_r_uncached, device_req, len(members), cfg))
+        caches.append(placement.select_cache(k, np.array(prob_rows), np.array(saving_rows),
+                                             cfg.cache_size).contents if prob_rows else ())
+    return caches
 
-    # ---- placement per slot ------------------------------------------------------
+
+def _no_cache(plan: PeriodPlan) -> list[tuple[int, ...]]:
+    return [() for _ in range(plan.n_uavs)]
+
+
+def _random_cache(plan: PeriodPlan) -> list[tuple[int, ...]]:
+    cfg = plan.cfg
+    draws = [plan.rs.derive(f"random-cache-{k}").generator().choice(
+        cfg.num_contents, size=cfg.cache_size, replace=False) for k in range(plan.n_uavs)]
+    return [tuple(sorted(int(n) for n in picks)) for picks in draws]
+
+
+def place_uavs(plan: PeriodPlan, caches: list[tuple[int, ...]]) -> list[np.ndarray]:
+    """Stage 3: per slot, position each UAV to minimize the power toward its users."""
+    cfg, predictor = plan.cfg, plan.predictor
     positions_per_slot: list[np.ndarray] = []
     prev_positions: np.ndarray | None = None
-    fixed_positions: np.ndarray | None = None
-    for s in range(t_slots):
-        gs = slot0 + s
-        sub = s // h
-        positions = np.zeros((n_uavs, 3))
-        for k in range(n_uavs):
-            members = member_lists[s][k]
-            centroid = centroids_per_slot[s][k]
-            default = np.array([centroid[0], centroid[1], cfg.min_altitude_m])
-            if baseline == "fixed_placement":
-                if fixed_positions is None:
-                    positions[k] = default
-                else:
-                    positions[k] = fixed_positions[k]
-                continue
+    for s, members_by_uav in enumerate(plan.members):
+        positions = np.zeros((plan.n_uavs, 3))
+        for k, members in enumerate(members_by_uav):
+            default = plan.anchors[s][k]
             if not members:
                 positions[k] = prev_positions[k] if prev_positions is not None else default
                 continue
-            user_pos = np.stack([predictor.slot_positions(u, gs, f_int) for u in members])
-            proxy = default
-            fronthaul = g2a_fronthaul_bits(proxy, world.bbu_xy, cfg.pathloss,
-                                           cfg.bbu_power_w, cfg.rrh_bandwidth_hz,
-                                           cfg.noise_power_w, cfg.slot_duration_s)
+            user_pos = np.stack([predictor.slot_positions(u, plan.slot0 + s, cfg.intervals_per_slot)
+                                 for u in members])
             targets = np.empty(len(members))
             for idx, u in enumerate(members):
-                p_hat = predictor.request_distribution(u, sub)
-                content = int(np.argmax(p_hat))
-                device_req = cfg.device_rate_bps(screen[u], content)
-                cached = content in caches[k]
-                target = _rate_target_bps(cfg, cached, fronthaul, device_req)
-                if not np.isfinite(target):
-                    # Undeliverable in time over the fronthaul; aim the position
-                    # at the feasible (cached-equivalent) requirement instead.
-                    target = _rate_target_bps(cfg, True, fronthaul, device_req)
+                content = int(np.argmax(predictor.request_distribution(
+                    u, s // cfg.slots_per_collection)))
+                device_req = cfg.device_rate_bps(plan.screen[u], content)
+                target = _rate_target_bps(cfg, content in caches[k], plan.fronthaul_bits[s][k],
+                                          device_req)
+                if not np.isfinite(target):  # the fronthaul is too slow: aim as if cached
+                    target = _rate_target_bps(cfg, True, None, device_req)
                 targets[idx] = target
             regime = placement.closed_form_regime(cfg.min_altitude_m, user_pos)
             if regime == "low" and cfg.pathloss.exponent_nlos != 2.0:
                 regime = None
-            if regime == "low":
+            if regime is not None:
                 xy = placement.place_uav_closed_form(user_pos, targets, len(members),
                                                      cfg.uav_bandwidth_hz)
+            if regime == "low":
                 positions[k] = np.array([xy[0], xy[1], cfg.min_altitude_m])
-            else:
-                if regime == "high":
-                    xy = placement.place_uav_closed_form(user_pos, targets, len(members),
-                                                         cfg.uav_bandwidth_hz)
-                    init = np.array([xy[0], xy[1],
-                                     prev_positions[k][2] if prev_positions is not None
-                                     else cfg.min_altitude_m])
-                else:
-                    init = (prev_positions[k] if prev_positions is not None else default)
-                result = placement.place_uav_local_search(
-                    user_pos, targets, init, len(members), cfg.pathloss,
-                    cfg.uav_bandwidth_hz, cfg.noise_power_w, cfg.min_altitude_m)
-                positions[k] = result.position
-        if baseline == "fixed_placement" and fixed_positions is None:
-            fixed_positions = positions.copy()
+                continue
+            init = prev_positions[k] if prev_positions is not None else default
+            if regime == "high":  # closed-form xy, altitude left to the search
+                init = np.array([xy[0], xy[1], init[2]])
+            positions[k] = placement.place_uav_local_search(
+                user_pos, targets, init, len(members), cfg.pathloss,
+                cfg.uav_bandwidth_hz, cfg.noise_power_w, cfg.min_altitude_m).position
         prev_positions = positions
         positions_per_slot.append(positions)
+    return positions_per_slot
 
-    # ---- delivery and scoring ----------------------------------------------------
-    logs: list[SlotLog] = []
+
+def _fixed_placement(plan: PeriodPlan, caches: list[tuple[int, ...]]) -> list[np.ndarray]:
+    """Park every UAV over its first-slot anchor for the whole period."""
+    return [plan.anchors[0].copy() for _ in plan.members]
+
+
+def deliver(plan: PeriodPlan, caches: list[tuple[int, ...]],
+            positions_per_slot: list[np.ndarray]) -> list[SlotLog]:
+    """Stage 4: serve each slot's true requests at true positions and score them."""
+    cfg, world, n_uavs, n_users = plan.cfg, plan.world, plan.n_uavs, plan.cfg.num_users
     bound_s = delay_lower_bound_s(cfg)
-    for s in range(t_slots):
-        gs = slot0 + s
-        plan = plans[s]
-        members = member_lists[s]
-        positions = positions_per_slot[s] if n_uavs else np.zeros((0, 3))
+    logs: list[SlotLog] = []
+    for s, (association, members, positions) in enumerate(
+            zip(plan.association, plan.members, positions_per_slot)):
+        gs = plan.slot0 + s
         true_xy = np.array([world.position_at(u, gs, 0.5)
                             for u in range(n_users)]).reshape(n_users, 2)
         requests = [world.request_at(u, gs) for u in range(n_users)]
 
-        user_uav = {}
-        for k in range(n_uavs):
-            for u in members[k]:
-                user_uav[u] = k
-        fetchers = set()
-        for u, k in user_uav.items():
-            req = requests[u]
-            if req is not None and req not in caches[k]:
-                fetchers.add(k)
-        n_fetch = len(fetchers)
+        user_uav = {u: k for k in range(n_uavs) for u in members[k]}
+        n_fetch = len({k for u, k in user_uav.items()
+                       if requests[u] is not None and requests[u] not in caches[k]})
 
         # Terrestrial deliveries (admitted sets, true positions, same fading).
-        assigned = plan.cluster_members(len(clusters))
-        rates_true, _ = _rrh_rates_bits(cfg, world, clusters, assigned, true_xy,
-                                        fading_per_slot[s], n_fetch > 0)
-        v_fu_bps = cfg.fronthaul_rate_bps / max(plan.n_fr, 1)
+        rates_true = _rrh_rates_bits(cfg, world, plan.clusters,
+                                     association.cluster_members(len(plan.clusters)), true_xy,
+                                     plan.fading[s], n_fetch > 0)
+        v_fu_bps = cfg.fronthaul_rate_bps / max(association.n_fr, 1)
 
         reports: list[QoeReport] = []
-        uav_power = np.zeros(max(n_uavs, 1))
+        uav_power = np.zeros(n_uavs)
         n_requests = n_delivered = n_failures = n_hits = n_uav_deliveries = 0
         for u in range(n_users):
             content = requests[u]
             if content is None:
-                reports.append(QoeReport(
-                    user=u, content=-1, link="idle", delay_s=0.0, delay_score=0.0,
-                    device_score_frac=0.0, qoe=0.0, mos_label="Poor", satisfied=False,
-                    delivered=False, power_w=0.0, cache_hit=False, power_feasible=True))
+                reports.append(dataclasses.replace(_failure_report(u, -1, "idle"), delay_s=0.0))
                 continue
             n_requests += 1
-            device_req = cfg.device_rate_bps(screen[u], content)
+            device_req = cfg.device_rate_bps(plan.screen[u], content)
 
-            if u in plan.rrh_users:
+            if u in association.rrh_users:
                 path = DeliveryPath(LINK_RRH, rates_true[u], v_fu_bps * cfg.slot_duration_s)
                 report = _score(cfg, u, content, path, rates_true[u] / cfg.slot_duration_s,
                                 device_req)
@@ -365,20 +336,16 @@ def run_period(cfg: ScenarioConfig, mode: str = "oracle", models=None,
                 cache_hit = content in caches[k]
                 n_uav_deliveries += 1
                 n_hits += cache_hit
-                fronthaul_bits = None
-                if not cache_hit:
-                    total_fh = g2a_fronthaul_bits(positions[k], world.bbu_xy, cfg.pathloss,
-                                                  cfg.bbu_power_w, cfg.rrh_bandwidth_hz,
-                                                  cfg.noise_power_w, cfg.slot_duration_s)
-                    fronthaul_bits = total_fh / max(n_fetch, 1)
+                fronthaul_bits = None if cache_hit else g2a_fronthaul_bits(
+                    positions[k], world.bbu_xy, cfg.pathloss, cfg.bbu_power_w,
+                    cfg.rrh_bandwidth_hz, cfg.noise_power_w, cfg.slot_duration_s) / max(n_fetch, 1)
                 target = _rate_target_bps(cfg, cache_hit, fronthaul_bits, device_req)
-                interval_pos = world.interval_positions(u, gs, f_int)
-                pl = uav_user_pathloss_db(positions[k], interval_pos, cfg.pathloss)
-                if np.isfinite(target):
-                    power = min_uav_power_w(pl, target, n_served, cfg.uav_bandwidth_hz,
-                                            cfg.noise_power_w)
-                else:
-                    power = np.full(f_int, np.inf)
+                pl = uav_user_pathloss_db(positions[k],
+                                          world.interval_positions(u, gs, cfg.intervals_per_slot),
+                                          cfg.pathloss)
+                power = (min_uav_power_w(pl, target, n_served, cfg.uav_bandwidth_hz,
+                                         cfg.noise_power_w)
+                         if np.isfinite(target) else np.full(cfg.intervals_per_slot, np.inf))
                 tx_power = np.minimum(power, cfg.uav_max_power_w)
                 rates_bps = link_rates_bps(uav_user_snr(tx_power, pl, cfg.noise_power_w),
                                            cfg.uav_bandwidth_hz, n_served)
@@ -394,13 +361,10 @@ def run_period(cfg: ScenarioConfig, mode: str = "oracle", models=None,
             n_delivered += report.delivered
             n_failures += not report.delivered
 
-        log = SlotLog(slot=s, global_slot=gs, reports=reports, n_fr=plan.n_fr,
-                      n_fetching=n_fetch,
-                      uav_positions=positions if n_uavs else np.zeros((0, 3)),
-                      uav_power_w=uav_power[:n_uavs] if n_uavs else np.zeros(0),
-                      caches=tuple(caches), requests=n_requests,
-                      delivered=n_delivered, failures=n_failures,
-                      cache_hits=n_hits, uav_deliveries=n_uav_deliveries)
+        log = SlotLog(slot=s, global_slot=gs, reports=reports, n_fr=association.n_fr,
+                      n_fetching=n_fetch, uav_positions=positions, uav_power_w=uav_power,
+                      caches=tuple(caches), requests=n_requests, delivered=n_delivered,
+                      failures=n_failures, cache_hits=n_hits, uav_deliveries=n_uav_deliveries)
         log.reconcile()
         # Delivered contents can never beat the system delay bound.
         for r in reports:
@@ -408,9 +372,40 @@ def run_period(cfg: ScenarioConfig, mode: str = "oracle", models=None,
                 raise SimInvariantError(
                     f"slot {s}: user {r.user} delay {r.delay_s} below bound {bound_s}")
         logs.append(log)
+    return logs
 
-    summary = _summarize(cfg, logs, mode, baseline, predictor, n_uavs, bound_s)
-    return logs, summary
+
+# Each ablation baseline replaces the stages it names and keeps the rest.
+BASELINES = {
+    "no_uav": {"plan_slots": functools.partial(plan_slots, n_uavs=0)},
+    "no_cache": {"select_caches": _no_cache},
+    "random_cache": {"select_caches": _random_cache},
+    "fixed_placement": {"place_uavs": _fixed_placement},
+}
+
+
+def run_period(cfg: ScenarioConfig, mode: str = "oracle", models=None,
+               baseline: str | None = None,
+               world: SyntheticWorld | None = None) -> tuple[list[SlotLog], dict]:
+    """Simulate one caching period; returns per-slot logs and the summary."""
+    if baseline is not None and baseline not in BASELINES:
+        raise ValueError(f"unknown baseline {baseline!r}; expected one of {tuple(BASELINES)}")
+    if mode not in ("oracle", "esn"):
+        raise ValueError(f"unknown mode {mode!r}")
+    world = world if world is not None else SyntheticWorld(cfg)
+    if mode == "oracle":
+        predictor = OraclePredictor(world)
+    elif models is None:
+        raise ValueError("esn mode needs trained models")
+    else:
+        predictor = EsnPredictor(cfg, world, *models, world.first_sim_day)
+
+    swap = BASELINES.get(baseline, {})
+    plan = swap.get("plan_slots", plan_slots)(cfg, world, predictor)
+    caches = swap.get("select_caches", select_caches)(plan)
+    positions = swap.get("place_uavs", place_uavs)(plan, caches)
+    logs = swap.get("deliver", deliver)(plan, caches, positions)
+    return logs, _summarize(cfg, logs, mode, baseline, predictor, plan.n_uavs)
 
 
 def _failure_report(user: int, content: int, link: str, power_w: float = 0.0,
@@ -441,7 +436,7 @@ def _score(cfg: ScenarioConfig, user: int, content: int, path: DeliveryPath, rat
                      power_w=power_w, cache_hit=cache_hit, power_feasible=feasible)
 
 
-def _summarize(cfg, logs, mode, baseline, predictor, n_uavs, bound_s) -> dict:
+def _summarize(cfg, logs, mode, baseline, predictor, n_uavs) -> dict:
     total_power = float(sum(log.uav_power_w.sum() for log in logs))
     requests = sum(log.requests for log in logs)
     satisfied = sum(1 for log in logs for r in log.reports if r.satisfied)
@@ -470,7 +465,7 @@ def _summarize(cfg, logs, mode, baseline, predictor, n_uavs, bound_s) -> dict:
         "power_cap_violations": infeasible,
         "avg_altitude_m": float(np.mean(altitudes)) if altitudes else 0.0,
         "n_fr_mean": float(np.mean([log.n_fr for log in logs])) if logs else 0.0,
-        "delay_lower_bound_s": bound_s,
+        "delay_lower_bound_s": delay_lower_bound_s(cfg),
         "min_delivered_delay_s": min(delays) if delays else None,
         "prediction_gap": predictor.gap_metrics(),
     }
@@ -496,15 +491,8 @@ def sweep(cfg: ScenarioConfig, param: str, values, mode: str = "oracle",
         if violations:
             raise ConfigError([f"sweep value {param}={value}: {v}" for v in violations])
         _, summary = run_period(swept, mode=mode, models=models, baseline=baseline)
-        rows.append({
-            "param": param,
-            "value": int(value),
-            "total_uav_power_w": summary["total_uav_power_w"],
-            "avg_uav_power_w": summary["avg_uav_power_w"],
-            "satisfied_fraction": summary["satisfied_fraction"],
-            "cache_hit_rate": summary["cache_hit_rate"],
-            "avg_altitude_m": summary["avg_altitude_m"],
-        })
+        rows.append({"param": param, "value": int(value),
+                     **{c: summary[c] for c in SWEEP_COLUMNS[2:]}})
     return rows
 
 

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -126,6 +127,19 @@ def test_esn_invariants_shared_by_validate_and_model_build(esn, field):
     assert [v.split(":")[0] for v in validate(cfg)] == [f"esn.{field}"]
     with pytest.raises(ValueError, match=f"^{field}: "):
         validate_esn(dataclasses.replace(cfg.esn, input_dim=4, output_dim=3))
+
+
+def test_device_rate_over_content_array_matches_scalar_calls():
+    for rates in (None, tuple(1e6 + 1e5 * i for i in range(25))):
+        cfg = dataclasses.replace(ScenarioConfig(), content_base_rates_bps=rates)
+        contents = np.arange(cfg.num_contents)
+        for screen in (0.5, 1.5):
+            expected = [cfg.device_rate_bps(screen, int(n)) for n in contents]
+            assert cfg.device_rate_bps(screen, contents).tolist() == expected
+        screens = np.array([0.5, 1.0, 1.5])
+        picks = np.array([3, 0, 24])
+        assert cfg.device_rate_bps(screens, picks).tolist() == [
+            cfg.device_rate_bps(f, int(n)) for f, n in zip(screens, picks)]
 
 
 def test_per_content_rates_validated_against_catalog():

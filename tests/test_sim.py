@@ -127,6 +127,20 @@ class TestBaselines:
         assert optimized["total_uav_power_w"] <= parked["total_uav_power_w"]
 
 
+class TestStageTable:
+    def test_baselines_replace_named_stages_only(self):
+        for stages in sim.BASELINES.values():
+            assert stages and set(stages) <= {"plan_slots", "select_caches", "place_uavs",
+                                              "deliver"}
+
+    @pytest.mark.parametrize("baseline", ["no_cache", "random_cache", "fixed_placement"])
+    def test_planning_unchanged_when_a_later_stage_is_swapped(self, tiny_cfg, baseline):
+        planned, _ = run(tiny_cfg)
+        swapped, _ = run(tiny_cfg, baseline=baseline)
+        assert "plan_slots" not in sim.BASELINES[baseline]
+        assert [log.n_fr for log in swapped] == [log.n_fr for log in planned]
+
+
 class TestDeterminism:
     def test_identical_runs_identical_artifacts(self, tiny_cfg):
         logs1, s1 = run(tiny_cfg)
