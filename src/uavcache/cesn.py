@@ -41,6 +41,10 @@ class UntrainedModel(RuntimeError):
     pass
 
 
+class TooFewSamples(ValueError):
+    """A pattern has no samples left once the washout is dropped."""
+
+
 def validate_esn(cfg: EsnConfig) -> None:
     if cfg.input_dim is None or cfg.output_dim is None:
         raise ValueError("input_dim and output_dim must be set to build a model")
@@ -171,6 +175,9 @@ class EsnModel:
             raise ValueError("inputs and targets must have equal length")
         if targets.shape[1] != self.cfg.output_dim:
             raise ValueError(f"target dim {targets.shape[1]} != model dim {self.cfg.output_dim}")
+        if inputs.shape[0] <= self.cfg.washout:
+            raise TooFewSamples(f"{inputs.shape[0]} samples leave none after the washout of "
+                                f"{self.cfg.washout}; lower esn.washout or train longer")
 
         f, quota_before = self.free_memory()
         if quota_before <= QUOTA_MIN:

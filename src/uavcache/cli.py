@@ -22,16 +22,19 @@ import contextlib
 import dataclasses
 import json
 import os
+import platform
 import sys
 import time
+import zipfile
+import zlib
 from pathlib import Path
 
 import numpy as np
 
 from . import cesn, linalg, placement, sim
-from .channel import zf_beamformer
+from .channel import ChannelError, zf_beamformer
 from .config import (DESK_PRESET, ConfigError, RandomSource, ScenarioConfig, load_config_dict,
-                     merge_documents, parse_document, serialize)
+                     merge_documents, parse_document, serialize, training_violations)
 from .generators import SyntheticWorld
 from .predictors import train_content_model, train_mobility_model
 from .qoe import delay_lower_bound_s
@@ -128,6 +131,12 @@ def _manifest(out: Path, args, cfg: ScenarioConfig):
         "argv": [a for a in sys.argv[1:]],
         "seed": cfg.seed,
         "config": json.loads(serialize(cfg)),
+        "environment": {
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            **{name: os.environ.get(name)
+               for name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")},
+        },
         "outputs": [],
         "started_at": _timestamp(),
         "status": "running",
@@ -151,6 +160,9 @@ def _manifest(out: Path, args, cfg: ScenarioConfig):
 
 def cmd_train(args) -> int:
     cfg = _load_scenario(args)
+    problems = training_violations(cfg)
+    if problems:
+        raise ConfigError(problems)
     out = _out_dir(args)
     with _manifest(out, args, cfg) as manifest:
         world = SyntheticWorld(cfg)
@@ -179,6 +191,14 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
+def _read_model(path: Path) -> cesn.EsnModel:
+    try:
+        return cesn.load_model(path)
+    except (OSError, EOFError, KeyError, TypeError, ValueError, zipfile.BadZipFile,
+            zlib.error) as exc:
+        raise ConfigError([f"unreadable model file {path}: {exc}"]) from exc
+
+
 def _load_models(cfg: ScenarioConfig, models_dir: str):
     base = Path(models_dir)
     content, mobility = [], []
@@ -189,8 +209,8 @@ def _load_models(cfg: ScenarioConfig, models_dir: str):
         m_path = c_path.with_name(f"user{u:03d}_mobility.npz")
         if not c_path.exists() or not m_path.exists():
             raise ConfigError([f"missing model files for user {u} under {base}"])
-        c_model = cesn.load_model(c_path)
-        m_model = cesn.load_model(m_path)
+        c_model = _read_model(c_path)
+        m_model = _read_model(m_path)
         if c_model.cfg.output_dim != cfg.num_contents:
             raise ConfigError([
                 f"model/config dimension mismatch: user {u} content model predicts "
@@ -402,8 +422,11 @@ def main(argv=None) -> int:
         for violation in exc.violations:
             print(f"  - {violation}", file=sys.stderr)
         return EXIT_CONFIG
-    except sim.SimInvariantError as exc:
-        print(f"invariant violation: {exc}", file=sys.stderr)
+    except (cesn.TooFewSamples, cesn.MemoryExhausted, linalg.LinalgError) as exc:
+        print(f"invalid inputs: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except (sim.SimInvariantError, ChannelError) as exc:
+        print(f"invariant violation: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
 
 

@@ -265,6 +265,22 @@ def validate(cfg: ScenarioConfig) -> list[str]:
     return v
 
 
+def training_violations(cfg: ScenarioConfig) -> list[str]:
+    """Invariants that only training needs, for a config that passed :func:`validate`.
+
+    Oracle runs never train, so these do not belong to :func:`validate`.
+    """
+    g = cfg.generators
+    # A content pattern is one sub-period of every training day; a mobility
+    # pattern is one day type, of which the weekend has two days a week.
+    samples = min(cfg.esn.training_length, 7 * g.training_weeks * cfg.slots_per_collection,
+                  2 * g.training_weeks * cfg.slots_per_cache_period)
+    if cfg.esn.washout >= samples:
+        return [f"esn.washout: must be smaller than the {samples} training samples per "
+                f"pattern, got {cfg.esn.washout}"]
+    return []
+
+
 _NESTED = {"pathloss": ChannelParams, "esn": EsnConfig, "generators": GeneratorConfig}
 _TUPLE_FIELDS = {"screen_factors", "content_base_rates_bps"}
 

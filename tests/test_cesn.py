@@ -221,6 +221,13 @@ class TestLoadingAndRecall:
             for _ in range(10):
                 model.load_pattern(rng.standard_normal((120, 6)), np.zeros((120, 1)))
 
+    @pytest.mark.parametrize("n_samples", [10, 50])
+    def test_washout_must_leave_samples(self, n_samples):
+        model = signal_model()  # washout 50
+        with pytest.raises(cesn.TooFewSamples, match="washout of 50"):
+            load_signal(model, sine(8.0, n_samples))
+        assert model.n_patterns == 0
+
     def test_recall_requires_training(self):
         model = signal_model()
         load_signal(model, sine(8.0, 400))

@@ -1,9 +1,13 @@
 import dataclasses
 import json
+import platform
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from uavcache import sim
+from uavcache.channel import ChannelError
 from uavcache.cli import _check_echo_state, main
 from uavcache.config import ScenarioConfig, merge_documents
 
@@ -129,7 +133,9 @@ class TestSimulate:
     def test_source_flag_required(self, cfg_file, tmp_path):
         assert main(["simulate", "--config", cfg_file, "--out", str(tmp_path)]) == 1
 
-    def test_failed_run_finalizes_manifest(self, cfg_file, tmp_path):
+    def test_failed_run_finalizes_manifest(self, cfg_file, tmp_path, monkeypatch):
+        monkeypatch.setenv("OMP_NUM_THREADS", "1")
+        monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
         out = tmp_path / "run"
         code = main(["simulate", "--config", cfg_file, "--models", str(tmp_path / "nowhere"),
                      "--out", str(out)])
@@ -139,6 +145,49 @@ class TestSimulate:
         assert "missing model files" in manifest["error"]
         assert manifest["outputs"] == []
         assert "finished_at" in manifest
+        env = manifest["environment"]
+        assert env["python"] == platform.python_version()
+        assert env["numpy"] == np.__version__
+        assert env["OMP_NUM_THREADS"] == "1"
+        assert env["MKL_NUM_THREADS"] is None
+        assert "OPENBLAS_NUM_THREADS" in env
+
+
+def _raise_channel_error(*args, **kwargs):
+    raise ChannelError("zero distance between user and antenna")
+
+
+@pytest.mark.parametrize("override, source, code, message", [
+    ({"esn": {"reservoir_size": 1}}, "train", 2, "LinalgError: degenerate reservoir draw"),
+    ({"esn": {"reservoir_size": 2, "aperture": 1000.0}}, "train", 2, "MemoryExhausted: "),
+    ({"esn": {"washout": 50, "training_length": 400}}, "train", 2,
+     "esn.washout: must be smaller than the 42 training samples"),
+    ({"esn": {"washout": 40}, "generators": {"request_probability": 0.5}}, "train", 2,
+     "TooFewSamples: "),
+    ({}, "garbage models", 2, "unreadable model file"),
+    ({}, "channel error", 3, "ChannelError: zero distance"),
+], ids=["degenerate-reservoir", "memory-exhausted", "washout-vs-samples",
+        "washout-vs-drawn-samples", "garbage-model-file", "channel-error"])
+def test_domain_errors_map_to_exit_codes(tmp_path, capsys, monkeypatch, override, source,
+                                         code, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(merge_documents(TINY, override)))
+    argv = ["--config", str(cfg), "--out", str(tmp_path / "out")]
+    if source == "train":
+        argv = ["train"] + argv
+    elif source == "garbage models":
+        (tmp_path / "models").mkdir()
+        for task in ("content", "mobility"):
+            (tmp_path / "models" / f"user000_{task}.npz").write_bytes(b"not a model")
+        argv = ["simulate", "--models", str(tmp_path)] + argv
+    else:
+        monkeypatch.setattr(sim, "run_period", _raise_channel_error)
+        argv = ["simulate", "--oracle"] + argv
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert message in err
+    if source == "garbage models":
+        assert "user000_content.npz" in err
 
 
 class TestSweep:

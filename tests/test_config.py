@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 from uavcache.cesn import validate_esn
 from uavcache.config import (ConfigError, EsnConfig, RandomSource, ScenarioConfig, load_config,
-                             load_config_dict, merge_documents, serialize, validate)
+                             load_config_dict, merge_documents, serialize, training_violations,
+                             validate)
 
 
 def test_empty_document_gives_reference_defaults():
@@ -127,6 +128,17 @@ def test_esn_invariants_shared_by_validate_and_model_build(esn, field):
     assert [v.split(":")[0] for v in validate(cfg)] == [f"esn.{field}"]
     with pytest.raises(ValueError, match=f"^{field}: "):
         validate_esn(dataclasses.replace(cfg.esn, input_dim=4, output_dim=3))
+
+
+@pytest.mark.parametrize("washout, ok", [(41, True), (42, False), (50, False)])
+def test_training_needs_samples_after_the_washout(washout, ok):
+    # 2 weeks x 7 days x 3 slots per sub-period = 42 samples per content pattern
+    cfg = load_config_dict({
+        "slots_per_collection": 3, "slots_per_cache_period": 12,
+        "generators": {"training_weeks": 2},
+        "esn": {"training_length": 400, "washout": washout}})  # valid for oracle runs
+    assert training_violations(cfg) == ([] if ok else [
+        f"esn.washout: must be smaller than the 42 training samples per pattern, got {washout}"])
 
 
 def test_device_rate_over_content_array_matches_scalar_calls():
