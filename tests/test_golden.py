@@ -12,7 +12,7 @@ import hashlib
 
 import pytest
 
-from uavcache import sim
+from uavcache import cesn, sim
 from uavcache.config import ScenarioConfig
 from uavcache.generators import SyntheticWorld
 from uavcache.predictors import train_content_model, train_mobility_model
@@ -46,6 +46,15 @@ PAPER_ORACLE = ("b4240b6aaf4e7071b6cfb7d4f19c5a1537ec04e4329e19e65c0ca44b4bc48f1
 TINY_PER_CONTENT_RATES = ("1130a2ce5879d840f1adf7c8ac1637e52e62c7396863b8b4baaae27518c62664",
                           "c6fdbff7d077eeb417d317100bfab38f5919066d4efb0522a163d3fd59716ef5")
 
+# tiny_cfg user 0: cesn.save_model bytes and the exact quota history per task
+TINY_USER0_MODELS = {
+    "content": ("dee2c6c0915a06c83cca1bb2c0fec436fa004846fc440d6504d5de3e8f88c33d",
+                [1.0, 0.9499998580448334, 0.9001541603391806, 0.8510343137266246,
+                 0.8022369504063943]),
+    "mobility": ("d96fa32c10408b7c460ef51751e6596547cf073d59518192985ab8c48458fc20",
+                 [1.0, 0.8523196341111122, 0.824077887127588]),
+}
+
 
 def digests(logs, summary) -> tuple[str, str]:
     return (hashlib.sha256(sim.slots_csv_text(logs).encode("utf-8")).hexdigest(),
@@ -77,3 +86,14 @@ def test_per_content_rates_artifacts_pinned(tiny_cfg):
                               content_base_rates_bps=tuple(1e6 + 1e5 * i for i in range(25)))
     logs, summary = sim.run_period(cfg, mode="oracle")
     assert digests(logs, summary) == TINY_PER_CONTENT_RATES
+
+
+@pytest.mark.parametrize("task", list(TINY_USER0_MODELS))
+def test_tiny_model_files_pinned(tiny_cfg, tmp_path, task):
+    trainer = {"content": train_content_model, "mobility": train_mobility_model}[task]
+    model, _ = trainer(tiny_cfg, SyntheticWorld(tiny_cfg), 0)
+    path = tmp_path / f"user000_{task}.npz"
+    cesn.save_model(model, path)
+    digest, quota_history = TINY_USER0_MODELS[task]
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+    assert model.quota_history == quota_history
