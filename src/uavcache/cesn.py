@@ -8,6 +8,9 @@ conceptor does two jobs:
 * During incremental loading, the complement of the OR of all existing
   conceptors (the reservoir's *free memory*) masks the state directions a new
   pattern is allowed to write into, so earlier patterns are not disturbed.
+  The OR is the conceptor of the summed correlations, so the model keeps it
+  as one running conceptor (``EsnModel.memory``) and ORs in each new pattern
+  once; only that running memory keeps a correlation.
 * During recall, the pattern's conceptor filters the autonomous state update,
   which replays that pattern without external input: an input-simulation
   matrix D, trained at load time, reproduces the input drive from the state.
@@ -45,6 +48,10 @@ class TooFewSamples(ValueError):
     """A pattern has no samples left once the washout is dropped."""
 
 
+class ReadOnlyModel(RuntimeError):
+    """A model restored by ``load_model`` has no running memory to load into."""
+
+
 def validate_esn(cfg: EsnConfig) -> None:
     if cfg.input_dim is None or cfg.output_dim is None:
         raise ValueError("input_dim and output_dim must be set to build a model")
@@ -62,7 +69,10 @@ class Conceptor:
 
     ``m`` has eigenvalues in [0, 1]; ``correlation`` keeps the source state
     correlation so conceptors can be OR-ed by correlation addition.  Derived
-    conceptors (negations) carry ``correlation=None`` and cannot be OR-ed.
+    conceptors (negations) carry ``correlation=None`` and cannot be OR-ed, and
+    neither can the pattern conceptors a model stores: once a pattern is OR-ed
+    into the model's running memory its correlation is dropped, so only that
+    memory keeps one.
     """
 
     m: np.ndarray
@@ -108,15 +118,15 @@ def conceptor_or(a: Conceptor, b: Conceptor) -> Conceptor:
     return _conceptor_from_correlation(a.correlation + b.correlation, a.aperture)
 
 
-def free_memory(conceptors: list[Conceptor], dim: int, aperture: float) -> tuple[Conceptor, float]:
-    """NOT of the OR of all stored conceptors, plus the free-memory fraction."""
-    if not conceptors:
+def free_memory(memory: Conceptor | None, dim: int, aperture: float) -> tuple[Conceptor, float]:
+    """NOT of the OR of all stored conceptors, plus the free-memory fraction.
+
+    ``memory`` is that OR (``None`` for an empty reservoir).
+    """
+    if memory is None:
         f = Conceptor(m=np.eye(dim), aperture=aperture, correlation=None)
         return f, 1.0
-    total = conceptors[0]
-    for c in conceptors[1:]:
-        total = conceptor_or(total, c)
-    f = conceptor_not(total)
+    f = conceptor_not(memory)
     return f, float(np.trace(f.m) / dim)
 
 
@@ -137,6 +147,8 @@ class EsnModel:
         self.d = np.zeros((n, n))
         self.w_out: np.ndarray | None = None
         self.conceptors: list[Conceptor] = []
+        # OR of every stored conceptor; the only one that keeps a correlation.
+        self.memory: Conceptor | None = None
         self.pattern_states: list[np.ndarray] = []
         self.quota_history: list[float] = [1.0]
         self._train_states: list[np.ndarray] = []
@@ -161,7 +173,7 @@ class EsnModel:
         return out
 
     def free_memory(self) -> tuple[Conceptor, float]:
-        return free_memory(self.conceptors, self.cfg.reservoir_size, self.cfg.aperture)
+        return free_memory(self.memory, self.cfg.reservoir_size, self.cfg.aperture)
 
     def load_pattern(self, inputs: np.ndarray, targets: np.ndarray) -> dict:
         """Store one pattern: update D inside the free memory, add its conceptor.
@@ -169,6 +181,9 @@ class EsnModel:
         Returns a small report with the free-memory quota before/after and the
         relative change of D, useful for redundancy diagnostics.
         """
+        if self.conceptors and self.memory is None:
+            raise ReadOnlyModel(f"model holds {self.n_patterns} patterns but no running memory "
+                                "(restored by load_model); retrain it to add patterns")
         inputs = np.atleast_2d(np.asarray(inputs, dtype=float))
         targets = np.atleast_2d(np.asarray(targets, dtype=float))
         if inputs.shape[0] != targets.shape[0]:
@@ -199,7 +214,9 @@ class EsnModel:
         d_norm = np.linalg.norm(self.d)
         self.d = self.d + d_inc
 
-        self.conceptors.append(compute_conceptor(states[:, keep], self.cfg.aperture))
+        c = compute_conceptor(states[:, keep], self.cfg.aperture)
+        self.memory = c if self.memory is None else conceptor_or(self.memory, c)
+        self.conceptors.append(dataclasses.replace(c, correlation=None))
         self.pattern_states.append(states[:, -1].copy())
         self._train_states.append(states[:, keep])
         self._train_targets.append(targets[keep].T)
@@ -383,6 +400,7 @@ def load_model(path) -> EsnModel:
         model.w_out = w_out if w_out.size else None
         model.conceptors = [Conceptor(m=m, aperture=cfg.aperture, correlation=None)
                             for m in data["conceptor_ms"]]
+        model.memory = None
         model.pattern_states = [s for s in data["pattern_states"]]
         model.quota_history = [float(q) for q in data["quota_history"]]
         model._train_states = []

@@ -109,7 +109,10 @@ def _load_scenario(args) -> ScenarioConfig:
 def _out_dir(args) -> Path:
     out = args.out or os.environ.get("UAVCACHE_OUT") or "uavcache-out"
     path = Path(out)
-    path.mkdir(parents=True, exist_ok=True)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError([f"cannot use output directory {path}: {exc}"]) from exc
     return path
 
 

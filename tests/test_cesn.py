@@ -126,14 +126,14 @@ class TestConceptorAlgebra:
 
 class TestFreeMemory:
     def test_empty_reservoir_fully_free(self):
-        f, quota = cesn.free_memory([], dim=8, aperture=15.0)
+        f, quota = cesn.free_memory(None, dim=8, aperture=15.0)
         assert quota == 1.0
         assert np.allclose(f.m, np.eye(8))
 
     def test_saturated_memory_quota_near_zero(self):
         states = 5.0 * np.random.default_rng(0).standard_normal((6, 100))
         c = cesn.compute_conceptor(states, aperture=1e4)
-        _, quota = cesn.free_memory([c], dim=6, aperture=1e4)
+        _, quota = cesn.free_memory(c, dim=6, aperture=1e4)
         assert quota < 0.01
 
     def test_quota_nonincreasing_under_loads(self):
@@ -141,6 +141,32 @@ class TestFreeMemory:
         for period in (8.0, 13.0, 10.0):
             load_signal(model, sine(period, 400))
         assert all(a >= b for a, b in zip(model.quota_history, model.quota_history[1:]))
+
+    def test_running_memory_is_one_or_per_pattern(self, monkeypatch):
+        calls = []
+        original = cesn.conceptor_or
+
+        def counting_or(a, b):
+            calls.append(1)
+            return original(a, b)
+
+        monkeypatch.setattr(cesn, "conceptor_or", counting_or)
+        model = signal_model(n_res=60)
+        periods = (6.0, 8.0, 11.0, 15.0, 21.0)
+        for period in periods:
+            load_signal(model, sine(period, 200))
+        assert len(calls) == len(periods) - 1
+
+        monkeypatch.setattr(cesn, "conceptor_or", original)
+        aperture = model.cfg.aperture
+        fold = cesn.compute_conceptor(model._train_states[0], aperture)
+        for states in model._train_states[1:]:
+            fold = cesn.conceptor_or(fold, cesn.compute_conceptor(states, aperture))
+        assert np.array_equal(model.memory.m, fold.m)
+        # the quota is trace(NOT memory) / N; 1 - trace(memory) / N rounds differently
+        n = model.cfg.reservoir_size
+        assert np.trace(np.eye(n) - model.memory.m) / n == model.quota_history[-1]
+        assert all(c.correlation is None for c in model.conceptors)
 
     def test_similar_patterns_consume_less_than_dissimilar(self):
         similar = signal_model(seed=5)
@@ -370,6 +396,21 @@ class TestSerialization:
         assert np.array_equal(restored.recall(1, 30), expected)
         assert restored.cfg == model.cfg
         assert restored.quota_history == model.quota_history
+
+    def test_loaded_model_refuses_new_patterns(self, tmp_path):
+        model = signal_model(n_res=40)
+        load_signal(model, sine(8.0, 400))
+        model.train_readout()
+        path = tmp_path / "model.npz"
+        cesn.save_model(model, path)
+        restored = cesn.load_model(path)
+        d = restored.d.copy()
+        quotas = list(restored.quota_history)
+        with pytest.raises(cesn.ReadOnlyModel, match="no running memory"):
+            load_signal(restored, sine(13.0, 400))
+        assert np.array_equal(restored.d, d)
+        assert restored.quota_history == quotas
+        assert restored.n_patterns == 1
 
     def test_version_checked(self, tmp_path):
         model = signal_model(n_res=10)

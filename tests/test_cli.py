@@ -166,8 +166,9 @@ def _raise_channel_error(*args, **kwargs):
      "TooFewSamples: "),
     ({}, "garbage models", 2, "unreadable model file"),
     ({}, "channel error", 3, "ChannelError: zero distance"),
+    ({}, "out is a file", 2, "cannot use output directory"),
 ], ids=["degenerate-reservoir", "memory-exhausted", "washout-vs-samples",
-        "washout-vs-drawn-samples", "garbage-model-file", "channel-error"])
+        "washout-vs-drawn-samples", "garbage-model-file", "channel-error", "out-is-a-file"])
 def test_domain_errors_map_to_exit_codes(tmp_path, capsys, monkeypatch, override, source,
                                          code, message):
     cfg = tmp_path / "cfg.json"
@@ -180,6 +181,9 @@ def test_domain_errors_map_to_exit_codes(tmp_path, capsys, monkeypatch, override
         for task in ("content", "mobility"):
             (tmp_path / "models" / f"user000_{task}.npz").write_bytes(b"not a model")
         argv = ["simulate", "--models", str(tmp_path)] + argv
+    elif source == "out is a file":
+        (tmp_path / "out").write_text("not a directory")
+        argv = ["simulate", "--oracle"] + argv
     else:
         monkeypatch.setattr(sim, "run_period", _raise_channel_error)
         argv = ["simulate", "--oracle"] + argv
@@ -188,6 +192,8 @@ def test_domain_errors_map_to_exit_codes(tmp_path, capsys, monkeypatch, override
     assert message in err
     if source == "garbage models":
         assert "user000_content.npz" in err
+    if source == "out is a file":
+        assert str(tmp_path / "out") in err
 
 
 class TestSweep:
