@@ -69,10 +69,9 @@ class Conceptor:
 
     ``m`` has eigenvalues in [0, 1]; ``correlation`` keeps the source state
     correlation so conceptors can be OR-ed by correlation addition.  Derived
-    conceptors (negations) carry ``correlation=None`` and cannot be OR-ed, and
-    neither can the pattern conceptors a model stores: once a pattern is OR-ed
-    into the model's running memory its correlation is dropped, so only that
-    memory keeps one.
+    conceptors (negations) and the pattern conceptors a model stores carry
+    ``correlation=None`` and cannot be OR-ed: only the model's running memory
+    keeps a correlation.
     """
 
     m: np.ndarray
