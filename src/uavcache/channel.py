@@ -12,6 +12,14 @@ Three link families are modeled:
 Rates are reported as bits per slot: instantaneous rates integrated over the
 slot's intervals (each of duration slot/F), so content delays computed from
 them come out in seconds.
+
+The access-link kernels (:func:`distance_3d`, :func:`los_probability`,
+:func:`mixed_pathloss_db`, :func:`uav_user_snr`, :func:`link_rates_bps` and
+``qoe.min_uav_power_w``) run their ufunc sequence in place on one or two
+fresh buffers per call.  They never write into their inputs.  Each step is
+the same operation on the same operands as the plain expression, so the
+results are bit for bit those of the expression.  Scalar inputs give scalar
+results.
 """
 
 from __future__ import annotations
@@ -22,6 +30,8 @@ from . import linalg
 from .config import ChannelParams, RrhCluster
 
 SPEED_OF_LIGHT = 3e8
+# np.degrees multiplies by this same constant.
+RAD_TO_DEG = 180.0 / np.pi
 
 
 class ChannelError(ValueError):
@@ -34,12 +44,45 @@ def free_space_pl_db(d0_m: float, carrier_hz: float) -> float:
     return 20.0 * np.log10(4.0 * np.pi * d0_m * carrier_hz / SPEED_OF_LIGHT)
 
 
-def distance_3d(uav_xyz, user_xy):
+def _buffer_like(*arrays) -> np.ndarray:
+    """A fresh float array of the arguments' broadcast shape (0-d when all are scalars)."""
+    shapes = {np.shape(a) for a in arrays} - {()}
+    if len(shapes) > 1:
+        return np.empty(np.broadcast_shapes(*shapes))
+    return np.empty(shapes.pop() if shapes else ())
+
+
+def _distance_3d(uav_xyz, user_xy) -> np.ndarray:
     uav_xyz = np.asarray(uav_xyz, dtype=float)
     user_xy = np.asarray(user_xy, dtype=float)
-    dx = user_xy[..., 0] - uav_xyz[0]
-    dy = user_xy[..., 1] - uav_xyz[1]
-    return np.sqrt(dx * dx + dy * dy + uav_xyz[2] ** 2)
+    x, y = user_xy[..., 0], user_xy[..., 1]
+    d = np.subtract(x, uav_xyz[0], out=_buffer_like(x))
+    np.multiply(d, d, out=d)
+    dy = np.subtract(y, uav_xyz[1], out=_buffer_like(y))
+    np.multiply(dy, dy, out=dy)
+    np.add(d, dy, out=d)
+    np.add(d, uav_xyz[2] ** 2, out=d)
+    return np.sqrt(d, out=d)
+
+
+def distance_3d(uav_xyz, user_xy):
+    return _distance_3d(uav_xyz, user_xy)[()]
+
+
+def _los_probability(dist: np.ndarray, altitude, p: ChannelParams) -> np.ndarray:
+    if (dist <= 0.0).any():
+        raise ChannelError("zero distance between transmitter and receiver")
+    altitude = np.asarray(altitude, dtype=float)
+    pr = np.divide(altitude, dist, out=_buffer_like(altitude, dist))
+    pr.clip(-1.0, 1.0, out=pr)
+    np.arcsin(pr, out=pr)
+    np.multiply(pr, RAD_TO_DEG, out=pr)
+    np.subtract(pr, p.env_x, out=pr)
+    np.multiply(pr, -p.env_y, out=pr)
+    np.exp(pr, out=pr)
+    np.multiply(pr, p.env_x, out=pr)
+    np.add(pr, 1.0, out=pr)
+    return np.divide(1.0, pr, out=pr)
 
 
 def los_probability(dist, altitude, p: ChannelParams):
@@ -48,11 +91,7 @@ def los_probability(dist, altitude, p: ChannelParams):
     ``dist`` is the 3-D transmitter-receiver distance and ``altitude`` the
     transmitter height (both broadcastable).
     """
-    dist = np.asarray(dist, dtype=float)
-    if np.any(dist <= 0.0):
-        raise ChannelError("zero distance between transmitter and receiver")
-    phi_deg = np.degrees(np.arcsin(np.clip(np.asarray(altitude, dtype=float) / dist, -1.0, 1.0)))
-    return 1.0 / (1.0 + p.env_x * np.exp(-p.env_y * (phi_deg - p.env_x)))
+    return _los_probability(np.asarray(dist, dtype=float), altitude, p)[()]
 
 
 def mixed_pathloss_db(dist, altitude, p: ChannelParams):
@@ -60,29 +99,56 @@ def mixed_pathloss_db(dist, altitude, p: ChannelParams):
 
     Shadowing sits at its zero mean, so the result is deterministic.
     """
-    pr = los_probability(dist, altitude, p)
+    dist = np.asarray(dist, dtype=float)
+    pr = _los_probability(dist, altitude, p)
     l_fs = free_space_pl_db(p.fs_ref_distance_m, p.carrier_hz)
-    log_d = np.log10(dist)
-    l_los = l_fs + 10.0 * p.exponent_los * log_d
-    l_nlos = l_fs + 10.0 * p.exponent_nlos * log_d
-    return pr * l_los + (1.0 - pr) * l_nlos
+    log_d = np.log10(dist, out=_buffer_like(pr))
+    l_los = np.multiply(log_d, 10.0 * p.exponent_los, out=_buffer_like(pr))
+    np.add(l_los, l_fs, out=l_los)
+    l_nlos = np.multiply(log_d, 10.0 * p.exponent_nlos, out=log_d)
+    np.add(l_nlos, l_fs, out=l_nlos)
+    np.multiply(l_los, pr, out=l_los)  # pr * l_los
+    np.subtract(1.0, pr, out=pr)
+    np.multiply(pr, l_nlos, out=pr)  # (1 - pr) * l_nlos
+    return np.add(l_los, pr, out=pr)[()]
 
 
 def uav_user_pathloss_db(uav_xyz, user_xy, p: ChannelParams):
     """Average access-link path loss in dB from a UAV to users' positions."""
     uav_xyz = np.asarray(uav_xyz, dtype=float)
-    return mixed_pathloss_db(distance_3d(uav_xyz, user_xy), uav_xyz[2], p)
+    return mixed_pathloss_db(_distance_3d(uav_xyz, user_xy), uav_xyz[2], p)
+
+
+def db_to_linear(db, *others):
+    """``10 ** (db / 10)`` in a fresh buffer shaped like ``db`` broadcast with ``others``.
+
+    A scalar ``db`` gives a numpy scalar from numpy's scalar ``**``, which is
+    libm's pow and can differ in the last bit from the array power.
+    """
+    db = np.asarray(db, dtype=float)
+    if db.ndim == 0:
+        return 10.0 ** (db / 10.0)
+    linear = np.divide(db, 10.0, out=_buffer_like(db, *others))
+    return np.power(10.0, linear, out=linear)
 
 
 def uav_user_snr(power_w, pathloss_db, noise_w: float):
-    return np.asarray(power_w) / (10.0 ** (np.asarray(pathloss_db) / 10.0) * noise_w)
+    power = np.asarray(power_w)
+    loss = db_to_linear(pathloss_db, power)
+    if np.ndim(loss) == 0:
+        return power / (loss * noise_w)
+    np.multiply(loss, noise_w, out=loss)
+    return np.divide(power, loss, out=loss)
 
 
 def link_rates_bps(sinr, bandwidth_hz: float, n_served: int = 1):
     """Per-interval Shannon rate of one user on a band split n_served ways."""
     if n_served < 1:
         raise ChannelError("capacity undefined for an empty association set")
-    return (bandwidth_hz / n_served) * np.log2(1.0 + np.asarray(sinr, dtype=float))
+    sinr = np.asarray(sinr, dtype=float)
+    rates = np.add(sinr, 1.0, out=_buffer_like(sinr))
+    np.log2(rates, out=rates)
+    return np.multiply(rates, bandwidth_hz / n_served, out=rates)[()]
 
 
 def slot_capacity_bits(rates_bps, slot_duration_s: float) -> float:

@@ -202,6 +202,9 @@ def validate(cfg: ScenarioConfig) -> list[str]:
             "qoe_weight_delay/qoe_weight_device: weights must sum to 1, got "
             f"{cfg.qoe_weight_delay} + {cfg.qoe_weight_device}"
         )
+    for name in ("qoe_weight_delay", "qoe_weight_device"):
+        if not (0.0 <= getattr(cfg, name) <= 1.0):
+            v.append(f"{name}: must lie in [0, 1], got {getattr(cfg, name)}")
     for name in (
         "area_radius_m",
         "content_size_bits",
@@ -233,6 +236,8 @@ def validate(cfg: ScenarioConfig) -> list[str]:
             "content_base_rates_bps: need one rate per content "
             f"({len(cfg.content_base_rates_bps)} given, {cfg.num_contents} contents)"
         )
+    if cfg.content_base_rates_bps is not None and any(not r > 0 for r in cfg.content_base_rates_bps):
+        v.append(f"content_base_rates_bps: every rate must be positive, got {cfg.content_base_rates_bps}")
     if not cfg.screen_factors or any(s <= 0 for s in cfg.screen_factors):
         v.append(f"screen_factors: need at least one factor, all positive, got {cfg.screen_factors}")
 

@@ -41,6 +41,23 @@ def is_work_subperiod(sub: int, n_sub: int) -> bool:
     return any(lo <= frac < hi for lo, hi in WORK_HOUR_WINDOWS)
 
 
+def interpolate_tracks(tracks: np.ndarray, users, lo, hi, frac) -> np.ndarray:
+    """``(1 - frac) * a + frac * b`` with ``a``/``b`` the users' points at indices ``lo``/``hi``.
+
+    ``tracks`` is (n_users, n_points, 2); ``lo``, ``hi`` and ``frac`` hold one
+    entry per sample.  One user id gives (n_samples, 2), a sequence of ids
+    (len(users), n_samples, 2).
+    """
+    first, stop = int(np.min(lo)), int(np.max(hi)) + 1
+    rows = tracks[:, first:stop][np.asarray(users, dtype=np.intp)]
+    weight = np.repeat(np.asarray(frac, dtype=float)[:, None], 2, axis=1)  # same for x and y
+    a = np.take(rows, lo - first, axis=-2)
+    b = np.take(rows, hi - first, axis=-2)
+    a *= 1.0 - weight
+    b *= weight
+    return np.add(a, b, out=a)
+
+
 @dataclass
 class UserProfile:
     gender: int
@@ -180,18 +197,21 @@ class SyntheticWorld:
         b = self.collection_position(user, c + 1)
         return (1.0 - frac) * a + frac * b
 
-    def interval_positions(self, user: int, global_slot: int,
+    def interval_positions(self, users, global_slot: int,
                            n_intervals: int | None = None) -> np.ndarray:
-        """Per-interval positions within one slot, sampled at interval midpoints."""
+        """Per-interval positions within one slot, sampled at interval midpoints.
+
+        ``users`` is one user id, giving (n_intervals, 2), or a sequence of
+        ids, giving (len(users), n_intervals, 2).
+        """
         f = self.cfg.intervals_per_slot if n_intervals is None else n_intervals
         h = self.cfg.slots_per_collection
         g = global_slot + (np.arange(f) + 0.5) / f
         c = (g // h).astype(int)
-        frac = ((g - c * h) / h)[:, None]
+        frac = (g - c * h) / h
         last = self._collections.shape[1] - 1
-        a = self._collections[user, np.minimum(c, last)]
-        b = self._collections[user, np.minimum(c + 1, last)]
-        return (1.0 - frac) * a + frac * b
+        return interpolate_tracks(self._collections, users, np.minimum(c, last),
+                                  np.minimum(c + 1, last), frac)
 
     # -- requests ----------------------------------------------------------------
 

@@ -257,14 +257,21 @@ def place_uav_local_search(user_pos, rate_targets_bps, init_xyz, n_served: int,
     """Coordinate descent over +/-step moves in x, y, altitude.
 
     Moves are accepted only on strict objective improvement; the scan order is
-    x, then y, then altitude (floored), so the search is deterministic.
+    x, then y, then altitude (floored), so the search is deterministic.  The
+    objective at each exact position is computed once per search (a move and
+    its reverse often land on a point already seen); every candidate still
+    counts as an evaluation.
     """
     pos = np.asarray(init_xyz, dtype=float).copy()
     pos[2] = max(pos[2], min_altitude_m)
+    seen: dict[bytes, float] = {}
 
     def objective(xyz):
-        return placement_objective(xyz, user_pos, rate_targets_bps, n_served,
-                                   p, bandwidth_hz, noise_w)
+        key = xyz.tobytes()
+        if key not in seen:
+            seen[key] = placement_objective(xyz, user_pos, rate_targets_bps, n_served,
+                                            p, bandwidth_hz, noise_w)
+        return seen[key]
 
     best = objective(pos)
     evals = 1

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import cesn
 from .config import EsnConfig, RandomSource, ScenarioConfig
-from .generators import DAY_TYPES, SyntheticWorld, day_type
+from .generators import DAY_TYPES, SyntheticWorld, day_type, interpolate_tracks
 
 
 # -- training data assembly -----------------------------------------------------
@@ -108,8 +108,8 @@ class OraclePredictor:
     def slot_midpoint(self, user: int, global_slot: int) -> np.ndarray:
         return self.world.position_at(user, global_slot, 0.5)
 
-    def slot_positions(self, user: int, global_slot: int, n_intervals: int) -> np.ndarray:
-        return self.world.interval_positions(user, global_slot, n_intervals)
+    def slot_positions(self, users, global_slot: int, n_intervals: int) -> np.ndarray:
+        return self.world.interval_positions(users, global_slot, n_intervals)
 
     def gap_metrics(self) -> dict:
         return {"position_error_m": 0.0, "distribution_tv": 0.0}
@@ -154,22 +154,24 @@ class EsnPredictor:
     def request_distribution(self, user: int, sub: int) -> np.ndarray:
         return self._distributions[user, sub]
 
-    def _interp(self, user: int, slot_fractions: np.ndarray) -> np.ndarray:
+    def _interp(self, users, slot_fractions: np.ndarray) -> np.ndarray:
         h = self.cfg.slots_per_collection
         g = slot_fractions
         c = np.minimum((g // h).astype(int), self._collections.shape[1] - 2)
-        frac = ((g - c * h) / h)[:, None]
-        a = self._collections[user, c]
-        b = self._collections[user, c + 1]
-        return (1.0 - frac) * a + frac * b
+        return interpolate_tracks(self._collections, users, c, c + 1, (g - c * h) / h)
 
     def slot_midpoint(self, user: int, global_slot: int) -> np.ndarray:
         local = np.array([global_slot - self.day_start_slot + 0.5])
         return self._interp(user, local)[0]
 
-    def slot_positions(self, user: int, global_slot: int, n_intervals: int) -> np.ndarray:
+    def slot_positions(self, users, global_slot: int, n_intervals: int) -> np.ndarray:
+        """Predicted interval positions within one slot.
+
+        One user id gives (n_intervals, 2), a sequence of ids
+        (len(users), n_intervals, 2).
+        """
         local = (global_slot - self.day_start_slot) + (np.arange(n_intervals) + 0.5) / n_intervals
-        return self._interp(user, local)
+        return self._interp(users, local)
 
     def gap_metrics(self) -> dict:
         """Mean prediction error against the generator truth for the planned day."""

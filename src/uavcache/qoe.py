@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import free_space_pl_db
+from .channel import db_to_linear, free_space_pl_db
 from .config import ScenarioConfig
 
 MOS_BINS = (
@@ -165,5 +165,8 @@ def min_uav_power_w(pathloss_db, rate_target_bps, n_served: int,
     """
     rate = np.asarray(rate_target_bps, dtype=float)
     with np.errstate(over="ignore"):  # unreachable targets price at infinity
-        snr_needed = np.exp2(rate * n_served / bandwidth_hz) - 1.0
-        return snr_needed * noise_w * 10.0 ** (np.asarray(pathloss_db, dtype=float) / 10.0)
+        noise_scale = (np.exp2(rate * n_served / bandwidth_hz) - 1.0) * noise_w
+        loss = db_to_linear(pathloss_db, noise_scale)
+        if np.ndim(loss) == 0:
+            return noise_scale * loss
+        return np.multiply(loss, noise_scale, out=loss)

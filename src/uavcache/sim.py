@@ -218,13 +218,14 @@ def select_caches(plan: PeriodPlan) -> list[tuple[int, ...]]:
                 c_r_uncached = delay_rate_requirement_bits(False, cfg, plan.fronthaul_bits[s][k])
             except InfeasibleDelay:
                 c_r_uncached = None
-            for u in members:
-                pl = float(uav_user_pathloss_db(plan.anchors[s][k], plan.midpoints[s][u],
-                                                cfg.pathloss))
+            pls = uav_user_pathloss_db(plan.anchors[s][k], plan.midpoints[s][members],
+                                       cfg.pathloss)
+            for u, pl in zip(members, pls):
                 device_req = cfg.device_rate_bps(plan.screen[u], all_contents)
                 prob_rows.append(predictor.request_distribution(u, s // cfg.slots_per_collection))
+                # One user at a time: a scalar path loss keeps numpy's scalar power.
                 saving_rows.append(placement.delta_power_saving(
-                    pl, c_r_cached, c_r_uncached, device_req, len(members), cfg))
+                    float(pl), c_r_cached, c_r_uncached, device_req, len(members), cfg))
         caches.append(placement.select_cache(k, np.array(prob_rows), np.array(saving_rows),
                                              cfg.cache_size).contents if prob_rows else ())
     return caches
@@ -243,46 +244,66 @@ def _random_cache(plan: PeriodPlan) -> list[tuple[int, ...]]:
 
 def place_uavs(plan: PeriodPlan, caches: list[tuple[int, ...]]) -> list[np.ndarray]:
     """Stage 3: per slot, position each UAV to minimize the power toward its users."""
-    cfg, predictor = plan.cfg, plan.predictor
     positions_per_slot: list[np.ndarray] = []
     prev_positions: np.ndarray | None = None
-    for s, members_by_uav in enumerate(plan.members):
-        positions = np.zeros((plan.n_uavs, 3))
-        for k, members in enumerate(members_by_uav):
-            default = plan.anchors[s][k]
-            if not members:
-                positions[k] = prev_positions[k] if prev_positions is not None else default
-                continue
-            user_pos = np.stack([predictor.slot_positions(u, plan.slot0 + s, cfg.intervals_per_slot)
-                                 for u in members])
-            targets = np.empty(len(members))
-            for idx, u in enumerate(members):
-                content = int(np.argmax(predictor.request_distribution(
-                    u, s // cfg.slots_per_collection)))
-                device_req = cfg.device_rate_bps(plan.screen[u], content)
-                target = _rate_target_bps(cfg, content in caches[k], plan.fronthaul_bits[s][k],
-                                          device_req)
-                if not np.isfinite(target):  # the fronthaul is too slow: aim as if cached
-                    target = _rate_target_bps(cfg, True, None, device_req)
-                targets[idx] = target
-            regime = placement.closed_form_regime(cfg.min_altitude_m, user_pos)
-            if regime == "low" and cfg.pathloss.exponent_nlos != 2.0:
-                regime = None
-            if regime is not None:
-                xy = placement.place_uav_closed_form(user_pos, targets, len(members),
-                                                     cfg.uav_bandwidth_hz)
-            if regime == "low":
-                positions[k] = np.array([xy[0], xy[1], cfg.min_altitude_m])
-                continue
-            init = prev_positions[k] if prev_positions is not None else default
-            if regime == "high":  # closed-form xy, altitude left to the search
-                init = np.array([xy[0], xy[1], init[2]])
-            positions[k] = placement.place_uav_local_search(
-                user_pos, targets, init, len(members), cfg.pathloss,
-                cfg.uav_bandwidth_hz, cfg.noise_power_w, cfg.min_altitude_m).position
-        prev_positions = positions
-        positions_per_slot.append(positions)
+    # One call per slot frees a slot's position arrays before the next are built.
+    for s in range(len(plan.members)):
+        prev_positions = _place_slot(plan, caches, s, prev_positions)
+        positions_per_slot.append(prev_positions)
     return positions_per_slot
+
+
+def _place_slot(plan: PeriodPlan, caches: list[tuple[int, ...]], s: int,
+                prev_positions: np.ndarray | None) -> np.ndarray:
+    """One slot's UAV positions; a UAV that serves nobody holds its previous position."""
+    cfg, predictor = plan.cfg, plan.predictor
+    members_by_uav = plan.members[s]
+    positions = np.zeros((plan.n_uavs, 3))
+    served, rows = _rows_by_uav(members_by_uav)
+    if served:
+        slot_pos = predictor.slot_positions(served, plan.slot0 + s, cfg.intervals_per_slot)
+    for k, members in enumerate(members_by_uav):
+        default = plan.anchors[s][k]
+        if not members:
+            positions[k] = prev_positions[k] if prev_positions is not None else default
+            continue
+        user_pos = slot_pos[rows[k]]
+        targets = np.empty(len(members))
+        for idx, u in enumerate(members):
+            content = int(np.argmax(predictor.request_distribution(
+                u, s // cfg.slots_per_collection)))
+            device_req = cfg.device_rate_bps(plan.screen[u], content)
+            target = _rate_target_bps(cfg, content in caches[k], plan.fronthaul_bits[s][k],
+                                      device_req)
+            if not np.isfinite(target):  # the fronthaul is too slow: aim as if cached
+                target = _rate_target_bps(cfg, True, None, device_req)
+            targets[idx] = target
+        regime = placement.closed_form_regime(cfg.min_altitude_m, user_pos)
+        if regime == "low" and cfg.pathloss.exponent_nlos != 2.0:
+            regime = None
+        if regime is not None:
+            xy = placement.place_uav_closed_form(user_pos, targets, len(members),
+                                                 cfg.uav_bandwidth_hz)
+        if regime == "low":
+            positions[k] = np.array([xy[0], xy[1], cfg.min_altitude_m])
+            continue
+        init = prev_positions[k] if prev_positions is not None else default
+        if regime == "high":  # closed-form xy, altitude left to the search
+            init = np.array([xy[0], xy[1], init[2]])
+        positions[k] = placement.place_uav_local_search(
+            user_pos, targets, init, len(members), cfg.pathloss,
+            cfg.uav_bandwidth_hz, cfg.noise_power_w, cfg.min_altitude_m).position
+    return positions
+
+
+def _rows_by_uav(users_by_uav: list[list[int]]) -> tuple[list[int], list[slice]]:
+    """All UAVs' users in one list, UAV by UAV, and each UAV's slice of it."""
+    served: list[int] = []
+    rows: list[slice] = []
+    for users in users_by_uav:
+        rows.append(slice(len(served), len(served) + len(users)))
+        served.extend(users)
+    return served, rows
 
 
 def _fixed_placement(plan: PeriodPlan, caches: list[tuple[int, ...]]) -> list[np.ndarray]:
@@ -290,89 +311,126 @@ def _fixed_placement(plan: PeriodPlan, caches: list[tuple[int, ...]]) -> list[np
     return [plan.anchors[0].copy() for _ in plan.members]
 
 
+@dataclass
+class _UavLink:
+    """One UAV delivery's access link over the slot's intervals."""
+
+    uav: int
+    cache_hit: bool
+    fronthaul_bits: float | None
+    rates_bps: np.ndarray  # (F,)
+    mean_power_w: float
+    feasible: bool
+
+
+def _uav_links(plan: PeriodPlan, caches: list[tuple[int, ...]], members: list[list[int]],
+               positions: np.ndarray, requests: list[int | None], gs: int,
+               n_fetch: int) -> dict[int, _UavLink]:
+    """Access links of one slot's UAV deliveries, computed per UAV over its requesting users."""
+    cfg = plan.cfg
+    requesting = [[u for u in users if requests[u] is not None] for users in members]
+    served, rows = _rows_by_uav(requesting)
+    if not served:
+        return {}
+    true_pos = plan.world.interval_positions(served, gs, cfg.intervals_per_slot)
+    links: dict[int, _UavLink] = {}
+    for k, users in enumerate(requesting):
+        if not users:
+            continue
+        n_served = len(members[k])
+        hits = [requests[u] in caches[k] for u in users]
+        fronthaul_bits = None if all(hits) else g2a_fronthaul_bits(
+            positions[k], plan.world.bbu_xy, cfg.pathloss, cfg.bbu_power_w,
+            cfg.rrh_bandwidth_hz, cfg.noise_power_w, cfg.slot_duration_s) / max(n_fetch, 1)
+        targets = np.array([
+            _rate_target_bps(cfg, hit, None if hit else fronthaul_bits,
+                             cfg.device_rate_bps(plan.screen[u], requests[u]))
+            for u, hit in zip(users, hits)])[:, None]
+        pl = uav_user_pathloss_db(positions[k], true_pos[rows[k]], cfg.pathloss)
+        power = min_uav_power_w(pl, targets, n_served, cfg.uav_bandwidth_hz, cfg.noise_power_w)
+        feasible = np.all(power <= cfg.uav_max_power_w, axis=1)
+        tx_power = np.minimum(power, cfg.uav_max_power_w, out=power)
+        rates_bps = link_rates_bps(uav_user_snr(tx_power, pl, cfg.noise_power_w),
+                                   cfg.uav_bandwidth_hz, n_served)
+        for i, (u, hit) in enumerate(zip(users, hits)):
+            links[u] = _UavLink(k, hit, None if hit else fronthaul_bits, rates_bps[i],
+                                float(tx_power[i].mean()), bool(feasible[i]))
+    return links
+
+
 def deliver(plan: PeriodPlan, caches: list[tuple[int, ...]],
             positions_per_slot: list[np.ndarray]) -> list[SlotLog]:
     """Stage 4: serve each slot's true requests at true positions and score them."""
+    bound_s = delay_lower_bound_s(plan.cfg)
+    # One call per slot frees a slot's link arrays before the next are built.
+    return [_deliver_slot(plan, caches, s, positions, bound_s)
+            for s, positions in enumerate(positions_per_slot)]
+
+
+def _deliver_slot(plan: PeriodPlan, caches: list[tuple[int, ...]], s: int,
+                  positions: np.ndarray, bound_s: float) -> SlotLog:
     cfg, world, n_uavs, n_users = plan.cfg, plan.world, plan.n_uavs, plan.cfg.num_users
-    bound_s = delay_lower_bound_s(cfg)
-    logs: list[SlotLog] = []
-    for s, (association, members, positions) in enumerate(
-            zip(plan.association, plan.members, positions_per_slot)):
-        gs = plan.slot0 + s
-        true_xy = np.array([world.position_at(u, gs, 0.5)
-                            for u in range(n_users)]).reshape(n_users, 2)
-        requests = [world.request_at(u, gs) for u in range(n_users)]
+    association, members = plan.association[s], plan.members[s]
+    gs = plan.slot0 + s
+    true_xy = np.array([world.position_at(u, gs, 0.5)
+                        for u in range(n_users)]).reshape(n_users, 2)
+    requests = [world.request_at(u, gs) for u in range(n_users)]
 
-        user_uav = {u: k for k in range(n_uavs) for u in members[k]}
-        n_fetch = len({k for u, k in user_uav.items()
-                       if requests[u] is not None and requests[u] not in caches[k]})
+    user_uav = {u: k for k in range(n_uavs) for u in members[k]}
+    n_fetch = len({k for u, k in user_uav.items()
+                   if requests[u] is not None and requests[u] not in caches[k]})
 
-        # Terrestrial deliveries (admitted sets, true positions, same fading).
-        rates_true = _rrh_rates_bits(cfg, world, plan.clusters,
-                                     association.cluster_members(len(plan.clusters)), true_xy,
-                                     plan.fading[s], n_fetch > 0)
-        v_fu_bps = cfg.fronthaul_rate_bps / max(association.n_fr, 1)
+    # Terrestrial deliveries (admitted sets, true positions, same fading).
+    rates_true = _rrh_rates_bits(cfg, world, plan.clusters,
+                                 association.cluster_members(len(plan.clusters)), true_xy,
+                                 plan.fading[s], n_fetch > 0)
+    v_fu_bps = cfg.fronthaul_rate_bps / max(association.n_fr, 1)
+    uav_links = _uav_links(plan, caches, members, positions, requests, gs, n_fetch)
 
-        reports: list[QoeReport] = []
-        uav_power = np.zeros(n_uavs)
-        n_requests = n_delivered = n_failures = n_hits = n_uav_deliveries = 0
-        for u in range(n_users):
-            content = requests[u]
-            if content is None:
-                reports.append(dataclasses.replace(_failure_report(u, -1, "idle"), delay_s=0.0))
-                continue
-            n_requests += 1
-            device_req = cfg.device_rate_bps(plan.screen[u], content)
+    reports: list[QoeReport] = []
+    uav_power = np.zeros(n_uavs)
+    n_requests = n_delivered = n_failures = n_hits = n_uav_deliveries = 0
+    for u in range(n_users):
+        content = requests[u]
+        if content is None:
+            reports.append(dataclasses.replace(_failure_report(u, -1, "idle"), delay_s=0.0))
+            continue
+        n_requests += 1
+        device_req = cfg.device_rate_bps(plan.screen[u], content)
 
-            if u in association.rrh_users:
-                path = DeliveryPath(LINK_RRH, rates_true[u], v_fu_bps * cfg.slot_duration_s)
-                report = _score(cfg, u, content, path, rates_true[u] / cfg.slot_duration_s,
-                                device_req)
-            elif u not in user_uav:
-                report = _failure_report(u, content, "unserved")
-            else:
-                k = user_uav[u]
-                n_served = len(members[k])
-                cache_hit = content in caches[k]
-                n_uav_deliveries += 1
-                n_hits += cache_hit
-                fronthaul_bits = None if cache_hit else g2a_fronthaul_bits(
-                    positions[k], world.bbu_xy, cfg.pathloss, cfg.bbu_power_w,
-                    cfg.rrh_bandwidth_hz, cfg.noise_power_w, cfg.slot_duration_s) / max(n_fetch, 1)
-                target = _rate_target_bps(cfg, cache_hit, fronthaul_bits, device_req)
-                pl = uav_user_pathloss_db(positions[k],
-                                          world.interval_positions(u, gs, cfg.intervals_per_slot),
-                                          cfg.pathloss)
-                power = (min_uav_power_w(pl, target, n_served, cfg.uav_bandwidth_hz,
-                                         cfg.noise_power_w)
-                         if np.isfinite(target) else np.full(cfg.intervals_per_slot, np.inf))
-                tx_power = np.minimum(power, cfg.uav_max_power_w)
-                rates_bps = link_rates_bps(uav_user_snr(tx_power, pl, cfg.noise_power_w),
-                                           cfg.uav_bandwidth_hz, n_served)
-                path = DeliveryPath(LINK_UAV_CACHE if cache_hit else LINK_UAV_FRONTHAUL,
-                                    slot_capacity_bits(rates_bps, cfg.slot_duration_s),
-                                    fronthaul_bits)
-                mean_power = float(tx_power.mean())
-                report = _score(cfg, u, content, path, rates_bps, device_req,
-                                power_w=mean_power, cache_hit=cache_hit,
-                                feasible=bool(np.all(power <= cfg.uav_max_power_w)))
-                uav_power[k] += mean_power
-            reports.append(report)
-            n_delivered += report.delivered
-            n_failures += not report.delivered
+        if u in association.rrh_users:
+            path = DeliveryPath(LINK_RRH, rates_true[u], v_fu_bps * cfg.slot_duration_s)
+            report = _score(cfg, u, content, path, rates_true[u] / cfg.slot_duration_s,
+                            device_req)
+        elif u not in user_uav:
+            report = _failure_report(u, content, "unserved")
+        else:
+            link = uav_links[u]
+            n_uav_deliveries += 1
+            n_hits += link.cache_hit
+            path = DeliveryPath(LINK_UAV_CACHE if link.cache_hit else LINK_UAV_FRONTHAUL,
+                                slot_capacity_bits(link.rates_bps, cfg.slot_duration_s),
+                                link.fronthaul_bits)
+            report = _score(cfg, u, content, path, link.rates_bps, device_req,
+                            power_w=link.mean_power_w, cache_hit=link.cache_hit,
+                            feasible=link.feasible)
+            # One user at a time, in ascending user order, as the goldens were summed.
+            uav_power[link.uav] += link.mean_power_w
+        reports.append(report)
+        n_delivered += report.delivered
+        n_failures += not report.delivered
 
-        log = SlotLog(slot=s, global_slot=gs, reports=reports, n_fr=association.n_fr,
-                      n_fetching=n_fetch, uav_positions=positions, uav_power_w=uav_power,
-                      caches=tuple(caches), requests=n_requests, delivered=n_delivered,
-                      failures=n_failures, cache_hits=n_hits, uav_deliveries=n_uav_deliveries)
-        log.reconcile()
-        # Delivered contents can never beat the system delay bound.
-        for r in reports:
-            if r.delivered and r.delay_s < bound_s:
-                raise SimInvariantError(
-                    f"slot {s}: user {r.user} delay {r.delay_s} below bound {bound_s}")
-        logs.append(log)
-    return logs
+    log = SlotLog(slot=s, global_slot=gs, reports=reports, n_fr=association.n_fr,
+                  n_fetching=n_fetch, uav_positions=positions, uav_power_w=uav_power,
+                  caches=tuple(caches), requests=n_requests, delivered=n_delivered,
+                  failures=n_failures, cache_hits=n_hits, uav_deliveries=n_uav_deliveries)
+    log.reconcile()
+    # Delivered contents can never beat the system delay bound.
+    for r in reports:
+        if r.delivered and r.delay_s < bound_s:
+            raise SimInvariantError(
+                f"slot {s}: user {r.user} delay {r.delay_s} below bound {bound_s}")
+    return log
 
 
 # Each ablation baseline replaces the stages it names and keeps the rest.

@@ -75,6 +75,9 @@ class TestTrain:
         ({"esn": {"spectral_radius": 1.2}}, "esn.spectral_radius"),
         ({"esn": {"density": 0}}, "esn.density"),
         ({"esn": {"horizon": 0}}, "esn.horizon"),
+        ({"qoe_weight_delay": 1.5, "qoe_weight_device": -0.5}, "qoe_weight_delay"),
+        ({"qoe_weight_delay": 1.5, "qoe_weight_device": -0.5}, "qoe_weight_device"),
+        ({"num_contents": 25, "content_base_rates_bps": [-1e6] * 25}, "content_base_rates_bps"),
     ])
     def test_bad_value_exits_2_naming_the_field(self, tmp_path, capsys, override, field):
         bad = tmp_path / "bad.json"
