@@ -95,12 +95,19 @@ def _conceptor_from_correlation(r: np.ndarray, aperture: float) -> Conceptor:
 
 
 def compute_conceptor(states: np.ndarray, aperture: float) -> Conceptor:
-    """Conceptor of a state sequence given as columns (dim, n_steps)."""
+    """Conceptor of a state sequence given as columns (dim, n_steps).
+
+    With X = states, T = n_steps and a = aperture^-2, the conceptor
+    R (R + a I)^-1 of R = X X^T / T equals (X X^T + a T I)^-1 X X^T, which
+    ``linalg.solve_ridge`` solves in the smaller of dim and T.
+    """
     states = np.asarray(states, dtype=float)
     if states.ndim != 2 or states.shape[1] < 1:
         raise ValueError("need at least one state column")
-    r = states @ states.T / states.shape[1]
-    return _conceptor_from_correlation(0.5 * (r + r.T), aperture)
+    n_steps = states.shape[1]
+    m = linalg.solve_ridge(states, aperture ** -2 * n_steps, states.T)
+    r = states @ states.T / n_steps
+    return Conceptor(m=0.5 * (m + m.T), aperture=aperture, correlation=0.5 * (r + r.T))
 
 
 def conceptor_not(c: Conceptor) -> Conceptor:
@@ -206,10 +213,9 @@ class EsnModel:
 
         s = f.m @ v_old[:, keep]
         t_mat = self.w_in @ inputs[keep].T - self.d @ v_old[:, keep]
+        # ridge regression (S S^T / n + a I)^-1 S t^T / n, with n scaled out
         n_eff = s.shape[1]
-        a = self.cfg.aperture ** -2
-        gram = s @ s.T / n_eff + a * np.eye(s.shape[0])
-        d_inc = (linalg.pinv(gram) @ (s @ t_mat.T / n_eff)).T
+        d_inc = linalg.solve_ridge(s, self.cfg.aperture ** -2 * n_eff, t_mat.T).T
         d_norm = np.linalg.norm(self.d)
         self.d = self.d + d_inc
 

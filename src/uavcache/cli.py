@@ -35,7 +35,7 @@ from . import cesn, linalg, placement, sim
 from .channel import ChannelError, zf_beamformer
 from .config import (DESK_PRESET, ConfigError, RandomSource, ScenarioConfig, load_config_dict,
                      merge_documents, parse_document, serialize, training_violations)
-from .generators import SyntheticWorld
+from .generators import DAY_TYPES, SyntheticWorld
 from .predictors import train_content_model, train_mobility_model
 from .qoe import delay_lower_bound_s
 
@@ -204,6 +204,8 @@ def _read_model(path: Path) -> cesn.EsnModel:
 
 def _load_models(cfg: ScenarioConfig, models_dir: str):
     base = Path(models_dir)
+    # one content pattern per sub-period, one mobility pattern per day type
+    n_sub = cfg.slots_per_cache_period // cfg.slots_per_collection
     content, mobility = [], []
     for u in range(cfg.num_users):
         c_path = base / "models" / f"user{u:03d}_content.npz"
@@ -218,6 +220,12 @@ def _load_models(cfg: ScenarioConfig, models_dir: str):
             raise ConfigError([
                 f"model/config dimension mismatch: user {u} content model predicts "
                 f"{c_model.cfg.output_dim} contents, config has {cfg.num_contents}"])
+        for task, model, needed in (("content", c_model, n_sub),
+                                    ("mobility", m_model, len(DAY_TYPES))):
+            if model.n_patterns != needed:
+                raise ConfigError([
+                    f"model/config pattern mismatch: user {u} {task} model holds "
+                    f"{model.n_patterns} patterns, config needs {needed}"])
         content.append(c_model)
         mobility.append(m_model)
     return content, mobility

@@ -17,6 +17,7 @@ PINV_RCOND = 1e-12            # singular-value cutoff relative to the largest
 EIG_RECONSTRUCT_TOL = 1e-9    # symmetric eigendecomposition reconstruction slack
 RESERVOIR_RADIUS_TOL = 1e-6   # spectral-radius targeting slack
 SOLVE_AGREEMENT_TOL = 1e-8    # solve_spd vs pinv-based solve agreement
+RIDGE_FORM_TOL = 1e-10        # solve_ridge's T x T form vs the N x N one, O(1) data, a >= 1e-2
 ALGEBRA_TOL = 1e-12           # exact-algebra identities (involution, commutativity)
 ZF_NULLING_TOL = 1e-9         # zero-forcing residual ||H F - I||
 
@@ -33,7 +34,11 @@ def _as_matrix(a) -> np.ndarray:
 
 
 def solve_spd(a, b) -> np.ndarray:
-    """Solve a x = b for symmetric positive definite a (Cholesky-backed)."""
+    """Solve a x = b for symmetric positive definite a.
+
+    Raises LinalgError unless a is symmetric and its Cholesky factorization
+    succeeds.
+    """
     a, b = _as_matrix(a), np.asarray(b, dtype=float)
     if a.shape[0] != a.shape[1]:
         raise LinalgError(f"matrix must be square, got {a.shape}")
@@ -42,11 +47,27 @@ def solve_spd(a, b) -> np.ndarray:
     if not np.allclose(a, a.T, rtol=0, atol=1e-10 * max(1.0, float(np.abs(a).max()))):
         raise LinalgError("matrix is not symmetric")
     try:
-        chol = np.linalg.cholesky(a)
+        np.linalg.cholesky(a)
     except np.linalg.LinAlgError as exc:
         raise LinalgError("matrix is not positive definite") from exc
-    y = np.linalg.solve(chol, b)
-    return np.linalg.solve(chol.T, y)
+    # The factor only certifies definiteness: numpy has no triangular solve,
+    # so solving with the factor would cost two LU factorizations, not one.
+    return np.linalg.solve(a, b)
+
+
+def solve_ridge(x, a: float, b) -> np.ndarray:
+    """(x x^T + a I)^-1 x b for an (N, T) matrix x, a > 0 and b with T rows.
+
+    Solved in the smaller of N and T: when T < N, through the push-through
+    identity (x x^T + a I)^-1 x = x (x^T x + a I)^-1, a T x T SPD system.
+    """
+    x, b = _as_matrix(x), np.asarray(b, dtype=float)
+    n, t = x.shape
+    if b.shape[0] != t:
+        raise LinalgError(f"dimension mismatch: {x.shape} vs rhs {b.shape}")
+    if t < n:
+        return x @ solve_spd(x.T @ x + a * np.eye(t), b)
+    return solve_spd(x @ x.T + a * np.eye(n), x @ b)
 
 
 def pinv(a, rcond: float = PINV_RCOND) -> np.ndarray:

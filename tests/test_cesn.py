@@ -123,6 +123,20 @@ class TestConceptorAlgebra:
         assert vals.min() >= -linalg.ALGEBRA_TOL
         assert vals.max() < 1.0
 
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 10_000), n=st.integers(2, 20), data=st.data())
+    def test_fewer_steps_than_states_match_the_correlation_form(self, seed, n, data):
+        steps = data.draw(st.integers(1, n - 1))
+        states = np.tanh(np.random.default_rng(seed).standard_normal((n, steps)))
+        aperture = 10.0
+        r = states @ states.T / steps
+        expected = r @ np.linalg.inv(r + aperture ** -2 * np.eye(n))
+        c = cesn.compute_conceptor(states, aperture)
+        assert np.abs(c.m - expected).max() <= linalg.RIDGE_FORM_TOL
+        vals = c.eigenvalues()
+        assert vals.min() >= -linalg.ALGEBRA_TOL
+        assert vals.max() < 1.0
+
 
 class TestFreeMemory:
     def test_empty_reservoir_fully_free(self):
@@ -167,6 +181,23 @@ class TestFreeMemory:
         assert np.trace(np.eye(n) - model.memory.m) / n == model.quota_history[-1]
         assert all(c.correlation is None for c in model.conceptors)
 
+    @pytest.mark.parametrize("n_train", [100, 200], ids=["T<N", "T>N"])
+    def test_ridge_systems_go_through_solve_spd(self, monkeypatch, n_train):
+        calls = {"solve_spd": 0, "pinv": 0}
+        for name in calls:
+            def counting(*args, _name=name, _original=getattr(linalg, name)):
+                calls[_name] += 1
+                return _original(*args)
+            monkeypatch.setattr(linalg, name, counting)
+        model = signal_model(n_res=60)
+        periods = (6.0, 8.0, 11.0)
+        for period in periods:
+            load_signal(model, sine(period, n_train))
+        model.train_readout(ridge=0.01)
+        # per pattern: the D update, its conceptor and (after the first) the
+        # OR into the running memory; then the readout
+        assert calls == {"solve_spd": 3 * len(periods), "pinv": 0}
+
     def test_similar_patterns_consume_less_than_dissimilar(self):
         similar = signal_model(seed=5)
         load_signal(similar, sine(8.0, 400))
@@ -178,6 +209,24 @@ class TestFreeMemory:
 
 
 class TestLoadingAndRecall:
+    @pytest.mark.parametrize("n_res, n_train", [(120, 150), (60, 200)], ids=["T<N", "T>N"])
+    def test_d_increment_matches_the_pinv_formula(self, n_res, n_train):
+        model = signal_model(n_res=n_res, aperture=10.0)
+        load_signal(model, sine(8.0, n_train))
+        signal = sine(13.0, n_train)[:, None]
+        free, _ = model.free_memory()
+        d_before = model.d.copy()
+        washout = model.cfg.washout
+        v = model.drive(signal)
+        v_old = np.concatenate([np.zeros((n_res, 1)), v[:, :-1]], axis=1)[:, washout:]
+        s = free.m @ v_old
+        t_mat = model.w_in @ signal[washout:].T - d_before @ v_old
+        n = s.shape[1]
+        gram = s @ s.T / n + model.cfg.aperture ** -2 * np.eye(n_res)
+        expected = (linalg.pinv(gram) @ (s @ t_mat.T / n)).T
+        model.load_pattern(signal, signal)
+        assert np.abs(model.d - d_before - expected).max() <= linalg.SOLVE_AGREEMENT_TOL
+
     def test_first_pattern_sees_identity_free_memory(self):
         model = signal_model()
         report = load_signal(model, sine(8.0, 400))

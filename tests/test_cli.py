@@ -1,10 +1,15 @@
+import contextlib
 import dataclasses
+import io
 import json
 import platform
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from uavcache import sim
 from uavcache.channel import ChannelError
@@ -168,10 +173,14 @@ def _raise_channel_error(*args, **kwargs):
     ({"esn": {"washout": 40}, "generators": {"request_probability": 0.5}}, "train", 2,
      "TooFewSamples: "),
     ({}, "garbage models", 2, "unreadable model file"),
+    ({"slots_per_collection": 2}, "trained models", 2,
+     "user 0 content model holds 4 patterns, config needs 6"),
+    ({}, "content model as mobility", 2, "user 0 mobility model holds 4 patterns, config needs 2"),
     ({}, "channel error", 3, "ChannelError: zero distance"),
     ({}, "out is a file", 2, "cannot use output directory"),
 ], ids=["degenerate-reservoir", "memory-exhausted", "washout-vs-samples",
-        "washout-vs-drawn-samples", "garbage-model-file", "channel-error", "out-is-a-file"])
+        "washout-vs-drawn-samples", "garbage-model-file", "pattern-count-mismatch",
+        "mobility-pattern-count-mismatch", "channel-error", "out-is-a-file"])
 def test_domain_errors_map_to_exit_codes(tmp_path, capsys, monkeypatch, override, source,
                                          code, message):
     cfg = tmp_path / "cfg.json"
@@ -184,6 +193,16 @@ def test_domain_errors_map_to_exit_codes(tmp_path, capsys, monkeypatch, override
         for task in ("content", "mobility"):
             (tmp_path / "models" / f"user000_{task}.npz").write_bytes(b"not a model")
         argv = ["simulate", "--models", str(tmp_path)] + argv
+    elif source in ("trained models", "content model as mobility"):
+        trained_cfg = tmp_path / "trained.json"
+        trained_cfg.write_text(json.dumps(TINY))
+        assert main(["train", "--config", str(trained_cfg),
+                     "--out", str(tmp_path / "trained")]) == 0
+        if source == "content model as mobility":
+            models = tmp_path / "trained" / "models"
+            (models / "user000_mobility.npz").write_bytes(
+                (models / "user000_content.npz").read_bytes())
+        argv = ["simulate", "--models", str(tmp_path / "trained")] + argv
     elif source == "out is a file":
         (tmp_path / "out").write_text("not a directory")
         argv = ["simulate", "--oracle"] + argv
@@ -197,6 +216,32 @@ def test_domain_errors_map_to_exit_codes(tmp_path, capsys, monkeypatch, override
         assert "user000_content.npz" in err
     if source == "out is a file":
         assert str(tmp_path / "out") in err
+
+
+FUZZ_ESN = st.fixed_dictionaries({
+    "aperture": st.floats(-3.0, 6.0).map(lambda e: 10.0 ** e),
+    "ridge": st.one_of(st.just(0.0), st.floats(0.0, 10.0)),
+    "washout": st.integers(0, 60),
+    "spectral_radius": st.floats(0.0, 1.2),
+    "density": st.floats(0.0, 1.0),
+    "reservoir_size": st.integers(0, 40),
+})
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(esn=FUZZ_ESN)
+@example(esn={"aperture": 1e6, "ridge": 0.0, "washout": 10, "spectral_radius": 0.9,
+              "density": 0.1, "reservoir_size": 40})
+@example(esn={"aperture": 1e-3, "ridge": 0.0, "washout": 0, "spectral_radius": 0.5,
+              "density": 1.0, "reservoir_size": 40})
+def test_fuzzed_esn_block_never_ends_in_a_traceback(esn):
+    doc = merge_documents(TINY, {"num_users": 2, "esn": esn})
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        cfg = Path(tmp) / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        code = main(["train", "--config", str(cfg), "--out", str(Path(tmp) / "out")])
+    assert code in (0, 2, 3)
 
 
 class TestSweep:

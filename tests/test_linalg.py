@@ -43,6 +43,35 @@ class TestSolveSpd:
         assert np.abs(x1 - x2).max() <= linalg.SOLVE_AGREEMENT_TOL
 
 
+class TestSolveRidge:
+    @pytest.mark.parametrize("n, t", [(12, 5), (12, 12), (12, 30), (12, 1)],
+                             ids=["T<N", "T=N", "T>N", "T=1"])
+    def test_matches_the_n_by_n_solve(self, n, t):
+        gen = rng()
+        x = np.tanh(gen.standard_normal((n, t)))
+        b = gen.standard_normal((t, 3))
+        a = 1e-2
+        reference = linalg.solve_spd(x @ x.T + a * np.eye(n), x @ b)
+        assert np.abs(linalg.solve_ridge(x, a, b) - reference).max() <= linalg.RIDGE_FORM_TOL
+
+    @pytest.mark.parametrize("n, t, solved", [(12, 5, 5), (12, 12, 12), (12, 30, 12)])
+    def test_solves_in_the_smaller_dimension(self, monkeypatch, n, t, solved):
+        sizes = []
+        original = linalg.solve_spd
+
+        def recording_solve(a, b):
+            sizes.append(a.shape)
+            return original(a, b)
+
+        monkeypatch.setattr(linalg, "solve_spd", recording_solve)
+        linalg.solve_ridge(np.ones((n, t)), 1.0, np.ones((t, 2)))
+        assert sizes == [(solved, solved)]
+
+    def test_rhs_rows_must_match_columns(self):
+        with pytest.raises(linalg.LinalgError):
+            linalg.solve_ridge(np.ones((4, 3)), 1.0, np.ones((4, 1)))
+
+
 def penrose_ok(a, ap, tol):
     return (np.abs(a @ ap @ a - a).max() <= tol
             and np.abs(ap @ a @ ap - ap).max() <= tol
