@@ -48,11 +48,11 @@ TINY_PER_CONTENT_RATES = ("1130a2ce5879d840f1adf7c8ac1637e52e62c7396863b8b4baaae
 
 # tiny_cfg user 0: cesn.save_model bytes and the exact quota history per task
 TINY_USER0_MODELS = {
-    "content": ("dee2c6c0915a06c83cca1bb2c0fec436fa004846fc440d6504d5de3e8f88c33d",
-                [1.0, 0.9499998580448334, 0.9001541603391806, 0.8510343137266246,
-                 0.8022369504063943]),
-    "mobility": ("d96fa32c10408b7c460ef51751e6596547cf073d59518192985ab8c48458fc20",
-                 [1.0, 0.8523196341111122, 0.824077887127588]),
+    "content": ("1d49ff5ebae4e800229993c15b33783d48417517abfdce90e41257361553aa9f",
+                [1.0, 0.9499998580448324, 0.9001541603391818, 0.851034313726619,
+                 0.8022369504063818]),
+    "mobility": ("9d07d311b8f4aa144904e0f1e936c525018716653d60cffb3a0018e8071e62d8",
+                 [1.0, 0.8523196341111114, 0.8240778871275887]),
 }
 
 
