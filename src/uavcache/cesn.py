@@ -15,6 +15,12 @@ conceptor does two jobs:
   which replays that pattern without external input: an input-simulation
   matrix D, trained at load time, reproduces the input drive from the state.
 
+The conceptor and the update of D are both ridge systems (X X^T + a I)^-1 X B
+over a pattern's T state columns.  ``linalg.solve_ridge`` solves each in the
+smaller of N and T.  At both the paper and the desk scale a content pattern
+keeps fewer samples than the reservoir has units, so its systems are T x T; a
+desk-scale mobility pattern keeps more and stays N x N.
+
 The linear readout is ridge-regressed jointly over every loaded pattern's
 states, so one output matrix serves all patterns.
 """
