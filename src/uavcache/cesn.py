@@ -242,11 +242,11 @@ class EsnModel:
             "d_change_rel": float(np.linalg.norm(d_inc) / d_norm) if d_norm > 0 else float("inf"),
         }
 
-    def train_readout(self, ridge: float | None = None) -> np.ndarray:
+    def train_readout(self) -> np.ndarray:
         """Ridge-regress the readout over the states of every loaded pattern."""
         if not self._train_states:
             raise UntrainedModel("no patterns loaded")
-        lam = self.cfg.ridge if ridge is None else ridge
+        lam = self.cfg.ridge
         v = np.concatenate(self._train_states, axis=1)
         y = np.concatenate(self._train_targets, axis=1)
         gram = v @ v.T + lam ** 2 * np.eye(v.shape[0])
@@ -266,9 +266,7 @@ class EsnModel:
         y = self._train_targets[pattern]
         return nrmse(self.w_out @ v, y)
 
-    def recall(self, pattern: int, steps: int,
-               state: np.ndarray | None = None,
-               return_states: bool = False):
+    def recall(self, pattern: int, steps: int, state: np.ndarray | None = None) -> np.ndarray:
         """Autonomous conceptor-filtered replay of one stored pattern.
 
         The run starts (by default) from the pattern's final training state, so
@@ -281,14 +279,11 @@ class EsnModel:
         c = self.conceptors[pattern].m
         v = self.pattern_states[pattern].copy() if state is None else np.asarray(state, dtype=float).copy()
         outputs = np.empty((steps, self.cfg.output_dim))
-        states = np.empty((steps, v.shape[0])) if return_states else None
         wd = self.w + self.d
         for t in range(steps):
             v = c @ np.tanh(wd @ v)
             outputs[t] = self.w_out @ v
-            if states is not None:
-                states[t] = v
-        return (outputs, states) if return_states else outputs
+        return outputs
 
 
 def predict_request_distribution(model: EsnModel, pattern: int, steps: int = 20,
@@ -342,23 +337,6 @@ def nrmse(predicted, truth) -> float:
     if power > 0.0:
         return float(np.sqrt(mse / power))
     raise ValueError("truth signal is identically zero; NRMSE undefined")
-
-
-def echo_state_gap(w: np.ndarray, w_in: np.ndarray, inputs: np.ndarray,
-                   rs: RandomSource) -> float:
-    """Final distance between two state trajectories driven by the same input.
-
-    A reservoir with the echo-state property forgets initial conditions, so
-    the gap should vanish; spectral radii >= 1 typically leave it large.
-    """
-    rng = rs.generator()
-    v1 = rng.uniform(-1.0, 1.0, w.shape[0])
-    v2 = rng.uniform(-1.0, 1.0, w.shape[0])
-    drive_terms = np.atleast_2d(inputs) @ w_in.T
-    for t in range(drive_terms.shape[0]):
-        v1 = np.tanh(w @ v1 + drive_terms[t])
-        v2 = np.tanh(w @ v2 + drive_terms[t])
-    return float(np.max(np.abs(v1 - v2)))
 
 
 # -- serialization -------------------------------------------------------------

@@ -7,7 +7,6 @@ Subcommands::
                       [--seed S] [--baseline NAME] [--paper-scale]
     uavcache sweep    --config cfg.json --param {users,uavs,cache}
                       --values 3,5,7 --out DIR [--seed S] [--paper-scale]
-    uavcache verify   [--config cfg.json]
 
 Exit codes: 0 success, 1 usage error, 2 invalid config or inputs, 3 runtime
 invariant violation.  The default output directory comes from $UAVCACHE_OUT.
@@ -19,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import dataclasses
 import json
 import os
 import platform
@@ -31,13 +29,12 @@ from pathlib import Path
 
 import numpy as np
 
-from . import cesn, linalg, placement, sim
-from .channel import ChannelError, zf_beamformer
-from .config import (DESK_PRESET, ConfigError, RandomSource, ScenarioConfig, load_config_dict,
-                     merge_documents, parse_document, serialize, training_violations)
+from . import cesn, linalg, sim
+from .channel import ChannelError
+from .config import (DESK_PRESET, ConfigError, ScenarioConfig, load_config_dict, merge_documents,
+                     parse_document, serialize, training_violations)
 from .generators import DAY_TYPES, SyntheticWorld
 from .predictors import train_content_model, train_mobility_model
-from .qoe import delay_lower_bound_s
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -61,8 +58,8 @@ def _build_parser() -> _Parser:
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, config_required=True):
-        p.add_argument("--config", required=config_required, help="JSON config document")
+    def common(p):
+        p.add_argument("--config", required=True, help="JSON config document")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
         p.add_argument("--paper-scale", action="store_true",
                        help="skip the desk-scale preset")
@@ -84,24 +81,17 @@ def _build_parser() -> _Parser:
     p_sweep.add_argument("--param", required=True, choices=sorted(sim.SWEEP_PARAMS))
     p_sweep.add_argument("--values", required=True, help="comma-separated integers")
     p_sweep.add_argument("--baseline", choices=sim.BASELINES, default=None)
-
-    p_verify = sub.add_parser("verify", help="run the cross-module property suite")
-    p_verify.add_argument("--config", default=None)
-    p_verify.add_argument("--paper-scale", action="store_true")
     return parser
 
 
 def _load_scenario(args) -> ScenarioConfig:
-    if args.config is None:
-        doc = {}
-    else:
-        path = Path(args.config)
-        if not path.exists():
-            raise UsageError(f"config file not found: {path}")
-        doc = parse_document(path.read_text())
+    path = Path(args.config)
+    if not path.exists():
+        raise UsageError(f"config file not found: {path}")
+    doc = parse_document(path.read_text())
     if not args.paper_scale:
         doc = merge_documents(DESK_PRESET, doc)
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         doc = merge_documents(doc, {"seed": args.seed})
     return load_config_dict(doc)
 
@@ -131,7 +121,7 @@ def _manifest(out: Path, args, cfg: ScenarioConfig):
     manifest = {
         "tool_version": TOOL_VERSION,
         "command": args.command,
-        "argv": [a for a in sys.argv[1:]],
+        "argv": args.argv,
         "seed": cfg.seed,
         "config": json.loads(serialize(cfg)),
         "environment": {
@@ -270,151 +260,15 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
-# -- property suite -----------------------------------------------------------------
-
-
-def _check_echo_state(cfg: ScenarioConfig) -> str | None:
-    n = min(200, cfg.esn.reservoir_size)
-    rng = RandomSource(cfg.seed).derive("verify-esn").generator()
-    w = rng.uniform(-1.0, 1.0, (n, n))
-    w *= cfg.esn.spectral_radius / linalg.spectral_radius(w)
-    w_in = cfg.esn.input_scale * rng.uniform(-1.0, 1.0, (n, 1))
-    steps = 500
-    inputs = np.sin(2.0 * np.pi * np.arange(steps) / 20.0)[:, None]
-    gap = cesn.echo_state_gap(w, w_in, inputs, RandomSource(cfg.seed).derive("verify-esn-init"))
-    if gap > 1e-6:
-        return (f"state gap {gap:.3e} > 1e-6 after {steps} steps at spectral radius "
-                f"{cfg.esn.spectral_radius}")
-    return None
-
-
-def _check_conceptor_algebra(cfg: ScenarioConfig) -> str | None:
-    rng = RandomSource(cfg.seed).derive("verify-conceptor").generator()
-    dim = 12
-    for trial in range(100):
-        states = rng.standard_normal((dim, 40))
-        c = cesn.compute_conceptor(states, cfg.esn.aperture)
-        vals = c.eigenvalues()
-        if vals.min() < -linalg.ALGEBRA_TOL or vals.max() >= 1.0:
-            return f"trial {trial}: eigenvalues outside [0, 1): {vals.min()}, {vals.max()}"
-        double_not = cesn.conceptor_not(cesn.conceptor_not(c)).m
-        if np.abs(double_not - c.m).max() > linalg.ALGEBRA_TOL:
-            return f"trial {trial}: double negation drifts"
-        zero = cesn.Conceptor(m=np.zeros((dim, dim)), aperture=cfg.esn.aperture,
-                              correlation=np.zeros((dim, dim)))
-        if np.abs(cesn.conceptor_or(c, zero).m - c.m).max() > linalg.ALGEBRA_TOL:
-            return f"trial {trial}: OR with the empty conceptor moved"
-        d = cesn.compute_conceptor(rng.standard_normal((dim, 40)), cfg.esn.aperture)
-        ab = cesn.conceptor_or(c, d).m
-        ba = cesn.conceptor_or(d, c).m
-        if np.abs(ab - ba).max() > linalg.ALGEBRA_TOL:
-            return f"trial {trial}: OR does not commute"
-    return None
-
-
-def _check_zf_nulling(cfg: ScenarioConfig) -> str | None:
-    rng = RandomSource(cfg.seed).derive("verify-zf").generator()
-    for trial in range(100):
-        r_q = int(rng.integers(2, 7))
-        u_q = int(rng.integers(1, r_q + 1))
-        h = rng.standard_normal((u_q, r_q))
-        f = zf_beamformer(h)
-        residual = np.abs(h @ f - np.eye(u_q)).max()
-        if residual > linalg.ZF_NULLING_TOL:
-            return f"trial {trial}: ||HF - I|| = {residual:.3e}"
-    return None
-
-
-def _check_delay_bound(cfg: ScenarioConfig) -> str | None:
-    small = dataclasses.replace(
-        cfg, num_users=12, num_rrhs=8, num_rrh_clusters=2, num_uavs=2,
-        intervals_per_slot=10, slots_per_collection=2, slots_per_cache_period=8,
-        esn=dataclasses.replace(cfg.esn, reservoir_size=50, training_length=60,
-                                washout=10))
-    logs, summary = sim.run_period(small, mode="oracle")
-    bound = delay_lower_bound_s(small)
-    for log in logs:
-        for r in log.reports:
-            if r.delivered and r.delay_s < bound:
-                return f"slot {log.slot} user {r.user}: delay {r.delay_s} < bound {bound}"
-    if summary["min_delivered_delay_s"] is not None and summary["min_delivered_delay_s"] < bound:
-        return "summary records a delay below the bound"
-    return None
-
-
-def _check_cache_exactness(cfg: ScenarioConfig) -> str | None:
-    import itertools
-
-    rng = RandomSource(cfg.seed).derive("verify-cache").generator()
-    for trial in range(20):
-        n = int(rng.integers(4, 9))
-        c = int(rng.integers(1, 4))
-        rows = int(rng.integers(1, 6))
-        probs = rng.random((rows, n))
-        probs /= probs.sum(axis=1, keepdims=True)
-        savings = rng.random((rows, n))
-        plan = placement.select_cache(0, probs, savings, c)
-        best_val, best_set = -np.inf, None
-        for subset in itertools.combinations(range(n), c):
-            val = float((probs[:, subset] * savings[:, subset]).sum())
-            if val > best_val + 1e-12:
-                best_val, best_set = val, subset
-        if set(plan.contents) != set(best_set):
-            return f"trial {trial}: greedy {plan.contents} vs exhaustive {best_set}"
-    return None
-
-
-def _check_closed_form_placement(cfg: ScenarioConfig) -> str | None:
-    rng = RandomSource(cfg.seed).derive("verify-placement").generator()
-    p = dataclasses.replace(cfg.pathloss, exponent_nlos=2.0)
-    users = rng.uniform(-150.0, 150.0, (6, 1, 2))
-    targets = rng.uniform(1e6, 8e6, 6)
-    h = 10.0
-    xy = placement.place_uav_closed_form(users, targets, 6, cfg.uav_bandwidth_hz)
-    obj_cf = placement.placement_objective(
-        np.array([xy[0], xy[1], h]), users, targets, 6, p,
-        cfg.uav_bandwidth_hz, cfg.noise_power_w)
-    grid = placement.place_uav_exhaustive(users, targets, 3.0, [h], 6, p,
-                                          cfg.uav_bandwidth_hz, cfg.noise_power_w)
-    if obj_cf > 1.10 * grid.objective_w:
-        return f"closed form {obj_cf:.4e} vs grid {grid.objective_w:.4e}"
-    return None
-
-
-VERIFY_CHECKS = (
-    ("echo_state_convergence", _check_echo_state),
-    ("conceptor_algebra", _check_conceptor_algebra),
-    ("zero_forcing_nulling", _check_zf_nulling),
-    ("delay_lower_bound", _check_delay_bound),
-    ("cache_greedy_exactness", _check_cache_exactness),
-    ("closed_form_placement", _check_closed_form_placement),
-)
-
-
-def cmd_verify(args) -> int:
-    cfg = _load_scenario(args)
-    failures = 0
-    for name, check in VERIFY_CHECKS:
-        detail = check(cfg)
-        if detail is None:
-            print(f"PASS {name}")
-        else:
-            print(f"FAIL {name}: {detail}")
-            failures += 1
-    if failures:
-        print(f"{failures} of {len(VERIFY_CHECKS)} properties failed")
-        return EXIT_INVARIANT
-    print(f"all {len(VERIFY_CHECKS)} properties passed")
-    return EXIT_OK
-
-
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    args.argv = argv  # recorded in the run manifest
     try:
         if args.command == "train":
             return cmd_train(args)
@@ -422,8 +276,6 @@ def main(argv=None) -> int:
             return cmd_simulate(args)
         if args.command == "sweep":
             return cmd_sweep(args)
-        if args.command == "verify":
-            return cmd_verify(args)
         raise UsageError(f"unknown command {args.command!r}")
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

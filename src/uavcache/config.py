@@ -2,7 +2,7 @@
 
 Every tunable constant of the simulator lives in :class:`ScenarioConfig` and its
 nested blocks.  Configs are immutable, JSON round-trippable, and validated as a
-whole: :func:`load_config` reports *all* violated invariants with their field
+whole: :func:`load_config_dict` reports *all* violated invariants with their field
 paths instead of stopping at the first one.
 
 All values in config files are SI (meters, watts, hertz, bits, seconds); dB
@@ -364,13 +364,8 @@ def parse_document(text: str) -> dict:
     return doc
 
 
-def load_config(text: str) -> ScenarioConfig:
-    """Parse a JSON config document; unset fields take the built-in defaults."""
-    return load_config_dict(parse_document(text))
-
-
 def serialize(cfg: ScenarioConfig) -> str:
-    """Emit the config as a JSON document; load_config(serialize(c)) == c."""
+    """Emit the config as a JSON document; load_config_dict(parse_document(serialize(c))) == c."""
     doc = dataclasses.asdict(cfg)
     for key in _TUPLE_FIELDS:
         if doc.get(key) is not None:

@@ -70,13 +70,13 @@ def solve_ridge(x, a: float, b) -> np.ndarray:
     return solve_spd(x @ x.T + a * np.eye(n), x @ b)
 
 
-def pinv(a, rcond: float = PINV_RCOND) -> np.ndarray:
+def pinv(a) -> np.ndarray:
     """Moore-Penrose pseudo-inverse with relative singular-value cutoff."""
     a = _as_matrix(a)
     u, s, vt = np.linalg.svd(a, full_matrices=False)
     if s.size == 0 or s[0] == 0.0:
         return np.zeros((a.shape[1], a.shape[0]))
-    cutoff = rcond * s[0]
+    cutoff = PINV_RCOND * s[0]
     inv = np.where(s > cutoff, 1.0 / np.where(s > cutoff, s, 1.0), 0.0)
     return (vt.T * inv) @ u.T
 
@@ -100,8 +100,8 @@ def spectral_radius(a) -> float:
     return float(np.abs(np.linalg.eigvals(a)).max())
 
 
-def random_reservoir(n: int, density: float, target_radius: float, rs: RandomSource,
-                     max_retries: int = 8) -> np.ndarray:
+def random_reservoir(n: int, density: float, target_radius: float,
+                     rs: RandomSource) -> np.ndarray:
     """Sparse uniform random matrix rescaled to an exact spectral radius.
 
     Entries are uniform on [-1, 1] with roughly ``density`` fraction nonzero;
@@ -113,7 +113,7 @@ def random_reservoir(n: int, density: float, target_radius: float, rs: RandomSou
     if not (0.0 < target_radius < 1.0):
         raise LinalgError(f"target spectral radius must lie in (0, 1), got {target_radius}")
     rng = rs.generator()
-    for _ in range(max_retries):
+    for _ in range(8):  # redraws before a zero spectral radius is an error
         mask = rng.random((n, n)) < density
         w = np.where(mask, rng.uniform(-1.0, 1.0, (n, n)), 0.0)
         rho = spectral_radius(w)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import mixed_pathloss_db, uav_user_pathloss_db
+from .channel import uav_user_pathloss_db
 from .config import ChannelParams, RandomSource, RrhCluster, ScenarioConfig
 from .qoe import delay_lower_bound_s, min_uav_power_w
 
@@ -301,38 +301,3 @@ def place_uav_local_search(user_pos, rate_targets_bps, init_xyz, n_served: int,
             if evals >= max_evals:
                 break
     return PlacementResult(position=pos, objective_w=best, evaluations=evals)
-
-
-def place_uav_exhaustive(user_pos, rate_targets_bps, grid_step_m: float,
-                         altitudes_m, n_served: int, p: ChannelParams,
-                         bandwidth_hz: float, noise_w: float,
-                         pad_m: float = 100.0) -> PlacementResult:
-    """Global grid minimum of the power objective over the padded user bounding box."""
-    pos, _ = _flatten_positions(user_pos)
-    altitudes = np.atleast_1d(np.asarray(altitudes_m, dtype=float))
-    if pos.shape[0] == 0 or altitudes.size == 0:
-        raise ValueError("exhaustive search needs users and at least one altitude")
-    flat = pos.reshape(-1, 2)
-    weights = np.repeat(np.asarray(rate_targets_bps, dtype=float), pos.shape[1])
-    lo = flat.min(axis=0) - pad_m
-    hi = flat.max(axis=0) + pad_m
-    xs = np.arange(lo[0], hi[0] + grid_step_m / 2, grid_step_m)
-    ys = np.arange(lo[1], hi[1] + grid_step_m / 2, grid_step_m)
-
-    best_val = np.inf
-    best_pos = None
-    evals = 0
-    for h in altitudes:
-        gx, gy = np.meshgrid(xs, ys, indexing="ij")
-        grid = np.stack([gx.ravel(), gy.ravel()], axis=1)  # (G, 2)
-        diff = grid[:, None, :] - flat[None, :, :]
-        dist = np.sqrt(np.sum(diff ** 2, axis=2) + h * h)  # (G, M)
-        pl = mixed_pathloss_db(dist, h, p)
-        power = min_uav_power_w(pl, weights[None, :], n_served, bandwidth_hz, noise_w)
-        totals = power.sum(axis=1)
-        evals += totals.size
-        idx = int(np.argmin(totals))
-        if totals[idx] < best_val:
-            best_val = float(totals[idx])
-            best_pos = np.array([grid[idx, 0], grid[idx, 1], h])
-    return PlacementResult(position=best_pos, objective_w=best_val, evaluations=evals)

@@ -36,7 +36,6 @@ from .qoe import (LINK_RRH, LINK_UAV_CACHE, LINK_UAV_FRONTHAUL, MOS_BINS, Delive
 SATISFIED_QOE = MOS_BINS[0][0]
 
 SUMMARY_SCHEMA_VERSION = 1
-SLOTS_SCHEMA_VERSION = 1
 
 SLOTS_COLUMNS = (
     "slot", "user", "content", "link", "delivered", "delay_s", "delay_score",

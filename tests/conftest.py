@@ -1,6 +1,11 @@
+import numpy as np
 import pytest
 
-from uavcache.config import DESK_PRESET, ScenarioConfig, load_config_dict, merge_documents
+from uavcache.channel import mixed_pathloss_db
+from uavcache.config import (DESK_PRESET, ChannelParams, RandomSource, ScenarioConfig,
+                             load_config_dict, merge_documents)
+from uavcache.placement import PlacementResult, _flatten_positions
+from uavcache.qoe import min_uav_power_w
 
 
 def desk_config(**overrides) -> ScenarioConfig:
@@ -17,3 +22,58 @@ def tiny_cfg() -> ScenarioConfig:
         esn={"reservoir_size": 60, "training_length": 60, "washout": 10},
         generators={"training_weeks": 2, "request_concentration": 2.0},
     )
+
+
+# -- independent references the tests compare the production code against -----------
+
+
+def echo_state_gap(w: np.ndarray, w_in: np.ndarray, inputs: np.ndarray,
+                   rs: RandomSource) -> float:
+    """Final distance between two state trajectories driven by the same input.
+
+    A reservoir with the echo-state property forgets initial conditions, so
+    the gap should vanish; spectral radii >= 1 typically leave it large.
+    """
+    rng = rs.generator()
+    v1 = rng.uniform(-1.0, 1.0, w.shape[0])
+    v2 = rng.uniform(-1.0, 1.0, w.shape[0])
+    drive_terms = np.atleast_2d(inputs) @ w_in.T
+    for t in range(drive_terms.shape[0]):
+        v1 = np.tanh(w @ v1 + drive_terms[t])
+        v2 = np.tanh(w @ v2 + drive_terms[t])
+    return float(np.max(np.abs(v1 - v2)))
+
+
+def place_uav_exhaustive(user_pos, rate_targets_bps, grid_step_m: float,
+                         altitudes_m, n_served: int, p: ChannelParams,
+                         bandwidth_hz: float, noise_w: float,
+                         pad_m: float = 100.0) -> PlacementResult:
+    """Global grid minimum of the power objective over the padded user bounding box."""
+    pos, _ = _flatten_positions(user_pos)
+    altitudes = np.atleast_1d(np.asarray(altitudes_m, dtype=float))
+    if pos.shape[0] == 0 or altitudes.size == 0:
+        raise ValueError("exhaustive search needs users and at least one altitude")
+    flat = pos.reshape(-1, 2)
+    weights = np.repeat(np.asarray(rate_targets_bps, dtype=float), pos.shape[1])
+    lo = flat.min(axis=0) - pad_m
+    hi = flat.max(axis=0) + pad_m
+    xs = np.arange(lo[0], hi[0] + grid_step_m / 2, grid_step_m)
+    ys = np.arange(lo[1], hi[1] + grid_step_m / 2, grid_step_m)
+
+    best_val = np.inf
+    best_pos = None
+    evals = 0
+    for h in altitudes:
+        gx, gy = np.meshgrid(xs, ys, indexing="ij")
+        grid = np.stack([gx.ravel(), gy.ravel()], axis=1)  # (G, 2)
+        diff = grid[:, None, :] - flat[None, :, :]
+        dist = np.sqrt(np.sum(diff ** 2, axis=2) + h * h)  # (G, M)
+        pl = mixed_pathloss_db(dist, h, p)
+        power = min_uav_power_w(pl, weights[None, :], n_served, bandwidth_hz, noise_w)
+        totals = power.sum(axis=1)
+        evals += totals.size
+        idx = int(np.argmin(totals))
+        if totals[idx] < best_val:
+            best_val = float(totals[idx])
+            best_pos = np.array([grid[idx, 0], grid[idx, 1], h])
+    return PlacementResult(position=best_pos, objective_w=best_val, evaluations=evals)

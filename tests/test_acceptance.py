@@ -14,7 +14,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import desk_config
+from conftest import desk_config, place_uav_exhaustive
 from uavcache import cesn, placement, sim
 from uavcache.channel import zf_beamformer
 from uavcache.cli import main
@@ -165,8 +165,8 @@ def test_criterion_05_placement_optimality():
         obj_cf = placement.placement_objective([xy[0], xy[1], h], users, targets,
                                                n_users, p, cfg.uav_bandwidth_hz,
                                                cfg.noise_power_w)
-        grid = placement.place_uav_exhaustive(users, targets, 3.0, [h], n_users, p,
-                                              cfg.uav_bandwidth_hz, cfg.noise_power_w)
+        grid = place_uav_exhaustive(users, targets, 3.0, [h], n_users, p,
+                                    cfg.uav_bandwidth_hz, cfg.noise_power_w)
         refined = placement.place_uav_local_search(users, targets,
                                                    [xy[0], xy[1], h], n_users, p,
                                                    cfg.uav_bandwidth_hz, cfg.noise_power_w,

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import echo_state_gap
 from uavcache import cesn, linalg
 from uavcache.config import EsnConfig, RandomSource
 
@@ -19,10 +20,10 @@ def triangle(period: float, n: int, t0: int = 0) -> np.ndarray:
 
 
 def signal_model(seed: int = 42, aperture: float = 60.0, n_res: int = 120,
-                 n_train: int = 400) -> cesn.EsnModel:
+                 n_train: int = 400, ridge: float = 0.01) -> cesn.EsnModel:
     cfg = EsnConfig(reservoir_size=n_res, input_dim=1, output_dim=1,
                     spectral_radius=0.9, density=0.1, input_scale=1.0,
-                    aperture=aperture, ridge=0.01, washout=50,
+                    aperture=aperture, ridge=ridge, washout=50,
                     training_length=n_train)
     return cesn.EsnModel(cfg, RandomSource(seed).derive("test-esn"))
 
@@ -193,7 +194,7 @@ class TestFreeMemory:
         periods = (6.0, 8.0, 11.0)
         for period in periods:
             load_signal(model, sine(period, n_train))
-        model.train_readout(ridge=0.01)
+        model.train_readout()
         # per pattern: the D update, its conceptor and (after the first) the
         # OR into the running memory; then the readout
         assert calls == {"solve_spd": 3 * len(periods), "pinv": 0}
@@ -270,8 +271,14 @@ class TestLoadingAndRecall:
         model = signal_model(n_res=80)
         load_signal(model, sine(8.0, 400))
         model.train_readout()
-        _, states = model.recall(0, 10_000, return_states=True)
-        assert np.abs(states).max() <= 1.0
+        # recall's autonomous update, run here to see every state it visits
+        c, wd = model.conceptors[0].m, model.w + model.d
+        v = model.pattern_states[0]
+        largest = 0.0
+        for _ in range(10_000):
+            v = c @ np.tanh(wd @ v)
+            largest = max(largest, float(np.abs(v).max()))
+        assert largest <= 1.0
 
     def test_non_interference_on_earlier_patterns(self):
         model = signal_model(n_res=200)
@@ -322,26 +329,27 @@ class TestReadoutRegression:
         model._train_targets = [np.asarray(targets, dtype=float)]
 
     def test_scalar_exact_fit_without_ridge(self):
-        model = signal_model(n_res=1)
+        model = signal_model(n_res=1, ridge=0.0)
         self._inject(model, np.ones((1, 12)), 2.0 * np.ones((1, 12)))
-        assert model.train_readout(ridge=0.0)[0, 0] == pytest.approx(2.0)
+        assert model.train_readout()[0, 0] == pytest.approx(2.0)
 
     def test_scalar_ridge_shrinks_to_half(self):
         n = 12
-        model = signal_model(n_res=1)
+        model = signal_model(n_res=1, ridge=float(np.sqrt(n)))
         self._inject(model, np.ones((1, n)), 2.0 * np.ones((1, n)))
         # lambda**2 = n doubles the denominator: 2n / (n + n) = 1
-        assert model.train_readout(ridge=float(np.sqrt(n)))[0, 0] == pytest.approx(1.0)
+        assert model.train_readout()[0, 0] == pytest.approx(1.0)
 
     def test_ridge_residual_bounded_by_unregularized(self):
         rng = np.random.default_rng(1)
         v = rng.standard_normal((6, 80))
         y = rng.standard_normal((2, 80))
-        model = signal_model(n_res=6)
-        self._inject(model, v, y)
-        w_free = model.train_readout(ridge=0.0)
+        free, ridged = signal_model(n_res=6, ridge=0.0), signal_model(n_res=6, ridge=1.0)
+        self._inject(free, v, y)
+        self._inject(ridged, v, y)
+        w_free = free.train_readout()
         free_residual = np.linalg.norm(w_free @ v - y)
-        w_ridge = model.train_readout(ridge=1.0)
+        w_ridge = ridged.train_readout()
         ridge_residual = np.linalg.norm(w_ridge @ v - y)
         assert ridge_residual >= free_residual
         assert np.linalg.norm(w_ridge) <= np.linalg.norm(w_free) + 1e-12
@@ -418,7 +426,7 @@ class TestEchoStateProperty:
         rs = RandomSource(3)
         w = linalg.random_reservoir(100, 0.1, 0.9, rs.derive("w"))
         w_in = rs.derive("win").generator().uniform(-1, 1, (100, 1))
-        gap = cesn.echo_state_gap(w, w_in, sine(20.0, 500)[:, None], rs.derive("init"))
+        gap = echo_state_gap(w, w_in, sine(20.0, 500)[:, None], rs.derive("init"))
         assert gap <= 1e-6
 
     def test_explosive_reservoir_keeps_gap(self):
@@ -427,7 +435,7 @@ class TestEchoStateProperty:
         w = rng.uniform(-1, 1, (100, 100))
         w *= 2.5 / linalg.spectral_radius(w)
         w_in = rs.derive("win").generator().uniform(-1, 1, (100, 1))
-        gap = cesn.echo_state_gap(w, w_in, 0.1 * sine(20.0, 500)[:, None], rs.derive("init"))
+        gap = echo_state_gap(w, w_in, 0.1 * sine(20.0, 500)[:, None], rs.derive("init"))
         assert gap > 1e-6
 
 

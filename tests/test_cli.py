@@ -1,8 +1,8 @@
 import contextlib
-import dataclasses
 import io
 import json
 import platform
+import sys
 import tempfile
 from pathlib import Path
 
@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 
 from uavcache import sim
 from uavcache.channel import ChannelError
-from uavcache.cli import _check_echo_state, main
-from uavcache.config import ScenarioConfig, merge_documents
+from uavcache.cli import main
+from uavcache.config import merge_documents
 
 TINY = {
     "num_users": 6, "num_rrhs": 6, "num_rrh_clusters": 2, "num_uavs": 2,
@@ -61,8 +61,10 @@ class TestTrain:
             f2 = out2 / "models" / f1.name
             assert f1.read_bytes() == f2.read_bytes()
 
-    def test_missing_config_flag_is_usage_error(self, tmp_path):
-        assert main(["train", "--out", str(tmp_path)]) == 1
+    def test_missing_config_flag_is_usage_error(self, tmp_path, capsys):
+        for argv in (["train", "--out", str(tmp_path)], ["verify"]):
+            assert main(argv) == 1
+            assert "usage error" in capsys.readouterr().err
 
     def test_nonexistent_config_file_is_usage_error(self, tmp_path):
         assert main(["train", "--config", str(tmp_path / "nope.json"),
@@ -83,6 +85,7 @@ class TestTrain:
         ({"qoe_weight_delay": 1.5, "qoe_weight_device": -0.5}, "qoe_weight_delay"),
         ({"qoe_weight_delay": 1.5, "qoe_weight_device": -0.5}, "qoe_weight_device"),
         ({"num_contents": 25, "content_base_rates_bps": [-1e6] * 25}, "content_base_rates_bps"),
+        ({"esn": {"spectral_radius": 2.5}}, "esn.spectral_radius"),
     ])
     def test_bad_value_exits_2_naming_the_field(self, tmp_path, capsys, override, field):
         bad = tmp_path / "bad.json"
@@ -137,6 +140,13 @@ class TestSimulate:
         code = main(["simulate", "--config", str(other_file), "--models", str(out),
                      "--out", str(tmp_path / "x")])
         assert code == 2
+
+    def test_manifest_records_the_argv_given_to_main(self, cfg_file, tmp_path, monkeypatch):
+        monkeypatch.setattr(sys, "argv", ["harness", "--whatever"])
+        argv = ["simulate", "--config", cfg_file, "--oracle", "--out", str(tmp_path), "--seed", "3"]
+        assert main(argv) == 0
+        manifest = json.loads((tmp_path / "run_manifest.json").read_text())
+        assert manifest["argv"] == argv
 
     def test_source_flag_required(self, cfg_file, tmp_path):
         assert main(["simulate", "--config", cfg_file, "--out", str(tmp_path)]) == 1
@@ -292,27 +302,3 @@ class TestScalePreset:
         assert cfg.content_size_bits == 1e6
         assert cfg.esn.reservoir_size == 1000
 
-
-class TestVerify:
-    def test_default_config_all_pass(self, capsys):
-        assert main(["verify"]) == 0
-        lines = capsys.readouterr().out.strip().split("\n")
-        passes = [line for line in lines if line.startswith("PASS ")]
-        assert len(passes) == 6
-
-    def test_each_property_listed_exactly_once(self, capsys):
-        main(["verify"])
-        out = capsys.readouterr().out
-        for name in ("echo_state_convergence", "conceptor_algebra", "zero_forcing_nulling",
-                     "delay_lower_bound", "cache_greedy_exactness", "closed_form_placement"):
-            assert out.count(name) == 1
-
-    def test_explosive_reservoir_fails_echo_state(self, tmp_path):
-        # Validation rejects such a reservoir before verify runs, so the
-        # property check is fed the explosive radius directly.
-        cfg = ScenarioConfig()
-        explosive = dataclasses.replace(cfg, esn=dataclasses.replace(cfg.esn, spectral_radius=2.5))
-        assert "state gap" in _check_echo_state(explosive)
-        path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({"esn": {"spectral_radius": 2.5}}))
-        assert main(["verify", "--config", str(path)]) == 2

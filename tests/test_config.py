@@ -7,13 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from uavcache.cesn import validate_esn
-from uavcache.config import (ConfigError, EsnConfig, RandomSource, ScenarioConfig, load_config,
-                             load_config_dict, merge_documents, serialize, training_violations,
-                             validate)
+from uavcache.config import (ConfigError, EsnConfig, RandomSource, ScenarioConfig,
+                             load_config_dict, merge_documents, parse_document, serialize,
+                             training_violations, validate)
 
 
 def test_empty_document_gives_reference_defaults():
-    cfg = load_config("")
+    cfg = load_config_dict(parse_document(""))
     assert cfg.intervals_per_slot == 1000
     assert cfg.num_uavs == 5
     assert cfg.num_contents == 25
@@ -26,13 +26,14 @@ def test_empty_document_gives_reference_defaults():
 
 def test_weights_must_sum_to_one():
     with pytest.raises(ConfigError) as err:
-        load_config(json.dumps({"qoe_weight_delay": 0.7, "qoe_weight_device": 0.2}))
+        load_config_dict(parse_document(
+            json.dumps({"qoe_weight_delay": 0.7, "qoe_weight_device": 0.2})))
     assert any("sum to 1" in v for v in err.value.violations)
 
 
 def test_cache_size_exceeding_catalog_rejected():
     with pytest.raises(ConfigError) as err:
-        load_config(json.dumps({"cache_size": 30, "num_contents": 25}))
+        load_config_dict(parse_document(json.dumps({"cache_size": 30, "num_contents": 25})))
     assert any("exceeds catalog" in v for v in err.value.violations)
 
 
@@ -40,31 +41,32 @@ def test_all_violations_reported_not_just_first():
     doc = {"cache_size": 30, "num_contents": 25, "qoe_weight_delay": 0.7,
            "qoe_weight_device": 0.2, "uav_max_power_w": -1.0}
     with pytest.raises(ConfigError) as err:
-        load_config(json.dumps(doc))
+        load_config_dict(parse_document(json.dumps(doc)))
     assert len(err.value.violations) >= 3
 
 
 def test_unknown_field_reported_with_path():
     with pytest.raises(ConfigError) as err:
-        load_config(json.dumps({"pathloss": {"carier_hz": 1e9}}))
+        load_config_dict(parse_document(json.dumps({"pathloss": {"carier_hz": 1e9}})))
     assert any("pathloss.carier_hz" in v for v in err.value.violations)
 
 
 def test_parse_failure():
     with pytest.raises(ConfigError) as err:
-        load_config("{not json")
+        load_config_dict(parse_document("{not json"))
     assert any("parse failure" in v for v in err.value.violations)
 
 
 def test_collection_must_divide_period():
     with pytest.raises(ConfigError) as err:
-        load_config(json.dumps({"slots_per_collection": 7, "slots_per_cache_period": 24}))
+        load_config_dict(parse_document(
+            json.dumps({"slots_per_collection": 7, "slots_per_cache_period": 24})))
     assert any("divide" in v for v in err.value.violations)
 
 
 def test_roundtrip_default():
     cfg = ScenarioConfig()
-    assert load_config(serialize(cfg)) == cfg
+    assert load_config_dict(parse_document(serialize(cfg))) == cfg
 
 
 @settings(max_examples=30, deadline=None)
@@ -82,7 +84,7 @@ def test_roundtrip_random_valid_configs(users, uavs, contents, radius, w1, seed)
         cache_size=1, area_radius_m=radius, qoe_weight_delay=w1,
         qoe_weight_device=1.0 - w1, seed=seed)
     assert validate(cfg) == []
-    assert load_config(serialize(cfg)) == cfg
+    assert load_config_dict(parse_document(serialize(cfg))) == cfg
 
 
 def test_merge_documents_is_deep():

@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from conftest import place_uav_exhaustive
 from uavcache import placement
 from uavcache.config import ChannelParams, RandomSource, RrhCluster, ScenarioConfig
 
@@ -204,8 +205,8 @@ class TestClosedForm:
         obj_cf = placement.placement_objective(
             [xy[0], xy[1], h], users, targets, len(targets), p,
             CFG.uav_bandwidth_hz, CFG.noise_power_w)
-        grid = placement.place_uav_exhaustive(users, targets, 3.0, [h], len(targets), p,
-                                              CFG.uav_bandwidth_hz, CFG.noise_power_w)
+        grid = place_uav_exhaustive(users, targets, 3.0, [h], len(targets), p,
+                                    CFG.uav_bandwidth_hz, CFG.noise_power_w)
         assert obj_cf <= 1.10 * grid.objective_w
 
 
@@ -258,8 +259,8 @@ class TestLocalSearch:
 
     def test_multistart_close_to_grid(self):
         users, targets, p = low_regime_instance(7)
-        grid = placement.place_uav_exhaustive(users, targets, 3.0, [10.0], 6, p,
-                                              CFG.uav_bandwidth_hz, CFG.noise_power_w)
+        grid = place_uav_exhaustive(users, targets, 3.0, [10.0], 6, p,
+                                    CFG.uav_bandwidth_hz, CFG.noise_power_w)
         rng = np.random.default_rng(0)
         for _ in range(5):
             init = np.array([rng.uniform(-150, 150), rng.uniform(-150, 150), 10.0])
@@ -271,24 +272,24 @@ class TestExhaustive:
     def test_single_user_optimum_overhead(self):
         users = np.array([[[30.0, -60.0]]])
         targets = np.array([5e6])
-        res = placement.place_uav_exhaustive(users, targets, 3.0, [CFG.min_altitude_m],
-                                             1, CFG.pathloss, CFG.uav_bandwidth_hz,
-                                             CFG.noise_power_w, pad_m=50.0)
+        res = place_uav_exhaustive(users, targets, 3.0, [CFG.min_altitude_m],
+                                   1, CFG.pathloss, CFG.uav_bandwidth_hz,
+                                   CFG.noise_power_w, pad_m=50.0)
         assert abs(res.position[0] - 30.0) <= 1.5 + 1e-9
         assert abs(res.position[1] + 60.0) <= 1.5 + 1e-9
 
     def test_refinement_never_hurts(self):
         users, targets, p = low_regime_instance(8)
-        coarse = placement.place_uav_exhaustive(users, targets, 12.0, [10.0], 6, p,
-                                                CFG.uav_bandwidth_hz, CFG.noise_power_w)
-        fine = placement.place_uav_exhaustive(users, targets, 6.0, [10.0], 6, p,
-                                              CFG.uav_bandwidth_hz, CFG.noise_power_w)
+        coarse = place_uav_exhaustive(users, targets, 12.0, [10.0], 6, p,
+                                      CFG.uav_bandwidth_hz, CFG.noise_power_w)
+        fine = place_uav_exhaustive(users, targets, 6.0, [10.0], 6, p,
+                                    CFG.uav_bandwidth_hz, CFG.noise_power_w)
         assert fine.objective_w <= coarse.objective_w + 1e-12
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
-            placement.place_uav_exhaustive(np.zeros((0, 1, 2)), np.zeros(0), 3.0,
-                                           [100.0], 1, CFG.pathloss, 1e9, 1e-12)
+            place_uav_exhaustive(np.zeros((0, 1, 2)), np.zeros(0), 3.0,
+                                 [100.0], 1, CFG.pathloss, 1e9, 1e-12)
 
 
 class TestObjective:
