@@ -46,6 +46,13 @@ PAPER_ORACLE = ("b4240b6aaf4e7071b6cfb7d4f19c5a1537ec04e4329e19e65c0ca44b4bc48f1
 TINY_PER_CONTENT_RATES = ("1130a2ce5879d840f1adf7c8ac1637e52e62c7396863b8b4baaae27518c62664",
                           "c6fdbff7d077eeb417d317100bfab38f5919066d4efb0522a163d3fd59716ef5")
 
+# tiny_cfg at a half-second slot with a slow wired fronthaul, a faint BBU link and a
+# one-content cache: the RRH threshold goes infinite, select_caches meets uncached
+# routes that cannot make the delay, _place_slot aims those users as if cached, and
+# delivery prices unreachable targets at the power cap
+TINY_INFEASIBLE = ("0db330ceca192cd5a39a4975998aa97882d02c507a237ff819f3082e4ef96357",
+                   "f06d3d30e2fd72895bf552426c24ee863a81f3d8e95323689bd996f3f54cd721")
+
 # tiny_cfg user 0: cesn.save_model bytes and the exact quota history per task
 TINY_USER0_MODELS = {
     "content": ("1d49ff5ebae4e800229993c15b33783d48417517abfdce90e41257361553aa9f",
@@ -86,6 +93,14 @@ def test_per_content_rates_artifacts_pinned(tiny_cfg):
                               content_base_rates_bps=tuple(1e6 + 1e5 * i for i in range(25)))
     logs, summary = sim.run_period(cfg, mode="oracle")
     assert digests(logs, summary) == TINY_PER_CONTENT_RATES
+
+
+def test_infeasible_branches_artifacts_pinned(tiny_cfg):
+    cfg = dataclasses.replace(
+        tiny_cfg, slot_duration_s=0.5, fronthaul_rate_bps=1e7, bbu_power_w=1e-6, cache_size=1,
+        generators=dataclasses.replace(tiny_cfg.generators, request_concentration=0.5))
+    logs, summary = sim.run_period(cfg, mode="oracle")
+    assert digests(logs, summary) == TINY_INFEASIBLE
 
 
 @pytest.mark.parametrize("task", list(TINY_USER0_MODELS))
