@@ -17,7 +17,7 @@ import numpy as np
 
 from .channel import uav_user_pathloss_db
 from .config import ChannelParams, RandomSource, RrhCluster, ScenarioConfig
-from .qoe import delay_lower_bound_s, min_uav_power_w
+from .qoe import delay_rate_requirement_bits, min_uav_power_w, qoe_rate_target_bps
 
 
 @dataclass
@@ -54,14 +54,9 @@ def rrh_rate_threshold_bits(n_fr: int, device_req_bps, cfg: ScenarioConfig):
 
     Returns inf when the shared fronthaul alone blows the delay budget.
     """
-    bound = delay_lower_bound_s(cfg)
-    dt = cfg.slot_duration_s
-    budget_s = dt - cfg.mos_min * (dt - bound) - cfg.content_size_bits * n_fr / cfg.fronthaul_rate_bps
-    device_req = np.asarray(device_req_bps, dtype=float)
-    if budget_s <= 0.0:
-        return np.full(device_req.shape, np.inf)
-    delay_rate_bits = cfg.content_size_bits * dt / budget_s
-    return np.maximum(delay_rate_bits, device_req * dt)
+    wired_s = cfg.content_size_bits * n_fr / cfg.fronthaul_rate_bps
+    return np.maximum(delay_rate_requirement_bits(cfg, wired_s),
+                      np.asarray(device_req_bps, dtype=float) * cfg.slot_duration_s)
 
 
 def associate_rrh(rates_bits, user_xy, device_req_bps, clusters: list[RrhCluster],
@@ -149,25 +144,19 @@ def cluster_users(xy, k: int, rs: RandomSource | None = None,
 
 
 def delta_power_saving(pathloss_db, delay_req_cached_bits: float,
-                       delay_req_uncached_bits: float | None,
-                       device_req_bps, n_served: int, cfg: ScenarioConfig):
+                       delay_req_uncached_bits: float, device_req_bps, n_served: int,
+                       cfg: ScenarioConfig):
     """Per-interval power saved by caching one content for one user.
 
-    ``delay_req_uncached_bits=None`` means the uncached route cannot meet the
-    delay budget at all, in which case the uncached power is the cap.
-    Vectorized over path loss and device requirement.
+    An inf uncached requirement (the fronthaul leg leaves no delay budget)
+    prices the uncached route at the cap.  Vectorized over path loss and
+    device requirement.
     """
     dt = cfg.slot_duration_s
-    device_req = np.asarray(device_req_bps, dtype=float)
-    target_cached = np.maximum(delay_req_cached_bits / dt, device_req)
-    p_cached = min_uav_power_w(pathloss_db, target_cached, n_served,
-                               cfg.uav_bandwidth_hz, cfg.noise_power_w)
-    if delay_req_uncached_bits is None:
-        p_uncached = np.full(np.shape(p_cached), np.inf)
-    else:
-        target_uncached = np.maximum(delay_req_uncached_bits / dt, device_req)
-        p_uncached = min_uav_power_w(pathloss_db, target_uncached, n_served,
-                                     cfg.uav_bandwidth_hz, cfg.noise_power_w)
+    p_cached, p_uncached = (
+        min_uav_power_w(pathloss_db, qoe_rate_target_bps(req, device_req_bps, dt), n_served,
+                        cfg.uav_bandwidth_hz, cfg.noise_power_w)
+        for req in (delay_req_cached_bits, delay_req_uncached_bits))
     # Powers saturate at the cap: an infeasible or over-cap route spends P_max.
     cap = cfg.uav_max_power_w
     return np.minimum(p_uncached, cap) - np.minimum(p_cached, cap)
@@ -218,13 +207,17 @@ def place_uav_closed_form(user_pos, rate_targets_bps, n_served: int,
 
     Weights are the rate-dependent power prefactors (distance-independent
     factors cancel); shadowing enters at its zero mean so the placement is
-    deterministic.
+    deterministic.  Weights that overflow to inf share the limit: the
+    centroid of their users alone.
     """
     pos, _ = _flatten_positions(user_pos)
     if pos.shape[0] == 0:
         raise ValueError("cannot place a UAV for an empty user set")
     targets = np.asarray(rate_targets_bps, dtype=float)
-    weights = 2.0 ** (targets * n_served / bandwidth_hz) - 1.0
+    with np.errstate(over="ignore"):
+        weights = 2.0 ** (targets * n_served / bandwidth_hz) - 1.0
+    if np.isinf(weights).any():
+        weights = np.isinf(weights).astype(float)
     w = np.repeat(weights, pos.shape[1])
     flat = pos.reshape(-1, 2)
     return (flat * w[:, None]).sum(axis=0) / w.sum()

@@ -3,9 +3,9 @@
 Two interchangeable predictors feed the optimizer: the oracle reads the
 generator's exact distributions and trajectories (isolating the optimizer from
 prediction error), while the ESN predictor replays trained conceptor patterns.
-Both answer the same three questions for the period being planned: each user's
-request distribution per sub-period, and each user's position at any slot or
-interval.
+Both answer the same two questions for the period being planned: each user's
+request distribution per sub-period, and each user's positions within any slot,
+one point per interval.
 """
 
 from __future__ import annotations
@@ -105,9 +105,6 @@ class OraclePredictor:
     def request_distribution(self, user: int, sub: int) -> np.ndarray:
         return self.world.request_distribution(user, sub)
 
-    def slot_midpoint(self, user: int, global_slot: int) -> np.ndarray:
-        return self.world.position_at(user, global_slot, 0.5)
-
     def slot_positions(self, users, global_slot: int, n_intervals: int) -> np.ndarray:
         return self.world.interval_positions(users, global_slot, n_intervals)
 
@@ -159,10 +156,6 @@ class EsnPredictor:
         g = slot_fractions
         c = np.minimum((g // h).astype(int), self._collections.shape[1] - 2)
         return interpolate_tracks(self._collections, users, c, c + 1, (g - c * h) / h)
-
-    def slot_midpoint(self, user: int, global_slot: int) -> np.ndarray:
-        local = np.array([global_slot - self.day_start_slot + 0.5])
-        return self._interp(user, local)[0]
 
     def slot_positions(self, users, global_slot: int, n_intervals: int) -> np.ndarray:
         """Predicted interval positions within one slot.

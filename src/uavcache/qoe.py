@@ -5,6 +5,12 @@ content of L bits over a component of rate C is L * slot_duration / C seconds.
 A delivery is scored on two axes: a linear delay score in [0, 1] anchored at
 the system-wide delay lower bound, and a binary per-interval device score that
 checks the instantaneous rate against the device's rate floor.
+
+A requirement the route cannot meet is ``inf``, never an exception: when the
+fronthaul leg uses up the whole delay budget, the access-rate requirement,
+the rate target and the minimum power are all inf, and callers clamp that
+power at the cap.  Only :func:`delay_s` raises :class:`InfeasibleDelay`, for
+a route with a zero-rate leg that delivers nothing.
 """
 
 from __future__ import annotations
@@ -31,7 +37,7 @@ LINK_UAV_CACHE = "uav_cache"
 
 
 class InfeasibleDelay(ValueError):
-    """The delay budget cannot be met even at infinite access rate."""
+    """A route leg has zero rate, so the content never arrives."""
 
 
 @dataclass(frozen=True)
@@ -131,29 +137,26 @@ def qoe_score(delay_score_value: float, device_score_value: float, weight_delay:
     return float(q), mos_label(q)
 
 
-def delay_rate_requirement_bits(cached: bool, cfg: ScenarioConfig,
-                                fronthaul_bits_per_slot: float | None = None) -> float:
+def delay_rate_requirement_bits(cfg: ScenarioConfig, fronthaul_s: float = 0.0) -> float:
     """Access rate (bits/slot) at which the delay score reaches its target.
 
-    Uncached contents must also traverse the wireless fronthaul, which eats
-    into the delay budget, so caching strictly lowers the requirement.
+    ``fronthaul_s`` is the time the route's fronthaul leg takes (0 for a cache
+    hit); it eats into the delay budget, so caching strictly lowers the
+    requirement.  When the leg leaves no budget the requirement is inf.
     """
-    budget_s = cfg.slot_duration_s - cfg.mos_min * (cfg.slot_duration_s - delay_lower_bound_s(cfg))
-    if not cached:
-        if fronthaul_bits_per_slot is None or fronthaul_bits_per_slot <= 0.0:
-            raise InfeasibleDelay("uncached delivery needs a positive fronthaul rate")
-        budget_s -= cfg.slot_duration_s * cfg.content_size_bits / fronthaul_bits_per_slot
+    dt = cfg.slot_duration_s
+    budget_s = dt - cfg.mos_min * (dt - delay_lower_bound_s(cfg)) - fronthaul_s
     if budget_s <= 0.0:
-        raise InfeasibleDelay(
-            f"delay budget exhausted by the fronthaul leg ({budget_s:.6g} s remaining)"
-        )
-    return cfg.content_size_bits * cfg.slot_duration_s / budget_s
+        return math.inf
+    return cfg.content_size_bits * dt / budget_s
 
 
-def qoe_rate_target_bps(delay_req_bits_per_slot: float, device_req_bps: float,
-                        slot_duration_s: float) -> float:
-    """The per-interval rate that satisfies both the delay and device criteria."""
-    return max(delay_req_bits_per_slot / slot_duration_s, device_req_bps)
+def qoe_rate_target_bps(delay_req_bits_per_slot, device_req_bps, slot_duration_s: float):
+    """The per-interval rate that satisfies both the delay and device criteria.
+
+    Elementwise over arrays; an inf requirement gives an inf target.
+    """
+    return np.maximum(delay_req_bits_per_slot / slot_duration_s, device_req_bps)
 
 
 def min_uav_power_w(pathloss_db, rate_target_bps, n_served: int,

@@ -118,14 +118,11 @@ def _rrh_rates_bits(cfg, world, clusters, assigned, user_xy, fading, interferenc
     return rates
 
 
-def _rate_target_bps(cfg: ScenarioConfig, cached: bool, fronthaul_bits: float,
-                     device_req_bps: float) -> float:
-    """Access-rate target for one delivery; inf when the route cannot make it."""
-    try:
-        req_bits = delay_rate_requirement_bits(cached, cfg, None if cached else fronthaul_bits)
-    except InfeasibleDelay:
+def _fronthaul_s(cfg: ScenarioConfig, bits_per_slot: float) -> float:
+    """Time the wireless fronthaul takes to fetch one content; inf over a dead link."""
+    if bits_per_slot <= 0.0:
         return float("inf")
-    return qoe_rate_target_bps(req_bits, device_req_bps, cfg.slot_duration_s)
+    return cfg.slot_duration_s * cfg.content_size_bits / bits_per_slot
 
 
 @dataclass
@@ -169,8 +166,7 @@ def plan_slots(cfg: ScenarioConfig, world: SyntheticWorld, predictor,
                       np.array([world.screen_factor(u) for u in range(n_users)]))
     prev_centroids = None
     for s in range(cfg.slots_per_cache_period):
-        pred_xy = np.array([predictor.slot_midpoint(u, plan.slot0 + s)
-                            for u in range(n_users)]).reshape(n_users, 2)
+        pred_xy = predictor.slot_positions(range(n_users), plan.slot0 + s, 1)[:, 0]
         fading = _zf_fading(rs, s, clusters, n_users)
         rates = _rrh_rates_bits(cfg, world, clusters, _reference_sets(pred_xy, clusters),
                                 pred_xy, fading, n_uavs > 0)
@@ -206,17 +202,15 @@ def select_caches(plan: PeriodPlan) -> list[tuple[int, ...]]:
     """Stage 2: each UAV caches the contents with the largest expected power saving."""
     cfg, predictor = plan.cfg, plan.predictor
     all_contents = np.arange(cfg.num_contents)
-    c_r_cached = delay_rate_requirement_bits(True, cfg)
+    c_r_cached = delay_rate_requirement_bits(cfg)
     caches: list[tuple[int, ...]] = []
     for k in range(plan.n_uavs):
         prob_rows, saving_rows = [], []
         for s, members in enumerate(m[k] for m in plan.members):
             if not members:
                 continue
-            try:
-                c_r_uncached = delay_rate_requirement_bits(False, cfg, plan.fronthaul_bits[s][k])
-            except InfeasibleDelay:
-                c_r_uncached = None
+            c_r_uncached = delay_rate_requirement_bits(
+                cfg, _fronthaul_s(cfg, plan.fronthaul_bits[s][k]))
             pls = uav_user_pathloss_db(plan.anchors[s][k], plan.midpoints[s][members],
                                        cfg.pathloss)
             for u, pl in zip(members, pls):
@@ -261,22 +255,22 @@ def _place_slot(plan: PeriodPlan, caches: list[tuple[int, ...]], s: int,
     served, rows = _rows_by_uav(members_by_uav)
     if served:
         slot_pos = predictor.slot_positions(served, plan.slot0 + s, cfg.intervals_per_slot)
+    sub = s // cfg.slots_per_collection
+    req_cached = delay_rate_requirement_bits(cfg)
     for k, members in enumerate(members_by_uav):
         default = plan.anchors[s][k]
         if not members:
             positions[k] = prev_positions[k] if prev_positions is not None else default
             continue
         user_pos = slot_pos[rows[k]]
-        targets = np.empty(len(members))
-        for idx, u in enumerate(members):
-            content = int(np.argmax(predictor.request_distribution(
-                u, s // cfg.slots_per_collection)))
-            device_req = cfg.device_rate_bps(plan.screen[u], content)
-            target = _rate_target_bps(cfg, content in caches[k], plan.fronthaul_bits[s][k],
-                                      device_req)
-            if not np.isfinite(target):  # the fronthaul is too slow: aim as if cached
-                target = _rate_target_bps(cfg, True, None, device_req)
-            targets[idx] = target
+        contents = [int(np.argmax(predictor.request_distribution(u, sub))) for u in members]
+        req_uncached = delay_rate_requirement_bits(
+            cfg, _fronthaul_s(cfg, plan.fronthaul_bits[s][k]))
+        if np.isinf(req_uncached):  # the fronthaul is too slow: aim as if cached
+            req_uncached = req_cached
+        targets = qoe_rate_target_bps(
+            np.where([c in caches[k] for c in contents], req_cached, req_uncached),
+            cfg.device_rate_bps(plan.screen[members], contents), cfg.slot_duration_s)
         regime = placement.closed_form_regime(cfg.min_altitude_m, user_pos)
         if regime == "low" and cfg.pathloss.exponent_nlos != 2.0:
             regime = None
@@ -332,6 +326,7 @@ def _uav_links(plan: PeriodPlan, caches: list[tuple[int, ...]], members: list[li
     if not served:
         return {}
     true_pos = plan.world.interval_positions(served, gs, cfg.intervals_per_slot)
+    req_cached = delay_rate_requirement_bits(cfg)
     links: dict[int, _UavLink] = {}
     for k, users in enumerate(requesting):
         if not users:
@@ -341,10 +336,11 @@ def _uav_links(plan: PeriodPlan, caches: list[tuple[int, ...]], members: list[li
         fronthaul_bits = None if all(hits) else g2a_fronthaul_bits(
             positions[k], plan.world.bbu_xy, cfg.pathloss, cfg.bbu_power_w,
             cfg.rrh_bandwidth_hz, cfg.noise_power_w, cfg.slot_duration_s) / max(n_fetch, 1)
-        targets = np.array([
-            _rate_target_bps(cfg, hit, None if hit else fronthaul_bits,
-                             cfg.device_rate_bps(plan.screen[u], requests[u]))
-            for u, hit in zip(users, hits)])[:, None]
+        fetch_s = 0.0 if all(hits) else _fronthaul_s(cfg, fronthaul_bits)
+        targets = qoe_rate_target_bps(
+            np.where(hits, req_cached, delay_rate_requirement_bits(cfg, fetch_s)),
+            cfg.device_rate_bps(plan.screen[users], [requests[u] for u in users]),
+            cfg.slot_duration_s)[:, None]
         pl = uav_user_pathloss_db(positions[k], true_pos[rows[k]], cfg.pathloss)
         power = min_uav_power_w(pl, targets, n_served, cfg.uav_bandwidth_hz, cfg.noise_power_w)
         feasible = np.all(power <= cfg.uav_max_power_w, axis=1)
@@ -371,8 +367,7 @@ def _deliver_slot(plan: PeriodPlan, caches: list[tuple[int, ...]], s: int,
     cfg, world, n_uavs, n_users = plan.cfg, plan.world, plan.n_uavs, plan.cfg.num_users
     association, members = plan.association[s], plan.members[s]
     gs = plan.slot0 + s
-    true_xy = np.array([world.position_at(u, gs, 0.5)
-                        for u in range(n_users)]).reshape(n_users, 2)
+    true_xy = world.interval_positions(range(n_users), gs, 1)[:, 0]
     requests = [world.request_at(u, gs) for u in range(n_users)]
 
     user_uav = {u: k for k in range(n_uavs) for u in members[k]}
@@ -479,8 +474,8 @@ def _score(cfg: ScenarioConfig, user: int, content: int, path: DeliveryPath, rat
     """Score one delivery over ``path`` at the per-interval access rates ``rates_bps``."""
     try:
         delay = delay_s(path, cfg.content_size_bits, cfg.slot_duration_s)
-    except InfeasibleDelay:
-        return _failure_report(user, content, path.kind, power_w=power_w, cache_hit=cache_hit)
+    except InfeasibleDelay:  # a zero-rate leg: the content never arrives
+        delay = float("inf")
     if delay > cfg.slot_duration_s:
         report = _failure_report(user, content, path.kind, power_w=power_w, cache_hit=cache_hit)
         return dataclasses.replace(report, delay_s=delay, power_feasible=feasible)

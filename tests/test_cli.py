@@ -228,8 +228,21 @@ def test_domain_errors_map_to_exit_codes(tmp_path, capsys, monkeypatch, override
         assert str(tmp_path / "out") in err
 
 
+def quiet_main(command: list[str], doc: dict) -> int:
+    """``main(command + --config --out)`` on ``doc`` in a throwaway directory, output muted."""
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        cfg = Path(tmp) / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        return main(command + ["--config", str(cfg), "--out", str(Path(tmp) / "out")])
+
+
+def log_uniform(lo_exp: float, hi_exp: float):
+    return st.floats(lo_exp, hi_exp).map(lambda e: 10.0 ** e)
+
+
 FUZZ_ESN = st.fixed_dictionaries({
-    "aperture": st.floats(-3.0, 6.0).map(lambda e: 10.0 ** e),
+    "aperture": log_uniform(-3.0, 6.0),
     "ridge": st.one_of(st.just(0.0), st.floats(0.0, 10.0)),
     "washout": st.integers(0, 60),
     "spectral_radius": st.floats(0.0, 1.2),
@@ -245,13 +258,37 @@ FUZZ_ESN = st.fixed_dictionaries({
 @example(esn={"aperture": 1e-3, "ridge": 0.0, "washout": 0, "spectral_radius": 0.5,
               "density": 1.0, "reservoir_size": 40})
 def test_fuzzed_esn_block_never_ends_in_a_traceback(esn):
-    doc = merge_documents(TINY, {"num_users": 2, "esn": esn})
-    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()), \
-            contextlib.redirect_stderr(io.StringIO()):
-        cfg = Path(tmp) / "cfg.json"
-        cfg.write_text(json.dumps(doc))
-        code = main(["train", "--config", str(cfg), "--out", str(Path(tmp) / "out")])
-    assert code in (0, 2, 3)
+    assert quiet_main(["train"], merge_documents(TINY, {"num_users": 2, "esn": esn})) in (0, 2, 3)
+
+
+# The scalars that turn a delay budget into a rate target and then into a power.
+FUZZ_RATE_CHAIN = st.fixed_dictionaries({
+    "slot_duration_s": log_uniform(-3.0, 2.0),
+    "content_size_bits": log_uniform(2.0, 10.0),
+    "fronthaul_rate_bps": log_uniform(3.0, 12.0),
+    "uav_bandwidth_hz": log_uniform(2.0, 11.0),
+    "noise_power_w": log_uniform(-22.0, -4.0),
+    "uav_max_power_w": log_uniform(-4.0, 4.0),
+    "mos_min": log_uniform(-4.0, 0.0),
+})
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(chain=FUZZ_RATE_CHAIN)
+def test_fuzzed_rate_chain_never_ends_in_a_traceback(chain):
+    assert quiet_main(["simulate", "--oracle"], merge_documents(TINY, chain)) in (0, 2, 3)
+
+
+def test_overflowing_placement_weights_still_simulate(tmp_path):
+    # 2 ** (t * n / B) overflows at this bandwidth: some closed-form weights are inf
+    doc = merge_documents(TINY, {"noise_power_w": 1.865730707778994e-18,
+                                 "uav_bandwidth_hz": 2003.630345375049,
+                                 "rrh_power_w": 0.06103343532598528})
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    assert main(["simulate", "--oracle", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert np.isfinite(summary["avg_altitude_m"]) and np.isfinite(summary["total_uav_power_w"])
 
 
 class TestSweep:

@@ -1,4 +1,6 @@
 import itertools
+import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,6 +8,7 @@ import pytest
 from conftest import place_uav_exhaustive
 from uavcache import placement
 from uavcache.config import ChannelParams, RandomSource, RrhCluster, ScenarioConfig
+from uavcache.qoe import delay_rate_requirement_bits, min_uav_power_w, qoe_rate_target_bps
 
 CFG = ScenarioConfig()
 
@@ -62,6 +65,16 @@ class TestAssociation:
         plan = placement.associate_rrh(np.full(3, np.inf), np.zeros((3, 2)),
                                        np.full(3, 5e6), [], CFG)
         assert plan.n_fr == 0
+
+    @pytest.mark.parametrize("n_fr", [0, 1, 7, 1000])
+    def test_threshold_is_the_requirement_with_the_wired_leg(self, n_fr):
+        device = np.array([2.5e6, 5e6, 7.5e6])
+        for cfg in (CFG, ScenarioConfig(slot_duration_s=0.5, fronthaul_rate_bps=1e7)):
+            wired_s = cfg.content_size_bits * n_fr / cfg.fronthaul_rate_bps
+            want = np.maximum(delay_rate_requirement_bits(cfg, wired_s),
+                              device * cfg.slot_duration_s)
+            got = placement.rrh_rate_threshold_bits(n_fr, device, cfg)
+            assert got.tobytes() == want.tobytes()
 
     def test_budget_exhaustion_gives_infinite_threshold(self):
         # enough sharers make the wired fronthaul alone exceed the delay budget
@@ -158,9 +171,21 @@ class TestCacheSelection:
     def test_infeasible_uncached_route_saves_up_to_cap(self, tiny_cfg):
         saving = placement.delta_power_saving(
             pathloss_db=100.0, delay_req_cached_bits=2.5e6,
-            delay_req_uncached_bits=None, device_req_bps=np.array([1e6]),
+            delay_req_uncached_bits=math.inf, device_req_bps=np.array([1e6]),
             n_served=4, cfg=tiny_cfg)
         assert saving[0] == pytest.approx(tiny_cfg.uav_max_power_w, rel=1e-3)
+
+    @pytest.mark.parametrize("pathloss_db", [100.0, 160.0, np.array([90.0, 150.0, 170.0])])
+    def test_infinite_uncached_requirement_prices_at_the_cap(self, tiny_cfg, pathloss_db):
+        device = np.array([1e6, 3e6, 9e6])
+        if np.ndim(pathloss_db):
+            device = device[:, None]
+        saving = placement.delta_power_saving(pathloss_db, 2.5e6, math.inf, device, 4, tiny_cfg)
+        target = qoe_rate_target_bps(2.5e6, device, tiny_cfg.slot_duration_s)
+        p_cached = min_uav_power_w(pathloss_db, target, 4, tiny_cfg.uav_bandwidth_hz,
+                                   tiny_cfg.noise_power_w)
+        cap = tiny_cfg.uav_max_power_w
+        assert saving.tobytes() == (cap - np.minimum(p_cached, cap)).tobytes()
 
 
 def low_regime_instance(seed=0, n_users=6):
@@ -196,6 +221,16 @@ class TestClosedForm:
     def test_empty_user_set_rejected(self):
         with pytest.raises(ValueError):
             placement.place_uav_closed_form(np.zeros((0, 1, 2)), np.zeros(0), 1, 1e9)
+
+    def test_overflowing_weights_give_the_centroid_of_their_users(self):
+        # 2 ** (t * n / B) overflows for the last two users only
+        users = np.array([[[0.0, 0.0], [2.0, 0.0]], [[10.0, 4.0], [12.0, 4.0]],
+                          [[-30.0, 8.0], [-30.0, 10.0]]])
+        targets = np.array([1e3, 2e6, math.inf])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            xy = placement.place_uav_closed_form(users, targets, 3, 2e3)
+        assert xy.tobytes() == users[1:].reshape(-1, 2).mean(axis=0).tobytes()
 
     def test_within_ten_percent_of_grid(self):
         users, targets, p = low_regime_instance(1)

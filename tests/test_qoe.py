@@ -128,28 +128,56 @@ class TestQoeScore:
         assert qoe.mos_label(0.3) == "Fair"
 
 
+def fronthaul_leg_s(cfg, bits_per_slot):
+    """Time a wireless fronthaul of ``bits_per_slot`` takes to fetch one content."""
+    return cfg.slot_duration_s * cfg.content_size_bits / bits_per_slot
+
+
 class TestRateRequirement:
     def test_cached_hand_value(self):
         cfg = cfg_with_bound_001()
-        got = qoe.delay_rate_requirement_bits(True, cfg)
+        got = qoe.delay_rate_requirement_bits(cfg)
         assert got == pytest.approx(1e6 / 0.208, rel=1e-12)
 
     def test_infinite_fronthaul_matches_cached(self):
         cfg = cfg_with_bound_001()
-        cached = qoe.delay_rate_requirement_bits(True, cfg)
-        uncached = qoe.delay_rate_requirement_bits(False, cfg, math.inf)
+        cached = qoe.delay_rate_requirement_bits(cfg)
+        uncached = qoe.delay_rate_requirement_bits(cfg, fronthaul_leg_s(cfg, math.inf))
         assert uncached == pytest.approx(cached, rel=1e-12)
 
     def test_caching_strictly_cheaper(self):
         cfg = cfg_with_bound_001()
-        cached = qoe.delay_rate_requirement_bits(True, cfg)
+        cached = qoe.delay_rate_requirement_bits(cfg)
         for fronthaul in (5e6, 2e7, 1e9):
-            assert qoe.delay_rate_requirement_bits(False, cfg, fronthaul) > cached
+            assert qoe.delay_rate_requirement_bits(cfg, fronthaul_leg_s(cfg, fronthaul)) > cached
 
     def test_exhausted_budget_rejected(self):
         cfg = cfg_with_bound_001()
-        with pytest.raises(qoe.InfeasibleDelay):
-            qoe.delay_rate_requirement_bits(False, cfg, 1e6)  # fronthaul alone takes 1 s
+        # the fronthaul alone takes 1 s
+        assert qoe.delay_rate_requirement_bits(cfg, fronthaul_leg_s(cfg, 1e6)) == math.inf
+
+    def test_budget_edge_is_infinite_and_never_raises(self):
+        cfg = cfg_with_bound_001()
+        budget_s = cfg.slot_duration_s - cfg.mos_min * (cfg.slot_duration_s - 0.01)
+        assert budget_s == pytest.approx(0.208, rel=1e-12)
+        assert qoe.delay_rate_requirement_bits(cfg, budget_s) == math.inf
+        assert qoe.delay_rate_requirement_bits(cfg, math.inf) == math.inf
+        assert math.isfinite(qoe.delay_rate_requirement_bits(cfg, 0.99 * budget_s))
+
+
+class TestRateTarget:
+    def test_array_equals_scalar_calls(self):
+        req = np.array([0.0, 1e5, 4.8e6, 3e7, math.inf])
+        device = np.array([5e6, 2.5e6, 5e6, 1e6, 7.5e6])
+        for dt in (0.5, 0.7, 1.0, 3.0):
+            got = qoe.qoe_rate_target_bps(req, device, dt)
+            want = [qoe.qoe_rate_target_bps(r, d, dt) for r, d in zip(req, device)]
+            assert got.tobytes() == np.array(want).tobytes()
+            assert got[-1] == math.inf
+
+    def test_larger_of_delay_and_device_rate(self):
+        assert qoe.qoe_rate_target_bps(4e6, 1e6, 0.5) == 8e6
+        assert qoe.qoe_rate_target_bps(4e6, 9e6, 0.5) == 9e6
 
 
 class TestMinPower:

@@ -95,6 +95,17 @@ class TestPowerCap:
         assert max(r.power_w for r in reports) <= cap * (1.0 + 1e-12)
 
 
+    def test_dead_wireless_fronthaul_prices_uncached_routes_at_the_cap(self, tiny_cfg):
+        # the BBU -> UAV link carries 0 bits: only cache hits can arrive
+        logs, summary = run(dataclasses.replace(tiny_cfg, bbu_power_w=1e-300))
+        fetched = [r for log in logs for r in log.reports if r.link == LINK_UAV_FRONTHAUL]
+        assert fetched and summary["cache_hit_rate"] > 0.0
+        assert not any(r.delivered for r in fetched)
+        assert not any(r.power_feasible for r in fetched)
+        for r in fetched:
+            assert r.power_w == pytest.approx(tiny_cfg.uav_max_power_w, rel=1e-12)
+
+
 class TestBaselines:
     def test_no_uav_spends_nothing(self, tiny_cfg):
         logs, summary = run(tiny_cfg, baseline="no_uav")

@@ -293,13 +293,18 @@ def test_desk_period_counts(monkeypatch):
         searches[-1] = (searches[-1], result.evaluations)
         return result
 
+    def no_position_at(self, *args):
+        raise AssertionError("run_period asked for one user's position at a time")
+
     monkeypatch.setattr(SyntheticWorld, "interval_positions", counted_positions)
+    monkeypatch.setattr(SyntheticWorld, "position_at", no_position_at)
     monkeypatch.setattr(placement, "placement_objective", counted_objective)
     monkeypatch.setattr(placement, "place_uav_local_search", counted_search)
     sim.run_period(cfg, mode="oracle", world=world)
 
+    # Per slot: planned midpoints, placement intervals, true midpoints, delivery intervals.
     per_slot = np.bincount(np.asarray(position_calls) - min(position_calls))
-    assert len(position_calls) > 0 and per_slot.max() <= 2
+    assert len(position_calls) > 0 and per_slot.max() <= 4
     assert searches
     for evaluated, evaluations in searches:
         assert len(evaluated) == len(set(evaluated))
