@@ -20,6 +20,12 @@ fresh buffers per call.  They never write into their inputs.  Each step is
 the same operation on the same operands as the plain expression, so the
 results are bit for bit those of the expression.  Scalar inputs give scalar
 results.
+
+:func:`uav_user_pathloss_linear`, the placement objective's loss, is the
+exception: it skips the dB round trip, so it is not bit-identical to
+``db_to_linear(mixed_pathloss_db(...))`` but agrees with it within a relative
+``linalg.LINEAR_LOSS_RTOL`` (1e-12).  Delivery and cache selection, whose
+outputs are written out, keep the dB route.
 """
 
 from __future__ import annotations
@@ -117,6 +123,27 @@ def uav_user_pathloss_db(uav_xyz, user_xy, p: ChannelParams):
     """Average access-link path loss in dB from a UAV to users' positions."""
     uav_xyz = np.asarray(uav_xyz, dtype=float)
     return mixed_pathloss_db(_distance_3d(uav_xyz, user_xy), uav_xyz[2], p)
+
+
+def uav_user_pathloss_linear(uav_xyz, user_xy, p: ChannelParams):
+    """Average access-link path loss in linear units, ``10 ** (PL / 10)``.
+
+    The LoS-weighted mixture of two log-distance laws is one power of the
+    distance, 10**(PL/10) = 10**(L_fs/10) * d**(a_nlos + pr (a_los - a_nlos)),
+    so it costs one log and one exp per point.  It agrees with
+    ``db_to_linear(uav_user_pathloss_db(...))`` within
+    ``linalg.LINEAR_LOSS_RTOL``, not bit for bit.
+    """
+    uav_xyz = np.asarray(uav_xyz, dtype=float)
+    dist = _distance_3d(uav_xyz, user_xy)
+    exponent = _los_probability(dist, uav_xyz[2], p)
+    np.multiply(exponent, p.exponent_los - p.exponent_nlos, out=exponent)
+    np.add(exponent, p.exponent_nlos, out=exponent)
+    np.log(dist, out=dist)
+    np.multiply(exponent, dist, out=exponent)
+    np.exp(exponent, out=exponent)
+    l_fs = free_space_pl_db(p.fs_ref_distance_m, p.carrier_hz)
+    return np.multiply(exponent, 10.0 ** (l_fs / 10.0), out=exponent)[()]
 
 
 def db_to_linear(db, *others):

@@ -15,9 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import uav_user_pathloss_db
+from .channel import uav_user_pathloss_linear
 from .config import ChannelParams, RandomSource, RrhCluster, ScenarioConfig
-from .qoe import delay_rate_requirement_bits, min_uav_power_w, qoe_rate_target_bps
+from .qoe import (delay_rate_requirement_bits, min_uav_power_w, power_per_loss_w,
+                  qoe_rate_target_bps)
 
 
 @dataclass
@@ -193,12 +194,17 @@ def _flatten_positions(user_pos) -> tuple[np.ndarray, int]:
 
 def placement_objective(xyz, user_pos, rate_targets_bps, n_served: int,
                         p: ChannelParams, bandwidth_hz: float, noise_w: float) -> float:
-    """Summed per-interval minimum power for one UAV position."""
+    """Summed per-interval minimum power for one UAV position.
+
+    Priced in linear units, sum_u (2**(r_u n / B) - 1) N0 sum_f loss[u, f]:
+    within ``linalg.LINEAR_LOSS_RTOL`` of summing ``min_uav_power_w`` over the
+    dB path losses, not bit for bit.  Searches only compare its values.
+    """
     pos, _ = _flatten_positions(user_pos)
-    pl = uav_user_pathloss_db(np.asarray(xyz, dtype=float), pos, p)
-    power = min_uav_power_w(pl, np.asarray(rate_targets_bps, dtype=float)[:, None],
-                            n_served, bandwidth_hz, noise_w)
-    return float(power.sum())
+    scale = power_per_loss_w(rate_targets_bps, n_served, bandwidth_hz, noise_w)
+    with np.errstate(over="ignore"):  # a loss or price past the float range is inf
+        loss = uav_user_pathloss_linear(xyz, pos, p)
+        return float(loss.sum(axis=1) @ scale)
 
 
 def place_uav_closed_form(user_pos, rate_targets_bps, n_served: int,

@@ -159,6 +159,16 @@ def qoe_rate_target_bps(delay_req_bits_per_slot, device_req_bps, slot_duration_s
     return np.maximum(delay_req_bits_per_slot / slot_duration_s, device_req_bps)
 
 
+def power_per_loss_w(rate_target_bps, n_served: int, bandwidth_hz: float, noise_w: float):
+    """SNR-inversion prefactor (2**(r n / B) - 1) N0: the power per unit linear path loss.
+
+    Elementwise over rate targets; an unreachable target prices at inf.
+    """
+    rate = np.asarray(rate_target_bps, dtype=float)
+    with np.errstate(over="ignore"):
+        return (np.exp2(rate * n_served / bandwidth_hz) - 1.0) * noise_w
+
+
 def min_uav_power_w(pathloss_db, rate_target_bps, n_served: int,
                     bandwidth_hz: float, noise_w: float):
     """Transmit power making the shared-band rate hit the target exactly.
@@ -166,9 +176,8 @@ def min_uav_power_w(pathloss_db, rate_target_bps, n_served: int,
     Vectorized over path loss and rate target; feasibility against the power
     cap is the caller's concern (values are returned unclamped).
     """
-    rate = np.asarray(rate_target_bps, dtype=float)
+    noise_scale = power_per_loss_w(rate_target_bps, n_served, bandwidth_hz, noise_w)
     with np.errstate(over="ignore"):  # unreachable targets price at infinity
-        noise_scale = (np.exp2(rate * n_served / bandwidth_hz) - 1.0) * noise_w
         loss = db_to_linear(pathloss_db, noise_scale)
         if np.ndim(loss) == 0:
             return noise_scale * loss

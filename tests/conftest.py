@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
-from uavcache.channel import mixed_pathloss_db
+from uavcache.channel import mixed_pathloss_db, uav_user_pathloss_db
 from uavcache.config import (DESK_PRESET, ChannelParams, RandomSource, ScenarioConfig,
                              load_config_dict, merge_documents)
 from uavcache.placement import PlacementResult, _flatten_positions
@@ -24,6 +25,32 @@ def tiny_cfg() -> ScenarioConfig:
     )
 
 
+def log_uniform(lo_exp: float, hi_exp: float):
+    """Floats from 10**lo_exp to 10**hi_exp, uniform in the exponent."""
+    return st.floats(lo_exp, hi_exp).map(lambda e: 10.0 ** e)
+
+
+@st.composite
+def access_links(draw):
+    """A UAV, its users' (n, F, 2) interval positions and channel constants.
+
+    The ranges run from free-space to dense-clutter exponents, from flat to
+    steep LoS curves, from UHF to mmWave carriers, from hovering a metre up
+    to three kilometres, with users spread over one metre to ten kilometres.
+    """
+    p = ChannelParams(exponent_los=draw(st.floats(1.5, 4.0)),
+                      exponent_nlos=draw(st.floats(1.5, 6.0)),
+                      env_x=draw(st.floats(0.5, 40.0)), env_y=draw(st.floats(0.01, 1.0)),
+                      fs_ref_distance_m=draw(log_uniform(-1.0, 2.0)),
+                      carrier_hz=draw(log_uniform(8.0, 11.0)))
+    altitude, spread = draw(log_uniform(0.0, 3.5)), draw(log_uniform(0.0, 4.0))
+    n_users, n_intervals = draw(st.integers(1, 20)), draw(st.integers(1, 200))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    users = rng.normal(0.0, spread, (n_users, n_intervals, 2))
+    uav = np.array([*rng.normal(0.0, spread, 2), altitude])
+    return uav, users, p
+
+
 # -- independent references the tests compare the production code against -----------
 
 
@@ -42,6 +69,16 @@ def echo_state_gap(w: np.ndarray, w_in: np.ndarray, inputs: np.ndarray,
         v1 = np.tanh(w @ v1 + drive_terms[t])
         v2 = np.tanh(w @ v2 + drive_terms[t])
     return float(np.max(np.abs(v1 - v2)))
+
+
+def placement_objective_db(xyz, user_pos, rate_targets_bps, n_served: int,
+                           p: ChannelParams, bandwidth_hz: float, noise_w: float) -> float:
+    """The placement objective by the dB route: ``min_uav_power_w`` of each path loss, summed."""
+    pos, _ = _flatten_positions(user_pos)
+    pl = uav_user_pathloss_db(np.asarray(xyz, dtype=float), pos, p)
+    power = min_uav_power_w(pl, np.asarray(rate_targets_bps, dtype=float)[:, None],
+                            n_served, bandwidth_hz, noise_w)
+    return float(power.sum())
 
 
 def place_uav_exhaustive(user_pos, rate_targets_bps, grid_step_m: float,

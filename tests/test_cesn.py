@@ -78,6 +78,15 @@ class TestConceptorAlgebra:
         assert np.diag(wide.m)[2] == pytest.approx(0.0, abs=1e-12)
         assert np.abs(narrow.m).max() < 1e-4
 
+    @pytest.mark.parametrize("dim, n_steps", [(20, 7), (20, 20), (20, 35)])
+    def test_equals_solve_ridge_bit_for_bit(self, dim, n_steps):
+        states = np.random.default_rng(dim + n_steps).standard_normal((dim, n_steps))
+        c = cesn.compute_conceptor(states, aperture=3.0)
+        m = linalg.solve_ridge(states, 3.0 ** -2 * n_steps, states.T)
+        r = states @ states.T / n_steps
+        assert c.m.tobytes() == (0.5 * (m + m.T)).tobytes()
+        assert c.correlation.tobytes() == (0.5 * (r + r.T)).tobytes()
+
     def test_not_of_zero_is_identity(self):
         zero = cesn.Conceptor(m=np.zeros((5, 5)), aperture=15.0, correlation=np.zeros((5, 5)))
         assert np.allclose(cesn.conceptor_not(zero).m, np.eye(5))

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import access_links
 from uavcache import channel, linalg
 from uavcache.config import ChannelParams, RrhCluster
 
@@ -92,6 +93,28 @@ class TestPathloss:
     def test_zero_distance_rejected(self):
         with pytest.raises(channel.ChannelError):
             channel.uav_user_pathloss_db([0, 0, 0.0], [0.0, 0.0], P)
+
+
+class TestLinearPathloss:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(link=access_links())
+    def test_within_tolerance_of_the_db_route(self, link):
+        uav, users, p = link
+        before = users.copy()
+        got = channel.uav_user_pathloss_linear(uav, users, p)
+        assert np.array_equal(users, before) and not np.shares_memory(got, users)
+        want = channel.db_to_linear(channel.uav_user_pathloss_db(uav, users, p))
+        assert got.shape == want.shape and np.isfinite(got).all()
+        assert (np.abs(got - want) <= linalg.LINEAR_LOSS_RTOL * want).all()
+
+    def test_scalar_position_gives_a_scalar(self):
+        got = channel.uav_user_pathloss_linear([0.0, 0.0, 60.0], [80.0, 0.0], P)
+        want = channel.db_to_linear(channel.uav_user_pathloss_db([0.0, 0.0, 60.0], [80.0, 0.0], P))
+        assert np.ndim(got) == 0 and got == pytest.approx(want, rel=linalg.LINEAR_LOSS_RTOL)
+
+    def test_zero_distance_rejected(self):
+        with pytest.raises(channel.ChannelError):
+            channel.uav_user_pathloss_linear([0, 0, 0.0], [0.0, 0.0], P)
 
 
 class TestSnrAndCapacity:

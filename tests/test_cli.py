@@ -11,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import log_uniform
 from uavcache import sim
 from uavcache.channel import ChannelError
 from uavcache.cli import main
@@ -237,10 +238,6 @@ def quiet_main(command: list[str], doc: dict) -> int:
         return main(command + ["--config", str(cfg), "--out", str(Path(tmp) / "out")])
 
 
-def log_uniform(lo_exp: float, hi_exp: float):
-    return st.floats(lo_exp, hi_exp).map(lambda e: 10.0 ** e)
-
-
 FUZZ_ESN = st.fixed_dictionaries({
     "aperture": log_uniform(-3.0, 6.0),
     "ridge": st.one_of(st.just(0.0), st.floats(0.0, 10.0)),
@@ -277,6 +274,34 @@ FUZZ_RATE_CHAIN = st.fixed_dictionaries({
 @given(chain=FUZZ_RATE_CHAIN)
 def test_fuzzed_rate_chain_never_ends_in_a_traceback(chain):
     assert quiet_main(["simulate", "--oracle"], merge_documents(TINY, chain)) in (0, 2, 3)
+
+
+@st.composite
+def fuzz_pathloss(draw):
+    """The access-link constants, the altitude floor and the area the users roam.
+
+    Some draws are invalid and must exit 2: an NLoS exponent below the LoS
+    one, a zero LoS exponent or a zero env_x.
+    """
+    exponent_los = draw(st.floats(0.0, 6.0))
+    return {
+        "pathloss": {
+            "exponent_los": exponent_los,
+            "exponent_nlos": exponent_los + draw(st.floats(-0.5, 3.0)),
+            "env_x": draw(st.floats(0.0, 60.0)),
+            "env_y": draw(log_uniform(-3.0, 0.5)),
+            "fs_ref_distance_m": draw(log_uniform(-2.0, 3.0)),
+            "carrier_hz": draw(log_uniform(6.0, 12.0)),
+        },
+        "min_altitude_m": draw(log_uniform(-1.0, 3.5)),
+        "area_radius_m": draw(log_uniform(0.0, 4.0)),
+    }
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(doc=fuzz_pathloss())
+def test_fuzzed_pathloss_never_ends_in_a_traceback(doc):
+    assert quiet_main(["simulate", "--oracle"], merge_documents(TINY, doc)) in (0, 2, 3)
 
 
 def test_overflowing_placement_weights_still_simulate(tmp_path):

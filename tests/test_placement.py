@@ -4,9 +4,11 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import place_uav_exhaustive
-from uavcache import placement
+from conftest import access_links, log_uniform, place_uav_exhaustive, placement_objective_db
+from uavcache import linalg, placement
 from uavcache.config import ChannelParams, RandomSource, RrhCluster, ScenarioConfig
 from uavcache.qoe import delay_rate_requirement_bits, min_uav_power_w, qoe_rate_target_bps
 
@@ -343,3 +345,27 @@ class TestObjective:
     def test_lower_rate_targets_cost_less(self):
         users, targets, _ = low_regime_instance(3, n_users=4)
         assert self.objective(users, targets) < self.objective(users, 2.0 * targets)
+
+
+class TestLinearObjective:
+    """The linear-unit objective against the dB route it replaced."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(link=access_links(), bandwidth=log_uniform(6.0, 10.0), noise=log_uniform(-20.0, -8.0),
+           unreachable=st.sampled_from(["none", "some", "all"]), seed=st.integers(0, 2 ** 32 - 1))
+    def test_within_tolerance_of_the_db_route(self, link, bandwidth, noise, unreachable, seed):
+        uav, users, p = link
+        n = users.shape[0]
+        rng = np.random.default_rng(seed)
+        # 2 ** (r n / B) up to 2 ** 20: finite prefactors, far from overflow
+        targets = bandwidth / n * 10.0 ** rng.uniform(-4.0, np.log10(20.0), n)
+        if unreachable == "all":
+            targets[:] = math.inf
+        elif unreachable == "some":
+            targets[rng.random(n) < 0.5] = math.inf
+        args = (uav, users, targets, n, p, bandwidth, noise)
+        got, want = placement.placement_objective(*args), placement_objective_db(*args)
+        assert not math.isnan(got) and not math.isnan(want)
+        assert math.isfinite(got) == math.isfinite(want) == np.isfinite(targets).all()
+        if math.isfinite(want):
+            assert abs(got - want) <= linalg.LINEAR_LOSS_RTOL * want

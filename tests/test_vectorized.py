@@ -8,7 +8,7 @@ place, so every comparison here is ``np.array_equal``, never a tolerance.
 import numpy as np
 import pytest
 
-from conftest import desk_config
+from conftest import desk_config, placement_objective_db
 from uavcache import channel, placement, qoe, sim
 from uavcache.config import ChannelParams, ScenarioConfig
 from uavcache.generators import SyntheticWorld
@@ -60,14 +60,15 @@ def ref_link_rates_bps(sinr, bandwidth_hz, n_served=1):
 
 
 def ref_local_search(user_pos, rate_targets_bps, init_xyz, n_served, p, bandwidth_hz,
-                     noise_w, min_altitude_m, step_m=3.0, max_evals=10_000):
+                     noise_w, min_altitude_m, step_m=3.0, max_evals=10_000,
+                     placement_objective=placement.placement_objective):
     """Coordinate descent that evaluates the objective at every candidate."""
     pos = np.asarray(init_xyz, dtype=float).copy()
     pos[2] = max(pos[2], min_altitude_m)
 
     def objective(xyz):
-        return placement.placement_objective(xyz, user_pos, rate_targets_bps, n_served,
-                                             p, bandwidth_hz, noise_w)
+        return placement_objective(xyz, user_pos, rate_targets_bps, n_served,
+                                   p, bandwidth_hz, noise_w)
 
     best = objective(pos)
     evals = 1
@@ -207,6 +208,30 @@ def test_local_search_matches_reference(users, targets, init, n_served, step, ma
     assert got.evaluations == evals
 
 
+def db_route_instances():
+    rng = np.random.default_rng(12)
+    for _ in range(200):
+        p = ChannelParams(exponent_los=rng.uniform(1.8, 3.0), exponent_nlos=rng.uniform(2.0, 4.0),
+                          env_x=rng.uniform(5.0, 25.0), env_y=rng.uniform(0.05, 0.5))
+        n_users, n_intervals = int(rng.integers(1, 8)), int(rng.integers(1, 10))
+        center = rng.uniform(-300.0, 300.0, 2)
+        users = center + rng.normal(0.0, rng.uniform(5.0, 300.0), (n_users, n_intervals, 2))
+        targets = rng.uniform(1e6, 6e7, n_users)
+        init = np.array([*(center + rng.uniform(-60.0, 60.0, 2)), rng.uniform(40.0, 400.0)])
+        yield users, targets, init, n_users, p
+
+
+def test_local_search_lands_where_the_db_route_objective_lands():
+    """The objective is not bit for bit the dB route's, yet every move the search makes is."""
+    for users, targets, init, n_served, p in db_route_instances():
+        args = (users, targets, init, n_served, p, CFG.uav_bandwidth_hz, CFG.noise_power_w,
+                CFG.min_altitude_m)
+        got = placement.place_uav_local_search(*args)
+        pos, _, evals = ref_local_search(*args, placement_objective=placement_objective_db)
+        assert got.position.tobytes() == pos.tobytes()
+        assert got.evaluations == evals
+
+
 def test_local_search_reaches_the_floor_and_the_cut():
     hits = {"floor": False, "cut": False}
     for users, targets, init, n_served, step, max_evals in SEARCHES:
@@ -280,6 +305,8 @@ def test_desk_period_counts(monkeypatch):
         return interval_positions(self, users, global_slot, n_intervals)
 
     searches = []  # per search: the positions handed to the objective
+    db_route_calls = []  # (kernel, called from inside a search)
+    in_search = []
     objective = placement.placement_objective
     local_search = placement.place_uav_local_search
 
@@ -289,9 +316,23 @@ def test_desk_period_counts(monkeypatch):
 
     def counted_search(*args, **kwargs):
         searches.append([])
+        in_search.append(True)
         result = local_search(*args, **kwargs)
+        in_search.pop()
         searches[-1] = (searches[-1], result.evaluations)
         return result
+
+    def db_route(name, kernel):
+        def counted(*args, **kwargs):
+            db_route_calls.append((name, bool(in_search)))
+            return kernel(*args, **kwargs)
+        return counted
+
+    db_kernels = ("uav_user_pathloss_db", "db_to_linear")
+    for module in (channel, qoe, placement, sim):
+        for name in db_kernels:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, db_route(name, getattr(module, name)))
 
     def no_position_at(self, *args):
         raise AssertionError("run_period asked for one user's position at a time")
@@ -306,6 +347,10 @@ def test_desk_period_counts(monkeypatch):
     per_slot = np.bincount(np.asarray(position_calls) - min(position_calls))
     assert len(position_calls) > 0 and per_slot.max() <= 4
     assert searches
+    # Delivery and cache selection take the dB route; the search prices positions in
+    # linear units only: no dB path loss, no 10 ** (PL / 10).
+    assert {name for name, inside in db_route_calls if not inside} == set(db_kernels)
+    assert [name for name, inside in db_route_calls if inside] == []
     for evaluated, evaluations in searches:
         assert len(evaluated) == len(set(evaluated))
         assert evaluations >= len(evaluated)
