@@ -180,13 +180,13 @@ class EsnModel:
     def n_patterns(self) -> int:
         return len(self.conceptors)
 
-    def drive(self, inputs: np.ndarray, state: np.ndarray | None = None) -> np.ndarray:
+    def drive(self, inputs: np.ndarray) -> np.ndarray:
         """Run the input-driven update; returns states as columns (N_w, T)."""
         inputs = np.atleast_2d(np.asarray(inputs, dtype=float))
         if inputs.shape[1] != self.cfg.input_dim:
             raise ValueError(f"input dim {inputs.shape[1]} != model dim {self.cfg.input_dim}")
         n = self.cfg.reservoir_size
-        v = np.zeros(n) if state is None else np.asarray(state, dtype=float).copy()
+        v = np.zeros(n)
         out = np.empty((n, inputs.shape[0]))
         drive_terms = inputs @ self.w_in.T
         for t in range(inputs.shape[0]):
@@ -276,18 +276,18 @@ class EsnModel:
         y = self._train_targets[pattern]
         return nrmse(self.w_out @ v, y)
 
-    def recall(self, pattern: int, steps: int, state: np.ndarray | None = None) -> np.ndarray:
+    def recall(self, pattern: int, steps: int) -> np.ndarray:
         """Autonomous conceptor-filtered replay of one stored pattern.
 
-        The run starts (by default) from the pattern's final training state, so
-        the replay continues the training sequence in phase.
+        The run starts from the pattern's final training state, so the replay
+        continues the training sequence in phase.
         """
         if not (0 <= pattern < self.n_patterns):
             raise IndexError(f"pattern {pattern} not loaded (have {self.n_patterns})")
         if self.w_out is None:
             raise UntrainedModel("readout not trained")
         c = self.conceptors[pattern].m
-        v = self.pattern_states[pattern].copy() if state is None else np.asarray(state, dtype=float).copy()
+        v = self.pattern_states[pattern].copy()
         outputs = np.empty((steps, self.cfg.output_dim))
         wd = self.w + self.d
         for t in range(steps):

@@ -13,16 +13,17 @@ Rates are reported as bits per slot: instantaneous rates integrated over the
 slot's intervals (each of duration slot/F), so content delays computed from
 them come out in seconds.
 
-The access-link kernels (:func:`distance_3d`, :func:`los_probability`,
-:func:`mixed_pathloss_db`, :func:`uav_user_snr`, :func:`link_rates_bps` and
-``qoe.min_uav_power_w``) run their ufunc sequence in place on one or two
-fresh buffers per call.  They never write into their inputs.  Each step is
-the same operation on the same operands as the plain expression, so the
-results are bit for bit those of the expression.  Scalar inputs give scalar
-results.
+Each quantity is one plain numpy expression, except where the placement
+search spends its time.  It evaluates :func:`_distance_3d`,
+:func:`_los_probability` and :func:`uav_user_pathloss_linear` on every
+(user, interval) point of every candidate position, so these three run their
+ufunc sequence in place on fresh buffers from :func:`_buffer_like`.  They
+never write into their inputs.  The distance and the LoS probability take the
+same steps on the same operands as their plain expressions, so they are bit
+for bit those expressions.  Scalar inputs give scalar results.
 
-:func:`uav_user_pathloss_linear`, the placement objective's loss, is the
-exception: it skips the dB round trip, so it is not bit-identical to
+:func:`uav_user_pathloss_linear`, the placement objective's loss, skips the
+dB round trip, so it is not bit-identical to
 ``db_to_linear(mixed_pathloss_db(...))`` but agrees with it within a relative
 ``linalg.LINEAR_LOSS_RTOL`` (1e-12).  Delivery and cache selection, whose
 outputs are written out, keep the dB route.
@@ -108,15 +109,10 @@ def mixed_pathloss_db(dist, altitude, p: ChannelParams):
     dist = np.asarray(dist, dtype=float)
     pr = _los_probability(dist, altitude, p)
     l_fs = free_space_pl_db(p.fs_ref_distance_m, p.carrier_hz)
-    log_d = np.log10(dist, out=_buffer_like(pr))
-    l_los = np.multiply(log_d, 10.0 * p.exponent_los, out=_buffer_like(pr))
-    np.add(l_los, l_fs, out=l_los)
-    l_nlos = np.multiply(log_d, 10.0 * p.exponent_nlos, out=log_d)
-    np.add(l_nlos, l_fs, out=l_nlos)
-    np.multiply(l_los, pr, out=l_los)  # pr * l_los
-    np.subtract(1.0, pr, out=pr)
-    np.multiply(pr, l_nlos, out=pr)  # (1 - pr) * l_nlos
-    return np.add(l_los, pr, out=pr)[()]
+    log_d = np.log10(dist)
+    l_los = l_fs + 10.0 * p.exponent_los * log_d
+    l_nlos = l_fs + 10.0 * p.exponent_nlos * log_d
+    return pr * l_los + (1.0 - pr) * l_nlos
 
 
 def uav_user_pathloss_db(uav_xyz, user_xy, p: ChannelParams):
@@ -146,36 +142,24 @@ def uav_user_pathloss_linear(uav_xyz, user_xy, p: ChannelParams):
     return np.multiply(exponent, 10.0 ** (l_fs / 10.0), out=exponent)[()]
 
 
-def db_to_linear(db, *others):
-    """``10 ** (db / 10)`` in a fresh buffer shaped like ``db`` broadcast with ``others``.
+def db_to_linear(db):
+    """``10 ** (db / 10)``.
 
     A scalar ``db`` gives a numpy scalar from numpy's scalar ``**``, which is
     libm's pow and can differ in the last bit from the array power.
     """
-    db = np.asarray(db, dtype=float)
-    if db.ndim == 0:
-        return 10.0 ** (db / 10.0)
-    linear = np.divide(db, 10.0, out=_buffer_like(db, *others))
-    return np.power(10.0, linear, out=linear)
+    return 10.0 ** (np.asarray(db, dtype=float) / 10.0)
 
 
 def uav_user_snr(power_w, pathloss_db, noise_w: float):
-    power = np.asarray(power_w)
-    loss = db_to_linear(pathloss_db, power)
-    if np.ndim(loss) == 0:
-        return power / (loss * noise_w)
-    np.multiply(loss, noise_w, out=loss)
-    return np.divide(power, loss, out=loss)
+    return np.asarray(power_w) / (db_to_linear(pathloss_db) * noise_w)
 
 
 def link_rates_bps(sinr, bandwidth_hz: float, n_served: int = 1):
     """Per-interval Shannon rate of one user on a band split n_served ways."""
     if n_served < 1:
         raise ChannelError("capacity undefined for an empty association set")
-    sinr = np.asarray(sinr, dtype=float)
-    rates = np.add(sinr, 1.0, out=_buffer_like(sinr))
-    np.log2(rates, out=rates)
-    return np.multiply(rates, bandwidth_hz / n_served, out=rates)[()]
+    return (bandwidth_hz / n_served) * np.log2(1.0 + np.asarray(sinr, dtype=float))
 
 
 def slot_capacity_bits(rates_bps, slot_duration_s: float) -> float:
@@ -200,9 +184,8 @@ def g2a_fronthaul_bits(uav_xyz, bbu_xy, p: ChannelParams, bbu_power_w: float,
                        bandwidth_hz: float, noise_w: float,
                        slot_duration_s: float) -> float:
     """Bits per slot of the BBU -> UAV wireless fronthaul at expected gain."""
-    gain = g2a_gain(uav_xyz, bbu_xy, p)
-    snr = bbu_power_w * gain / noise_w
-    return float(bandwidth_hz * np.log2(1.0 + snr) * slot_duration_s)
+    snr = bbu_power_w * g2a_gain(uav_xyz, bbu_xy, p) / noise_w
+    return slot_capacity_bits(link_rates_bps(snr, bandwidth_hz), slot_duration_s)
 
 
 def rayleigh_channel_rows(user_xy, antennas, gains, exponent: float) -> np.ndarray:

@@ -265,6 +265,12 @@ def validate(cfg: ScenarioConfig) -> list[str]:
         v.append(f"generators.request_probability: must lie in [0, 1], got {g.request_probability}")
     if g.training_weeks < 1:
         v.append(f"generators.training_weeks: must be at least 1, got {g.training_weeks}")
+    if g.waypoints_per_day < 1:
+        v.append(f"generators.waypoints_per_day: must be at least 1, got {g.waypoints_per_day}")
+    if g.taste_spread < 0:
+        v.append(f"generators.taste_spread: must be nonnegative, got {g.taste_spread}")
+    if g.work_hour_boost < 0:
+        v.append(f"generators.work_hour_boost: must be nonnegative, got {g.work_hour_boost}")
     if not (0 < g.speed_min_mps <= g.speed_max_mps):
         v.append(f"generators.speed bounds: need 0 < min <= max, got {g.speed_min_mps}/{g.speed_max_mps}")
     return v

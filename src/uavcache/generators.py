@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import RandomSource, ScenarioConfig
+from .config import ConfigError, RandomSource, ScenarioConfig
 
 WEEKDAYS_PER_WEEK = 5
 DAYS_PER_WEEK = 7
@@ -72,11 +72,10 @@ class UserProfile:
 class SyntheticWorld:
     """Deterministic ground truth for one scenario (seeded by the config)."""
 
-    def __init__(self, cfg: ScenarioConfig, horizon_days: int | None = None):
+    def __init__(self, cfg: ScenarioConfig):
         self.cfg = cfg
         self.n_sub = cfg.slots_per_cache_period // cfg.slots_per_collection
-        self.horizon_days = (cfg.generators.training_weeks * DAYS_PER_WEEK + DAYS_PER_WEEK
-                             if horizon_days is None else horizon_days)
+        self.horizon_days = cfg.generators.training_weeks * DAYS_PER_WEEK + DAYS_PER_WEEK
         self.rs = RandomSource(cfg.seed).derive("world")
         self._build_profiles()
         self._build_mobility()
@@ -197,16 +196,14 @@ class SyntheticWorld:
         b = self.collection_position(user, c + 1)
         return (1.0 - frac) * a + frac * b
 
-    def interval_positions(self, users, global_slot: int,
-                           n_intervals: int | None = None) -> np.ndarray:
+    def interval_positions(self, users, global_slot: int, n_intervals: int) -> np.ndarray:
         """Per-interval positions within one slot, sampled at interval midpoints.
 
         ``users`` is one user id, giving (n_intervals, 2), or a sequence of
         ids, giving (len(users), n_intervals, 2).
         """
-        f = self.cfg.intervals_per_slot if n_intervals is None else n_intervals
         h = self.cfg.slots_per_collection
-        g = global_slot + (np.arange(f) + 0.5) / f
+        g = global_slot + (np.arange(n_intervals) + 0.5) / n_intervals
         c = (g // h).astype(int)
         frac = (g - c * h) / h
         last = self._collections.shape[1] - 1
@@ -241,6 +238,9 @@ class SyntheticWorld:
             boost = np.where(self._work_class == work_now, g.work_hour_boost, 1.0)
             w = self._base_weights * boost[None, :]
             self._distributions[:, sub, :] = w / w.sum(axis=1, keepdims=True)
+        if not np.isfinite(self._distributions).all():
+            raise ConfigError(["generators.request_concentration/taste_spread/work_hour_boost: "
+                               "the request weights overflow to a non-finite distribution"])
 
         n_slots = self.horizon_days * cfg.slots_per_cache_period
         sample_rng = self.rs.derive("request-samples").generator()

@@ -101,8 +101,9 @@ def cluster_users(xy, k: int, rs: RandomSource | None = None,
                   init_centroids=None, max_iter: int = 100):
     """Lloyd iteration; returns (labels, centroids).
 
-    Initialization is either the given warm-start centroids or a seeded
-    greedy spread (first point from the stream, then farthest-point picks).
+    Initialization is either the given warm-start centroids or a greedy
+    spread seeded by ``rs`` (first point from its stream, then farthest-point
+    picks); ``rs`` is needed only without warm-start centroids.
     Empty clusters are reseeded with the point farthest from its centroid.
     With fewer points than k the surplus clusters stay empty.
     """
@@ -113,8 +114,7 @@ def cluster_users(xy, k: int, rs: RandomSource | None = None,
     if init_centroids is not None:
         centroids = np.array(init_centroids, dtype=float, copy=True)
     else:
-        rng = rs.generator() if rs is not None else np.random.default_rng(0)
-        first = int(rng.integers(n))
+        first = int(rs.generator().integers(n))
         picks = [first]
         for _ in range(1, min(k, n)):
             dists = np.min(

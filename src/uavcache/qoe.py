@@ -6,11 +6,11 @@ A delivery is scored on two axes: a linear delay score in [0, 1] anchored at
 the system-wide delay lower bound, and a binary per-interval device score that
 checks the instantaneous rate against the device's rate floor.
 
-A requirement the route cannot meet is ``inf``, never an exception: when the
-fronthaul leg uses up the whole delay budget, the access-rate requirement,
-the rate target and the minimum power are all inf, and callers clamp that
-power at the cap.  Only :func:`delay_s` raises :class:`InfeasibleDelay`, for
-a route with a zero-rate leg that delivers nothing.
+A quantity the route cannot achieve is ``inf``, and no function here raises
+for it: a zero-rate leg takes inf seconds (:func:`transfer_s`), so its
+delivery's delay is inf; when the fronthaul leg uses up the whole delay
+budget, the access-rate requirement, the rate target and the minimum power
+are all inf, and callers clamp that power at the cap.
 """
 
 from __future__ import annotations
@@ -34,10 +34,6 @@ MOS_BINS = (
 LINK_RRH = "rrh"
 LINK_UAV_FRONTHAUL = "uav_fronthaul"
 LINK_UAV_CACHE = "uav_cache"
-
-
-class InfeasibleDelay(ValueError):
-    """A route leg has zero rate, so the content never arrives."""
 
 
 @dataclass(frozen=True)
@@ -77,15 +73,17 @@ class QoeReport:
     power_feasible: bool
 
 
+def transfer_s(bits_per_slot: float, content_bits: float, slot_duration_s: float) -> float:
+    """Time one leg of rate ``bits_per_slot`` takes to carry a content; inf at zero rate."""
+    if bits_per_slot <= 0.0:
+        return math.inf
+    return slot_duration_s * content_bits / bits_per_slot
+
+
 def delay_s(path: DeliveryPath, content_bits: float, slot_duration_s: float) -> float:
-    if path.access_bits_per_slot <= 0.0:
-        raise InfeasibleDelay("zero access rate")
-    total = slot_duration_s * content_bits / path.access_bits_per_slot
+    total = transfer_s(path.access_bits_per_slot, content_bits, slot_duration_s)
     if path.fronthaul_bits_per_slot is not None:
-        if path.fronthaul_bits_per_slot <= 0.0:
-            raise InfeasibleDelay("zero fronthaul rate")
-        if math.isfinite(path.fronthaul_bits_per_slot):
-            total += slot_duration_s * content_bits / path.fronthaul_bits_per_slot
+        total += transfer_s(path.fronthaul_bits_per_slot, content_bits, slot_duration_s)
     return total
 
 
@@ -103,7 +101,7 @@ def max_access_rate_bits(cfg: ScenarioConfig) -> float:
 def delay_lower_bound_s(cfg: ScenarioConfig) -> float:
     """No delivery can beat both the wired fronthaul and the peak access link."""
     wired = cfg.content_size_bits / cfg.fronthaul_rate_bps
-    access = cfg.slot_duration_s * cfg.content_size_bits / max_access_rate_bits(cfg)
+    access = transfer_s(max_access_rate_bits(cfg), cfg.content_size_bits, cfg.slot_duration_s)
     return min(wired, access)
 
 
@@ -176,9 +174,6 @@ def min_uav_power_w(pathloss_db, rate_target_bps, n_served: int,
     Vectorized over path loss and rate target; feasibility against the power
     cap is the caller's concern (values are returned unclamped).
     """
-    noise_scale = power_per_loss_w(rate_target_bps, n_served, bandwidth_hz, noise_w)
     with np.errstate(over="ignore"):  # unreachable targets price at infinity
-        loss = db_to_linear(pathloss_db, noise_scale)
-        if np.ndim(loss) == 0:
-            return noise_scale * loss
-        return np.multiply(loss, noise_scale, out=loss)
+        return (power_per_loss_w(rate_target_bps, n_served, bandwidth_hz, noise_w)
+                * db_to_linear(pathloss_db))

@@ -28,9 +28,9 @@ from .config import ConfigError, RandomSource, RrhCluster, ScenarioConfig, valid
 from .generators import SyntheticWorld
 from .predictors import EsnPredictor, OraclePredictor
 from .qoe import (LINK_RRH, LINK_UAV_CACHE, LINK_UAV_FRONTHAUL, MOS_BINS, DeliveryPath,
-                  InfeasibleDelay, QoeReport, delay_lower_bound_s, delay_rate_requirement_bits,
-                  delay_s, delay_score, device_score, min_uav_power_w, qoe_rate_target_bps,
-                  qoe_score)
+                  QoeReport, delay_lower_bound_s, delay_rate_requirement_bits, delay_s,
+                  delay_score, device_score, min_uav_power_w, qoe_rate_target_bps, qoe_score,
+                  transfer_s)
 
 # A delivery satisfies the user when its score reaches the top opinion bin.
 SATISFIED_QOE = MOS_BINS[0][0]
@@ -118,13 +118,6 @@ def _rrh_rates_bits(cfg, world, clusters, assigned, user_xy, fading, interferenc
     return rates
 
 
-def _fronthaul_s(cfg: ScenarioConfig, bits_per_slot: float) -> float:
-    """Time the wireless fronthaul takes to fetch one content; inf over a dead link."""
-    if bits_per_slot <= 0.0:
-        return float("inf")
-    return cfg.slot_duration_s * cfg.content_size_bits / bits_per_slot
-
-
 @dataclass
 class PeriodPlan:
     """What planning fixes for one period; the cache, placement and delivery stages read it.
@@ -142,7 +135,7 @@ class PeriodPlan:
     clusters: list[RrhCluster]
     screen: np.ndarray  # (U,) screen factor per user
     association: list[placement.AssociationPlan] = field(default_factory=list)
-    members: list[list[list[int]]] = field(default_factory=list)  # users served by each UAV
+    members: list[list[list[int]]] = field(default_factory=list)  # each UAV's users, ascending
     anchors: list[np.ndarray] = field(default_factory=list)  # (K, 3) centroids at the floor
     midpoints: list[np.ndarray] = field(default_factory=list)  # (U, 2) predicted mid-slot xy
     fading: list[list[np.ndarray]] = field(default_factory=list)  # per RRH cluster
@@ -210,7 +203,8 @@ def select_caches(plan: PeriodPlan) -> list[tuple[int, ...]]:
             if not members:
                 continue
             c_r_uncached = delay_rate_requirement_bits(
-                cfg, _fronthaul_s(cfg, plan.fronthaul_bits[s][k]))
+                cfg, transfer_s(plan.fronthaul_bits[s][k], cfg.content_size_bits,
+                            cfg.slot_duration_s))
             pls = uav_user_pathloss_db(plan.anchors[s][k], plan.midpoints[s][members],
                                        cfg.pathloss)
             for u, pl in zip(members, pls):
@@ -265,7 +259,8 @@ def _place_slot(plan: PeriodPlan, caches: list[tuple[int, ...]], s: int,
         user_pos = slot_pos[rows[k]]
         contents = [int(np.argmax(predictor.request_distribution(u, sub))) for u in members]
         req_uncached = delay_rate_requirement_bits(
-            cfg, _fronthaul_s(cfg, plan.fronthaul_bits[s][k]))
+            cfg, transfer_s(plan.fronthaul_bits[s][k], cfg.content_size_bits,
+                            cfg.slot_duration_s))
         if np.isinf(req_uncached):  # the fronthaul is too slow: aim as if cached
             req_uncached = req_cached
         targets = qoe_rate_target_bps(
@@ -304,53 +299,43 @@ def _fixed_placement(plan: PeriodPlan, caches: list[tuple[int, ...]]) -> list[np
     return [plan.anchors[0].copy() for _ in plan.members]
 
 
-@dataclass
-class _UavLink:
-    """One UAV delivery's access link over the slot's intervals."""
+def _deliver_uav(plan: PeriodPlan, cache: tuple[int, ...], users: list[int], n_served: int,
+                 position: np.ndarray, user_pos: np.ndarray, requests: list[int | None],
+                 n_fetch: int, req_cached: float) -> tuple[list[QoeReport], float]:
+    """Price and score one UAV's deliveries to its requesting ``users``, in ascending order.
 
-    uav: int
-    cache_hit: bool
-    fronthaul_bits: float | None
-    rates_bps: np.ndarray  # (F,)
-    mean_power_w: float
-    feasible: bool
-
-
-def _uav_links(plan: PeriodPlan, caches: list[tuple[int, ...]], members: list[list[int]],
-               positions: np.ndarray, requests: list[int | None], gs: int,
-               n_fetch: int) -> dict[int, _UavLink]:
-    """Access links of one slot's UAV deliveries, computed per UAV over its requesting users."""
+    ``user_pos`` holds their true interval positions and ``req_cached`` is a
+    cache hit's delay-rate requirement.  Returns one report per user and the
+    UAV's power, summed one user at a time in that order.
+    """
     cfg = plan.cfg
-    requesting = [[u for u in users if requests[u] is not None] for users in members]
-    served, rows = _rows_by_uav(requesting)
-    if not served:
-        return {}
-    true_pos = plan.world.interval_positions(served, gs, cfg.intervals_per_slot)
-    req_cached = delay_rate_requirement_bits(cfg)
-    links: dict[int, _UavLink] = {}
-    for k, users in enumerate(requesting):
-        if not users:
-            continue
-        n_served = len(members[k])
-        hits = [requests[u] in caches[k] for u in users]
-        fronthaul_bits = None if all(hits) else g2a_fronthaul_bits(
-            positions[k], plan.world.bbu_xy, cfg.pathloss, cfg.bbu_power_w,
-            cfg.rrh_bandwidth_hz, cfg.noise_power_w, cfg.slot_duration_s) / max(n_fetch, 1)
-        fetch_s = 0.0 if all(hits) else _fronthaul_s(cfg, fronthaul_bits)
-        targets = qoe_rate_target_bps(
-            np.where(hits, req_cached, delay_rate_requirement_bits(cfg, fetch_s)),
-            cfg.device_rate_bps(plan.screen[users], [requests[u] for u in users]),
-            cfg.slot_duration_s)[:, None]
-        pl = uav_user_pathloss_db(positions[k], true_pos[rows[k]], cfg.pathloss)
-        power = min_uav_power_w(pl, targets, n_served, cfg.uav_bandwidth_hz, cfg.noise_power_w)
-        feasible = np.all(power <= cfg.uav_max_power_w, axis=1)
-        tx_power = np.minimum(power, cfg.uav_max_power_w, out=power)
-        rates_bps = link_rates_bps(uav_user_snr(tx_power, pl, cfg.noise_power_w),
-                                   cfg.uav_bandwidth_hz, n_served)
-        for i, (u, hit) in enumerate(zip(users, hits)):
-            links[u] = _UavLink(k, hit, None if hit else fronthaul_bits, rates_bps[i],
-                                float(tx_power[i].mean()), bool(feasible[i]))
-    return links
+    hits = [requests[u] in cache for u in users]
+    fronthaul_bits = None if all(hits) else g2a_fronthaul_bits(
+        position, plan.world.bbu_xy, cfg.pathloss, cfg.bbu_power_w,
+        cfg.rrh_bandwidth_hz, cfg.noise_power_w, cfg.slot_duration_s) / max(n_fetch, 1)
+    fetch_s = 0.0 if all(hits) else transfer_s(fronthaul_bits, cfg.content_size_bits,
+                                                cfg.slot_duration_s)
+    targets = qoe_rate_target_bps(
+        np.where(hits, req_cached, delay_rate_requirement_bits(cfg, fetch_s)),
+        cfg.device_rate_bps(plan.screen[users], [requests[u] for u in users]),
+        cfg.slot_duration_s)[:, None]
+    pl = uav_user_pathloss_db(position, user_pos, cfg.pathloss)
+    power = min_uav_power_w(pl, targets, n_served, cfg.uav_bandwidth_hz, cfg.noise_power_w)
+    feasible = np.all(power <= cfg.uav_max_power_w, axis=1)
+    tx_power = np.minimum(power, cfg.uav_max_power_w, out=power)
+    rates_bps = link_rates_bps(uav_user_snr(tx_power, pl, cfg.noise_power_w),
+                               cfg.uav_bandwidth_hz, n_served)
+    reports, total_w = [], 0.0
+    for u, hit, rates, user_power, ok in zip(users, hits, rates_bps, tx_power, feasible):
+        path = DeliveryPath(LINK_UAV_CACHE if hit else LINK_UAV_FRONTHAUL,
+                            slot_capacity_bits(rates, cfg.slot_duration_s),
+                            None if hit else fronthaul_bits)
+        power_w = float(user_power.mean())
+        reports.append(_score(cfg, u, requests[u], path, rates,
+                              cfg.device_rate_bps(plan.screen[u], requests[u]),
+                              power_w=power_w, cache_hit=hit, feasible=bool(ok)))
+        total_w += power_w
+    return reports, total_w
 
 
 def deliver(plan: PeriodPlan, caches: list[tuple[int, ...]],
@@ -379,10 +364,23 @@ def _deliver_slot(plan: PeriodPlan, caches: list[tuple[int, ...]], s: int,
                                  association.cluster_members(len(plan.clusters)), true_xy,
                                  plan.fading[s], n_fetch > 0)
     v_fu_bps = cfg.fronthaul_rate_bps / max(association.n_fr, 1)
-    uav_links = _uav_links(plan, caches, members, positions, requests, gs, n_fetch)
+
+    # Aerial deliveries, UAV by UAV, over one positions array for the slot.
+    requesting = [[u for u in users if requests[u] is not None] for users in members]
+    served, rows = _rows_by_uav(requesting)
+    if served:
+        true_pos = world.interval_positions(served, gs, cfg.intervals_per_slot)
+        req_cached = delay_rate_requirement_bits(cfg)
+    uav_reports: dict[int, QoeReport] = {}
+    uav_power = np.zeros(n_uavs)
+    for k, users in enumerate(requesting):
+        if users:
+            scored, uav_power[k] = _deliver_uav(plan, caches[k], users, len(members[k]),
+                                                positions[k], true_pos[rows[k]], requests,
+                                                n_fetch, req_cached)
+            uav_reports.update((r.user, r) for r in scored)
 
     reports: list[QoeReport] = []
-    uav_power = np.zeros(n_uavs)
     n_requests = n_delivered = n_failures = n_hits = n_uav_deliveries = 0
     for u in range(n_users):
         content = requests[u]
@@ -390,26 +388,16 @@ def _deliver_slot(plan: PeriodPlan, caches: list[tuple[int, ...]], s: int,
             reports.append(dataclasses.replace(_failure_report(u, -1, "idle"), delay_s=0.0))
             continue
         n_requests += 1
-        device_req = cfg.device_rate_bps(plan.screen[u], content)
-
         if u in association.rrh_users:
             path = DeliveryPath(LINK_RRH, rates_true[u], v_fu_bps * cfg.slot_duration_s)
             report = _score(cfg, u, content, path, rates_true[u] / cfg.slot_duration_s,
-                            device_req)
+                            cfg.device_rate_bps(plan.screen[u], content))
         elif u not in user_uav:
             report = _failure_report(u, content, "unserved")
         else:
-            link = uav_links[u]
+            report = uav_reports[u]
             n_uav_deliveries += 1
-            n_hits += link.cache_hit
-            path = DeliveryPath(LINK_UAV_CACHE if link.cache_hit else LINK_UAV_FRONTHAUL,
-                                slot_capacity_bits(link.rates_bps, cfg.slot_duration_s),
-                                link.fronthaul_bits)
-            report = _score(cfg, u, content, path, link.rates_bps, device_req,
-                            power_w=link.mean_power_w, cache_hit=link.cache_hit,
-                            feasible=link.feasible)
-            # One user at a time, in ascending user order, as the goldens were summed.
-            uav_power[link.uav] += link.mean_power_w
+            n_hits += report.cache_hit
         reports.append(report)
         n_delivered += report.delivered
         n_failures += not report.delivered
@@ -472,10 +460,7 @@ def _score(cfg: ScenarioConfig, user: int, content: int, path: DeliveryPath, rat
            device_req: float, power_w: float = 0.0, cache_hit: bool = False,
            feasible: bool = True) -> QoeReport:
     """Score one delivery over ``path`` at the per-interval access rates ``rates_bps``."""
-    try:
-        delay = delay_s(path, cfg.content_size_bits, cfg.slot_duration_s)
-    except InfeasibleDelay:  # a zero-rate leg: the content never arrives
-        delay = float("inf")
+    delay = delay_s(path, cfg.content_size_bits, cfg.slot_duration_s)
     if delay > cfg.slot_duration_s:
         report = _failure_report(user, content, path.kind, power_w=power_w, cache_hit=cache_hit)
         return dataclasses.replace(report, delay_s=delay, power_feasible=feasible)

@@ -190,6 +190,18 @@ class TestFronthaul:
                  for x in np.linspace(0.0, 900.0, 25)]
         assert all(a > b for a, b in zip(rates, rates[1:]))
 
+    def test_slot_capacity_equals_the_inline_shannon_form(self):
+        """B log2(1 + snr) dt, written out, is what the shared rate kernels give, bit for bit."""
+        rng = np.random.default_rng(5)
+        for _ in range(5_000):
+            uav = [*rng.uniform(-2000.0, 2000.0, 2), 10.0 ** rng.uniform(0.0, 3.5)]
+            bbu = rng.uniform(-500.0, 500.0, 2)
+            power, bandwidth = 10.0 ** rng.uniform(-2.0, 3.0), 10.0 ** rng.uniform(3.0, 10.0)
+            noise, dt = 10.0 ** rng.uniform(-20.0, -6.0), 10.0 ** rng.uniform(-3.0, 2.0)
+            snr = power * channel.g2a_gain(uav, bbu, P) / noise
+            inline = float(bandwidth * np.log2(1.0 + snr) * dt)
+            assert channel.g2a_fronthaul_bits(uav, bbu, P, power, bandwidth, noise, dt) == inline
+
 
 class TestZfbf:
     def _cluster(self, positions):

@@ -87,6 +87,10 @@ class TestTrain:
         ({"qoe_weight_delay": 1.5, "qoe_weight_device": -0.5}, "qoe_weight_device"),
         ({"num_contents": 25, "content_base_rates_bps": [-1e6] * 25}, "content_base_rates_bps"),
         ({"esn": {"spectral_radius": 2.5}}, "esn.spectral_radius"),
+        ({"generators": {"taste_spread": -1.0}}, "generators.taste_spread"),
+        ({"generators": {"work_hour_boost": -1.0}}, "generators.work_hour_boost"),
+        ({"generators": {"waypoints_per_day": 0}}, "generators.waypoints_per_day"),
+        ({"generators": {"waypoints_per_day": -3}}, "generators.waypoints_per_day"),
     ])
     def test_bad_value_exits_2_naming_the_field(self, tmp_path, capsys, override, field):
         bad = tmp_path / "bad.json"
@@ -302,6 +306,53 @@ def fuzz_pathloss(draw):
 @given(doc=fuzz_pathloss())
 def test_fuzzed_pathloss_never_ends_in_a_traceback(doc):
     assert quiet_main(["simulate", "--oracle"], merge_documents(TINY, doc)) in (0, 2, 3)
+
+
+# One way to break each field of the generators block; a negative request
+# concentration this large overflows the request weights.
+BROKEN_GENERATORS = {
+    "waypoints_per_day": st.integers(-3, 0),
+    "speed_min_mps": st.floats(-1.0, 0.0),
+    "position_noise_m": st.floats(-10.0, 0.0, exclude_max=True),
+    "request_concentration": st.floats(-400.0, -230.0),
+    "taste_spread": st.floats(-10.0, 0.0, exclude_max=True),
+    "work_hour_boost": st.floats(-10.0, 0.0, exclude_max=True),
+    "request_probability": st.one_of(st.floats(-1.0, 0.0, exclude_max=True),
+                                     st.floats(1.0, 2.0, exclude_min=True)),
+    "training_weeks": st.integers(-2, 0),
+}
+
+
+@st.composite
+def fuzz_generators(draw):
+    """A valid ``generators`` block, or one with a single field broken; and that field."""
+    speed_min = draw(log_uniform(-2.0, 1.0))
+    block = {
+        "waypoints_per_day": draw(st.integers(1, 8)),
+        "speed_min_mps": speed_min,
+        "speed_max_mps": speed_min * draw(log_uniform(0.0, 1.5)),
+        "position_noise_m": draw(st.floats(0.0, 500.0)),
+        "request_concentration": draw(st.floats(-3.0, 6.0)),
+        "taste_spread": draw(st.floats(0.0, 10.0)),
+        "work_hour_boost": draw(st.floats(0.0, 20.0)),
+        "request_probability": draw(st.floats(0.0, 1.0)),
+        "training_weeks": draw(st.integers(1, 3)),
+    }
+    broken = draw(st.one_of(st.none(), st.sampled_from(sorted(BROKEN_GENERATORS))))
+    if broken is not None:
+        block[broken] = draw(BROKEN_GENERATORS[broken])
+    return {"generators": block}, broken
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(case=fuzz_generators())
+@example(case=({"generators": {"request_concentration": -300.0}}, "request_concentration"))
+@example(case=({"generators": {"work_hour_boost": -1.0}}, "work_hour_boost"))
+def test_fuzzed_generators_never_ends_in_a_traceback(case):
+    doc, broken = case
+    code = quiet_main(["simulate", "--oracle"], merge_documents(TINY, doc))
+    assert code in (0, 2, 3)
+    assert (code == 2) == (broken is not None)
 
 
 def test_overflowing_placement_weights_still_simulate(tmp_path):

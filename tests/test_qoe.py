@@ -37,10 +37,12 @@ class TestDelay:
                              fronthaul_bits_per_slot=2e6)
         assert qoe.delay_s(a, 1e6, 1.0) == qoe.delay_s(b, 1e6, 1.0)
 
-    def test_zero_rate_rejected(self):
-        path = qoe.DeliveryPath(kind=qoe.LINK_UAV_CACHE, access_bits_per_slot=0.0)
-        with pytest.raises(qoe.InfeasibleDelay):
-            qoe.delay_s(path, 1e6, 1.0)
+    def test_zero_rate_leg_is_infinite(self):
+        dead_access = qoe.DeliveryPath(kind=qoe.LINK_UAV_CACHE, access_bits_per_slot=0.0)
+        dead_fronthaul = qoe.DeliveryPath(kind=qoe.LINK_UAV_FRONTHAUL, access_bits_per_slot=5e6,
+                                          fronthaul_bits_per_slot=0.0)
+        assert qoe.delay_s(dead_access, 1e6, 1.0) == math.inf
+        assert qoe.delay_s(dead_fronthaul, 1e6, 1.0) == math.inf
 
     def test_cache_path_refuses_fronthaul_component(self):
         with pytest.raises(ValueError):

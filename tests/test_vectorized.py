@@ -1,8 +1,9 @@
 """The vectorized slot pipeline computes exactly what the plain expressions compute.
 
 The reference functions below are the straightforward forms of each kernel,
-one numpy expression per quantity.  The package runs the same operations in
-place, so every comparison here is ``np.array_equal``, never a tolerance.
+one numpy expression per quantity.  The package runs the distance and the LoS
+probability in place and the other kernels as these same expressions, so
+every comparison here is ``np.array_equal``, never a tolerance.
 """
 
 import numpy as np
