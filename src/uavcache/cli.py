@@ -199,8 +199,6 @@ def _load_models(cfg: ScenarioConfig, models_dir: str):
     content, mobility = [], []
     for u in range(cfg.num_users):
         c_path = base / "models" / f"user{u:03d}_content.npz"
-        if not c_path.exists():
-            c_path = base / f"user{u:03d}_content.npz"
         m_path = c_path.with_name(f"user{u:03d}_mobility.npz")
         if not c_path.exists() or not m_path.exists():
             raise ConfigError([f"missing model files for user {u} under {base}"])

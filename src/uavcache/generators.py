@@ -41,16 +41,24 @@ def is_work_subperiod(sub: int, n_sub: int) -> bool:
     return any(lo <= frac < hi for lo, hi in WORK_HOUR_WINDOWS)
 
 
-def interpolate_tracks(tracks: np.ndarray, users, lo, hi, frac) -> np.ndarray:
-    """``(1 - frac) * a + frac * b`` with ``a``/``b`` the users' points at indices ``lo``/``hi``.
+def track_positions(tracks: np.ndarray, users, slot: int, n_intervals: int,
+                    slots_per_collection: int) -> np.ndarray:
+    """Per-interval positions within one slot, sampled at interval midpoints.
 
-    ``tracks`` is (n_users, n_points, 2); ``lo``, ``hi`` and ``frac`` hold one
-    entry per sample.  One user id gives (n_samples, 2), a sequence of ids
-    (len(users), n_samples, 2).
+    ``tracks`` is (n_users, n_points, 2), one collected waypoint every
+    ``slots_per_collection`` slots, and ``slot`` counts from its first point.
+    Users move at constant speed between waypoints and hold the last one past
+    the track's end.  One user id gives (n_intervals, 2), a sequence of ids
+    (len(users), n_intervals, 2).
     """
+    h = slots_per_collection
+    g = slot + (np.arange(n_intervals) + 0.5) / n_intervals
+    c = (g // h).astype(int)
+    last = tracks.shape[1] - 1
+    lo, hi = np.minimum(c, last), np.minimum(c + 1, last)
     first, stop = int(np.min(lo)), int(np.max(hi)) + 1
     rows = tracks[:, first:stop][np.asarray(users, dtype=np.intp)]
-    weight = np.repeat(np.asarray(frac, dtype=float)[:, None], 2, axis=1)  # same for x and y
+    weight = np.repeat(((g - c * h) / h)[:, None], 2, axis=1)  # same for x and y
     a = np.take(rows, lo - first, axis=-2)
     b = np.take(rows, hi - first, axis=-2)
     a *= 1.0 - weight
@@ -197,18 +205,9 @@ class SyntheticWorld:
         return (1.0 - frac) * a + frac * b
 
     def interval_positions(self, users, global_slot: int, n_intervals: int) -> np.ndarray:
-        """Per-interval positions within one slot, sampled at interval midpoints.
-
-        ``users`` is one user id, giving (n_intervals, 2), or a sequence of
-        ids, giving (len(users), n_intervals, 2).
-        """
-        h = self.cfg.slots_per_collection
-        g = global_slot + (np.arange(n_intervals) + 0.5) / n_intervals
-        c = (g // h).astype(int)
-        frac = (g - c * h) / h
-        last = self._collections.shape[1] - 1
-        return interpolate_tracks(self._collections, users, np.minimum(c, last),
-                                  np.minimum(c + 1, last), frac)
+        """True per-interval positions within one slot (see :func:`track_positions`)."""
+        return track_positions(self._collections, users, global_slot, n_intervals,
+                               self.cfg.slots_per_collection)
 
     # -- requests ----------------------------------------------------------------
 
@@ -224,20 +223,21 @@ class SyntheticWorld:
         perm = base_rng.permutation(n)
         ranks = np.empty(n)
         ranks[perm] = np.arange(1, n + 1)
-        zipf = ranks ** (-g.request_concentration)
-        n_occupations = max((p.occupation for p in self.profiles), default=0) + 1
-        taste = base_rng.normal(0.0, g.taste_spread, (n_occupations, n))
-        self._base_weights = np.empty((cfg.num_users, n))
-        for u in range(cfg.num_users):
-            self._base_weights[u] = zipf * np.exp(taste[self.profiles[u].occupation])
-
-        # Exact per-sub-period distributions (the prediction oracle).
-        self._distributions = np.empty((cfg.num_users, self.n_sub, n))
-        for sub in range(self.n_sub):
-            work_now = is_work_subperiod(sub, self.n_sub)
-            boost = np.where(self._work_class == work_now, g.work_hour_boost, 1.0)
-            w = self._base_weights * boost[None, :]
-            self._distributions[:, sub, :] = w / w.sum(axis=1, keepdims=True)
+        # A rejected setting overflows here; the check below turns it into a ConfigError.
+        with np.errstate(over="ignore", invalid="ignore"):
+            zipf = ranks ** (-g.request_concentration)
+            n_occupations = max((p.occupation for p in self.profiles), default=0) + 1
+            taste = base_rng.normal(0.0, g.taste_spread, (n_occupations, n))
+            self._base_weights = np.empty((cfg.num_users, n))
+            for u in range(cfg.num_users):
+                self._base_weights[u] = zipf * np.exp(taste[self.profiles[u].occupation])
+            # Exact per-sub-period distributions (the prediction oracle).
+            self._distributions = np.empty((cfg.num_users, self.n_sub, n))
+            for sub in range(self.n_sub):
+                work_now = is_work_subperiod(sub, self.n_sub)
+                boost = np.where(self._work_class == work_now, g.work_hour_boost, 1.0)
+                w = self._base_weights * boost[None, :]
+                self._distributions[:, sub, :] = w / w.sum(axis=1, keepdims=True)
         if not np.isfinite(self._distributions).all():
             raise ConfigError(["generators.request_concentration/taste_spread/work_hour_boost: "
                                "the request weights overflow to a non-finite distribution"])

@@ -5,8 +5,9 @@ the admission threshold (which tightens as more users share the wired
 fronthaul) stay on the radio heads; the rest are clustered and served by one
 UAV per cluster.  Cache contents are chosen once per period to maximize the
 expected transmit-power saving, and each UAV's position minimizes the summed
-minimum transmit power toward its users, either by a weighted-centroid closed
-form (valid in the low/high altitude regimes) or by 3 m coordinate descent.
+minimum transmit power toward its users.  :func:`place_uav` picks the method:
+a weighted-centroid closed form where it is valid (the low/high altitude
+regimes), 3 m coordinate descent elsewhere.
 """
 
 from __future__ import annotations
@@ -300,3 +301,27 @@ def place_uav_local_search(user_pos, rate_targets_bps, init_xyz, n_served: int,
             if evals >= max_evals:
                 break
     return PlacementResult(position=pos, objective_w=best, evaluations=evals)
+
+
+def place_uav(user_pos, rate_targets_bps, init_xyz, n_served: int,
+              cfg: ScenarioConfig) -> np.ndarray:
+    """One UAV's position for its users' interval positions and rate targets.
+
+    In the low regime most links are near the horizon, so the NLoS law rules
+    and the power is close to a weighted sum of d**exponent_nlos: at exponent
+    2 the weighted centroid at the altitude floor is its minimum, and at any
+    other exponent the regime gives no closed form.  In the high regime the
+    users' spread is negligible against the altitude, so the search starts
+    from the centroid's xy at ``init_xyz``'s altitude; otherwise from ``init_xyz``.
+    """
+    regime = closed_form_regime(cfg.min_altitude_m, user_pos)
+    if regime == "low" and cfg.pathloss.exponent_nlos != 2.0:
+        regime = None
+    if regime is not None:
+        xy = place_uav_closed_form(user_pos, rate_targets_bps, n_served, cfg.uav_bandwidth_hz)
+        if regime == "low":
+            return np.array([xy[0], xy[1], cfg.min_altitude_m])
+        init_xyz = np.array([xy[0], xy[1], init_xyz[2]])
+    return place_uav_local_search(user_pos, rate_targets_bps, init_xyz, n_served, cfg.pathloss,
+                                  cfg.uav_bandwidth_hz, cfg.noise_power_w,
+                                  cfg.min_altitude_m).position

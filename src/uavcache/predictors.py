@@ -14,7 +14,7 @@ import numpy as np
 
 from . import cesn
 from .config import EsnConfig, RandomSource, ScenarioConfig
-from .generators import DAY_TYPES, SyntheticWorld, day_type, interpolate_tracks
+from .generators import DAY_TYPES, SyntheticWorld, day_type, track_positions
 
 
 # -- training data assembly -----------------------------------------------------
@@ -151,20 +151,14 @@ class EsnPredictor:
     def request_distribution(self, user: int, sub: int) -> np.ndarray:
         return self._distributions[user, sub]
 
-    def _interp(self, users, slot_fractions: np.ndarray) -> np.ndarray:
-        h = self.cfg.slots_per_collection
-        g = slot_fractions
-        c = np.minimum((g // h).astype(int), self._collections.shape[1] - 2)
-        return interpolate_tracks(self._collections, users, c, c + 1, (g - c * h) / h)
-
     def slot_positions(self, users, global_slot: int, n_intervals: int) -> np.ndarray:
-        """Predicted interval positions within one slot.
+        """Predicted per-interval positions within one slot of the planned day.
 
-        One user id gives (n_intervals, 2), a sequence of ids
-        (len(users), n_intervals, 2).
+        Shapes as :func:`~uavcache.generators.track_positions`.  A slot of the
+        day never reaches past the predicted track's last point.
         """
-        local = (global_slot - self.day_start_slot) + (np.arange(n_intervals) + 0.5) / n_intervals
-        return self._interp(users, local)
+        return track_positions(self._collections, users, global_slot - self.day_start_slot,
+                               n_intervals, self.cfg.slots_per_collection)
 
     def gap_metrics(self) -> dict:
         """Mean prediction error against the generator truth for the planned day."""

@@ -20,7 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import db_to_linear, free_space_pl_db
+from .channel import (db_to_linear, free_space_pl_db, link_rates_bps, slot_capacity_bits,
+                      uav_user_snr)
 from .config import ScenarioConfig
 
 MOS_BINS = (
@@ -94,8 +95,8 @@ def max_access_rate_bits(cfg: ScenarioConfig) -> float:
     best_pl_db = (free_space_pl_db(p.fs_ref_distance_m, p.carrier_hz)
                   + 10.0 * p.exponent_los * math.log10(cfg.min_altitude_m)
                   - 4.0 * p.shadow_std_los_db)
-    snr = cfg.uav_max_power_w / (10.0 ** (best_pl_db / 10.0) * cfg.noise_power_w)
-    return cfg.uav_bandwidth_hz * math.log2(1.0 + snr) * cfg.slot_duration_s
+    snr = uav_user_snr(cfg.uav_max_power_w, best_pl_db, cfg.noise_power_w)
+    return slot_capacity_bits(link_rates_bps(snr, cfg.uav_bandwidth_hz), cfg.slot_duration_s)
 
 
 def delay_lower_bound_s(cfg: ScenarioConfig) -> float:

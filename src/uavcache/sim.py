@@ -123,7 +123,7 @@ class PeriodPlan:
     """What planning fixes for one period; the cache, placement and delivery stages read it.
 
     The per-slot lists hold one entry per slot; inside a slot, ``members``,
-    ``anchors`` and ``fronthaul_bits`` hold one entry per UAV.
+    ``anchors`` and ``req_miss`` hold one entry per UAV.
     """
 
     cfg: ScenarioConfig
@@ -134,13 +134,16 @@ class PeriodPlan:
     slot0: int  # global index of the period's first slot
     clusters: list[RrhCluster]
     screen: np.ndarray  # (U,) screen factor per user
+    likely: np.ndarray  # (U, n_sub) each user's most likely content per sub-period
+    req_hit: float  # a cache hit's delay-rate requirement (bits/slot)
     association: list[placement.AssociationPlan] = field(default_factory=list)
     members: list[list[list[int]]] = field(default_factory=list)  # each UAV's users, ascending
     anchors: list[np.ndarray] = field(default_factory=list)  # (K, 3) centroids at the floor
     midpoints: list[np.ndarray] = field(default_factory=list)  # (U, 2) predicted mid-slot xy
     fading: list[list[np.ndarray]] = field(default_factory=list)  # per RRH cluster
-    # Fronthaul bits at each anchor at the altitude floor; None where a UAV serves nobody.
-    fronthaul_bits: list[list[float | None]] = field(default_factory=list)
+    # A cache miss's delay-rate requirement over the fronthaul at each anchor;
+    # None where a UAV serves nobody.
+    req_miss: list[list[float | None]] = field(default_factory=list)
 
 
 def plan_slots(cfg: ScenarioConfig, world: SyntheticWorld, predictor,
@@ -154,18 +157,20 @@ def plan_slots(cfg: ScenarioConfig, world: SyntheticWorld, predictor,
                                         rs.derive("rrh-grouping"))
     clusters = [RrhCluster(id=q, antennas=world.rrh_xy[labels == q])
                 for q in range(cfg.num_rrh_clusters) if np.any(labels == q)]
+    likely = np.array([[np.argmax(predictor.request_distribution(u, sub))
+                        for sub in range(world.n_sub)] for u in range(n_users)],
+                      dtype=int).reshape(n_users, world.n_sub)  # (0, n_sub) without users
     plan = PeriodPlan(cfg, world, predictor, rs, n_uavs,
                       world.first_sim_day * cfg.slots_per_cache_period, clusters,
-                      np.array([world.screen_factor(u) for u in range(n_users)]))
+                      np.array([world.screen_factor(u) for u in range(n_users)]),
+                      likely, delay_rate_requirement_bits(cfg))
     prev_centroids = None
     for s in range(cfg.slots_per_cache_period):
         pred_xy = predictor.slot_positions(range(n_users), plan.slot0 + s, 1)[:, 0]
         fading = _zf_fading(rs, s, clusters, n_users)
         rates = _rrh_rates_bits(cfg, world, clusters, _reference_sets(pred_xy, clusters),
                                 pred_xy, fading, n_uavs > 0)
-        sub = s // cfg.slots_per_collection
-        likely = np.array([np.argmax(predictor.request_distribution(u, sub))
-                           for u in range(n_users)], dtype=int)
+        likely = plan.likely[:, s // cfg.slots_per_collection]
         association = placement.associate_rrh(
             rates, pred_xy, cfg.device_rate_bps(plan.screen, likely), clusters, cfg)
         pool = association.uav_pool
@@ -183,10 +188,11 @@ def plan_slots(cfg: ScenarioConfig, world: SyntheticWorld, predictor,
         plan.anchors.append(np.column_stack([centroids, np.full(n_uavs, cfg.min_altitude_m)]))
         plan.midpoints.append(pred_xy)
         plan.fading.append(fading)
-        plan.fronthaul_bits.append([
-            g2a_fronthaul_bits(plan.anchors[s][k], world.bbu_xy, cfg.pathloss,
-                               cfg.bbu_power_w, cfg.rrh_bandwidth_hz, cfg.noise_power_w,
-                               cfg.slot_duration_s) if members[k] else None
+        plan.req_miss.append([
+            delay_rate_requirement_bits(cfg, transfer_s(g2a_fronthaul_bits(
+                plan.anchors[s][k], world.bbu_xy, cfg.pathloss, cfg.bbu_power_w,
+                cfg.rrh_bandwidth_hz, cfg.noise_power_w, cfg.slot_duration_s),
+                cfg.content_size_bits, cfg.slot_duration_s)) if members[k] else None
             for k in range(n_uavs)])
     return plan
 
@@ -195,16 +201,12 @@ def select_caches(plan: PeriodPlan) -> list[tuple[int, ...]]:
     """Stage 2: each UAV caches the contents with the largest expected power saving."""
     cfg, predictor = plan.cfg, plan.predictor
     all_contents = np.arange(cfg.num_contents)
-    c_r_cached = delay_rate_requirement_bits(cfg)
     caches: list[tuple[int, ...]] = []
     for k in range(plan.n_uavs):
         prob_rows, saving_rows = [], []
         for s, members in enumerate(m[k] for m in plan.members):
             if not members:
                 continue
-            c_r_uncached = delay_rate_requirement_bits(
-                cfg, transfer_s(plan.fronthaul_bits[s][k], cfg.content_size_bits,
-                            cfg.slot_duration_s))
             pls = uav_user_pathloss_db(plan.anchors[s][k], plan.midpoints[s][members],
                                        cfg.pathloss)
             for u, pl in zip(members, pls):
@@ -212,7 +214,7 @@ def select_caches(plan: PeriodPlan) -> list[tuple[int, ...]]:
                 prob_rows.append(predictor.request_distribution(u, s // cfg.slots_per_collection))
                 # One user at a time: a scalar path loss keeps numpy's scalar power.
                 saving_rows.append(placement.delta_power_saving(
-                    float(pl), c_r_cached, c_r_uncached, device_req, len(members), cfg))
+                    float(pl), plan.req_hit, plan.req_miss[s][k], device_req, len(members), cfg))
         caches.append(placement.select_cache(k, np.array(prob_rows), np.array(saving_rows),
                                              cfg.cache_size).contents if prob_rows else ())
     return caches
@@ -243,44 +245,25 @@ def place_uavs(plan: PeriodPlan, caches: list[tuple[int, ...]]) -> list[np.ndarr
 def _place_slot(plan: PeriodPlan, caches: list[tuple[int, ...]], s: int,
                 prev_positions: np.ndarray | None) -> np.ndarray:
     """One slot's UAV positions; a UAV that serves nobody holds its previous position."""
-    cfg, predictor = plan.cfg, plan.predictor
+    cfg = plan.cfg
     members_by_uav = plan.members[s]
     positions = np.zeros((plan.n_uavs, 3))
     served, rows = _rows_by_uav(members_by_uav)
     if served:
-        slot_pos = predictor.slot_positions(served, plan.slot0 + s, cfg.intervals_per_slot)
-    sub = s // cfg.slots_per_collection
-    req_cached = delay_rate_requirement_bits(cfg)
+        slot_pos = plan.predictor.slot_positions(served, plan.slot0 + s, cfg.intervals_per_slot)
     for k, members in enumerate(members_by_uav):
-        default = plan.anchors[s][k]
+        held = prev_positions[k] if prev_positions is not None else plan.anchors[s][k]
         if not members:
-            positions[k] = prev_positions[k] if prev_positions is not None else default
+            positions[k] = held
             continue
-        user_pos = slot_pos[rows[k]]
-        contents = [int(np.argmax(predictor.request_distribution(u, sub))) for u in members]
-        req_uncached = delay_rate_requirement_bits(
-            cfg, transfer_s(plan.fronthaul_bits[s][k], cfg.content_size_bits,
-                            cfg.slot_duration_s))
-        if np.isinf(req_uncached):  # the fronthaul is too slow: aim as if cached
-            req_uncached = req_cached
+        contents = plan.likely[members, s // cfg.slots_per_collection]
+        req_miss = plan.req_miss[s][k]
+        if np.isinf(req_miss):  # the fronthaul is too slow: aim as if cached
+            req_miss = plan.req_hit
         targets = qoe_rate_target_bps(
-            np.where([c in caches[k] for c in contents], req_cached, req_uncached),
+            np.where([c in caches[k] for c in contents], plan.req_hit, req_miss),
             cfg.device_rate_bps(plan.screen[members], contents), cfg.slot_duration_s)
-        regime = placement.closed_form_regime(cfg.min_altitude_m, user_pos)
-        if regime == "low" and cfg.pathloss.exponent_nlos != 2.0:
-            regime = None
-        if regime is not None:
-            xy = placement.place_uav_closed_form(user_pos, targets, len(members),
-                                                 cfg.uav_bandwidth_hz)
-        if regime == "low":
-            positions[k] = np.array([xy[0], xy[1], cfg.min_altitude_m])
-            continue
-        init = prev_positions[k] if prev_positions is not None else default
-        if regime == "high":  # closed-form xy, altitude left to the search
-            init = np.array([xy[0], xy[1], init[2]])
-        positions[k] = placement.place_uav_local_search(
-            user_pos, targets, init, len(members), cfg.pathloss,
-            cfg.uav_bandwidth_hz, cfg.noise_power_w, cfg.min_altitude_m).position
+        positions[k] = placement.place_uav(slot_pos[rows[k]], targets, held, len(members), cfg)
     return positions
 
 
@@ -301,12 +284,11 @@ def _fixed_placement(plan: PeriodPlan, caches: list[tuple[int, ...]]) -> list[np
 
 def _deliver_uav(plan: PeriodPlan, cache: tuple[int, ...], users: list[int], n_served: int,
                  position: np.ndarray, user_pos: np.ndarray, requests: list[int | None],
-                 n_fetch: int, req_cached: float) -> tuple[list[QoeReport], float]:
+                 n_fetch: int) -> tuple[list[QoeReport], float]:
     """Price and score one UAV's deliveries to its requesting ``users``, in ascending order.
 
-    ``user_pos`` holds their true interval positions and ``req_cached`` is a
-    cache hit's delay-rate requirement.  Returns one report per user and the
-    UAV's power, summed one user at a time in that order.
+    ``user_pos`` holds their true interval positions.  Returns one report per
+    user and the UAV's power, summed one user at a time in that order.
     """
     cfg = plan.cfg
     hits = [requests[u] in cache for u in users]
@@ -316,7 +298,7 @@ def _deliver_uav(plan: PeriodPlan, cache: tuple[int, ...], users: list[int], n_s
     fetch_s = 0.0 if all(hits) else transfer_s(fronthaul_bits, cfg.content_size_bits,
                                                 cfg.slot_duration_s)
     targets = qoe_rate_target_bps(
-        np.where(hits, req_cached, delay_rate_requirement_bits(cfg, fetch_s)),
+        np.where(hits, plan.req_hit, delay_rate_requirement_bits(cfg, fetch_s)),
         cfg.device_rate_bps(plan.screen[users], [requests[u] for u in users]),
         cfg.slot_duration_s)[:, None]
     pl = uav_user_pathloss_db(position, user_pos, cfg.pathloss)
@@ -370,14 +352,13 @@ def _deliver_slot(plan: PeriodPlan, caches: list[tuple[int, ...]], s: int,
     served, rows = _rows_by_uav(requesting)
     if served:
         true_pos = world.interval_positions(served, gs, cfg.intervals_per_slot)
-        req_cached = delay_rate_requirement_bits(cfg)
     uav_reports: dict[int, QoeReport] = {}
     uav_power = np.zeros(n_uavs)
     for k, users in enumerate(requesting):
         if users:
             scored, uav_power[k] = _deliver_uav(plan, caches[k], users, len(members[k]),
                                                 positions[k], true_pos[rows[k]], requests,
-                                                n_fetch, req_cached)
+                                                n_fetch)
             uav_reports.update((r.user, r) for r in scored)
 
     reports: list[QoeReport] = []

@@ -191,11 +191,12 @@ def _raise_channel_error(*args, **kwargs):
     ({"slots_per_collection": 2}, "trained models", 2,
      "user 0 content model holds 4 patterns, config needs 6"),
     ({}, "content model as mobility", 2, "user 0 mobility model holds 4 patterns, config needs 2"),
+    ({}, "flat models", 2, "missing model files for user 0"),
     ({}, "channel error", 3, "ChannelError: zero distance"),
     ({}, "out is a file", 2, "cannot use output directory"),
 ], ids=["degenerate-reservoir", "memory-exhausted", "washout-vs-samples",
         "washout-vs-drawn-samples", "garbage-model-file", "pattern-count-mismatch",
-        "mobility-pattern-count-mismatch", "channel-error", "out-is-a-file"])
+        "mobility-pattern-count-mismatch", "flat-model-files", "channel-error", "out-is-a-file"])
 def test_domain_errors_map_to_exit_codes(tmp_path, capsys, monkeypatch, override, source,
                                          code, message):
     cfg = tmp_path / "cfg.json"
@@ -208,7 +209,7 @@ def test_domain_errors_map_to_exit_codes(tmp_path, capsys, monkeypatch, override
         for task in ("content", "mobility"):
             (tmp_path / "models" / f"user000_{task}.npz").write_bytes(b"not a model")
         argv = ["simulate", "--models", str(tmp_path)] + argv
-    elif source in ("trained models", "content model as mobility"):
+    elif source in ("trained models", "content model as mobility", "flat models"):
         trained_cfg = tmp_path / "trained.json"
         trained_cfg.write_text(json.dumps(TINY))
         assert main(["train", "--config", str(trained_cfg),
@@ -217,6 +218,9 @@ def test_domain_errors_map_to_exit_codes(tmp_path, capsys, monkeypatch, override
             models = tmp_path / "trained" / "models"
             (models / "user000_mobility.npz").write_bytes(
                 (models / "user000_content.npz").read_bytes())
+        if source == "flat models":  # DIR/userNNN_*.npz instead of DIR/models/userNNN_*.npz
+            for path in (tmp_path / "trained" / "models").glob("*.npz"):
+                path.rename(tmp_path / "trained" / path.name)
         argv = ["simulate", "--models", str(tmp_path / "trained")] + argv
     elif source == "out is a file":
         (tmp_path / "out").write_text("not a directory")

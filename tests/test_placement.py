@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import warnings
@@ -259,6 +260,54 @@ class TestRegime:
     def test_neither_in_between(self):
         users = np.array([[[-100.0, 0.0]], [[100.0, 0.0]]])
         assert placement.closed_form_regime(100.0, users) is None
+
+
+class TestPlaceUav:
+    """``place_uav`` picks the method from the regime: one test per branch."""
+
+    def cfg(self, min_altitude_m, exponent_nlos=CFG.pathloss.exponent_nlos):
+        return dataclasses.replace(CFG, min_altitude_m=min_altitude_m,
+                                   pathloss=ChannelParams(exponent_nlos=exponent_nlos))
+
+    def search(self, users, targets, init, cfg):
+        return placement.place_uav_local_search(
+            users, targets, init, len(targets), cfg.pathloss, cfg.uav_bandwidth_hz,
+            cfg.noise_power_w, cfg.min_altitude_m).position
+
+    def test_low_regime_at_exponent_two_is_the_closed_form_at_the_floor(self):
+        users, targets, _ = low_regime_instance(1)
+        cfg = self.cfg(10.0, exponent_nlos=2.0)
+        assert placement.closed_form_regime(10.0, users) == "low"
+        xy = placement.place_uav_closed_form(users, targets, 6, cfg.uav_bandwidth_hz)
+        got = placement.place_uav(users, targets, np.array([90.0, -40.0, 70.0]), 6, cfg)
+        assert got.tobytes() == np.array([xy[0], xy[1], 10.0]).tobytes()
+
+    def test_low_regime_at_another_exponent_is_the_plain_search(self):
+        users, targets, _ = low_regime_instance(2)
+        cfg = self.cfg(10.0)
+        init = np.array([90.0, -40.0, 70.0])
+        assert placement.closed_form_regime(10.0, users) == "low"
+        got = placement.place_uav(users, targets, init, 6, cfg)
+        assert got.tobytes() == self.search(users, targets, init, cfg).tobytes()
+
+    def test_high_regime_searches_from_the_closed_form_xy(self):
+        rng = np.random.default_rng(3)
+        users, targets = rng.uniform(-5.0, 5.0, (4, 3, 2)), rng.uniform(1e6, 8e6, 4)
+        cfg = self.cfg(500.0)
+        assert placement.closed_form_regime(500.0, users) == "high"
+        xy = placement.place_uav_closed_form(users, targets, 4, cfg.uav_bandwidth_hz)
+        got = placement.place_uav(users, targets, np.array([300.0, -200.0, 700.0]), 4, cfg)
+        want = self.search(users, targets, np.array([xy[0], xy[1], 700.0]), cfg)
+        assert got.tobytes() == want.tobytes()
+
+    def test_no_regime_searches_from_the_given_start(self):
+        users = np.array([[[-100.0, 0.0]], [[100.0, 0.0]]])
+        targets = np.array([2e6, 5e6])
+        cfg = self.cfg(100.0)
+        init = np.array([30.0, 20.0, 150.0])
+        assert placement.closed_form_regime(100.0, users) is None
+        got = placement.place_uav(users, targets, init, 2, cfg)
+        assert got.tobytes() == self.search(users, targets, init, cfg).tobytes()
 
 
 class TestLocalSearch:

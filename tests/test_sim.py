@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from uavcache import sim
+from uavcache import placement, sim
 from uavcache.generators import SyntheticWorld
 from uavcache.predictors import train_content_model, train_mobility_model
 from uavcache.qoe import LINK_UAV_CACHE, LINK_UAV_FRONTHAUL, delay_lower_bound_s
@@ -71,6 +71,20 @@ class TestRunPeriod:
         logs, _ = run(tiny_cfg)
         for log in logs:
             assert np.all(log.uav_positions[:, 2] >= tiny_cfg.min_altitude_m - 1e-9)
+
+    def test_low_regime_parks_at_the_closed_form_on_the_floor(self, tiny_cfg, monkeypatch):
+        cfg = dataclasses.replace(tiny_cfg, min_altitude_m=1.0, pathloss=dataclasses.replace(
+            tiny_cfg.pathloss, exponent_nlos=2.0))
+        closed_form, closed_forms = placement.place_uav_closed_form, []
+
+        def recording(*args, **kwargs):
+            closed_forms.append(closed_form(*args, **kwargs))
+            return closed_forms[-1]
+
+        monkeypatch.setattr(placement, "place_uav_closed_form", recording)
+        logs, _ = run(cfg)
+        parked = {np.array([*xy, 1.0]).tobytes() for xy in closed_forms}
+        assert parked and parked <= {pos.tobytes() for log in logs for pos in log.uav_positions}
 
     def test_unknown_baseline_rejected(self, tiny_cfg):
         with pytest.raises(ValueError):
