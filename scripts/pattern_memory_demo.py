@@ -28,11 +28,10 @@ def main() -> None:
     args = parser.parse_args()
 
     n_train, window = 400, 60
-    cfg = EsnConfig(reservoir_size=args.reservoir, input_dim=1, output_dim=1,
-                    spectral_radius=0.9, density=0.1, input_scale=1.0,
-                    aperture=args.aperture, ridge=0.01, washout=50,
+    cfg = EsnConfig(reservoir_size=args.reservoir, spectral_radius=0.9, density=0.1,
+                    input_scale=1.0, aperture=args.aperture, ridge=0.01, washout=50,
                     training_length=n_train)
-    model = cesn.EsnModel(cfg, RandomSource(args.seed).derive("demo"))
+    model = cesn.EsnModel(cfg, 1, 1, RandomSource(args.seed).derive("demo"))
 
     t_train = np.arange(n_train, dtype=float)
     t_eval = np.arange(n_train, n_train + window, dtype=float)

@@ -39,7 +39,7 @@ from .config import EsnConfig, RandomSource, esn_violations
 # Free-memory fraction below which further loading must grow the reservoir.
 QUOTA_MIN = 0.01
 
-MODEL_FORMAT_VERSION = 1
+MODEL_FORMAT_VERSION = 2
 
 
 class MemoryExhausted(RuntimeError):
@@ -59,8 +59,6 @@ class ReadOnlyModel(RuntimeError):
 
 
 def validate_esn(cfg: EsnConfig) -> None:
-    if cfg.input_dim is None or cfg.output_dim is None:
-        raise ValueError("input_dim and output_dim must be set to build a model")
     problems = esn_violations(cfg)
     if problems:
         raise ValueError("; ".join(problems))
@@ -156,16 +154,22 @@ def free_memory(memory: Conceptor | None, dim: int, aperture: float) -> tuple[Co
 
 
 class EsnModel:
-    """A reservoir with conceptor memory and a jointly trained readout."""
+    """A reservoir with conceptor memory and a jointly trained readout.
 
-    def __init__(self, cfg: EsnConfig, rs: RandomSource):
+    ``input_dim`` and ``output_dim`` describe the model's task; ``cfg`` holds
+    only its hyperparameters.
+    """
+
+    def __init__(self, cfg: EsnConfig, input_dim: int, output_dim: int, rs: RandomSource):
         validate_esn(cfg)
         self.cfg = cfg
+        self.input_dim = input_dim
+        self.output_dim = output_dim
         n = cfg.reservoir_size
         self.w = linalg.random_reservoir(n, cfg.density, cfg.spectral_radius,
                                          rs.derive("reservoir"))
         rng = rs.derive("input").generator()
-        self.w_in = cfg.input_scale * rng.uniform(-1.0, 1.0, (n, cfg.input_dim))
+        self.w_in = cfg.input_scale * rng.uniform(-1.0, 1.0, (n, input_dim))
         self.d = np.zeros((n, n))
         self.w_out: np.ndarray | None = None
         self.conceptors: list[Conceptor] = []
@@ -183,8 +187,8 @@ class EsnModel:
     def drive(self, inputs: np.ndarray) -> np.ndarray:
         """Run the input-driven update; returns states as columns (N_w, T)."""
         inputs = np.atleast_2d(np.asarray(inputs, dtype=float))
-        if inputs.shape[1] != self.cfg.input_dim:
-            raise ValueError(f"input dim {inputs.shape[1]} != model dim {self.cfg.input_dim}")
+        if inputs.shape[1] != self.input_dim:
+            raise ValueError(f"input dim {inputs.shape[1]} != model dim {self.input_dim}")
         n = self.cfg.reservoir_size
         v = np.zeros(n)
         out = np.empty((n, inputs.shape[0]))
@@ -210,8 +214,8 @@ class EsnModel:
         targets = np.atleast_2d(np.asarray(targets, dtype=float))
         if inputs.shape[0] != targets.shape[0]:
             raise ValueError("inputs and targets must have equal length")
-        if targets.shape[1] != self.cfg.output_dim:
-            raise ValueError(f"target dim {targets.shape[1]} != model dim {self.cfg.output_dim}")
+        if targets.shape[1] != self.output_dim:
+            raise ValueError(f"target dim {targets.shape[1]} != model dim {self.output_dim}")
         if inputs.shape[0] <= self.cfg.washout:
             raise TooFewSamples(f"{inputs.shape[0]} samples leave none after the washout of "
                                 f"{self.cfg.washout}; lower esn.washout or train longer")
@@ -288,7 +292,7 @@ class EsnModel:
             raise UntrainedModel("readout not trained")
         c = self.conceptors[pattern].m
         v = self.pattern_states[pattern].copy()
-        outputs = np.empty((steps, self.cfg.output_dim))
+        outputs = np.empty((steps, self.output_dim))
         wd = self.w + self.d
         for t in range(steps):
             v = c @ np.tanh(wd @ v)
@@ -388,7 +392,8 @@ def load_model(path) -> EsnModel:
     with np.load(path) as data:
         version = int(data["format_version"])
         if version != MODEL_FORMAT_VERSION:
-            raise ValueError(f"unsupported model format version {version}")
+            raise ValueError(f"model format version {version} is not the supported "
+                             f"version {MODEL_FORMAT_VERSION}; retrain the models")
         cfg = EsnConfig(**json.loads(bytes(data["cfg"]).decode("utf-8")))
         model = EsnModel.__new__(EsnModel)
         model.cfg = cfg
@@ -397,6 +402,8 @@ def load_model(path) -> EsnModel:
         model.d = data["d"]
         w_out = data["w_out"]
         model.w_out = w_out if w_out.size else None
+        model.input_dim = model.w_in.shape[1]
+        model.output_dim = w_out.shape[0]
         model.conceptors = [Conceptor(m=m, aperture=cfg.aperture, correlation=None)
                             for m in data["conceptor_ms"]]
         model.memory = None

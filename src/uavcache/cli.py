@@ -187,7 +187,7 @@ def cmd_train(args) -> int:
 def _read_model(path: Path) -> cesn.EsnModel:
     try:
         return cesn.load_model(path)
-    except (OSError, EOFError, KeyError, TypeError, ValueError, zipfile.BadZipFile,
+    except (OSError, EOFError, LookupError, TypeError, ValueError, zipfile.BadZipFile,
             zlib.error) as exc:
         raise ConfigError([f"unreadable model file {path}: {exc}"]) from exc
 
@@ -204,10 +204,10 @@ def _load_models(cfg: ScenarioConfig, models_dir: str):
             raise ConfigError([f"missing model files for user {u} under {base}"])
         c_model = _read_model(c_path)
         m_model = _read_model(m_path)
-        if c_model.cfg.output_dim != cfg.num_contents:
+        if c_model.output_dim != cfg.num_contents:
             raise ConfigError([
                 f"model/config dimension mismatch: user {u} content model predicts "
-                f"{c_model.cfg.output_dim} contents, config has {cfg.num_contents}"])
+                f"{c_model.output_dim} contents, config has {cfg.num_contents}"])
         for task, model, needed in (("content", c_model, n_sub),
                                     ("mobility", m_model, len(DAY_TYPES))):
             if model.n_patterns != needed:

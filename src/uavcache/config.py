@@ -43,7 +43,6 @@ class ChannelParams:
     exponent_los: float = 2.0
     exponent_nlos: float = 2.4
     shadow_std_los_db: float = 5.3
-    shadow_std_nlos_db: float = 5.27
     env_x: float = 11.9
     env_y: float = 0.13
     g2a_exponent: float = 2.0
@@ -54,16 +53,12 @@ class ChannelParams:
 class EsnConfig:
     """Hyperparameters of one echo-state network with conceptor memory.
 
-    ``input_dim``/``output_dim`` are None in the scenario-level template and
-    filled in per task (content prediction vs mobility prediction) when a model
-    is built.  ``context_dim`` is the number of user-context features fed to
-    the reservoir and ``horizon`` the number of future collection points a
-    mobility model predicts.
+    The model's input and output widths come from its task (content or
+    mobility prediction), not from here.  ``horizon`` is the number of future
+    collection points a mobility model predicts.
     """
 
     reservoir_size: int = 1000
-    input_dim: int | None = None
-    output_dim: int | None = None
     spectral_radius: float = 0.9
     density: float = 0.1
     input_scale: float = 1.0
@@ -71,7 +66,6 @@ class EsnConfig:
     ridge: float = 0.01
     washout: int = 50
     training_length: int = 1000
-    context_dim: int = 4
     horizon: int = 12
 
 
@@ -92,7 +86,6 @@ class GeneratorConfig:
     """
 
     waypoints_per_day: int = 3
-    speed_min_mps: float = 0.5
     speed_max_mps: float = 1.5
     position_noise_m: float = 5.0
     request_concentration: float = 1.2
@@ -249,8 +242,8 @@ def validate(cfg: ScenarioConfig) -> list[str]:
         )
     if p.g2a_nlos_factor < 1:
         v.append(f"pathloss.g2a_nlos_factor: must be >= 1, got {p.g2a_nlos_factor}")
-    if p.shadow_std_los_db < 0 or p.shadow_std_nlos_db < 0:
-        v.append("pathloss.shadow_std_los_db/shadow_std_nlos_db: must be nonnegative")
+    if p.shadow_std_los_db < 0:
+        v.append(f"pathloss.shadow_std_los_db: must be nonnegative, got {p.shadow_std_los_db}")
     if p.env_x <= 0 or p.env_y <= 0:
         v.append(f"pathloss.env_x/env_y: must be positive, got {p.env_x}/{p.env_y}")
     _positive("pathloss.fs_ref_distance_m", p.fs_ref_distance_m, v)
@@ -271,8 +264,7 @@ def validate(cfg: ScenarioConfig) -> list[str]:
         v.append(f"generators.taste_spread: must be nonnegative, got {g.taste_spread}")
     if g.work_hour_boost < 0:
         v.append(f"generators.work_hour_boost: must be nonnegative, got {g.work_hour_boost}")
-    if not (0 < g.speed_min_mps <= g.speed_max_mps):
-        v.append(f"generators.speed bounds: need 0 < min <= max, got {g.speed_min_mps}/{g.speed_max_mps}")
+    _positive("generators.speed_max_mps", g.speed_max_mps, v)
     return v
 
 

@@ -41,18 +41,18 @@ def is_work_subperiod(sub: int, n_sub: int) -> bool:
     return any(lo <= frac < hi for lo, hi in WORK_HOUR_WINDOWS)
 
 
-def track_positions(tracks: np.ndarray, users, slot: int, n_intervals: int,
-                    slots_per_collection: int) -> np.ndarray:
-    """Per-interval positions within one slot, sampled at interval midpoints.
+def track_positions(tracks: np.ndarray, users, times, slots_per_collection: int) -> np.ndarray:
+    """Positions at absolute slot times ``times`` (a 1-D sequence of floats).
 
     ``tracks`` is (n_users, n_points, 2), one collected waypoint every
-    ``slots_per_collection`` slots, and ``slot`` counts from its first point.
+    ``slots_per_collection`` slots, and ``times`` count from its first point.
     Users move at constant speed between waypoints and hold the last one past
-    the track's end.  One user id gives (n_intervals, 2), a sequence of ids
-    (len(users), n_intervals, 2).
+    the track's end.  One user id gives (len(times), 2), a sequence of ids
+    (len(users), len(times), 2).  A slot's interval midpoints are
+    ``slot + (np.arange(F) + 0.5) / F``.
     """
     h = slots_per_collection
-    g = slot + (np.arange(n_intervals) + 0.5) / n_intervals
+    g = np.asarray(times, dtype=float)
     c = (g // h).astype(int)
     last = tracks.shape[1] - 1
     lo, hi = np.minimum(c, last), np.minimum(c + 1, last)
@@ -121,12 +121,6 @@ class SyntheticWorld:
         prof = self.profiles[user]
         return np.array([np.sin(phase), np.cos(phase), prof.demo_feature, prof.device_feature])
 
-    def mobility_features(self, user: int, global_slot: int) -> np.ndarray:
-        """Context plus a scalar projection of the current position."""
-        pos = self.position_at(user, global_slot, 0.0)
-        proj = (pos[0] + pos[1]) / (2.0 * self.cfg.area_radius_m)
-        return np.concatenate([self.context_features(user, global_slot), [proj]])
-
     # -- mobility ---------------------------------------------------------------
 
     def _draw_in_disk(self, rng, radius: float) -> np.ndarray:
@@ -194,20 +188,13 @@ class SyntheticWorld:
     def collection_position(self, user: int, collection: int) -> np.ndarray:
         return self._collections[user, min(collection, self._collections.shape[1] - 1)]
 
-    def position_at(self, user: int, global_slot: int, slot_fraction: float) -> np.ndarray:
-        """Constant-speed interpolation between the surrounding collected waypoints."""
-        h = self.cfg.slots_per_collection
-        g = global_slot + slot_fraction
-        c = int(g // h)
-        frac = (g - c * h) / h
-        a = self.collection_position(user, c)
-        b = self.collection_position(user, c + 1)
-        return (1.0 - frac) * a + frac * b
+    def position_at(self, users, times) -> np.ndarray:
+        """True positions at absolute slot times (see :func:`track_positions`)."""
+        return track_positions(self._collections, users, times, self.cfg.slots_per_collection)
 
     def interval_positions(self, users, global_slot: int, n_intervals: int) -> np.ndarray:
-        """True per-interval positions within one slot (see :func:`track_positions`)."""
-        return track_positions(self._collections, users, global_slot, n_intervals,
-                               self.cfg.slots_per_collection)
+        """True positions at the interval midpoints of one slot."""
+        return self.position_at(users, global_slot + (np.arange(n_intervals) + 0.5) / n_intervals)
 
     # -- requests ----------------------------------------------------------------
 

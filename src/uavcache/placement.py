@@ -38,13 +38,6 @@ class AssociationPlan:
 
 
 @dataclass
-class CachePlan:
-    uav: int
-    contents: tuple[int, ...]
-    scores: np.ndarray  # per-content expected power saving
-
-
-@dataclass
 class PlacementResult:
     position: np.ndarray  # (3,)
     objective_w: float
@@ -164,7 +157,7 @@ def delta_power_saving(pathloss_db, delay_req_cached_bits: float,
     return np.minimum(p_uncached, cap) - np.minimum(p_cached, cap)
 
 
-def select_cache(uav: int, probabilities, savings, cache_size: int) -> CachePlan:
+def select_cache(probabilities, savings, cache_size: int) -> tuple[int, ...]:
     """Score each content by its expected power saving and take the top set.
 
     ``probabilities`` and ``savings`` are aligned (rows, n_contents) arrays,
@@ -177,8 +170,7 @@ def select_cache(uav: int, probabilities, savings, cache_size: int) -> CachePlan
         raise ValueError(f"shape mismatch: {probabilities.shape} vs {savings.shape}")
     scores = (probabilities * savings).sum(axis=0)
     order = np.lexsort((np.arange(scores.size), -scores))
-    chosen = tuple(sorted(int(n) for n in order[:cache_size]))
-    return CachePlan(uav=uav, contents=chosen, scores=scores)
+    return tuple(sorted(int(n) for n in order[:cache_size]))
 
 
 # -- positioning ----------------------------------------------------------------

@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import cesn
-from .config import EsnConfig, RandomSource, ScenarioConfig
+from .config import RandomSource, ScenarioConfig
 from .generators import DAY_TYPES, SyntheticWorld, day_type, track_positions
 
 
@@ -42,38 +42,34 @@ def content_pattern_data(world: SyntheticWorld, user: int, sub: int,
 
 def mobility_pattern_data(world: SyntheticWorld, user: int, dtype_idx: int,
                           max_len: int) -> tuple[np.ndarray, np.ndarray]:
-    """Mobility inputs and stacked future-waypoint targets for one day type."""
+    """Mobility inputs and stacked future-waypoint targets for one day type.
+
+    An input is the slot's context plus a scalar projection of the user's
+    position at the slot's start.
+    """
     cfg = world.cfg
     t, h = cfg.slots_per_cache_period, cfg.slots_per_collection
-    horizon = cfg.esn.horizon
-    inputs, targets = [], []
-    for day in range(world.training_days):
-        if day_type(day) != dtype_idx:
-            continue
-        for s in range(t):
-            gs = day * t + s
-            inputs.append(world.mobility_features(user, gs))
-            base = gs // h
-            future = [world.collection_position(user, base + 1 + j) for j in range(horizon)]
-            targets.append(np.concatenate(future) / cfg.area_radius_m)
-    inputs, targets = np.array(inputs), np.array(targets)
-    return inputs[-max_len:], targets[-max_len:]
-
-
-def _task_config(cfg: ScenarioConfig, input_dim: int, output_dim: int) -> EsnConfig:
-    import dataclasses
-    return dataclasses.replace(cfg.esn, input_dim=input_dim, output_dim=output_dim)
+    slots = [day * t + s for day in range(world.training_days)
+             if day_type(day) == dtype_idx for s in range(t)][-max_len:]
+    pos = world.position_at(user, np.array(slots, dtype=float))
+    proj = (pos[:, 0] + pos[:, 1]) / (2.0 * cfg.area_radius_m)
+    inputs = np.column_stack([[world.context_features(user, gs) for gs in slots], proj])
+    targets = np.array([
+        np.concatenate([world.collection_position(user, gs // h + 1 + j)
+                        for j in range(cfg.esn.horizon)]) / cfg.area_radius_m
+        for gs in slots])
+    return inputs, targets
 
 
 def train_content_model(cfg: ScenarioConfig, world: SyntheticWorld,
                         user: int) -> tuple[cesn.EsnModel, list[dict]]:
     """One request-distribution model per user: one pattern per sub-period."""
-    esn_cfg = _task_config(cfg, cfg.esn.context_dim, cfg.num_contents)
+    n_context = len(world.context_features(user, 0))
     rs = RandomSource(cfg.seed).derive(f"esn-content-{user}")
-    model = cesn.EsnModel(esn_cfg, rs)
+    model = cesn.EsnModel(cfg.esn, n_context, cfg.num_contents, rs)
     reports = []
     for sub in range(world.n_sub):
-        inputs, targets = content_pattern_data(world, user, sub, esn_cfg.training_length)
+        inputs, targets = content_pattern_data(world, user, sub, cfg.esn.training_length)
         reports.append(model.load_pattern(inputs, targets))
     model.train_readout()
     return model, reports
@@ -82,12 +78,12 @@ def train_content_model(cfg: ScenarioConfig, world: SyntheticWorld,
 def train_mobility_model(cfg: ScenarioConfig, world: SyntheticWorld,
                          user: int) -> tuple[cesn.EsnModel, list[dict]]:
     """One trajectory model per user: one pattern per day type."""
-    esn_cfg = _task_config(cfg, cfg.esn.context_dim + 1, 2 * cfg.esn.horizon)
+    n_context = len(world.context_features(user, 0)) + 1  # plus the position projection
     rs = RandomSource(cfg.seed).derive(f"esn-mobility-{user}")
-    model = cesn.EsnModel(esn_cfg, rs)
+    model = cesn.EsnModel(cfg.esn, n_context, 2 * cfg.esn.horizon, rs)
     reports = []
     for dtype_idx in range(len(DAY_TYPES)):
-        inputs, targets = mobility_pattern_data(world, user, dtype_idx, esn_cfg.training_length)
+        inputs, targets = mobility_pattern_data(world, user, dtype_idx, cfg.esn.training_length)
         reports.append(model.load_pattern(inputs, targets))
     model.train_readout()
     return model, reports
@@ -157,8 +153,8 @@ class EsnPredictor:
         Shapes as :func:`~uavcache.generators.track_positions`.  A slot of the
         day never reaches past the predicted track's last point.
         """
-        return track_positions(self._collections, users, global_slot - self.day_start_slot,
-                               n_intervals, self.cfg.slots_per_collection)
+        times = global_slot - self.day_start_slot + (np.arange(n_intervals) + 0.5) / n_intervals
+        return track_positions(self._collections, users, times, self.cfg.slots_per_collection)
 
     def gap_metrics(self) -> dict:
         """Mean prediction error against the generator truth for the planned day."""

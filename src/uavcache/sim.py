@@ -51,7 +51,6 @@ class SimInvariantError(RuntimeError):
 @dataclass
 class SlotLog:
     slot: int
-    global_slot: int
     reports: list[QoeReport]
     n_fr: int
     n_fetching: int
@@ -215,8 +214,8 @@ def select_caches(plan: PeriodPlan) -> list[tuple[int, ...]]:
                 # One user at a time: a scalar path loss keeps numpy's scalar power.
                 saving_rows.append(placement.delta_power_saving(
                     float(pl), plan.req_hit, plan.req_miss[s][k], device_req, len(members), cfg))
-        caches.append(placement.select_cache(k, np.array(prob_rows), np.array(saving_rows),
-                                             cfg.cache_size).contents if prob_rows else ())
+        caches.append(placement.select_cache(np.array(prob_rows), np.array(saving_rows),
+                                             cfg.cache_size) if prob_rows else ())
     return caches
 
 
@@ -383,7 +382,7 @@ def _deliver_slot(plan: PeriodPlan, caches: list[tuple[int, ...]], s: int,
         n_delivered += report.delivered
         n_failures += not report.delivered
 
-    log = SlotLog(slot=s, global_slot=gs, reports=reports, n_fr=association.n_fr,
+    log = SlotLog(slot=s, reports=reports, n_fr=association.n_fr,
                   n_fetching=n_fetch, uav_positions=positions, uav_power_w=uav_power,
                   caches=tuple(caches), requests=n_requests, delivered=n_delivered,
                   failures=n_failures, cache_hits=n_hits, uav_deliveries=n_uav_deliveries)
@@ -497,9 +496,8 @@ SWEEP_COLUMNS = ("param", "value", "total_uav_power_w", "avg_uav_power_w",
                  "satisfied_fraction", "cache_hit_rate", "avg_altitude_m")
 
 
-def sweep(cfg: ScenarioConfig, param: str, values, mode: str = "oracle",
-          models=None, baseline: str | None = None) -> list[dict]:
-    """Re-run the period for each swept value with the same seed; one row per value."""
+def sweep(cfg: ScenarioConfig, param: str, values, baseline: str | None = None) -> list[dict]:
+    """Re-run the oracle period for each swept value with the same seed; one row per value."""
     if param not in SWEEP_PARAMS:
         raise ValueError(f"unknown sweep parameter {param!r}; expected one of {sorted(SWEEP_PARAMS)}")
     rows = []
@@ -508,7 +506,7 @@ def sweep(cfg: ScenarioConfig, param: str, values, mode: str = "oracle",
         violations = validate(swept)
         if violations:
             raise ConfigError([f"sweep value {param}={value}: {v}" for v in violations])
-        _, summary = run_period(swept, mode=mode, models=models, baseline=baseline)
+        _, summary = run_period(swept, baseline=baseline)
         rows.append({"param": param, "value": int(value),
                      **{c: summary[c] for c in SWEEP_COLUMNS[2:]}})
     return rows

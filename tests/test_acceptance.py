@@ -59,10 +59,9 @@ def _memory_signal(kind: str, n: int, t0: int = 0) -> np.ndarray:
 @pytest.fixture(scope="module")
 def pattern_memory():
     start = time.time()
-    cfg = EsnConfig(reservoir_size=200, input_dim=1, output_dim=1,
-                    spectral_radius=0.9, density=0.1, input_scale=1.0,
+    cfg = EsnConfig(reservoir_size=200, spectral_radius=0.9, density=0.1, input_scale=1.0,
                     aperture=60.0, ridge=0.01, washout=50, training_length=400)
-    model = cesn.EsnModel(cfg, RandomSource(42).derive("acceptance"))
+    model = cesn.EsnModel(cfg, 1, 1, RandomSource(42).derive("acceptance"))
     kinds = ("sin_a", "sin_b", "const", "shuttle")
     n = 400
     used, after_own = [], []
@@ -140,11 +139,11 @@ def test_criterion_04_cache_selection_exactness():
         probs = rng.random((rows, n))
         probs /= probs.sum(axis=1, keepdims=True)
         savings = rng.random((rows, n))
-        plan = placement.select_cache(0, probs, savings, c)
+        chosen = placement.select_cache(probs, savings, c)
         scores = (probs * savings).sum(axis=0)
         best = max(itertools.combinations(range(n), c),
                    key=lambda subset: sum(scores[list(subset)]))
-        if set(plan.contents) != set(best):
+        if set(chosen) != set(best):
             mismatches += 1
     _verdict(4, mismatches == 0,
              f"{mismatches}/100 instances differ from exhaustive subset search (exact)")

@@ -21,11 +21,10 @@ def triangle(period: float, n: int, t0: int = 0) -> np.ndarray:
 
 def signal_model(seed: int = 42, aperture: float = 60.0, n_res: int = 120,
                  n_train: int = 400, ridge: float = 0.01) -> cesn.EsnModel:
-    cfg = EsnConfig(reservoir_size=n_res, input_dim=1, output_dim=1,
-                    spectral_radius=0.9, density=0.1, input_scale=1.0,
+    cfg = EsnConfig(reservoir_size=n_res, spectral_radius=0.9, density=0.1, input_scale=1.0,
                     aperture=aperture, ridge=ridge, washout=50,
                     training_length=n_train)
-    return cesn.EsnModel(cfg, RandomSource(seed).derive("test-esn"))
+    return cesn.EsnModel(cfg, 1, 1, RandomSource(seed).derive("test-esn"))
 
 
 def load_signal(model: cesn.EsnModel, signal: np.ndarray) -> dict:
@@ -302,10 +301,9 @@ class TestLoadingAndRecall:
 
     def test_memory_exhaustion_signalled(self):
         # full-rank strong input drives saturate a tiny reservoir quickly
-        cfg = EsnConfig(reservoir_size=6, input_dim=6, output_dim=1,
-                        spectral_radius=0.9, density=1.0, input_scale=2.0,
+        cfg = EsnConfig(reservoir_size=6, spectral_radius=0.9, density=1.0, input_scale=2.0,
                         aperture=200.0, ridge=0.01, washout=10, training_length=120)
-        model = cesn.EsnModel(cfg, RandomSource(1).derive("exhaust"))
+        model = cesn.EsnModel(cfg, 6, 1, RandomSource(1).derive("exhaust"))
         rng = np.random.default_rng(0)
         with pytest.raises(cesn.MemoryExhausted):
             for _ in range(10):
@@ -370,10 +368,9 @@ class TestReadoutRegression:
 
 class TestDistributionAndLocations:
     def test_distribution_sums_to_one(self):
-        cfg = EsnConfig(reservoir_size=60, input_dim=1, output_dim=4,
-                        spectral_radius=0.9, density=0.2, input_scale=1.0,
+        cfg = EsnConfig(reservoir_size=60, spectral_radius=0.9, density=0.2, input_scale=1.0,
                         aperture=15.0, ridge=0.1, washout=20, training_length=200)
-        model = cesn.EsnModel(cfg, RandomSource(9).derive("dist"))
+        model = cesn.EsnModel(cfg, 1, 4, RandomSource(9).derive("dist"))
         rng = np.random.default_rng(2)
         targets = np.eye(4)[rng.integers(0, 4, 200)]
         model.load_pattern(sine(8.0, 200)[:, None], targets)
@@ -384,20 +381,18 @@ class TestDistributionAndLocations:
         assert p.sum() == pytest.approx(1.0)
 
     def test_all_zero_readout_falls_back_to_uniform(self):
-        cfg = EsnConfig(reservoir_size=10, input_dim=1, output_dim=3,
-                        spectral_radius=0.9, density=0.5, input_scale=1.0,
+        cfg = EsnConfig(reservoir_size=10, spectral_radius=0.9, density=0.5, input_scale=1.0,
                         aperture=15.0, ridge=0.1, washout=5, training_length=50)
-        model = cesn.EsnModel(cfg, RandomSource(9).derive("dist"))
+        model = cesn.EsnModel(cfg, 1, 3, RandomSource(9).derive("dist"))
         model.load_pattern(sine(8.0, 50)[:, None], np.zeros((50, 3)))
         model.train_readout()
         model.w_out = np.zeros_like(model.w_out)
         assert np.allclose(cesn.predict_request_distribution(model, 0, steps=5), 1.0 / 3.0)
 
     def test_predicted_locations_clamped_to_disk(self):
-        cfg = EsnConfig(reservoir_size=40, input_dim=1, output_dim=4,
-                        spectral_radius=0.9, density=0.2, input_scale=1.0,
+        cfg = EsnConfig(reservoir_size=40, spectral_radius=0.9, density=0.2, input_scale=1.0,
                         aperture=15.0, ridge=0.01, washout=10, training_length=100)
-        model = cesn.EsnModel(cfg, RandomSource(10).derive("loc"))
+        model = cesn.EsnModel(cfg, 1, 4, RandomSource(10).derive("loc"))
         targets = np.tile([3.0, 3.0, -2.0, 0.5], (100, 1))  # far outside the unit disk
         model.load_pattern(sine(9.0, 100)[:, None], targets)
         model.train_readout()

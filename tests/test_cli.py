@@ -91,6 +91,12 @@ class TestTrain:
         ({"generators": {"work_hour_boost": -1.0}}, "generators.work_hour_boost"),
         ({"generators": {"waypoints_per_day": 0}}, "generators.waypoints_per_day"),
         ({"generators": {"waypoints_per_day": -3}}, "generators.waypoints_per_day"),
+        # settings the run never read, now unknown fields
+        ({"pathloss": {"shadow_std_nlos_db": 40.0}}, "pathloss.shadow_std_nlos_db"),
+        ({"generators": {"speed_min_mps": 1.4}}, "generators.speed_min_mps"),
+        ({"esn": {"context_dim": 5}}, "esn.context_dim"),
+        ({"esn": {"input_dim": 99}}, "esn.input_dim"),
+        ({"esn": {"output_dim": 7}}, "esn.output_dim"),
     ])
     def test_bad_value_exits_2_naming_the_field(self, tmp_path, capsys, override, field):
         bad = tmp_path / "bad.json"
@@ -194,9 +200,12 @@ def _raise_channel_error(*args, **kwargs):
     ({}, "flat models", 2, "missing model files for user 0"),
     ({}, "channel error", 3, "ChannelError: zero distance"),
     ({}, "out is a file", 2, "cannot use output directory"),
+    ({}, "version 1 models", 2, "model format version 1 is not the supported version 2"),
+    ({}, "one-dimensional input map", 2, "unreadable model file"),
 ], ids=["degenerate-reservoir", "memory-exhausted", "washout-vs-samples",
         "washout-vs-drawn-samples", "garbage-model-file", "pattern-count-mismatch",
-        "mobility-pattern-count-mismatch", "flat-model-files", "channel-error", "out-is-a-file"])
+        "mobility-pattern-count-mismatch", "flat-model-files", "channel-error", "out-is-a-file",
+        "version-1-model-file", "one-dimensional-input-map"])
 def test_domain_errors_map_to_exit_codes(tmp_path, capsys, monkeypatch, override, source,
                                          code, message):
     cfg = tmp_path / "cfg.json"
@@ -209,7 +218,8 @@ def test_domain_errors_map_to_exit_codes(tmp_path, capsys, monkeypatch, override
         for task in ("content", "mobility"):
             (tmp_path / "models" / f"user000_{task}.npz").write_bytes(b"not a model")
         argv = ["simulate", "--models", str(tmp_path)] + argv
-    elif source in ("trained models", "content model as mobility", "flat models"):
+    elif source in ("trained models", "content model as mobility", "flat models",
+                    "version 1 models", "one-dimensional input map"):
         trained_cfg = tmp_path / "trained.json"
         trained_cfg.write_text(json.dumps(TINY))
         assert main(["train", "--config", str(trained_cfg),
@@ -218,6 +228,15 @@ def test_domain_errors_map_to_exit_codes(tmp_path, capsys, monkeypatch, override
             models = tmp_path / "trained" / "models"
             (models / "user000_mobility.npz").write_bytes(
                 (models / "user000_content.npz").read_bytes())
+        if source in ("version 1 models", "one-dimensional input map"):
+            path = tmp_path / "trained" / "models" / "user000_content.npz"
+            with np.load(path) as data:
+                members = dict(data)
+            if source == "version 1 models":
+                members["format_version"] = np.int64(1)
+            else:
+                members["w_in"] = members["w_in"][:, 0]
+            np.savez(path, **members)
         if source == "flat models":  # DIR/userNNN_*.npz instead of DIR/models/userNNN_*.npz
             for path in (tmp_path / "trained" / "models").glob("*.npz"):
                 path.rename(tmp_path / "trained" / path.name)
@@ -316,7 +335,7 @@ def test_fuzzed_pathloss_never_ends_in_a_traceback(doc):
 # concentration this large overflows the request weights.
 BROKEN_GENERATORS = {
     "waypoints_per_day": st.integers(-3, 0),
-    "speed_min_mps": st.floats(-1.0, 0.0),
+    "speed_max_mps": st.floats(-1.0, 0.0),
     "position_noise_m": st.floats(-10.0, 0.0, exclude_max=True),
     "request_concentration": st.floats(-400.0, -230.0),
     "taste_spread": st.floats(-10.0, 0.0, exclude_max=True),
@@ -330,11 +349,9 @@ BROKEN_GENERATORS = {
 @st.composite
 def fuzz_generators(draw):
     """A valid ``generators`` block, or one with a single field broken; and that field."""
-    speed_min = draw(log_uniform(-2.0, 1.0))
     block = {
         "waypoints_per_day": draw(st.integers(1, 8)),
-        "speed_min_mps": speed_min,
-        "speed_max_mps": speed_min * draw(log_uniform(0.0, 1.5)),
+        "speed_max_mps": draw(log_uniform(-2.0, 2.5)),
         "position_noise_m": draw(st.floats(0.0, 500.0)),
         "request_concentration": draw(st.floats(-3.0, 6.0)),
         "taste_spread": draw(st.floats(0.0, 10.0)),

@@ -111,7 +111,7 @@ def test_wrong_type_rejected_with_path(doc, field):
 
 
 def test_integers_accepted_for_float_fields():
-    cfg = load_config_dict({"uav_max_power_w": 20, "esn": {"input_dim": None}})
+    cfg = load_config_dict({"uav_max_power_w": 20})
     assert cfg.uav_max_power_w == 20.0
 
 
@@ -129,7 +129,7 @@ def test_esn_invariants_shared_by_validate_and_model_build(esn, field):
     cfg = dataclasses.replace(ScenarioConfig(), esn=dataclasses.replace(EsnConfig(), **esn))
     assert [v.split(":")[0] for v in validate(cfg)] == [f"esn.{field}"]
     with pytest.raises(ValueError, match=f"^{field}: "):
-        validate_esn(dataclasses.replace(cfg.esn, input_dim=4, output_dim=3))
+        validate_esn(cfg.esn)
 
 
 @pytest.mark.parametrize("washout, ok", [(41, True), (42, False), (50, False)])

@@ -17,7 +17,7 @@ class TestMobility:
         world = small_world(generators={"waypoints_per_day": 1, "position_noise_m": 0.0})
         home = world.collection_position(0, 0)
         for slot in range(0, 48, 5):
-            assert np.allclose(world.position_at(0, slot, 0.3), home)
+            assert np.allclose(world.position_at(0, [slot + 0.3]), home)
 
     def test_constant_speed_between_collections(self):
         world = small_world(generators={"waypoints_per_day": 2, "position_noise_m": 3.0})
@@ -25,7 +25,7 @@ class TestMobility:
         # equally spaced samples inside one collection window move in equal steps
         base_slot = h  # second window of day 0, a commuting segment
         times = np.linspace(0.0, h * 0.96, 25)
-        pts = np.array([world.position_at(0, base_slot, t) for t in times])
+        pts = world.position_at(0, base_slot + times)
         steps = np.diff(pts, axis=0)
         assert np.abs(steps - steps[0]).max() < 1e-9
 
@@ -35,8 +35,8 @@ class TestMobility:
         t = world.cfg.slots_per_cache_period
         diffs = []
         for slot in range(0, t, 3):
-            a = world.position_at(0, slot, 0.5)  # Monday, week 1
-            b = world.position_at(0, 7 * t + slot, 0.5)  # Monday, week 2
+            a = world.position_at(0, [slot + 0.5])[0]  # Monday, week 1
+            b = world.position_at(0, [7 * t + slot + 0.5])[0]  # Monday, week 2
             diffs.append(np.linalg.norm(a - b))
         assert max(diffs) < 10.0 * sigma
 
@@ -44,23 +44,21 @@ class TestMobility:
         world = small_world(generators={"waypoints_per_day": 2, "position_noise_m": 0.0})
         t = world.cfg.slots_per_cache_period
         midday = t // 2
-        weekday = world.position_at(0, midday, 0.0)  # day 0
-        weekend = world.position_at(0, 5 * t + midday, 0.0)  # day 5
+        weekday = world.position_at(0, [midday])[0]  # day 0
+        weekend = world.position_at(0, [5 * t + midday])[0]  # day 5
         assert np.linalg.norm(weekday - weekend) > 1.0
 
     def test_positions_inside_disk(self):
         world = small_world(generators={"position_noise_m": 30.0})
         radius = world.cfg.area_radius_m
-        for u in range(world.cfg.num_users):
-            for slot in range(0, 24, 4):
-                pos = world.position_at(u, slot, 0.25)
-                assert np.linalg.norm(pos) <= radius + 1e-9
+        pos = world.position_at(range(world.cfg.num_users), np.arange(0, 24, 4) + 0.25)
+        assert np.linalg.norm(pos, axis=-1).max() <= radius + 1e-9
 
     def test_interval_positions_match_scalar_queries(self):
         world = small_world()
         grid = world.interval_positions(1, 5, 10)
-        direct = np.array([world.position_at(1, 5, (i + 0.5) / 10) for i in range(10)])
-        assert np.allclose(grid, direct)
+        direct = np.array([world.position_at(1, [5 + (i + 0.5) / 10])[0] for i in range(10)])
+        assert np.array_equal(grid, direct)
 
     def test_day_type_cycle(self):
         assert [day_type(d) for d in range(8)] == [0, 0, 0, 0, 0, 1, 1, 0]

@@ -28,7 +28,7 @@ class TestTrainingData:
         cfg, world = prediction_setup()
         inputs, targets = content_pattern_data(world, 0, 0, 10_000)
         days = world.training_days
-        assert inputs.shape == (days * cfg.slots_per_collection, cfg.esn.context_dim)
+        assert inputs.shape == (days * cfg.slots_per_collection, len(world.context_features(0, 0)))
         assert targets.shape[1] == cfg.num_contents
         assert np.all(targets.sum(axis=1) == 1.0)
 
@@ -37,7 +37,7 @@ class TestTrainingData:
         inputs, targets = mobility_pattern_data(world, 0, 0, 10_000)
         weekdays = sum(1 for d in range(world.training_days) if d % 7 < 5)
         assert inputs.shape == (weekdays * cfg.slots_per_cache_period,
-                                cfg.esn.context_dim + 1)
+                                len(world.context_features(0, 0)) + 1)
         assert targets.shape[1] == 2 * cfg.esn.horizon
         assert np.abs(targets).max() <= 1.0 + 1e-9
 

@@ -1,4 +1,4 @@
-"""Every script under scripts/ starts and prints its usage."""
+"""Every script under scripts/ starts and prints its usage; the quick ones also run."""
 
 import os
 import subprocess
@@ -11,14 +11,25 @@ ROOT = Path(__file__).resolve().parent.parent
 SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
 
 
+def run_script(script: Path, *args: str) -> subprocess.CompletedProcess:
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+    return subprocess.run([sys.executable, str(script), *args], env=env, cwd=ROOT,
+                          capture_output=True, text=True, timeout=60)
+
+
 def test_scripts_found():
     assert SCRIPTS
 
 
 @pytest.mark.parametrize("script", SCRIPTS, ids=lambda p: p.name)
 def test_help_exits_0(script):
-    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
-    done = subprocess.run([sys.executable, str(script), "--help"], env=env, cwd=ROOT,
-                          capture_output=True, text=True, timeout=60)
+    done = run_script(script, "--help")
     assert done.returncode == 0, done.stderr
     assert "usage:" in done.stdout
+
+
+def test_pattern_memory_demo_runs():
+    done = run_script(ROOT / "scripts" / "pattern_memory_demo.py", "--reservoir", "40")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.count("replay ") == 4
+    assert "near-duplicate" in done.stdout

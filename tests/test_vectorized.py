@@ -335,11 +335,15 @@ def test_desk_period_counts(monkeypatch):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, db_route(name, getattr(module, name)))
 
-    def no_position_at(self, *args):
-        raise AssertionError("run_period asked for one user's position at a time")
+    position_at_calls = []
+    position_at = SyntheticWorld.position_at
+
+    def counted_position_at(self, users, times):
+        position_at_calls.append(len(times))
+        return position_at(self, users, times)
 
     monkeypatch.setattr(SyntheticWorld, "interval_positions", counted_positions)
-    monkeypatch.setattr(SyntheticWorld, "position_at", no_position_at)
+    monkeypatch.setattr(SyntheticWorld, "position_at", counted_position_at)
     monkeypatch.setattr(placement, "placement_objective", counted_objective)
     monkeypatch.setattr(placement, "place_uav_local_search", counted_search)
     sim.run_period(cfg, mode="oracle", world=world)
@@ -347,6 +351,8 @@ def test_desk_period_counts(monkeypatch):
     # Per slot: planned midpoints, placement intervals, true midpoints, delivery intervals.
     per_slot = np.bincount(np.asarray(position_calls) - min(position_calls))
     assert len(position_calls) > 0 and per_slot.max() <= 4
+    # run_period samples positions only through interval_positions, a slot at a time.
+    assert len(position_at_calls) == len(position_calls)
     assert searches
     # Delivery and cache selection take the dB route; the search prices positions in
     # linear units only: no dB path loss, no 10 ** (PL / 10).
