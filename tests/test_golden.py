@@ -55,10 +55,10 @@ TINY_INFEASIBLE = ("0db330ceca192cd5a39a4975998aa97882d02c507a237ff819f3082e4ef9
 
 # tiny_cfg user 0: cesn.save_model bytes and the exact quota history per task
 TINY_USER0_MODELS = {
-    "content": ("1d49ff5ebae4e800229993c15b33783d48417517abfdce90e41257361553aa9f",
+    "content": ("98baf088900f243ced17ad85f56f7b3ccfd9d366c5b6c0aa9e96c228a7f731db",
                 [1.0, 0.9499998580448324, 0.9001541603391818, 0.851034313726619,
                  0.8022369504063818]),
-    "mobility": ("9d07d311b8f4aa144904e0f1e936c525018716653d60cffb3a0018e8071e62d8",
+    "mobility": ("5795bf3df57a45b618d20c1b09c2e74fd7217f4b0a6681bcca219ada9d92b4c6",
                  [1.0, 0.8523196341111114, 0.8240778871275887]),
 }
 
