@@ -88,7 +88,11 @@ def _load_scenario(args) -> ScenarioConfig:
     path = Path(args.config)
     if not path.exists():
         raise UsageError(f"config file not found: {path}")
-    doc = parse_document(path.read_text())
+    try:
+        text = path.read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError([f"cannot read config file {path}: {exc}"]) from exc
+    doc = parse_document(text)
     if not args.paper_scale:
         doc = merge_documents(DESK_PRESET, doc)
     if args.seed is not None:

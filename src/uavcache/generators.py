@@ -32,8 +32,9 @@ DAY_TYPES = ("weekday", "weekend")
 WORK_HOUR_WINDOWS = ((9 / 24, 11 / 24), (14 / 24, 18 / 24))
 
 
-def day_type(day: int) -> int:
-    return 0 if day % DAYS_PER_WEEK < WEEKDAYS_PER_WEEK else 1
+def day_type(day):
+    """0 on a weekday, 1 on the weekend; ``day`` may be an integer array."""
+    return day % DAYS_PER_WEEK // WEEKDAYS_PER_WEEK
 
 
 def is_work_subperiod(sub: int, n_sub: int) -> bool:
@@ -66,6 +67,23 @@ def track_positions(tracks: np.ndarray, users, times, slots_per_collection: int)
     return np.add(a, b, out=a)
 
 
+def point_norms(points: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each point along the last axis.
+
+    Each norm equals ``np.linalg.norm`` of that point alone, bit for bit; the
+    ``axis=-1`` form rounds differently.
+    """
+    return np.sqrt((points[..., None, :] @ points[..., :, None])[..., 0, 0])
+
+
+def _draw_in_disk(rng, radius: float, shape: tuple[int, ...]) -> np.ndarray:
+    """Uniform points in a disk, (*shape, 2); each takes two uniforms, radius then angle."""
+    draws = rng.random((*shape, 2))
+    r = radius * np.sqrt(draws[..., 0])
+    theta = draws[..., 1] * 2.0 * np.pi
+    return np.stack([r * np.cos(theta), r * np.sin(theta)], axis=-1)
+
+
 @dataclass
 class UserProfile:
     gender: int
@@ -78,17 +96,34 @@ class UserProfile:
 
 
 class SyntheticWorld:
-    """Deterministic ground truth for one scenario (seeded by the config)."""
+    """Deterministic ground truth for one scenario (seeded by the config).
+
+    The truth is held in arrays, one per quantity:
+
+    * ``requests`` (U, n_slots): the content each user requests in each slot
+      of the horizon, -1 for an idle slot;
+    * ``distributions`` (U, n_sub, F): the exact request distribution of each
+      user and sub-period, the one ``requests`` is drawn from;
+    * ``collections`` (U, n_collections, 2): each user's collected waypoints,
+      one every ``slots_per_collection`` slots;
+    * ``screen_factors`` (U,): each user's device screen factor.
+
+    Training uses the first ``training_days`` days; the period simulated is
+    the day that follows them.
+    """
 
     def __init__(self, cfg: ScenarioConfig):
         self.cfg = cfg
         self.n_sub = cfg.slots_per_cache_period // cfg.slots_per_collection
-        self.horizon_days = cfg.generators.training_weeks * DAYS_PER_WEEK + DAYS_PER_WEEK
+        self.training_days = cfg.generators.training_weeks * DAYS_PER_WEEK
+        self.horizon_days = self.training_days + DAYS_PER_WEEK
         self.rs = RandomSource(cfg.seed).derive("world")
         self._build_profiles()
         self._build_mobility()
         self._build_requests()
-        self._build_infrastructure()
+        self.bbu_xy = np.zeros(2)
+        self.rrh_xy = _draw_in_disk(self.rs.derive("rrh").generator(), cfg.area_radius_m,
+                                    (cfg.num_rrhs,))
 
     # -- users -----------------------------------------------------------------
 
@@ -110,62 +145,46 @@ class SyntheticWorld:
                 device=device, screen_factor=cfg.screen_factors[device],
                 demo_feature=demo, device_feature=device_feature))
         self.profiles = profiles
+        self.screen_factors = np.array([p.screen_factor for p in profiles], dtype=float)
 
-    def screen_factor(self, user: int) -> float:
-        return self.profiles[user].screen_factor
-
-    def context_features(self, user: int, global_slot: int) -> np.ndarray:
-        """Reservoir input: day phase (sin, cos) plus static demographics."""
+    def context_features(self, user: int, slots) -> np.ndarray:
+        """Reservoir inputs, one row per absolute slot: day phase (sin, cos) plus demographics."""
         t = self.cfg.slots_per_cache_period
-        phase = 2.0 * np.pi * (global_slot % t) / t
+        phase = 2.0 * np.pi * (np.asarray(slots) % t) / t
         prof = self.profiles[user]
-        return np.array([np.sin(phase), np.cos(phase), prof.demo_feature, prof.device_feature])
+        return np.column_stack([np.sin(phase), np.cos(phase),
+                                np.full(phase.shape, prof.demo_feature),
+                                np.full(phase.shape, prof.device_feature)])
 
     # -- mobility ---------------------------------------------------------------
-
-    def _draw_in_disk(self, rng, radius: float) -> np.ndarray:
-        r = radius * np.sqrt(rng.random())
-        theta = rng.random() * 2.0 * np.pi
-        return np.array([r * np.cos(theta), r * np.sin(theta)])
 
     def _build_mobility(self) -> None:
         cfg = self.cfg
         g = cfg.generators
         n_sub = self.n_sub
-        anchor_rng = self.rs.derive("anchors").generator()
-        inner = 0.9 * cfg.area_radius_m
+        n_away = max(1, g.waypoints_per_day - 1)  # anchors per day type besides home
         # Narrative clock: one collection interval corresponds to one hour.
         max_step = min(g.speed_max_mps * 3600.0, 2.0 * cfg.area_radius_m)
 
-        self._schedules = []  # per user, per day type: anchor index per collection
-        self._anchors = []  # per user: (n_anchors, 2)
-        for _ in range(cfg.num_users):
-            home = self._draw_in_disk(anchor_rng, inner)
-            anchors = [home]
-            for _ in range(max(1, g.waypoints_per_day - 1) * len(DAY_TYPES)):
-                target = self._draw_in_disk(anchor_rng, inner)
-                step = target - home
-                dist = np.linalg.norm(step)
-                if dist > max_step:
-                    target = home + step / dist * max_step
-                anchors.append(target)
-            anchors = np.array(anchors)
-            per_type = []
-            for dt_idx in range(len(DAY_TYPES)):
-                # Home at the edges of the day, day-type-specific anchors in a
-                # middle block whose width scales with the waypoint count.  A
-                # single-waypoint schedule keeps the user at home all day.
-                schedule = np.zeros(n_sub, dtype=int)
-                if g.waypoints_per_day > 1:
-                    away = [1 + dt_idx * (g.waypoints_per_day - 1) + w
-                            for w in range(g.waypoints_per_day - 1)]
-                    lo, hi = n_sub // 4, max(n_sub // 4 + 1, (3 * n_sub) // 4)
-                    block = max(1, (hi - lo) // len(away))
-                    for c in range(lo, min(hi, n_sub)):
-                        schedule[c] = away[min((c - lo) // block, len(away) - 1)]
-                per_type.append(schedule)
-            self._schedules.append(per_type)
-            self._anchors.append(anchors)
+        # Per user: home, then each day type's anchors, pulled to within max_step of home.
+        anchors = _draw_in_disk(self.rs.derive("anchors").generator(), 0.9 * cfg.area_radius_m,
+                                (cfg.num_users, 1 + n_away * len(DAY_TYPES)))
+        home = np.broadcast_to(anchors[:, :1], anchors[:, 1:].shape)
+        step = anchors[:, 1:] - home
+        dist = point_norms(step)
+        far = dist > max_step
+        anchors[:, 1:][far] = home[far] + step[far] / dist[far][:, None] * max_step
+
+        # Anchor index per day type and collection of the day: home at the edges
+        # of the day, the day type's anchors in a middle block whose width scales
+        # with the waypoint count.  A single-waypoint schedule stays home all day.
+        schedule = np.zeros((len(DAY_TYPES), n_sub), dtype=int)
+        if g.waypoints_per_day > 1:
+            lo, hi = n_sub // 4, max(n_sub // 4 + 1, (3 * n_sub) // 4)
+            block = max(1, (hi - lo) // n_away)
+            c = np.arange(lo, min(hi, n_sub))
+            schedule[:, c] = (1 + np.arange(len(DAY_TYPES))[:, None] * n_away
+                              + np.minimum((c - lo) // block, n_away - 1))
 
         n_collections = self.horizon_days * n_sub + 1
         noise_rng = self.rs.derive("waypoint-noise").generator()
@@ -173,24 +192,17 @@ class SyntheticWorld:
                                  (cfg.num_users, n_collections, 2)) if g.position_noise_m > 0 \
             else np.zeros((cfg.num_users, n_collections, 2))
 
-        self._collections = np.empty((cfg.num_users, n_collections, 2))
-        for u in range(cfg.num_users):
-            for c in range(n_collections):
-                day = (c * cfg.slots_per_collection) // cfg.slots_per_cache_period
-                c_in_day = c % n_sub
-                anchor = self._anchors[u][self._schedules[u][day_type(day)][c_in_day]]
-                pos = anchor + noise[u, c]
-                radius = np.linalg.norm(pos)
-                if radius > cfg.area_radius_m:
-                    pos = pos * (cfg.area_radius_m / radius)
-                self._collections[u, c] = pos
-
-    def collection_position(self, user: int, collection: int) -> np.ndarray:
-        return self._collections[user, min(collection, self._collections.shape[1] - 1)]
+        c = np.arange(n_collections)
+        day = (c * cfg.slots_per_collection) // cfg.slots_per_cache_period
+        collections = anchors[:, schedule[day_type(day), c % n_sub]] + noise
+        radius = point_norms(collections)
+        out = radius > cfg.area_radius_m  # pulled back onto the disk edge
+        collections[out] *= (cfg.area_radius_m / radius[out])[:, None]
+        self.collections = collections
 
     def position_at(self, users, times) -> np.ndarray:
         """True positions at absolute slot times (see :func:`track_positions`)."""
-        return track_positions(self._collections, users, times, self.cfg.slots_per_collection)
+        return track_positions(self.collections, users, times, self.cfg.slots_per_collection)
 
     def interval_positions(self, users, global_slot: int, n_intervals: int) -> np.ndarray:
         """True positions at the interval midpoints of one slot."""
@@ -210,56 +222,37 @@ class SyntheticWorld:
         perm = base_rng.permutation(n)
         ranks = np.empty(n)
         ranks[perm] = np.arange(1, n + 1)
+        occupations = np.array([p.occupation for p in self.profiles], dtype=int)
         # A rejected setting overflows here; the check below turns it into a ConfigError.
         with np.errstate(over="ignore", invalid="ignore"):
             zipf = ranks ** (-g.request_concentration)
-            n_occupations = max((p.occupation for p in self.profiles), default=0) + 1
-            taste = base_rng.normal(0.0, g.taste_spread, (n_occupations, n))
-            self._base_weights = np.empty((cfg.num_users, n))
-            for u in range(cfg.num_users):
-                self._base_weights[u] = zipf * np.exp(taste[self.profiles[u].occupation])
+            taste = base_rng.normal(0.0, g.taste_spread, (occupations.max(initial=0) + 1, n))
+            base_weights = zipf * np.exp(taste[occupations])
             # Exact per-sub-period distributions (the prediction oracle).
-            self._distributions = np.empty((cfg.num_users, self.n_sub, n))
+            self.distributions = np.empty((cfg.num_users, self.n_sub, n))
             for sub in range(self.n_sub):
                 work_now = is_work_subperiod(sub, self.n_sub)
                 boost = np.where(self._work_class == work_now, g.work_hour_boost, 1.0)
-                w = self._base_weights * boost[None, :]
-                self._distributions[:, sub, :] = w / w.sum(axis=1, keepdims=True)
-        if not np.isfinite(self._distributions).all():
+                w = base_weights * boost[None, :]
+                self.distributions[:, sub, :] = w / w.sum(axis=1, keepdims=True)
+        if not np.isfinite(self.distributions).all():
             raise ConfigError(["generators.request_concentration/taste_spread/work_hour_boost: "
                                "the request weights overflow to a non-finite distribution"])
 
-        n_slots = self.horizon_days * cfg.slots_per_cache_period
+        # Per slot two uniforms: a gate against request_probability, then an
+        # inverse-CDF draw from the slot's sub-period distribution.
+        t, h = cfg.slots_per_cache_period, cfg.slots_per_collection
+        n_slots = self.horizon_days * t
         sample_rng = self.rs.derive("request-samples").generator()
-        self._request_uniforms = sample_rng.random((cfg.num_users, n_slots, 2))
-
-    def request_distribution(self, user: int, sub: int) -> np.ndarray:
-        return self._distributions[user, sub]
-
-    def subperiod_of_slot(self, global_slot: int) -> int:
-        t = self.cfg.slots_per_cache_period
-        return (global_slot % t) // self.cfg.slots_per_collection
-
-    def request_at(self, user: int, global_slot: int) -> int | None:
-        gate, u = self._request_uniforms[user, global_slot]
-        if gate >= self.cfg.generators.request_probability:
-            return None
-        p = self._distributions[user, self.subperiod_of_slot(global_slot)]
-        return int(np.searchsorted(np.cumsum(p), u * p.sum()))
-
-    # -- infrastructure ------------------------------------------------------------
-
-    def _build_infrastructure(self) -> None:
-        cfg = self.cfg
-        rng = self.rs.derive("rrh").generator()
-        self.bbu_xy = np.zeros(2)
-        self.rrh_xy = np.array([self._draw_in_disk(rng, cfg.area_radius_m)
-                                for _ in range(cfg.num_rrhs)])
-
-    @property
-    def training_days(self) -> int:
-        return self.cfg.generators.training_weeks * DAYS_PER_WEEK
-
-    @property
-    def first_sim_day(self) -> int:
-        return self.training_days
+        uniforms = sample_rng.random((cfg.num_users, n_slots, 2))
+        cdf = np.cumsum(self.distributions, axis=2)
+        total = self.distributions.sum(axis=2)
+        sub_of_slot = (np.arange(n_slots) % t) // h
+        self.requests = np.full((cfg.num_users, n_slots), -1, dtype=np.intp)
+        for sub in range(self.n_sub):
+            slots = np.flatnonzero(sub_of_slot == sub)
+            level = uniforms[:, slots, 1] * total[:, sub, None]
+            # The left searchsorted of each level in its (nondecreasing) CDF.
+            drawn = np.count_nonzero(cdf[:, sub, None, :] < level[..., None], axis=2)
+            active = uniforms[:, slots, 0] < g.request_probability
+            self.requests[:, slots] = np.where(active, drawn, -1)

@@ -156,13 +156,11 @@ def plan_slots(cfg: ScenarioConfig, world: SyntheticWorld, predictor,
                                         rs.derive("rrh-grouping"))
     clusters = [RrhCluster(id=q, antennas=world.rrh_xy[labels == q])
                 for q in range(cfg.num_rrh_clusters) if np.any(labels == q)]
-    likely = np.array([[np.argmax(predictor.request_distribution(u, sub))
-                        for sub in range(world.n_sub)] for u in range(n_users)],
-                      dtype=int).reshape(n_users, world.n_sub)  # (0, n_sub) without users
+    # The period simulated is the day after the training days.
     plan = PeriodPlan(cfg, world, predictor, rs, n_uavs,
-                      world.first_sim_day * cfg.slots_per_cache_period, clusters,
-                      np.array([world.screen_factor(u) for u in range(n_users)]),
-                      likely, delay_rate_requirement_bits(cfg))
+                      world.training_days * cfg.slots_per_cache_period, clusters,
+                      world.screen_factors, predictor.distributions.argmax(axis=2),
+                      delay_rate_requirement_bits(cfg))
     prev_centroids = None
     for s in range(cfg.slots_per_cache_period):
         pred_xy = predictor.slot_positions(range(n_users), plan.slot0 + s, 1)[:, 0]
@@ -187,13 +185,20 @@ def plan_slots(cfg: ScenarioConfig, world: SyntheticWorld, predictor,
         plan.anchors.append(np.column_stack([centroids, np.full(n_uavs, cfg.min_altitude_m)]))
         plan.midpoints.append(pred_xy)
         plan.fading.append(fading)
-        plan.req_miss.append([
-            delay_rate_requirement_bits(cfg, transfer_s(g2a_fronthaul_bits(
-                plan.anchors[s][k], world.bbu_xy, cfg.pathloss, cfg.bbu_power_w,
-                cfg.rrh_bandwidth_hz, cfg.noise_power_w, cfg.slot_duration_s),
-                cfg.content_size_bits, cfg.slot_duration_s)) if members[k] else None
-            for k in range(n_uavs)])
+        plan.req_miss.append([_cache_miss(cfg, world, plan.anchors[s][k], 1)[1]
+                              if members[k] else None for k in range(n_uavs)])
     return plan
+
+
+def _cache_miss(cfg: ScenarioConfig, world: SyntheticWorld, position: np.ndarray,
+                n_shares: int) -> tuple[float, float]:
+    """A cache miss at ``position``: its fronthaul bits per slot, split ``n_shares`` ways,
+    and the delay-rate requirement (bits/slot) that fetching over that share leaves."""
+    bits = g2a_fronthaul_bits(position, world.bbu_xy, cfg.pathloss, cfg.bbu_power_w,
+                              cfg.rrh_bandwidth_hz, cfg.noise_power_w,
+                              cfg.slot_duration_s) / n_shares
+    return bits, delay_rate_requirement_bits(
+        cfg, transfer_s(bits, cfg.content_size_bits, cfg.slot_duration_s))
 
 
 def select_caches(plan: PeriodPlan) -> list[tuple[int, ...]]:
@@ -210,7 +215,7 @@ def select_caches(plan: PeriodPlan) -> list[tuple[int, ...]]:
                                        cfg.pathloss)
             for u, pl in zip(members, pls):
                 device_req = cfg.device_rate_bps(plan.screen[u], all_contents)
-                prob_rows.append(predictor.request_distribution(u, s // cfg.slots_per_collection))
+                prob_rows.append(predictor.distributions[u, s // cfg.slots_per_collection])
                 # One user at a time: a scalar path loss keeps numpy's scalar power.
                 saving_rows.append(placement.delta_power_saving(
                     float(pl), plan.req_hit, plan.req_miss[s][k], device_req, len(members), cfg))
@@ -282,7 +287,7 @@ def _fixed_placement(plan: PeriodPlan, caches: list[tuple[int, ...]]) -> list[np
 
 
 def _deliver_uav(plan: PeriodPlan, cache: tuple[int, ...], users: list[int], n_served: int,
-                 position: np.ndarray, user_pos: np.ndarray, requests: list[int | None],
+                 position: np.ndarray, user_pos: np.ndarray, requests: list[int],
                  n_fetch: int) -> tuple[list[QoeReport], float]:
     """Price and score one UAV's deliveries to its requesting ``users``, in ascending order.
 
@@ -291,13 +296,10 @@ def _deliver_uav(plan: PeriodPlan, cache: tuple[int, ...], users: list[int], n_s
     """
     cfg = plan.cfg
     hits = [requests[u] in cache for u in users]
-    fronthaul_bits = None if all(hits) else g2a_fronthaul_bits(
-        position, plan.world.bbu_xy, cfg.pathloss, cfg.bbu_power_w,
-        cfg.rrh_bandwidth_hz, cfg.noise_power_w, cfg.slot_duration_s) / max(n_fetch, 1)
-    fetch_s = 0.0 if all(hits) else transfer_s(fronthaul_bits, cfg.content_size_bits,
-                                                cfg.slot_duration_s)
+    fronthaul_bits, req_miss = (None, plan.req_hit) if all(hits) else _cache_miss(
+        cfg, plan.world, position, max(n_fetch, 1))
     targets = qoe_rate_target_bps(
-        np.where(hits, plan.req_hit, delay_rate_requirement_bits(cfg, fetch_s)),
+        np.where(hits, plan.req_hit, req_miss),
         cfg.device_rate_bps(plan.screen[users], [requests[u] for u in users]),
         cfg.slot_duration_s)[:, None]
     pl = uav_user_pathloss_db(position, user_pos, cfg.pathloss)
@@ -334,11 +336,11 @@ def _deliver_slot(plan: PeriodPlan, caches: list[tuple[int, ...]], s: int,
     association, members = plan.association[s], plan.members[s]
     gs = plan.slot0 + s
     true_xy = world.interval_positions(range(n_users), gs, 1)[:, 0]
-    requests = [world.request_at(u, gs) for u in range(n_users)]
+    requests = world.requests[:, gs].tolist()  # -1: idle
 
     user_uav = {u: k for k in range(n_uavs) for u in members[k]}
     n_fetch = len({k for u, k in user_uav.items()
-                   if requests[u] is not None and requests[u] not in caches[k]})
+                   if requests[u] >= 0 and requests[u] not in caches[k]})
 
     # Terrestrial deliveries (admitted sets, true positions, same fading).
     rates_true = _rrh_rates_bits(cfg, world, plan.clusters,
@@ -347,7 +349,7 @@ def _deliver_slot(plan: PeriodPlan, caches: list[tuple[int, ...]], s: int,
     v_fu_bps = cfg.fronthaul_rate_bps / max(association.n_fr, 1)
 
     # Aerial deliveries, UAV by UAV, over one positions array for the slot.
-    requesting = [[u for u in users if requests[u] is not None] for users in members]
+    requesting = [[u for u in users if requests[u] >= 0] for users in members]
     served, rows = _rows_by_uav(requesting)
     if served:
         true_pos = world.interval_positions(served, gs, cfg.intervals_per_slot)
@@ -364,7 +366,7 @@ def _deliver_slot(plan: PeriodPlan, caches: list[tuple[int, ...]], s: int,
     n_requests = n_delivered = n_failures = n_hits = n_uav_deliveries = 0
     for u in range(n_users):
         content = requests[u]
-        if content is None:
+        if content < 0:
             reports.append(dataclasses.replace(_failure_report(u, -1, "idle"), delay_s=0.0))
             continue
         n_requests += 1
@@ -418,7 +420,7 @@ def run_period(cfg: ScenarioConfig, mode: str = "oracle", models=None,
     elif models is None:
         raise ValueError("esn mode needs trained models")
     else:
-        predictor = EsnPredictor(cfg, world, *models, world.first_sim_day)
+        predictor = EsnPredictor(world, *models)
 
     swap = BASELINES.get(baseline, {})
     plan = swap.get("plan_slots", plan_slots)(cfg, world, predictor)

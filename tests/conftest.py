@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from uavcache.channel import mixed_pathloss_db, uav_user_pathloss_db
 from uavcache.config import (DESK_PRESET, ChannelParams, RandomSource, ScenarioConfig,
                              load_config_dict, merge_documents)
+from uavcache.generators import DAY_TYPES, day_type
 from uavcache.placement import PlacementResult, _flatten_positions
 from uavcache.qoe import min_uav_power_w
 
@@ -114,3 +115,90 @@ def place_uav_exhaustive(user_pos, rate_targets_bps, grid_step_m: float,
             best_val = float(totals[idx])
             best_pos = np.array([grid[idx, 0], grid[idx, 1], h])
     return PlacementResult(position=best_pos, objective_w=best_val, evaluations=evals)
+
+
+# -- per-slot references for the synthetic world's tables ----------------------------
+
+
+def reference_requests(world) -> np.ndarray:
+    """The request table drawn slot by slot: a gate, then searchsorted in the CDF."""
+    cfg = world.cfg
+    t, h = cfg.slots_per_cache_period, cfg.slots_per_collection
+    n_slots = world.horizon_days * t
+    uniforms = world.rs.derive("request-samples").generator().random(
+        (cfg.num_users, n_slots, 2))
+    table = np.full((cfg.num_users, n_slots), -1)
+    for user in range(cfg.num_users):
+        for slot in range(n_slots):
+            gate, u = uniforms[user, slot]
+            if gate >= cfg.generators.request_probability:
+                continue
+            p = world.distributions[user, (slot % t) // h]
+            table[user, slot] = int(np.searchsorted(np.cumsum(p), u * p.sum()))
+    return table
+
+
+def reference_context(world, user: int, slot: int) -> np.ndarray:
+    """One slot's context features from scalar sin and cos of the day phase."""
+    t = world.cfg.slots_per_cache_period
+    phase = 2.0 * np.pi * (slot % t) / t
+    prof = world.profiles[user]
+    return np.array([np.sin(phase), np.cos(phase), prof.demo_feature, prof.device_feature])
+
+
+def _reference_draw_in_disk(rng, radius: float) -> np.ndarray:
+    r = radius * np.sqrt(rng.random())
+    theta = rng.random() * 2.0 * np.pi
+    return np.array([r * np.cos(theta), r * np.sin(theta)])
+
+
+def reference_collections(world) -> np.ndarray:
+    """The collected waypoints built one user and one collection at a time.
+
+    Anchors are drawn one point at a time, and every distance is the 1-D
+    ``np.linalg.norm`` of one point.
+    """
+    cfg = world.cfg
+    g = cfg.generators
+    n_sub = world.n_sub
+    anchor_rng = world.rs.derive("anchors").generator()
+    max_step = min(g.speed_max_mps * 3600.0, 2.0 * cfg.area_radius_m)
+    schedules, all_anchors = [], []
+    for _ in range(cfg.num_users):
+        home = _reference_draw_in_disk(anchor_rng, 0.9 * cfg.area_radius_m)
+        anchors = [home]
+        for _ in range(max(1, g.waypoints_per_day - 1) * len(DAY_TYPES)):
+            target = _reference_draw_in_disk(anchor_rng, 0.9 * cfg.area_radius_m)
+            step = target - home
+            dist = np.linalg.norm(step)
+            if dist > max_step:
+                target = home + step / dist * max_step
+            anchors.append(target)
+        per_type = []
+        for dt_idx in range(len(DAY_TYPES)):
+            schedule = np.zeros(n_sub, dtype=int)
+            if g.waypoints_per_day > 1:
+                away = [1 + dt_idx * (g.waypoints_per_day - 1) + w
+                        for w in range(g.waypoints_per_day - 1)]
+                lo, hi = n_sub // 4, max(n_sub // 4 + 1, (3 * n_sub) // 4)
+                block = max(1, (hi - lo) // len(away))
+                for c in range(lo, min(hi, n_sub)):
+                    schedule[c] = away[min((c - lo) // block, len(away) - 1)]
+            per_type.append(schedule)
+        schedules.append(per_type)
+        all_anchors.append(np.array(anchors))
+
+    n_collections = world.horizon_days * n_sub + 1
+    shape = (cfg.num_users, n_collections, 2)
+    noise = world.rs.derive("waypoint-noise").generator().normal(
+        0.0, g.position_noise_m, shape) if g.position_noise_m > 0 else np.zeros(shape)
+    collections = np.empty(shape)
+    for u in range(cfg.num_users):
+        for c in range(n_collections):
+            day = (c * cfg.slots_per_collection) // cfg.slots_per_cache_period
+            pos = all_anchors[u][schedules[u][day_type(day)][c % n_sub]] + noise[u, c]
+            radius = np.linalg.norm(pos)
+            if radius > cfg.area_radius_m:
+                pos = pos * (cfg.area_radius_m / radius)
+            collections[u, c] = pos
+    return collections

@@ -202,10 +202,13 @@ def _raise_channel_error(*args, **kwargs):
     ({}, "out is a file", 2, "cannot use output directory"),
     ({}, "version 1 models", 2, "model format version 1 is not the supported version 2"),
     ({}, "one-dimensional input map", 2, "unreadable model file"),
+    ({}, "undecodable config", 2, "cannot read config file"),
+    ({}, "config is a directory", 2, "cannot read config file"),
 ], ids=["degenerate-reservoir", "memory-exhausted", "washout-vs-samples",
         "washout-vs-drawn-samples", "garbage-model-file", "pattern-count-mismatch",
         "mobility-pattern-count-mismatch", "flat-model-files", "channel-error", "out-is-a-file",
-        "version-1-model-file", "one-dimensional-input-map"])
+        "version-1-model-file", "one-dimensional-input-map", "config-not-utf8",
+        "config-is-a-directory"])
 def test_domain_errors_map_to_exit_codes(tmp_path, capsys, monkeypatch, override, source,
                                          code, message):
     cfg = tmp_path / "cfg.json"
@@ -244,6 +247,11 @@ def test_domain_errors_map_to_exit_codes(tmp_path, capsys, monkeypatch, override
     elif source == "out is a file":
         (tmp_path / "out").write_text("not a directory")
         argv = ["simulate", "--oracle"] + argv
+    elif source == "undecodable config":
+        cfg.write_bytes(b'{"seed": "\xff\xfe"}')
+        argv = ["simulate", "--oracle"] + argv
+    elif source == "config is a directory":
+        argv = ["simulate", "--oracle", "--config", str(tmp_path)] + argv[2:]
     else:
         monkeypatch.setattr(sim, "run_period", _raise_channel_error)
         argv = ["simulate", "--oracle"] + argv
@@ -254,6 +262,8 @@ def test_domain_errors_map_to_exit_codes(tmp_path, capsys, monkeypatch, override
         assert "user000_content.npz" in err
     if source == "out is a file":
         assert str(tmp_path / "out") in err
+    if source in ("undecodable config", "config is a directory"):
+        assert "Traceback" not in err
 
 
 def quiet_main(command: list[str], doc: dict) -> int:

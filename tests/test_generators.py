@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import desk_config
+from conftest import desk_config, reference_collections, reference_context, reference_requests
 from uavcache.generators import SyntheticWorld, day_type, is_work_subperiod
 
 
@@ -15,7 +15,7 @@ def small_world(**overrides) -> SyntheticWorld:
 class TestMobility:
     def test_single_waypoint_zero_noise_is_constant(self):
         world = small_world(generators={"waypoints_per_day": 1, "position_noise_m": 0.0})
-        home = world.collection_position(0, 0)
+        home = world.collections[0, 0]
         for slot in range(0, 48, 5):
             assert np.allclose(world.position_at(0, [slot + 0.3]), home)
 
@@ -68,16 +68,16 @@ class TestRequests:
     def test_degenerate_distribution_always_same_content(self):
         world = small_world(generators={"request_concentration": 60.0,
                                         "work_hour_boost": 1.0, "taste_spread": 0.0})
-        p = world.request_distribution(0, 0)
+        p = world.distributions[0, 0]
         top = int(np.argmax(p))
         assert p[top] > 0.999
         for slot in range(50):
-            assert world.request_at(0, slot) == top
+            assert world.requests[0, slot] == top
 
     def test_empirical_frequencies_match_distribution(self):
         world = small_world(slots_per_cache_period=24, generators={"training_weeks": 4})
         u, sub = 2, 1
-        p = world.request_distribution(u, sub)
+        p = world.distributions[u, sub]
         t, h = world.cfg.slots_per_cache_period, world.cfg.slots_per_collection
         rng = np.random.default_rng(123)
         uniforms = rng.random(10_000)
@@ -96,11 +96,11 @@ class TestRequests:
         n = 0
         for day in range(world.horizon_days):
             for s in range(h):  # sub-period 0 slots only
-                req = world.request_at(u, day * t + s)
-                if req is not None:
+                req = world.requests[u, day * t + s]
+                if req >= 0:
                     counts[req] += 1
                     n += 1
-        tv = 0.5 * np.abs(counts / n - world.request_distribution(u, 0)).sum()
+        tv = 0.5 * np.abs(counts / n - world.distributions[u, 0]).sum()
         assert tv <= 0.2  # limited samples per sub-period
 
     def test_work_contents_peak_in_work_hours(self):
@@ -110,35 +110,36 @@ class TestRequests:
         off_subs = [j for j in range(n_sub) if not is_work_subperiod(j, n_sub)]
         assert work_subs and off_subs
         work_class = world._work_class
-        p_work = world.request_distribution(0, work_subs[0])[work_class].sum()
-        p_off = world.request_distribution(0, off_subs[0])[work_class].sum()
+        p_work = world.distributions[0, work_subs[0]][work_class].sum()
+        p_off = world.distributions[0, off_subs[0]][work_class].sum()
         assert p_work > p_off
 
     def test_distributions_are_normalized(self):
         world = small_world()
         for u in range(world.cfg.num_users):
             for sub in range(world.n_sub):
-                p = world.request_distribution(u, sub)
+                p = world.distributions[u, sub]
                 assert p.sum() == pytest.approx(1.0)
                 assert np.all(p >= 0.0)
 
     def test_request_probability_gates_requests(self):
         world = small_world(generators={"request_probability": 0.0})
-        assert all(world.request_at(0, s) is None for s in range(40))
+        assert all(world.requests[0, s] == -1 for s in range(40))
 
 
 class TestDeterminism:
     def test_same_config_same_world(self):
         a = small_world()
         b = small_world()
-        assert np.array_equal(a._collections, b._collections)
-        assert np.array_equal(a._request_uniforms, b._request_uniforms)
+        assert np.array_equal(a.collections, b.collections)
+        assert np.array_equal(a.distributions, b.distributions)
+        assert np.array_equal(a.requests, b.requests)
         assert np.array_equal(a.rrh_xy, b.rrh_xy)
 
     def test_seed_changes_world(self):
         a = small_world()
         b = small_world(seed=999)
-        assert not np.array_equal(a._collections, b._collections)
+        assert not np.array_equal(a.collections, b.collections)
 
 
 class TestInfrastructure:
@@ -152,4 +153,50 @@ class TestInfrastructure:
     def test_screen_factors_from_catalog(self):
         world = small_world()
         for u in range(world.cfg.num_users):
-            assert world.screen_factor(u) in world.cfg.screen_factors
+            assert world.screen_factors[u] in world.cfg.screen_factors
+
+
+# The tables against the per-slot and per-collection forms they replaced: the
+# tiny and desk scenarios, idle slots (no golden has one) and waypoints pulled
+# back onto the disk edge (no golden has one either).
+TABLE_CASES = {
+    "desk": {},
+    "idle-slots": {"generators": {"request_probability": 0.5}},
+    "clamped-waypoints": {"area_radius_m": 50.0, "generators": {"position_noise_m": 40.0}},
+    "one-waypoint": {"generators": {"waypoints_per_day": 1}},
+    "short-steps": {"generators": {"waypoints_per_day": 4, "speed_max_mps": 0.01}},
+}
+
+
+@pytest.fixture(params=["tiny", *TABLE_CASES])
+def table_world(request, tiny_cfg) -> SyntheticWorld:
+    if request.param == "tiny":
+        return SyntheticWorld(tiny_cfg)
+    return SyntheticWorld(desk_config(**TABLE_CASES[request.param]))
+
+
+class TestTables:
+    def test_requests_equal_the_per_slot_draw(self, table_world):
+        world = table_world
+        assert world.requests.shape == (world.cfg.num_users,
+                                        world.horizon_days * world.cfg.slots_per_cache_period)
+        assert np.array_equal(world.requests, reference_requests(world))
+        idle = world.cfg.generators.request_probability < 1.0
+        assert bool(np.any(world.requests == -1)) == idle
+
+    def test_context_equals_the_per_slot_features(self, table_world):
+        world = table_world
+        slots = np.arange(0, world.requests.shape[1], 5)
+        for user in range(min(3, world.cfg.num_users)):
+            expected = np.array([reference_context(world, user, s) for s in slots])
+            assert np.array_equal(world.context_features(user, slots), expected)
+
+    def test_collections_equal_the_per_collection_build(self, table_world):
+        world = table_world
+        assert np.array_equal(world.collections, reference_collections(world))
+
+    def test_clamped_case_pulls_waypoints_onto_the_edge(self):
+        world = SyntheticWorld(desk_config(**TABLE_CASES["clamped-waypoints"]))
+        radius = np.linalg.norm(world.collections, axis=-1)
+        assert np.sum(np.isclose(radius, world.cfg.area_radius_m, rtol=1e-12)) > 1000
+        assert radius.max() <= world.cfg.area_radius_m * (1 + 1e-12)

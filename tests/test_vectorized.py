@@ -253,8 +253,9 @@ def reference_interval_positions(world, user, global_slot, n_intervals):
     g = global_slot + (np.arange(n_intervals) + 0.5) / n_intervals
     c = (g // h).astype(int)
     frac = ((g - c * h) / h)[:, None]
-    a = np.array([world.collection_position(user, ci) for ci in c])
-    b = np.array([world.collection_position(user, ci + 1) for ci in c])
+    last = world.collections.shape[1] - 1
+    a = world.collections[user, np.minimum(c, last)]
+    b = world.collections[user, np.minimum(c + 1, last)]
     return (1.0 - frac) * a + frac * b
 
 
@@ -262,7 +263,7 @@ def test_world_positions_for_all_users_equal_per_user(tiny_cfg):
     world = SyntheticWorld(tiny_cfg)
     users = list(range(tiny_cfg.num_users))
     last = world.horizon_days * tiny_cfg.slots_per_cache_period + 5  # past the horizon
-    for gs in (0, 2, 3, world.first_sim_day * tiny_cfg.slots_per_cache_period + 7, last):
+    for gs in (0, 2, 3, world.training_days * tiny_cfg.slots_per_cache_period + 7, last):
         for f in (1, 4, tiny_cfg.intervals_per_slot):
             every = world.interval_positions(users, gs, f)
             assert every.shape == (len(users), f, 2)
@@ -282,10 +283,9 @@ def test_esn_positions_for_all_users_equal_per_user():
                       generators={"training_weeks": 2})
     world = SyntheticWorld(cfg)
     users = list(range(cfg.num_users))
-    predictor = EsnPredictor(cfg, world, [train_content_model(cfg, world, u)[0] for u in users],
-                             [train_mobility_model(cfg, world, u)[0] for u in users],
-                             world.first_sim_day)
-    gs0 = world.first_sim_day * cfg.slots_per_cache_period
+    predictor = EsnPredictor(world, [train_content_model(cfg, world, u)[0] for u in users],
+                             [train_mobility_model(cfg, world, u)[0] for u in users])
+    gs0 = world.training_days * cfg.slots_per_cache_period
     for gs in range(gs0, gs0 + cfg.slots_per_cache_period):
         every = predictor.slot_positions(users, gs, cfg.intervals_per_slot)
         for u in users:
