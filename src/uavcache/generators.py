@@ -240,19 +240,15 @@ class SyntheticWorld:
                                "the request weights overflow to a non-finite distribution"])
 
         # Per slot two uniforms: a gate against request_probability, then an
-        # inverse-CDF draw from the slot's sub-period distribution.
-        t, h = cfg.slots_per_cache_period, cfg.slots_per_collection
-        n_slots = self.horizon_days * t
+        # inverse-CDF draw from the slot's sub-period distribution.  One user at
+        # a time, so that no temporary grows with the user count.
+        shape = (self.horizon_days, self.n_sub, cfg.slots_per_collection)  # day, sub-period, slot
         sample_rng = self.rs.derive("request-samples").generator()
-        uniforms = sample_rng.random((cfg.num_users, n_slots, 2))
-        cdf = np.cumsum(self.distributions, axis=2)
-        total = self.distributions.sum(axis=2)
-        sub_of_slot = (np.arange(n_slots) % t) // h
-        self.requests = np.full((cfg.num_users, n_slots), -1, dtype=np.intp)
-        for sub in range(self.n_sub):
-            slots = np.flatnonzero(sub_of_slot == sub)
-            level = uniforms[:, slots, 1] * total[:, sub, None]
-            # The left searchsorted of each level in its (nondecreasing) CDF.
-            drawn = np.count_nonzero(cdf[:, sub, None, :] < level[..., None], axis=2)
-            active = uniforms[:, slots, 0] < g.request_probability
-            self.requests[:, slots] = np.where(active, drawn, -1)
+        self.requests = np.empty((cfg.num_users, *shape), dtype=np.intp)
+        for user, p in enumerate(self.distributions):
+            gate, level = np.moveaxis(sample_rng.random((*shape, 2)), -1, 0)
+            cdf, total = np.cumsum(p, axis=1), p.sum(axis=1)
+            for sub in range(self.n_sub):
+                self.requests[user, :, sub] = np.searchsorted(cdf[sub], level[:, sub] * total[sub])
+            self.requests[user][gate >= g.request_probability] = -1
+        self.requests = self.requests.reshape(cfg.num_users, -1)

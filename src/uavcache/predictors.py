@@ -31,7 +31,8 @@ def content_pattern_data(world: SyntheticWorld, user: int, sub: int,
     t, h = cfg.slots_per_cache_period, cfg.slots_per_collection
     slots = (np.arange(world.training_days)[:, None] * t + sub * h + np.arange(h)).ravel()
     requests = world.requests[user, slots]
-    slots, requests = slots[requests >= 0][-max_len:], requests[requests >= 0][-max_len:]
+    active = requests >= 0
+    slots, requests = slots[active][-max_len:], requests[active][-max_len:]
     targets = np.zeros((len(slots), cfg.num_contents))
     targets[np.arange(len(slots)), requests] = 1.0
     return world.context_features(user, slots), targets

@@ -193,6 +193,8 @@ def _raise_channel_error(*args, **kwargs):
      "esn.washout: must be smaller than the 42 training samples"),
     ({"esn": {"washout": 40}, "generators": {"request_probability": 0.5}}, "train", 2,
      "TooFewSamples: "),
+    ({"generators": {"request_probability": 0.0}}, "train", 2,
+     "TooFewSamples: 0 samples leave none"),
     ({}, "garbage models", 2, "unreadable model file"),
     ({"slots_per_collection": 2}, "trained models", 2,
      "user 0 content model holds 4 patterns, config needs 6"),
@@ -205,7 +207,7 @@ def _raise_channel_error(*args, **kwargs):
     ({}, "undecodable config", 2, "cannot read config file"),
     ({}, "config is a directory", 2, "cannot read config file"),
 ], ids=["degenerate-reservoir", "memory-exhausted", "washout-vs-samples",
-        "washout-vs-drawn-samples", "garbage-model-file", "pattern-count-mismatch",
+        "washout-vs-drawn-samples", "no-requests", "garbage-model-file", "pattern-count-mismatch",
         "mobility-pattern-count-mismatch", "flat-model-files", "channel-error", "out-is-a-file",
         "version-1-model-file", "one-dimensional-input-map", "config-not-utf8",
         "config-is-a-directory"])
