@@ -251,4 +251,5 @@ class SyntheticWorld:
             for sub in range(self.n_sub):
                 self.requests[user, :, sub] = np.searchsorted(cdf[sub], level[:, sub] * total[sub])
             self.requests[user][gate >= g.request_probability] = -1
-        self.requests = self.requests.reshape(cfg.num_users, -1)
+        self.requests = self.requests.reshape(cfg.num_users,
+                                              self.horizon_days * cfg.slots_per_cache_period)
