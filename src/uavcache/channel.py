@@ -13,20 +13,25 @@ Rates are reported as bits per slot: instantaneous rates integrated over the
 slot's intervals (each of duration slot/F), so content delays computed from
 them come out in seconds.
 
-Each quantity is one plain numpy expression, except where the placement
-search spends its time.  It evaluates :func:`_distance_3d`,
-:func:`_los_probability` and :func:`uav_user_pathloss_linear` on every
-(user, interval) point of every candidate position, so these three run their
-ufunc sequence in place on fresh buffers from :func:`_buffer_like`.  They
-never write into their inputs.  The distance and the LoS probability take the
-same steps on the same operands as their plain expressions, so they are bit
-for bit those expressions.  Scalar inputs give scalar results.
+Each quantity is one plain numpy expression, except where the slot pipeline
+spends its time.  The distance, the LoS probability and the dB path loss run
+their ufunc sequence in place on fresh buffers from :func:`_buffer_like`, and
+never write into their inputs.  They take the same steps on the same operands
+as their plain expressions, so they are bit for bit those expressions.  Scalar
+inputs give scalar results.
 
-:func:`uav_user_pathloss_linear`, the placement objective's loss, skips the
-dB round trip, so it is not bit-identical to
+The placement search prices every candidate position with
+:func:`pathloss_linear_into`.  It takes the users' squared x and y offsets
+from the UAV, which ``placement.PlacementPricer`` keeps per coordinate, and
+writes into the caller's buffers.  It runs the distance and LoS steps above
+and then the linear loss, 10**(PL/10) = 10**(L_fs/10) * d**(a_nlos + pr
+(a_los - a_nlos)), with one log and one exp per point.  That skips the dB
+round trip, so it is not bit-identical to
 ``db_to_linear(mixed_pathloss_db(...))`` but agrees with it within a relative
 ``linalg.LINEAR_LOSS_RTOL`` (1e-12).  Delivery and cache selection, whose
-outputs are written out, keep the dB route.
+outputs are written out, keep the dB route and convert each dB loss to linear
+units once: :func:`uav_user_snr` and ``qoe.min_uav_power_w`` take the linear
+loss.
 """
 
 from __future__ import annotations
@@ -109,10 +114,15 @@ def mixed_pathloss_db(dist, altitude, p: ChannelParams):
     dist = np.asarray(dist, dtype=float)
     pr = _los_probability(dist, altitude, p)
     l_fs = free_space_pl_db(p.fs_ref_distance_m, p.carrier_hz)
-    log_d = np.log10(dist)
-    l_los = l_fs + 10.0 * p.exponent_los * log_d
-    l_nlos = l_fs + 10.0 * p.exponent_nlos * log_d
-    return pr * l_los + (1.0 - pr) * l_nlos
+    log_d = np.log10(dist, out=_buffer_like(pr))
+    l_los = np.multiply(log_d, 10.0 * p.exponent_los, out=_buffer_like(pr))
+    np.add(l_los, l_fs, out=l_los)
+    l_nlos = np.multiply(log_d, 10.0 * p.exponent_nlos, out=log_d)
+    np.add(l_nlos, l_fs, out=l_nlos)
+    np.multiply(l_los, pr, out=l_los)  # pr * l_los
+    np.subtract(1.0, pr, out=pr)
+    np.multiply(pr, l_nlos, out=pr)  # (1 - pr) * l_nlos
+    return np.add(l_los, pr, out=pr)[()]
 
 
 def uav_user_pathloss_db(uav_xyz, user_xy, p: ChannelParams):
@@ -121,25 +131,41 @@ def uav_user_pathloss_db(uav_xyz, user_xy, p: ChannelParams):
     return mixed_pathloss_db(_distance_3d(uav_xyz, user_xy), uav_xyz[2], p)
 
 
-def uav_user_pathloss_linear(uav_xyz, user_xy, p: ChannelParams):
-    """Average access-link path loss in linear units, ``10 ** (PL / 10)``.
+def pathloss_linear_into(sq_x, sq_y, altitude, p: ChannelParams, dist: np.ndarray,
+                         out: np.ndarray) -> np.ndarray:
+    """Average access-link path loss in linear units, ``10 ** (PL / 10)``, into ``out``.
 
+    ``sq_x`` and ``sq_y`` hold the users' squared x and y offsets from a UAV
+    at height ``altitude`` (a numpy float); ``dist`` is a work buffer of their
+    shape.  The steps are those of :func:`_distance_3d` and
+    :func:`_los_probability`, except that the zero-distance scan runs only
+    when ``altitude ** 2`` is 0: every distance is at least its square root.
     The LoS-weighted mixture of two log-distance laws is one power of the
-    distance, 10**(PL/10) = 10**(L_fs/10) * d**(a_nlos + pr (a_los - a_nlos)),
-    so it costs one log and one exp per point.  It agrees with
-    ``db_to_linear(uav_user_pathloss_db(...))`` within
-    ``linalg.LINEAR_LOSS_RTOL``, not bit for bit.
+    distance, so the loss costs one log and one exp per point.
     """
-    uav_xyz = np.asarray(uav_xyz, dtype=float)
-    dist = _distance_3d(uav_xyz, user_xy)
-    exponent = _los_probability(dist, uav_xyz[2], p)
+    np.add(sq_x, sq_y, out=dist)
+    z2 = altitude ** 2
+    np.add(dist, z2, out=dist)
+    np.sqrt(dist, out=dist)
+    if z2 == 0.0 and (dist <= 0.0).any():
+        raise ChannelError("zero distance between transmitter and receiver")
+    pr = np.divide(altitude, dist, out=out)
+    pr.clip(-1.0, 1.0, out=pr)
+    np.arcsin(pr, out=pr)
+    np.multiply(pr, RAD_TO_DEG, out=pr)
+    np.subtract(pr, p.env_x, out=pr)
+    np.multiply(pr, -p.env_y, out=pr)
+    np.exp(pr, out=pr)
+    np.multiply(pr, p.env_x, out=pr)
+    np.add(pr, 1.0, out=pr)
+    exponent = np.divide(1.0, pr, out=pr)
     np.multiply(exponent, p.exponent_los - p.exponent_nlos, out=exponent)
     np.add(exponent, p.exponent_nlos, out=exponent)
     np.log(dist, out=dist)
     np.multiply(exponent, dist, out=exponent)
     np.exp(exponent, out=exponent)
     l_fs = free_space_pl_db(p.fs_ref_distance_m, p.carrier_hz)
-    return np.multiply(exponent, 10.0 ** (l_fs / 10.0), out=exponent)[()]
+    return np.multiply(exponent, 10.0 ** (l_fs / 10.0), out=exponent)
 
 
 def db_to_linear(db):
@@ -151,8 +177,9 @@ def db_to_linear(db):
     return 10.0 ** (np.asarray(db, dtype=float) / 10.0)
 
 
-def uav_user_snr(power_w, pathloss_db, noise_w: float):
-    return np.asarray(power_w) / (db_to_linear(pathloss_db) * noise_w)
+def uav_user_snr(power_w, loss_linear, noise_w: float):
+    """SNR of a transmit power over a linear path loss (``db_to_linear`` of the dB loss)."""
+    return np.asarray(power_w) / (loss_linear * noise_w)
 
 
 def link_rates_bps(sinr, bandwidth_hz: float, n_served: int = 1):
@@ -162,10 +189,16 @@ def link_rates_bps(sinr, bandwidth_hz: float, n_served: int = 1):
     return (bandwidth_hz / n_served) * np.log2(1.0 + np.asarray(sinr, dtype=float))
 
 
-def slot_capacity_bits(rates_bps, slot_duration_s: float) -> float:
-    """Bits deliverable over one slot at the given per-interval rates."""
+def slot_capacity_bits(rates_bps, slot_duration_s: float):
+    """Bits deliverable over one slot at the given per-interval rates.
+
+    The intervals run along the last axis: 1-D rates give a float, and a
+    (users, intervals) array gives one capacity per row, each bit for bit
+    its row's 1-D capacity.
+    """
     rates = np.atleast_1d(np.asarray(rates_bps, dtype=float))
-    return float(rates.sum() * slot_duration_s / rates.shape[0])
+    bits = rates.sum(axis=-1) * slot_duration_s / rates.shape[-1]
+    return float(bits) if bits.ndim == 0 else bits
 
 
 def g2a_gain(uav_xyz, bbu_xy, p: ChannelParams):

@@ -7,7 +7,8 @@ UAV per cluster.  Cache contents are chosen once per period to maximize the
 expected transmit-power saving, and each UAV's position minimizes the summed
 minimum transmit power toward its users.  :func:`place_uav` picks the method:
 a weighted-centroid closed form where it is valid (the low/high altitude
-regimes), 3 m coordinate descent elsewhere.
+regimes), 3 m coordinate descent elsewhere.  The descent prices its
+candidates with one :class:`PlacementPricer` per search.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import uav_user_pathloss_linear
+from .channel import pathloss_linear_into
 from .config import ChannelParams, RandomSource, RrhCluster, ScenarioConfig
 from .qoe import (delay_rate_requirement_bits, min_uav_power_w, power_per_loss_w,
                   qoe_rate_target_bps)
@@ -44,18 +45,19 @@ class PlacementResult:
     evaluations: int
 
 
-def rrh_rate_threshold_bits(n_fr: int, device_req_bps, cfg: ScenarioConfig):
+def rrh_rate_threshold_bits(n_fr: int, device_req_bps, cfg: ScenarioConfig, bound_s: float):
     """Per-slot rate floor for terrestrial admission when n_fr users share v_F.
 
-    Returns inf when the shared fronthaul alone blows the delay budget.
+    ``bound_s`` is ``qoe.delay_lower_bound_s``.  Returns inf when the shared
+    fronthaul alone blows the delay budget.
     """
     wired_s = cfg.content_size_bits * n_fr / cfg.fronthaul_rate_bps
-    return np.maximum(delay_rate_requirement_bits(cfg, wired_s),
+    return np.maximum(delay_rate_requirement_bits(cfg, bound_s, wired_s),
                       np.asarray(device_req_bps, dtype=float) * cfg.slot_duration_s)
 
 
 def associate_rrh(rates_bits, user_xy, device_req_bps, clusters: list[RrhCluster],
-                  cfg: ScenarioConfig) -> AssociationPlan:
+                  cfg: ScenarioConfig, bound_s: float) -> AssociationPlan:
     """Admit the largest user set whose rates all clear the shared-fronthaul threshold.
 
     Candidates are ranked by predicted rate (ties by id) and placed on the
@@ -70,7 +72,7 @@ def associate_rrh(rates_bits, user_xy, device_req_bps, clusters: list[RrhCluster
     centroids = [c.antennas.mean(axis=0) for c in clusters]
 
     for m in range(min(n_users, total_antennas), 0, -1):
-        thresholds = rrh_rate_threshold_bits(m, device_req_bps, cfg)
+        thresholds = rrh_rate_threshold_bits(m, device_req_bps, cfg, bound_s)
         chosen: dict[int, int] = {}
         capacity = [c.n_antennas for c in clusters]
         for i in order:
@@ -138,18 +140,19 @@ def cluster_users(xy, k: int, rs: RandomSource | None = None,
     return labels, centroids
 
 
-def delta_power_saving(pathloss_db, delay_req_cached_bits: float,
+def delta_power_saving(loss_linear, delay_req_cached_bits: float,
                        delay_req_uncached_bits: float, device_req_bps, n_served: int,
                        cfg: ScenarioConfig):
-    """Per-interval power saved by caching one content for one user.
+    """Per-interval power saved by caching a content, over a linear path loss.
 
     An inf uncached requirement (the fronthaul leg leaves no delay budget)
-    prices the uncached route at the cap.  Vectorized over path loss and
-    device requirement.
+    prices the uncached route at the cap.  Vectorized over loss and device
+    requirement: a (users, 1) loss against (users, contents) requirements
+    gives one row per user.
     """
     dt = cfg.slot_duration_s
     p_cached, p_uncached = (
-        min_uav_power_w(pathloss_db, qoe_rate_target_bps(req, device_req_bps, dt), n_served,
+        min_uav_power_w(loss_linear, qoe_rate_target_bps(req, device_req_bps, dt), n_served,
                         cfg.uav_bandwidth_hz, cfg.noise_power_w)
         for req in (delay_req_cached_bits, delay_req_uncached_bits))
     # Powers saturate at the cap: an infeasible or over-cap route spends P_max.
@@ -185,19 +188,58 @@ def _flatten_positions(user_pos) -> tuple[np.ndarray, int]:
     return pos, pos.shape[1]
 
 
-def placement_objective(xyz, user_pos, rate_targets_bps, n_served: int,
-                        p: ChannelParams, bandwidth_hz: float, noise_w: float) -> float:
-    """Summed per-interval minimum power for one UAV position.
+# Squared-offset planes a pricer keeps per axis.  The search moves one axis at
+# a time by one step, so the current coordinate and its two neighbours cover
+# every candidate.
+OFFSET_WINDOW = 3
 
-    Priced in linear units, sum_u (2**(r_u n / B) - 1) N0 sum_f loss[u, f]:
-    within ``linalg.LINEAR_LOSS_RTOL`` of summing ``min_uav_power_w`` over the
-    dB path losses, not bit for bit.  Searches only compare its values.
+
+class PlacementPricer:
+    """The placement objective of one user set, priced at one UAV position per call.
+
+    The objective is the summed per-interval minimum power,
+    sum_u (2**(r_u n / B) - 1) N0 sum_f loss[u, f], in linear units: within
+    ``linalg.LINEAR_LOSS_RTOL`` of summing ``min_uav_power_w`` over the dB
+    path losses, not bit for bit.  Searches only compare its values.
+
+    Everything that depends only on the users is done once: the price
+    vector, the contiguous x and y planes and the output buffers.  The
+    squared offsets of the last :data:`OFFSET_WINDOW` coordinates per axis
+    are kept in :attr:`offsets`; a new coordinate replaces the one farthest
+    from it.  Each call runs the same ufunc sequence on the same operands as
+    pricing the position from scratch, so it returns the same bits.
     """
-    pos, _ = _flatten_positions(user_pos)
-    scale = power_per_loss_w(rate_targets_bps, n_served, bandwidth_hz, noise_w)
-    with np.errstate(over="ignore"):  # a loss or price past the float range is inf
-        loss = uav_user_pathloss_linear(xyz, pos, p)
-        return float(loss.sum(axis=1) @ scale)
+
+    def __init__(self, user_pos, rate_targets_bps, n_served: int, p: ChannelParams,
+                 bandwidth_hz: float, noise_w: float):
+        pos, _ = _flatten_positions(user_pos)
+        self.planes = (np.ascontiguousarray(pos[..., 0]), np.ascontiguousarray(pos[..., 1]))
+        self.price = power_per_loss_w(rate_targets_bps, n_served, bandwidth_hz, noise_w)
+        self.p = p
+        self.offsets: tuple[dict[float, np.ndarray], ...] = ({}, {})
+        self._dist = np.empty_like(self.planes[0])
+        self._loss = np.empty_like(self.planes[0])
+
+    def _squared_offsets(self, axis: int, coord: float) -> np.ndarray:
+        cache = self.offsets[axis]
+        sq = cache.get(coord)
+        if sq is None:
+            if len(cache) < OFFSET_WINDOW:
+                sq = np.empty_like(self._dist)
+            else:
+                sq = cache.pop(max(cache, key=lambda c: abs(c - coord)))
+            np.subtract(self.planes[axis], coord, out=sq)
+            np.multiply(sq, sq, out=sq)
+            cache[coord] = sq
+        return sq
+
+    def __call__(self, xyz) -> float:
+        xyz = np.asarray(xyz, dtype=float)
+        with np.errstate(over="ignore"):  # a loss or price past the float range is inf
+            loss = pathloss_linear_into(
+                self._squared_offsets(0, float(xyz[0])), self._squared_offsets(1, float(xyz[1])),
+                xyz[2], self.p, self._dist, self._loss)
+            return float(loss.sum(axis=1) @ self.price)
 
 
 def place_uav_closed_form(user_pos, rate_targets_bps, n_served: int,
@@ -230,8 +272,14 @@ def closed_form_regime(altitude_m: float, user_pos) -> str | None:
     """
     pos, _ = _flatten_positions(user_pos)
     flat = pos.reshape(-1, 2)
-    center = flat.mean(axis=0)
-    span = float(np.max(np.linalg.norm(flat - center, axis=1))) * 2.0
+    dx, dy = np.array(flat[:, 0]), np.array(flat[:, 1])
+    for d in (dx, dy):
+        # A cumulative sum adds in the order of flat.mean(axis=0), so the
+        # centre is that mean bit for bit; a 1-D sum would add pairwise.
+        d -= np.cumsum(d)[-1] / d.size
+        d *= d
+    # The largest squared radius, then one sqrt: the bits of the largest norm.
+    span = float(np.sqrt(np.max(np.add(dx, dy, out=dx)))) * 2.0
     if span <= 0.0:
         return "high"
     h2, s2 = altitude_m ** 2, span ** 2
@@ -252,17 +300,17 @@ def place_uav_local_search(user_pos, rate_targets_bps, init_xyz, n_served: int,
     x, then y, then altitude (floored), so the search is deterministic.  The
     objective at each exact position is computed once per search (a move and
     its reverse often land on a point already seen); every candidate still
-    counts as an evaluation.
+    counts as an evaluation.  One :class:`PlacementPricer` prices them all.
     """
     pos = np.asarray(init_xyz, dtype=float).copy()
     pos[2] = max(pos[2], min_altitude_m)
+    price = PlacementPricer(user_pos, rate_targets_bps, n_served, p, bandwidth_hz, noise_w)
     seen: dict[bytes, float] = {}
 
     def objective(xyz):
         key = xyz.tobytes()
         if key not in seen:
-            seen[key] = placement_objective(xyz, user_pos, rate_targets_bps, n_served,
-                                            p, bandwidth_hz, noise_w)
+            seen[key] = price(xyz)
         return seen[key]
 
     best = objective(pos)

@@ -95,32 +95,41 @@ def max_access_rate_bits(cfg: ScenarioConfig) -> float:
     best_pl_db = (free_space_pl_db(p.fs_ref_distance_m, p.carrier_hz)
                   + 10.0 * p.exponent_los * math.log10(cfg.min_altitude_m)
                   - 4.0 * p.shadow_std_los_db)
-    snr = uav_user_snr(cfg.uav_max_power_w, best_pl_db, cfg.noise_power_w)
+    snr = uav_user_snr(cfg.uav_max_power_w, db_to_linear(best_pl_db), cfg.noise_power_w)
     return slot_capacity_bits(link_rates_bps(snr, cfg.uav_bandwidth_hz), cfg.slot_duration_s)
 
 
 def delay_lower_bound_s(cfg: ScenarioConfig) -> float:
-    """No delivery can beat both the wired fronthaul and the peak access link."""
+    """No delivery can beat both the wired fronthaul and the peak access link.
+
+    It depends on the config alone: a run computes it once per period and
+    hands it to :func:`delay_score` and :func:`delay_rate_requirement_bits`.
+    """
     wired = cfg.content_size_bits / cfg.fronthaul_rate_bps
     access = transfer_s(max_access_rate_bits(cfg), cfg.content_size_bits, cfg.slot_duration_s)
     return min(wired, access)
 
 
-def delay_score(value_s: float, cfg: ScenarioConfig) -> float:
-    """Linear map from delay to [0, 1]: 1 at the lower bound, 0 at the slot length.
+def delay_score(value_s: float, cfg: ScenarioConfig, bound_s: float) -> float:
+    """Linear map from delay to [0, 1]: 1 at the lower bound ``bound_s``, 0 at the slot length.
 
     Deliveries slower than one slot count as failures and score 0.
     """
     if value_s > cfg.slot_duration_s:
         return 0.0
-    bound = delay_lower_bound_s(cfg)
-    score = (cfg.slot_duration_s - value_s) / (cfg.slot_duration_s - bound)
+    score = (cfg.slot_duration_s - value_s) / (cfg.slot_duration_s - bound_s)
     return float(np.clip(score, 0.0, 1.0))
 
 
-def device_score(rates_bps, required_bps: float) -> float:
-    """Fraction of intervals whose rate meets the device's rate floor."""
-    return float(np.mean(np.asarray(rates_bps, dtype=float) >= required_bps))
+def device_score(rates_bps, required_bps):
+    """Fraction of intervals whose rate meets the device's rate floor.
+
+    The intervals run along the last axis: 1-D rates give a float, and
+    (users, intervals) rates with (users, 1) floors give one fraction per row.
+    """
+    met = np.atleast_1d(np.asarray(rates_bps, dtype=float) >= required_bps)
+    frac = met.mean(axis=-1)
+    return float(frac) if frac.ndim == 0 else frac
 
 
 def mos_label(qoe: float) -> str:
@@ -136,15 +145,16 @@ def qoe_score(delay_score_value: float, device_score_value: float, weight_delay:
     return float(q), mos_label(q)
 
 
-def delay_rate_requirement_bits(cfg: ScenarioConfig, fronthaul_s: float = 0.0) -> float:
+def delay_rate_requirement_bits(cfg: ScenarioConfig, bound_s: float,
+                                fronthaul_s: float = 0.0) -> float:
     """Access rate (bits/slot) at which the delay score reaches its target.
 
-    ``fronthaul_s`` is the time the route's fronthaul leg takes (0 for a cache
+    ``bound_s`` is :func:`delay_lower_bound_s`, and ``fronthaul_s`` is the time the route's fronthaul leg takes (0 for a cache
     hit); it eats into the delay budget, so caching strictly lowers the
     requirement.  When the leg leaves no budget the requirement is inf.
     """
     dt = cfg.slot_duration_s
-    budget_s = dt - cfg.mos_min * (dt - delay_lower_bound_s(cfg)) - fronthaul_s
+    budget_s = dt - cfg.mos_min * (dt - bound_s) - fronthaul_s
     if budget_s <= 0.0:
         return math.inf
     return cfg.content_size_bits * dt / budget_s
@@ -168,13 +178,13 @@ def power_per_loss_w(rate_target_bps, n_served: int, bandwidth_hz: float, noise_
         return (np.exp2(rate * n_served / bandwidth_hz) - 1.0) * noise_w
 
 
-def min_uav_power_w(pathloss_db, rate_target_bps, n_served: int,
+def min_uav_power_w(loss_linear, rate_target_bps, n_served: int,
                     bandwidth_hz: float, noise_w: float):
     """Transmit power making the shared-band rate hit the target exactly.
 
-    Vectorized over path loss and rate target; feasibility against the power
-    cap is the caller's concern (values are returned unclamped).
+    ``loss_linear`` is the path loss in linear units (``db_to_linear`` of the
+    dB loss).  Vectorized over loss and rate target; feasibility against the
+    power cap is the caller's concern (values are returned unclamped).
     """
     with np.errstate(over="ignore"):  # unreachable targets price at infinity
-        return (power_per_loss_w(rate_target_bps, n_served, bandwidth_hz, noise_w)
-                * db_to_linear(pathloss_db))
+        return power_per_loss_w(rate_target_bps, n_served, bandwidth_hz, noise_w) * loss_linear

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import placement
-from .channel import (g2a_fronthaul_bits, link_rates_bps, slot_capacity_bits,
+from .channel import (db_to_linear, g2a_fronthaul_bits, link_rates_bps, slot_capacity_bits,
                       uav_user_pathloss_db, uav_user_snr, zfbf_sinr)
 from .config import ConfigError, RandomSource, RrhCluster, ScenarioConfig, validate
 from .generators import SyntheticWorld
@@ -134,6 +134,7 @@ class PeriodPlan:
     clusters: list[RrhCluster]
     screen: np.ndarray  # (U,) screen factor per user
     likely: np.ndarray  # (U, n_sub) each user's most likely content per sub-period
+    bound_s: float  # qoe.delay_lower_bound_s, which depends on the config alone
     req_hit: float  # a cache hit's delay-rate requirement (bits/slot)
     association: list[placement.AssociationPlan] = field(default_factory=list)
     members: list[list[list[int]]] = field(default_factory=list)  # each UAV's users, ascending
@@ -157,10 +158,11 @@ def plan_slots(cfg: ScenarioConfig, world: SyntheticWorld, predictor,
     clusters = [RrhCluster(id=q, antennas=world.rrh_xy[labels == q])
                 for q in range(cfg.num_rrh_clusters) if np.any(labels == q)]
     # The period simulated is the day after the training days.
+    bound_s = delay_lower_bound_s(cfg)
     plan = PeriodPlan(cfg, world, predictor, rs, n_uavs,
                       world.training_days * cfg.slots_per_cache_period, clusters,
                       world.screen_factors, predictor.distributions.argmax(axis=2),
-                      delay_rate_requirement_bits(cfg))
+                      bound_s, delay_rate_requirement_bits(cfg, bound_s))
     prev_centroids = None
     for s in range(cfg.slots_per_cache_period):
         pred_xy = predictor.slot_positions(range(n_users), plan.slot0 + s, 1)[:, 0]
@@ -169,7 +171,7 @@ def plan_slots(cfg: ScenarioConfig, world: SyntheticWorld, predictor,
                                 pred_xy, fading, n_uavs > 0)
         likely = plan.likely[:, s // cfg.slots_per_collection]
         association = placement.associate_rrh(
-            rates, pred_xy, cfg.device_rate_bps(plan.screen, likely), clusters, cfg)
+            rates, pred_xy, cfg.device_rate_bps(plan.screen, likely), clusters, cfg, bound_s)
         pool = association.uav_pool
         if n_uavs and pool:
             pool_labels, centroids = placement.cluster_users(
@@ -185,20 +187,20 @@ def plan_slots(cfg: ScenarioConfig, world: SyntheticWorld, predictor,
         plan.anchors.append(np.column_stack([centroids, np.full(n_uavs, cfg.min_altitude_m)]))
         plan.midpoints.append(pred_xy)
         plan.fading.append(fading)
-        plan.req_miss.append([_cache_miss(cfg, world, plan.anchors[s][k], 1)[1]
+        plan.req_miss.append([_cache_miss(plan, plan.anchors[s][k], 1)[1]
                               if members[k] else None for k in range(n_uavs)])
     return plan
 
 
-def _cache_miss(cfg: ScenarioConfig, world: SyntheticWorld, position: np.ndarray,
-                n_shares: int) -> tuple[float, float]:
+def _cache_miss(plan: PeriodPlan, position: np.ndarray, n_shares: int) -> tuple[float, float]:
     """A cache miss at ``position``: its fronthaul bits per slot, split ``n_shares`` ways,
     and the delay-rate requirement (bits/slot) that fetching over that share leaves."""
-    bits = g2a_fronthaul_bits(position, world.bbu_xy, cfg.pathloss, cfg.bbu_power_w,
+    cfg = plan.cfg
+    bits = g2a_fronthaul_bits(position, plan.world.bbu_xy, cfg.pathloss, cfg.bbu_power_w,
                               cfg.rrh_bandwidth_hz, cfg.noise_power_w,
                               cfg.slot_duration_s) / n_shares
     return bits, delay_rate_requirement_bits(
-        cfg, transfer_s(bits, cfg.content_size_bits, cfg.slot_duration_s))
+        cfg, plan.bound_s, transfer_s(bits, cfg.content_size_bits, cfg.slot_duration_s))
 
 
 def select_caches(plan: PeriodPlan) -> list[tuple[int, ...]]:
@@ -213,13 +215,13 @@ def select_caches(plan: PeriodPlan) -> list[tuple[int, ...]]:
                 continue
             pls = uav_user_pathloss_db(plan.anchors[s][k], plan.midpoints[s][members],
                                        cfg.pathloss)
-            for u, pl in zip(members, pls):
-                device_req = cfg.device_rate_bps(plan.screen[u], all_contents)
-                prob_rows.append(predictor.distributions[u, s // cfg.slots_per_collection])
-                # One user at a time: a scalar path loss keeps numpy's scalar power.
-                saving_rows.append(placement.delta_power_saving(
-                    float(pl), plan.req_hit, plan.req_miss[s][k], device_req, len(members), cfg))
-        caches.append(placement.select_cache(np.array(prob_rows), np.array(saving_rows),
+            # One user at a time: a scalar path loss keeps numpy's scalar power.
+            loss = np.array([db_to_linear(pl) for pl in pls.tolist()])[:, None]
+            device_req = cfg.device_rate_bps(plan.screen[members][:, None], all_contents)
+            prob_rows.append(predictor.distributions[members, s // cfg.slots_per_collection])
+            saving_rows.append(placement.delta_power_saving(
+                loss, plan.req_hit, plan.req_miss[s][k], device_req, len(members), cfg))
+        caches.append(placement.select_cache(np.vstack(prob_rows), np.vstack(saving_rows),
                                              cfg.cache_size) if prob_rows else ())
     return caches
 
@@ -291,47 +293,48 @@ def _deliver_uav(plan: PeriodPlan, cache: tuple[int, ...], users: list[int], n_s
                  n_fetch: int) -> tuple[list[QoeReport], float]:
     """Price and score one UAV's deliveries to its requesting ``users``, in ascending order.
 
-    ``user_pos`` holds their true interval positions.  Returns one report per
-    user and the UAV's power, summed one user at a time in that order.
+    ``user_pos`` holds their true interval positions.  Every per-user
+    quantity is a row reduction over the (users, intervals) arrays.  Returns
+    one report per user and the UAV's power, summed one user at a time in
+    that order.
     """
     cfg = plan.cfg
-    hits = [requests[u] in cache for u in users]
+    contents = [requests[u] for u in users]
+    hits = [c in cache for c in contents]
     fronthaul_bits, req_miss = (None, plan.req_hit) if all(hits) else _cache_miss(
-        cfg, plan.world, position, max(n_fetch, 1))
-    targets = qoe_rate_target_bps(
-        np.where(hits, plan.req_hit, req_miss),
-        cfg.device_rate_bps(plan.screen[users], [requests[u] for u in users]),
-        cfg.slot_duration_s)[:, None]
-    pl = uav_user_pathloss_db(position, user_pos, cfg.pathloss)
-    power = min_uav_power_w(pl, targets, n_served, cfg.uav_bandwidth_hz, cfg.noise_power_w)
-    feasible = np.all(power <= cfg.uav_max_power_w, axis=1)
+        plan, position, max(n_fetch, 1))
+    device_req = cfg.device_rate_bps(plan.screen[users], contents)
+    targets = qoe_rate_target_bps(np.where(hits, plan.req_hit, req_miss), device_req,
+                                  cfg.slot_duration_s)[:, None]
+    loss = db_to_linear(uav_user_pathloss_db(position, user_pos, cfg.pathloss))
+    power = min_uav_power_w(loss, targets, n_served, cfg.uav_bandwidth_hz, cfg.noise_power_w)
+    feasible = np.all(power <= cfg.uav_max_power_w, axis=1).tolist()
     tx_power = np.minimum(power, cfg.uav_max_power_w, out=power)
-    rates_bps = link_rates_bps(uav_user_snr(tx_power, pl, cfg.noise_power_w),
+    rates_bps = link_rates_bps(uav_user_snr(tx_power, loss, cfg.noise_power_w),
                                cfg.uav_bandwidth_hz, n_served)
+    capacity = slot_capacity_bits(rates_bps, cfg.slot_duration_s).tolist()
+    device_frac = device_score(rates_bps, device_req[:, None]).tolist()
+    power_w = tx_power.mean(axis=1).tolist()
     reports, total_w = [], 0.0
-    for u, hit, rates, user_power, ok in zip(users, hits, rates_bps, tx_power, feasible):
-        path = DeliveryPath(LINK_UAV_CACHE if hit else LINK_UAV_FRONTHAUL,
-                            slot_capacity_bits(rates, cfg.slot_duration_s),
+    for i, (u, content, hit) in enumerate(zip(users, contents, hits)):
+        path = DeliveryPath(LINK_UAV_CACHE if hit else LINK_UAV_FRONTHAUL, capacity[i],
                             None if hit else fronthaul_bits)
-        power_w = float(user_power.mean())
-        reports.append(_score(cfg, u, requests[u], path, rates,
-                              cfg.device_rate_bps(plan.screen[u], requests[u]),
-                              power_w=power_w, cache_hit=hit, feasible=bool(ok)))
-        total_w += power_w
+        reports.append(_score(plan, u, content, path, device_frac[i], power_w=power_w[i],
+                              cache_hit=hit, feasible=feasible[i]))
+        total_w += power_w[i]
     return reports, total_w
 
 
 def deliver(plan: PeriodPlan, caches: list[tuple[int, ...]],
             positions_per_slot: list[np.ndarray]) -> list[SlotLog]:
     """Stage 4: serve each slot's true requests at true positions and score them."""
-    bound_s = delay_lower_bound_s(plan.cfg)
     # One call per slot frees a slot's link arrays before the next are built.
-    return [_deliver_slot(plan, caches, s, positions, bound_s)
+    return [_deliver_slot(plan, caches, s, positions)
             for s, positions in enumerate(positions_per_slot)]
 
 
 def _deliver_slot(plan: PeriodPlan, caches: list[tuple[int, ...]], s: int,
-                  positions: np.ndarray, bound_s: float) -> SlotLog:
+                  positions: np.ndarray) -> SlotLog:
     cfg, world, n_uavs, n_users = plan.cfg, plan.world, plan.n_uavs, plan.cfg.num_users
     association, members = plan.association[s], plan.members[s]
     gs = plan.slot0 + s
@@ -372,8 +375,9 @@ def _deliver_slot(plan: PeriodPlan, caches: list[tuple[int, ...]], s: int,
         n_requests += 1
         if u in association.rrh_users:
             path = DeliveryPath(LINK_RRH, rates_true[u], v_fu_bps * cfg.slot_duration_s)
-            report = _score(cfg, u, content, path, rates_true[u] / cfg.slot_duration_s,
-                            cfg.device_rate_bps(plan.screen[u], content))
+            report = _score(plan, u, content, path,
+                            device_score(rates_true[u] / cfg.slot_duration_s,
+                                         cfg.device_rate_bps(plan.screen[u], content)))
         elif u not in user_uav:
             report = _failure_report(u, content, "unserved")
         else:
@@ -391,9 +395,9 @@ def _deliver_slot(plan: PeriodPlan, caches: list[tuple[int, ...]], s: int,
     log.reconcile()
     # Delivered contents can never beat the system delay bound.
     for r in reports:
-        if r.delivered and r.delay_s < bound_s:
+        if r.delivered and r.delay_s < plan.bound_s:
             raise SimInvariantError(
-                f"slot {s}: user {r.user} delay {r.delay_s} below bound {bound_s}")
+                f"slot {s}: user {r.user} delay {r.delay_s} below bound {plan.bound_s}")
     return log
 
 
@@ -427,7 +431,7 @@ def run_period(cfg: ScenarioConfig, mode: str = "oracle", models=None,
     caches = swap.get("select_caches", select_caches)(plan)
     positions = swap.get("place_uavs", place_uavs)(plan, caches)
     logs = swap.get("deliver", deliver)(plan, caches, positions)
-    return logs, _summarize(cfg, logs, mode, baseline, predictor, plan.n_uavs)
+    return logs, _summarize(plan, logs, mode, baseline)
 
 
 def _failure_report(user: int, content: int, link: str, power_w: float = 0.0,
@@ -438,16 +442,16 @@ def _failure_report(user: int, content: int, link: str, power_w: float = 0.0,
                      power_w=power_w, cache_hit=cache_hit, power_feasible=True)
 
 
-def _score(cfg: ScenarioConfig, user: int, content: int, path: DeliveryPath, rates_bps,
-           device_req: float, power_w: float = 0.0, cache_hit: bool = False,
-           feasible: bool = True) -> QoeReport:
-    """Score one delivery over ``path`` at the per-interval access rates ``rates_bps``."""
+def _score(plan: PeriodPlan, user: int, content: int, path: DeliveryPath, device_frac: float,
+           power_w: float = 0.0, cache_hit: bool = False, feasible: bool = True) -> QoeReport:
+    """Score one delivery over ``path`` whose access rates met the device floor in
+    ``device_frac`` of the intervals."""
+    cfg = plan.cfg
     delay = delay_s(path, cfg.content_size_bits, cfg.slot_duration_s)
     if delay > cfg.slot_duration_s:
         report = _failure_report(user, content, path.kind, power_w=power_w, cache_hit=cache_hit)
         return dataclasses.replace(report, delay_s=delay, power_feasible=feasible)
-    d_score = delay_score(delay, cfg)
-    device_frac = device_score(rates_bps, device_req)
+    d_score = delay_score(delay, cfg, plan.bound_s)
     q, label = qoe_score(d_score, device_frac, cfg.qoe_weight_delay, cfg.qoe_weight_device)
     return QoeReport(user=user, content=content, link=path.kind, delay_s=delay,
                      delay_score=d_score, device_score_frac=device_frac, qoe=q,
@@ -455,7 +459,8 @@ def _score(cfg: ScenarioConfig, user: int, content: int, path: DeliveryPath, rat
                      power_w=power_w, cache_hit=cache_hit, power_feasible=feasible)
 
 
-def _summarize(cfg, logs, mode, baseline, predictor, n_uavs) -> dict:
+def _summarize(plan: PeriodPlan, logs, mode, baseline) -> dict:
+    cfg, n_uavs = plan.cfg, plan.n_uavs
     total_power = float(sum(log.uav_power_w.sum() for log in logs))
     requests = sum(log.requests for log in logs)
     satisfied = sum(1 for log in logs for r in log.reports if r.satisfied)
@@ -484,9 +489,9 @@ def _summarize(cfg, logs, mode, baseline, predictor, n_uavs) -> dict:
         "power_cap_violations": infeasible,
         "avg_altitude_m": float(np.mean(altitudes)) if altitudes else 0.0,
         "n_fr_mean": float(np.mean([log.n_fr for log in logs])) if logs else 0.0,
-        "delay_lower_bound_s": delay_lower_bound_s(cfg),
+        "delay_lower_bound_s": plan.bound_s,
         "min_delivered_delay_s": min(delays) if delays else None,
-        "prediction_gap": predictor.gap_metrics(),
+        "prediction_gap": plan.predictor.gap_metrics(),
     }
 
 

@@ -2,12 +2,13 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from uavcache.channel import mixed_pathloss_db, uav_user_pathloss_db
+from uavcache.channel import (ChannelError, db_to_linear, free_space_pl_db, mixed_pathloss_db,
+                              uav_user_pathloss_db)
 from uavcache.config import (DESK_PRESET, ChannelParams, RandomSource, ScenarioConfig,
                              load_config_dict, merge_documents)
 from uavcache.generators import DAY_TYPES, day_type
 from uavcache.placement import PlacementResult, _flatten_positions
-from uavcache.qoe import min_uav_power_w
+from uavcache.qoe import min_uav_power_w, power_per_loss_w
 
 
 def desk_config(**overrides) -> ScenarioConfig:
@@ -72,12 +73,42 @@ def echo_state_gap(w: np.ndarray, w_in: np.ndarray, inputs: np.ndarray,
     return float(np.max(np.abs(v1 - v2)))
 
 
+def uav_user_pathloss_linear(uav_xyz, user_xy, p: ChannelParams):
+    """Linear path loss from a UAV to users' positions, one plain expression per step.
+
+    The LoS-weighted mixture of two log-distance laws is one power of the
+    distance, 10**(PL/10) = 10**(L_fs/10) * d**(a_nlos + pr (a_los - a_nlos)).
+    """
+    uav_xyz = np.asarray(uav_xyz, dtype=float)
+    user_xy = np.asarray(user_xy, dtype=float)
+    dx = user_xy[..., 0] - uav_xyz[0]
+    dy = user_xy[..., 1] - uav_xyz[1]
+    dist = np.sqrt(dx * dx + dy * dy + uav_xyz[2] ** 2)
+    if (dist <= 0.0).any():
+        raise ChannelError("zero distance between transmitter and receiver")
+    phi_deg = np.degrees(np.arcsin(np.clip(uav_xyz[2] / dist, -1.0, 1.0)))
+    pr = 1.0 / (1.0 + p.env_x * np.exp(-p.env_y * (phi_deg - p.env_x)))
+    exponent = pr * (p.exponent_los - p.exponent_nlos) + p.exponent_nlos
+    l_fs = free_space_pl_db(p.fs_ref_distance_m, p.carrier_hz)
+    return np.exp(exponent * np.log(dist)) * 10.0 ** (l_fs / 10.0)
+
+
+def placement_objective(xyz, user_pos, rate_targets_bps, n_served: int,
+                        p: ChannelParams, bandwidth_hz: float, noise_w: float) -> float:
+    """The placement objective at one position, priced from scratch in linear units."""
+    pos, _ = _flatten_positions(user_pos)
+    scale = power_per_loss_w(rate_targets_bps, n_served, bandwidth_hz, noise_w)
+    with np.errstate(over="ignore"):  # a loss or price past the float range is inf
+        loss = uav_user_pathloss_linear(xyz, pos, p)
+        return float(loss.sum(axis=1) @ scale)
+
+
 def placement_objective_db(xyz, user_pos, rate_targets_bps, n_served: int,
                            p: ChannelParams, bandwidth_hz: float, noise_w: float) -> float:
     """The placement objective by the dB route: ``min_uav_power_w`` of each path loss, summed."""
     pos, _ = _flatten_positions(user_pos)
     pl = uav_user_pathloss_db(np.asarray(xyz, dtype=float), pos, p)
-    power = min_uav_power_w(pl, np.asarray(rate_targets_bps, dtype=float)[:, None],
+    power = min_uav_power_w(db_to_linear(pl), np.asarray(rate_targets_bps, dtype=float)[:, None],
                             n_served, bandwidth_hz, noise_w)
     return float(power.sum())
 
@@ -107,7 +138,8 @@ def place_uav_exhaustive(user_pos, rate_targets_bps, grid_step_m: float,
         diff = grid[:, None, :] - flat[None, :, :]
         dist = np.sqrt(np.sum(diff ** 2, axis=2) + h * h)  # (G, M)
         pl = mixed_pathloss_db(dist, h, p)
-        power = min_uav_power_w(pl, weights[None, :], n_served, bandwidth_hz, noise_w)
+        power = min_uav_power_w(db_to_linear(pl), weights[None, :], n_served, bandwidth_hz,
+                                noise_w)
         totals = power.sum(axis=1)
         evals += totals.size
         idx = int(np.argmin(totals))

@@ -161,9 +161,8 @@ def test_criterion_05_placement_optimality():
         targets = rng.uniform(1e6, 8e6, n_users)
         assert placement.closed_form_regime(h, users) == "low"
         xy = placement.place_uav_closed_form(users, targets, n_users, cfg.uav_bandwidth_hz)
-        obj_cf = placement.placement_objective([xy[0], xy[1], h], users, targets,
-                                               n_users, p, cfg.uav_bandwidth_hz,
-                                               cfg.noise_power_w)
+        obj_cf = placement.PlacementPricer(users, targets, n_users, p, cfg.uav_bandwidth_hz,
+                                           cfg.noise_power_w)([xy[0], xy[1], h])
         grid = place_uav_exhaustive(users, targets, 3.0, [h], n_users, p,
                                     cfg.uav_bandwidth_hz, cfg.noise_power_w)
         refined = placement.place_uav_local_search(users, targets,

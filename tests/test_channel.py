@@ -5,11 +5,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import access_links
+from conftest import access_links, uav_user_pathloss_linear
 from uavcache import channel, linalg
 from uavcache.config import ChannelParams, RrhCluster
 
 P = ChannelParams()
+
+
+def pathloss_linear(uav_xyz, user_xy, p):
+    """``channel.pathloss_linear_into`` at one UAV position, fed the way the pricer feeds it."""
+    uav_xyz = np.asarray(uav_xyz, dtype=float)
+    user_xy = np.asarray(user_xy, dtype=float)
+    dx, dy = user_xy[..., 0] - uav_xyz[0], user_xy[..., 1] - uav_xyz[1]
+    dist, out = np.empty(dx.shape), np.empty(dx.shape)
+    return channel.pathloss_linear_into(dx * dx, dy * dy, uav_xyz[2], p, dist, out)
 
 
 class TestFreeSpace:
@@ -101,51 +110,54 @@ class TestLinearPathloss:
     def test_within_tolerance_of_the_db_route(self, link):
         uav, users, p = link
         before = users.copy()
-        got = channel.uav_user_pathloss_linear(uav, users, p)
+        got = pathloss_linear(uav, users, p)
         assert np.array_equal(users, before) and not np.shares_memory(got, users)
+        assert np.array_equal(got, uav_user_pathloss_linear(uav, users, p))
         want = channel.db_to_linear(channel.uav_user_pathloss_db(uav, users, p))
         assert got.shape == want.shape and np.isfinite(got).all()
         assert (np.abs(got - want) <= linalg.LINEAR_LOSS_RTOL * want).all()
 
     def test_scalar_position_gives_a_scalar(self):
-        got = channel.uav_user_pathloss_linear([0.0, 0.0, 60.0], [80.0, 0.0], P)
+        got = pathloss_linear([0.0, 0.0, 60.0], [80.0, 0.0], P)
         want = channel.db_to_linear(channel.uav_user_pathloss_db([0.0, 0.0, 60.0], [80.0, 0.0], P))
         assert np.ndim(got) == 0 and got == pytest.approx(want, rel=linalg.LINEAR_LOSS_RTOL)
 
     def test_zero_distance_rejected(self):
         with pytest.raises(channel.ChannelError):
-            channel.uav_user_pathloss_linear([0, 0, 0.0], [0.0, 0.0], P)
+            pathloss_linear([0, 0, 0.0], [0.0, 0.0], P)
 
 
 class TestSnrAndCapacity:
     def test_snr_reference(self):
         # 1 W over 100 dB loss and -95 dBm noise: 10**2.5 = 316.23
-        snr = channel.uav_user_snr(1.0, 100.0, 10.0 ** (-12.5))
+        snr = channel.uav_user_snr(1.0, channel.db_to_linear(100.0), 10.0 ** (-12.5))
         assert snr == pytest.approx(316.2278, rel=1e-4)
 
     def test_snr_unit_case(self):
-        assert channel.uav_user_snr(3.0, 0.0, 3.0) == pytest.approx(1.0)
+        assert channel.uav_user_snr(3.0, channel.db_to_linear(0.0), 3.0) == pytest.approx(1.0)
 
     def test_snr_decade_scaling(self):
-        base = channel.uav_user_snr(1.0, 90.0, 1e-12)
-        assert channel.uav_user_snr(1.0, 100.0, 1e-12) == pytest.approx(base / 10.0)
+        base = channel.uav_user_snr(1.0, channel.db_to_linear(90.0), 1e-12)
+        assert channel.uav_user_snr(1.0, channel.db_to_linear(100.0), 1e-12) == pytest.approx(
+            base / 10.0)
 
     def test_unit_snr_slot_capacity(self):
         # constant SNR=1 on the full band for one second: B log2(2) = 1 Gbit
         noise = 1e-12
         f = 8
-        snr = channel.uav_user_snr(np.full(f, noise), np.zeros(f), noise)  # 0 dB loss
+        snr = channel.uav_user_snr(np.full(f, noise), np.ones(f), noise)  # 0 dB loss
         rates = channel.link_rates_bps(snr, 1e9, 1)
         assert channel.slot_capacity_bits(rates, 1.0) == pytest.approx(1e9, rel=1e-9)
 
     def test_zero_power_zero_bits(self):
         pl = channel.uav_user_pathloss_db([0, 0, 100.0], np.tile([[50.0, 0.0]], (4, 1)), P)
-        rates = channel.link_rates_bps(channel.uav_user_snr(np.zeros(4), pl, 1e-12), 1e9, 1)
+        loss = channel.db_to_linear(pl)
+        rates = channel.link_rates_bps(channel.uav_user_snr(np.zeros(4), loss, 1e-12), 1e9, 1)
         assert channel.slot_capacity_bits(rates, 1.0) == 0.0
 
     def test_band_split_halves_capacity(self):
         pl = channel.uav_user_pathloss_db([0, 0, 100.0], np.tile([[50.0, 0.0]], (4, 1)), P)
-        snr = channel.uav_user_snr(np.full(4, 0.1), pl, 1e-12)
+        snr = channel.uav_user_snr(np.full(4, 0.1), channel.db_to_linear(pl), 1e-12)
         one = channel.slot_capacity_bits(channel.link_rates_bps(snr, 1e9, 1), 1.0)
         two = channel.slot_capacity_bits(channel.link_rates_bps(snr, 1e9, 2), 1.0)
         assert two == pytest.approx(one / 2.0, rel=1e-12)
@@ -161,6 +173,13 @@ class TestSnrAndCapacity:
 
     def test_rrh_capacity_zero(self):
         assert channel.slot_capacity_bits(channel.link_rates_bps(np.zeros(5), 1e6), 1.0) == 0.0
+
+    @pytest.mark.parametrize("n_intervals", [1, 2, 7, 8, 9, 100, 128, 129, 1000, 4999])
+    def test_rows_equal_their_one_dimensional_capacity(self, n_intervals):
+        rates = np.random.default_rng(n_intervals).uniform(0.0, 1e9, (13, n_intervals))
+        got = channel.slot_capacity_bits(rates, 0.7)
+        assert got.shape == (13,)
+        assert got.tolist() == [channel.slot_capacity_bits(row, 0.7) for row in rates]
 
     def test_rrh_interval_additivity(self):
         single = channel.slot_capacity_bits(channel.link_rates_bps(3.0, 1e6), 1.0)

@@ -46,6 +46,15 @@ PAPER_ORACLE = ("b4240b6aaf4e7071b6cfb7d4f19c5a1537ec04e4329e19e65c0ca44b4bc48f1
 TINY_PER_CONTENT_RATES = ("1130a2ce5879d840f1adf7c8ac1637e52e62c7396863b8b4baaae27518c62664",
                           "c6fdbff7d077eeb417d317100bfab38f5919066d4efb0522a163d3fd59716ef5")
 
+# Seed 99 of the benchmark (scenario seed 20240100), which no change was tuned on:
+# the paper-scale and desk oracle runs.  Their slots.csv digests are the
+# slots_sha256 values perfbench/pins.json records for that seed.
+SEED99 = 20240100
+PAPER_ORACLE_SEED99 = ("ced374f2908b53e7bb11b7b7f02c63c5df451d45fedccf5e4a6a3805d7ce16bd",
+                       "14e62f8b898f9fa35b3525ac993e685553c4c90dfad5b8e85bf3040cea18706b")
+DESK_ORACLE_SEED99 = ("5b0494661a3906eb4cb4182a02b8cdd320701c7fa606f7d86d2bdeac42d973fa",
+                      "06f4d6daf318d1f1dd17913ba95d8a40c88b95afa996161b695ee3a93e56a019")
+
 # tiny_cfg at a half-second slot with a slow wired fronthaul, a faint BBU link and a
 # one-content cache: the RRH threshold goes infinite, select_caches meets uncached
 # routes that cannot make the delay, _place_slot aims those users as if cached, and
@@ -86,6 +95,18 @@ def test_tiny_esn_artifacts_pinned(tiny_cfg):
 def test_paper_oracle_artifacts_pinned():
     logs, summary = sim.run_period(ScenarioConfig(), mode="oracle")
     assert digests(logs, summary) == PAPER_ORACLE
+
+
+@pytest.mark.slow
+def test_paper_oracle_seed99_artifacts_pinned():
+    logs, summary = sim.run_period(ScenarioConfig(seed=SEED99), mode="oracle")
+    assert digests(logs, summary) == PAPER_ORACLE_SEED99
+
+
+@pytest.mark.slow
+def test_desk_oracle_seed99_artifacts_pinned():
+    logs, summary = sim.run_period(desk_config(seed=SEED99), mode="oracle")
+    assert digests(logs, summary) == DESK_ORACLE_SEED99
 
 
 def test_per_content_rates_artifacts_pinned(tiny_cfg):

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -8,12 +9,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import access_links, log_uniform, place_uav_exhaustive, placement_objective_db
-from uavcache import linalg, placement
+from conftest import (access_links, log_uniform, place_uav_exhaustive, placement_objective,
+                      placement_objective_db)
+from uavcache import linalg, placement, sim
+from uavcache.channel import ChannelError, db_to_linear
 from uavcache.config import ChannelParams, RandomSource, RrhCluster, ScenarioConfig
-from uavcache.qoe import delay_rate_requirement_bits, min_uav_power_w, qoe_rate_target_bps
+from uavcache.generators import SyntheticWorld
+from uavcache.predictors import OraclePredictor
+from uavcache.qoe import (delay_lower_bound_s, delay_rate_requirement_bits, min_uav_power_w,
+                          qoe_rate_target_bps)
 
 CFG = ScenarioConfig()
+BOUND_S = delay_lower_bound_s(CFG)
 
 
 def two_clusters():
@@ -27,23 +34,23 @@ class TestAssociation:
         n = 6
         xy = np.array([[float(40 * i - 100), 0.0] for i in range(n)])
         plan = placement.associate_rrh(np.full(n, np.inf), xy, np.full(n, 5e6),
-                                       clusters, CFG)
+                                       clusters, CFG, BOUND_S)
         assert plan.n_fr == 4  # capped by total antennas
         assert len(plan.uav_pool) == 2
 
     def test_zero_rates_send_everyone_to_pool(self):
         clusters = two_clusters()
         xy = np.zeros((5, 2))
-        plan = placement.associate_rrh(np.zeros(5), xy, np.full(5, 5e6), clusters, CFG)
+        plan = placement.associate_rrh(np.zeros(5), xy, np.full(5, 5e6), clusters, CFG, BOUND_S)
         assert plan.n_fr == 0
         assert plan.uav_pool == list(range(5))
 
     def test_threshold_boundary_inclusive(self):
         clusters = [RrhCluster(id=0, antennas=np.array([[0.0, 0.0]]))]
         device = np.array([5e6])
-        threshold = placement.rrh_rate_threshold_bits(1, device, CFG)
+        threshold = placement.rrh_rate_threshold_bits(1, device, CFG, BOUND_S)
         plan = placement.associate_rrh(threshold, np.array([[10.0, 0.0]]), device,
-                                       clusters, CFG)
+                                       clusters, CFG, BOUND_S)
         assert plan.rrh_users == {0: 0}
 
     def test_admitted_set_is_a_fixed_point(self):
@@ -53,20 +60,20 @@ class TestAssociation:
         xy = rng.uniform(-200, 200, (n, 2))
         rates = rng.uniform(0.0, 2e7, n)
         device = rng.choice([2.5e6, 5e6, 7.5e6], n)
-        plan = placement.associate_rrh(rates, xy, device, clusters, CFG)
+        plan = placement.associate_rrh(rates, xy, device, clusters, CFG, BOUND_S)
         if plan.n_fr:
-            thresholds = placement.rrh_rate_threshold_bits(plan.n_fr, device, CFG)
+            thresholds = placement.rrh_rate_threshold_bits(plan.n_fr, device, CFG, BOUND_S)
             for user in plan.rrh_users:
                 assert rates[user] >= thresholds[user]
             # maximality: one more admission must break someone's threshold
-            bigger = placement.rrh_rate_threshold_bits(plan.n_fr + 1, device, CFG)
+            bigger = placement.rrh_rate_threshold_bits(plan.n_fr + 1, device, CFG, BOUND_S)
             candidates = [u for u in plan.uav_pool if rates[u] >= bigger[u]]
             admitted_ok = all(rates[u] >= bigger[u] for u in plan.rrh_users)
             assert not (candidates and admitted_ok and plan.n_fr < 4)
 
     def test_no_clusters_all_pool(self):
         plan = placement.associate_rrh(np.full(3, np.inf), np.zeros((3, 2)),
-                                       np.full(3, 5e6), [], CFG)
+                                       np.full(3, 5e6), [], CFG, BOUND_S)
         assert plan.n_fr == 0
 
     @pytest.mark.parametrize("n_fr", [0, 1, 7, 1000])
@@ -74,14 +81,15 @@ class TestAssociation:
         device = np.array([2.5e6, 5e6, 7.5e6])
         for cfg in (CFG, ScenarioConfig(slot_duration_s=0.5, fronthaul_rate_bps=1e7)):
             wired_s = cfg.content_size_bits * n_fr / cfg.fronthaul_rate_bps
-            want = np.maximum(delay_rate_requirement_bits(cfg, wired_s),
+            bound_s = delay_lower_bound_s(cfg)
+            want = np.maximum(delay_rate_requirement_bits(cfg, bound_s, wired_s),
                               device * cfg.slot_duration_s)
-            got = placement.rrh_rate_threshold_bits(n_fr, device, cfg)
+            got = placement.rrh_rate_threshold_bits(n_fr, device, cfg, bound_s)
             assert got.tobytes() == want.tobytes()
 
     def test_budget_exhaustion_gives_infinite_threshold(self):
         # enough sharers make the wired fronthaul alone exceed the delay budget
-        thr = placement.rrh_rate_threshold_bits(1000, np.array([5e6]), CFG)
+        thr = placement.rrh_rate_threshold_bits(1000, np.array([5e6]), CFG, BOUND_S)
         assert np.isinf(thr[0])
 
 
@@ -162,7 +170,7 @@ class TestCacheSelection:
 
     def test_caching_never_raises_requirement(self, tiny_cfg):
         saving = placement.delta_power_saving(
-            pathloss_db=100.0, delay_req_cached_bits=2.5e6,
+            loss_linear=db_to_linear(100.0), delay_req_cached_bits=2.5e6,
             delay_req_uncached_bits=5e6, device_req_bps=np.array([1e6, 3e6, 9e6]),
             n_served=4, cfg=tiny_cfg)
         assert np.all(saving >= 0.0)
@@ -171,7 +179,7 @@ class TestCacheSelection:
 
     def test_infeasible_uncached_route_saves_up_to_cap(self, tiny_cfg):
         saving = placement.delta_power_saving(
-            pathloss_db=100.0, delay_req_cached_bits=2.5e6,
+            loss_linear=db_to_linear(100.0), delay_req_cached_bits=2.5e6,
             delay_req_uncached_bits=math.inf, device_req_bps=np.array([1e6]),
             n_served=4, cfg=tiny_cfg)
         assert saving[0] == pytest.approx(tiny_cfg.uav_max_power_w, rel=1e-3)
@@ -181,9 +189,10 @@ class TestCacheSelection:
         device = np.array([1e6, 3e6, 9e6])
         if np.ndim(pathloss_db):
             device = device[:, None]
-        saving = placement.delta_power_saving(pathloss_db, 2.5e6, math.inf, device, 4, tiny_cfg)
+        loss = db_to_linear(pathloss_db)
+        saving = placement.delta_power_saving(loss, 2.5e6, math.inf, device, 4, tiny_cfg)
         target = qoe_rate_target_bps(2.5e6, device, tiny_cfg.slot_duration_s)
-        p_cached = min_uav_power_w(pathloss_db, target, 4, tiny_cfg.uav_bandwidth_hz,
+        p_cached = min_uav_power_w(loss, target, 4, tiny_cfg.uav_bandwidth_hz,
                                    tiny_cfg.noise_power_w)
         cap = tiny_cfg.uav_max_power_w
         assert saving.tobytes() == (cap - np.minimum(p_cached, cap)).tobytes()
@@ -238,9 +247,9 @@ class TestClosedForm:
         h = 10.0
         assert placement.closed_form_regime(h, users) == "low"
         xy = placement.place_uav_closed_form(users, targets, len(targets), CFG.uav_bandwidth_hz)
-        obj_cf = placement.placement_objective(
-            [xy[0], xy[1], h], users, targets, len(targets), p,
-            CFG.uav_bandwidth_hz, CFG.noise_power_w)
+        price = placement.PlacementPricer(users, targets, len(targets), p,
+                                          CFG.uav_bandwidth_hz, CFG.noise_power_w)
+        obj_cf = price([xy[0], xy[1], h])
         grid = place_uav_exhaustive(users, targets, 3.0, [h], len(targets), p,
                                     CFG.uav_bandwidth_hz, CFG.noise_power_w)
         assert obj_cf <= 1.10 * grid.objective_w
@@ -258,6 +267,24 @@ class TestRegime:
     def test_neither_in_between(self):
         users = np.array([[[-100.0, 0.0]], [[100.0, 0.0]]])
         assert placement.closed_form_regime(100.0, users) is None
+
+    def test_low_threshold_sits_at_the_largest_norm_from_the_mean(self):
+        """The span is bit for bit twice the largest ``np.linalg.norm`` from the mean position."""
+        rng = np.random.default_rng(13)
+        for _ in range(300):
+            n, f = int(rng.integers(1, 15)), int(rng.integers(1, 1200))
+            users = rng.normal(rng.uniform(-1e4, 1e4, 2), 10.0 ** rng.uniform(-1.0, 4.0),
+                               (n, f, 2))
+            flat = users.reshape(-1, 2)
+            span = float(np.max(np.linalg.norm(flat - flat.mean(axis=0), axis=1))) * 2.0
+            limit = 0.01 * span ** 2
+            h = math.sqrt(limit)
+            while h * h > limit:
+                h = math.nextafter(h, 0.0)
+            while math.nextafter(h, math.inf) ** 2 <= limit:
+                h = math.nextafter(h, math.inf)
+            assert placement.closed_form_regime(h, users) == "low"
+            assert placement.closed_form_regime(math.nextafter(h, math.inf), users) is None
 
 
 class TestPlaceUav:
@@ -324,8 +351,8 @@ class TestLocalSearch:
         users, targets, p = low_regime_instance(4)
         init = np.array([400.0, 400.0, 60.0])
         result = placement.place_uav_local_search(users, targets, init, **self.kwargs(p))
-        init_obj = placement.placement_objective(init, users, targets, 6, p,
-                                                 CFG.uav_bandwidth_hz, CFG.noise_power_w)
+        init_obj = placement_objective(init, users, targets, 6, p,
+                                       CFG.uav_bandwidth_hz, CFG.noise_power_w)
         assert result.objective_w <= init_obj
 
     def test_altitude_floor_respected(self):
@@ -378,8 +405,8 @@ class TestExhaustive:
 
 class TestObjective:
     def objective(self, users, targets):
-        return placement.placement_objective([0.0, 0.0, 100.0], users, targets, 4,
-                                             CFG.pathloss, 1e9, 1e-12)
+        return placement.PlacementPricer(users, targets, 4, CFG.pathloss, 1e9, 1e-12)(
+            [0.0, 0.0, 100.0])
 
     def test_no_users_zero(self):
         assert self.objective(np.zeros((0, 1, 2)), np.zeros(0)) == 0.0
@@ -411,8 +438,120 @@ class TestLinearObjective:
         elif unreachable == "some":
             targets[rng.random(n) < 0.5] = math.inf
         args = (uav, users, targets, n, p, bandwidth, noise)
-        got, want = placement.placement_objective(*args), placement_objective_db(*args)
+        got = placement.PlacementPricer(*args[1:])(uav)
+        want = placement_objective_db(*args)
         assert not math.isnan(got) and not math.isnan(want)
         assert math.isfinite(got) == math.isfinite(want) == np.isfinite(targets).all()
         if math.isfinite(want):
             assert abs(got - want) <= linalg.LINEAR_LOSS_RTOL * want
+
+
+def priced(objective, xyz):
+    """An objective's value at ``xyz``, or the zero-distance error it raises."""
+    try:
+        return objective(xyz)
+    except ChannelError:
+        return "zero distance"
+
+
+class TestPricer:
+    """One pricer per search returns the bits of pricing each position from scratch."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(link=access_links(), bandwidth=log_uniform(6.0, 10.0), noise=log_uniform(-20.0, -8.0),
+           case=st.sampled_from(["plain", "overhead", "floor", "overflow", "zero distance"]),
+           moves=st.lists(st.tuples(st.integers(0, 2), st.sampled_from([-1.0, 1.0])),
+                          max_size=24),
+           step=st.sampled_from([0.7, 3.0, 10.0]), seed=st.integers(0, 2 ** 32 - 1))
+    def test_equals_the_reference_bit_for_bit(self, link, bandwidth, noise, case, moves, step,
+                                              seed):
+        uav, users, p = link
+        n = users.shape[0]
+        rng = np.random.default_rng(seed)
+        targets = bandwidth / n * 10.0 ** rng.uniform(-4.0, np.log10(20.0), n)
+        floor = -math.inf
+        if case == "overhead":  # a user directly below the start
+            users[0, 0] = uav[:2]
+        elif case == "floor":  # altitude moves stop at the start's height, over a user
+            users[0, 0] = uav[:2]
+            floor = uav[2]
+        elif case == "overflow":  # losses and one user's price past the float range
+            users *= 1e100
+            targets[0] = math.inf
+        elif case == "zero distance":  # on the ground (or below z**2's range) over a user
+            uav[2] = rng.choice([0.0, 1e-170])
+            users[0, 0] = uav[:2]
+        args = (users, targets, n, p, bandwidth, noise)
+        price = placement.PlacementPricer(*args)
+        pos = uav
+        outcomes = set()
+        for axis, sign in [(0, 0.0), *moves]:
+            pos = pos.copy()
+            pos[axis] += sign * step
+            if axis == 2:
+                pos[2] = max(pos[2], floor)
+            got = priced(price, pos)
+            assert got == priced(lambda xyz: placement_objective(xyz, *args), pos)
+            assert all(len(cache) <= placement.OFFSET_WINDOW for cache in price.offsets)
+            outcomes.add(got if isinstance(got, str) else math.isfinite(got))
+        if case == "zero distance":
+            assert "zero distance" in outcomes
+        elif case == "overflow":
+            assert outcomes == {False}
+        else:
+            assert outcomes == {True}
+
+    def test_offsets_stay_in_the_window_where_searches_hit_the_budget(self, tiny_cfg,
+                                                                      monkeypatch):
+        # 3 m steps cannot cross a 31.6 km disk: searches from a 1 m floor run
+        # out of evaluations on their way to the users.
+        cfg = dataclasses.replace(tiny_cfg, area_radius_m=31_623.0, min_altitude_m=1.0)
+        pricers, evaluations, widest = [], [], []  # per search, in order
+        init, price = placement.PlacementPricer.__init__, placement.PlacementPricer.__call__
+        search = placement.place_uav_local_search
+
+        def recorded_init(self, *args):
+            init(self, *args)
+            pricers.append((args, []))
+            widest.append(0)
+
+        def watched_price(self, xyz):
+            value = price(self, xyz)
+            pricers[-1][1].append(np.array(xyz, dtype=float))
+            widest[-1] = max(widest[-1], *(len(cache) for cache in self.offsets))
+            return value
+
+        def counted_search(*args, **kwargs):
+            result = search(*args, **kwargs)
+            evaluations.append(result.evaluations)
+            return result
+
+        monkeypatch.setattr(placement.PlacementPricer, "__init__", recorded_init)
+        monkeypatch.setattr(placement.PlacementPricer, "__call__", watched_price)
+        monkeypatch.setattr(placement, "place_uav_local_search", counted_search)
+        world = SyntheticWorld(cfg)
+        plan = sim.plan_slots(cfg, world, OraclePredictor(world))
+        sim.place_uavs(plan, sim.select_caches(plan))
+        monkeypatch.undo()
+        assert len(pricers) == len(evaluations)
+        cut = [i for i, n in enumerate(evaluations) if n == 10_000]
+        assert cut
+        assert max(widest) == placement.OFFSET_WINDOW
+
+        # Replay the positions one cut search priced on a fresh pricer.
+        args, positions = pricers[cut[0]]
+        plane_bytes = 8 * np.asarray(args[0]).size // 2
+        coords = {(axis, float(xyz[axis])) for xyz in positions for axis in (0, 1)}
+        assert len(coords) > 100 * placement.OFFSET_WINDOW
+        # Fixed before the first run: two planes, two buffers and the two
+        # windows of planes, plus 16 KiB for the scalars and the row sums.
+        bound = (4 + 2 * placement.OFFSET_WINDOW) * plane_bytes + 16 * 1024
+        tracemalloc.start()
+        try:
+            replay = placement.PlacementPricer(*args)
+            for xyz in positions:
+                replay(xyz)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound

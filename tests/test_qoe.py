@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from uavcache import qoe
 from uavcache.config import ScenarioConfig
-from uavcache.channel import uav_user_pathloss_db, uav_user_snr
+from uavcache.channel import db_to_linear, uav_user_pathloss_db, uav_user_snr
 
 
 def cfg_with_bound_001() -> ScenarioConfig:
@@ -77,19 +77,20 @@ class TestDelayLowerBound:
 class TestDelayScore:
     def test_bound_scores_one(self):
         cfg = cfg_with_bound_001()
-        assert qoe.delay_score(0.01, cfg) == pytest.approx(1.0)
+        assert qoe.delay_score(0.01, cfg, qoe.delay_lower_bound_s(cfg)) == pytest.approx(1.0)
 
     def test_full_slot_scores_zero(self):
         cfg = cfg_with_bound_001()
-        assert qoe.delay_score(1.0, cfg) == pytest.approx(0.0)
+        assert qoe.delay_score(1.0, cfg, qoe.delay_lower_bound_s(cfg)) == pytest.approx(0.0)
 
     def test_midpoint_scores_half(self):
         cfg = cfg_with_bound_001()
-        assert qoe.delay_score((1.0 + 0.01) / 2.0, cfg) == pytest.approx(0.5)
+        bound = qoe.delay_lower_bound_s(cfg)
+        assert qoe.delay_score((1.0 + 0.01) / 2.0, cfg, bound) == pytest.approx(0.5)
 
     def test_late_delivery_scores_zero(self):
         cfg = cfg_with_bound_001()
-        assert qoe.delay_score(1.5, cfg) == 0.0
+        assert qoe.delay_score(1.5, cfg, qoe.delay_lower_bound_s(cfg)) == 0.0
 
 
 class TestDeviceScore:
@@ -101,6 +102,15 @@ class TestDeviceScore:
 
     def test_fraction_of_intervals(self):
         assert qoe.device_score([1e6, 5e6, 6e6, 0.0], 5e6) == 0.5
+
+    @pytest.mark.parametrize("n_intervals", [1, 2, 7, 100, 129, 1000, 4999])
+    def test_rows_equal_their_one_dimensional_score(self, n_intervals):
+        rng = np.random.default_rng(n_intervals)
+        rates = rng.uniform(0.0, 1e7, (11, n_intervals))
+        floors = rng.uniform(0.0, 1e7, 11)
+        got = qoe.device_score(rates, floors[:, None])
+        assert got.shape == (11,)
+        assert got.tolist() == [qoe.device_score(r, f) for r, f in zip(rates, floors)]
 
     def test_screen_factor_scales_threshold(self):
         cfg = ScenarioConfig()
@@ -138,33 +148,38 @@ def fronthaul_leg_s(cfg, bits_per_slot):
 class TestRateRequirement:
     def test_cached_hand_value(self):
         cfg = cfg_with_bound_001()
-        got = qoe.delay_rate_requirement_bits(cfg)
+        got = qoe.delay_rate_requirement_bits(cfg, qoe.delay_lower_bound_s(cfg))
         assert got == pytest.approx(1e6 / 0.208, rel=1e-12)
 
     def test_infinite_fronthaul_matches_cached(self):
         cfg = cfg_with_bound_001()
-        cached = qoe.delay_rate_requirement_bits(cfg)
-        uncached = qoe.delay_rate_requirement_bits(cfg, fronthaul_leg_s(cfg, math.inf))
+        bound = qoe.delay_lower_bound_s(cfg)
+        cached = qoe.delay_rate_requirement_bits(cfg, bound)
+        uncached = qoe.delay_rate_requirement_bits(cfg, bound, fronthaul_leg_s(cfg, math.inf))
         assert uncached == pytest.approx(cached, rel=1e-12)
 
     def test_caching_strictly_cheaper(self):
         cfg = cfg_with_bound_001()
-        cached = qoe.delay_rate_requirement_bits(cfg)
+        bound = qoe.delay_lower_bound_s(cfg)
+        cached = qoe.delay_rate_requirement_bits(cfg, bound)
         for fronthaul in (5e6, 2e7, 1e9):
-            assert qoe.delay_rate_requirement_bits(cfg, fronthaul_leg_s(cfg, fronthaul)) > cached
+            leg_s = fronthaul_leg_s(cfg, fronthaul)
+            assert qoe.delay_rate_requirement_bits(cfg, bound, leg_s) > cached
 
     def test_exhausted_budget_rejected(self):
         cfg = cfg_with_bound_001()
         # the fronthaul alone takes 1 s
-        assert qoe.delay_rate_requirement_bits(cfg, fronthaul_leg_s(cfg, 1e6)) == math.inf
+        bound = qoe.delay_lower_bound_s(cfg)
+        assert qoe.delay_rate_requirement_bits(cfg, bound, fronthaul_leg_s(cfg, 1e6)) == math.inf
 
     def test_budget_edge_is_infinite_and_never_raises(self):
         cfg = cfg_with_bound_001()
         budget_s = cfg.slot_duration_s - cfg.mos_min * (cfg.slot_duration_s - 0.01)
         assert budget_s == pytest.approx(0.208, rel=1e-12)
-        assert qoe.delay_rate_requirement_bits(cfg, budget_s) == math.inf
-        assert qoe.delay_rate_requirement_bits(cfg, math.inf) == math.inf
-        assert math.isfinite(qoe.delay_rate_requirement_bits(cfg, 0.99 * budget_s))
+        bound = qoe.delay_lower_bound_s(cfg)
+        assert qoe.delay_rate_requirement_bits(cfg, bound, budget_s) == math.inf
+        assert qoe.delay_rate_requirement_bits(cfg, bound, math.inf) == math.inf
+        assert math.isfinite(qoe.delay_rate_requirement_bits(cfg, bound, 0.99 * budget_s))
 
 
 class TestRateTarget:
@@ -185,30 +200,30 @@ class TestRateTarget:
 class TestMinPower:
     def test_reference_value(self):
         # 5 Mbit/s over 1 GHz at 100 dB loss and -95 dBm noise
-        power = qoe.min_uav_power_w(100.0, 5e6, 1, 1e9, 10.0 ** (-12.5))
+        power = qoe.min_uav_power_w(db_to_linear(100.0), 5e6, 1, 1e9, 10.0 ** (-12.5))
         assert power == pytest.approx(1.0979e-5, rel=1e-3)
 
     def test_zero_rate_zero_power(self):
-        assert qoe.min_uav_power_w(100.0, 0.0, 1, 1e9, 1e-12) == 0.0
+        assert qoe.min_uav_power_w(db_to_linear(100.0), 0.0, 1, 1e9, 1e-12) == 0.0
 
     def test_sharing_increases_power(self):
-        one = qoe.min_uav_power_w(100.0, 5e6, 1, 1e9, 1e-12)
-        two = qoe.min_uav_power_w(100.0, 5e6, 2, 1e9, 1e-12)
+        one = qoe.min_uav_power_w(db_to_linear(100.0), 5e6, 1, 1e9, 1e-12)
+        two = qoe.min_uav_power_w(db_to_linear(100.0), 5e6, 2, 1e9, 1e-12)
         assert two > one
 
     def test_power_rate_roundtrip(self):
         cfg = ScenarioConfig()
         uav, user = np.array([10.0, -20.0, 150.0]), np.array([60.0, 45.0])
-        pl = uav_user_pathloss_db(uav, user, cfg.pathloss)
+        loss = db_to_linear(uav_user_pathloss_db(uav, user, cfg.pathloss))
         target = 7.3e6
-        power = qoe.min_uav_power_w(pl, target, 3, cfg.uav_bandwidth_hz, cfg.noise_power_w)
-        snr = uav_user_snr(power, pl, cfg.noise_power_w)
+        power = qoe.min_uav_power_w(loss, target, 3, cfg.uav_bandwidth_hz, cfg.noise_power_w)
+        snr = uav_user_snr(power, loss, cfg.noise_power_w)
         achieved = cfg.uav_bandwidth_hz / 3 * math.log2(1.0 + snr)
         assert achieved == pytest.approx(target, rel=1e-9)
 
     @settings(max_examples=40, deadline=None)
     @given(rate=st.floats(1e5, 5e7), extra=st.floats(0.1, 20.0))
     def test_monotone_in_rate(self, rate, extra):
-        lo = qoe.min_uav_power_w(100.0, rate, 1, 1e9, 1e-12)
-        hi = qoe.min_uav_power_w(100.0, rate + extra * 1e5, 1, 1e9, 1e-12)
+        lo = qoe.min_uav_power_w(db_to_linear(100.0), rate, 1, 1e9, 1e-12)
+        hi = qoe.min_uav_power_w(db_to_linear(100.0), rate + extra * 1e5, 1, 1e9, 1e-12)
         assert hi > lo

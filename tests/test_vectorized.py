@@ -6,14 +6,18 @@ probability in place and the other kernels as these same expressions, so
 every comparison here is ``np.array_equal``, never a tolerance.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from conftest import desk_config, placement_objective_db
+from conftest import desk_config, placement_objective, placement_objective_db
 from uavcache import channel, placement, qoe, sim
 from uavcache.config import ChannelParams, ScenarioConfig
 from uavcache.generators import SyntheticWorld
-from uavcache.predictors import EsnPredictor, train_content_model, train_mobility_model
+from uavcache.predictors import (EsnPredictor, OraclePredictor, train_content_model,
+                                 train_mobility_model)
+from uavcache.qoe import DeliveryPath, LINK_UAV_CACHE, LINK_UAV_FRONTHAUL
 
 P = ChannelParams()
 CFG = ScenarioConfig()
@@ -45,15 +49,15 @@ def ref_mixed_pathloss_db(dist, altitude, p):
     return pr * l_los + (1.0 - pr) * l_nlos
 
 
-def ref_min_uav_power_w(pathloss_db, rate_target_bps, n_served, bandwidth_hz, noise_w):
+def ref_min_uav_power_w(loss_linear, rate_target_bps, n_served, bandwidth_hz, noise_w):
     rate = np.asarray(rate_target_bps, dtype=float)
     with np.errstate(over="ignore"):
         snr_needed = np.exp2(rate * n_served / bandwidth_hz) - 1.0
-        return snr_needed * noise_w * 10.0 ** (np.asarray(pathloss_db, dtype=float) / 10.0)
+        return snr_needed * noise_w * loss_linear
 
 
-def ref_uav_user_snr(power_w, pathloss_db, noise_w):
-    return np.asarray(power_w) / (10.0 ** (np.asarray(pathloss_db) / 10.0) * noise_w)
+def ref_uav_user_snr(power_w, loss_linear, noise_w):
+    return np.asarray(power_w) / (loss_linear * noise_w)
 
 
 def ref_link_rates_bps(sinr, bandwidth_hz, n_served=1):
@@ -62,7 +66,7 @@ def ref_link_rates_bps(sinr, bandwidth_hz, n_served=1):
 
 def ref_local_search(user_pos, rate_targets_bps, init_xyz, n_served, p, bandwidth_hz,
                      noise_w, min_altitude_m, step_m=3.0, max_evals=10_000,
-                     placement_objective=placement.placement_objective):
+                     placement_objective=placement_objective):
     """Coordinate descent that evaluates the objective at every candidate."""
     pos = np.asarray(init_xyz, dtype=float).copy()
     pos[2] = max(pos[2], min_altitude_m)
@@ -119,6 +123,7 @@ DIST = {
 }
 PL = {"scalar": np.float64(98.5), "1-D": RNG.uniform(60.0, 160.0, 11),
       "(n, F)": RNG.uniform(60.0, 160.0, (4, 9))}
+LOSS = {shape: 10.0 ** (pl / 10.0) for shape, pl in PL.items()}
 
 
 def kernel_cases():
@@ -133,19 +138,19 @@ def kernel_cases():
     targets = {"scalar": 2e7, "1-D": RNG.uniform(1e6, 9e7, 11),
                "(n, 1)": np.array([[1e6], [3e7], [np.inf], [8e9]])}
     yield "min_uav_power_w-scalar", qoe.min_uav_power_w, ref_min_uav_power_w, \
-        (PL["scalar"], targets["scalar"], 3, bw, noise)
+        (LOSS["scalar"], targets["scalar"], 3, bw, noise)
     yield "min_uav_power_w-scalar-pl-1-D-rate", qoe.min_uav_power_w, ref_min_uav_power_w, \
-        (PL["scalar"], targets["1-D"], 3, bw, noise)
+        (LOSS["scalar"], targets["1-D"], 3, bw, noise)
     yield "min_uav_power_w-1-D", qoe.min_uav_power_w, ref_min_uav_power_w, \
-        (PL["1-D"], targets["1-D"], 3, bw, noise)
+        (LOSS["1-D"], targets["1-D"], 3, bw, noise)
     yield "min_uav_power_w-(n, F)", qoe.min_uav_power_w, ref_min_uav_power_w, \
-        (PL["(n, F)"], targets["(n, 1)"], 4, bw, noise)
+        (LOSS["(n, F)"], targets["(n, 1)"], 4, bw, noise)
     yield "min_uav_power_w-(n, 1)-pl-(n, F)-rate", qoe.min_uav_power_w, ref_min_uav_power_w, \
-        (PL["(n, F)"][:, :1], np.tile(targets["(n, 1)"], 9), 4, bw, noise)
-    for shape, pl in PL.items():
-        power = np.full(np.shape(pl), 0.3)
-        yield f"uav_user_snr-{shape}", channel.uav_user_snr, ref_uav_user_snr, (power, pl, noise)
-        sinr = ref_uav_user_snr(power, pl, noise)
+        (LOSS["(n, F)"][:, :1], np.tile(targets["(n, 1)"], 9), 4, bw, noise)
+    for shape, loss in LOSS.items():
+        power = np.full(np.shape(loss), 0.3)
+        yield f"uav_user_snr-{shape}", channel.uav_user_snr, ref_uav_user_snr, (power, loss, noise)
+        sinr = ref_uav_user_snr(power, loss, noise)
         yield f"link_rates_bps-{shape}", channel.link_rates_bps, ref_link_rates_bps, \
             (sinr, bw, 3)
 
@@ -292,6 +297,114 @@ def test_esn_positions_for_all_users_equal_per_user():
             assert np.array_equal(every[u], predictor.slot_positions(u, gs, cfg.intervals_per_slot))
 
 
+# -- per-UAV rows against per-user references --------------------------------------------
+
+
+def reference_cache_rows(plan, k):
+    """One UAV's probability and saving rows, priced one user at a time."""
+    cfg = plan.cfg
+    all_contents = np.arange(cfg.num_contents)
+    prob_rows, saving_rows = [], []
+    for s, members in enumerate(m[k] for m in plan.members):
+        if not members:
+            continue
+        pls = channel.uav_user_pathloss_db(plan.anchors[s][k], plan.midpoints[s][members],
+                                           cfg.pathloss)
+        for u, pl in zip(members, pls):
+            prob_rows.append(plan.predictor.distributions[u, s // cfg.slots_per_collection])
+            saving_rows.append(placement.delta_power_saving(
+                channel.db_to_linear(float(pl)), plan.req_hit, plan.req_miss[s][k],
+                cfg.device_rate_bps(plan.screen[u], all_contents), len(members), cfg))
+    return np.array(prob_rows), np.array(saving_rows)
+
+
+def reference_deliver_uav(plan, cache, users, n_served, position, user_pos, requests, n_fetch):
+    """``sim._deliver_uav`` with every per-user quantity reduced from that user's 1-D row."""
+    cfg = plan.cfg
+    hits = [requests[u] in cache for u in users]
+    fronthaul_bits, req_miss = (None, plan.req_hit) if all(hits) else sim._cache_miss(
+        plan, position, max(n_fetch, 1))
+    targets = qoe.qoe_rate_target_bps(
+        np.where(hits, plan.req_hit, req_miss),
+        cfg.device_rate_bps(plan.screen[users], [requests[u] for u in users]),
+        cfg.slot_duration_s)[:, None]
+    pl = channel.uav_user_pathloss_db(position, user_pos, cfg.pathloss)
+    power = qoe.min_uav_power_w(channel.db_to_linear(pl), targets, n_served,
+                                cfg.uav_bandwidth_hz, cfg.noise_power_w)
+    feasible = np.all(power <= cfg.uav_max_power_w, axis=1)
+    tx_power = np.minimum(power, cfg.uav_max_power_w)
+    rates_bps = channel.link_rates_bps(
+        channel.uav_user_snr(tx_power, channel.db_to_linear(pl), cfg.noise_power_w),
+        cfg.uav_bandwidth_hz, n_served)
+    reports, total_w = [], 0.0
+    for u, hit, rates, user_power, ok in zip(users, hits, rates_bps, tx_power, feasible):
+        path = DeliveryPath(LINK_UAV_CACHE if hit else LINK_UAV_FRONTHAUL,
+                            channel.slot_capacity_bits(rates, cfg.slot_duration_s),
+                            None if hit else fronthaul_bits)
+        power_w = float(user_power.mean())
+        device_frac = qoe.device_score(rates, cfg.device_rate_bps(plan.screen[u], requests[u]))
+        reports.append(sim._score(plan, u, requests[u], path, device_frac, power_w=power_w,
+                                  cache_hit=hit, feasible=bool(ok)))
+        total_w += power_w
+    return reports, total_w
+
+
+def test_uav_rows_equal_per_user_references_on_the_infeasible_config(tiny_cfg, monkeypatch):
+    cfg = dataclasses.replace(
+        tiny_cfg, slot_duration_s=0.5, fronthaul_rate_bps=1e7, bbu_power_w=1e-6, cache_size=1,
+        generators=dataclasses.replace(tiny_cfg.generators, request_concentration=0.5))
+    world = SyntheticWorld(cfg)
+    plan = sim.plan_slots(cfg, world, OraclePredictor(world))
+    assert any(np.isinf(r) for per_slot in plan.req_miss for r in per_slot if r is not None)
+
+    rows = []
+    select_cache = placement.select_cache
+
+    def captured(probabilities, savings, cache_size):
+        rows.append((probabilities, savings))
+        return select_cache(probabilities, savings, cache_size)
+
+    monkeypatch.setattr(placement, "select_cache", captured)
+    caches = sim.select_caches(plan)
+    want = [reference_cache_rows(plan, k) for k in range(plan.n_uavs)]
+    want = [w for w in want if len(w[0])]
+    assert len(rows) == len(want) > 0
+    for (probs, savings), (ref_probs, ref_savings) in zip(rows, want):
+        assert probs.tobytes() == ref_probs.tobytes()
+        assert savings.tobytes() == ref_savings.tobytes()
+
+    delivered = []
+    deliver_uav = sim._deliver_uav
+
+    def checked(*args):
+        got = deliver_uav(*args)
+        assert got == reference_deliver_uav(*args)
+        delivered.extend(got[0])
+        return got
+
+    monkeypatch.setattr(sim, "_deliver_uav", checked)
+    sim.deliver(plan, caches, sim.place_uavs(plan, caches))
+    # The config reaches misses, hits and power clamped at the cap.
+    assert {r.link for r in delivered} == {LINK_UAV_CACHE, LINK_UAV_FRONTHAUL}
+    assert any(not r.power_feasible for r in delivered)
+
+
+def test_delay_bound_is_computed_once_per_period(tiny_cfg, monkeypatch):
+    calls = []
+    bound = qoe.delay_lower_bound_s
+
+    def counted(cfg):
+        calls.append(cfg)
+        return bound(cfg)
+
+    for module in (qoe, sim, placement):
+        if hasattr(module, "delay_lower_bound_s"):
+            monkeypatch.setattr(module, "delay_lower_bound_s", counted)
+    _, summary = sim.run_period(tiny_cfg, mode="oracle")
+    assert len(calls) == 1
+    assert summary["delay_lower_bound_s"] == bound(tiny_cfg)
+
+
 # -- call counts of one desk-scale period ------------------------------------------------
 
 
@@ -305,15 +418,15 @@ def test_desk_period_counts(monkeypatch):
         position_calls.append(global_slot)
         return interval_positions(self, users, global_slot, n_intervals)
 
-    searches = []  # per search: the positions handed to the objective
+    searches = []  # per search: the positions handed to the pricer
     db_route_calls = []  # (kernel, called from inside a search)
     in_search = []
-    objective = placement.placement_objective
+    price = placement.PlacementPricer.__call__
     local_search = placement.place_uav_local_search
 
-    def counted_objective(xyz, *args, **kwargs):
+    def counted_price(self, xyz):
         searches[-1].append(np.asarray(xyz, dtype=float).tobytes())
-        return objective(xyz, *args, **kwargs)
+        return price(self, xyz)
 
     def counted_search(*args, **kwargs):
         searches.append([])
@@ -344,7 +457,7 @@ def test_desk_period_counts(monkeypatch):
 
     monkeypatch.setattr(SyntheticWorld, "interval_positions", counted_positions)
     monkeypatch.setattr(SyntheticWorld, "position_at", counted_position_at)
-    monkeypatch.setattr(placement, "placement_objective", counted_objective)
+    monkeypatch.setattr(placement.PlacementPricer, "__call__", counted_price)
     monkeypatch.setattr(placement, "place_uav_local_search", counted_search)
     sim.run_period(cfg, mode="oracle", world=world)
 
