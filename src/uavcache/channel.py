@@ -64,6 +64,13 @@ def _buffer_like(*arrays) -> np.ndarray:
     return np.empty(shapes.pop() if shapes else ())
 
 
+def _distance_from_squares(sq_x, sq_y, altitude, out: np.ndarray) -> np.ndarray:
+    """3-D distance from squared horizontal offsets and a transmitter height, into ``out``."""
+    np.add(sq_x, sq_y, out=out)
+    np.add(out, altitude ** 2, out=out)
+    return np.sqrt(out, out=out)
+
+
 def _distance_3d(uav_xyz, user_xy) -> np.ndarray:
     uav_xyz = np.asarray(uav_xyz, dtype=float)
     user_xy = np.asarray(user_xy, dtype=float)
@@ -72,9 +79,7 @@ def _distance_3d(uav_xyz, user_xy) -> np.ndarray:
     np.multiply(d, d, out=d)
     dy = np.subtract(y, uav_xyz[1], out=_buffer_like(y))
     np.multiply(dy, dy, out=dy)
-    np.add(d, dy, out=d)
-    np.add(d, uav_xyz[2] ** 2, out=d)
-    return np.sqrt(d, out=d)
+    return _distance_from_squares(d, dy, uav_xyz[2], d)
 
 
 def distance_3d(uav_xyz, user_xy):
@@ -85,7 +90,11 @@ def _los_probability(dist: np.ndarray, altitude, p: ChannelParams) -> np.ndarray
     if (dist <= 0.0).any():
         raise ChannelError("zero distance between transmitter and receiver")
     altitude = np.asarray(altitude, dtype=float)
-    pr = np.divide(altitude, dist, out=_buffer_like(altitude, dist))
+    return _los_from_sine(np.divide(altitude, dist, out=_buffer_like(altitude, dist)), p)
+
+
+def _los_from_sine(pr: np.ndarray, p: ChannelParams) -> np.ndarray:
+    """The LoS probability from the elevation's sine, altitude / distance, in place."""
     pr.clip(-1.0, 1.0, out=pr)
     np.arcsin(pr, out=pr)
     np.multiply(pr, RAD_TO_DEG, out=pr)
@@ -137,28 +146,16 @@ def pathloss_linear_into(sq_x, sq_y, altitude, p: ChannelParams, dist: np.ndarra
 
     ``sq_x`` and ``sq_y`` hold the users' squared x and y offsets from a UAV
     at height ``altitude`` (a numpy float); ``dist`` is a work buffer of their
-    shape.  The steps are those of :func:`_distance_3d` and
+    shape.  The distance and LoS steps are those of :func:`_distance_3d` and
     :func:`_los_probability`, except that the zero-distance scan runs only
     when ``altitude ** 2`` is 0: every distance is at least its square root.
     The LoS-weighted mixture of two log-distance laws is one power of the
     distance, so the loss costs one log and one exp per point.
     """
-    np.add(sq_x, sq_y, out=dist)
-    z2 = altitude ** 2
-    np.add(dist, z2, out=dist)
-    np.sqrt(dist, out=dist)
-    if z2 == 0.0 and (dist <= 0.0).any():
+    dist = _distance_from_squares(sq_x, sq_y, altitude, dist)
+    if altitude ** 2 == 0.0 and (dist <= 0.0).any():
         raise ChannelError("zero distance between transmitter and receiver")
-    pr = np.divide(altitude, dist, out=out)
-    pr.clip(-1.0, 1.0, out=pr)
-    np.arcsin(pr, out=pr)
-    np.multiply(pr, RAD_TO_DEG, out=pr)
-    np.subtract(pr, p.env_x, out=pr)
-    np.multiply(pr, -p.env_y, out=pr)
-    np.exp(pr, out=pr)
-    np.multiply(pr, p.env_x, out=pr)
-    np.add(pr, 1.0, out=pr)
-    exponent = np.divide(1.0, pr, out=pr)
+    exponent = _los_from_sine(np.divide(altitude, dist, out=out), p)
     np.multiply(exponent, p.exponent_los - p.exponent_nlos, out=exponent)
     np.add(exponent, p.exponent_nlos, out=exponent)
     np.log(dist, out=dist)

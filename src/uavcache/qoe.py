@@ -149,9 +149,10 @@ def delay_rate_requirement_bits(cfg: ScenarioConfig, bound_s: float,
                                 fronthaul_s: float = 0.0) -> float:
     """Access rate (bits/slot) at which the delay score reaches its target.
 
-    ``bound_s`` is :func:`delay_lower_bound_s`, and ``fronthaul_s`` is the time the route's fronthaul leg takes (0 for a cache
-    hit); it eats into the delay budget, so caching strictly lowers the
-    requirement.  When the leg leaves no budget the requirement is inf.
+    ``bound_s`` is :func:`delay_lower_bound_s`, and ``fronthaul_s`` is the
+    time the route's fronthaul leg takes (0 for a cache hit); it eats into the
+    delay budget, so caching strictly lowers the requirement.  When the leg
+    leaves no budget the requirement is inf.
     """
     dt = cfg.slot_duration_s
     budget_s = dt - cfg.mos_min * (dt - bound_s) - fronthaul_s
