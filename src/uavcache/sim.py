@@ -157,8 +157,8 @@ def plan_slots(cfg: ScenarioConfig, world: SyntheticWorld, predictor,
                                         rs.derive("rrh-grouping"))
     clusters = [RrhCluster(id=q, antennas=world.rrh_xy[labels == q])
                 for q in range(cfg.num_rrh_clusters) if np.any(labels == q)]
-    # The period simulated is the day after the training days.
     bound_s = delay_lower_bound_s(cfg)
+    # The period simulated is the day after the training days.
     plan = PeriodPlan(cfg, world, predictor, rs, n_uavs,
                       world.training_days * cfg.slots_per_cache_period, clusters,
                       world.screen_factors, predictor.distributions.argmax(axis=2),
@@ -316,12 +316,13 @@ def _deliver_uav(plan: PeriodPlan, cache: tuple[int, ...], users: list[int], n_s
     device_frac = device_score(rates_bps, device_req[:, None]).tolist()
     power_w = tx_power.mean(axis=1).tolist()
     reports, total_w = [], 0.0
-    for i, (u, content, hit) in enumerate(zip(users, contents, hits)):
-        path = DeliveryPath(LINK_UAV_CACHE if hit else LINK_UAV_FRONTHAUL, capacity[i],
+    for u, content, hit, bits, frac, watts, ok in zip(users, contents, hits, capacity,
+                                                       device_frac, power_w, feasible):
+        path = DeliveryPath(LINK_UAV_CACHE if hit else LINK_UAV_FRONTHAUL, bits,
                             None if hit else fronthaul_bits)
-        reports.append(_score(plan, u, content, path, device_frac[i], power_w=power_w[i],
-                              cache_hit=hit, feasible=feasible[i]))
-        total_w += power_w[i]
+        reports.append(_score(plan, u, content, path, frac, power_w=watts, cache_hit=hit,
+                              feasible=ok))
+        total_w += watts
     return reports, total_w
 
 

@@ -1,9 +1,10 @@
 """The vectorized slot pipeline computes exactly what the plain expressions compute.
 
 The reference functions below are the straightforward forms of each kernel,
-one numpy expression per quantity.  The package runs the distance and the LoS
-probability in place and the other kernels as these same expressions, so
-every comparison here is ``np.array_equal``, never a tolerance.
+one numpy expression per quantity, and the per-user loops that the per-UAV
+row reductions replace.  The package runs the distance, the LoS probability
+and the dB path loss in place and the other kernels as these same
+expressions, so every comparison here is exact, never a tolerance.
 """
 
 import dataclasses
