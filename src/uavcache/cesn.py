@@ -204,8 +204,7 @@ class EsnModel:
     def load_pattern(self, inputs: np.ndarray, targets: np.ndarray) -> dict:
         """Store one pattern: update D inside the free memory, add its conceptor.
 
-        Returns a small report with the free-memory quota before/after and the
-        relative change of D, useful for redundancy diagnostics.
+        Returns a small report with the free-memory quota before and after.
         """
         if self.conceptors and self.memory is None:
             raise ReadOnlyModel(f"model holds {self.n_patterns} patterns but no running memory "
@@ -235,9 +234,7 @@ class EsnModel:
         t_mat = self.w_in @ inputs[keep].T - self.d @ v_old[:, keep]
         # ridge regression (S S^T / n + a I)^-1 S t^T / n, with n scaled out
         n_eff = s.shape[1]
-        d_inc = linalg.solve_ridge(s, self.cfg.aperture ** -2 * n_eff, t_mat.T).T
-        d_norm = np.linalg.norm(self.d)
-        self.d = self.d + d_inc
+        self.d = self.d + linalg.solve_ridge(s, self.cfg.aperture ** -2 * n_eff, t_mat.T).T
 
         c = compute_conceptor(states[:, keep], self.cfg.aperture)
         self.memory = c if self.memory is None else conceptor_or(self.memory, c)
@@ -253,7 +250,6 @@ class EsnModel:
             "quota_before": quota_before,
             "quota_after": quota_after,
             "quota_used": quota_before - quota_after,
-            "d_change_rel": float(np.linalg.norm(d_inc) / d_norm) if d_norm > 0 else float("inf"),
         }
 
     def train_readout(self) -> np.ndarray:

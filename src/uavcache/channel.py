@@ -244,13 +244,13 @@ def zf_beamformer(h: np.ndarray) -> np.ndarray:
     return f
 
 
-def zfbf_sinr(clusters: list[RrhCluster], assigned: list[list[int]],
+def zfbf_sinr(clusters: list[RrhCluster], assigned: np.ndarray,
               user_xy: np.ndarray, fading_power: list[np.ndarray],
               rrh_power_w: float, bbu_interference_w: np.ndarray,
               noise_w: float, exponent: float) -> dict[int, float]:
     """Per-user SINR under zero-forcing within clusters.
 
-    ``assigned[q]`` lists the user indices served by cluster q, ``fading_power[q]``
+    ``assigned`` holds each user's cluster index (-1: none), ``fading_power[q]``
     holds unit-mean exponential power gains of shape (num_users, R_q) toward
     cluster q's antennas (rows are indexed by global user id so the same draws
     serve both the direct and the cross channels).  Intra-cluster interference
@@ -260,8 +260,8 @@ def zfbf_sinr(clusters: list[RrhCluster], assigned: list[list[int]],
     user_xy = np.asarray(user_xy, dtype=float)
     beams: dict[int, np.ndarray] = {}
     for q, cluster in enumerate(clusters):
-        users = assigned[q]
-        if not users:
+        users = np.flatnonzero(assigned == q)
+        if not users.size:
             continue
         h = rayleigh_channel_rows(user_xy[users], cluster.antennas,
                                   fading_power[q][users], exponent)
@@ -272,7 +272,7 @@ def zfbf_sinr(clusters: list[RrhCluster], assigned: list[list[int]],
 
     sinr: dict[int, float] = {}
     for q, cluster in enumerate(clusters):
-        for i in assigned[q]:
+        for i in np.flatnonzero(assigned == q).tolist():
             interference = float(bbu_interference_w[i])
             for j, other in enumerate(clusters):
                 if j == q or j not in beams:

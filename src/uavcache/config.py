@@ -382,6 +382,10 @@ class RrhCluster:
     def n_antennas(self) -> int:
         return int(self.antennas.shape[0])
 
+    @property
+    def centroid(self) -> np.ndarray:
+        return self.antennas.mean(axis=0)
+
 
 # -- deterministic random streams --------------------------------------------
 

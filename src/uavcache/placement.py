@@ -24,21 +24,6 @@ from .qoe import (delay_rate_requirement_bits, min_uav_power_w, power_per_loss_w
 
 
 @dataclass
-class AssociationPlan:
-    """Outcome of the admission step: who stays terrestrial, who flies."""
-
-    rrh_users: dict[int, int]  # user -> cluster index
-    uav_pool: list[int]
-    n_fr: int
-
-    def cluster_members(self, n_clusters: int) -> list[list[int]]:
-        members: list[list[int]] = [[] for _ in range(n_clusters)]
-        for user, q in sorted(self.rrh_users.items()):
-            members[q].append(user)
-        return members
-
-
-@dataclass
 class PlacementResult:
     position: np.ndarray  # (3,)
     objective_w: float
@@ -57,40 +42,33 @@ def rrh_rate_threshold_bits(n_fr: int, device_req_bps, cfg: ScenarioConfig, boun
 
 
 def associate_rrh(rates_bits, user_xy, device_req_bps, clusters: list[RrhCluster],
-                  cfg: ScenarioConfig, bound_s: float) -> AssociationPlan:
-    """Admit the largest user set whose rates all clear the shared-fronthaul threshold.
+                  cfg: ScenarioConfig, bound_s: float) -> np.ndarray:
+    """Each user's radio-head cluster index, or -1: the largest admitted set whose
+    rates all clear the shared-fronthaul threshold.
 
-    Candidates are ranked by predicted rate (ties by id) and placed on the
-    nearest cluster with a free antenna; the admitted count is the fixed point
-    of the admission condition, found by trying counts from the largest down.
+    The admitted count m is the largest at which m users or more clear the
+    threshold for m sharers.  The m of them ranked highest by predicted rate
+    (ties by id) are placed in rank order on the nearest cluster with a free
+    antenna.
     """
     rates = np.asarray(rates_bits, dtype=float)
     user_xy = np.asarray(user_xy, dtype=float)
-    n_users = rates.shape[0]
-    total_antennas = sum(c.n_antennas for c in clusters)
-    order = sorted(range(n_users), key=lambda i: (-rates[i], i))
-    centroids = [c.antennas.mean(axis=0) for c in clusters]
-
-    for m in range(min(n_users, total_antennas), 0, -1):
-        thresholds = rrh_rate_threshold_bits(m, device_req_bps, cfg, bound_s)
-        chosen: dict[int, int] = {}
-        capacity = [c.n_antennas for c in clusters]
-        for i in order:
-            if len(chosen) == m:
-                break
-            if rates[i] < thresholds[i]:
-                continue
-            by_distance = sorted(range(len(clusters)),
-                                 key=lambda q: (float(np.linalg.norm(user_xy[i] - centroids[q])), q))
-            for q in by_distance:
-                if capacity[q] > 0:
-                    chosen[i] = q
-                    capacity[q] -= 1
-                    break
-        if len(chosen) == m:
-            pool = [i for i in range(n_users) if i not in chosen]
-            return AssociationPlan(rrh_users=chosen, uav_pool=pool, n_fr=m)
-    return AssociationPlan(rrh_users={}, uav_pool=list(range(n_users)), n_fr=0)
+    assigned = np.full(rates.shape[0], -1)
+    capacity = [c.n_antennas for c in clusters]
+    for m in range(min(rates.shape[0], sum(capacity)), 0, -1):
+        clears = ~(rates < rrh_rate_threshold_bits(m, device_req_bps, cfg, bound_s))
+        if np.count_nonzero(clears) >= m:
+            break
+    else:
+        return assigned
+    centroids = [c.centroid for c in clusters]
+    ranked = sorted(np.flatnonzero(clears).tolist(), key=lambda i: (-rates[i], i))
+    for i in ranked[:m]:
+        q = min((q for q in range(len(clusters)) if capacity[q] > 0),
+                key=lambda q: (float(np.linalg.norm(user_xy[i] - centroids[q])), q))
+        assigned[i] = q
+        capacity[q] -= 1
+    return assigned
 
 
 def cluster_users(xy, k: int, rs: RandomSource | None = None,

@@ -74,17 +74,20 @@ class SlotLog:
             raise SimInvariantError(f"slot {self.slot}: per-UAV power does not add up")
 
 
-def _reference_sets(user_xy: np.ndarray, clusters: list[RrhCluster]) -> list[list[int]]:
-    """Capacity-capped nearest-cluster assignment used to estimate rates."""
-    centroids = np.array([c.antennas.mean(axis=0) for c in clusters])
+def _reference_clusters(user_xy: np.ndarray, clusters: list[RrhCluster]) -> np.ndarray:
+    """Capacity-capped nearest-cluster assignment used to estimate rates; -1: none.
+
+    Each cluster keeps its nearest users, ties by id.
+    """
+    centroids = np.array([c.centroid for c in clusters])
     dists = np.linalg.norm(user_xy[:, None, :] - centroids[None, :, :], axis=2)
     nearest = np.argmin(dists, axis=1)
-    sets: list[list[int]] = []
+    assigned = np.full(user_xy.shape[0], -1)
     for q, cluster in enumerate(clusters):
-        members = [i for i in range(user_xy.shape[0]) if nearest[i] == q]
-        members.sort(key=lambda i: (dists[i, q], i))
-        sets.append(members[: cluster.n_antennas])
-    return sets
+        members = np.flatnonzero(nearest == q)
+        order = np.argsort(dists[members, q], kind="stable")
+        assigned[members[order[:cluster.n_antennas]]] = q
+    return assigned
 
 
 def _zf_fading(rs: RandomSource, slot: int, clusters: list[RrhCluster],
@@ -121,8 +124,9 @@ def _rrh_rates_bits(cfg, world, clusters, assigned, user_xy, fading, interferenc
 class PeriodPlan:
     """What planning fixes for one period; the cache, placement and delivery stages read it.
 
-    The per-slot lists hold one entry per slot; inside a slot, ``members``,
-    ``anchors`` and ``req_miss`` hold one entry per UAV.
+    The per-slot lists hold one entry per slot.  A slot's ``rrh`` and ``uav``
+    give each user's radio-head cluster and UAV, -1 for none; its ``anchors``
+    and ``req_miss`` hold one entry per UAV.
     """
 
     cfg: ScenarioConfig
@@ -136,8 +140,8 @@ class PeriodPlan:
     likely: np.ndarray  # (U, n_sub) each user's most likely content per sub-period
     bound_s: float  # qoe.delay_lower_bound_s, which depends on the config alone
     req_hit: float  # a cache hit's delay-rate requirement (bits/slot)
-    association: list[placement.AssociationPlan] = field(default_factory=list)
-    members: list[list[list[int]]] = field(default_factory=list)  # each UAV's users, ascending
+    rrh: list[np.ndarray] = field(default_factory=list)  # (U,) cluster index or -1
+    uav: list[np.ndarray] = field(default_factory=list)  # (U,) UAV index or -1
     anchors: list[np.ndarray] = field(default_factory=list)  # (K, 3) centroids at the floor
     midpoints: list[np.ndarray] = field(default_factory=list)  # (U, 2) predicted mid-slot xy
     fading: list[list[np.ndarray]] = field(default_factory=list)  # per RRH cluster
@@ -167,28 +171,26 @@ def plan_slots(cfg: ScenarioConfig, world: SyntheticWorld, predictor,
     for s in range(cfg.slots_per_cache_period):
         pred_xy = predictor.slot_positions(range(n_users), plan.slot0 + s, 1)[:, 0]
         fading = _zf_fading(rs, s, clusters, n_users)
-        rates = _rrh_rates_bits(cfg, world, clusters, _reference_sets(pred_xy, clusters),
+        rates = _rrh_rates_bits(cfg, world, clusters, _reference_clusters(pred_xy, clusters),
                                 pred_xy, fading, n_uavs > 0)
         likely = plan.likely[:, s // cfg.slots_per_collection]
-        association = placement.associate_rrh(
+        rrh = placement.associate_rrh(
             rates, pred_xy, cfg.device_rate_bps(plan.screen, likely), clusters, cfg, bound_s)
-        pool = association.uav_pool
-        if n_uavs and pool:
-            pool_labels, centroids = placement.cluster_users(
+        uav = np.full(n_users, -1)
+        pool = np.flatnonzero(rrh < 0)
+        if n_uavs and pool.size:
+            uav[pool], centroids = placement.cluster_users(
                 pred_xy[pool], n_uavs, rs.derive(f"kmeans-{s}"), init_centroids=prev_centroids)
             prev_centroids = centroids
-            members = [[pool[j] for j in range(len(pool)) if pool_labels[j] == k]
-                       for k in range(n_uavs)]
         else:
             centroids = prev_centroids if prev_centroids is not None else np.zeros((n_uavs, 2))
-            members = [[] for _ in range(n_uavs)]
-        plan.association.append(association)
-        plan.members.append(members)
+        plan.rrh.append(rrh)
+        plan.uav.append(uav)
         plan.anchors.append(np.column_stack([centroids, np.full(n_uavs, cfg.min_altitude_m)]))
         plan.midpoints.append(pred_xy)
         plan.fading.append(fading)
         plan.req_miss.append([_cache_miss(plan, plan.anchors[s][k], 1)[1]
-                              if members[k] else None for k in range(n_uavs)])
+                              if np.any(uav == k) else None for k in range(n_uavs)])
     return plan
 
 
@@ -210,8 +212,9 @@ def select_caches(plan: PeriodPlan) -> list[tuple[int, ...]]:
     caches: list[tuple[int, ...]] = []
     for k in range(plan.n_uavs):
         prob_rows, saving_rows = [], []
-        for s, members in enumerate(m[k] for m in plan.members):
-            if not members:
+        for s, uav in enumerate(plan.uav):
+            members = np.flatnonzero(uav == k)
+            if not members.size:
                 continue
             pls = uav_user_pathloss_db(plan.anchors[s][k], plan.midpoints[s][members],
                                        cfg.pathloss)
@@ -242,7 +245,7 @@ def place_uavs(plan: PeriodPlan, caches: list[tuple[int, ...]]) -> list[np.ndarr
     positions_per_slot: list[np.ndarray] = []
     prev_positions: np.ndarray | None = None
     # One call per slot frees a slot's position arrays before the next are built.
-    for s in range(len(plan.members)):
+    for s in range(len(plan.uav)):
         prev_positions = _place_slot(plan, caches, s, prev_positions)
         positions_per_slot.append(prev_positions)
     return positions_per_slot
@@ -251,15 +254,16 @@ def place_uavs(plan: PeriodPlan, caches: list[tuple[int, ...]]) -> list[np.ndarr
 def _place_slot(plan: PeriodPlan, caches: list[tuple[int, ...]], s: int,
                 prev_positions: np.ndarray | None) -> np.ndarray:
     """One slot's UAV positions; a UAV that serves nobody holds its previous position."""
-    cfg = plan.cfg
-    members_by_uav = plan.members[s]
+    cfg, uav = plan.cfg, plan.uav[s]
     positions = np.zeros((plan.n_uavs, 3))
-    served, rows = _rows_by_uav(members_by_uav)
-    if served:
+    served = np.flatnonzero(uav >= 0)
+    if served.size:
         slot_pos = plan.predictor.slot_positions(served, plan.slot0 + s, cfg.intervals_per_slot)
-    for k, members in enumerate(members_by_uav):
+    for k in range(plan.n_uavs):
         held = prev_positions[k] if prev_positions is not None else plan.anchors[s][k]
-        if not members:
+        rows = uav[served] == k
+        members = served[rows]
+        if not members.size:
             positions[k] = held
             continue
         contents = plan.likely[members, s // cfg.slots_per_collection]
@@ -269,23 +273,13 @@ def _place_slot(plan: PeriodPlan, caches: list[tuple[int, ...]], s: int,
         targets = qoe_rate_target_bps(
             np.where([c in caches[k] for c in contents], plan.req_hit, req_miss),
             cfg.device_rate_bps(plan.screen[members], contents), cfg.slot_duration_s)
-        positions[k] = placement.place_uav(slot_pos[rows[k]], targets, held, len(members), cfg)
+        positions[k] = placement.place_uav(slot_pos[rows], targets, held, len(members), cfg)
     return positions
-
-
-def _rows_by_uav(users_by_uav: list[list[int]]) -> tuple[list[int], list[slice]]:
-    """All UAVs' users in one list, UAV by UAV, and each UAV's slice of it."""
-    served: list[int] = []
-    rows: list[slice] = []
-    for users in users_by_uav:
-        rows.append(slice(len(served), len(served) + len(users)))
-        served.extend(users)
-    return served, rows
 
 
 def _fixed_placement(plan: PeriodPlan, caches: list[tuple[int, ...]]) -> list[np.ndarray]:
     """Park every UAV over its first-slot anchor for the whole period."""
-    return [plan.anchors[0].copy() for _ in plan.members]
+    return [plan.anchors[0].copy() for _ in plan.uav]
 
 
 def _deliver_uav(plan: PeriodPlan, cache: tuple[int, ...], users: list[int], n_served: int,
@@ -337,33 +331,33 @@ def deliver(plan: PeriodPlan, caches: list[tuple[int, ...]],
 def _deliver_slot(plan: PeriodPlan, caches: list[tuple[int, ...]], s: int,
                   positions: np.ndarray) -> SlotLog:
     cfg, world, n_uavs, n_users = plan.cfg, plan.world, plan.n_uavs, plan.cfg.num_users
-    association, members = plan.association[s], plan.members[s]
+    rrh, uav = plan.rrh[s], plan.uav[s]
+    n_fr = int(np.count_nonzero(rrh >= 0))
     gs = plan.slot0 + s
     true_xy = world.interval_positions(range(n_users), gs, 1)[:, 0]
     requests = world.requests[:, gs].tolist()  # -1: idle
 
-    user_uav = {u: k for k in range(n_uavs) for u in members[k]}
-    n_fetch = len({k for u, k in user_uav.items()
-                   if requests[u] >= 0 and requests[u] not in caches[k]})
+    # The requesting users the UAVs serve, and each UAV's rows among them.
+    served = np.flatnonzero((uav >= 0) & (world.requests[:, gs] >= 0))
+    uav_rows = [uav[served] == k for k in range(n_uavs)]
+    n_fetch = sum(any(requests[u] not in caches[k] for u in served[rows].tolist())
+                  for k, rows in enumerate(uav_rows))
 
     # Terrestrial deliveries (admitted sets, true positions, same fading).
-    rates_true = _rrh_rates_bits(cfg, world, plan.clusters,
-                                 association.cluster_members(len(plan.clusters)), true_xy,
-                                 plan.fading[s], n_fetch > 0)
-    v_fu_bps = cfg.fronthaul_rate_bps / max(association.n_fr, 1)
+    rates_true = _rrh_rates_bits(cfg, world, plan.clusters, rrh, true_xy, plan.fading[s],
+                                 n_fetch > 0)
+    v_fu_bps = cfg.fronthaul_rate_bps / max(n_fr, 1)
 
     # Aerial deliveries, UAV by UAV, over one positions array for the slot.
-    requesting = [[u for u in users if requests[u] >= 0] for users in members]
-    served, rows = _rows_by_uav(requesting)
-    if served:
+    if served.size:
         true_pos = world.interval_positions(served, gs, cfg.intervals_per_slot)
     uav_reports: dict[int, QoeReport] = {}
     uav_power = np.zeros(n_uavs)
-    for k, users in enumerate(requesting):
-        if users:
-            scored, uav_power[k] = _deliver_uav(plan, caches[k], users, len(members[k]),
-                                                positions[k], true_pos[rows[k]], requests,
-                                                n_fetch)
+    for k, rows in enumerate(uav_rows):
+        if rows.any():
+            scored, uav_power[k] = _deliver_uav(plan, caches[k], served[rows].tolist(),
+                                                int(np.count_nonzero(uav == k)), positions[k],
+                                                true_pos[rows], requests, n_fetch)
             uav_reports.update((r.user, r) for r in scored)
 
     reports: list[QoeReport] = []
@@ -374,12 +368,12 @@ def _deliver_slot(plan: PeriodPlan, caches: list[tuple[int, ...]], s: int,
             reports.append(dataclasses.replace(_failure_report(u, -1, "idle"), delay_s=0.0))
             continue
         n_requests += 1
-        if u in association.rrh_users:
+        if rrh[u] >= 0:
             path = DeliveryPath(LINK_RRH, rates_true[u], v_fu_bps * cfg.slot_duration_s)
             report = _score(plan, u, content, path,
                             device_score(rates_true[u] / cfg.slot_duration_s,
                                          cfg.device_rate_bps(plan.screen[u], content)))
-        elif u not in user_uav:
+        elif uav[u] < 0:
             report = _failure_report(u, content, "unserved")
         else:
             report = uav_reports[u]
@@ -389,7 +383,7 @@ def _deliver_slot(plan: PeriodPlan, caches: list[tuple[int, ...]], s: int,
         n_delivered += report.delivered
         n_failures += not report.delivered
 
-    log = SlotLog(slot=s, reports=reports, n_fr=association.n_fr,
+    log = SlotLog(slot=s, reports=reports, n_fr=n_fr,
                   n_fetching=n_fetch, uav_positions=positions, uav_power_w=uav_power,
                   caches=tuple(caches), requests=n_requests, delivered=n_delivered,
                   failures=n_failures, cache_hits=n_hits, uav_deliveries=n_uav_deliveries)

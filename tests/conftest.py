@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import strategies as st
@@ -7,7 +9,7 @@ from uavcache.channel import (ChannelError, db_to_linear, free_space_pl_db, mixe
 from uavcache.config import (DESK_PRESET, ChannelParams, RandomSource, ScenarioConfig,
                              load_config_dict, merge_documents)
 from uavcache.generators import DAY_TYPES, day_type
-from uavcache.placement import PlacementResult, _flatten_positions
+from uavcache.placement import PlacementResult, _flatten_positions, rrh_rate_threshold_bits
 from uavcache.qoe import min_uav_power_w, power_per_loss_w
 
 
@@ -25,6 +27,15 @@ def tiny_cfg() -> ScenarioConfig:
         esn={"reservoir_size": 60, "training_length": 60, "washout": 10},
         generators={"training_weeks": 2, "request_concentration": 2.0},
     )
+
+
+def infeasible_config(tiny_cfg: ScenarioConfig) -> ScenarioConfig:
+    """``tiny_cfg`` at a half-second slot with a slow wired fronthaul, a faint BBU link and
+    a one-content cache: the RRH threshold goes infinite, uncached routes cannot make the
+    delay, and delivery prices unreachable targets at the power cap."""
+    return dataclasses.replace(
+        tiny_cfg, slot_duration_s=0.5, fronthaul_rate_bps=1e7, bbu_power_w=1e-6, cache_size=1,
+        generators=dataclasses.replace(tiny_cfg.generators, request_concentration=0.5))
 
 
 def log_uniform(lo_exp: float, hi_exp: float):
@@ -71,6 +82,44 @@ def echo_state_gap(w: np.ndarray, w_in: np.ndarray, inputs: np.ndarray,
         v1 = np.tanh(w @ v1 + drive_terms[t])
         v2 = np.tanh(w @ v2 + drive_terms[t])
     return float(np.max(np.abs(v1 - v2)))
+
+
+def reference_associate_rrh(rates_bits, user_xy, device_req_bps, clusters, cfg, bound_s):
+    """Terrestrial admission tried at every count from the largest down.
+
+    Each count m rebuilds the whole greedy placement: the users ranked by
+    rate (ties by id) that clear the threshold for m sharers go, in rank
+    order, to the nearest cluster with a free antenna, until m are placed.
+    The first m that fills returns; each user's cluster index, or -1.
+    """
+    rates = np.asarray(rates_bits, dtype=float)
+    user_xy = np.asarray(user_xy, dtype=float)
+    n_users = rates.shape[0]
+    total_antennas = sum(c.n_antennas for c in clusters)
+    order = sorted(range(n_users), key=lambda i: (-rates[i], i))
+    centroids = [c.antennas.mean(axis=0) for c in clusters]
+    for m in range(min(n_users, total_antennas), 0, -1):
+        thresholds = rrh_rate_threshold_bits(m, device_req_bps, cfg, bound_s)
+        chosen: dict[int, int] = {}
+        capacity = [c.n_antennas for c in clusters]
+        for i in order:
+            if len(chosen) == m:
+                break
+            if rates[i] < thresholds[i]:
+                continue
+            by_distance = sorted(
+                range(len(clusters)),
+                key=lambda q: (float(np.linalg.norm(user_xy[i] - centroids[q])), q))
+            for q in by_distance:
+                if capacity[q] > 0:
+                    chosen[i] = q
+                    capacity[q] -= 1
+                    break
+        if len(chosen) == m:
+            assigned = np.full(n_users, -1)
+            assigned[list(chosen)] = list(chosen.values())
+            return assigned
+    return np.full(n_users, -1)
 
 
 def uav_user_pathloss_linear(uav_xyz, user_xy, p: ChannelParams):

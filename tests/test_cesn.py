@@ -245,8 +245,9 @@ class TestLoadingAndRecall:
         # sharp conceptors mask a repeated pattern almost completely
         model = signal_model(aperture=100.0)
         load_signal(model, sine(8.0, 400))
-        report = load_signal(model, sine(8.0, 400))
-        assert report["d_change_rel"] < 1e-3
+        d_before = model.d.copy()
+        load_signal(model, sine(8.0, 400))
+        assert np.linalg.norm(model.d - d_before) / np.linalg.norm(d_before) < 1e-3
 
     def test_four_sinusoids_recall(self):
         model = signal_model(n_res=200)

@@ -228,7 +228,7 @@ class TestZfbf:
 
     def test_single_user_identity(self):
         clusters = [self._cluster([[0.0, 0.0], [10.0, 0.0]])]
-        sinr = channel.zfbf_sinr(clusters, [[0]], np.array([[5.0, 40.0]]),
+        sinr = channel.zfbf_sinr(clusters, np.array([0]), np.array([[5.0, 40.0]]),
                                  [np.array([[1.0, 1.3]])], rrh_power_w=0.1,
                                  bbu_interference_w=np.zeros(1), noise_w=1e-13,
                                  exponent=2.0)
@@ -239,7 +239,7 @@ class TestZfbf:
         gains = [np.ones((2, 2)), np.ones((2, 2))]
         users = np.array([[10.0, 10.0], [1e6, 1e6]])
         far = RrhCluster(id=1, antennas=np.array([[1e6, 1e6 + 5.0], [1e6 + 5.0, 1e6]]))
-        sinr = channel.zfbf_sinr([near, far], [[0], [1]], users, gains,
+        sinr = channel.zfbf_sinr([near, far], np.array([0, 1]), users, gains,
                                  rrh_power_w=0.1, bbu_interference_w=np.zeros(2),
                                  noise_w=1e-13, exponent=2.0)
         assert sinr[0] == pytest.approx(0.1 / 1e-13, rel=1e-3)
@@ -260,12 +260,12 @@ class TestZfbf:
         users = np.array([[100.0, 0.0], [100.0, 0.0]])
         gains = [np.ones((2, 2))]
         with pytest.raises(channel.ChannelError, match="cluster 0"):
-            channel.zfbf_sinr([cluster], [[0, 1]], users, gains, 0.1,
+            channel.zfbf_sinr([cluster], np.array([0, 0]), users, gains, 0.1,
                               np.zeros(2), 1e-13, 2.0)
 
     def test_bbu_interference_lowers_sinr(self):
         cluster = self._cluster([[0.0, 0.0], [10.0, 0.0]])
-        common = dict(clusters=[cluster], assigned=[[0]],
+        common = dict(clusters=[cluster], assigned=np.array([0]),
                       user_xy=np.array([[5.0, 40.0]]),
                       fading_power=[np.array([[1.0, 1.3]])],
                       rrh_power_w=0.1, noise_w=1e-13, exponent=2.0)

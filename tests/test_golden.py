@@ -17,7 +17,7 @@ from uavcache.config import ScenarioConfig
 from uavcache.generators import SyntheticWorld
 from uavcache.predictors import train_content_model, train_mobility_model
 
-from conftest import desk_config
+from conftest import desk_config, infeasible_config
 
 # baseline -> (slots.csv, summary.json) for the desk preset in oracle mode
 DESK_ORACLE = {
@@ -117,10 +117,7 @@ def test_per_content_rates_artifacts_pinned(tiny_cfg):
 
 
 def test_infeasible_branches_artifacts_pinned(tiny_cfg):
-    cfg = dataclasses.replace(
-        tiny_cfg, slot_duration_s=0.5, fronthaul_rate_bps=1e7, bbu_power_w=1e-6, cache_size=1,
-        generators=dataclasses.replace(tiny_cfg.generators, request_concentration=0.5))
-    logs, summary = sim.run_period(cfg, mode="oracle")
+    logs, summary = sim.run_period(infeasible_config(tiny_cfg), mode="oracle")
     assert digests(logs, summary) == TINY_INFEASIBLE
 
 

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (access_links, log_uniform, place_uav_exhaustive, placement_objective,
-                      placement_objective_db)
+                      placement_objective_db, reference_associate_rrh)
 from uavcache import linalg, placement, sim
 from uavcache.channel import ChannelError, db_to_linear
 from uavcache.config import ChannelParams, RandomSource, RrhCluster, ScenarioConfig
@@ -21,6 +21,8 @@ from uavcache.qoe import (delay_lower_bound_s, delay_rate_requirement_bits, min_
 
 CFG = ScenarioConfig()
 BOUND_S = delay_lower_bound_s(CFG)
+# A slow wired fronthaul: the threshold is finite for one sharer, infinite from three.
+SLOW_FRONTHAUL = ScenarioConfig(slot_duration_s=0.5, fronthaul_rate_bps=1e7)
 
 
 def two_clusters():
@@ -33,25 +35,25 @@ class TestAssociation:
         clusters = two_clusters()
         n = 6
         xy = np.array([[float(40 * i - 100), 0.0] for i in range(n)])
-        plan = placement.associate_rrh(np.full(n, np.inf), xy, np.full(n, 5e6),
-                                       clusters, CFG, BOUND_S)
-        assert plan.n_fr == 4  # capped by total antennas
-        assert len(plan.uav_pool) == 2
+        assigned = placement.associate_rrh(np.full(n, np.inf), xy, np.full(n, 5e6),
+                                           clusters, CFG, BOUND_S)
+        assert np.count_nonzero(assigned >= 0) == 4  # capped by total antennas
+        assert np.count_nonzero(assigned < 0) == 2
 
     def test_zero_rates_send_everyone_to_pool(self):
         clusters = two_clusters()
         xy = np.zeros((5, 2))
-        plan = placement.associate_rrh(np.zeros(5), xy, np.full(5, 5e6), clusters, CFG, BOUND_S)
-        assert plan.n_fr == 0
-        assert plan.uav_pool == list(range(5))
+        assigned = placement.associate_rrh(np.zeros(5), xy, np.full(5, 5e6), clusters, CFG,
+                                           BOUND_S)
+        assert assigned.tolist() == [-1] * 5
 
     def test_threshold_boundary_inclusive(self):
         clusters = [RrhCluster(id=0, antennas=np.array([[0.0, 0.0]]))]
         device = np.array([5e6])
         threshold = placement.rrh_rate_threshold_bits(1, device, CFG, BOUND_S)
-        plan = placement.associate_rrh(threshold, np.array([[10.0, 0.0]]), device,
-                                       clusters, CFG, BOUND_S)
-        assert plan.rrh_users == {0: 0}
+        assigned = placement.associate_rrh(threshold, np.array([[10.0, 0.0]]), device,
+                                           clusters, CFG, BOUND_S)
+        assert assigned.tolist() == [0]
 
     def test_admitted_set_is_a_fixed_point(self):
         rng = np.random.default_rng(8)
@@ -60,21 +62,55 @@ class TestAssociation:
         xy = rng.uniform(-200, 200, (n, 2))
         rates = rng.uniform(0.0, 2e7, n)
         device = rng.choice([2.5e6, 5e6, 7.5e6], n)
-        plan = placement.associate_rrh(rates, xy, device, clusters, CFG, BOUND_S)
-        if plan.n_fr:
-            thresholds = placement.rrh_rate_threshold_bits(plan.n_fr, device, CFG, BOUND_S)
-            for user in plan.rrh_users:
+        assigned = placement.associate_rrh(rates, xy, device, clusters, CFG, BOUND_S)
+        admitted, pool = np.flatnonzero(assigned >= 0), np.flatnonzero(assigned < 0)
+        n_fr = admitted.size
+        if n_fr:
+            thresholds = placement.rrh_rate_threshold_bits(n_fr, device, CFG, BOUND_S)
+            for user in admitted:
                 assert rates[user] >= thresholds[user]
             # maximality: one more admission must break someone's threshold
-            bigger = placement.rrh_rate_threshold_bits(plan.n_fr + 1, device, CFG, BOUND_S)
-            candidates = [u for u in plan.uav_pool if rates[u] >= bigger[u]]
-            admitted_ok = all(rates[u] >= bigger[u] for u in plan.rrh_users)
-            assert not (candidates and admitted_ok and plan.n_fr < 4)
+            bigger = placement.rrh_rate_threshold_bits(n_fr + 1, device, CFG, BOUND_S)
+            candidates = [u for u in pool if rates[u] >= bigger[u]]
+            admitted_ok = all(rates[u] >= bigger[u] for u in admitted)
+            assert not (candidates and admitted_ok and n_fr < 4)
 
     def test_no_clusters_all_pool(self):
-        plan = placement.associate_rrh(np.full(3, np.inf), np.zeros((3, 2)),
-                                       np.full(3, 5e6), [], CFG, BOUND_S)
-        assert plan.n_fr == 0
+        assigned = placement.associate_rrh(np.full(3, np.inf), np.zeros((3, 2)),
+                                           np.full(3, 5e6), [], CFG, BOUND_S)
+        assert np.count_nonzero(assigned >= 0) == 0
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.data())
+    def test_one_pass_equals_the_count_by_count_reference(self, data):
+        cfg = data.draw(st.sampled_from([CFG, SLOW_FRONTHAUL]))
+        bound_s = delay_lower_bound_s(cfg)
+        # Points on a coarse grid, so that users tie on distance to clusters.
+        point = st.tuples(st.integers(-2, 2), st.integers(-2, 2)).map(
+            lambda p: [100.0 * p[0], 100.0 * p[1]])
+        clusters = [RrhCluster(id=q, antennas=np.array(data.draw(st.lists(point, min_size=1,
+                                                                          max_size=3))))
+                    for q in range(data.draw(st.integers(0, 3)))]
+        n = data.draw(st.integers(0, 10))
+        xy = np.array(data.draw(st.lists(point, min_size=n, max_size=n)), dtype=float)
+        xy = xy.reshape(n, 2)
+        device = np.array(data.draw(st.lists(st.sampled_from([2.5e6, 5e6, 7.5e6]),
+                                             min_size=n, max_size=n)))
+        rates = np.empty(n)
+        for i in range(n):
+            kind = data.draw(st.sampled_from(["tied", "inf", "at_threshold", "free"]))
+            if kind == "tied":
+                rates[i] = data.draw(st.sampled_from([0.0, 6e6, 7.5e6, 1e7]))
+            elif kind == "inf":
+                rates[i] = np.inf
+            elif kind == "at_threshold":
+                m = data.draw(st.integers(1, n))
+                rates[i] = placement.rrh_rate_threshold_bits(m, device, cfg, bound_s)[i]
+            else:
+                rates[i] = data.draw(st.floats(4e6, 1.2e7))
+        got = placement.associate_rrh(rates, xy, device, clusters, cfg, bound_s)
+        want = reference_associate_rrh(rates, xy, device, clusters, cfg, bound_s)
+        assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("n_fr", [0, 1, 7, 1000])
     def test_threshold_is_the_requirement_with_the_wired_leg(self, n_fr):

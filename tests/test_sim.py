@@ -3,9 +3,10 @@ import dataclasses
 import numpy as np
 import pytest
 
+from conftest import desk_config, infeasible_config
 from uavcache import placement, sim
 from uavcache.generators import SyntheticWorld
-from uavcache.predictors import train_content_model, train_mobility_model
+from uavcache.predictors import OraclePredictor, train_content_model, train_mobility_model
 from uavcache.qoe import LINK_UAV_CACHE, LINK_UAV_FRONTHAUL, delay_lower_bound_s
 
 
@@ -164,6 +165,27 @@ class TestStageTable:
         swapped, _ = run(tiny_cfg, baseline=baseline)
         assert "plan_slots" not in sim.BASELINES[baseline]
         assert [log.n_fr for log in swapped] == [log.n_fr for log in planned]
+
+
+class TestSlotPartition:
+    @pytest.mark.parametrize("case", ["desk", "desk_no_uav", "tiny_infeasible"])
+    def test_each_slot_splits_the_users_between_the_tiers(self, tiny_cfg, case):
+        cfg = infeasible_config(tiny_cfg) if case == "tiny_infeasible" else desk_config()
+        stages = sim.BASELINES["no_uav"] if case == "desk_no_uav" else {}
+        world = SyntheticWorld(cfg)
+        plan = stages.get("plan_slots", sim.plan_slots)(cfg, world, OraclePredictor(world))
+        caches = sim.select_caches(plan)
+        logs = sim.deliver(plan, caches, sim.place_uavs(plan, caches))
+        antennas = [c.n_antennas for c in plan.clusters]
+        assert len(plan.rrh) == len(plan.uav) == len(logs) == cfg.slots_per_cache_period
+        for rrh, uav, log in zip(plan.rrh, plan.uav, logs):
+            assert not np.any((rrh >= 0) & (uav >= 0))
+            if plan.n_uavs:
+                assert np.all(uav[rrh < 0] >= 0) and np.all(uav < plan.n_uavs)
+            else:
+                assert np.all(uav < 0)
+            assert np.all(np.bincount(rrh[rrh >= 0], minlength=len(antennas)) <= antennas)
+            assert log.n_fr == np.count_nonzero(rrh >= 0)
 
 
 class TestDeterminism:

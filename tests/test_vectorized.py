@@ -7,12 +7,10 @@ and the dB path loss in place and the other kernels as these same
 expressions, so every comparison here is exact, never a tolerance.
 """
 
-import dataclasses
-
 import numpy as np
 import pytest
 
-from conftest import desk_config, placement_objective, placement_objective_db
+from conftest import desk_config, infeasible_config, placement_objective, placement_objective_db
 from uavcache import channel, placement, qoe, sim
 from uavcache.config import ChannelParams, ScenarioConfig
 from uavcache.generators import SyntheticWorld
@@ -306,7 +304,8 @@ def reference_cache_rows(plan, k):
     cfg = plan.cfg
     all_contents = np.arange(cfg.num_contents)
     prob_rows, saving_rows = [], []
-    for s, members in enumerate(m[k] for m in plan.members):
+    for s, uav in enumerate(plan.uav):
+        members = np.flatnonzero(uav == k).tolist()
         if not members:
             continue
         pls = channel.uav_user_pathloss_db(plan.anchors[s][k], plan.midpoints[s][members],
@@ -351,9 +350,7 @@ def reference_deliver_uav(plan, cache, users, n_served, position, user_pos, requ
 
 
 def test_uav_rows_equal_per_user_references_on_the_infeasible_config(tiny_cfg, monkeypatch):
-    cfg = dataclasses.replace(
-        tiny_cfg, slot_duration_s=0.5, fronthaul_rate_bps=1e7, bbu_power_w=1e-6, cache_size=1,
-        generators=dataclasses.replace(tiny_cfg.generators, request_concentration=0.5))
+    cfg = infeasible_config(tiny_cfg)
     world = SyntheticWorld(cfg)
     plan = sim.plan_slots(cfg, world, OraclePredictor(world))
     assert any(np.isinf(r) for per_slot in plan.req_miss for r in per_slot if r is not None)
