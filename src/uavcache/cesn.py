@@ -23,6 +23,22 @@ desk-scale mobility pattern keeps more and stays N x N.
 
 The linear readout is ridge-regressed jointly over every loaded pattern's
 states, so one output matrix serves all patterns.
+
+A model's life has four steps:
+
+1. ``load_pattern`` for each pattern.  The model buffers the pattern's states
+   and targets for the readout and ORs its conceptor into the running memory.
+2. ``train_readout`` fits the readout and records each pattern's fit NRMSE.
+   Steps 1 and 2 may alternate: a pattern loaded after a readout joins the
+   next one.
+3. ``release_training_state`` drops the running memory and the buffers, which
+   are most of a trained model's bytes.  What is left is what recall needs:
+   ``w``, ``w_in``, ``d``, ``w_out``, the pattern conceptors and the
+   patterns' final states.  A released model and one restored by
+   ``load_model`` hold the same state and both refuse further training with
+   ``ReadOnlyModel``; only the released one still reports its fit NRMSEs,
+   which the model file does not store.
+4. ``recall`` replays a stored pattern.
 """
 
 from __future__ import annotations
@@ -55,7 +71,7 @@ class TooFewSamples(ValueError):
 
 
 class ReadOnlyModel(RuntimeError):
-    """A model restored by ``load_model`` has no running memory to load into."""
+    """A released or loaded model has no running memory or training buffers to train on."""
 
 
 def validate_esn(cfg: EsnConfig) -> None:
@@ -177,8 +193,11 @@ class EsnModel:
         self.memory: Conceptor | None = None
         self.pattern_states: list[np.ndarray] = []
         self.quota_history: list[float] = [1.0]
+        # Training state: each pattern's kept states and targets for the readout.
         self._train_states: list[np.ndarray] = []
         self._train_targets: list[np.ndarray] = []
+        # Readout fit per pattern (None if undefined), set by train_readout; kept after release.
+        self._fit_nrmse: list[float | None] = []
 
     @property
     def n_patterns(self) -> int:
@@ -206,9 +225,7 @@ class EsnModel:
 
         Returns a small report with the free-memory quota before and after.
         """
-        if self.conceptors and self.memory is None:
-            raise ReadOnlyModel(f"model holds {self.n_patterns} patterns but no running memory "
-                                "(restored by load_model); retrain it to add patterns")
+        self._check_trainable()
         inputs = np.atleast_2d(np.asarray(inputs, dtype=float))
         targets = np.atleast_2d(np.asarray(targets, dtype=float))
         if inputs.shape[0] != targets.shape[0]:
@@ -252,8 +269,18 @@ class EsnModel:
             "quota_used": quota_before - quota_after,
         }
 
+    def _check_trainable(self) -> None:
+        if self.conceptors and self.memory is None:
+            raise ReadOnlyModel(f"model holds {self.n_patterns} patterns but no running memory "
+                                "or training buffers (released, or restored by load_model); "
+                                "retrain it to change it")
+
     def train_readout(self) -> np.ndarray:
-        """Ridge-regress the readout over the states of every loaded pattern."""
+        """Ridge-regress the readout over the states of every loaded pattern.
+
+        Also records each pattern's fit NRMSE, which ``training_nrmse`` reads.
+        """
+        self._check_trainable()
         if not self._train_states:
             raise UntrainedModel("no patterns loaded")
         lam = self.cfg.ridge
@@ -264,17 +291,35 @@ class EsnModel:
             self.w_out = linalg.solve_spd(gram, v @ y.T).T
         else:
             self.w_out = (linalg.pinv(gram) @ (v @ y.T)).T
+        self._fit_nrmse = []
+        for v, y in zip(self._train_states, self._train_targets):
+            try:
+                self._fit_nrmse.append(nrmse(self.w_out @ v, y))
+            except ValueError:  # identically zero targets have no NRMSE
+                self._fit_nrmse.append(None)
         return self.w_out
 
+    def release_training_state(self) -> None:
+        """Drop the running memory and the training buffers; keep what recall needs.
+
+        The model is then in the state ``load_model`` gives: ``load_pattern``
+        and ``train_readout`` raise ``ReadOnlyModel``.  Only the fit figures
+        of ``training_nrmse`` stay, as a report of the training just done.
+        """
+        self.memory = None
+        self._train_states = []
+        self._train_targets = []
+
     def training_nrmse(self, pattern: int) -> float:
-        """Readout fit quality on one pattern's buffered training states."""
+        """Readout fit quality on one pattern's training states, as ``train_readout`` found it."""
         if self.w_out is None:
             raise UntrainedModel("readout not trained")
-        if not (0 <= pattern < len(self._train_states)):
-            raise IndexError(f"pattern {pattern} has no buffered training data")
-        v = self._train_states[pattern]
-        y = self._train_targets[pattern]
-        return nrmse(self.w_out @ v, y)
+        if not (0 <= pattern < len(self._fit_nrmse)):
+            raise IndexError(f"pattern {pattern} has no recorded fit")
+        fit = self._fit_nrmse[pattern]
+        if fit is None:
+            raise ValueError(f"pattern {pattern} has identically zero targets; NRMSE undefined")
+        return fit
 
     def recall(self, pattern: int, steps: int) -> np.ndarray:
         """Autonomous conceptor-filtered replay of one stored pattern.
@@ -402,9 +447,8 @@ def load_model(path) -> EsnModel:
         model.output_dim = w_out.shape[0]
         model.conceptors = [Conceptor(m=m, aperture=cfg.aperture, correlation=None)
                             for m in data["conceptor_ms"]]
-        model.memory = None
         model.pattern_states = [s for s in data["pattern_states"]]
         model.quota_history = [float(q) for q in data["quota_history"]]
-        model._train_states = []
-        model._train_targets = []
+        model._fit_nrmse = []
+        model.release_training_state()
     return model

@@ -196,31 +196,40 @@ def _read_model(path: Path) -> cesn.EsnModel:
         raise ConfigError([f"unreadable model file {path}: {exc}"]) from exc
 
 
-def _load_models(cfg: ScenarioConfig, models_dir: str):
-    base = Path(models_dir)
-    # one content pattern per sub-period, one mobility pattern per day type
-    n_sub = cfg.slots_per_cache_period // cfg.slots_per_collection
-    content, mobility = [], []
-    for u in range(cfg.num_users):
-        c_path = base / "models" / f"user{u:03d}_content.npz"
-        m_path = c_path.with_name(f"user{u:03d}_mobility.npz")
-        if not c_path.exists() or not m_path.exists():
-            raise ConfigError([f"missing model files for user {u} under {base}"])
-        c_model = _read_model(c_path)
-        m_model = _read_model(m_path)
-        if c_model.output_dim != cfg.num_contents:
+class _UserModels:
+    """One task's per-user models under a model directory, read and checked when indexed.
+
+    Nothing is cached, so a caller that indexes each user once and drops the
+    model holds one model of this task at a time.
+    """
+
+    def __init__(self, cfg: ScenarioConfig, base: Path, task: str):
+        self.cfg, self.base, self.task = cfg, base, task
+        # one content pattern per sub-period, one mobility pattern per day type
+        self.n_patterns = (cfg.slots_per_cache_period // cfg.slots_per_collection
+                           if task == "content" else len(DAY_TYPES))
+
+    def __len__(self) -> int:
+        return self.cfg.num_users
+
+    def __getitem__(self, u: int) -> cesn.EsnModel:
+        path = self.base / "models" / f"user{u:03d}_{self.task}.npz"
+        if not path.exists():
+            raise ConfigError([f"missing model files for user {u} under {self.base}"])
+        model = _read_model(path)
+        if self.task == "content" and model.output_dim != self.cfg.num_contents:
             raise ConfigError([
                 f"model/config dimension mismatch: user {u} content model predicts "
-                f"{c_model.output_dim} contents, config has {cfg.num_contents}"])
-        for task, model, needed in (("content", c_model, n_sub),
-                                    ("mobility", m_model, len(DAY_TYPES))):
-            if model.n_patterns != needed:
-                raise ConfigError([
-                    f"model/config pattern mismatch: user {u} {task} model holds "
-                    f"{model.n_patterns} patterns, config needs {needed}"])
-        content.append(c_model)
-        mobility.append(m_model)
-    return content, mobility
+                f"{model.output_dim} contents, config has {self.cfg.num_contents}"])
+        if model.n_patterns != self.n_patterns:
+            raise ConfigError([
+                f"model/config pattern mismatch: user {u} {self.task} model holds "
+                f"{model.n_patterns} patterns, config needs {self.n_patterns}"])
+        return model
+
+
+def _load_models(cfg: ScenarioConfig, models_dir: str) -> tuple[_UserModels, _UserModels]:
+    return _UserModels(cfg, Path(models_dir), "content"), _UserModels(cfg, Path(models_dir), "mobility")
 
 
 def cmd_simulate(args) -> int:

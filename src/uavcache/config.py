@@ -156,6 +156,44 @@ DESK_PRESET: dict[str, Any] = {
 }
 
 
+# Upper bounds of the counts.  A count past its bound is a config error (exit
+# 2), not a run that grows until memory runs out.  Each bound sits far above
+# the paper's setup; its reason is what the count sizes.
+# Two models per user, a Python loop per user in the world build and the
+# predictor, and a (users, slots) request array: 336 MB at the paper's horizon.
+MAX_USERS = 10_000
+# One placement search per UAV and slot; 200 times the paper's 5 UAVs.
+MAX_UAVS = 1_000
+# Content-model readout width and the (users, sub-periods, contents)
+# distributions; 400 times the paper's 25-content catalog.
+MAX_CONTENTS = 10_000
+# Radio heads enter the zero-forcing channel matrices of their cluster; 500
+# times the paper's 20 radio heads in 4 clusters.
+MAX_RRHS = 10_000
+MAX_RRH_CLUSTERS = 1_000
+# Each slot prices every (user, interval) link; 100 times the paper's 1,000.
+MAX_INTERVALS_PER_SLOT = 100_000
+# Slots per period and per collection size the (users, slots) request and
+# waypoint arrays; 83 times the paper's 120-slot period.
+MAX_SLOTS = 10_000
+# A model holds several N x N float64 matrices (w, d, one conceptor per
+# pattern): 200 MB each at this bound, 5 times the paper's N = 1,000.
+MAX_RESERVOIR_SIZE = 5_000
+# Training drives N x T states per pattern: 800 MB at N = 1,000.
+MAX_TRAINING_LENGTH = 100_000
+# Collection points a mobility model predicts (readout width 2 x horizon).
+MAX_HORIZON = 1_000
+# Generated history: ten years, 130 times the paper's 4 weeks.
+MAX_TRAINING_WEEKS = 520
+# Anchor locations a user visits per day.
+MAX_WAYPOINTS_PER_DAY = 1_000
+
+
+def _at_most(name: str, value: int, bound: int, out: list[str]) -> None:
+    if value > bound:
+        out.append(f"{name}: must be at most {bound}, got {value}")
+
+
 def _positive(name: str, value: float, out: list[str]) -> None:
     if not (value > 0):
         out.append(f"{name}: must be strictly positive, got {value!r}")
@@ -178,6 +216,9 @@ def esn_violations(e: EsnConfig) -> list[str]:
         v.append(f"ridge: must be nonnegative, got {e.ridge}")
     if e.horizon < 1:
         v.append(f"horizon: must be at least 1, got {e.horizon}")
+    _at_most("reservoir_size", e.reservoir_size, MAX_RESERVOIR_SIZE, v)
+    _at_most("training_length", e.training_length, MAX_TRAINING_LENGTH, v)
+    _at_most("horizon", e.horizon, MAX_HORIZON, v)
     return v
 
 
@@ -217,6 +258,12 @@ def validate(cfg: ScenarioConfig) -> list[str]:
                  "slots_per_collection", "slots_per_cache_period"):
         if getattr(cfg, name) < 1:
             v.append(f"{name}: must be a positive integer, got {getattr(cfg, name)}")
+    for name, bound in (("num_users", MAX_USERS), ("num_uavs", MAX_UAVS),
+                        ("num_contents", MAX_CONTENTS), ("num_rrhs", MAX_RRHS),
+                        ("num_rrh_clusters", MAX_RRH_CLUSTERS),
+                        ("intervals_per_slot", MAX_INTERVALS_PER_SLOT),
+                        ("slots_per_collection", MAX_SLOTS), ("slots_per_cache_period", MAX_SLOTS)):
+        _at_most(name, getattr(cfg, name), bound, v)
     if not (0.0 < cfg.mos_min <= 1.0):
         v.append(f"mos_min: must lie in (0, 1], got {cfg.mos_min}")
     if cfg.slots_per_collection >= 1 and cfg.slots_per_cache_period % cfg.slots_per_collection != 0:
@@ -260,6 +307,8 @@ def validate(cfg: ScenarioConfig) -> list[str]:
         v.append(f"generators.training_weeks: must be at least 1, got {g.training_weeks}")
     if g.waypoints_per_day < 1:
         v.append(f"generators.waypoints_per_day: must be at least 1, got {g.waypoints_per_day}")
+    _at_most("generators.training_weeks", g.training_weeks, MAX_TRAINING_WEEKS, v)
+    _at_most("generators.waypoints_per_day", g.waypoints_per_day, MAX_WAYPOINTS_PER_DAY, v)
     if g.taste_spread < 0:
         v.append(f"generators.taste_spread: must be nonnegative, got {g.taste_spread}")
     if g.work_hour_boost < 0:

@@ -10,6 +10,8 @@ one point per interval.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+
 import numpy as np
 
 from . import cesn
@@ -62,7 +64,10 @@ def mobility_pattern_data(world: SyntheticWorld, user: int, dtype_idx: int,
 
 def train_content_model(cfg: ScenarioConfig, world: SyntheticWorld,
                         user: int) -> tuple[cesn.EsnModel, list[dict]]:
-    """One request-distribution model per user: one pattern per sub-period."""
+    """One request-distribution model per user: one pattern per sub-period.
+
+    Like ``train_mobility_model``, it returns a released, recall-only model.
+    """
     n_context = world.context_features(user, [0]).shape[1]
     rs = RandomSource(cfg.seed).derive(f"esn-content-{user}")
     model = cesn.EsnModel(cfg.esn, n_context, cfg.num_contents, rs)
@@ -71,6 +76,7 @@ def train_content_model(cfg: ScenarioConfig, world: SyntheticWorld,
         inputs, targets = content_pattern_data(world, user, sub, cfg.esn.training_length)
         reports.append(model.load_pattern(inputs, targets))
     model.train_readout()
+    model.release_training_state()
     return model, reports
 
 
@@ -85,6 +91,7 @@ def train_mobility_model(cfg: ScenarioConfig, world: SyntheticWorld,
         inputs, targets = mobility_pattern_data(world, user, dtype_idx, cfg.esn.training_length)
         reports.append(model.load_pattern(inputs, targets))
     model.train_readout()
+    model.release_training_state()
     return model, reports
 
 
@@ -113,10 +120,14 @@ class EsnPredictor:
     mobility pattern of the planned day's type, re-anchored at the user's last
     collected position and interpolated between predicted collection points
     exactly like the mobility model itself moves users.
+
+    The models are taken by user index, each once, and none is kept: a lazy
+    sequence that reads each model when indexed lets the predictor hold one
+    user's two models at a time.
     """
 
-    def __init__(self, world: SyntheticWorld, content_models: list[cesn.EsnModel],
-                 mobility_models: list[cesn.EsnModel]):
+    def __init__(self, world: SyntheticWorld, content_models: Sequence[cesn.EsnModel],
+                 mobility_models: Sequence[cesn.EsnModel]):
         cfg = world.cfg
         self.world = world
         t, h = cfg.slots_per_cache_period, cfg.slots_per_collection
@@ -125,20 +136,24 @@ class EsnPredictor:
         self.distributions = np.empty((cfg.num_users, n_sub, cfg.num_contents))
         self._collections = np.empty((cfg.num_users, n_sub + 1, 2))
         self._collections[:, 0] = world.collections[:, self.day_start_slot // h]
-        dtype_idx = day_type(world.training_days)
         for u in range(cfg.num_users):
-            for sub in range(n_sub):
-                self.distributions[u, sub] = cesn.predict_request_distribution(
-                    content_models[u], sub, steps=h, warmup=h)
-            # Replay one full warmup day, then read each upcoming collection
-            # point from the interior of its preceding sub-period (the replayed
-            # readout smooths the step transitions at collection boundaries).
-            track = cesn.predict_locations(mobility_models[u], dtype_idx, steps=2 * t,
-                                           area_radius_m=cfg.area_radius_m)
-            for c in range(1, n_sub + 1):
-                lo = t + (c - 1) * h + 1
-                hi = max(lo + 1, t + c * h - 1)
-                self._collections[u, c] = track[lo:hi, 0].mean(axis=0)
+            self._replay_user(u, content_models[u], mobility_models[u])
+
+    def _replay_user(self, u: int, content: cesn.EsnModel, mobility: cesn.EsnModel) -> None:
+        cfg = self.world.cfg
+        t, h = cfg.slots_per_cache_period, cfg.slots_per_collection
+        for sub in range(self.world.n_sub):
+            self.distributions[u, sub] = cesn.predict_request_distribution(
+                content, sub, steps=h, warmup=h)
+        # Replay one full warmup day, then read each upcoming collection
+        # point from the interior of its preceding sub-period (the replayed
+        # readout smooths the step transitions at collection boundaries).
+        track = cesn.predict_locations(mobility, day_type(self.world.training_days),
+                                       steps=2 * t, area_radius_m=cfg.area_radius_m)
+        for c in range(1, self.world.n_sub + 1):
+            lo = t + (c - 1) * h + 1
+            hi = max(lo + 1, t + c * h - 1)
+            self._collections[u, c] = track[lo:hi, 0].mean(axis=0)
 
     def slot_positions(self, users, global_slot: int, n_intervals: int) -> np.ndarray:
         """Predicted per-interval positions within one slot of the planned day.

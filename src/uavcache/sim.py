@@ -502,12 +502,14 @@ def sweep(cfg: ScenarioConfig, param: str, values, baseline: str | None = None) 
     """Re-run the oracle period for each swept value with the same seed; one row per value."""
     if param not in SWEEP_PARAMS:
         raise ValueError(f"unknown sweep parameter {param!r}; expected one of {sorted(SWEEP_PARAMS)}")
+    configs = [dataclasses.replace(cfg, **{SWEEP_PARAMS[param]: int(value)}) for value in values]
+    # every value is checked before the first run starts
+    violations = [f"sweep value {param}={value}: {v}"
+                  for value, swept in zip(values, configs) for v in validate(swept)]
+    if violations:
+        raise ConfigError(violations)
     rows = []
-    for value in values:
-        swept = dataclasses.replace(cfg, **{SWEEP_PARAMS[param]: int(value)})
-        violations = validate(swept)
-        if violations:
-            raise ConfigError([f"sweep value {param}={value}: {v}" for v in violations])
+    for value, swept in zip(values, configs):
         _, summary = run_period(swept, baseline=baseline)
         rows.append({"param": param, "value": int(value),
                      **{c: summary[c] for c in SWEEP_COLUMNS[2:]}})
