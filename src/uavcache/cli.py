@@ -228,10 +228,6 @@ class _UserModels:
         return model
 
 
-def _load_models(cfg: ScenarioConfig, models_dir: str) -> tuple[_UserModels, _UserModels]:
-    return _UserModels(cfg, Path(models_dir), "content"), _UserModels(cfg, Path(models_dir), "mobility")
-
-
 def cmd_simulate(args) -> int:
     cfg = _load_scenario(args)
     out = _out_dir(args)
@@ -240,7 +236,8 @@ def cmd_simulate(args) -> int:
             mode, models = "oracle", None
         else:
             mode = "esn"
-            models = _load_models(cfg, args.models)
+            models = tuple(_UserModels(cfg, Path(args.models), task)
+                           for task in ("content", "mobility"))
         logs, summary = sim.run_period(cfg, mode=mode, models=models, baseline=args.baseline)
         slots_path = out / "slots.csv"
         summary_path = out / "summary.json"

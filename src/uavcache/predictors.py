@@ -136,6 +136,7 @@ class EsnPredictor:
         self.distributions = np.empty((cfg.num_users, n_sub, cfg.num_contents))
         self._collections = np.empty((cfg.num_users, n_sub + 1, 2))
         self._collections[:, 0] = world.collections[:, self.day_start_slot // h]
+        # a user's models live only through their _replay_user call
         for u in range(cfg.num_users):
             self._replay_user(u, content_models[u], mobility_models[u])
 

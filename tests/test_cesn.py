@@ -473,6 +473,49 @@ class TestSerialization:
         assert restored.quota_history == quotas
         assert restored.n_patterns == 1
 
+    def test_released_model_refuses_training(self):
+        model = signal_model(n_res=40)
+        load_signal(model, sine(8.0, 400))
+        model.train_readout()
+        fit = model.training_nrmse(0)
+        model.release_training_state()
+        d, w_out = model.d.copy(), model.w_out.copy()
+        quotas = list(model.quota_history)
+        with pytest.raises(cesn.ReadOnlyModel, match="no running memory"):
+            load_signal(model, sine(13.0, 400))
+        with pytest.raises(cesn.ReadOnlyModel, match="no running memory"):
+            model.train_readout()
+        assert np.array_equal(model.d, d)
+        assert np.array_equal(model.w_out, w_out)
+        assert model.quota_history == quotas
+        assert model.n_patterns == 1
+        assert model.training_nrmse(0) == fit
+
+    def test_released_model_is_the_loaded_model(self, tmp_path):
+        model = signal_model(n_res=40)
+        load_signal(model, sine(8.0, 400))
+        load_signal(model, sine(13.0, 400))
+        model.train_readout()
+        model.release_training_state()
+        path = tmp_path / "model.npz"
+        cesn.save_model(model, path)
+        restored = cesn.load_model(path)
+        assert vars(restored).keys() == vars(model).keys()
+        for name in ("w", "w_in", "d", "w_out"):
+            assert np.array_equal(getattr(restored, name), getattr(model, name))
+        assert [c.m.tobytes() for c in restored.conceptors] == \
+            [c.m.tobytes() for c in model.conceptors]
+        assert [v.tobytes() for v in restored.pattern_states] == \
+            [v.tobytes() for v in model.pattern_states]
+        assert all(c.correlation is None for c in model.conceptors + restored.conceptors)
+        for name in ("memory", "_train_states", "_train_targets", "quota_history"):
+            assert getattr(restored, name) == getattr(model, name)
+        assert np.array_equal(restored.recall(1, 30), model.recall(1, 30))
+        # the file keeps no fit figures; only the released model still reports them
+        assert model.training_nrmse(1) > 0.0
+        with pytest.raises(IndexError):
+            restored.training_nrmse(1)
+
     def test_version_checked(self, tmp_path):
         model = signal_model(n_res=10)
         load_signal(model, sine(8.0, 400))

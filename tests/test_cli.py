@@ -422,6 +422,18 @@ class TestSweep:
         assert main(["sweep", "--config", cfg_file, "--param", "cache",
                      "--values", "99", "--out", str(tmp_path)]) == 2
 
+    def test_absurd_count_exits_2_before_any_run(self, cfg_file, tmp_path, monkeypatch, capsys):
+        def no_run(*args, **kwargs):
+            raise AssertionError("a run started")
+
+        monkeypatch.setattr(sim, "run_period", no_run)
+        monkeypatch.setattr(sim, "SyntheticWorld", no_run)
+        # the valid first value does not run either: every value is checked first
+        assert main(["sweep", "--config", cfg_file, "--param", "users",
+                     "--values", f"3,{10 ** 22}", "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert f"sweep value users={10 ** 22}: num_users: must be at most" in err
+
     def test_env_var_default_outdir(self, cfg_file, tmp_path, monkeypatch):
         target = tmp_path / "from-env"
         monkeypatch.setenv("UAVCACHE_OUT", str(target))

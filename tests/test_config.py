@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from uavcache import config
 from uavcache.cesn import validate_esn
 from uavcache.config import (ConfigError, EsnConfig, RandomSource, ScenarioConfig,
                              load_config_dict, merge_documents, parse_document, serialize,
@@ -130,6 +131,46 @@ def test_esn_invariants_shared_by_validate_and_model_build(esn, field):
     assert [v.split(":")[0] for v in validate(cfg)] == [f"esn.{field}"]
     with pytest.raises(ValueError, match=f"^{field}: "):
         validate_esn(cfg.esn)
+
+
+COUNT_BOUNDS = [
+    ("num_users", "MAX_USERS"),
+    ("num_uavs", "MAX_UAVS"),
+    ("num_contents", "MAX_CONTENTS"),
+    ("num_rrhs", "MAX_RRHS"),
+    ("num_rrh_clusters", "MAX_RRH_CLUSTERS"),
+    ("intervals_per_slot", "MAX_INTERVALS_PER_SLOT"),
+    ("slots_per_collection", "MAX_SLOTS"),
+    ("slots_per_cache_period", "MAX_SLOTS"),
+    ("esn.reservoir_size", "MAX_RESERVOIR_SIZE"),
+    ("esn.training_length", "MAX_TRAINING_LENGTH"),
+    ("esn.horizon", "MAX_HORIZON"),
+    ("generators.training_weeks", "MAX_TRAINING_WEEKS"),
+    ("generators.waypoints_per_day", "MAX_WAYPOINTS_PER_DAY"),
+]
+
+
+def count_document(path: str, value: int) -> dict:
+    doc = value
+    for key in reversed(path.split(".")):
+        doc = {key: doc}
+    return doc
+
+
+@pytest.mark.parametrize("path, bound_name", COUNT_BOUNDS, ids=[p for p, _ in COUNT_BOUNDS])
+def test_every_count_has_an_upper_bound(path, bound_name):
+    bound = getattr(config, bound_name)
+    with pytest.raises(ConfigError) as exc:
+        load_config_dict(count_document(path, bound + 1))
+    assert f"{path}: must be at most {bound}, got {bound + 1}" in exc.value.violations
+    with pytest.raises(ConfigError) as exc:
+        load_config_dict(count_document(path, 10 ** 22))
+    assert f"{path}: must be at most {bound}, got {10 ** 22}" in exc.value.violations
+    # at the bound the count itself is accepted (other invariants may still object)
+    try:
+        load_config_dict(count_document(path, bound))
+    except ConfigError as err:
+        assert not any(v.startswith(f"{path}: must be at most") for v in err.violations)
 
 
 @pytest.mark.parametrize("washout, ok", [(41, True), (42, False), (50, False)])

@@ -9,11 +9,13 @@ rows that moved.
 
 import dataclasses
 import hashlib
+import weakref
 
 import pytest
 
 from uavcache import cesn, sim
-from uavcache.config import ScenarioConfig
+from uavcache.cli import main
+from uavcache.config import ScenarioConfig, serialize
 from uavcache.generators import SyntheticWorld
 from uavcache.predictors import train_content_model, train_mobility_model
 
@@ -70,6 +72,9 @@ TINY_USER0_MODELS = {
     "mobility": ("5795bf3df57a45b618d20c1b09c2e74fd7217f4b0a6681bcca219ada9d92b4c6",
                  [1.0, 0.8523196341111114, 0.8240778871275887]),
 }
+
+# tiny_cfg through `uavcache train`: training_report.csv, fits included
+TINY_TRAINING_REPORT = "0851361ea9c594640cfa3d1f73d881a43d07a6e2762c1bde8c2e8b274e928de5"
 
 
 def digests(logs, summary) -> tuple[str, str]:
@@ -130,3 +135,45 @@ def test_tiny_model_files_pinned(tiny_cfg, tmp_path, task):
     digest, quota_history = TINY_USER0_MODELS[task]
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
     assert model.quota_history == quota_history
+
+
+def sha256_file(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def train_with_cli(cfg: ScenarioConfig, tmp_path):
+    """``uavcache train`` on ``cfg``; returns the config file and the output directory."""
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(serialize(cfg))
+    out = tmp_path / "trained"
+    assert main(["train", "--config", str(cfg_path), "--paper-scale", "--out", str(out)]) == 0
+    return cfg_path, out
+
+
+def test_tiny_training_report_pinned(tiny_cfg, tmp_path):
+    _, out = train_with_cli(tiny_cfg, tmp_path)
+    assert sha256_file(out / "training_report.csv") == TINY_TRAINING_REPORT
+
+
+def test_simulate_from_model_files_holds_one_user_at_a_time(tiny_cfg, tmp_path, monkeypatch):
+    cfg_path, trained = train_with_cli(tiny_cfg, tmp_path)
+    live, peak, loads = set(), [0], [0]
+    original = cesn.load_model
+
+    def counted_load(path):
+        model = original(path)
+        loads[0] += 1
+        live.add(loads[0])
+        weakref.finalize(model, live.discard, loads[0])
+        peak[0] = max(peak[0], len(live))
+        return model
+
+    monkeypatch.setattr(cesn, "load_model", counted_load)
+    out = tmp_path / "sim"
+    assert main(["simulate", "--config", str(cfg_path), "--paper-scale",
+                 "--models", str(trained), "--out", str(out)]) == 0
+    assert loads[0] == 2 * tiny_cfg.num_users
+    assert peak[0] == 2
+    assert not live
+    # the same artifacts as the in-memory learned run
+    assert (sha256_file(out / "slots.csv"), sha256_file(out / "summary.json")) == TINY_ESN

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from conftest import desk_config, reference_context
 from uavcache import cesn
@@ -158,3 +159,52 @@ class TestEsnPrediction:
         quotas = [r["quota_after"] for r in reports]
         assert all(a >= b for a, b in zip(quotas, quotas[1:]))
         assert len(reports) == world.n_sub
+
+
+def reachable_buffer_bytes(model: cesn.EsnModel) -> int:
+    """Bytes of every array buffer reachable from the model, each counted once.
+
+    A view counts as the whole buffer it keeps alive, so a slice that pins a
+    larger array shows.
+    """
+    buffers = {}
+
+    def walk(obj):
+        if isinstance(obj, np.ndarray):
+            while isinstance(obj.base, np.ndarray):
+                obj = obj.base
+            buffers[id(obj)] = obj
+        elif isinstance(obj, (list, tuple)):
+            for item in obj:
+                walk(item)
+        elif isinstance(obj, dict):
+            for item in obj.values():
+                walk(item)
+        elif hasattr(obj, "__dict__"):
+            walk(vars(obj))
+
+    walk(vars(model))
+    return sum(b.nbytes for b in buffers.values())
+
+
+TRAINERS = {"content": (train_content_model, content_pattern_data),
+            "mobility": (train_mobility_model, mobility_pattern_data)}
+
+
+@pytest.mark.parametrize("task", list(TRAINERS))
+def test_trained_model_keeps_only_recall_state(task):
+    cfg = desk_config()
+    world = SyntheticWorld(cfg)
+    trainer, pattern_data = TRAINERS[task]
+    model, _ = trainer(cfg, world, 0)
+    assert model.memory is None
+    assert model._train_states == [] and model._train_targets == []
+    recall_bytes = (model.w.nbytes + model.w_in.nbytes + model.d.nbytes + model.w_out.nbytes
+                    + sum(c.m.nbytes for c in model.conceptors)
+                    + sum(s.nbytes for s in model.pattern_states))
+    assert reachable_buffer_bytes(model) == recall_bytes
+    washout = cfg.esn.washout
+    for p in range(model.n_patterns):
+        inputs, targets = pattern_data(world, 0, p, cfg.esn.training_length)
+        states = model.drive(inputs)[:, washout:]
+        assert model.training_nrmse(p) == cesn.nrmse(model.w_out @ states, targets[washout:].T)
