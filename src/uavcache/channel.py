@@ -247,8 +247,8 @@ def zf_beamformer(h: np.ndarray) -> np.ndarray:
 def zfbf_sinr(clusters: list[RrhCluster], assigned: np.ndarray,
               user_xy: np.ndarray, fading_power: list[np.ndarray],
               rrh_power_w: float, bbu_interference_w: np.ndarray,
-              noise_w: float, exponent: float) -> dict[int, float]:
-    """Per-user SINR under zero-forcing within clusters.
+              noise_w: float, exponent: float) -> np.ndarray:
+    """Per-user SINR under zero-forcing within clusters; 0 for users on no cluster.
 
     ``assigned`` holds each user's cluster index (-1: none), ``fading_power[q]``
     holds unit-mean exponential power gains of shape (num_users, R_q) toward
@@ -270,7 +270,7 @@ def zfbf_sinr(clusters: list[RrhCluster], assigned: np.ndarray,
         except ChannelError as exc:
             raise ChannelError(f"cluster {cluster.id}: {exc}") from exc
 
-    sinr: dict[int, float] = {}
+    sinr = np.zeros(user_xy.shape[0])
     for q, cluster in enumerate(clusters):
         for i in np.flatnonzero(assigned == q).tolist():
             interference = float(bbu_interference_w[i])

@@ -187,6 +187,16 @@ MAX_HORIZON = 1_000
 MAX_TRAINING_WEEKS = 520
 # Anchor locations a user visits per day.
 MAX_WAYPOINTS_PER_DAY = 1_000
+# The world's largest arrays grow with products of counts, which the bounds
+# above leave free.  The world spans the training weeks plus the simulated
+# week, 7 days each, and holds a (users, horizon slots) request table of
+# 8-byte indices: 336 MB at this bound, the table MAX_USERS allows at the
+# paper's 5-week horizon of 120-slot days.
+MAX_USER_SLOTS = 42_000_000
+# Each slot prices every served (user, interval) link in several float64
+# arrays (positions, path loss, power, rates), about 64 bytes per link: 640 MB
+# at this bound, what MAX_USERS allows at the paper's 1,000 intervals.
+MAX_USER_INTERVALS = 10_000_000
 
 
 def _at_most(name: str, value: int, bound: int, out: list[str]) -> None:
@@ -314,6 +324,12 @@ def validate(cfg: ScenarioConfig) -> list[str]:
     if g.work_hour_boost < 0:
         v.append(f"generators.work_hour_boost: must be nonnegative, got {g.work_hour_boost}")
     _positive("generators.speed_max_mps", g.speed_max_mps, v)
+
+    _at_most("num_users x slots_per_cache_period x 7 (generators.training_weeks + 1)",
+             cfg.num_users * cfg.slots_per_cache_period * 7 * (g.training_weeks + 1),
+             MAX_USER_SLOTS, v)
+    _at_most("num_users x intervals_per_slot", cfg.num_users * cfg.intervals_per_slot,
+             MAX_USER_INTERVALS, v)
     return v
 
 

@@ -4,13 +4,16 @@ Conventions: link rates are bits per slot, so the transmission time of a
 content of L bits over a component of rate C is L * slot_duration / C seconds.
 A delivery is scored on two axes: a linear delay score in [0, 1] anchored at
 the system-wide delay lower bound, and a binary per-interval device score that
-checks the instantaneous rate against the device's rate floor.
+checks the instantaneous rate against the device's rate floor.  Every tier is
+scored the same way, and the scores run elementwise, so one call scores a
+whole slot's users; scalar inputs give scalar results.
 
 A quantity the route cannot achieve is ``inf``, and no function here raises
 for it: a zero-rate leg takes inf seconds (:func:`transfer_s`), so its
-delivery's delay is inf; when the fronthaul leg uses up the whole delay
-budget, the access-rate requirement, the rate target and the minimum power
-are all inf, and callers clamp that power at the cap.
+delivery's delay is inf; an absent leg is an infinite-rate leg, which takes
+0 s; when the fronthaul leg uses up the whole delay budget, the access-rate
+requirement, the rate target and the minimum power are all inf, and callers
+clamp that power at the cap.
 """
 
 from __future__ import annotations
@@ -35,24 +38,9 @@ MOS_BINS = (
 LINK_RRH = "rrh"
 LINK_UAV_FRONTHAUL = "uav_fronthaul"
 LINK_UAV_CACHE = "uav_cache"
-
-
-@dataclass(frozen=True)
-class DeliveryPath:
-    """A content route: which link family and the component rates (bits/slot).
-
-    Cache hits have no fronthaul component.
-    """
-
-    kind: str
-    access_bits_per_slot: float
-    fronthaul_bits_per_slot: float | None = None
-
-    def __post_init__(self):
-        if self.kind == LINK_UAV_CACHE and self.fronthaul_bits_per_slot is not None:
-            raise ValueError("cache deliveries have no fronthaul component")
-        if self.kind in (LINK_RRH, LINK_UAV_FRONTHAUL) and self.fronthaul_bits_per_slot is None:
-            raise ValueError(f"{self.kind} deliveries need a fronthaul rate")
+# Rows of users with no delivery: no request this slot, or no tier serving them.
+LINK_IDLE = "idle"
+LINK_UNSERVED = "unserved"
 
 
 @dataclass
@@ -74,18 +62,15 @@ class QoeReport:
     power_feasible: bool
 
 
-def transfer_s(bits_per_slot: float, content_bits: float, slot_duration_s: float) -> float:
-    """Time one leg of rate ``bits_per_slot`` takes to carry a content; inf at zero rate."""
-    if bits_per_slot <= 0.0:
-        return math.inf
-    return slot_duration_s * content_bits / bits_per_slot
+def transfer_s(bits_per_slot, content_bits: float, slot_duration_s: float):
+    """Time a leg of rate ``bits_per_slot`` takes to carry a content, elementwise.
 
-
-def delay_s(path: DeliveryPath, content_bits: float, slot_duration_s: float) -> float:
-    total = transfer_s(path.access_bits_per_slot, content_bits, slot_duration_s)
-    if path.fronthaul_bits_per_slot is not None:
-        total += transfer_s(path.fronthaul_bits_per_slot, content_bits, slot_duration_s)
-    return total
+    A zero-rate leg takes inf seconds and an infinite-rate leg 0 s.
+    """
+    bits = np.asarray(bits_per_slot, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        seconds = slot_duration_s * content_bits / bits
+    return np.where(bits <= 0.0, math.inf, seconds)[()]
 
 
 def max_access_rate_bits(cfg: ScenarioConfig) -> float:
@@ -110,15 +95,16 @@ def delay_lower_bound_s(cfg: ScenarioConfig) -> float:
     return min(wired, access)
 
 
-def delay_score(value_s: float, cfg: ScenarioConfig, bound_s: float) -> float:
+def delay_score(value_s, cfg: ScenarioConfig, bound_s: float):
     """Linear map from delay to [0, 1]: 1 at the lower bound ``bound_s``, 0 at the slot length.
 
-    Deliveries slower than one slot count as failures and score 0.
+    Elementwise.  Deliveries slower than one slot count as failures and score
+    0; the ratio is taken only where the delay is at most one slot.
     """
-    if value_s > cfg.slot_duration_s:
-        return 0.0
-    score = (cfg.slot_duration_s - value_s) / (cfg.slot_duration_s - bound_s)
-    return float(np.clip(score, 0.0, 1.0))
+    value = np.asarray(value_s, dtype=float)
+    dt = cfg.slot_duration_s
+    score = np.divide(dt - value, dt - bound_s, out=np.zeros(value.shape), where=value <= dt)
+    return np.clip(score, 0.0, 1.0)[()]
 
 
 def device_score(rates_bps, required_bps):
@@ -132,17 +118,17 @@ def device_score(rates_bps, required_bps):
     return float(frac) if frac.ndim == 0 else frac
 
 
-def mos_label(qoe: float) -> str:
-    for floor, label in MOS_BINS:
-        if qoe >= floor:
-            return label
-    return "Poor"
+def mos_label(qoe):
+    """The label of the first opinion bin whose floor each QoE value reaches, elementwise."""
+    q = np.asarray(qoe, dtype=float)
+    return np.select([q >= floor for floor, _ in MOS_BINS], [label for _, label in MOS_BINS],
+                     "Poor")[()]
 
 
-def qoe_score(delay_score_value: float, device_score_value: float, weight_delay: float,
-              weight_device: float) -> tuple[float, str]:
+def qoe_score(delay_score_value, device_score_value, weight_delay: float, weight_device: float):
+    """The weighted QoE and its opinion label, elementwise."""
     q = weight_delay * delay_score_value + weight_device * device_score_value
-    return float(q), mos_label(q)
+    return q, mos_label(q)
 
 
 def delay_rate_requirement_bits(cfg: ScenarioConfig, bound_s: float,

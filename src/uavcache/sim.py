@@ -27,8 +27,8 @@ from .channel import (db_to_linear, g2a_fronthaul_bits, link_rates_bps, slot_cap
 from .config import ConfigError, RandomSource, RrhCluster, ScenarioConfig, validate
 from .generators import SyntheticWorld
 from .predictors import EsnPredictor, OraclePredictor
-from .qoe import (LINK_RRH, LINK_UAV_CACHE, LINK_UAV_FRONTHAUL, MOS_BINS, DeliveryPath,
-                  QoeReport, delay_lower_bound_s, delay_rate_requirement_bits, delay_s,
+from .qoe import (LINK_IDLE, LINK_RRH, LINK_UAV_CACHE, LINK_UAV_FRONTHAUL, LINK_UNSERVED,
+                  MOS_BINS, QoeReport, delay_lower_bound_s, delay_rate_requirement_bits,
                   delay_score, device_score, min_uav_power_w, qoe_rate_target_bps, qoe_score,
                   transfer_s)
 
@@ -42,6 +42,14 @@ SLOTS_COLUMNS = (
     "device_frac", "qoe", "mos", "satisfied", "power_w", "cache_hit",
     "power_feasible",
 )
+
+# A slot's route table: one row per user, filled by the tier that serves the
+# user and read by the scoring alone.  Bits are per slot; an absent fronthaul
+# leg is an infinite-rate leg, which takes 0 s.
+_LINKS = (LINK_IDLE, LINK_RRH, LINK_UAV_CACHE, LINK_UAV_FRONTHAUL, LINK_UNSERVED)
+ROUTE = np.dtype([("link", f"U{max(map(len, _LINKS))}"), ("access_bits", float),
+                  ("fronthaul_bits", float), ("device_frac", float), ("power_w", float),
+                  ("cache_hit", bool), ("feasible", bool)])
 
 
 class SimInvariantError(RuntimeError):
@@ -113,11 +121,8 @@ def _rrh_rates_bits(cfg, world, clusters, assigned, user_xy, fading, interferenc
     bbu = _bbu_interference(cfg, world, user_xy, interference_active)
     sinr = zfbf_sinr(clusters, assigned, user_xy, fading, cfg.rrh_power_w, bbu,
                      cfg.noise_power_w, cfg.pathloss.g2a_exponent)
-    rates = np.zeros(user_xy.shape[0])
-    for i, gamma in sinr.items():
-        rates[i] = slot_capacity_bits(link_rates_bps(gamma, cfg.rrh_bandwidth_hz),
-                                      cfg.slot_duration_s)
-    return rates
+    return slot_capacity_bits(link_rates_bps(sinr[:, None], cfg.rrh_bandwidth_hz),
+                              cfg.slot_duration_s)
 
 
 @dataclass
@@ -282,42 +287,40 @@ def _fixed_placement(plan: PeriodPlan, caches: list[tuple[int, ...]]) -> list[np
     return [plan.anchors[0].copy() for _ in plan.uav]
 
 
-def _deliver_uav(plan: PeriodPlan, cache: tuple[int, ...], users: list[int], n_served: int,
-                 position: np.ndarray, user_pos: np.ndarray, requests: list[int],
-                 n_fetch: int) -> tuple[list[QoeReport], float]:
-    """Price and score one UAV's deliveries to its requesting ``users``, in ascending order.
+def _routes(n_users: int, **columns) -> np.ndarray:
+    """A route table of ``n_users`` rows with the given columns; the rest are 0 or False."""
+    routes = np.zeros(n_users, dtype=ROUTE)
+    for name, values in columns.items():
+        routes[name] = values
+    return routes
+
+
+def _deliver_uav(plan: PeriodPlan, cache: tuple[int, ...], users: np.ndarray,
+                 contents: list[int], n_served: int, position: np.ndarray,
+                 user_pos: np.ndarray, n_fetch: int) -> np.ndarray:
+    """Price one UAV's deliveries of ``contents`` to its requesting ``users``: their routes.
 
     ``user_pos`` holds their true interval positions.  Every per-user
-    quantity is a row reduction over the (users, intervals) arrays.  Returns
-    one report per user and the UAV's power, summed one user at a time in
-    that order.
+    quantity is a row reduction over the (users, intervals) arrays.
     """
     cfg = plan.cfg
-    contents = [requests[u] for u in users]
     hits = [c in cache for c in contents]
-    fronthaul_bits, req_miss = (None, plan.req_hit) if all(hits) else _cache_miss(
+    fronthaul_bits, req_miss = (np.inf, plan.req_hit) if all(hits) else _cache_miss(
         plan, position, max(n_fetch, 1))
     device_req = cfg.device_rate_bps(plan.screen[users], contents)
     targets = qoe_rate_target_bps(np.where(hits, plan.req_hit, req_miss), device_req,
                                   cfg.slot_duration_s)[:, None]
     loss = db_to_linear(uav_user_pathloss_db(position, user_pos, cfg.pathloss))
     power = min_uav_power_w(loss, targets, n_served, cfg.uav_bandwidth_hz, cfg.noise_power_w)
-    feasible = np.all(power <= cfg.uav_max_power_w, axis=1).tolist()
+    feasible = np.all(power <= cfg.uav_max_power_w, axis=1)
     tx_power = np.minimum(power, cfg.uav_max_power_w, out=power)
     rates_bps = link_rates_bps(uav_user_snr(tx_power, loss, cfg.noise_power_w),
                                cfg.uav_bandwidth_hz, n_served)
-    capacity = slot_capacity_bits(rates_bps, cfg.slot_duration_s).tolist()
-    device_frac = device_score(rates_bps, device_req[:, None]).tolist()
-    power_w = tx_power.mean(axis=1).tolist()
-    reports, total_w = [], 0.0
-    for u, content, hit, bits, frac, watts, ok in zip(users, contents, hits, capacity,
-                                                       device_frac, power_w, feasible):
-        path = DeliveryPath(LINK_UAV_CACHE if hit else LINK_UAV_FRONTHAUL, bits,
-                            None if hit else fronthaul_bits)
-        reports.append(_score(plan, u, content, path, frac, power_w=watts, cache_hit=hit,
-                              feasible=ok))
-        total_w += watts
-    return reports, total_w
+    return _routes(len(users), link=np.where(hits, LINK_UAV_CACHE, LINK_UAV_FRONTHAUL),
+                   access_bits=slot_capacity_bits(rates_bps, cfg.slot_duration_s),
+                   fronthaul_bits=np.where(hits, np.inf, fronthaul_bits),
+                   device_frac=device_score(rates_bps, device_req[:, None]),
+                   power_w=tx_power.mean(axis=1), cache_hit=hits, feasible=feasible)
 
 
 def deliver(plan: PeriodPlan, caches: list[tuple[int, ...]],
@@ -335,58 +338,51 @@ def _deliver_slot(plan: PeriodPlan, caches: list[tuple[int, ...]], s: int,
     n_fr = int(np.count_nonzero(rrh >= 0))
     gs = plan.slot0 + s
     true_xy = world.interval_positions(range(n_users), gs, 1)[:, 0]
-    requests = world.requests[:, gs].tolist()  # -1: idle
+    content = world.requests[:, gs]
+    idle = content < 0
 
     # The requesting users the UAVs serve, and each UAV's rows among them.
-    served = np.flatnonzero((uav >= 0) & (world.requests[:, gs] >= 0))
+    served = np.flatnonzero((uav >= 0) & ~idle)
     uav_rows = [uav[served] == k for k in range(n_uavs)]
-    n_fetch = sum(any(requests[u] not in caches[k] for u in served[rows].tolist())
+    n_fetch = sum(any(c not in caches[k] for c in content[served[rows]].tolist())
                   for k, rows in enumerate(uav_rows))
+
+    # Idle users take no time; requesting users no tier serves have no access rate.
+    routes = _routes(n_users, link=np.where(idle, LINK_IDLE, LINK_UNSERVED),
+                     access_bits=np.where(idle, np.inf, 0.0), fronthaul_bits=np.inf,
+                     feasible=True)
 
     # Terrestrial deliveries (admitted sets, true positions, same fading).
     rates_true = _rrh_rates_bits(cfg, world, plan.clusters, rrh, true_xy, plan.fading[s],
                                  n_fetch > 0)
-    v_fu_bps = cfg.fronthaul_rate_bps / max(n_fr, 1)
+    fr = np.flatnonzero((rrh >= 0) & ~idle)
+    device_req = cfg.device_rate_bps(plan.screen[fr], content[fr])
+    routes[fr] = _routes(
+        fr.size, link=LINK_RRH, access_bits=rates_true[fr],
+        fronthaul_bits=cfg.fronthaul_rate_bps / max(n_fr, 1) * cfg.slot_duration_s,
+        device_frac=device_score((rates_true[fr] / cfg.slot_duration_s)[:, None],
+                                 device_req[:, None]), feasible=True)
 
     # Aerial deliveries, UAV by UAV, over one positions array for the slot.
     if served.size:
         true_pos = world.interval_positions(served, gs, cfg.intervals_per_slot)
-    uav_reports: dict[int, QoeReport] = {}
     uav_power = np.zeros(n_uavs)
     for k, rows in enumerate(uav_rows):
         if rows.any():
-            scored, uav_power[k] = _deliver_uav(plan, caches[k], served[rows].tolist(),
-                                                int(np.count_nonzero(uav == k)), positions[k],
-                                                true_pos[rows], requests, n_fetch)
-            uav_reports.update((r.user, r) for r in scored)
+            users = served[rows]
+            routes[users] = _deliver_uav(plan, caches[k], users, content[users].tolist(),
+                                         int(np.count_nonzero(uav == k)), positions[k],
+                                         true_pos[rows], n_fetch)
+            # cumsum adds one user at a time, in ascending user order
+            uav_power[k] = np.cumsum(routes["power_w"][users])[-1]
 
-    reports: list[QoeReport] = []
-    n_requests = n_delivered = n_failures = n_hits = n_uav_deliveries = 0
-    for u in range(n_users):
-        content = requests[u]
-        if content < 0:
-            reports.append(dataclasses.replace(_failure_report(u, -1, "idle"), delay_s=0.0))
-            continue
-        n_requests += 1
-        if rrh[u] >= 0:
-            path = DeliveryPath(LINK_RRH, rates_true[u], v_fu_bps * cfg.slot_duration_s)
-            report = _score(plan, u, content, path,
-                            device_score(rates_true[u] / cfg.slot_duration_s,
-                                         cfg.device_rate_bps(plan.screen[u], content)))
-        elif uav[u] < 0:
-            report = _failure_report(u, content, "unserved")
-        else:
-            report = uav_reports[u]
-            n_uav_deliveries += 1
-            n_hits += report.cache_hit
-        reports.append(report)
-        n_delivered += report.delivered
-        n_failures += not report.delivered
-
+    reports = _score_routes(plan, content, routes)
     log = SlotLog(slot=s, reports=reports, n_fr=n_fr,
                   n_fetching=n_fetch, uav_positions=positions, uav_power_w=uav_power,
-                  caches=tuple(caches), requests=n_requests, delivered=n_delivered,
-                  failures=n_failures, cache_hits=n_hits, uav_deliveries=n_uav_deliveries)
+                  caches=tuple(caches), requests=int(np.count_nonzero(~idle)),
+                  delivered=sum(r.delivered for r in reports),
+                  failures=sum(not r.delivered for r in reports if r.content >= 0),
+                  cache_hits=sum(r.cache_hit for r in reports), uav_deliveries=served.size)
     log.reconcile()
     # Delivered contents can never beat the system delay bound.
     for r in reports:
@@ -394,6 +390,25 @@ def _deliver_slot(plan: PeriodPlan, caches: list[tuple[int, ...]], s: int,
             raise SimInvariantError(
                 f"slot {s}: user {r.user} delay {r.delay_s} below bound {plan.bound_s}")
     return log
+
+
+def _score_routes(plan: PeriodPlan, content: np.ndarray, routes: np.ndarray) -> list[QoeReport]:
+    """Score every user's route in one elementwise pass; one report per user.
+
+    A request is delivered when its route takes at most one slot.  An undelivered
+    row scores 0 on both axes and keeps its link, power, cache hit and feasibility.
+    """
+    cfg = plan.cfg
+    delay = (transfer_s(routes["access_bits"], cfg.content_size_bits, cfg.slot_duration_s)
+             + transfer_s(routes["fronthaul_bits"], cfg.content_size_bits, cfg.slot_duration_s))
+    delivered = (content >= 0) & (delay <= cfg.slot_duration_s)
+    d_score = np.where(delivered, delay_score(delay, cfg, plan.bound_s), 0.0)
+    device_frac = np.where(delivered, routes["device_frac"], 0.0)
+    q, label = qoe_score(d_score, device_frac, cfg.qoe_weight_delay, cfg.qoe_weight_device)
+    columns = (content, routes["link"], delay, d_score, device_frac, q, label,
+               q >= SATISFIED_QOE, delivered, routes["power_w"], routes["cache_hit"],
+               routes["feasible"])
+    return [QoeReport(u, *row) for u, row in enumerate(zip(*(c.tolist() for c in columns)))]
 
 
 # Each ablation baseline replaces the stages it names and keeps the rest.
@@ -427,31 +442,6 @@ def run_period(cfg: ScenarioConfig, mode: str = "oracle", models=None,
     positions = swap.get("place_uavs", place_uavs)(plan, caches)
     logs = swap.get("deliver", deliver)(plan, caches, positions)
     return logs, _summarize(plan, logs, mode, baseline)
-
-
-def _failure_report(user: int, content: int, link: str, power_w: float = 0.0,
-                    cache_hit: bool = False) -> QoeReport:
-    return QoeReport(user=user, content=content, link=link, delay_s=float("inf"),
-                     delay_score=0.0, device_score_frac=0.0, qoe=0.0,
-                     mos_label="Poor", satisfied=False, delivered=False,
-                     power_w=power_w, cache_hit=cache_hit, power_feasible=True)
-
-
-def _score(plan: PeriodPlan, user: int, content: int, path: DeliveryPath, device_frac: float,
-           power_w: float = 0.0, cache_hit: bool = False, feasible: bool = True) -> QoeReport:
-    """Score one delivery over ``path`` whose access rates met the device floor in
-    ``device_frac`` of the intervals."""
-    cfg = plan.cfg
-    delay = delay_s(path, cfg.content_size_bits, cfg.slot_duration_s)
-    if delay > cfg.slot_duration_s:
-        report = _failure_report(user, content, path.kind, power_w=power_w, cache_hit=cache_hit)
-        return dataclasses.replace(report, delay_s=delay, power_feasible=feasible)
-    d_score = delay_score(delay, cfg, plan.bound_s)
-    q, label = qoe_score(d_score, device_frac, cfg.qoe_weight_delay, cfg.qoe_weight_device)
-    return QoeReport(user=user, content=content, link=path.kind, delay_s=delay,
-                     delay_score=d_score, device_score_frac=device_frac, qoe=q,
-                     mos_label=label, satisfied=q >= SATISFIED_QOE, delivered=True,
-                     power_w=power_w, cache_hit=cache_hit, power_feasible=feasible)
 
 
 def _summarize(plan: PeriodPlan, logs, mode, baseline) -> dict:

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -10,7 +11,8 @@ from uavcache.config import (DESK_PRESET, ChannelParams, RandomSource, ScenarioC
                              load_config_dict, merge_documents)
 from uavcache.generators import DAY_TYPES, day_type
 from uavcache.placement import PlacementResult, _flatten_positions, rrh_rate_threshold_bits
-from uavcache.qoe import min_uav_power_w, power_per_loss_w
+from uavcache.qoe import (LINK_RRH, LINK_UAV_CACHE, LINK_UAV_FRONTHAUL, MOS_BINS, QoeReport,
+                          min_uav_power_w, power_per_loss_w)
 
 
 def desk_config(**overrides) -> ScenarioConfig:
@@ -36,6 +38,13 @@ def infeasible_config(tiny_cfg: ScenarioConfig) -> ScenarioConfig:
     return dataclasses.replace(
         tiny_cfg, slot_duration_s=0.5, fronthaul_rate_bps=1e7, bbu_power_w=1e-6, cache_size=1,
         generators=dataclasses.replace(tiny_cfg.generators, request_concentration=0.5))
+
+
+def idle_config(tiny_cfg: ScenarioConfig) -> ScenarioConfig:
+    """``tiny_cfg`` where each user requests in a slot with probability 0.6, so every slot
+    has idle users."""
+    return dataclasses.replace(tiny_cfg, generators=dataclasses.replace(
+        tiny_cfg.generators, request_probability=0.6))
 
 
 def log_uniform(lo_exp: float, hi_exp: float):
@@ -196,6 +205,55 @@ def place_uav_exhaustive(user_pos, rate_targets_bps, grid_step_m: float,
             best_val = float(totals[idx])
             best_pos = np.array([grid[idx, 0], grid[idx, 1], h])
     return PlacementResult(position=best_pos, objective_w=best_val, evaluations=evals)
+
+
+def _failed_report(user: int, content: int, link: str, delay_s: float = math.inf,
+                   power_w: float = 0.0, cache_hit: bool = False,
+                   feasible: bool = True) -> QoeReport:
+    return QoeReport(user=user, content=content, link=link, delay_s=delay_s, delay_score=0.0,
+                     device_score_frac=0.0, qoe=0.0, mos_label="Poor", satisfied=False,
+                     delivered=False, power_w=power_w, cache_hit=cache_hit,
+                     power_feasible=feasible)
+
+
+def reference_reports(plan, s: int, routes) -> list[QoeReport]:
+    """Slot ``s`` scored one user at a time from the rates, powers and device fractions
+    in its route table.
+
+    The tier comes from the plan's association: a radio head, a UAV (a cache
+    hit has no fronthaul leg) or none.  An idle user's report has no delay;
+    an unserved request and a delivery slower than one slot are failures.
+    """
+    cfg = plan.cfg
+    dt = cfg.slot_duration_s
+
+    def leg_s(bits):
+        return math.inf if bits <= 0.0 else dt * cfg.content_size_bits / bits
+
+    reports = []
+    requests = plan.world.requests[:, plan.slot0 + s].tolist()
+    for u, (content, route) in enumerate(zip(requests, routes.tolist())):
+        _, access, fronthaul, device_frac, power_w, hit, feasible = route
+        if content < 0:
+            reports.append(_failed_report(u, -1, "idle", delay_s=0.0))
+            continue
+        if plan.rrh[s][u] >= 0:
+            link, delay = LINK_RRH, leg_s(access) + leg_s(fronthaul)
+        elif plan.uav[s][u] >= 0:
+            link = LINK_UAV_CACHE if hit else LINK_UAV_FRONTHAUL
+            delay = leg_s(access) if hit else leg_s(access) + leg_s(fronthaul)
+        else:
+            reports.append(_failed_report(u, content, "unserved"))
+            continue
+        if delay > dt:
+            reports.append(_failed_report(u, content, link, delay, power_w, hit, feasible))
+            continue
+        d_score = float(np.clip((dt - delay) / (dt - plan.bound_s), 0.0, 1.0))
+        q = cfg.qoe_weight_delay * d_score + cfg.qoe_weight_device * device_frac
+        label = next((name for floor, name in MOS_BINS if q >= floor), "Poor")
+        reports.append(QoeReport(u, content, link, delay, d_score, device_frac, q, label,
+                                 q >= MOS_BINS[0][0], True, power_w, hit, feasible))
+    return reports
 
 
 # -- per-slot references for the synthetic world's tables ----------------------------

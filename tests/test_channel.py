@@ -234,6 +234,15 @@ class TestZfbf:
                                  exponent=2.0)
         assert sinr[0] == pytest.approx(0.1 / 1e-13, rel=1e-9)
 
+    def test_users_on_no_cluster_read_zero(self):
+        clusters = [self._cluster([[0.0, 0.0], [10.0, 0.0]])]
+        users = np.array([[5.0, 40.0], [60.0, -20.0], [-30.0, 15.0]])
+        sinr = channel.zfbf_sinr(clusters, np.array([-1, 0, -1]), users,
+                                 [np.full((3, 2), 1.1)], rrh_power_w=0.1,
+                                 bbu_interference_w=np.zeros(3), noise_w=1e-13, exponent=2.0)
+        assert sinr.shape == (3,)
+        assert sinr[0] == sinr[2] == 0.0 and sinr[1] > 0.0
+
     def test_far_clusters_interference_vanishes(self):
         near = self._cluster([[0.0, 0.0], [5.0, 0.0]])
         gains = [np.ones((2, 2)), np.ones((2, 2))]

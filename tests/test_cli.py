@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import log_uniform
-from uavcache import sim
+from uavcache import cli, sim
 from uavcache.channel import ChannelError
 from uavcache.cli import main
 from uavcache.config import merge_documents
@@ -433,6 +433,22 @@ class TestSweep:
                      "--values", f"3,{10 ** 22}", "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert f"sweep value users={10 ** 22}: num_users: must be at most" in err
+
+    def test_terabyte_request_table_exits_2_before_any_world(self, tmp_path, monkeypatch,
+                                                             capsys):
+        def no_world(*args, **kwargs):
+            raise AssertionError("a world was built")
+
+        monkeypatch.setattr(sim, "SyntheticWorld", no_world)
+        monkeypatch.setattr(cli, "SyntheticWorld", no_world)
+        # each count is within its own bound; the (users, slots) table is 2.9 TB
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"num_users": 10000, "slots_per_cache_period": 10000,
+                                   "slots_per_collection": 10,
+                                   "generators": {"training_weeks": 520}}))
+        assert main(["simulate", "--oracle", "--config", str(cfg),
+                     "--out", str(tmp_path / "out")]) == 2
+        assert "(generators.training_weeks + 1): must be at most" in capsys.readouterr().err
 
     def test_env_var_default_outdir(self, cfg_file, tmp_path, monkeypatch):
         target = tmp_path / "from-env"

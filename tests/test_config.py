@@ -173,6 +173,27 @@ def test_every_count_has_an_upper_bound(path, bound_name):
         assert not any(v.startswith(f"{path}: must be at most") for v in err.violations)
 
 
+# (document, its product, the product's bound): each at its bound, then one step past it
+PRODUCT_BOUNDS = [
+    # 10,000 users x (4 + 1) weeks x 7 days x 120 slots
+    ({"num_users": 10_000, "generators": {"training_weeks": 4}}, "MAX_USER_SLOTS",
+     {"generators": {"training_weeks": 5}}, 10_000 * 42 * 120),
+    ({"num_users": 10_000, "intervals_per_slot": 1_000}, "MAX_USER_INTERVALS",
+     {"intervals_per_slot": 1_001}, 10_000 * 1_001),
+]
+
+
+@pytest.mark.parametrize("doc, bound_name, past, product", PRODUCT_BOUNDS,
+                         ids=[b for _, b, _, _ in PRODUCT_BOUNDS])
+def test_products_of_counts_are_bounded(doc, bound_name, past, product):
+    bound = getattr(config, bound_name)
+    load_config_dict(doc)
+    with pytest.raises(ConfigError) as exc:
+        load_config_dict(merge_documents(doc, past))
+    assert len(exc.value.violations) == 1
+    assert exc.value.violations[0].endswith(f"at most {bound}, got {product}")
+
+
 @pytest.mark.parametrize("washout, ok", [(41, True), (42, False), (50, False)])
 def test_training_needs_samples_after_the_washout(washout, ok):
     # 2 weeks x 7 days x 3 slots per sub-period = 42 samples per content pattern

@@ -19,7 +19,7 @@ from uavcache.config import ScenarioConfig, serialize
 from uavcache.generators import SyntheticWorld
 from uavcache.predictors import train_content_model, train_mobility_model
 
-from conftest import desk_config, infeasible_config
+from conftest import desk_config, idle_config, infeasible_config
 
 # baseline -> (slots.csv, summary.json) for the desk preset in oracle mode
 DESK_ORACLE = {
@@ -63,6 +63,11 @@ DESK_ORACLE_SEED99 = ("5b0494661a3906eb4cb4182a02b8cdd320701c7fa606f7d86d2bdeac4
 # delivery prices unreachable targets at the power cap
 TINY_INFEASIBLE = ("0db330ceca192cd5a39a4975998aa97882d02c507a237ff819f3082e4ef96357",
                    "f06d3d30e2fd72895bf552426c24ee863a81f3d8e95323689bd996f3f54cd721")
+
+# tiny_cfg with a request probability of 0.6, so every slot has idle users;
+# pinned before delivery scored each slot in one pass over a route table
+TINY_IDLE = ("c44f27b2f66f98eb3d19065bfcefbb564b4385f1b64f3d13228981d3513c4e11",
+             "46f9546bb510a96cb878728adbf8b023588a2a0657b26944775fbb9896302c9c")
 
 # tiny_cfg user 0: cesn.save_model bytes and the exact quota history per task
 TINY_USER0_MODELS = {
@@ -124,6 +129,12 @@ def test_per_content_rates_artifacts_pinned(tiny_cfg):
 def test_infeasible_branches_artifacts_pinned(tiny_cfg):
     logs, summary = sim.run_period(infeasible_config(tiny_cfg), mode="oracle")
     assert digests(logs, summary) == TINY_INFEASIBLE
+
+
+def test_idle_users_artifacts_pinned(tiny_cfg):
+    logs, summary = sim.run_period(idle_config(tiny_cfg), mode="oracle")
+    assert any(r.link == "idle" for log in logs for r in log.reports)
+    assert digests(logs, summary) == TINY_IDLE
 
 
 @pytest.mark.parametrize("task", list(TINY_USER0_MODELS))

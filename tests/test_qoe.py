@@ -6,9 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from uavcache import qoe
+from uavcache import qoe, sim
 from uavcache.config import ScenarioConfig
 from uavcache.channel import db_to_linear, uav_user_pathloss_db, uav_user_snr
+from uavcache.generators import SyntheticWorld
+from uavcache.predictors import OraclePredictor
 
 
 def cfg_with_bound_001() -> ScenarioConfig:
@@ -21,33 +23,42 @@ def cfg_with_bound_001() -> ScenarioConfig:
 
 class TestDelay:
     def test_cache_link_ratio(self):
-        path = qoe.DeliveryPath(kind=qoe.LINK_UAV_CACHE, access_bits_per_slot=5e6)
-        assert qoe.delay_s(path, 1e6, 1.0) == pytest.approx(0.2)
+        assert qoe.transfer_s(5e6, 1e6, 1.0) == pytest.approx(0.2)
 
     def test_infinite_fronthaul_matches_cache_link(self):
-        via_cache = qoe.DeliveryPath(kind=qoe.LINK_UAV_CACHE, access_bits_per_slot=5e6)
-        via_fh = qoe.DeliveryPath(kind=qoe.LINK_UAV_FRONTHAUL, access_bits_per_slot=5e6,
-                                  fronthaul_bits_per_slot=math.inf)
-        assert qoe.delay_s(via_fh, 1e6, 1.0) == qoe.delay_s(via_cache, 1e6, 1.0)
+        # an absent leg is an infinite-rate leg, which takes 0 s
+        assert qoe.transfer_s(math.inf, 1e6, 1.0) == 0.0
+        access = qoe.transfer_s(5e6, 1e6, 1.0)
+        assert access + qoe.transfer_s(math.inf, 1e6, 1.0) == access
 
-    def test_terrestrial_and_aerial_symmetric(self):
-        a = qoe.DeliveryPath(kind=qoe.LINK_RRH, access_bits_per_slot=4e6,
-                             fronthaul_bits_per_slot=2e6)
-        b = qoe.DeliveryPath(kind=qoe.LINK_UAV_FRONTHAUL, access_bits_per_slot=4e6,
-                             fronthaul_bits_per_slot=2e6)
-        assert qoe.delay_s(a, 1e6, 1.0) == qoe.delay_s(b, 1e6, 1.0)
+    def test_terrestrial_and_aerial_symmetric(self, tiny_cfg):
+        # the route table scores every tier the same way
+        world = SyntheticWorld(tiny_cfg)
+        plan = sim.plan_slots(tiny_cfg, world, OraclePredictor(world))
+        bits = [0.3, 0.9, 1.7, 40.0]  # multiples of the content size
+        routes = sim._routes(
+            2 * len(bits), link=[qoe.LINK_RRH] * len(bits) + [qoe.LINK_UAV_FRONTHAUL] * len(bits),
+            access_bits=np.tile(bits, 2) * tiny_cfg.content_size_bits,
+            fronthaul_bits=4.0 * tiny_cfg.content_size_bits, device_frac=0.5, feasible=True)
+        reports = sim._score_routes(plan, np.zeros(len(routes), int), routes)
+        rrh, uav = reports[:len(bits)], reports[len(bits):]
+        for a, b in zip(rrh, uav):
+            assert dataclasses.replace(a, user=b.user, link=b.link) == b
+        assert [r.delivered for r in uav] == [False, False, True, True]
 
     def test_zero_rate_leg_is_infinite(self):
-        dead_access = qoe.DeliveryPath(kind=qoe.LINK_UAV_CACHE, access_bits_per_slot=0.0)
-        dead_fronthaul = qoe.DeliveryPath(kind=qoe.LINK_UAV_FRONTHAUL, access_bits_per_slot=5e6,
-                                          fronthaul_bits_per_slot=0.0)
-        assert qoe.delay_s(dead_access, 1e6, 1.0) == math.inf
-        assert qoe.delay_s(dead_fronthaul, 1e6, 1.0) == math.inf
+        assert qoe.transfer_s(0.0, 1e6, 1.0) == math.inf
+        got = qoe.transfer_s(np.array([0.0, 5e6, math.inf, -1.0]), 1e6, 1.0)
+        assert got.tolist() == [math.inf, pytest.approx(0.2), 0.0, math.inf]
 
-    def test_cache_path_refuses_fronthaul_component(self):
-        with pytest.raises(ValueError):
-            qoe.DeliveryPath(kind=qoe.LINK_UAV_CACHE, access_bits_per_slot=1.0,
-                             fronthaul_bits_per_slot=1.0)
+    def test_scalar_input_gives_scalar(self):
+        for fn, args in ((qoe.transfer_s, (5e6, 1e6, 1.0)),
+                         (qoe.delay_score, (0.3, cfg_with_bound_001(), 0.01)),
+                         (qoe.mos_label, (0.5,))):
+            got = fn(*args)
+            assert np.ndim(got) == 0 and not isinstance(got, np.ndarray)
+        q, label = qoe.qoe_score(1.0, 0.5, 0.5, 0.5)
+        assert not isinstance(q, np.ndarray) and not isinstance(label, np.ndarray)
 
 
 class TestDelayLowerBound:
@@ -91,6 +102,19 @@ class TestDelayScore:
     def test_late_delivery_scores_zero(self):
         cfg = cfg_with_bound_001()
         assert qoe.delay_score(1.5, cfg, qoe.delay_lower_bound_s(cfg)) == 0.0
+
+    def test_bound_at_the_slot_length_scores_late_deliveries_zero(self):
+        # the ratio's denominator is 0; late rows never reach it, so nothing warns
+        cfg = cfg_with_bound_001()
+        late = np.array([1.5, 2.0, math.inf])
+        assert qoe.delay_score(late, cfg, cfg.slot_duration_s).tolist() == [0.0, 0.0, 0.0]
+
+    def test_array_equals_scalar_calls(self):
+        cfg = cfg_with_bound_001()
+        bound = qoe.delay_lower_bound_s(cfg)
+        delays = np.array([0.0, bound, 0.2, 0.505, 0.999, 1.0, 1.5, math.inf])
+        got = qoe.delay_score(delays, cfg, bound)
+        assert got.tolist() == [qoe.delay_score(d, cfg, bound) for d in delays.tolist()]
 
 
 class TestDeviceScore:
@@ -138,6 +162,10 @@ class TestQoeScore:
         assert qoe.mos_label(0.85) == "Excellent"
         assert qoe.mos_label(0.7) == "Very Good"
         assert qoe.mos_label(0.3) == "Fair"
+        values = [1.0, 0.8, 0.79, 0.6, 0.4, 0.2, 0.0, -0.1, math.nan]
+        assert qoe.mos_label(values).tolist() == [
+            "Excellent", "Excellent", "Very Good", "Very Good", "Good", "Fair", "Poor", "Poor",
+            "Poor"]
 
 
 def fronthaul_leg_s(cfg, bits_per_slot):

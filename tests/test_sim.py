@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from conftest import desk_config, infeasible_config
+from conftest import desk_config, idle_config, infeasible_config, reference_reports
 from uavcache import placement, sim
 from uavcache.generators import SyntheticWorld
 from uavcache.predictors import OraclePredictor, train_content_model, train_mobility_model
@@ -186,6 +186,54 @@ class TestSlotPartition:
                 assert np.all(uav < 0)
             assert np.all(np.bincount(rrh[rrh >= 0], minlength=len(antennas)) <= antennas)
             assert log.n_fr == np.count_nonzero(rrh >= 0)
+
+
+# config, baseline and the (link, delivered) rows each run must reach
+SCORING_CASES = {
+    "desk": (lambda tiny: desk_config(), None,
+             {("rrh", True), ("uav_cache", True), ("uav_fronthaul", True)}),
+    "desk_no_uav": (lambda tiny: desk_config(), "no_uav", {("rrh", True), ("unserved", False)}),
+    "tiny_infeasible": (infeasible_config, None, {("uav_cache", True), ("uav_fronthaul", True)}),
+    "tiny_idle": (idle_config, None, {("idle", False), ("rrh", True), ("uav_cache", True)}),
+    # the BBU -> UAV link carries 0 bits, so every fetch is late
+    "tiny_dead_fronthaul": (lambda tiny: dataclasses.replace(tiny, bbu_power_w=1e-300), None,
+                            {("uav_cache", True), ("uav_fronthaul", False)}),
+}
+
+
+class TestScoring:
+    @pytest.mark.parametrize("case", list(SCORING_CASES))
+    def test_reports_equal_the_per_user_scorer(self, tiny_cfg, monkeypatch, case):
+        make_cfg, baseline, reached = SCORING_CASES[case]
+        cfg = make_cfg(tiny_cfg)
+        score_routes, links, slot = sim._score_routes, set(), [0]
+
+        def checked(plan, content, routes):
+            got = score_routes(plan, content, routes)
+            assert got == reference_reports(plan, slot[0], routes)
+            links.update((r.link, r.delivered) for r in got)
+            slot[0] += 1
+            return got
+
+        monkeypatch.setattr(sim, "_score_routes", checked)
+        run(cfg, baseline=baseline)
+        assert slot[0] == cfg.slots_per_cache_period
+        assert reached <= links
+
+
+    def test_each_uav_power_adds_its_users_in_ascending_order(self):
+        cfg = desk_config()
+        world = SyntheticWorld(cfg)
+        plan = sim.plan_slots(cfg, world, OraclePredictor(world))
+        caches = sim.select_caches(plan)
+        logs = sim.deliver(plan, caches, sim.place_uavs(plan, caches))
+        for uav, log in zip(plan.uav, logs):
+            for k, total in enumerate(log.uav_power_w.tolist()):
+                running = 0.0
+                for r in log.reports:
+                    if uav[r.user] == k:
+                        running += r.power_w
+                assert total == running
 
 
 class TestDeterminism:

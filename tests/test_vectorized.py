@@ -16,7 +16,7 @@ from uavcache.config import ChannelParams, ScenarioConfig
 from uavcache.generators import SyntheticWorld
 from uavcache.predictors import (EsnPredictor, OraclePredictor, train_content_model,
                                  train_mobility_model)
-from uavcache.qoe import DeliveryPath, LINK_UAV_CACHE, LINK_UAV_FRONTHAUL
+from uavcache.qoe import LINK_UAV_CACHE, LINK_UAV_FRONTHAUL
 
 P = ChannelParams()
 CFG = ScenarioConfig()
@@ -318,15 +318,14 @@ def reference_cache_rows(plan, k):
     return np.array(prob_rows), np.array(saving_rows)
 
 
-def reference_deliver_uav(plan, cache, users, n_served, position, user_pos, requests, n_fetch):
+def reference_deliver_uav(plan, cache, users, contents, n_served, position, user_pos, n_fetch):
     """``sim._deliver_uav`` with every per-user quantity reduced from that user's 1-D row."""
     cfg = plan.cfg
-    hits = [requests[u] in cache for u in users]
-    fronthaul_bits, req_miss = (None, plan.req_hit) if all(hits) else sim._cache_miss(
+    hits = [c in cache for c in contents]
+    fronthaul_bits, req_miss = (np.inf, plan.req_hit) if all(hits) else sim._cache_miss(
         plan, position, max(n_fetch, 1))
     targets = qoe.qoe_rate_target_bps(
-        np.where(hits, plan.req_hit, req_miss),
-        cfg.device_rate_bps(plan.screen[users], [requests[u] for u in users]),
+        np.where(hits, plan.req_hit, req_miss), cfg.device_rate_bps(plan.screen[users], contents),
         cfg.slot_duration_s)[:, None]
     pl = channel.uav_user_pathloss_db(position, user_pos, cfg.pathloss)
     power = qoe.min_uav_power_w(channel.db_to_linear(pl), targets, n_served,
@@ -336,17 +335,16 @@ def reference_deliver_uav(plan, cache, users, n_served, position, user_pos, requ
     rates_bps = channel.link_rates_bps(
         channel.uav_user_snr(tx_power, channel.db_to_linear(pl), cfg.noise_power_w),
         cfg.uav_bandwidth_hz, n_served)
-    reports, total_w = [], 0.0
-    for u, hit, rates, user_power, ok in zip(users, hits, rates_bps, tx_power, feasible):
-        path = DeliveryPath(LINK_UAV_CACHE if hit else LINK_UAV_FRONTHAUL,
-                            channel.slot_capacity_bits(rates, cfg.slot_duration_s),
-                            None if hit else fronthaul_bits)
-        power_w = float(user_power.mean())
-        device_frac = qoe.device_score(rates, cfg.device_rate_bps(plan.screen[u], requests[u]))
-        reports.append(sim._score(plan, u, requests[u], path, device_frac, power_w=power_w,
-                                  cache_hit=hit, feasible=bool(ok)))
-        total_w += power_w
-    return reports, total_w
+    routes = np.zeros(len(users), dtype=sim.ROUTE)
+    for row, u, content, hit, rates, user_power, ok in zip(
+            routes, users, contents, hits, rates_bps, tx_power, feasible):
+        row["link"] = LINK_UAV_CACHE if hit else LINK_UAV_FRONTHAUL
+        row["access_bits"] = channel.slot_capacity_bits(rates, cfg.slot_duration_s)
+        row["fronthaul_bits"] = np.inf if hit else fronthaul_bits
+        row["device_frac"] = qoe.device_score(rates, cfg.device_rate_bps(plan.screen[u], content))
+        row["power_w"] = float(user_power.mean())
+        row["cache_hit"], row["feasible"] = hit, ok
+    return routes
 
 
 def test_uav_rows_equal_per_user_references_on_the_infeasible_config(tiny_cfg, monkeypatch):
@@ -376,15 +374,17 @@ def test_uav_rows_equal_per_user_references_on_the_infeasible_config(tiny_cfg, m
 
     def checked(*args):
         got = deliver_uav(*args)
-        assert got == reference_deliver_uav(*args)
-        delivered.extend(got[0])
+        assert got.dtype == sim.ROUTE
+        assert got.tobytes() == reference_deliver_uav(*args).tobytes()
+        delivered.append(got)
         return got
 
     monkeypatch.setattr(sim, "_deliver_uav", checked)
     sim.deliver(plan, caches, sim.place_uavs(plan, caches))
     # The config reaches misses, hits and power clamped at the cap.
-    assert {r.link for r in delivered} == {LINK_UAV_CACHE, LINK_UAV_FRONTHAUL}
-    assert any(not r.power_feasible for r in delivered)
+    routes = np.concatenate(delivered)
+    assert set(routes["link"].tolist()) == {LINK_UAV_CACHE, LINK_UAV_FRONTHAUL}
+    assert not routes["feasible"].all()
 
 
 def test_delay_bound_is_computed_once_per_period(tiny_cfg, monkeypatch):
