@@ -17,6 +17,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import json
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -408,7 +409,13 @@ def _score_routes(plan: PeriodPlan, content: np.ndarray, routes: np.ndarray) -> 
     columns = (content, routes["link"], delay, d_score, device_frac, q, label,
                q >= SATISFIED_QOE, delivered, routes["power_w"], routes["cache_hit"],
                routes["feasible"])
-    return [QoeReport(u, *row) for u, row in enumerate(zip(*(c.tolist() for c in columns)))]
+    return [QoeReport(u, *row) for u, row in enumerate(zip(*map(_listed, columns)))]
+
+
+def _listed(column: np.ndarray) -> list:
+    """A column as Python values; text becomes one shared str per name, not one per row."""
+    values = column.tolist()
+    return list(map(sys.intern, values)) if column.dtype.kind == "U" else values
 
 
 # Each ablation baseline replaces the stages it names and keeps the rest.

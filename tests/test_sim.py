@@ -206,12 +206,13 @@ class TestScoring:
     def test_reports_equal_the_per_user_scorer(self, tiny_cfg, monkeypatch, case):
         make_cfg, baseline, reached = SCORING_CASES[case]
         cfg = make_cfg(tiny_cfg)
-        score_routes, links, slot = sim._score_routes, set(), [0]
+        score_routes, links, names, slot = sim._score_routes, set(), set(), [0]
 
         def checked(plan, content, routes):
             got = score_routes(plan, content, routes)
             assert got == reference_reports(plan, slot[0], routes)
             links.update((r.link, r.delivered) for r in got)
+            names.update((name, id(name)) for r in got for name in (r.link, r.mos_label))
             slot[0] += 1
             return got
 
@@ -219,6 +220,8 @@ class TestScoring:
         run(cfg, baseline=baseline)
         assert slot[0] == cfg.slots_per_cache_period
         assert reached <= links
+        # the reports of a period share one str object per link or label name
+        assert len(names) == len({name for name, _ in names})
 
 
     def test_each_uav_power_adds_its_users_in_ascending_order(self):
