@@ -187,15 +187,12 @@ MAX_HORIZON = 1_000
 MAX_TRAINING_WEEKS = 520
 # Anchor locations a user visits per day.
 MAX_WAYPOINTS_PER_DAY = 1_000
-# The world's largest arrays grow with products of counts, which the bounds
-# above leave free.  The world spans the training weeks plus the simulated
-# week, 7 days each, and holds a (users, horizon slots) request table of
-# 8-byte indices: 336 MB at this bound, the table MAX_USERS allows at the
-# paper's 5-week horizon of 120-slot days.
+# Products of counts size the world's largest arrays.  The request table holds
+# 8 bytes per (user, slot) over the training weeks plus the simulated week, 7
+# days each: 336 MB at this bound, what MAX_USERS allows at the paper's horizon.
 MAX_USER_SLOTS = 42_000_000
-# Each slot prices every served (user, interval) link in several float64
-# arrays (positions, path loss, power, rates), about 64 bytes per link: 640 MB
-# at this bound, what MAX_USERS allows at the paper's 1,000 intervals.
+# Each slot prices every served (user, interval) link in float64 arrays, about
+# 64 bytes per link: 640 MB at this bound, what MAX_USERS allows at 1,000 intervals.
 MAX_USER_INTERVALS = 10_000_000
 
 

@@ -110,12 +110,10 @@ def delay_score(value_s, cfg: ScenarioConfig, bound_s: float):
 def device_score(rates_bps, required_bps):
     """Fraction of intervals whose rate meets the device's rate floor.
 
-    The intervals run along the last axis: 1-D rates give a float, and
+    The intervals run along the last axis: 1-D rates give a scalar, and
     (users, intervals) rates with (users, 1) floors give one fraction per row.
     """
-    met = np.atleast_1d(np.asarray(rates_bps, dtype=float) >= required_bps)
-    frac = met.mean(axis=-1)
-    return float(frac) if frac.ndim == 0 else frac
+    return np.atleast_1d(np.asarray(rates_bps, dtype=float) >= required_bps).mean(axis=-1)
 
 
 def mos_label(qoe):

@@ -414,8 +414,7 @@ def _score_routes(plan: PeriodPlan, content: np.ndarray, routes: np.ndarray) -> 
 
 def _listed(column: np.ndarray) -> list:
     """A column as Python values; text becomes one shared str per name, not one per row."""
-    values = column.tolist()
-    return list(map(sys.intern, values)) if column.dtype.kind == "U" else values
+    return list(map(sys.intern, column.tolist())) if column.dtype.kind == "U" else column.tolist()
 
 
 # Each ablation baseline replaces the stages it names and keeps the rest.

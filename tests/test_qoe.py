@@ -54,7 +54,7 @@ class TestDelay:
     def test_scalar_input_gives_scalar(self):
         for fn, args in ((qoe.transfer_s, (5e6, 1e6, 1.0)),
                          (qoe.delay_score, (0.3, cfg_with_bound_001(), 0.01)),
-                         (qoe.mos_label, (0.5,))):
+                         (qoe.device_score, ([1e6, 6e6], 5e6)), (qoe.mos_label, (0.5,))):
             got = fn(*args)
             assert np.ndim(got) == 0 and not isinstance(got, np.ndarray)
         q, label = qoe.qoe_score(1.0, 0.5, 0.5, 0.5)
