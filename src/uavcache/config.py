@@ -191,6 +191,10 @@ MAX_WAYPOINTS_PER_DAY = 1_000
 # 8 bytes per (user, slot) over the training weeks plus the simulated week, 7
 # days each: 336 MB at this bound, what MAX_USERS allows at the paper's horizon.
 MAX_USER_SLOTS = 42_000_000
+# The world's request distributions and a learned predictor's estimate of them
+# each hold 8 bytes per (user, sub-period, content): 80 MB at this bound, what
+# MAX_CONTENTS allows at the paper's 70 users and 12 sub-periods.
+MAX_USER_SUBPERIOD_CONTENTS = 10_000_000
 # Each slot prices every served (user, interval) link in float64 arrays, about
 # 64 bytes per link: 640 MB at this bound, what MAX_USERS allows at 1,000 intervals.
 MAX_USER_INTERVALS = 10_000_000
@@ -325,6 +329,9 @@ def validate(cfg: ScenarioConfig) -> list[str]:
     _at_most("num_users x slots_per_cache_period x 7 (generators.training_weeks + 1)",
              cfg.num_users * cfg.slots_per_cache_period * 7 * (g.training_weeks + 1),
              MAX_USER_SLOTS, v)
+    n_sub = cfg.slots_per_cache_period // max(cfg.slots_per_collection, 1)
+    _at_most("num_users x (slots_per_cache_period / slots_per_collection) x num_contents",
+             cfg.num_users * n_sub * cfg.num_contents, MAX_USER_SUBPERIOD_CONTENTS, v)
     _at_most("num_users x intervals_per_slot", cfg.num_users * cfg.intervals_per_slot,
              MAX_USER_INTERVALS, v)
     return v

@@ -19,7 +19,6 @@ clamp that power at the cap.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,25 +40,6 @@ LINK_UAV_CACHE = "uav_cache"
 # Rows of users with no delivery: no request this slot, or no tier serving them.
 LINK_IDLE = "idle"
 LINK_UNSERVED = "unserved"
-
-
-@dataclass
-class QoeReport:
-    """Scored outcome of one user's content delivery in one slot."""
-
-    user: int
-    content: int
-    link: str
-    delay_s: float
-    delay_score: float
-    device_score_frac: float
-    qoe: float
-    mos_label: str
-    satisfied: bool
-    delivered: bool
-    power_w: float
-    cache_hit: bool
-    power_feasible: bool
 
 
 def transfer_s(bits_per_slot, content_bits: float, slot_duration_s: float):

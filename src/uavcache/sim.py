@@ -5,6 +5,9 @@ One run covers one caching period (a synthetic day of T slots).  ``plan_slots``,
 distributions; ``deliver`` serves and scores the generator's true state, so
 prediction error shows up as extra transmit power and missed QoE, exactly where
 it would hurt a real deployment.  The stages pass one :class:`PeriodPlan`.
+Delivery fills one route table per slot (:data:`ROUTE`) and scores it into one
+record array of reports (:data:`REPORT`), whose fields are the ``slots.csv``
+columns; the slot checks, the summary and the CSV read it a column at a time.
 
 Each ablation baseline swaps stages (:data:`BASELINES`): ``no_uav`` plans with
 no UAVs, ``no_cache`` and ``random_cache`` replace ``select_caches`` with empty
@@ -17,7 +20,6 @@ from __future__ import annotations
 import dataclasses
 import functools
 import json
-import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,7 +31,7 @@ from .config import ConfigError, RandomSource, RrhCluster, ScenarioConfig, valid
 from .generators import SyntheticWorld
 from .predictors import EsnPredictor, OraclePredictor
 from .qoe import (LINK_IDLE, LINK_RRH, LINK_UAV_CACHE, LINK_UAV_FRONTHAUL, LINK_UNSERVED,
-                  MOS_BINS, QoeReport, delay_lower_bound_s, delay_rate_requirement_bits,
+                  MOS_BINS, delay_lower_bound_s, delay_rate_requirement_bits,
                   delay_score, device_score, min_uav_power_w, qoe_rate_target_bps, qoe_score,
                   transfer_s)
 
@@ -37,12 +39,6 @@ from .qoe import (LINK_IDLE, LINK_RRH, LINK_UAV_CACHE, LINK_UAV_FRONTHAUL, LINK_
 SATISFIED_QOE = MOS_BINS[0][0]
 
 SUMMARY_SCHEMA_VERSION = 1
-
-SLOTS_COLUMNS = (
-    "slot", "user", "content", "link", "delivered", "delay_s", "delay_score",
-    "device_frac", "qoe", "mos", "satisfied", "power_w", "cache_hit",
-    "power_feasible",
-)
 
 # A slot's route table: one row per user, filled by the tier that serves the
 # user and read by the scoring alone.  Bits are per slot; an absent fronthaul
@@ -52,6 +48,17 @@ ROUTE = np.dtype([("link", f"U{max(map(len, _LINKS))}"), ("access_bits", float),
                   ("fronthaul_bits", float), ("device_frac", float), ("power_w", float),
                   ("cache_hit", bool), ("feasible", bool)])
 
+# A slot's scored reports: one row per user, and after the slot index the
+# columns of slots.csv.
+REPORT = np.dtype([("user", int), ("content", int), ("link", ROUTE["link"]),
+                   ("delivered", bool), ("delay_s", float), ("delay_score", float),
+                   ("device_frac", float), ("qoe", float),
+                   ("mos", f"U{max(len(label) for _, label in MOS_BINS)}"),
+                   ("satisfied", bool), ("power_w", float), ("cache_hit", bool),
+                   ("power_feasible", bool)])
+
+SLOTS_COLUMNS = ("slot", *REPORT.names)
+
 
 class SimInvariantError(RuntimeError):
     """An internal bookkeeping invariant broke during a run."""
@@ -60,7 +67,7 @@ class SimInvariantError(RuntimeError):
 @dataclass
 class SlotLog:
     slot: int
-    reports: list[QoeReport]
+    reports: np.recarray  # (U,) REPORT rows
     n_fr: int
     n_fetching: int
     uav_positions: np.ndarray  # (K, 3)
@@ -73,13 +80,13 @@ class SlotLog:
     uav_deliveries: int = 0
 
     def reconcile(self) -> None:
-        outcomes = sum(1 for r in self.reports if r.content >= 0)
+        outcomes = int(np.count_nonzero(self.reports.content >= 0))
         if self.requests != outcomes or self.delivered + self.failures != self.requests:
             raise SimInvariantError(
                 f"slot {self.slot}: {self.requests} requests vs {self.delivered} delivered "
                 f"+ {self.failures} failed")
-        total = float(sum(r.power_w for r in self.reports))
-        if not np.isclose(total, float(self.uav_power_w.sum()), rtol=1e-9, atol=1e-12):
+        if not np.isclose(self.reports.power_w.sum(), self.uav_power_w.sum(),
+                          rtol=1e-9, atol=1e-12):
             raise SimInvariantError(f"slot {self.slot}: per-UAV power does not add up")
 
 
@@ -381,20 +388,21 @@ def _deliver_slot(plan: PeriodPlan, caches: list[tuple[int, ...]], s: int,
     log = SlotLog(slot=s, reports=reports, n_fr=n_fr,
                   n_fetching=n_fetch, uav_positions=positions, uav_power_w=uav_power,
                   caches=tuple(caches), requests=int(np.count_nonzero(~idle)),
-                  delivered=sum(r.delivered for r in reports),
-                  failures=sum(not r.delivered for r in reports if r.content >= 0),
-                  cache_hits=sum(r.cache_hit for r in reports), uav_deliveries=served.size)
+                  delivered=int(np.count_nonzero(reports.delivered)),
+                  failures=int(np.count_nonzero(~reports.delivered & ~idle)),
+                  cache_hits=int(np.count_nonzero(reports.cache_hit)), uav_deliveries=served.size)
     log.reconcile()
     # Delivered contents can never beat the system delay bound.
-    for r in reports:
-        if r.delivered and r.delay_s < plan.bound_s:
-            raise SimInvariantError(
-                f"slot {s}: user {r.user} delay {r.delay_s} below bound {plan.bound_s}")
+    early = np.flatnonzero(reports.delivered & (reports.delay_s < plan.bound_s))
+    if early.size:
+        r = reports[early[0]]
+        raise SimInvariantError(
+            f"slot {s}: user {r.user} delay {r.delay_s} below bound {plan.bound_s}")
     return log
 
 
-def _score_routes(plan: PeriodPlan, content: np.ndarray, routes: np.ndarray) -> list[QoeReport]:
-    """Score every user's route in one elementwise pass; one report per user.
+def _score_routes(plan: PeriodPlan, content: np.ndarray, routes: np.ndarray) -> np.recarray:
+    """Score every user's route in one elementwise pass; one REPORT row per user.
 
     A request is delivered when its route takes at most one slot.  An undelivered
     row scores 0 on both axes and keeps its link, power, cache hit and feasibility.
@@ -406,15 +414,10 @@ def _score_routes(plan: PeriodPlan, content: np.ndarray, routes: np.ndarray) -> 
     d_score = np.where(delivered, delay_score(delay, cfg, plan.bound_s), 0.0)
     device_frac = np.where(delivered, routes["device_frac"], 0.0)
     q, label = qoe_score(d_score, device_frac, cfg.qoe_weight_delay, cfg.qoe_weight_device)
-    columns = (content, routes["link"], delay, d_score, device_frac, q, label,
-               q >= SATISFIED_QOE, delivered, routes["power_w"], routes["cache_hit"],
-               routes["feasible"])
-    return [QoeReport(u, *row) for u, row in enumerate(zip(*map(_listed, columns)))]
-
-
-def _listed(column: np.ndarray) -> list:
-    """A column as Python values; text becomes one shared str per name, not one per row."""
-    return list(map(sys.intern, column.tolist())) if column.dtype.kind == "U" else column.tolist()
+    return np.rec.fromarrays(
+        (np.arange(len(routes)), content, routes["link"], delivered, delay, d_score, device_frac,
+         q, label, q >= SATISFIED_QOE, routes["power_w"], routes["cache_hit"], routes["feasible"]),
+        dtype=REPORT)
 
 
 # Each ablation baseline replaces the stages it names and keeps the rest.
@@ -454,12 +457,13 @@ def _summarize(plan: PeriodPlan, logs, mode, baseline) -> dict:
     cfg, n_uavs = plan.cfg, plan.n_uavs
     total_power = float(sum(log.uav_power_w.sum() for log in logs))
     requests = sum(log.requests for log in logs)
-    satisfied = sum(1 for log in logs for r in log.reports if r.satisfied)
+    satisfied = sum(int(np.count_nonzero(log.reports.satisfied)) for log in logs)
     uav_deliveries = sum(log.uav_deliveries for log in logs)
     hits = sum(log.cache_hits for log in logs)
     failures = sum(log.failures for log in logs)
-    infeasible = sum(1 for log in logs for r in log.reports if not r.power_feasible)
-    delays = [r.delay_s for log in logs for r in log.reports if r.delivered]
+    infeasible = sum(int(np.count_nonzero(~log.reports.power_feasible)) for log in logs)
+    delays = [float(log.reports.delay_s[log.reports.delivered].min())
+              for log in logs if log.delivered]
     altitudes = [float(log.uav_positions[k, 2]) for log in logs for k in range(n_uavs)]
     return {
         "schema_version": SUMMARY_SCHEMA_VERSION,
@@ -523,11 +527,9 @@ def _fmt(value) -> str:
 def slots_csv_text(logs: list[SlotLog]) -> str:
     lines = [",".join(SLOTS_COLUMNS)]
     for log in logs:
-        for r in log.reports:
-            lines.append(",".join(_fmt(v) for v in (
-                log.slot, r.user, r.content, r.link, r.delivered, r.delay_s,
-                r.delay_score, r.device_score_frac, r.qoe, r.mos_label,
-                r.satisfied, r.power_w, r.cache_hit, r.power_feasible)))
+        # tolist() gives the Python bool, int, float and str values _fmt formats
+        columns = [map(_fmt, log.reports[name].tolist()) for name in REPORT.names]
+        lines.extend(",".join((str(log.slot), *row)) for row in zip(*columns))
     return "\n".join(lines) + "\n"
 
 

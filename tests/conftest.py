@@ -11,7 +11,7 @@ from uavcache.config import (DESK_PRESET, ChannelParams, RandomSource, ScenarioC
                              load_config_dict, merge_documents)
 from uavcache.generators import DAY_TYPES, day_type
 from uavcache.placement import PlacementResult, _flatten_positions, rrh_rate_threshold_bits
-from uavcache.qoe import (LINK_RRH, LINK_UAV_CACHE, LINK_UAV_FRONTHAUL, MOS_BINS, QoeReport,
+from uavcache.qoe import (LINK_RRH, LINK_UAV_CACHE, LINK_UAV_FRONTHAUL, MOS_BINS,
                           min_uav_power_w, power_per_loss_w)
 
 
@@ -209,16 +209,14 @@ def place_uav_exhaustive(user_pos, rate_targets_bps, grid_step_m: float,
 
 def _failed_report(user: int, content: int, link: str, delay_s: float = math.inf,
                    power_w: float = 0.0, cache_hit: bool = False,
-                   feasible: bool = True) -> QoeReport:
-    return QoeReport(user=user, content=content, link=link, delay_s=delay_s, delay_score=0.0,
-                     device_score_frac=0.0, qoe=0.0, mos_label="Poor", satisfied=False,
-                     delivered=False, power_w=power_w, cache_hit=cache_hit,
-                     power_feasible=feasible)
+                   feasible: bool = True) -> tuple:
+    return (user, content, link, False, delay_s, 0.0, 0.0, 0.0, "Poor", False, power_w,
+            cache_hit, feasible)
 
 
-def reference_reports(plan, s: int, routes) -> list[QoeReport]:
+def reference_reports(plan, s: int, routes) -> list[tuple]:
     """Slot ``s`` scored one user at a time from the rates, powers and device fractions
-    in its route table.
+    in its route table: one tuple per user, in ``sim.REPORT`` order.
 
     The tier comes from the plan's association: a radio head, a UAV (a cache
     hit has no fronthaul leg) or none.  An idle user's report has no delay;
@@ -251,8 +249,8 @@ def reference_reports(plan, s: int, routes) -> list[QoeReport]:
         d_score = float(np.clip((dt - delay) / (dt - plan.bound_s), 0.0, 1.0))
         q = cfg.qoe_weight_delay * d_score + cfg.qoe_weight_device * device_frac
         label = next((name for floor, name in MOS_BINS if q >= floor), "Poor")
-        reports.append(QoeReport(u, content, link, delay, d_score, device_frac, q, label,
-                                 q >= MOS_BINS[0][0], True, power_w, hit, feasible))
+        reports.append((u, content, link, True, delay, d_score, device_frac, q, label,
+                        q >= MOS_BINS[0][0], power_w, hit, feasible))
     return reports
 
 

@@ -1,0 +1,43 @@
+"""The benchmark's period checks pass on small oracle runs, and its digest is slots.csv's.
+
+``perfbench/workloads.py`` checks every simulated period from outside: it
+reconciles each slot log, reads ``log.reports`` row by row with attribute
+access (``r.user``, ``r.delivered``, ``r.delay_s``) and hashes ``slots.csv``.
+A changed slot log breaks only benchmark runs, so this smoke test runs those
+checks on small periods.  The workloads file is only read, never changed.
+"""
+
+import hashlib
+import importlib.util
+import sys
+from pathlib import Path
+
+import pytest
+
+from conftest import idle_config
+from uavcache import sim
+
+WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+
+
+def load_workloads(monkeypatch):
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    # its dataclasses look their module up by name while they are built
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
+    return workloads
+
+
+@pytest.mark.parametrize("idle", [False, True], ids=["all-request", "idle-users"])
+def test_period_checks_pass_and_digest_is_the_slots_csv(tiny_cfg, monkeypatch, idle):
+    workloads = load_workloads(monkeypatch)
+    cfg = idle_config(tiny_cfg) if idle else tiny_cfg
+    logs, summary = sim.run_period(cfg, mode="oracle")
+    assert idle == any(log.requests < cfg.num_users for log in logs)
+    assert workloads.period_problems(logs, summary) == []
+    outputs, info = workloads._period_outputs(logs, summary)
+    assert outputs == {"summary": summary}
+    csv_bytes = sim.slots_csv_text(logs).encode("utf-8")
+    assert info == {"slots_sha256": hashlib.sha256(csv_bytes).hexdigest()}

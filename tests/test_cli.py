@@ -182,6 +182,35 @@ class TestSimulate:
         assert "OPENBLAS_NUM_THREADS" in env
 
 
+def _bound_above_every_delay(plan_slots):
+    def planned(cfg, world, predictor):
+        plan = plan_slots(cfg, world, predictor)
+        plan.bound_s = cfg.slot_duration_s / 2  # TINY delivers within 0.21 s
+        return plan
+    return planned
+
+
+def _power_not_spent_by_any_uav(score_routes):
+    def scored(plan, content, routes):
+        reports = score_routes(plan, content, routes)
+        reports.power_w += 1.0
+        return reports
+    return scored
+
+
+@pytest.mark.parametrize("stage, broken, message", [
+    ("plan_slots", _bound_above_every_delay, "below bound"),
+    ("_score_routes", _power_not_spent_by_any_uav, "per-UAV power does not add up"),
+], ids=["delay-below-bound", "power-does-not-add-up"])
+def test_broken_run_invariant_exits_3(cfg_file, tmp_path, capsys, monkeypatch, stage, broken,
+                                      message):
+    monkeypatch.setattr(sim, stage, broken(getattr(sim, stage)))
+    assert main(["simulate", "--oracle", "--config", cfg_file,
+                 "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert "invariant violation: SimInvariantError: slot " in err and message in err
+
+
 def _raise_channel_error(*args, **kwargs):
     raise ChannelError("zero distance between user and antenna")
 
@@ -266,6 +295,10 @@ def test_domain_errors_map_to_exit_codes(tmp_path, capsys, monkeypatch, override
         assert str(tmp_path / "out") in err
     if source in ("undecodable config", "config is a directory"):
         assert "Traceback" not in err
+
+
+def no_world(*args, **kwargs):
+    raise AssertionError("a world was built")
 
 
 def quiet_main(command: list[str], doc: dict) -> int:
@@ -436,9 +469,6 @@ class TestSweep:
 
     def test_terabyte_request_table_exits_2_before_any_world(self, tmp_path, monkeypatch,
                                                              capsys):
-        def no_world(*args, **kwargs):
-            raise AssertionError("a world was built")
-
         monkeypatch.setattr(sim, "SyntheticWorld", no_world)
         monkeypatch.setattr(cli, "SyntheticWorld", no_world)
         # each count is within its own bound; the (users, slots) table is 2.9 TB
@@ -449,6 +479,22 @@ class TestSweep:
         assert main(["simulate", "--oracle", "--config", str(cfg),
                      "--out", str(tmp_path / "out")]) == 2
         assert "(generators.training_weeks + 1): must be at most" in capsys.readouterr().err
+
+    def test_96_gb_distributions_table_exits_2_before_any_world(self, tmp_path, monkeypatch,
+                                                                capsys):
+        monkeypatch.setattr(sim, "SyntheticWorld", no_world)
+        monkeypatch.setattr(cli, "SyntheticWorld", no_world)
+        # each count and the other products are within their bounds; the
+        # (users, sub-periods, contents) float64 table is 10,000 x 120 x 10,000
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"num_users": 10000, "num_contents": 10000,
+                                   "slots_per_collection": 1}))
+        assert main(["simulate", "--oracle", "--paper-scale", "--config", str(cfg),
+                     "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.count("must be at most") == 1
+        assert ("num_users x (slots_per_cache_period / slots_per_collection) x num_contents: "
+                "must be at most 10000000, got 12000000000") in err
 
     def test_env_var_default_outdir(self, cfg_file, tmp_path, monkeypatch):
         target = tmp_path / "from-env"

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from uavcache import config
 from uavcache.cesn import validate_esn
-from uavcache.config import (ConfigError, EsnConfig, RandomSource, ScenarioConfig,
+from uavcache.config import (DESK_PRESET, ConfigError, EsnConfig, RandomSource, ScenarioConfig,
                              load_config_dict, merge_documents, parse_document, serialize,
                              training_violations, validate)
 
@@ -166,11 +166,14 @@ def test_every_count_has_an_upper_bound(path, bound_name):
     with pytest.raises(ConfigError) as exc:
         load_config_dict(count_document(path, 10 ** 22))
     assert f"{path}: must be at most {bound}, got {10 ** 22}" in exc.value.violations
-    # at the bound the count itself is accepted (other invariants may still object)
-    try:
-        load_config_dict(count_document(path, bound))
-    except ConfigError as err:
-        assert not any(v.startswith(f"{path}: must be at most") for v in err.violations)
+    # at the bound the count itself and every product of counts are accepted, with
+    # either preset (other invariants may still object)
+    for preset in ({}, DESK_PRESET):
+        try:
+            load_config_dict(merge_documents(preset, count_document(path, bound)))
+        except ConfigError as err:
+            assert not any(v.startswith(f"{path}: must be at most") or " x " in v.split(":")[0]
+                           for v in err.violations)
 
 
 # (document, its product, the product's bound): each at its bound, then one step past it
@@ -180,6 +183,9 @@ PRODUCT_BOUNDS = [
      {"generators": {"training_weeks": 5}}, 10_000 * 42 * 120),
     ({"num_users": 10_000, "intervals_per_slot": 1_000}, "MAX_USER_INTERVALS",
      {"intervals_per_slot": 1_001}, 10_000 * 1_001),
+    # 10,000 users x 1 sub-period x 1,000 contents
+    ({"num_users": 10_000, "num_contents": 1_000, "slots_per_collection": 120},
+     "MAX_USER_SUBPERIOD_CONTENTS", {"num_contents": 1_001}, 10_000 * 1_001),
 ]
 
 

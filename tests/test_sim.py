@@ -206,13 +206,12 @@ class TestScoring:
     def test_reports_equal_the_per_user_scorer(self, tiny_cfg, monkeypatch, case):
         make_cfg, baseline, reached = SCORING_CASES[case]
         cfg = make_cfg(tiny_cfg)
-        score_routes, links, names, slot = sim._score_routes, set(), set(), [0]
+        score_routes, links, slot = sim._score_routes, set(), [0]
 
         def checked(plan, content, routes):
             got = score_routes(plan, content, routes)
-            assert got == reference_reports(plan, slot[0], routes)
-            links.update((r.link, r.delivered) for r in got)
-            names.update((name, id(name)) for r in got for name in (r.link, r.mos_label))
+            assert got.tolist() == reference_reports(plan, slot[0], routes)
+            links.update(zip(got.link.tolist(), got.delivered.tolist()))
             slot[0] += 1
             return got
 
@@ -220,8 +219,6 @@ class TestScoring:
         run(cfg, baseline=baseline)
         assert slot[0] == cfg.slots_per_cache_period
         assert reached <= links
-        # the reports of a period share one str object per link or label name
-        assert len(names) == len({name for name, _ in names})
 
 
     def test_each_uav_power_adds_its_users_in_ascending_order(self):
@@ -237,6 +234,19 @@ class TestScoring:
                     if uav[r.user] == k:
                         running += r.power_w
                 assert total == running
+
+
+class TestInvariants:
+    @pytest.mark.parametrize("change", [{"failures": 1}, {"requests": 1, "failures": 1},
+                                        {"uav_power_w": 1e-3}],
+                             ids=["outcomes", "requests", "power"])
+    def test_reconcile_rejects_a_log_that_does_not_add_up(self, tiny_cfg, change):
+        log = run(tiny_cfg)[0][0]
+        log.reconcile()
+        broken = dataclasses.replace(
+            log, **{name: getattr(log, name) + step for name, step in change.items()})
+        with pytest.raises(sim.SimInvariantError):
+            broken.reconcile()
 
 
 class TestDeterminism:
