@@ -33,7 +33,7 @@ from . import cesn, linalg, sim
 from .channel import ChannelError
 from .config import (DESK_PRESET, ConfigError, ScenarioConfig, load_config_dict, merge_documents,
                      parse_document, serialize, training_violations)
-from .generators import DAY_TYPES, SyntheticWorld
+from .generators import SyntheticWorld
 from .predictors import train_content_model, train_mobility_model
 
 EXIT_OK = 0
@@ -170,7 +170,7 @@ def cmd_train(args) -> int:
             for task, trainer in (("content", train_content_model),
                                   ("mobility", train_mobility_model)):
                 model, reports = trainer(cfg, world, u)
-                path = models_dir / f"user{u:03d}_{task}.npz"
+                path = _model_path(models_dir, u, task)
                 cesn.save_model(model, path)
                 manifest["outputs"].append(str(path))
                 for rep in reports:
@@ -188,6 +188,11 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
+def _model_path(models_dir: Path, user: int, task: str) -> Path:
+    """A user's model file of one task, as ``train`` writes and ``simulate`` reads it."""
+    return models_dir / f"user{user:03d}_{task}.npz"
+
+
 def _read_model(path: Path) -> cesn.EsnModel:
     try:
         return cesn.load_model(path)
@@ -197,35 +202,21 @@ def _read_model(path: Path) -> cesn.EsnModel:
 
 
 class _UserModels:
-    """One task's per-user models under a model directory, read and checked when indexed.
+    """One task's per-user model files under a run directory, read when indexed.
 
     Nothing is cached, so a caller that indexes each user once and drops the
-    model holds one model of this task at a time.
+    model holds one model of this task at a time.  The learned predictor
+    checks each model against the config.
     """
 
-    def __init__(self, cfg: ScenarioConfig, base: Path, task: str):
-        self.cfg, self.base, self.task = cfg, base, task
-        # one content pattern per sub-period, one mobility pattern per day type
-        self.n_patterns = (cfg.slots_per_cache_period // cfg.slots_per_collection
-                           if task == "content" else len(DAY_TYPES))
-
-    def __len__(self) -> int:
-        return self.cfg.num_users
+    def __init__(self, base: Path, task: str):
+        self.base, self.task = base, task
 
     def __getitem__(self, u: int) -> cesn.EsnModel:
-        path = self.base / "models" / f"user{u:03d}_{self.task}.npz"
+        path = _model_path(self.base / "models", u, self.task)
         if not path.exists():
             raise ConfigError([f"missing model files for user {u} under {self.base}"])
-        model = _read_model(path)
-        if self.task == "content" and model.output_dim != self.cfg.num_contents:
-            raise ConfigError([
-                f"model/config dimension mismatch: user {u} content model predicts "
-                f"{model.output_dim} contents, config has {self.cfg.num_contents}"])
-        if model.n_patterns != self.n_patterns:
-            raise ConfigError([
-                f"model/config pattern mismatch: user {u} {self.task} model holds "
-                f"{model.n_patterns} patterns, config needs {self.n_patterns}"])
-        return model
+        return _read_model(path)
 
 
 def cmd_simulate(args) -> int:
@@ -236,7 +227,7 @@ def cmd_simulate(args) -> int:
             mode, models = "oracle", None
         else:
             mode = "esn"
-            models = tuple(_UserModels(cfg, Path(args.models), task)
+            models = tuple(_UserModels(Path(args.models), task)
                            for task in ("content", "mobility"))
         logs, summary = sim.run_period(cfg, mode=mode, models=models, baseline=args.baseline)
         slots_path = out / "slots.csv"

@@ -18,8 +18,6 @@ contents are boosted during working hours, entertainment outside them).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .config import ConfigError, RandomSource, ScenarioConfig
@@ -84,17 +82,6 @@ def _draw_in_disk(rng, radius: float, shape: tuple[int, ...]) -> np.ndarray:
     return np.stack([r * np.cos(theta), r * np.sin(theta)], axis=-1)
 
 
-@dataclass
-class UserProfile:
-    gender: int
-    occupation: int
-    age_group: int
-    device: int
-    screen_factor: float
-    demo_feature: float
-    device_feature: float
-
-
 class SyntheticWorld:
     """Deterministic ground truth for one scenario (seeded by the config).
 
@@ -106,10 +93,12 @@ class SyntheticWorld:
       user and sub-period, the one ``requests`` is drawn from;
     * ``collections`` (U, n_collections, 2): each user's collected waypoints,
       one every ``slots_per_collection`` slots;
-    * ``screen_factors`` (U,): each user's device screen factor.
+    * ``screen_factors`` (U,): each user's device screen factor, beside the
+      other per-user profile arrays ``occupations``, ``demo_features`` and
+      ``device_features``.
 
     Training uses the first ``training_days`` days; the period simulated is
-    the day that follows them.
+    the day that follows them, from slot ``period_slot0`` on.
     """
 
     def __init__(self, cfg: ScenarioConfig):
@@ -117,6 +106,7 @@ class SyntheticWorld:
         self.n_sub = cfg.slots_per_cache_period // cfg.slots_per_collection
         self.training_days = cfg.generators.training_weeks * DAYS_PER_WEEK
         self.horizon_days = self.training_days + DAYS_PER_WEEK
+        self.period_slot0 = self.training_days * cfg.slots_per_cache_period
         self.rs = RandomSource(cfg.seed).derive("world")
         self._build_profiles()
         self._build_mobility()
@@ -130,31 +120,24 @@ class SyntheticWorld:
     def _build_profiles(self) -> None:
         cfg = self.cfg
         rng = self.rs.derive("profiles").generator()
-        profiles = []
-        for _ in range(cfg.num_users):
-            gender = int(rng.integers(2))
-            occupation = int(rng.integers(4))
-            age_group = int(rng.integers(3))
-            device = int(rng.integers(len(cfg.screen_factors)))
-            demo = ((gender * 2 - 1) * 0.3
-                    + (occupation / 3 * 2 - 1) * 0.4
-                    + (age_group / 2 * 2 - 1) * 0.3)
-            device_feature = device / max(1, len(cfg.screen_factors) - 1) * 2 - 1
-            profiles.append(UserProfile(
-                gender=gender, occupation=occupation, age_group=age_group,
-                device=device, screen_factor=cfg.screen_factors[device],
-                demo_feature=demo, device_feature=device_feature))
-        self.profiles = profiles
-        self.screen_factors = np.array([p.screen_factor for p in profiles], dtype=float)
+        n_devices = len(cfg.screen_factors)
+        # One user at a time: gender, occupation, age group, device.
+        draws = np.array([[rng.integers(n) for n in (2, 4, 3, n_devices)]
+                          for _ in range(cfg.num_users)], dtype=int).reshape(-1, 4)
+        gender, self.occupations, age_group, device = draws.T
+        self.demo_features = ((gender * 2 - 1) * 0.3
+                              + (self.occupations / 3 * 2 - 1) * 0.4
+                              + (age_group / 2 * 2 - 1) * 0.3)
+        self.device_features = device / max(1, n_devices - 1) * 2 - 1
+        self.screen_factors = np.array(cfg.screen_factors, dtype=float)[device]
 
     def context_features(self, user: int, slots) -> np.ndarray:
         """Reservoir inputs, one row per absolute slot: day phase (sin, cos) plus demographics."""
         t = self.cfg.slots_per_cache_period
         phase = 2.0 * np.pi * (np.asarray(slots) % t) / t
-        prof = self.profiles[user]
         return np.column_stack([np.sin(phase), np.cos(phase),
-                                np.full(phase.shape, prof.demo_feature),
-                                np.full(phase.shape, prof.device_feature)])
+                                np.full(phase.shape, self.demo_features[user]),
+                                np.full(phase.shape, self.device_features[user])])
 
     # -- mobility ---------------------------------------------------------------
 
@@ -222,12 +205,11 @@ class SyntheticWorld:
         perm = base_rng.permutation(n)
         ranks = np.empty(n)
         ranks[perm] = np.arange(1, n + 1)
-        occupations = np.array([p.occupation for p in self.profiles], dtype=int)
         # A rejected setting overflows here; the check below turns it into a ConfigError.
         with np.errstate(over="ignore", invalid="ignore"):
             zipf = ranks ** (-g.request_concentration)
-            taste = base_rng.normal(0.0, g.taste_spread, (occupations.max(initial=0) + 1, n))
-            base_weights = zipf * np.exp(taste[occupations])
+            taste = base_rng.normal(0.0, g.taste_spread, (self.occupations.max(initial=0) + 1, n))
+            base_weights = zipf * np.exp(taste[self.occupations])
             # Exact per-sub-period distributions (the prediction oracle).
             self.distributions = np.empty((cfg.num_users, self.n_sub, n))
             for sub in range(self.n_sub):

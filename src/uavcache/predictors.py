@@ -10,12 +10,12 @@ one point per interval.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from typing import Protocol
 
 import numpy as np
 
 from . import cesn
-from .config import RandomSource, ScenarioConfig
+from .config import ConfigError, RandomSource, ScenarioConfig
 from .generators import DAY_TYPES, SyntheticWorld, day_type, point_norms, track_positions
 
 
@@ -62,40 +62,52 @@ def mobility_pattern_data(world: SyntheticWorld, user: int, dtype_idx: int,
     return inputs, targets
 
 
-def train_content_model(cfg: ScenarioConfig, world: SyntheticWorld,
-                        user: int) -> tuple[cesn.EsnModel, list[dict]]:
-    """One request-distribution model per user: one pattern per sub-period.
+def _pattern_count(world: SyntheticWorld, task: str) -> int:
+    """One content pattern per sub-period, one mobility pattern per day type."""
+    return world.n_sub if task == "content" else len(DAY_TYPES)
 
-    Like ``train_mobility_model``, it returns a released, recall-only model.
-    """
-    n_context = world.context_features(user, [0]).shape[1]
-    rs = RandomSource(cfg.seed).derive(f"esn-content-{user}")
-    model = cesn.EsnModel(cfg.esn, n_context, cfg.num_contents, rs)
-    reports = []
-    for sub in range(world.n_sub):
-        inputs, targets = content_pattern_data(world, user, sub, cfg.esn.training_length)
+
+def _train(cfg: ScenarioConfig, world: SyntheticWorld, user: int, task: str,
+           pattern_data) -> tuple[cesn.EsnModel, list[dict]]:
+    """A released, recall-only model of the task's patterns, as wide as the first
+    pattern's arrays."""
+    rs = RandomSource(cfg.seed).derive(f"esn-{task}-{user}")
+    model, reports = None, []
+    for p in range(_pattern_count(world, task)):
+        inputs, targets = pattern_data(world, user, p, cfg.esn.training_length)
+        if model is None:
+            model = cesn.EsnModel(cfg.esn, inputs.shape[1], targets.shape[1], rs)
         reports.append(model.load_pattern(inputs, targets))
     model.train_readout()
     model.release_training_state()
     return model, reports
+
+
+def train_content_model(cfg: ScenarioConfig, world: SyntheticWorld,
+                        user: int) -> tuple[cesn.EsnModel, list[dict]]:
+    """One request-distribution model per user: one pattern per sub-period."""
+    return _train(cfg, world, user, "content", content_pattern_data)
 
 
 def train_mobility_model(cfg: ScenarioConfig, world: SyntheticWorld,
                          user: int) -> tuple[cesn.EsnModel, list[dict]]:
     """One trajectory model per user: one pattern per day type."""
-    n_context = world.context_features(user, [0]).shape[1] + 1  # plus the position projection
-    rs = RandomSource(cfg.seed).derive(f"esn-mobility-{user}")
-    model = cesn.EsnModel(cfg.esn, n_context, 2 * cfg.esn.horizon, rs)
-    reports = []
-    for dtype_idx in range(len(DAY_TYPES)):
-        inputs, targets = mobility_pattern_data(world, user, dtype_idx, cfg.esn.training_length)
-        reports.append(model.load_pattern(inputs, targets))
-    model.train_readout()
-    model.release_training_state()
-    return model, reports
+    return _train(cfg, world, user, "mobility", mobility_pattern_data)
 
 
 # -- predictors -------------------------------------------------------------------
+
+
+class ModelsByUser(Protocol):
+    """A task's models by user index: a list, or a reader that loads a file per index."""
+
+    def __getitem__(self, user: int) -> cesn.EsnModel: ...
+
+
+def _period_collections(world: SyntheticWorld) -> np.ndarray:
+    """The simulated day's true collected waypoints, (U, n_sub + 1, 2), from its start."""
+    c0 = world.period_slot0 // world.cfg.slots_per_collection
+    return world.collections[:, c0:c0 + world.n_sub + 1]
 
 
 class OraclePredictor:
@@ -104,12 +116,10 @@ class OraclePredictor:
     def __init__(self, world: SyntheticWorld):
         self.world = world
         self.distributions = world.distributions
+        self.collections = _period_collections(world)
 
     def slot_positions(self, users, global_slot: int, n_intervals: int) -> np.ndarray:
         return self.world.interval_positions(users, global_slot, n_intervals)
-
-    def gap_metrics(self) -> dict:
-        return {"position_error_m": 0.0, "distribution_tv": 0.0}
 
 
 class EsnPredictor:
@@ -119,26 +129,38 @@ class EsnPredictor:
     conceptor recall of the sub-period patterns; trajectories from the
     mobility pattern of the planned day's type, re-anchored at the user's last
     collected position and interpolated between predicted collection points
-    exactly like the mobility model itself moves users.
+    (``collections``, (U, n_sub + 1, 2)) exactly like the mobility model
+    itself moves users.
 
-    The models are taken by user index, each once, and none is kept: a lazy
-    sequence that reads each model when indexed lets the predictor hold one
-    user's two models at a time.
+    Each model is indexed by user once, checked against the config (a mismatch
+    raises ``ConfigError``), replayed and dropped, so a reader that loads a
+    model when indexed lets the predictor hold one user's two models at a time.
     """
 
-    def __init__(self, world: SyntheticWorld, content_models: Sequence[cesn.EsnModel],
-                 mobility_models: Sequence[cesn.EsnModel]):
+    def __init__(self, world: SyntheticWorld, content_models: ModelsByUser,
+                 mobility_models: ModelsByUser):
         cfg = world.cfg
         self.world = world
-        t, h = cfg.slots_per_cache_period, cfg.slots_per_collection
-        n_sub = world.n_sub
-        self.day_start_slot = world.training_days * t
-        self.distributions = np.empty((cfg.num_users, n_sub, cfg.num_contents))
-        self._collections = np.empty((cfg.num_users, n_sub + 1, 2))
-        self._collections[:, 0] = world.collections[:, self.day_start_slot // h]
+        self.distributions = np.empty((cfg.num_users, world.n_sub, cfg.num_contents))
+        self.collections = np.empty((cfg.num_users, world.n_sub + 1, 2))
+        self.collections[:, 0] = _period_collections(world)[:, 0]
         # a user's models live only through their _replay_user call
         for u in range(cfg.num_users):
-            self._replay_user(u, content_models[u], mobility_models[u])
+            self._replay_user(u, self._checked(u, "content", content_models[u]),
+                              self._checked(u, "mobility", mobility_models[u]))
+
+    def _checked(self, u: int, task: str, model: cesn.EsnModel) -> cesn.EsnModel:
+        cfg = self.world.cfg
+        if task == "content" and model.output_dim != cfg.num_contents:
+            raise ConfigError([
+                f"model/config dimension mismatch: user {u} content model predicts "
+                f"{model.output_dim} contents, config has {cfg.num_contents}"])
+        n_patterns = _pattern_count(self.world, task)
+        if model.n_patterns != n_patterns:
+            raise ConfigError([
+                f"model/config pattern mismatch: user {u} {task} model holds "
+                f"{model.n_patterns} patterns, config needs {n_patterns}"])
+        return model
 
     def _replay_user(self, u: int, content: cesn.EsnModel, mobility: cesn.EsnModel) -> None:
         cfg = self.world.cfg
@@ -154,7 +176,7 @@ class EsnPredictor:
         for c in range(1, self.world.n_sub + 1):
             lo = t + (c - 1) * h + 1
             hi = max(lo + 1, t + c * h - 1)
-            self._collections[u, c] = track[lo:hi, 0].mean(axis=0)
+            self.collections[u, c] = track[lo:hi, 0].mean(axis=0)
 
     def slot_positions(self, users, global_slot: int, n_intervals: int) -> np.ndarray:
         """Predicted per-interval positions within one slot of the planned day.
@@ -162,15 +184,19 @@ class EsnPredictor:
         Shapes as :func:`~uavcache.generators.track_positions`.  A slot of the
         day never reaches past the predicted track's last point.
         """
-        times = global_slot - self.day_start_slot + (np.arange(n_intervals) + 0.5) / n_intervals
-        return track_positions(self._collections, users, times,
+        times = global_slot - self.world.period_slot0 + (np.arange(n_intervals) + 0.5) / n_intervals
+        return track_positions(self.collections, users, times,
                                self.world.cfg.slots_per_collection)
 
-    def gap_metrics(self) -> dict:
-        """Mean prediction error against the generator truth for the planned day."""
-        world = self.world
-        first = self.day_start_slot // world.cfg.slots_per_collection
-        truth = world.collections[:, first + 1:first + world.n_sub + 1]
-        tv = 0.5 * np.abs(self.distributions - world.distributions).sum(axis=2)
-        return {"position_error_m": float(point_norms(self._collections[:, 1:] - truth).mean()),
-                "distribution_tv": float(tv.mean())}
+
+def _mean(values: np.ndarray) -> float:
+    return float(values.mean()) if values.size else 0.0
+
+
+def prediction_gap(world: SyntheticWorld, predictor: OraclePredictor | EsnPredictor) -> dict:
+    """Mean position error at the predicted collection points and mean request
+    total variation of a predictor over the simulated day; 0 with no users."""
+    truth = _period_collections(world)[:, 1:]
+    tv = 0.5 * np.abs(predictor.distributions - world.distributions).sum(axis=2)
+    return {"position_error_m": _mean(point_norms(predictor.collections[:, 1:] - truth)),
+            "distribution_tv": _mean(tv)}

@@ -29,7 +29,7 @@ from .channel import (db_to_linear, g2a_fronthaul_bits, link_rates_bps, slot_cap
                       uav_user_pathloss_db, uav_user_snr, zfbf_sinr)
 from .config import ConfigError, RandomSource, RrhCluster, ScenarioConfig, validate
 from .generators import SyntheticWorld
-from .predictors import EsnPredictor, OraclePredictor
+from .predictors import EsnPredictor, OraclePredictor, prediction_gap
 from .qoe import (LINK_IDLE, LINK_RRH, LINK_UAV_CACHE, LINK_UAV_FRONTHAUL, LINK_UNSERVED,
                   MOS_BINS, delay_lower_bound_s, delay_rate_requirement_bits,
                   delay_score, device_score, min_uav_power_w, qoe_rate_target_bps, qoe_score,
@@ -69,7 +69,6 @@ class SlotLog:
     slot: int
     reports: np.recarray  # (U,) REPORT rows
     n_fr: int
-    n_fetching: int
     uav_positions: np.ndarray  # (K, 3)
     uav_power_w: np.ndarray  # (K,) summed mean-interval power of served users
     caches: tuple[tuple[int, ...], ...]
@@ -147,7 +146,6 @@ class PeriodPlan:
     predictor: OraclePredictor | EsnPredictor
     rs: RandomSource
     n_uavs: int
-    slot0: int  # global index of the period's first slot
     clusters: list[RrhCluster]
     screen: np.ndarray  # (U,) screen factor per user
     likely: np.ndarray  # (U, n_sub) each user's most likely content per sub-period
@@ -175,14 +173,12 @@ def plan_slots(cfg: ScenarioConfig, world: SyntheticWorld, predictor,
     clusters = [RrhCluster(id=q, antennas=world.rrh_xy[labels == q])
                 for q in range(cfg.num_rrh_clusters) if np.any(labels == q)]
     bound_s = delay_lower_bound_s(cfg)
-    # The period simulated is the day after the training days.
-    plan = PeriodPlan(cfg, world, predictor, rs, n_uavs,
-                      world.training_days * cfg.slots_per_cache_period, clusters,
-                      world.screen_factors, predictor.distributions.argmax(axis=2),
-                      bound_s, delay_rate_requirement_bits(cfg, bound_s))
+    plan = PeriodPlan(cfg, world, predictor, rs, n_uavs, clusters, world.screen_factors,
+                      predictor.distributions.argmax(axis=2), bound_s,
+                      delay_rate_requirement_bits(cfg, bound_s))
     prev_centroids = None
     for s in range(cfg.slots_per_cache_period):
-        pred_xy = predictor.slot_positions(range(n_users), plan.slot0 + s, 1)[:, 0]
+        pred_xy = predictor.slot_positions(range(n_users), world.period_slot0 + s, 1)[:, 0]
         fading = _zf_fading(rs, s, clusters, n_users)
         rates = _rrh_rates_bits(cfg, world, clusters, _reference_clusters(pred_xy, clusters),
                                 pred_xy, fading, n_uavs > 0)
@@ -271,7 +267,8 @@ def _place_slot(plan: PeriodPlan, caches: list[tuple[int, ...]], s: int,
     positions = np.zeros((plan.n_uavs, 3))
     served = np.flatnonzero(uav >= 0)
     if served.size:
-        slot_pos = plan.predictor.slot_positions(served, plan.slot0 + s, cfg.intervals_per_slot)
+        slot_pos = plan.predictor.slot_positions(served, plan.world.period_slot0 + s,
+                                                  cfg.intervals_per_slot)
     for k in range(plan.n_uavs):
         held = prev_positions[k] if prev_positions is not None else plan.anchors[s][k]
         rows = uav[served] == k
@@ -344,7 +341,7 @@ def _deliver_slot(plan: PeriodPlan, caches: list[tuple[int, ...]], s: int,
     cfg, world, n_uavs, n_users = plan.cfg, plan.world, plan.n_uavs, plan.cfg.num_users
     rrh, uav = plan.rrh[s], plan.uav[s]
     n_fr = int(np.count_nonzero(rrh >= 0))
-    gs = plan.slot0 + s
+    gs = world.period_slot0 + s
     true_xy = world.interval_positions(range(n_users), gs, 1)[:, 0]
     content = world.requests[:, gs]
     idle = content < 0
@@ -385,9 +382,9 @@ def _deliver_slot(plan: PeriodPlan, caches: list[tuple[int, ...]], s: int,
             uav_power[k] = np.cumsum(routes["power_w"][users])[-1]
 
     reports = _score_routes(plan, content, routes)
-    log = SlotLog(slot=s, reports=reports, n_fr=n_fr,
-                  n_fetching=n_fetch, uav_positions=positions, uav_power_w=uav_power,
-                  caches=tuple(caches), requests=int(np.count_nonzero(~idle)),
+    log = SlotLog(slot=s, reports=reports, n_fr=n_fr, uav_positions=positions,
+                  uav_power_w=uav_power, caches=tuple(caches),
+                  requests=int(np.count_nonzero(~idle)),
                   delivered=int(np.count_nonzero(reports.delivered)),
                   failures=int(np.count_nonzero(~reports.delivered & ~idle)),
                   cache_hits=int(np.count_nonzero(reports.cache_hit)), uav_deliveries=served.size)
@@ -486,7 +483,7 @@ def _summarize(plan: PeriodPlan, logs, mode, baseline) -> dict:
         "n_fr_mean": float(np.mean([log.n_fr for log in logs])) if logs else 0.0,
         "delay_lower_bound_s": plan.bound_s,
         "min_delivered_delay_s": min(delays) if delays else None,
-        "prediction_gap": plan.predictor.gap_metrics(),
+        "prediction_gap": prediction_gap(plan.world, plan.predictor),
     }
 
 

@@ -229,7 +229,7 @@ def reference_reports(plan, s: int, routes) -> list[tuple]:
         return math.inf if bits <= 0.0 else dt * cfg.content_size_bits / bits
 
     reports = []
-    requests = plan.world.requests[:, plan.slot0 + s].tolist()
+    requests = plan.world.requests[:, plan.world.period_slot0 + s].tolist()
     for u, (content, route) in enumerate(zip(requests, routes.tolist())):
         _, access, fronthaul, device_frac, power_w, hit, feasible = route
         if content < 0:
@@ -279,8 +279,8 @@ def reference_context(world, user: int, slot: int) -> np.ndarray:
     """One slot's context features from scalar sin and cos of the day phase."""
     t = world.cfg.slots_per_cache_period
     phase = 2.0 * np.pi * (slot % t) / t
-    prof = world.profiles[user]
-    return np.array([np.sin(phase), np.cos(phase), prof.demo_feature, prof.device_feature])
+    return np.array([np.sin(phase), np.cos(phase), world.demo_features[user],
+                     world.device_features[user]])
 
 
 def _reference_draw_in_disk(rng, radius: float) -> np.ndarray:

@@ -177,6 +177,8 @@ def test_simulate_from_model_files_holds_one_user_at_a_time(tiny_cfg, tmp_path, 
         live.add(loads[0])
         weakref.finalize(model, live.discard, loads[0])
         peak[0] = max(peak[0], len(live))
+        # loads alternate content and mobility, user by user
+        assert len({(i - 1) // 2 for i in live}) == 1, "two users' models alive"
         return model
 
     monkeypatch.setattr(cesn, "load_model", counted_load)

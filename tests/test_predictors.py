@@ -1,11 +1,14 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from conftest import desk_config, reference_context
 from uavcache import cesn
+from uavcache.config import ConfigError, RandomSource
 from uavcache.generators import SyntheticWorld, day_type
 from uavcache.predictors import (EsnPredictor, OraclePredictor, content_pattern_data,
-                                 mobility_pattern_data, train_content_model,
+                                 mobility_pattern_data, prediction_gap, train_content_model,
                                  train_mobility_model)
 
 
@@ -109,7 +112,15 @@ class TestOraclePredictor:
         gs = world.training_days * cfg.slots_per_cache_period + 3
         assert np.allclose(oracle.slot_positions(0, gs, 10),
                            world.interval_positions(0, gs, 10))
-        assert oracle.gap_metrics() == {"position_error_m": 0.0, "distribution_tv": 0.0}
+        assert prediction_gap(world, oracle) == {"position_error_m": 0.0, "distribution_tv": 0.0}
+
+
+def test_no_users_no_gap():
+    cfg, _ = prediction_setup()
+    world = SyntheticWorld(dataclasses.replace(cfg, num_users=0, num_uavs=0))
+    for predictor in (OraclePredictor(world), EsnPredictor(world, [], [])):
+        assert prediction_gap(world, predictor) == {"position_error_m": 0.0,
+                                                    "distribution_tv": 0.0}
 
 
 class TestEsnPrediction:
@@ -132,7 +143,7 @@ class TestEsnPrediction:
         predictor = EsnPredictor(world, [content_model], [mobility_model])
         home = world.collections[0, 0]
         for c in range(world.n_sub + 1):
-            assert np.linalg.norm(predictor._collections[0, c] - home) <= 5.0
+            assert np.linalg.norm(predictor.collections[0, c] - home) <= 5.0
 
     def test_commuter_mean_error_within_ten_percent_of_radius(self):
         cfg, world = prediction_setup(generators={"waypoints_per_day": 2,
@@ -140,7 +151,7 @@ class TestEsnPrediction:
         content_model, _ = train_content_model(cfg, world, 0)
         mobility_model, _ = train_mobility_model(cfg, world, 0)
         predictor = EsnPredictor(world, [content_model], [mobility_model])
-        gap = predictor.gap_metrics()
+        gap = prediction_gap(world, predictor)
         assert gap["position_error_m"] <= 0.1 * cfg.area_radius_m
 
     def test_predicted_positions_inside_disk(self):
@@ -208,3 +219,54 @@ def test_trained_model_keeps_only_recall_state(task):
         inputs, targets = pattern_data(world, 0, p, cfg.esn.training_length)
         states = model.drive(inputs)[:, washout:]
         assert model.training_nrmse(p) == cesn.nrmse(model.w_out @ states, targets[washout:].T)
+
+
+def model_of_patterns(world, task, patterns):
+    """A released model of ``task`` for user 0 holding the given patterns, in order."""
+    cfg = world.cfg
+    pattern_data = TRAINERS[task][1]
+    model = None
+    for p in patterns:
+        inputs, targets = pattern_data(world, 0, p, cfg.esn.training_length)
+        if model is None:
+            model = cesn.EsnModel(cfg.esn, inputs.shape[1], targets.shape[1],
+                                  RandomSource(cfg.seed).derive(f"test-{task}"))
+        model.load_pattern(inputs, targets)
+    model.train_readout()
+    model.release_training_state()
+    return model
+
+
+class TestEsnPredictorChecks:
+    """The learned predictor checks each model it replays, however the models arrive."""
+
+    def test_content_model_one_pattern_short(self):
+        cfg, world = prediction_setup(num_contents=6, generators={"training_weeks": 1})
+        content = model_of_patterns(world, "content", range(world.n_sub - 1))
+        mobility, _ = train_mobility_model(cfg, world, 0)
+        with pytest.raises(ConfigError) as err:
+            EsnPredictor(world, [content], [mobility])
+        assert err.value.violations == [
+            f"model/config pattern mismatch: user 0 content model holds {world.n_sub - 1} "
+            f"patterns, config needs {world.n_sub}"]
+
+    def test_mobility_model_one_pattern_over(self):
+        cfg, world = prediction_setup(num_contents=6, generators={"training_weeks": 1})
+        content, _ = train_content_model(cfg, world, 0)
+        mobility = model_of_patterns(world, "mobility", [0, 1, 0])
+        with pytest.raises(ConfigError) as err:
+            EsnPredictor(world, [content], [mobility])
+        assert err.value.violations == [
+            "model/config pattern mismatch: user 0 mobility model holds 3 patterns, "
+            "config needs 2"]
+
+    def test_content_checked_before_mobility_is_read(self):
+        _, world = prediction_setup(num_contents=6, generators={"training_weeks": 1})
+        content = model_of_patterns(world, "content", range(world.n_sub - 1))
+
+        class Unread:
+            def __getitem__(self, user):
+                raise AssertionError("the mobility model was read")
+
+        with pytest.raises(ConfigError, match="user 0 content model holds"):
+            EsnPredictor(world, [content], Unread())

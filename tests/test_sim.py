@@ -21,6 +21,7 @@ class TestRunPeriod:
         assert summary["requests"] == 0
         assert summary["total_uav_power_w"] == 0.0
         assert all(log.requests == 0 for log in logs)
+        assert summary["prediction_gap"] == {"position_error_m": 0.0, "distribution_tv": 0.0}
 
     def test_full_catalog_cache_all_hits(self, tiny_cfg):
         cfg = dataclasses.replace(tiny_cfg, cache_size=tiny_cfg.num_contents)
