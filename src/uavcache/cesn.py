@@ -55,7 +55,7 @@ from .config import EsnConfig, RandomSource, esn_violations
 # Free-memory fraction below which further loading must grow the reservoir.
 QUOTA_MIN = 0.01
 
-MODEL_FORMAT_VERSION = 2
+MODEL_FORMAT_VERSION = 3
 
 
 class MemoryExhausted(RuntimeError):
@@ -341,36 +341,6 @@ class EsnModel:
         return outputs
 
 
-def predict_request_distribution(model: EsnModel, pattern: int, steps: int = 20,
-                                 warmup: int = 0) -> np.ndarray:
-    """Recall a request pattern and post-process the readout to a distribution.
-
-    ``warmup`` autonomous steps are discarded before averaging, letting the
-    replay settle onto the pattern's attractor.
-    """
-    raw = model.recall(pattern, warmup + steps)[warmup:].mean(axis=0)
-    clipped = np.clip(raw, 0.0, None)
-    total = clipped.sum()
-    if total <= 0.0:
-        return np.full(raw.shape, 1.0 / raw.size)
-    return clipped / total
-
-
-def predict_locations(model: EsnModel, pattern: int, steps: int,
-                      area_radius_m: float) -> np.ndarray:
-    """Recall a mobility pattern; returns (steps, horizon, 2) positions in meters.
-
-    Outputs are decoded from the stacked normalized (x, y) readout and clamped
-    to the service disk.
-    """
-    raw = model.recall(pattern, steps)
-    horizon = raw.shape[1] // 2
-    pos = raw.reshape(steps, horizon, 2) * area_radius_m
-    norms = np.linalg.norm(pos, axis=2, keepdims=True)
-    scale = np.where(norms > area_radius_m, area_radius_m / np.where(norms > 0, norms, 1.0), 1.0)
-    return pos * scale
-
-
 def nrmse(predicted, truth) -> float:
     """Root-mean-square error normalized by the truth's variance.
 
@@ -412,6 +382,9 @@ def _write_npz_deterministic(path, arrays: dict) -> None:
 
 
 def save_model(model: EsnModel, path) -> None:
+    """Write a trained model's recall state; an untrained model raises ``UntrainedModel``."""
+    if model.w_out is None:
+        raise UntrainedModel("readout not trained")
     cfg_doc = json.dumps(dataclasses.asdict(model.cfg))
     _write_npz_deterministic(path, {
         "format_version": np.int64(MODEL_FORMAT_VERSION),
@@ -419,36 +392,44 @@ def save_model(model: EsnModel, path) -> None:
         "w": model.w,
         "w_in": model.w_in,
         "d": model.d,
-        "w_out": model.w_out if model.w_out is not None else np.zeros((0, 0)),
-        "conceptor_ms": np.stack([c.m for c in model.conceptors]) if model.conceptors
-        else np.zeros((0, model.cfg.reservoir_size, model.cfg.reservoir_size)),
-        "pattern_states": np.stack(model.pattern_states) if model.pattern_states
-        else np.zeros((0, model.cfg.reservoir_size)),
+        "w_out": model.w_out,
+        "conceptor_ms": np.stack([c.m for c in model.conceptors]),
+        "pattern_states": np.stack(model.pattern_states),
         "quota_history": np.asarray(model.quota_history),
     })
+
+
+def _check_shapes(cfg: EsnConfig, arrays: dict) -> None:
+    """Raise ``ValueError`` unless the stored arrays fit the reservoir and one another."""
+    n, p = cfg.reservoir_size, len(arrays["conceptor_ms"])
+    expected = {"w": (n, n), "d": (n, n), "w_in": (n,) + arrays["w_in"].shape[-1:],
+                "w_out": arrays["w_out"].shape[:1] + (n,), "conceptor_ms": (p, n, n),
+                "pattern_states": (p, n), "quota_history": (p + 1,)}
+    for name, shape in expected.items():
+        if arrays[name].shape != shape:
+            raise ValueError(f"{name} has shape {arrays[name].shape}, not {shape}, in a model "
+                             f"of {n} reservoir units and {p} patterns")
 
 
 def load_model(path) -> EsnModel:
     """Restore a trained model for recall; loaded models cannot accept new patterns."""
     with np.load(path) as data:
-        version = int(data["format_version"])
-        if version != MODEL_FORMAT_VERSION:
-            raise ValueError(f"model format version {version} is not the supported "
-                             f"version {MODEL_FORMAT_VERSION}; retrain the models")
-        cfg = EsnConfig(**json.loads(bytes(data["cfg"]).decode("utf-8")))
-        model = EsnModel.__new__(EsnModel)
-        model.cfg = cfg
-        model.w = data["w"]
-        model.w_in = data["w_in"]
-        model.d = data["d"]
-        w_out = data["w_out"]
-        model.w_out = w_out if w_out.size else None
-        model.input_dim = model.w_in.shape[1]
-        model.output_dim = w_out.shape[0]
-        model.conceptors = [Conceptor(m=m, aperture=cfg.aperture, correlation=None)
-                            for m in data["conceptor_ms"]]
-        model.pattern_states = [s for s in data["pattern_states"]]
-        model.quota_history = [float(q) for q in data["quota_history"]]
-        model._fit_nrmse = []
-        model.release_training_state()
+        arrays = dict(data)
+    version = int(arrays["format_version"])
+    if version != MODEL_FORMAT_VERSION:
+        raise ValueError(f"model format version {version} is not the supported "
+                         f"version {MODEL_FORMAT_VERSION}; retrain the models")
+    cfg = EsnConfig(**json.loads(bytes(arrays["cfg"]).decode("utf-8")))
+    _check_shapes(cfg, arrays)
+    model = EsnModel.__new__(EsnModel)
+    model.cfg = cfg
+    model.w, model.w_in, model.d, model.w_out = (arrays[k] for k in ("w", "w_in", "d", "w_out"))
+    model.input_dim = model.w_in.shape[1]
+    model.output_dim = model.w_out.shape[0]
+    model.conceptors = [Conceptor(m=m, aperture=cfg.aperture, correlation=None)
+                        for m in arrays["conceptor_ms"]]
+    model.pattern_states = list(arrays["pattern_states"])
+    model.quota_history = [float(q) for q in arrays["quota_history"]]
+    model._fit_nrmse = []
+    model.release_training_state()
     return model

@@ -54,8 +54,7 @@ class EsnConfig:
     """Hyperparameters of one echo-state network with conceptor memory.
 
     The model's input and output widths come from its task (content or
-    mobility prediction), not from here.  ``horizon`` is the number of future
-    collection points a mobility model predicts.
+    mobility prediction), not from here.
     """
 
     reservoir_size: int = 1000
@@ -66,7 +65,6 @@ class EsnConfig:
     ridge: float = 0.01
     washout: int = 50
     training_length: int = 1000
-    horizon: int = 12
 
 
 @dataclass(frozen=True)
@@ -181,8 +179,6 @@ MAX_SLOTS = 10_000
 MAX_RESERVOIR_SIZE = 5_000
 # Training drives N x T states per pattern: 800 MB at N = 1,000.
 MAX_TRAINING_LENGTH = 100_000
-# Collection points a mobility model predicts (readout width 2 x horizon).
-MAX_HORIZON = 1_000
 # Generated history: ten years, 130 times the paper's 4 weeks.
 MAX_TRAINING_WEEKS = 520
 # Anchor locations a user visits per day.
@@ -225,11 +221,8 @@ def esn_violations(e: EsnConfig) -> list[str]:
         v.append(f"aperture: must be positive, got {e.aperture}")
     if e.ridge < 0:
         v.append(f"ridge: must be nonnegative, got {e.ridge}")
-    if e.horizon < 1:
-        v.append(f"horizon: must be at least 1, got {e.horizon}")
     _at_most("reservoir_size", e.reservoir_size, MAX_RESERVOIR_SIZE, v)
     _at_most("training_length", e.training_length, MAX_TRAINING_LENGTH, v)
-    _at_most("horizon", e.horizon, MAX_HORIZON, v)
     return v
 
 

@@ -42,11 +42,12 @@ def content_pattern_data(world: SyntheticWorld, user: int, sub: int,
 
 def mobility_pattern_data(world: SyntheticWorld, user: int, dtype_idx: int,
                           max_len: int) -> tuple[np.ndarray, np.ndarray]:
-    """Mobility inputs and stacked future-waypoint targets for one day type.
+    """Mobility inputs and next-waypoint targets for one day type.
 
     An input is the slot's context plus a scalar projection of the user's
-    position at the slot's start; a target, the next ``esn.horizon`` collected
-    waypoints (held at the last one), scaled by the area radius.
+    position at the slot's start; a target, the next collected waypoint scaled
+    by the area radius.  The last training slot's next waypoint is the
+    simulated day's first.
     """
     cfg = world.cfg
     t, h = cfg.slots_per_cache_period, cfg.slots_per_collection
@@ -56,10 +57,32 @@ def mobility_pattern_data(world: SyntheticWorld, user: int, dtype_idx: int,
     pos = world.position_at(user, slots.astype(float))
     proj = (pos[:, 0] + pos[:, 1]) / (2.0 * cfg.area_radius_m)
     inputs = np.column_stack([world.context_features(user, slots), proj])
-    ahead = slots[:, None] // h + 1 + np.arange(cfg.esn.horizon)
-    ahead = np.minimum(ahead, world.collections.shape[1] - 1)
-    targets = world.collections[user, ahead].reshape(len(slots), -1) / cfg.area_radius_m
-    return inputs, targets
+    return inputs, world.collections[user, slots // h + 1] / cfg.area_radius_m
+
+
+def _request_distribution(model: cesn.EsnModel, pattern: int, steps: int,
+                          warmup: int) -> np.ndarray:
+    """Replay a content pattern and read its mean readout as a distribution.
+
+    ``warmup`` autonomous steps are discarded before averaging, letting the
+    replay settle onto the pattern's attractor.  A readout with no positive
+    mass gives the uniform distribution.
+    """
+    raw = model.recall(pattern, warmup + steps)[warmup:].mean(axis=0)
+    clipped = np.clip(raw, 0.0, None)
+    total = clipped.sum()
+    if total <= 0.0:
+        return np.full(raw.shape, 1.0 / raw.size)
+    return clipped / total
+
+
+def _next_waypoints(model: cesn.EsnModel, pattern: int, steps: int,
+                    area_radius_m: float) -> np.ndarray:
+    """Replay a mobility pattern; (steps, 2) next waypoints in meters, clamped to the disk."""
+    pos = model.recall(pattern, steps) * area_radius_m
+    norms = np.linalg.norm(pos, axis=1, keepdims=True)
+    scale = np.where(norms > area_radius_m, area_radius_m / np.where(norms > 0, norms, 1.0), 1.0)
+    return pos * scale
 
 
 def _pattern_count(world: SyntheticWorld, task: str) -> int:
@@ -150,12 +173,13 @@ class EsnPredictor:
                               self._checked(u, "mobility", mobility_models[u]))
 
     def _checked(self, u: int, task: str, model: cesn.EsnModel) -> cesn.EsnModel:
-        cfg = self.world.cfg
-        if task == "content" and model.output_dim != cfg.num_contents:
-            raise ConfigError([
-                f"model/config dimension mismatch: user {u} content model predicts "
-                f"{model.output_dim} contents, config has {cfg.num_contents}"])
+        # a content readout has one row per content, a mobility readout one per coordinate
+        width = self.world.cfg.num_contents if task == "content" else 2
         n_patterns = _pattern_count(self.world, task)
+        if model.output_dim != width:
+            raise ConfigError([
+                f"model/config dimension mismatch: user {u} {task} model has "
+                f"{model.output_dim} outputs, config needs {width}"])
         if model.n_patterns != n_patterns:
             raise ConfigError([
                 f"model/config pattern mismatch: user {u} {task} model holds "
@@ -166,17 +190,16 @@ class EsnPredictor:
         cfg = self.world.cfg
         t, h = cfg.slots_per_cache_period, cfg.slots_per_collection
         for sub in range(self.world.n_sub):
-            self.distributions[u, sub] = cesn.predict_request_distribution(
-                content, sub, steps=h, warmup=h)
+            self.distributions[u, sub] = _request_distribution(content, sub, steps=h, warmup=h)
         # Replay one full warmup day, then read each upcoming collection
         # point from the interior of its preceding sub-period (the replayed
         # readout smooths the step transitions at collection boundaries).
-        track = cesn.predict_locations(mobility, day_type(self.world.training_days),
-                                       steps=2 * t, area_radius_m=cfg.area_radius_m)
+        track = _next_waypoints(mobility, day_type(self.world.training_days),
+                                steps=2 * t, area_radius_m=cfg.area_radius_m)
         for c in range(1, self.world.n_sub + 1):
             lo = t + (c - 1) * h + 1
             hi = max(lo + 1, t + c * h - 1)
-            self.collections[u, c] = track[lo:hi, 0].mean(axis=0)
+            self.collections[u, c] = track[lo:hi].mean(axis=0)
 
     def slot_positions(self, users, global_slot: int, n_intervals: int) -> np.ndarray:
         """Predicted per-interval positions within one slot of the planned day.

@@ -367,41 +367,6 @@ class TestReadoutRegression:
             signal_model().train_readout()
 
 
-class TestDistributionAndLocations:
-    def test_distribution_sums_to_one(self):
-        cfg = EsnConfig(reservoir_size=60, spectral_radius=0.9, density=0.2, input_scale=1.0,
-                        aperture=15.0, ridge=0.1, washout=20, training_length=200)
-        model = cesn.EsnModel(cfg, 1, 4, RandomSource(9).derive("dist"))
-        rng = np.random.default_rng(2)
-        targets = np.eye(4)[rng.integers(0, 4, 200)]
-        model.load_pattern(sine(8.0, 200)[:, None], targets)
-        model.train_readout()
-        p = cesn.predict_request_distribution(model, 0, steps=20)
-        assert p.shape == (4,)
-        assert np.all(p >= 0.0)
-        assert p.sum() == pytest.approx(1.0)
-
-    def test_all_zero_readout_falls_back_to_uniform(self):
-        cfg = EsnConfig(reservoir_size=10, spectral_radius=0.9, density=0.5, input_scale=1.0,
-                        aperture=15.0, ridge=0.1, washout=5, training_length=50)
-        model = cesn.EsnModel(cfg, 1, 3, RandomSource(9).derive("dist"))
-        model.load_pattern(sine(8.0, 50)[:, None], np.zeros((50, 3)))
-        model.train_readout()
-        model.w_out = np.zeros_like(model.w_out)
-        assert np.allclose(cesn.predict_request_distribution(model, 0, steps=5), 1.0 / 3.0)
-
-    def test_predicted_locations_clamped_to_disk(self):
-        cfg = EsnConfig(reservoir_size=40, spectral_radius=0.9, density=0.2, input_scale=1.0,
-                        aperture=15.0, ridge=0.01, washout=10, training_length=100)
-        model = cesn.EsnModel(cfg, 1, 4, RandomSource(10).derive("loc"))
-        targets = np.tile([3.0, 3.0, -2.0, 0.5], (100, 1))  # far outside the unit disk
-        model.load_pattern(sine(9.0, 100)[:, None], targets)
-        model.train_readout()
-        track = cesn.predict_locations(model, 0, steps=10, area_radius_m=500.0)
-        assert track.shape == (10, 2, 2)
-        assert np.all(np.linalg.norm(track, axis=2) <= 500.0 + 1e-9)
-
-
 class TestNrmse:
     def test_perfect_prediction(self):
         y = np.sin(np.linspace(0, 7, 50))
@@ -515,6 +480,30 @@ class TestSerialization:
         assert model.training_nrmse(1) > 0.0
         with pytest.raises(IndexError):
             restored.training_nrmse(1)
+
+    def test_untrained_model_not_saved(self, tmp_path):
+        model = signal_model(n_res=10)
+        load_signal(model, sine(8.0, 400))
+        with pytest.raises(cesn.UntrainedModel):
+            cesn.save_model(model, tmp_path / "model.npz")
+
+    @pytest.mark.parametrize("name, cut", [
+        ("w", lambda a: a[:-1]), ("d", lambda a: a[:, :-1]), ("w_in", lambda a: a[:-1]),
+        ("w_out", lambda a: a[:, :-1]), ("conceptor_ms", lambda a: a[:, :-1, :-1]),
+        ("pattern_states", lambda a: a[:1]), ("quota_history", lambda a: a[:-1]),
+    ])
+    def test_inconsistent_arrays_rejected(self, tmp_path, name, cut):
+        model = signal_model(n_res=10)
+        load_signal(model, sine(8.0, 400))
+        load_signal(model, sine(13.0, 400))
+        model.train_readout()
+        path = tmp_path / "model.npz"
+        cesn.save_model(model, path)
+        data = dict(np.load(path))
+        data[name] = cut(data[name])
+        np.savez(path, **data)
+        with pytest.raises(ValueError, match=f"^{name} has shape "):
+            cesn.load_model(path)
 
     def test_version_checked(self, tmp_path):
         model = signal_model(n_res=10)

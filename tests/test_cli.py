@@ -82,7 +82,7 @@ class TestTrain:
         ({"screen_factors": []}, "screen_factors"),
         ({"esn": {"spectral_radius": 1.2}}, "esn.spectral_radius"),
         ({"esn": {"density": 0}}, "esn.density"),
-        ({"esn": {"horizon": 0}}, "esn.horizon"),
+        ({"esn": {"horizon": 0}}, "esn.horizon"),  # retired: now an unknown field
         ({"qoe_weight_delay": 1.5, "qoe_weight_device": -0.5}, "qoe_weight_delay"),
         ({"qoe_weight_delay": 1.5, "qoe_weight_device": -0.5}, "qoe_weight_device"),
         ({"num_contents": 25, "content_base_rates_bps": [-1e6] * 25}, "content_base_rates_bps"),
@@ -227,19 +227,26 @@ def _raise_channel_error(*args, **kwargs):
     ({}, "garbage models", 2, "unreadable model file"),
     ({"slots_per_collection": 2}, "trained models", 2,
      "user 0 content model holds 4 patterns, config needs 6"),
-    ({}, "content model as mobility", 2, "user 0 mobility model holds 4 patterns, config needs 2"),
+    ({}, "content model as mobility", 2,
+     "user 0 mobility model has 25 outputs, config needs 2"),
+    ({"num_contents": 2, "cache_size": 2}, "content model as mobility", 2,
+     "user 0 mobility model holds 4 patterns, config needs 2"),
+    ({"slots_per_collection": 6}, "content model as mobility", 2,
+     "user 0 mobility model has 25 outputs, config needs 2"),
     ({}, "flat models", 2, "missing model files for user 0"),
     ({}, "channel error", 3, "ChannelError: zero distance"),
     ({}, "out is a file", 2, "cannot use output directory"),
-    ({}, "version 1 models", 2, "model format version 1 is not the supported version 2"),
+    ({}, "version 1 models", 2, "model format version 1 is not the supported version 3"),
     ({}, "one-dimensional input map", 2, "unreadable model file"),
+    ({}, "cut pattern states", 2, "pattern_states has shape (4, 25), not (4, 50)"),
     ({}, "undecodable config", 2, "cannot read config file"),
     ({}, "config is a directory", 2, "cannot read config file"),
 ], ids=["degenerate-reservoir", "memory-exhausted", "washout-vs-samples",
         "washout-vs-drawn-samples", "no-requests", "garbage-model-file", "pattern-count-mismatch",
-        "mobility-pattern-count-mismatch", "flat-model-files", "channel-error", "out-is-a-file",
-        "version-1-model-file", "one-dimensional-input-map", "config-not-utf8",
-        "config-is-a-directory"])
+        "mobility-pattern-count-mismatch", "mobility-pattern-count-mismatch-at-equal-width",
+        "content-file-as-mobility-at-equal-pattern-count", "flat-model-files", "channel-error",
+        "out-is-a-file", "version-1-model-file", "one-dimensional-input-map",
+        "inconsistent-model-shapes", "config-not-utf8", "config-is-a-directory"])
 def test_domain_errors_map_to_exit_codes(tmp_path, capsys, monkeypatch, override, source,
                                          code, message):
     cfg = tmp_path / "cfg.json"
@@ -253,23 +260,26 @@ def test_domain_errors_map_to_exit_codes(tmp_path, capsys, monkeypatch, override
             (tmp_path / "models" / f"user000_{task}.npz").write_bytes(b"not a model")
         argv = ["simulate", "--models", str(tmp_path)] + argv
     elif source in ("trained models", "content model as mobility", "flat models",
-                    "version 1 models", "one-dimensional input map"):
+                    "version 1 models", "one-dimensional input map", "cut pattern states"):
         trained_cfg = tmp_path / "trained.json"
-        trained_cfg.write_text(json.dumps(TINY))
+        trained_cfg.write_text(json.dumps(
+            merge_documents(TINY, override) if source == "content model as mobility" else TINY))
         assert main(["train", "--config", str(trained_cfg),
                      "--out", str(tmp_path / "trained")]) == 0
         if source == "content model as mobility":
             models = tmp_path / "trained" / "models"
             (models / "user000_mobility.npz").write_bytes(
                 (models / "user000_content.npz").read_bytes())
-        if source in ("version 1 models", "one-dimensional input map"):
+        if source in ("version 1 models", "one-dimensional input map", "cut pattern states"):
             path = tmp_path / "trained" / "models" / "user000_content.npz"
             with np.load(path) as data:
                 members = dict(data)
             if source == "version 1 models":
                 members["format_version"] = np.int64(1)
-            else:
+            elif source == "one-dimensional input map":
                 members["w_in"] = members["w_in"][:, 0]
+            else:
+                members["pattern_states"] = members["pattern_states"][:, :25]
             np.savez(path, **members)
         if source == "flat models":  # DIR/userNNN_*.npz instead of DIR/models/userNNN_*.npz
             for path in (tmp_path / "trained" / "models").glob("*.npz"):
@@ -293,8 +303,7 @@ def test_domain_errors_map_to_exit_codes(tmp_path, capsys, monkeypatch, override
         assert "user000_content.npz" in err
     if source == "out is a file":
         assert str(tmp_path / "out") in err
-    if source in ("undecodable config", "config is a directory"):
-        assert "Traceback" not in err
+    assert "Traceback" not in err
 
 
 def no_world(*args, **kwargs):

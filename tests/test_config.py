@@ -52,6 +52,12 @@ def test_unknown_field_reported_with_path():
     assert any("pathloss.carier_hz" in v for v in err.value.violations)
 
 
+def test_retired_horizon_is_an_unknown_field():
+    with pytest.raises(ConfigError) as err:
+        load_config_dict({"esn": {"horizon": 12}})
+    assert err.value.violations == ["esn.horizon: unknown field"]
+
+
 def test_parse_failure():
     with pytest.raises(ConfigError) as err:
         load_config_dict(parse_document("{not json"))
@@ -121,7 +127,7 @@ def test_integers_accepted_for_float_fields():
     ({"spectral_radius": 0.0}, "spectral_radius"),
     ({"density": 0.0}, "density"),
     ({"density": 1.5}, "density"),
-    ({"horizon": 0}, "horizon"),
+    ({"reservoir_size": 0}, "reservoir_size"),
     ({"aperture": 0.0}, "aperture"),
     ({"ridge": -1.0}, "ridge"),
     ({"washout": 2000}, "washout"),
@@ -144,7 +150,6 @@ COUNT_BOUNDS = [
     ("slots_per_cache_period", "MAX_SLOTS"),
     ("esn.reservoir_size", "MAX_RESERVOIR_SIZE"),
     ("esn.training_length", "MAX_TRAINING_LENGTH"),
-    ("esn.horizon", "MAX_HORIZON"),
     ("generators.training_weeks", "MAX_TRAINING_WEEKS"),
     ("generators.waypoints_per_day", "MAX_WAYPOINTS_PER_DAY"),
 ]

@@ -4,6 +4,11 @@ A setting counts as read when some attribute access of that name, in a load
 context, appears in ``src/uavcache/*.py`` outside the functions that only
 check the config.  A setting that only validation reads changes nothing and
 belongs out of the document.
+
+The scan sees reads, not effects: it cannot catch a setting that the run reads
+but whose value changes no output.  ``esn.horizon`` was one.  It sized the
+mobility readout, yet the run used only the readout's first waypoint, so every
+horizon wrote the same artifacts.
 """
 
 import ast

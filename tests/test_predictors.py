@@ -5,9 +5,10 @@ import pytest
 
 from conftest import desk_config, reference_context
 from uavcache import cesn
-from uavcache.config import ConfigError, RandomSource
+from uavcache.config import ConfigError, EsnConfig, RandomSource
 from uavcache.generators import SyntheticWorld, day_type
-from uavcache.predictors import (EsnPredictor, OraclePredictor, content_pattern_data,
+from uavcache.predictors import (EsnPredictor, OraclePredictor, _next_waypoints,
+                                 _request_distribution, content_pattern_data,
                                  mobility_pattern_data, prediction_gap, train_content_model,
                                  train_mobility_model)
 
@@ -42,7 +43,7 @@ class TestTrainingData:
         weekdays = sum(1 for d in range(world.training_days) if d % 7 < 5)
         assert inputs.shape == (weekdays * cfg.slots_per_cache_period,
                                 4 + 1)
-        assert targets.shape[1] == 2 * cfg.esn.horizon
+        assert targets.shape[1] == 2
         assert np.abs(targets).max() <= 1.0 + 1e-9
 
     def test_max_len_truncates_to_recent(self):
@@ -68,19 +69,16 @@ def reference_content_pattern(world, user, sub, max_len):
 
 
 def reference_mobility_pattern(world, user, dtype_idx, max_len):
-    """Mobility pattern rows assembled one slot at a time, waypoints held at the last."""
+    """Mobility pattern rows assembled one slot at a time, each looking one waypoint ahead."""
     cfg = world.cfg
     t, h = cfg.slots_per_cache_period, cfg.slots_per_collection
-    last = world.collections.shape[1] - 1
     slots = [day * t + s for day in range(world.training_days)
              if day_type(day) == dtype_idx for s in range(t)][-max_len:]
     pos = world.position_at(user, np.array(slots, dtype=float))
     proj = (pos[:, 0] + pos[:, 1]) / (2.0 * cfg.area_radius_m)
     inputs = np.column_stack([[reference_context(world, user, gs) for gs in slots], proj])
-    targets = np.array([
-        np.concatenate([world.collections[user, min(gs // h + 1 + j, last)]
-                        for j in range(cfg.esn.horizon)]) / cfg.area_radius_m
-        for gs in slots])
+    targets = np.array([world.collections[user, gs // h + 1] / cfg.area_radius_m
+                        for gs in slots])
     return inputs, targets
 
 
@@ -97,11 +95,46 @@ class TestTrainingDataReference:
                                      reference_mobility_pattern(world, user, dtype_idx, 500)):
                     assert np.array_equal(got, want)
 
-    def test_mobility_targets_hold_the_last_waypoint(self):
-        cfg, world = prediction_setup(esn={"horizon": 40})
+    def test_last_training_slot_targets_the_simulated_days_first_waypoint(self):
+        cfg, world = prediction_setup()
         _, targets = mobility_pattern_data(world, 0, 1, 10_000)  # the last training day is a weekend
-        last = world.collections[0, -1] / cfg.area_radius_m
-        assert np.array_equal(targets[-1, -2:], last)
+        first = world.collections[0, world.period_slot0 // cfg.slots_per_collection]
+        assert np.array_equal(targets[-1], first / cfg.area_radius_m)
+
+
+def sine_model(cfg: EsnConfig, outputs: int, targets: np.ndarray, label: str) -> cesn.EsnModel:
+    """A one-pattern model driven by a sine of period 8, trained on ``targets``."""
+    model = cesn.EsnModel(cfg, 1, outputs, RandomSource(9).derive(label))
+    model.load_pattern(np.sin(2 * np.pi * np.arange(len(targets)) / 8.0)[:, None], targets)
+    model.train_readout()
+    return model
+
+
+class TestReadoutDecoding:
+    def test_distribution_sums_to_one(self):
+        cfg = EsnConfig(reservoir_size=60, spectral_radius=0.9, density=0.2, input_scale=1.0,
+                        aperture=15.0, ridge=0.1, washout=20, training_length=200)
+        targets = np.eye(4)[np.random.default_rng(2).integers(0, 4, 200)]
+        p = _request_distribution(sine_model(cfg, 4, targets, "dist"), 0, steps=20, warmup=0)
+        assert p.shape == (4,)
+        assert np.all(p >= 0.0)
+        assert p.sum() == pytest.approx(1.0)
+
+    def test_all_zero_readout_falls_back_to_uniform(self):
+        cfg = EsnConfig(reservoir_size=10, spectral_radius=0.9, density=0.5, input_scale=1.0,
+                        aperture=15.0, ridge=0.1, washout=5, training_length=50)
+        model = sine_model(cfg, 3, np.zeros((50, 3)), "dist")
+        model.w_out = np.zeros_like(model.w_out)
+        assert np.allclose(_request_distribution(model, 0, steps=5, warmup=0), 1.0 / 3.0)
+
+    def test_predicted_waypoints_clamped_to_disk(self):
+        cfg = EsnConfig(reservoir_size=40, spectral_radius=0.9, density=0.2, input_scale=1.0,
+                        aperture=15.0, ridge=0.01, washout=10, training_length=100)
+        targets = np.tile([3.0, -2.0], (100, 1))  # far outside the unit disk
+        track = _next_waypoints(sine_model(cfg, 2, targets, "loc"), 0, steps=10,
+                                area_radius_m=500.0)
+        assert track.shape == (10, 2)
+        assert np.all(np.linalg.norm(track, axis=1) <= 500.0 + 1e-9)
 
 
 class TestOraclePredictor:
@@ -130,7 +163,7 @@ class TestEsnPrediction:
         model, _ = train_content_model(cfg, world, 0)
         h = cfg.slots_per_collection
         for sub in range(world.n_sub):
-            p_hat = cesn.predict_request_distribution(model, sub, steps=h, warmup=h)
+            p_hat = _request_distribution(model, sub, steps=h, warmup=h)
             truth = world.distributions[0, sub]
             tv = 0.5 * np.abs(p_hat - truth).sum()
             assert tv <= 0.1
@@ -258,6 +291,18 @@ class TestEsnPredictorChecks:
             EsnPredictor(world, [content], [mobility])
         assert err.value.violations == [
             "model/config pattern mismatch: user 0 mobility model holds 3 patterns, "
+            "config needs 2"]
+
+    def test_content_model_as_mobility_fails_the_width_check(self):
+        cfg, world = prediction_setup(num_contents=6, slots_per_collection=12,
+                                      slots_per_cache_period=24,
+                                      generators={"training_weeks": 1})
+        content, _ = train_content_model(cfg, world, 0)
+        assert content.n_patterns == world.n_sub == 2  # the pattern counts coincide
+        with pytest.raises(ConfigError) as err:
+            EsnPredictor(world, [content], [content])
+        assert err.value.violations == [
+            "model/config dimension mismatch: user 0 mobility model has 6 outputs, "
             "config needs 2"]
 
     def test_content_checked_before_mobility_is_read(self):
