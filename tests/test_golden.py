@@ -69,17 +69,19 @@ TINY_INFEASIBLE = ("0db330ceca192cd5a39a4975998aa97882d02c507a237ff819f3082e4ef9
 TINY_IDLE = ("c44f27b2f66f98eb3d19065bfcefbb564b4385f1b64f3d13228981d3513c4e11",
              "46f9546bb510a96cb878728adbf8b023588a2a0657b26944775fbb9896302c9c")
 
-# tiny_cfg user 0: cesn.save_model bytes and the exact quota history per task
+# tiny_cfg user 0: cesn.save_model bytes (format version 3, next-waypoint mobility
+# readout) and the exact quota history per task
 TINY_USER0_MODELS = {
-    "content": ("98baf088900f243ced17ad85f56f7b3ccfd9d366c5b6c0aa9e96c228a7f731db",
+    "content": ("0ef7d5d4fac2d411107372c1429a83065f3ad9a0aeaf4bfc2f0c850536a6dc55",
                 [1.0, 0.9499998580448324, 0.9001541603391818, 0.851034313726619,
                  0.8022369504063818]),
-    "mobility": ("5795bf3df57a45b618d20c1b09c2e74fd7217f4b0a6681bcca219ada9d92b4c6",
+    "mobility": ("01e04fb3f4a48b5369b495550fe77ed8c5585ad66b24d0ab3c5c7100c12ee82e",
                  [1.0, 0.8523196341111114, 0.8240778871275887]),
 }
 
-# tiny_cfg through `uavcache train`: training_report.csv, fits included
-TINY_TRAINING_REPORT = "0851361ea9c594640cfa3d1f73d881a43d07a6e2762c1bde8c2e8b274e928de5"
+# tiny_cfg through `uavcache train`: training_report.csv, fits included; the mobility
+# fits are of the next collected waypoint alone
+TINY_TRAINING_REPORT = "68c9b9a0ff408b8ef702468938873328a7865a9479f39e565641fe9437527ec7"
 
 
 def digests(logs, summary) -> tuple[str, str]:
