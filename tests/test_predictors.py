@@ -293,18 +293,6 @@ class TestEsnPredictorChecks:
             "model/config pattern mismatch: user 0 mobility model holds 3 patterns, "
             "config needs 2"]
 
-    def test_content_model_as_mobility_fails_the_width_check(self):
-        cfg, world = prediction_setup(num_contents=6, slots_per_collection=12,
-                                      slots_per_cache_period=24,
-                                      generators={"training_weeks": 1})
-        content, _ = train_content_model(cfg, world, 0)
-        assert content.n_patterns == world.n_sub == 2  # the pattern counts coincide
-        with pytest.raises(ConfigError) as err:
-            EsnPredictor(world, [content], [content])
-        assert err.value.violations == [
-            "model/config dimension mismatch: user 0 mobility model has 6 outputs, "
-            "config needs 2"]
-
     def test_content_checked_before_mobility_is_read(self):
         _, world = prediction_setup(num_contents=6, generators={"training_weeks": 1})
         content = model_of_patterns(world, "content", range(world.n_sub - 1))
