@@ -491,7 +491,7 @@ class TestSerialization:
         ("w", lambda a: a[:-1]), ("d", lambda a: a[:, :-1]), ("w_in", lambda a: a[:-1]),
         ("w_out", lambda a: a[:, :-1]), ("conceptor_ms", lambda a: a[:, :-1, :-1]),
         ("pattern_states", lambda a: a[:1]), ("quota_history", lambda a: a[:-1]),
-    ])
+    ], ids=lambda v: v if isinstance(v, str) else "cut")
     def test_inconsistent_arrays_rejected(self, tmp_path, name, cut):
         model = signal_model(n_res=10)
         load_signal(model, sine(8.0, 400))
