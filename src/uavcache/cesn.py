@@ -12,10 +12,11 @@ conceptor does two jobs:
   as one running conceptor (``EsnModel.memory``) and ORs in each new pattern
   once; only that running memory keeps a correlation.
 * During recall, the pattern's conceptor filters the autonomous state update,
-  which replays that pattern without external input: an input-simulation
-  matrix D, trained at load time, reproduces the input drive from the state.
+  which replays that pattern without external input: the input simulation
+  D = w_in B reproduces the input drive from the state.  Only B (input width
+  x N) is kept: trained at load time, it reads the inputs out of the states.
 
-The conceptor and the update of D are both ridge systems (X X^T + a I)^-1 X B
+The conceptor and the update of B are both ridge systems (X X^T + a I)^-1 X Y
 over a pattern's T state columns.  ``linalg.solve_ridge`` solves each in the
 smaller of N and T.  At both the paper and the desk scale a content pattern
 keeps fewer samples than the reservoir has units, so its systems are T x T; a
@@ -33,7 +34,7 @@ A model's life has four steps:
    next one.
 3. ``release_training_state`` drops the running memory and the buffers, which
    are most of a trained model's bytes.  What is left is what recall needs:
-   ``w``, ``w_in``, ``d``, ``w_out``, the pattern conceptors and the
+   ``w``, ``w_in``, ``b``, ``w_out``, the pattern conceptors and the
    patterns' final states.  A released model and one restored by
    ``load_model`` hold the same state and both refuse further training with
    ``ReadOnlyModel``; only the released one still reports its fit NRMSEs,
@@ -55,7 +56,7 @@ from .config import EsnConfig, RandomSource, esn_violations
 # Free-memory fraction below which further loading must grow the reservoir.
 QUOTA_MIN = 0.01
 
-MODEL_FORMAT_VERSION = 3
+MODEL_FORMAT_VERSION = 4
 
 
 class MemoryExhausted(RuntimeError):
@@ -186,7 +187,7 @@ class EsnModel:
                                          rs.derive("reservoir"))
         rng = rs.derive("input").generator()
         self.w_in = cfg.input_scale * rng.uniform(-1.0, 1.0, (n, input_dim))
-        self.d = np.zeros((n, n))
+        self.b = np.zeros((input_dim, n))
         self.w_out: np.ndarray | None = None
         self.conceptors: list[Conceptor] = []
         # OR of every stored conceptor; the only one that keeps a correlation.
@@ -221,7 +222,7 @@ class EsnModel:
         return free_memory(self.memory, self.cfg.reservoir_size, self.cfg.aperture)
 
     def load_pattern(self, inputs: np.ndarray, targets: np.ndarray) -> dict:
-        """Store one pattern: update D inside the free memory, add its conceptor.
+        """Store one pattern: update B inside the free memory, add its conceptor.
 
         Returns a small report with the free-memory quota before and after.
         """
@@ -248,10 +249,9 @@ class EsnModel:
         keep = slice(self.cfg.washout, n_steps)
 
         s = f.m @ v_old[:, keep]
-        t_mat = self.w_in @ inputs[keep].T - self.d @ v_old[:, keep]
-        # ridge regression (S S^T / n + a I)^-1 S t^T / n, with n scaled out
-        n_eff = s.shape[1]
-        self.d = self.d + linalg.solve_ridge(s, self.cfg.aperture ** -2 * n_eff, t_mat.T).T
+        # ridge regression (S S^T / n + a I)^-1 S e^T / n of the input error e, n scaled out
+        error = inputs[keep].T - self.b @ v_old[:, keep]
+        self.b = self.b + linalg.solve_ridge(s, self.cfg.aperture ** -2 * s.shape[1], error.T).T
 
         c = compute_conceptor(states[:, keep], self.cfg.aperture)
         self.memory = c if self.memory is None else conceptor_or(self.memory, c)
@@ -334,7 +334,7 @@ class EsnModel:
         c = self.conceptors[pattern].m
         v = self.pattern_states[pattern].copy()
         outputs = np.empty((steps, self.output_dim))
-        wd = self.w + self.d
+        wd = self.w + self.w_in @ self.b
         for t in range(steps):
             v = c @ np.tanh(wd @ v)
             outputs[t] = self.w_out @ v
@@ -391,7 +391,7 @@ def save_model(model: EsnModel, path) -> None:
         "cfg": np.frombuffer(cfg_doc.encode("utf-8"), dtype=np.uint8),
         "w": model.w,
         "w_in": model.w_in,
-        "d": model.d,
+        "b": model.b,
         "w_out": model.w_out,
         "conceptor_ms": np.stack([c.m for c in model.conceptors]),
         "pattern_states": np.stack(model.pattern_states),
@@ -399,16 +399,18 @@ def save_model(model: EsnModel, path) -> None:
     })
 
 
-def _check_shapes(cfg: EsnConfig, arrays: dict) -> None:
-    """Raise ``ValueError`` unless the stored arrays fit the reservoir and one another."""
-    n, p = cfg.reservoir_size, len(arrays["conceptor_ms"])
-    expected = {"w": (n, n), "d": (n, n), "w_in": (n,) + arrays["w_in"].shape[-1:],
+def _check_arrays(cfg: EsnConfig, arrays: dict) -> None:
+    """Raise ``ValueError`` unless every stored array is finite and fits the model's sizes."""
+    n, p, width = cfg.reservoir_size, len(arrays["conceptor_ms"]), arrays["w_in"].shape[-1:]
+    expected = {"w": (n, n), "w_in": (n,) + width, "b": width + (n,),
                 "w_out": arrays["w_out"].shape[:1] + (n,), "conceptor_ms": (p, n, n),
                 "pattern_states": (p, n), "quota_history": (p + 1,)}
     for name, shape in expected.items():
         if arrays[name].shape != shape:
             raise ValueError(f"{name} has shape {arrays[name].shape}, not {shape}, in a model "
                              f"of {n} reservoir units and {p} patterns")
+        if not np.isfinite(arrays[name]).all():
+            raise ValueError(f"{name} has a non-finite entry")
 
 
 def load_model(path) -> EsnModel:
@@ -420,10 +422,10 @@ def load_model(path) -> EsnModel:
         raise ValueError(f"model format version {version} is not the supported "
                          f"version {MODEL_FORMAT_VERSION}; retrain the models")
     cfg = EsnConfig(**json.loads(bytes(arrays["cfg"]).decode("utf-8")))
-    _check_shapes(cfg, arrays)
+    _check_arrays(cfg, arrays)
     model = EsnModel.__new__(EsnModel)
     model.cfg = cfg
-    model.w, model.w_in, model.d, model.w_out = (arrays[k] for k in ("w", "w_in", "d", "w_out"))
+    model.w, model.w_in, model.b, model.w_out = (arrays[k] for k in ("w", "w_in", "b", "w_out"))
     model.input_dim = model.w_in.shape[1]
     model.output_dim = model.w_out.shape[0]
     model.conceptors = [Conceptor(m=m, aperture=cfg.aperture, correlation=None)

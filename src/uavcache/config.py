@@ -174,7 +174,7 @@ MAX_INTERVALS_PER_SLOT = 100_000
 # Slots per period and per collection size the (users, slots) request and
 # waypoint arrays; 83 times the paper's 120-slot period.
 MAX_SLOTS = 10_000
-# A model holds several N x N float64 matrices (w, d, one conceptor per
+# A model holds several N x N float64 matrices (w and one conceptor per
 # pattern): 200 MB each at this bound, 5 times the paper's N = 1,000.
 MAX_RESERVOIR_SIZE = 5_000
 # Training drives N x T states per pattern: 800 MB at N = 1,000.

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
+from uavcache import cesn, linalg
 from uavcache.channel import (ChannelError, db_to_linear, free_space_pl_db, mixed_pathloss_db,
                               uav_user_pathloss_db)
 from uavcache.config import (DESK_PRESET, ChannelParams, RandomSource, ScenarioConfig,
@@ -91,6 +92,46 @@ def echo_state_gap(w: np.ndarray, w_in: np.ndarray, inputs: np.ndarray,
         v1 = np.tanh(w @ v1 + drive_terms[t])
         v2 = np.tanh(w @ v2 + drive_terms[t])
     return float(np.max(np.abs(v1 - v2)))
+
+
+class DenseInputSimulation(cesn.EsnModel):
+    """Reference model that keeps the input simulation as the dense N x N matrix D.
+
+    ``load_pattern`` loads as models did before D was kept as ``w_in @ b``: D
+    grows by a ridge solve with the N-column right-hand side ``w_in u - D v``,
+    and the conceptor, running memory, buffers and quota follow the same steps.
+    ``recall`` replays through ``w + D``.  Inputs are not validated.
+    """
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        del self.b
+        self.d = np.zeros((self.cfg.reservoir_size,) * 2)
+
+    def load_pattern(self, inputs, targets) -> dict:
+        f, quota_before = self.free_memory()
+        states = self.drive(inputs)
+        keep = slice(self.cfg.washout, states.shape[1])
+        v_old = np.concatenate([np.zeros((states.shape[0], 1)), states[:, :-1]], axis=1)[:, keep]
+        s = f.m @ v_old
+        t_mat = self.w_in @ inputs[keep].T - self.d @ v_old
+        self.d = self.d + linalg.solve_ridge(s, self.cfg.aperture ** -2 * s.shape[1], t_mat.T).T
+        c = cesn.compute_conceptor(states[:, keep], self.cfg.aperture)
+        self.memory = c if self.memory is None else cesn.conceptor_or(self.memory, c)
+        self.conceptors.append(dataclasses.replace(c, correlation=None))
+        self.pattern_states.append(states[:, -1].copy())
+        self._train_states.append(states[:, keep])
+        self._train_targets.append(targets[keep].T)
+        self.quota_history.append(self.free_memory()[1])
+        return {"quota_before": quota_before, "quota_after": self.quota_history[-1]}
+
+    def recall(self, pattern: int, steps: int) -> np.ndarray:
+        c, v, wd = self.conceptors[pattern].m, self.pattern_states[pattern], self.w + self.d
+        outputs = np.empty((steps, self.output_dim))
+        for t in range(steps):
+            v = c @ np.tanh(wd @ v)
+            outputs[t] = self.w_out @ v
+        return outputs
 
 
 def reference_associate_rrh(rates_bits, user_xy, device_req_bps, clusters, cfg, bound_s):

@@ -31,6 +31,12 @@ def load_signal(model: cesn.EsnModel, signal: np.ndarray) -> dict:
     return model.load_pattern(signal[:, None], signal[:, None])
 
 
+def last_entry_set(a: np.ndarray, value: float) -> np.ndarray:
+    a = a.copy()
+    a.flat[-1] = value
+    return a
+
+
 class TestDrive:
     def test_zero_weights_zero_states(self):
         model = signal_model()
@@ -224,7 +230,8 @@ class TestLoadingAndRecall:
         load_signal(model, sine(8.0, n_train))
         signal = sine(13.0, n_train)[:, None]
         free, _ = model.free_memory()
-        d_before = model.d.copy()
+        b_before = model.b.copy()
+        d_before = model.w_in @ b_before
         washout = model.cfg.washout
         v = model.drive(signal)
         v_old = np.concatenate([np.zeros((n_res, 1)), v[:, :-1]], axis=1)[:, washout:]
@@ -234,7 +241,9 @@ class TestLoadingAndRecall:
         gram = s @ s.T / n + model.cfg.aperture ** -2 * np.eye(n_res)
         expected = (linalg.pinv(gram) @ (s @ t_mat.T / n)).T
         model.load_pattern(signal, signal)
-        assert np.abs(model.d - d_before - expected).max() <= linalg.SOLVE_AGREEMENT_TOL
+        # D = w_in b, so the D increment is w_in times the b increment
+        assert np.abs(model.w_in @ (model.b - b_before) - expected).max() \
+            <= linalg.SOLVE_AGREEMENT_TOL
 
     def test_first_pattern_sees_identity_free_memory(self):
         model = signal_model()
@@ -242,12 +251,12 @@ class TestLoadingAndRecall:
         assert report["quota_before"] == 1.0
 
     def test_redundant_load_barely_changes_d(self):
-        # sharp conceptors mask a repeated pattern almost completely
+        # sharp conceptors mask a repeated pattern almost completely; D = w_in b
         model = signal_model(aperture=100.0)
         load_signal(model, sine(8.0, 400))
-        d_before = model.d.copy()
+        b_before = model.b.copy()
         load_signal(model, sine(8.0, 400))
-        assert np.linalg.norm(model.d - d_before) / np.linalg.norm(d_before) < 1e-3
+        assert np.linalg.norm(model.b - b_before) / np.linalg.norm(b_before) < 1e-3
 
     def test_four_sinusoids_recall(self):
         model = signal_model(n_res=200)
@@ -281,7 +290,7 @@ class TestLoadingAndRecall:
         load_signal(model, sine(8.0, 400))
         model.train_readout()
         # recall's autonomous update, run here to see every state it visits
-        c, wd = model.conceptors[0].m, model.w + model.d
+        c, wd = model.conceptors[0].m, model.w + model.w_in @ model.b
         v = model.pattern_states[0]
         largest = 0.0
         for _ in range(10_000):
@@ -430,11 +439,11 @@ class TestSerialization:
         path = tmp_path / "model.npz"
         cesn.save_model(model, path)
         restored = cesn.load_model(path)
-        d = restored.d.copy()
+        b = restored.b.copy()
         quotas = list(restored.quota_history)
         with pytest.raises(cesn.ReadOnlyModel, match="no running memory"):
             load_signal(restored, sine(13.0, 400))
-        assert np.array_equal(restored.d, d)
+        assert np.array_equal(restored.b, b)
         assert restored.quota_history == quotas
         assert restored.n_patterns == 1
 
@@ -444,13 +453,13 @@ class TestSerialization:
         model.train_readout()
         fit = model.training_nrmse(0)
         model.release_training_state()
-        d, w_out = model.d.copy(), model.w_out.copy()
+        b, w_out = model.b.copy(), model.w_out.copy()
         quotas = list(model.quota_history)
         with pytest.raises(cesn.ReadOnlyModel, match="no running memory"):
             load_signal(model, sine(13.0, 400))
         with pytest.raises(cesn.ReadOnlyModel, match="no running memory"):
             model.train_readout()
-        assert np.array_equal(model.d, d)
+        assert np.array_equal(model.b, b)
         assert np.array_equal(model.w_out, w_out)
         assert model.quota_history == quotas
         assert model.n_patterns == 1
@@ -466,7 +475,7 @@ class TestSerialization:
         cesn.save_model(model, path)
         restored = cesn.load_model(path)
         assert vars(restored).keys() == vars(model).keys()
-        for name in ("w", "w_in", "d", "w_out"):
+        for name in ("w", "w_in", "b", "w_out"):
             assert np.array_equal(getattr(restored, name), getattr(model, name))
         assert [c.m.tobytes() for c in restored.conceptors] == \
             [c.m.tobytes() for c in model.conceptors]
@@ -487,12 +496,19 @@ class TestSerialization:
         with pytest.raises(cesn.UntrainedModel):
             cesn.save_model(model, tmp_path / "model.npz")
 
-    @pytest.mark.parametrize("name, cut", [
-        ("w", lambda a: a[:-1]), ("d", lambda a: a[:, :-1]), ("w_in", lambda a: a[:-1]),
-        ("w_out", lambda a: a[:, :-1]), ("conceptor_ms", lambda a: a[:, :-1, :-1]),
-        ("pattern_states", lambda a: a[:1]), ("quota_history", lambda a: a[:-1]),
-    ], ids=lambda v: v if isinstance(v, str) else "cut")
-    def test_inconsistent_arrays_rejected(self, tmp_path, name, cut):
+    @pytest.mark.parametrize("name, edit, message", [
+        pytest.param(name, cut, "has shape ", id=f"{name}-cut") for name, cut in [
+            ("w", lambda a: a[:-1]), ("b", lambda a: a[:, :-1]), ("w_in", lambda a: a[:-1]),
+            ("w_out", lambda a: a[:, :-1]), ("conceptor_ms", lambda a: a[:, :-1, :-1]),
+            ("pattern_states", lambda a: a[:1]), ("quota_history", lambda a: a[:-1])]
+    ] + [
+        pytest.param(name, lambda a, v=value: last_entry_set(a, v), "has a non-finite entry",
+                     id=f"{name}-{value}")
+        for name, value in [("w", np.nan), ("w_in", np.inf), ("b", np.nan), ("w_out", np.inf),
+                            ("conceptor_ms", np.nan), ("pattern_states", np.inf),
+                            ("quota_history", np.nan)]
+    ])
+    def test_inconsistent_arrays_rejected(self, tmp_path, name, edit, message):
         model = signal_model(n_res=10)
         load_signal(model, sine(8.0, 400))
         load_signal(model, sine(13.0, 400))
@@ -500,9 +516,9 @@ class TestSerialization:
         path = tmp_path / "model.npz"
         cesn.save_model(model, path)
         data = dict(np.load(path))
-        data[name] = cut(data[name])
+        data[name] = edit(data[name])
         np.savez(path, **data)
-        with pytest.raises(ValueError, match=f"^{name} has shape "):
+        with pytest.raises(ValueError, match=f"^{name} {message}"):
             cesn.load_model(path)
 
     def test_version_checked(self, tmp_path):

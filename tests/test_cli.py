@@ -236,9 +236,10 @@ def _raise_channel_error(*args, **kwargs):
     ({}, "flat models", 2, "missing model files for user 0"),
     ({}, "channel error", 3, "ChannelError: zero distance"),
     ({}, "out is a file", 2, "cannot use output directory"),
-    ({}, "version 1 models", 2, "model format version 1 is not the supported version 3"),
+    ({}, "version 1 models", 2, "model format version 1 is not the supported version 4"),
     ({}, "one-dimensional input map", 2, "unreadable model file"),
     ({}, "cut pattern states", 2, "pattern_states has shape (4, 25), not (4, 50)"),
+    ({}, "NaN readout entry", 2, "w_out has a non-finite entry"),
     ({}, "undecodable config", 2, "cannot read config file"),
     ({}, "config is a directory", 2, "cannot read config file"),
 ], ids=["degenerate-reservoir", "memory-exhausted", "washout-vs-samples",
@@ -246,7 +247,8 @@ def _raise_channel_error(*args, **kwargs):
         "mobility-pattern-count-mismatch", "mobility-pattern-count-mismatch-at-equal-width",
         "content-file-as-mobility-at-equal-pattern-count", "flat-model-files", "channel-error",
         "out-is-a-file", "version-1-model-file", "one-dimensional-input-map",
-        "inconsistent-model-shapes", "config-not-utf8", "config-is-a-directory"])
+        "inconsistent-model-shapes", "non-finite-model-entry", "config-not-utf8",
+        "config-is-a-directory"])
 def test_domain_errors_map_to_exit_codes(tmp_path, capsys, monkeypatch, override, source,
                                          code, message):
     cfg = tmp_path / "cfg.json"
@@ -260,7 +262,8 @@ def test_domain_errors_map_to_exit_codes(tmp_path, capsys, monkeypatch, override
             (tmp_path / "models" / f"user000_{task}.npz").write_bytes(b"not a model")
         argv = ["simulate", "--models", str(tmp_path)] + argv
     elif source in ("trained models", "content model as mobility", "flat models",
-                    "version 1 models", "one-dimensional input map", "cut pattern states"):
+                    "version 1 models", "one-dimensional input map", "cut pattern states",
+                    "NaN readout entry"):
         trained_cfg = tmp_path / "trained.json"
         trained_cfg.write_text(json.dumps(
             merge_documents(TINY, override) if source == "content model as mobility" else TINY))
@@ -270,7 +273,8 @@ def test_domain_errors_map_to_exit_codes(tmp_path, capsys, monkeypatch, override
             models = tmp_path / "trained" / "models"
             (models / "user000_mobility.npz").write_bytes(
                 (models / "user000_content.npz").read_bytes())
-        if source in ("version 1 models", "one-dimensional input map", "cut pattern states"):
+        if source in ("version 1 models", "one-dimensional input map", "cut pattern states",
+                      "NaN readout entry"):
             path = tmp_path / "trained" / "models" / "user000_content.npz"
             with np.load(path) as data:
                 members = dict(data)
@@ -278,6 +282,8 @@ def test_domain_errors_map_to_exit_codes(tmp_path, capsys, monkeypatch, override
                 members["format_version"] = np.int64(1)
             elif source == "one-dimensional input map":
                 members["w_in"] = members["w_in"][:, 0]
+            elif source == "NaN readout entry":
+                members["w_out"][0, 0] = np.nan
             else:
                 members["pattern_states"] = members["pattern_states"][:, :25]
             np.savez(path, **members)

@@ -3,9 +3,10 @@ import dataclasses
 import numpy as np
 import pytest
 
-from conftest import desk_config, reference_context
+from conftest import DenseInputSimulation, desk_config, reference_context
 from uavcache import cesn
-from uavcache.config import ConfigError, EsnConfig, RandomSource
+from uavcache.config import (ConfigError, EsnConfig, RandomSource, ScenarioConfig,
+                             load_config_dict)
 from uavcache.generators import SyntheticWorld, day_type
 from uavcache.predictors import (EsnPredictor, OraclePredictor, _next_waypoints,
                                  _request_distribution, content_pattern_data,
@@ -243,7 +244,7 @@ def test_trained_model_keeps_only_recall_state(task):
     model, _ = trainer(cfg, world, 0)
     assert model.memory is None
     assert model._train_states == [] and model._train_targets == []
-    recall_bytes = (model.w.nbytes + model.w_in.nbytes + model.d.nbytes + model.w_out.nbytes
+    recall_bytes = (model.w.nbytes + model.w_in.nbytes + model.b.nbytes + model.w_out.nbytes
                     + sum(c.m.nbytes for c in model.conceptors)
                     + sum(s.nbytes for s in model.pattern_states))
     assert reachable_buffer_bytes(model) == recall_bytes
@@ -252,6 +253,39 @@ def test_trained_model_keeps_only_recall_state(task):
         inputs, targets = pattern_data(world, 0, p, cfg.esn.training_length)
         states = model.drive(inputs)[:, washout:]
         assert model.training_nrmse(p) == cesn.nrmse(model.w_out @ states, targets[washout:].T)
+
+
+# Bounds fixed before the first run; a scratch prototype read 4.2e-11 and 9.1e-13.
+FACTORED_D_RTOL = 1e-9
+FACTORED_RECALL_RTOL = 1e-9
+
+
+@pytest.mark.parametrize("cfg, task", [
+    (desk_config(), "content"), (desk_config(), "mobility"),
+    (load_config_dict({"esn": {"reservoir_size": 500}}), "content"),
+    (load_config_dict({"esn": {"reservoir_size": 500}, "seed": ScenarioConfig().seed + 99}),
+     "content"),
+], ids=["desk-content", "desk-mobility", "p12-seed0", "p12-seed99"])
+def test_factored_input_simulation_matches_the_dense_reference(monkeypatch, cfg, task):
+    """D = w_in @ b: the factored model loads, fits and recalls as the dense N x N D does.
+
+    The ``p12`` cases are the benchmark's ``train_p12`` model: the paper config with
+    N = 500, user 0, at benchmark seeds 0 and 99.
+    """
+    world, trainer = SyntheticWorld(cfg), TRAINERS[task][0]
+    model, _ = trainer(cfg, world, 0)
+    with monkeypatch.context() as patched:
+        patched.setattr(cesn, "EsnModel", DenseInputSimulation)
+        dense, _ = trainer(cfg, world, 0)
+    assert model.quota_history == dense.quota_history
+    assert model._fit_nrmse == dense._fit_nrmse
+    assert (np.abs(dense.d - model.w_in @ model.b).max()
+            <= FACTORED_D_RTOL * np.abs(dense.d).max())
+    steps = 2 * cfg.slots_per_cache_period
+    for p in range(model.n_patterns):
+        expected = dense.recall(p, steps)
+        assert (np.abs(model.recall(p, steps) - expected).max()
+                <= FACTORED_RECALL_RTOL * np.abs(expected).max())
 
 
 def model_of_patterns(world, task, patterns):
