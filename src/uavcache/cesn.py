@@ -13,8 +13,8 @@ conceptor does two jobs:
   once; only that running memory keeps a correlation.
 * During recall, the pattern's conceptor filters the autonomous state update,
   which replays that pattern without external input: the input simulation
-  D = w_in B reproduces the input drive from the state.  Only B (input width
-  x N) is kept: trained at load time, it reads the inputs out of the states.
+  D = w_in B reproduces the input drive from the state.  Only ``b`` = B (input
+  width x N) is kept: trained at load time, it reads the inputs from the states.
 
 The conceptor and the update of B are both ridge systems (X X^T + a I)^-1 X Y
 over a pattern's T state columns.  ``linalg.solve_ridge`` solves each in the
