@@ -194,12 +194,12 @@ class EsnPredictor:
         # Replay one full warmup day, then read each upcoming collection
         # point from the interior of its preceding sub-period (the replayed
         # readout smooths the step transitions at collection boundaries).
+        # The replay runs as far as the last window reads.
+        starts, span = range(t + 1, t + 1 + self.world.n_sub * h, h), max(1, h - 2)
         track = _next_waypoints(mobility, day_type(self.world.training_days),
-                                steps=2 * t, area_radius_m=cfg.area_radius_m)
-        for c in range(1, self.world.n_sub + 1):
-            lo = t + (c - 1) * h + 1
-            hi = max(lo + 1, t + c * h - 1)
-            self.collections[u, c] = track[lo:hi].mean(axis=0)
+                                steps=starts[-1] + span, area_radius_m=cfg.area_radius_m)
+        for c, lo in enumerate(starts, start=1):
+            self.collections[u, c] = track[lo:lo + span].mean(axis=0)
 
     def slot_positions(self, users, global_slot: int, n_intervals: int) -> np.ndarray:
         """Predicted per-interval positions within one slot of the planned day.

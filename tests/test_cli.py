@@ -4,6 +4,7 @@ import json
 import platform
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -130,6 +131,27 @@ class TestSimulate:
                          "--out", str(out), "--seed", "11"]) == 0
         assert (out1 / "slots.csv").read_bytes() == (out2 / "slots.csv").read_bytes()
         assert (out1 / "summary.json").read_bytes() == (out2 / "summary.json").read_bytes()
+
+    def test_learned_run_with_one_slot_collections(self, tmp_path):
+        # the last collection point's replay window lies past two full days
+        doc = {"num_users": 3, "num_uavs": 1, "num_rrhs": 4, "num_rrh_clusters": 1,
+               "slots_per_cache_period": 4, "slots_per_collection": 1, "intervals_per_slot": 10,
+               "esn": {"reservoir_size": 20, "washout": 5, "training_length": 100}}
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "trained")]) == 0
+            assert main(["simulate", "--config", str(cfg), "--models", str(tmp_path / "trained"),
+                         "--out", str(tmp_path / "run")]) == 0
+        assert [str(w.message) for w in caught] == []
+
+        def not_finite(name):
+            raise AssertionError(f"{name} in summary.json")
+
+        summary = json.loads((tmp_path / "run" / "summary.json").read_text(),
+                             parse_constant=not_finite)
+        assert summary["prediction_gap"]["position_error_m"] >= 0.0
 
     def test_trained_models_feed_simulation(self, cfg_file, tmp_path):
         out = tmp_path / "run"
