@@ -1,26 +1,31 @@
 """Echo-state network engine with conceptor-managed pattern memory.
 
 One model learns several temporal patterns in a single reservoir.  Each loaded
-pattern gets a conceptor: a symmetric PSD matrix M = R (R + aperture^-2 I)^-1
-built from the correlation R of the reservoir states the pattern visits.  The
-conceptor does two jobs:
+pattern gets a conceptor C = R (R + aperture^-2 I)^-1 of the correlation R of
+the reservoir states the pattern visits.  Every conceptor, a pattern's or the
+running memory's, is kept as R's eigenbasis: ``Conceptor(u, lam, aperture)``
+with R = u diag(lam) u^T.  C shares those eigenvectors, with eigenvalues
+s = lam / (lam + aperture^-2), and is applied as u (s * u^T v), never formed.
+All conceptors come from one helper that eigendecomposes the smaller Gram of a
+factor Z with R = Z Z^T (Jaeger 2014, arXiv:1403.3369, section 3) and drops
+directions whose s is at most ``linalg.CONCEPTOR_S_CUT``.  A paper-scale
+content pattern keeps 10 of its N = 1,000 directions.
+
+The conceptor does two jobs:
 
 * During incremental loading, the complement of the OR of all existing
   conceptors (the reservoir's *free memory*) masks the state directions a new
   pattern is allowed to write into, so earlier patterns are not disturbed.
-  The OR is the conceptor of the summed correlations, so the model keeps it
-  as one running conceptor (``EsnModel.memory``) and ORs in each new pattern
-  once; only that running memory keeps a correlation.
+  The OR is the conceptor of the summed correlations, built from the
+  operands' factors side by side, so the model keeps it as one running
+  conceptor (``EsnModel.memory``) and ORs in each new pattern once.  The free
+  memory I - M is applied as v - M v, and its quota is 1 - sum(s) / N.
 * During recall, the pattern's conceptor filters the autonomous state update,
   which replays that pattern without external input: the input simulation
   D = w_in B reproduces the input drive from the state.  Only ``b`` = B (input
   width x N) is kept: trained at load time, it reads the inputs from the states.
-
-The conceptor and the update of B are both ridge systems (X X^T + a I)^-1 X Y
-over a pattern's T state columns.  ``linalg.solve_ridge`` solves each in the
-smaller of N and T.  At both the paper and the desk scale a content pattern
-keeps fewer samples than the reservoir has units, so its systems are T x T; a
-desk-scale mobility pattern keeps more and stays N x N.
+  The update of B is a ridge system (X X^T + a I)^-1 X Y over a pattern's T
+  state columns, which ``linalg.solve_ridge`` solves in the smaller of N and T.
 
 The linear readout is ridge-regressed jointly over every loaded pattern's
 states, so one output matrix serves all patterns.
@@ -56,7 +61,7 @@ from .config import EsnConfig, RandomSource, esn_violations
 # Free-memory fraction below which further loading must grow the reservoir.
 QUOTA_MIN = 0.01
 
-MODEL_FORMAT_VERSION = 4
+MODEL_FORMAT_VERSION = 5
 
 
 class MemoryExhausted(RuntimeError):
@@ -86,85 +91,62 @@ def validate_esn(cfg: EsnConfig) -> None:
 
 @dataclass(frozen=True)
 class Conceptor:
-    """State-subspace filter of one pattern.
+    """State-subspace filter of a pattern, or of the OR of several.
 
-    ``m`` has eigenvalues in [0, 1]; ``correlation`` keeps the source state
-    correlation so conceptors can be OR-ed by correlation addition.  Derived
-    conceptors (negations) and the pattern conceptors a model stores carry
-    ``correlation=None`` and cannot be OR-ed: only the model's running memory
-    keeps a correlation.
+    ``u`` (N x rank) holds the eigenvectors of the source state correlation R
+    and ``lam`` their eigenvalues, so R = u diag(lam) u^T on the kept
+    directions.  The conceptor C = u diag(s) u^T, with eigenvalues
+    s = lam / (lam + aperture^-2) in (0, 1), is applied as u (s * u^T v) and
+    never formed.
     """
 
-    m: np.ndarray
+    u: np.ndarray
+    lam: np.ndarray
     aperture: float
-    correlation: np.ndarray | None = None
 
     @property
-    def dim(self) -> int:
-        return int(self.m.shape[0])
-
-    def eigenvalues(self) -> np.ndarray:
-        vals, _ = linalg.sym_eig(self.m)
-        return vals
+    def s(self) -> np.ndarray:
+        return self.lam / (self.lam + self.aperture ** -2)
 
 
-def _conceptor_from_correlation(r: np.ndarray, aperture: float) -> Conceptor:
-    a = aperture ** -2
-    m = linalg.solve_spd(r + a * np.eye(r.shape[0]), r)
-    m = 0.5 * (m + m.T)
-    return Conceptor(m=m, aperture=aperture, correlation=r)
+def _conceptor_of_factor(z: np.ndarray, aperture: float) -> Conceptor:
+    """Conceptor of R = Z Z^T, from the eigendecomposition of the smaller Gram.
+
+    With fewer columns than rows, Z^T Z = V diag(lam) V^T gives R's
+    eigenvectors as Z V diag(lam)^-1/2.  Directions whose s is at most
+    ``linalg.CONCEPTOR_S_CUT`` are dropped.
+    """
+    n, k = z.shape
+    lam, vecs = linalg.sym_eig(z.T @ z if k < n else z @ z.T)
+    keep = lam / (lam + aperture ** -2) > linalg.CONCEPTOR_S_CUT
+    lam, u = lam[keep], vecs[:, keep]
+    if k < n:
+        u = (z @ u) / np.sqrt(lam)
+    return Conceptor(u=np.ascontiguousarray(u), lam=lam, aperture=aperture)
 
 
 def compute_conceptor(states: np.ndarray, aperture: float) -> Conceptor:
-    """Conceptor of a state sequence given as columns (dim, n_steps).
-
-    With X = states, T = n_steps and a = aperture^-2, the conceptor
-    R (R + a I)^-1 of R = X X^T / T equals (X X^T + a T I)^-1 X X^T, which
-    ``linalg.solve_ridge`` solves in the smaller of dim and T.  When T >= dim
-    its dim x dim system is solved here instead, so that X X^T, which also
-    gives R, is formed once.
-    """
+    """Conceptor of a state sequence given as columns (dim, n_steps): R = X X^T / T."""
     states = np.asarray(states, dtype=float)
     if states.ndim != 2 or states.shape[1] < 1:
         raise ValueError("need at least one state column")
-    dim, n_steps = states.shape
-    ridge = aperture ** -2 * n_steps
-    if n_steps < dim:
-        # X X^T is formed after the T x T solve: held through it, it fragments
-        # the heap, and a 12-pattern N=500 model peaks 11 MB higher in RSS.
-        m = linalg.solve_ridge(states, ridge, states.T)
-        gram = states @ states.T
-    else:
-        gram = states @ states.T
-        m = linalg.solve_spd(gram + ridge * np.eye(dim), gram)
-    r = np.divide(gram, n_steps, out=gram)
-    return Conceptor(m=0.5 * (m + m.T), aperture=aperture, correlation=0.5 * (r + r.T))
-
-
-def conceptor_not(c: Conceptor) -> Conceptor:
-    return Conceptor(m=np.eye(c.dim) - c.m, aperture=c.aperture, correlation=None)
+    return _conceptor_of_factor(states / np.sqrt(states.shape[1]), aperture)
 
 
 def conceptor_or(a: Conceptor, b: Conceptor) -> Conceptor:
+    """The conceptor of the summed correlations, from both operands' factors u sqrt(lam)."""
     if a.aperture != b.aperture:
         raise ValueError(f"aperture mismatch: {a.aperture} vs {b.aperture}")
-    if a.dim != b.dim:
-        raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    if a.correlation is None or b.correlation is None:
-        raise ValueError("OR needs source correlations on both operands")
-    return _conceptor_from_correlation(a.correlation + b.correlation, a.aperture)
+    if a.u.shape[0] != b.u.shape[0]:
+        raise ValueError(f"dimension mismatch: {a.u.shape[0]} vs {b.u.shape[0]}")
+    z = np.concatenate([a.u * np.sqrt(a.lam), b.u * np.sqrt(b.lam)], axis=1)
+    return _conceptor_of_factor(z, a.aperture)
 
 
-def free_memory(memory: Conceptor | None, dim: int, aperture: float) -> tuple[Conceptor, float]:
-    """NOT of the OR of all stored conceptors, plus the free-memory fraction.
-
-    ``memory`` is that OR (``None`` for an empty reservoir).
-    """
-    if memory is None:
-        f = Conceptor(m=np.eye(dim), aperture=aperture, correlation=None)
-        return f, 1.0
-    f = conceptor_not(memory)
-    return f, float(np.trace(f.m) / dim)
+def free_memory(memory: Conceptor | None, dim: int) -> float:
+    """Free-memory fraction 1 - trace(memory) / dim, where ``memory`` is the OR
+    of all stored conceptors (``None`` for an empty reservoir)."""
+    return 1.0 if memory is None else 1.0 - float(memory.s.sum()) / dim
 
 
 # -- model --------------------------------------------------------------------
@@ -190,7 +172,7 @@ class EsnModel:
         self.b = np.zeros((input_dim, n))
         self.w_out: np.ndarray | None = None
         self.conceptors: list[Conceptor] = []
-        # OR of every stored conceptor; the only one that keeps a correlation.
+        # OR of every stored conceptor
         self.memory: Conceptor | None = None
         self.pattern_states: list[np.ndarray] = []
         self.quota_history: list[float] = [1.0]
@@ -218,9 +200,6 @@ class EsnModel:
             out[:, t] = v
         return out
 
-    def free_memory(self) -> tuple[Conceptor, float]:
-        return free_memory(self.memory, self.cfg.reservoir_size, self.cfg.aperture)
-
     def load_pattern(self, inputs: np.ndarray, targets: np.ndarray) -> dict:
         """Store one pattern: update B inside the free memory, add its conceptor.
 
@@ -237,30 +216,32 @@ class EsnModel:
             raise TooFewSamples(f"{inputs.shape[0]} samples leave none after the washout of "
                                 f"{self.cfg.washout}; lower esn.washout or train longer")
 
-        f, quota_before = self.free_memory()
+        n = self.cfg.reservoir_size
+        quota_before = free_memory(self.memory, n)
         if quota_before <= QUOTA_MIN:
             raise MemoryExhausted(
                 f"free memory {quota_before:.4f} <= {QUOTA_MIN}; retrain with a larger reservoir"
             )
 
         states = self.drive(inputs)
-        n_steps = states.shape[1]
-        v_old = np.concatenate([np.zeros((states.shape[0], 1)), states[:, :-1]], axis=1)
-        keep = slice(self.cfg.washout, n_steps)
+        keep = slice(self.cfg.washout, states.shape[1])
+        v_old = np.concatenate([np.zeros((n, 1)), states[:, :-1]], axis=1)[:, keep]
 
-        s = f.m @ v_old[:, keep]
-        # ridge regression (S S^T / n + a I)^-1 S e^T / n of the input error e, n scaled out
-        error = inputs[keep].T - self.b @ v_old[:, keep]
+        # the old states inside the free memory I - M of the running memory M
+        m = self.memory
+        s = v_old if m is None else v_old - m.u @ (m.s[:, None] * (m.u.T @ v_old))
+        # ridge regression (S S^T / T + a I)^-1 S e^T / T of the input error e, T scaled out
+        error = inputs[keep].T - self.b @ v_old
         self.b = self.b + linalg.solve_ridge(s, self.cfg.aperture ** -2 * s.shape[1], error.T).T
 
         c = compute_conceptor(states[:, keep], self.cfg.aperture)
         self.memory = c if self.memory is None else conceptor_or(self.memory, c)
-        self.conceptors.append(dataclasses.replace(c, correlation=None))
+        self.conceptors.append(c)
         self.pattern_states.append(states[:, -1].copy())
         self._train_states.append(states[:, keep])
         self._train_targets.append(targets[keep].T)
 
-        _, quota_after = self.free_memory()
+        quota_after = free_memory(self.memory, n)
         self.quota_history.append(quota_after)
         return {
             "pattern": self.n_patterns - 1,
@@ -331,12 +312,13 @@ class EsnModel:
             raise IndexError(f"pattern {pattern} not loaded (have {self.n_patterns})")
         if self.w_out is None:
             raise UntrainedModel("readout not trained")
-        c = self.conceptors[pattern].m
+        c = self.conceptors[pattern]
+        u, s = c.u, c.s
         v = self.pattern_states[pattern].copy()
         outputs = np.empty((steps, self.output_dim))
         wd = self.w + self.w_in @ self.b
         for t in range(steps):
-            v = c @ np.tanh(wd @ v)
+            v = u @ (s * (u.T @ np.tanh(wd @ v)))
             outputs[t] = self.w_out @ v
         return outputs
 
@@ -386,6 +368,11 @@ def save_model(model: EsnModel, path) -> None:
     if model.w_out is None:
         raise UntrainedModel("readout not trained")
     cfg_doc = json.dumps(dataclasses.asdict(model.cfg))
+    # pattern p's factors fill the first columns of row p; the rest are zero
+    p, rank = model.n_patterns, max(len(c.lam) for c in model.conceptors)
+    us, lams = np.zeros((p, model.cfg.reservoir_size, rank)), np.zeros((p, rank))
+    for c, u, lam in zip(model.conceptors, us, lams):
+        u[:, :len(c.lam)], lam[:len(c.lam)] = c.u, c.lam
     _write_npz_deterministic(path, {
         "format_version": np.int64(MODEL_FORMAT_VERSION),
         "cfg": np.frombuffer(cfg_doc.encode("utf-8"), dtype=np.uint8),
@@ -393,24 +380,29 @@ def save_model(model: EsnModel, path) -> None:
         "w_in": model.w_in,
         "b": model.b,
         "w_out": model.w_out,
-        "conceptor_ms": np.stack([c.m for c in model.conceptors]),
+        "conceptor_u": us,
+        "conceptor_lam": lams,
         "pattern_states": np.stack(model.pattern_states),
         "quota_history": np.asarray(model.quota_history),
     })
 
 
 def _check_arrays(cfg: EsnConfig, arrays: dict) -> None:
-    """Raise ``ValueError`` unless every stored array is finite and fits the model's sizes."""
-    n, p, width = cfg.reservoir_size, len(arrays["conceptor_ms"]), arrays["w_in"].shape[-1:]
+    """Raise ``ValueError`` unless every stored array is finite and fits the model's sizes,
+    and every stored eigenvalue is nonnegative."""
+    n, p, width = cfg.reservoir_size, len(arrays["conceptor_lam"]), arrays["w_in"].shape[-1:]
+    rank = arrays["conceptor_u"].shape[-1:]
     expected = {"w": (n, n), "w_in": (n,) + width, "b": width + (n,),
-                "w_out": arrays["w_out"].shape[:1] + (n,), "conceptor_ms": (p, n, n),
-                "pattern_states": (p, n), "quota_history": (p + 1,)}
+                "w_out": arrays["w_out"].shape[:1] + (n,), "conceptor_u": (p, n) + rank,
+                "conceptor_lam": (p,) + rank, "pattern_states": (p, n), "quota_history": (p + 1,)}
     for name, shape in expected.items():
         if arrays[name].shape != shape:
             raise ValueError(f"{name} has shape {arrays[name].shape}, not {shape}, in a model "
                              f"of {n} reservoir units and {p} patterns")
         if not np.isfinite(arrays[name]).all():
             raise ValueError(f"{name} has a non-finite entry")
+    if (arrays["conceptor_lam"] < 0.0).any():
+        raise ValueError("conceptor_lam has a negative eigenvalue")
 
 
 def load_model(path) -> EsnModel:
@@ -422,14 +414,17 @@ def load_model(path) -> EsnModel:
         raise ValueError(f"model format version {version} is not the supported "
                          f"version {MODEL_FORMAT_VERSION}; retrain the models")
     cfg = EsnConfig(**json.loads(bytes(arrays["cfg"]).decode("utf-8")))
+    validate_esn(cfg)
     _check_arrays(cfg, arrays)
     model = EsnModel.__new__(EsnModel)
     model.cfg = cfg
     model.w, model.w_in, model.b, model.w_out = (arrays[k] for k in ("w", "w_in", "b", "w_out"))
     model.input_dim = model.w_in.shape[1]
     model.output_dim = model.w_out.shape[0]
-    model.conceptors = [Conceptor(m=m, aperture=cfg.aperture, correlation=None)
-                        for m in arrays["conceptor_ms"]]
+    # zero eigenvalues only pad a row; they add nothing to the conceptor
+    model.conceptors = [Conceptor(u=np.ascontiguousarray(u[:, lam > 0.0]), lam=lam[lam > 0.0],
+                                  aperture=cfg.aperture)
+                        for u, lam in zip(arrays["conceptor_u"], arrays["conceptor_lam"])]
     model.pattern_states = list(arrays["pattern_states"])
     model.quota_history = [float(q) for q in arrays["quota_history"]]
     model._fit_nrmse = []

@@ -174,8 +174,9 @@ MAX_INTERVALS_PER_SLOT = 100_000
 # Slots per period and per collection size the (users, slots) request and
 # waypoint arrays; 83 times the paper's 120-slot period.
 MAX_SLOTS = 10_000
-# A model holds several N x N float64 matrices (w and one conceptor per
-# pattern): 200 MB each at this bound, 5 times the paper's N = 1,000.
+# The N x N float64 arrays, 200 MB each at this bound (5 times the paper's
+# N = 1,000): w, recall's w + w_in b, the readout Gram, and a conceptor's Gram
+# when its factor has at least N columns.  Conceptors are kept N x rank.
 MAX_RESERVOIR_SIZE = 5_000
 # Training drives N x T states per pattern: 800 MB at N = 1,000.
 MAX_TRAINING_LENGTH = 100_000

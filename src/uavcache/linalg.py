@@ -18,6 +18,7 @@ EIG_RECONSTRUCT_TOL = 1e-9    # symmetric eigendecomposition reconstruction slac
 RESERVOIR_RADIUS_TOL = 1e-6   # spectral-radius targeting slack
 SOLVE_AGREEMENT_TOL = 1e-8    # solve_spd vs pinv-based solve agreement
 RIDGE_FORM_TOL = 1e-10        # solve_ridge's T x T form vs the N x N one, O(1) data, a >= 1e-2
+CONCEPTOR_S_CUT = 1e-10       # conceptor directions with eigenvalue s at most this are dropped
 ALGEBRA_TOL = 1e-12           # exact-algebra identities (involution, commutativity)
 ZF_NULLING_TOL = 1e-9         # zero-forcing residual ||H F - I||
 LINEAR_LOSS_RTOL = 1e-12      # linear-unit path loss and objective vs the dB route

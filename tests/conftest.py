@@ -94,13 +94,73 @@ def echo_state_gap(w: np.ndarray, w_in: np.ndarray, inputs: np.ndarray,
     return float(np.max(np.abs(v1 - v2)))
 
 
+def conceptor_matrix(c: cesn.Conceptor) -> np.ndarray:
+    """The dense N x N conceptor u diag(s) u^T that ``cesn`` applies without forming."""
+    return (c.u * c.s) @ c.u.T
+
+
+def dense_conceptor(r: np.ndarray, aperture: float) -> np.ndarray:
+    """M = R (R + aperture^-2 I)^-1 of a state correlation R, solved densely."""
+    m = np.linalg.solve(r + aperture ** -2 * np.eye(r.shape[0]), r)
+    return 0.5 * (m + m.T)
+
+
+def dense_not(m: np.ndarray) -> np.ndarray:
+    """NOT of a dense conceptor, I - M."""
+    return np.eye(m.shape[0]) - m
+
+
+class DenseConceptors(cesn.EsnModel):
+    """Reference model that keeps every conceptor as a dense N x N matrix.
+
+    ``load_pattern`` loads as models did before conceptors were kept as
+    factors: a pattern's conceptor is ``dense_conceptor`` of its state
+    correlation, the running memory is the OR of the stored ones, formed as
+    the conceptor of the summed correlations, and the free memory is its NOT,
+    with quota trace(I - M) / N.  ``b`` grows as in ``cesn``.  ``conceptors``
+    holds the dense matrices, ``memory`` the summed correlation, and
+    ``recall`` filters with the dense matrices.  Inputs are not validated.
+    """
+
+    def load_pattern(self, inputs, targets) -> dict:
+        n, aperture = self.cfg.reservoir_size, self.cfg.aperture
+        free = np.eye(n) if self.memory is None \
+            else dense_not(dense_conceptor(self.memory, aperture))
+        quota_before = np.trace(free) / n
+        states = self.drive(inputs)
+        keep = slice(self.cfg.washout, states.shape[1])
+        v_old = np.concatenate([np.zeros((n, 1)), states[:, :-1]], axis=1)[:, keep]
+        s = free @ v_old
+        error = inputs[keep].T - self.b @ v_old
+        self.b = self.b + linalg.solve_ridge(s, aperture ** -2 * s.shape[1], error.T).T
+        x = states[:, keep]
+        r = x @ x.T / x.shape[1]
+        self.memory = r if self.memory is None else self.memory + r
+        self.conceptors.append(dense_conceptor(r, aperture))
+        self.pattern_states.append(states[:, -1].copy())
+        self._train_states.append(x)
+        self._train_targets.append(targets[keep].T)
+        self.quota_history.append(
+            np.trace(dense_not(dense_conceptor(self.memory, aperture))) / n)
+        return {"quota_before": quota_before, "quota_after": self.quota_history[-1]}
+
+    def recall(self, pattern: int, steps: int) -> np.ndarray:
+        c, v, wd = self.conceptors[pattern], self.pattern_states[pattern], self.w + self.w_in @ self.b
+        outputs = np.empty((steps, self.output_dim))
+        for t in range(steps):
+            v = c @ np.tanh(wd @ v)
+            outputs[t] = self.w_out @ v
+        return outputs
+
+
 class DenseInputSimulation(cesn.EsnModel):
     """Reference model that keeps the input simulation as the dense N x N matrix D.
 
     ``load_pattern`` loads as models did before D was kept as ``w_in @ b``: D
-    grows by a ridge solve with the N-column right-hand side ``w_in u - D v``,
-    and the conceptor, running memory, buffers and quota follow the same steps.
-    ``recall`` replays through ``w + D``.  Inputs are not validated.
+    grows by a ridge solve with the N-column right-hand side ``w_in u - D v``
+    inside the free memory I - M, and the conceptor, running memory, buffers
+    and quota follow the same steps as in ``cesn``.  ``recall`` replays through
+    ``w + D``.  Inputs are not validated.
     """
 
     def __init__(self, *args):
@@ -109,24 +169,27 @@ class DenseInputSimulation(cesn.EsnModel):
         self.d = np.zeros((self.cfg.reservoir_size,) * 2)
 
     def load_pattern(self, inputs, targets) -> dict:
-        f, quota_before = self.free_memory()
+        n = self.cfg.reservoir_size
+        quota_before = cesn.free_memory(self.memory, n)
+        free = np.eye(n) if self.memory is None else dense_not(conceptor_matrix(self.memory))
         states = self.drive(inputs)
         keep = slice(self.cfg.washout, states.shape[1])
-        v_old = np.concatenate([np.zeros((states.shape[0], 1)), states[:, :-1]], axis=1)[:, keep]
-        s = f.m @ v_old
+        v_old = np.concatenate([np.zeros((n, 1)), states[:, :-1]], axis=1)[:, keep]
+        s = free @ v_old
         t_mat = self.w_in @ inputs[keep].T - self.d @ v_old
         self.d = self.d + linalg.solve_ridge(s, self.cfg.aperture ** -2 * s.shape[1], t_mat.T).T
         c = cesn.compute_conceptor(states[:, keep], self.cfg.aperture)
         self.memory = c if self.memory is None else cesn.conceptor_or(self.memory, c)
-        self.conceptors.append(dataclasses.replace(c, correlation=None))
+        self.conceptors.append(c)
         self.pattern_states.append(states[:, -1].copy())
         self._train_states.append(states[:, keep])
         self._train_targets.append(targets[keep].T)
-        self.quota_history.append(self.free_memory()[1])
+        self.quota_history.append(cesn.free_memory(self.memory, n))
         return {"quota_before": quota_before, "quota_after": self.quota_history[-1]}
 
     def recall(self, pattern: int, steps: int) -> np.ndarray:
-        c, v, wd = self.conceptors[pattern].m, self.pattern_states[pattern], self.w + self.d
+        c = conceptor_matrix(self.conceptors[pattern])
+        v, wd = self.pattern_states[pattern], self.w + self.d
         outputs = np.empty((steps, self.output_dim))
         for t in range(steps):
             v = c @ np.tanh(wd @ v)

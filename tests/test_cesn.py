@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import echo_state_gap
+from conftest import conceptor_matrix, dense_conceptor, dense_not, echo_state_gap
 from uavcache import cesn, linalg
 from uavcache.config import EsnConfig, RandomSource
 
@@ -64,65 +64,84 @@ class TestDrive:
             model.drive(np.ones((5, 3)))
 
 
+def zero_conceptor(dim: int, aperture: float = 15.0) -> cesn.Conceptor:
+    """The conceptor of a zero correlation: no directions."""
+    return cesn.Conceptor(u=np.zeros((dim, 0)), lam=np.zeros(0), aperture=aperture)
+
+
 class TestConceptorAlgebra:
     def test_identity_correlation(self):
         c = cesn.compute_conceptor(np.eye(4) * 2.0, aperture=15.0)
         # R = I: every eigenvalue is 1/(1 + aperture**-2) = 225/226
-        assert np.allclose(np.diag(c.m), 225.0 / 226.0)
+        assert np.allclose(np.diag(conceptor_matrix(c)), 225.0 / 226.0)
 
     def test_diagonal_correlation(self):
         states = np.diag([np.sqrt(4.0 * 2), np.sqrt(1.0 * 2)])  # R = diag(4, 1)
         c = cesn.compute_conceptor(states, aperture=1.0)
-        assert np.allclose(np.diag(c.m), [0.8, 0.5])
+        assert np.allclose(np.diag(conceptor_matrix(c)), [0.8, 0.5])
 
     def test_aperture_limits(self):
         states = np.diag([2.0, 1.0, 0.0])
-        wide = cesn.compute_conceptor(states, aperture=1e6)
-        narrow = cesn.compute_conceptor(states, aperture=1e-4)
-        assert np.allclose(np.diag(wide.m)[:2], 1.0, atol=1e-9)
-        assert np.diag(wide.m)[2] == pytest.approx(0.0, abs=1e-12)
-        assert np.abs(narrow.m).max() < 1e-4
+        wide = conceptor_matrix(cesn.compute_conceptor(states, aperture=1e6))
+        narrow = conceptor_matrix(cesn.compute_conceptor(states, aperture=1e-4))
+        assert np.allclose(np.diag(wide)[:2], 1.0, atol=1e-9)
+        assert np.diag(wide)[2] == pytest.approx(0.0, abs=1e-12)
+        assert np.abs(narrow).max() < 1e-4
 
     @pytest.mark.parametrize("dim, n_steps", [(20, 7), (20, 20), (20, 35)])
-    def test_equals_solve_ridge_bit_for_bit(self, dim, n_steps):
+    def test_matches_the_dense_reference(self, dim, n_steps):
+        # both Grams: X^T X below 20 steps, X X^T from 20 on
         states = np.random.default_rng(dim + n_steps).standard_normal((dim, n_steps))
         c = cesn.compute_conceptor(states, aperture=3.0)
-        m = linalg.solve_ridge(states, 3.0 ** -2 * n_steps, states.T)
-        r = states @ states.T / n_steps
-        assert c.m.tobytes() == (0.5 * (m + m.T)).tobytes()
-        assert c.correlation.tobytes() == (0.5 * (r + r.T)).tobytes()
+        expected = dense_conceptor(states @ states.T / n_steps, 3.0)
+        assert np.abs(conceptor_matrix(c) - expected).max() <= linalg.RIDGE_FORM_TOL
+        assert np.abs(c.u.T @ c.u - np.eye(len(c.lam))).max() <= linalg.RIDGE_FORM_TOL
+        assert len(c.lam) == min(dim, n_steps)
+
+    def test_cut_drops_directions_at_or_below_the_tolerance(self):
+        # R = diag(1, 1e-12, 0) / 3: at aperture 1, s = 0.25, 3.3e-13 and 0
+        c = cesn.compute_conceptor(np.diag([1.0, 1e-6, 0.0]), aperture=1.0)
+        assert c.u.shape == (3, 1)
+        assert c.s == pytest.approx([0.25])
 
     def test_not_of_zero_is_identity(self):
-        zero = cesn.Conceptor(m=np.zeros((5, 5)), aperture=15.0, correlation=np.zeros((5, 5)))
-        assert np.allclose(cesn.conceptor_not(zero).m, np.eye(5))
+        # nothing stored: the free memory is the whole space
+        assert cesn.free_memory(zero_conceptor(5), dim=5) == 1.0
+        assert np.array_equal(dense_not(conceptor_matrix(zero_conceptor(5))), np.eye(5))
 
     def test_double_negation(self):
-        c = cesn.compute_conceptor(np.random.default_rng(0).standard_normal((6, 30)), 15.0)
-        back = cesn.conceptor_not(cesn.conceptor_not(c)).m
-        assert np.abs(back - c.m).max() <= linalg.ALGEBRA_TOL
+        c = conceptor_matrix(
+            cesn.compute_conceptor(np.random.default_rng(0).standard_normal((6, 30)), 15.0))
+        assert np.abs(dense_not(dense_not(c)) - c).max() <= linalg.ALGEBRA_TOL
 
     def test_not_complements_eigenvalues(self):
         c = cesn.compute_conceptor(np.random.default_rng(1).standard_normal((6, 30)), 15.0)
-        flipped = np.sort(cesn.conceptor_not(c).eigenvalues())
-        original = np.sort(1.0 - c.eigenvalues())
-        assert np.abs(flipped - original).max() < 1e-9
+        flipped = np.sort(np.linalg.eigvalsh(dense_not(conceptor_matrix(c))))
+        assert np.abs(flipped - np.sort(1.0 - c.s)).max() < 1e-9
 
     def test_or_with_zero_is_identity_element(self):
         c = cesn.compute_conceptor(np.random.default_rng(2).standard_normal((6, 30)), 15.0)
-        zero = cesn.Conceptor(m=np.zeros((6, 6)), aperture=15.0, correlation=np.zeros((6, 6)))
-        assert np.abs(cesn.conceptor_or(c, zero).m - c.m).max() <= linalg.ALGEBRA_TOL
+        either = cesn.conceptor_or(c, zero_conceptor(6))
+        assert np.abs(conceptor_matrix(either) - conceptor_matrix(c)).max() <= linalg.ALGEBRA_TOL
 
     def test_self_or_grows_eigenvalues(self):
         c = cesn.compute_conceptor(np.random.default_rng(3).standard_normal((6, 30)), 15.0)
         doubled = cesn.conceptor_or(c, c)
-        assert np.all(np.sort(doubled.eigenvalues()) >= np.sort(c.eigenvalues()) - 1e-12)
+        assert np.all(np.sort(doubled.s) >= np.sort(c.s) - 1e-12)
+
+    def test_or_is_the_conceptor_of_the_summed_correlations(self):
+        rng = np.random.default_rng(5)
+        x, y = rng.standard_normal((8, 5)), rng.standard_normal((8, 4))
+        either = cesn.conceptor_or(cesn.compute_conceptor(x, 2.0), cesn.compute_conceptor(y, 2.0))
+        expected = dense_conceptor(x @ x.T / 5 + y @ y.T / 4, 2.0)
+        assert np.abs(conceptor_matrix(either) - expected).max() <= linalg.RIDGE_FORM_TOL
 
     def test_or_commutes(self):
         rng = np.random.default_rng(4)
         a = cesn.compute_conceptor(rng.standard_normal((6, 30)), 15.0)
         b = cesn.compute_conceptor(rng.standard_normal((6, 30)), 15.0)
-        assert np.abs(cesn.conceptor_or(a, b).m - cesn.conceptor_or(b, a).m).max() \
-            <= linalg.ALGEBRA_TOL
+        assert np.abs(conceptor_matrix(cesn.conceptor_or(a, b))
+                      - conceptor_matrix(cesn.conceptor_or(b, a))).max() <= linalg.ALGEBRA_TOL
 
     def test_aperture_mismatch_rejected(self):
         a = cesn.compute_conceptor(np.eye(3), 15.0)
@@ -134,8 +153,8 @@ class TestConceptorAlgebra:
     @given(seed=st.integers(0, 10_000), n=st.integers(2, 12))
     def test_eigenvalues_always_in_unit_interval(self, seed, n):
         states = np.random.default_rng(seed).standard_normal((n, 3 * n))
-        vals = cesn.compute_conceptor(states, 15.0).eigenvalues()
-        assert vals.min() >= -linalg.ALGEBRA_TOL
+        vals = cesn.compute_conceptor(states, 15.0).s
+        assert vals.min() > linalg.CONCEPTOR_S_CUT
         assert vals.max() < 1.0
 
     @settings(max_examples=30, deadline=None)
@@ -147,23 +166,20 @@ class TestConceptorAlgebra:
         r = states @ states.T / steps
         expected = r @ np.linalg.inv(r + aperture ** -2 * np.eye(n))
         c = cesn.compute_conceptor(states, aperture)
-        assert np.abs(c.m - expected).max() <= linalg.RIDGE_FORM_TOL
-        vals = c.eigenvalues()
-        assert vals.min() >= -linalg.ALGEBRA_TOL
-        assert vals.max() < 1.0
+        assert np.abs(conceptor_matrix(c) - expected).max() <= linalg.RIDGE_FORM_TOL
+        assert len(c.lam) <= steps
+        assert c.s.min() > linalg.CONCEPTOR_S_CUT
+        assert c.s.max() < 1.0
 
 
 class TestFreeMemory:
     def test_empty_reservoir_fully_free(self):
-        f, quota = cesn.free_memory(None, dim=8, aperture=15.0)
-        assert quota == 1.0
-        assert np.allclose(f.m, np.eye(8))
+        assert cesn.free_memory(None, dim=8) == 1.0
 
     def test_saturated_memory_quota_near_zero(self):
         states = 5.0 * np.random.default_rng(0).standard_normal((6, 100))
         c = cesn.compute_conceptor(states, aperture=1e4)
-        _, quota = cesn.free_memory(c, dim=6, aperture=1e4)
-        assert quota < 0.01
+        assert cesn.free_memory(c, dim=6) < 0.01
 
     def test_quota_nonincreasing_under_loads(self):
         model = signal_model()
@@ -190,15 +206,14 @@ class TestFreeMemory:
         fold = cesn.compute_conceptor(model._train_states[0], aperture)
         for states in model._train_states[1:]:
             fold = original(fold, cesn.compute_conceptor(states, aperture))
-        assert np.array_equal(model.memory.m, fold.m)
-        # the quota is trace(NOT memory) / N; 1 - trace(memory) / N rounds differently
+        assert np.array_equal(model.memory.u, fold.u)
+        assert np.array_equal(model.memory.lam, fold.lam)
         n = model.cfg.reservoir_size
-        assert np.trace(np.eye(n) - model.memory.m) / n == model.quota_history[-1]
-        assert all(c.correlation is None for c in model.conceptors)
+        assert 1.0 - fold.s.sum() / n == model.quota_history[-1]
 
     @pytest.mark.parametrize("n_train", [100, 200], ids=["T<N", "T>N"])
     def test_ridge_systems_go_through_solve_spd(self, monkeypatch, n_train):
-        calls = {"solve_spd": 0, "pinv": 0}
+        calls = {"solve_spd": 0, "pinv": 0, "sym_eig": 0}
         for name in calls:
             def counting(*args, _name=name, _original=getattr(linalg, name)):
                 calls[_name] += 1
@@ -209,9 +224,11 @@ class TestFreeMemory:
         for period in periods:
             load_signal(model, sine(period, n_train))
         model.train_readout()
-        # per pattern: the D update, its conceptor and (after the first) the
-        # OR into the running memory; then the readout
-        assert calls == {"solve_spd": 3 * len(periods), "pinv": 0}
+        # per pattern: the ridge solve of the b update, and the eigendecompositions
+        # of its conceptor and (after the first) of the OR into the running
+        # memory; then the readout's solve
+        assert calls == {"solve_spd": len(periods) + 1, "pinv": 0,
+                         "sym_eig": 2 * len(periods) - 1}
 
     def test_similar_patterns_consume_less_than_dissimilar(self):
         similar = signal_model(seed=5)
@@ -229,13 +246,13 @@ class TestLoadingAndRecall:
         model = signal_model(n_res=n_res, aperture=10.0)
         load_signal(model, sine(8.0, n_train))
         signal = sine(13.0, n_train)[:, None]
-        free, _ = model.free_memory()
+        free = dense_not(conceptor_matrix(model.memory))
         b_before = model.b.copy()
         d_before = model.w_in @ b_before
         washout = model.cfg.washout
         v = model.drive(signal)
         v_old = np.concatenate([np.zeros((n_res, 1)), v[:, :-1]], axis=1)[:, washout:]
-        s = free.m @ v_old
+        s = free @ v_old
         t_mat = model.w_in @ signal[washout:].T - d_before @ v_old
         n = s.shape[1]
         gram = s @ s.T / n + model.cfg.aperture ** -2 * np.eye(n_res)
@@ -290,7 +307,7 @@ class TestLoadingAndRecall:
         load_signal(model, sine(8.0, 400))
         model.train_readout()
         # recall's autonomous update, run here to see every state it visits
-        c, wd = model.conceptors[0].m, model.w + model.w_in @ model.b
+        c, wd = conceptor_matrix(model.conceptors[0]), model.w + model.w_in @ model.b
         v = model.pattern_states[0]
         largest = 0.0
         for _ in range(10_000):
@@ -477,11 +494,11 @@ class TestSerialization:
         assert vars(restored).keys() == vars(model).keys()
         for name in ("w", "w_in", "b", "w_out"):
             assert np.array_equal(getattr(restored, name), getattr(model, name))
-        assert [c.m.tobytes() for c in restored.conceptors] == \
-            [c.m.tobytes() for c in model.conceptors]
+        for name in ("u", "lam"):
+            assert [getattr(c, name).tobytes() for c in restored.conceptors] == \
+                [getattr(c, name).tobytes() for c in model.conceptors]
         assert [v.tobytes() for v in restored.pattern_states] == \
             [v.tobytes() for v in model.pattern_states]
-        assert all(c.correlation is None for c in model.conceptors + restored.conceptors)
         for name in ("memory", "_train_states", "_train_targets", "quota_history"):
             assert getattr(restored, name) == getattr(model, name)
         assert np.array_equal(restored.recall(1, 30), model.recall(1, 30))
@@ -499,14 +516,18 @@ class TestSerialization:
     @pytest.mark.parametrize("name, edit, message", [
         pytest.param(name, cut, "has shape ", id=f"{name}-cut") for name, cut in [
             ("w", lambda a: a[:-1]), ("b", lambda a: a[:, :-1]), ("w_in", lambda a: a[:-1]),
-            ("w_out", lambda a: a[:, :-1]), ("conceptor_ms", lambda a: a[:, :-1, :-1]),
-            ("pattern_states", lambda a: a[:1]), ("quota_history", lambda a: a[:-1])]
+            ("w_out", lambda a: a[:, :-1]), ("conceptor_u", lambda a: a[:, :-1]),
+            ("conceptor_lam", lambda a: a[:, :-1]), ("pattern_states", lambda a: a[:1]),
+            ("quota_history", lambda a: a[:-1])]
     ] + [
         pytest.param(name, lambda a, v=value: last_entry_set(a, v), "has a non-finite entry",
                      id=f"{name}-{value}")
         for name, value in [("w", np.nan), ("w_in", np.inf), ("b", np.nan), ("w_out", np.inf),
-                            ("conceptor_ms", np.nan), ("pattern_states", np.inf),
-                            ("quota_history", np.nan)]
+                            ("conceptor_u", np.nan), ("conceptor_lam", np.nan),
+                            ("pattern_states", np.inf), ("quota_history", np.nan)]
+    ] + [
+        pytest.param("conceptor_lam", lambda a: last_entry_set(a, -1e-3), "has a negative eigenvalue",
+                     id="conceptor_lam-negative"),
     ])
     def test_inconsistent_arrays_rejected(self, tmp_path, name, edit, message):
         model = signal_model(n_res=10)

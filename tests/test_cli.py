@@ -258,10 +258,12 @@ def _raise_channel_error(*args, **kwargs):
     ({}, "flat models", 2, "missing model files for user 0"),
     ({}, "channel error", 3, "ChannelError: zero distance"),
     ({}, "out is a file", 2, "cannot use output directory"),
-    ({}, "version 1 models", 2, "model format version 1 is not the supported version 4"),
+    ({}, "version 1 models", 2, "model format version 1 is not the supported version 5"),
     ({}, "one-dimensional input map", 2, "unreadable model file"),
     ({}, "cut pattern states", 2, "pattern_states has shape (4, 25), not (4, 50)"),
     ({}, "NaN readout entry", 2, "w_out has a non-finite entry"),
+    ({}, "version 4 models", 2, "model format version 4 is not the supported version 5"),
+    ({}, "stored aperture 0", 2, "aperture: must be positive, got 0"),
     ({}, "undecodable config", 2, "cannot read config file"),
     ({}, "config is a directory", 2, "cannot read config file"),
 ], ids=["degenerate-reservoir", "memory-exhausted", "washout-vs-samples",
@@ -269,8 +271,8 @@ def _raise_channel_error(*args, **kwargs):
         "mobility-pattern-count-mismatch", "mobility-pattern-count-mismatch-at-equal-width",
         "content-file-as-mobility-at-equal-pattern-count", "flat-model-files", "channel-error",
         "out-is-a-file", "version-1-model-file", "one-dimensional-input-map",
-        "inconsistent-model-shapes", "non-finite-model-entry", "config-not-utf8",
-        "config-is-a-directory"])
+        "inconsistent-model-shapes", "non-finite-model-entry", "version-4-model-file",
+        "stored-aperture-zero", "config-not-utf8", "config-is-a-directory"])
 def test_domain_errors_map_to_exit_codes(tmp_path, capsys, monkeypatch, override, source,
                                          code, message):
     cfg = tmp_path / "cfg.json"
@@ -285,7 +287,7 @@ def test_domain_errors_map_to_exit_codes(tmp_path, capsys, monkeypatch, override
         argv = ["simulate", "--models", str(tmp_path)] + argv
     elif source in ("trained models", "content model as mobility", "flat models",
                     "version 1 models", "one-dimensional input map", "cut pattern states",
-                    "NaN readout entry"):
+                    "NaN readout entry", "version 4 models", "stored aperture 0"):
         trained_cfg = tmp_path / "trained.json"
         trained_cfg.write_text(json.dumps(
             merge_documents(TINY, override) if source == "content model as mobility" else TINY))
@@ -296,12 +298,16 @@ def test_domain_errors_map_to_exit_codes(tmp_path, capsys, monkeypatch, override
             (models / "user000_mobility.npz").write_bytes(
                 (models / "user000_content.npz").read_bytes())
         if source in ("version 1 models", "one-dimensional input map", "cut pattern states",
-                      "NaN readout entry"):
+                      "NaN readout entry", "version 4 models", "stored aperture 0"):
             path = tmp_path / "trained" / "models" / "user000_content.npz"
             with np.load(path) as data:
                 members = dict(data)
-            if source == "version 1 models":
-                members["format_version"] = np.int64(1)
+            if source in ("version 1 models", "version 4 models"):
+                members["format_version"] = np.int64(int(source.split()[1]))
+            elif source == "stored aperture 0":
+                stored = json.loads(bytes(members["cfg"]).decode("utf-8"))
+                members["cfg"] = np.frombuffer(
+                    json.dumps(dict(stored, aperture=0.0)).encode("utf-8"), dtype=np.uint8)
             elif source == "one-dimensional input map":
                 members["w_in"] = members["w_in"][:, 0]
             elif source == "NaN readout entry":

@@ -3,7 +3,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from conftest import DenseInputSimulation, desk_config, reference_context
+from conftest import (DenseConceptors, DenseInputSimulation, conceptor_matrix, desk_config,
+                      reference_context)
 from uavcache import cesn
 from uavcache.config import (ConfigError, EsnConfig, RandomSource, ScenarioConfig,
                              load_config_dict)
@@ -245,7 +246,7 @@ def test_trained_model_keeps_only_recall_state(task):
     assert model.memory is None
     assert model._train_states == [] and model._train_targets == []
     recall_bytes = (model.w.nbytes + model.w_in.nbytes + model.b.nbytes + model.w_out.nbytes
-                    + sum(c.m.nbytes for c in model.conceptors)
+                    + sum(c.u.nbytes + c.lam.nbytes for c in model.conceptors)
                     + sum(s.nbytes for s in model.pattern_states))
     assert reachable_buffer_bytes(model) == recall_bytes
     washout = cfg.esn.washout
@@ -286,6 +287,42 @@ def test_factored_input_simulation_matches_the_dense_reference(monkeypatch, cfg,
         expected = dense.recall(p, steps)
         assert (np.abs(model.recall(p, steps) - expected).max()
                 <= FACTORED_RECALL_RTOL * np.abs(expected).max())
+
+
+# Bounds fixed before the first run.  A scratch prototype read 1.5e-11 on the
+# conceptors and 7.2e-12 on the quotas.
+FACTORED_CONCEPTOR_TOL = 1e-9
+FACTORED_QUOTA_TOL = 1e-9
+FACTORED_CONCEPTOR_RECALL_RTOL = 1e-7
+
+
+@pytest.mark.parametrize("cfg, task", [
+    (desk_config(), "content"), (desk_config(), "mobility"),
+    (load_config_dict({"esn": {"reservoir_size": 500}}), "content"),
+    (load_config_dict({"esn": {"reservoir_size": 500}, "seed": ScenarioConfig().seed + 99}),
+     "content"),
+], ids=["desk-content", "desk-mobility", "p12-seed0", "p12-seed99"])
+def test_factored_conceptors_match_the_dense_reference(monkeypatch, cfg, task):
+    """Conceptors kept as eigenbases load, fit and recall as dense N x N conceptors do.
+
+    The ``p12`` cases are the benchmark's ``train_p12`` model, as in the test above.
+    """
+    world, trainer = SyntheticWorld(cfg), TRAINERS[task][0]
+    model, _ = trainer(cfg, world, 0)
+    with monkeypatch.context() as patched:
+        patched.setattr(cesn, "EsnModel", DenseConceptors)
+        dense, _ = trainer(cfg, world, 0)
+    assert np.abs(np.subtract(model.quota_history, dense.quota_history)).max() \
+        <= FACTORED_QUOTA_TOL
+    # the readout sees only the driven states, which no conceptor touches
+    assert model._fit_nrmse == dense._fit_nrmse
+    steps = 2 * cfg.slots_per_cache_period
+    for p in range(model.n_patterns):
+        assert np.abs(conceptor_matrix(model.conceptors[p]) - dense.conceptors[p]).max() \
+            <= FACTORED_CONCEPTOR_TOL
+        expected = dense.recall(p, steps)
+        assert (np.abs(model.recall(p, steps) - expected).max()
+                <= FACTORED_CONCEPTOR_RECALL_RTOL * np.abs(expected).max())
 
 
 def model_of_patterns(world, task, patterns):
