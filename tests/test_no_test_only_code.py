@@ -1,9 +1,11 @@
-"""Every public module-level function and class in the package has a non-test caller.
+"""Every public module-level function and class in the package, and every public
+method of a public class, has a non-test caller.
 
 A name counts as used when some top-level statement of ``src/uavcache/*.py``
 or ``scripts/*.py``, other than its own definition, refers to it as a name,
-an attribute or a ``from`` import.  Code only the tests reach belongs in the
-tests.
+an attribute or a ``from`` import.  A method also counts as used when another
+statement of its own class refers to it.  Code only the tests reach belongs
+in the tests.
 """
 
 import ast
@@ -38,8 +40,17 @@ def unreferenced_definitions() -> list[str]:
                 continue
             if stmt.name.startswith("_"):
                 continue
-            if not any(stmt.name in names for key, names in uses.items() if key != (path, i)):
+            others = [names for key, names in uses.items() if key != (path, i)]
+            if not any(stmt.name in names for names in others):
                 unused.append(f"{path.stem}.{stmt.name}")
+            if not isinstance(stmt, ast.ClassDef):
+                continue
+            for member in stmt.body:
+                if not isinstance(member, ast.FunctionDef) or member.name.startswith("_"):
+                    continue
+                siblings = [referenced_names(m) for m in stmt.body if m is not member]
+                if not any(member.name in names for names in others + siblings):
+                    unused.append(f"{path.stem}.{stmt.name}.{member.name}")
     return unused
 
 
