@@ -69,14 +69,15 @@ TINY_INFEASIBLE = ("0db330ceca192cd5a39a4975998aa97882d02c507a237ff819f3082e4ef9
 TINY_IDLE = ("c44f27b2f66f98eb3d19065bfcefbb564b4385f1b64f3d13228981d3513c4e11",
              "46f9546bb510a96cb878728adbf8b023588a2a0657b26944775fbb9896302c9c")
 
-# tiny_cfg user 0: cesn.save_model bytes (format version 4, the input simulation's
-# factor b, next-waypoint mobility readout) and the exact quota history per task
+# tiny_cfg user 0: cesn.save_model bytes (format version 5, conceptors as eigenbases,
+# the input simulation's factor b, next-waypoint mobility readout) and the exact quota
+# history per task
 TINY_USER0_MODELS = {
-    "content": ("433023ded9692178f763b47903d35dc057dbf8e20f98dc4bcda61182d1558fa6",
-                [1.0, 0.9499998580448324, 0.9001541603391818, 0.851034313726619,
-                 0.8022369504063818]),
-    "mobility": ("d60861a66873ed17b4c3dfb0473e9898d5de6968eed9a785d435c09085ea1377",
-                 [1.0, 0.8523196341111114, 0.8240778871275887]),
+    "content": ("e3061b50546f7f4c4f55e067bed5dfbf4df3796859fffa863ed7815e0c23d7f0",
+                [1.0, 0.9499998580460384, 0.9001541603431975, 0.8510343137343321,
+                 0.8022369504152738]),
+    "mobility": ("a2f72751c007eaaf6c519af6da742b92b11decd01ff370706c2def89234c26b8",
+                 [1.0, 0.8523196341111046, 0.8240778871275749]),
 }
 
 # tiny_cfg through `uavcache train`: training_report.csv, fits included; the mobility
