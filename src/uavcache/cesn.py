@@ -122,6 +122,7 @@ def _conceptor_of_factor(z: np.ndarray, aperture: float) -> Conceptor:
     lam, u = lam[keep], vecs[:, keep]
     if k < n:
         u = (z @ u) / np.sqrt(lam)
+    # C order, as load_model restores it, so a loaded model recalls the same bits
     return Conceptor(u=np.ascontiguousarray(u), lam=lam, aperture=aperture)
 
 

@@ -99,6 +99,11 @@ def conceptor_matrix(c: cesn.Conceptor) -> np.ndarray:
     return (c.u * c.s) @ c.u.T
 
 
+def zero_conceptor(dim: int, aperture: float = 15.0) -> cesn.Conceptor:
+    """The conceptor of a zero correlation: no directions."""
+    return cesn.Conceptor(u=np.zeros((dim, 0)), lam=np.zeros(0), aperture=aperture)
+
+
 def dense_conceptor(r: np.ndarray, aperture: float) -> np.ndarray:
     """M = R (R + aperture^-2 I)^-1 of a state correlation R, solved densely."""
     m = np.linalg.solve(r + aperture ** -2 * np.eye(r.shape[0]), r)
@@ -145,7 +150,8 @@ class DenseConceptors(cesn.EsnModel):
         return {"quota_before": quota_before, "quota_after": self.quota_history[-1]}
 
     def recall(self, pattern: int, steps: int) -> np.ndarray:
-        c, v, wd = self.conceptors[pattern], self.pattern_states[pattern], self.w + self.w_in @ self.b
+        c, v = self.conceptors[pattern], self.pattern_states[pattern]
+        wd = self.w + self.w_in @ self.b
         outputs = np.empty((steps, self.output_dim))
         for t in range(steps):
             v = c @ np.tanh(wd @ v)

@@ -14,7 +14,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import conceptor_matrix, desk_config, place_uav_exhaustive
+from conftest import conceptor_matrix, desk_config, place_uav_exhaustive, zero_conceptor
 from uavcache import cesn, placement, sim
 from uavcache.channel import zf_beamformer
 from uavcache.cli import main
@@ -261,7 +261,7 @@ def test_criterion_10_conceptor_algebra():
         dim = int(rng.integers(2, 16))
         c = cesn.compute_conceptor(rng.standard_normal((dim, 4 * dim)), 15.0)
         d = cesn.compute_conceptor(rng.standard_normal((dim, 4 * dim)), 15.0)
-        zero = cesn.Conceptor(u=np.zeros((dim, 0)), lam=np.zeros(0), aperture=15.0)
+        zero = zero_conceptor(dim)
         ok = ok and c.s.min() >= -tol and c.s.max() < 1.0
         # the OR identities on the factored form, compared as the matrices it stands for
         checks = [

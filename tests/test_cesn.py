@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import conceptor_matrix, dense_conceptor, dense_not, echo_state_gap
+from conftest import (conceptor_matrix, dense_conceptor, dense_not, echo_state_gap,
+                      zero_conceptor)
 from uavcache import cesn, linalg
 from uavcache.config import EsnConfig, RandomSource
 
@@ -62,11 +63,6 @@ class TestDrive:
         model = signal_model()
         with pytest.raises(ValueError):
             model.drive(np.ones((5, 3)))
-
-
-def zero_conceptor(dim: int, aperture: float = 15.0) -> cesn.Conceptor:
-    """The conceptor of a zero correlation: no directions."""
-    return cesn.Conceptor(u=np.zeros((dim, 0)), lam=np.zeros(0), aperture=aperture)
 
 
 class TestConceptorAlgebra:
@@ -526,8 +522,8 @@ class TestSerialization:
                             ("conceptor_u", np.nan), ("conceptor_lam", np.nan),
                             ("pattern_states", np.inf), ("quota_history", np.nan)]
     ] + [
-        pytest.param("conceptor_lam", lambda a: last_entry_set(a, -1e-3), "has a negative eigenvalue",
-                     id="conceptor_lam-negative"),
+        pytest.param("conceptor_lam", lambda a: last_entry_set(a, -1e-3),
+                     "has a negative eigenvalue", id="conceptor_lam-negative"),
     ])
     def test_inconsistent_arrays_rejected(self, tmp_path, name, edit, message):
         model = signal_model(n_res=10)
