@@ -35,21 +35,23 @@ def main() -> None:
 
     t_train = np.arange(n_train, dtype=float)
     t_eval = np.arange(n_train, n_train + window, dtype=float)
-    for name, make in SIGNALS.items():
-        s = make(t_train)
-        report = model.load_pattern(s[:, None], s[:, None])
+    # the signals are driven together, then stored one after another
+    signals = [make(t_train)[:, None] for make in SIGNALS.values()]
+    reports = model.load_patterns([(s, s) for s in signals], names=list(SIGNALS))
+    for name, report in zip(SIGNALS, reports):
         print(f"loaded {name:<18} free memory {report['quota_after']:.4f} "
               f"(used {report['quota_used']:.4f})")
     model.train_readout()
 
     print()
-    for i, (name, make) in enumerate(SIGNALS.items()):
-        replay = model.recall(i, window)[:, 0]
+    # every stored pattern replays in one pass
+    replays = model.recall(range(len(SIGNALS)), window)[:, :, 0]
+    for (name, make), replay in zip(SIGNALS.items(), replays):
         err = cesn.nrmse(replay, make(t_eval))
         print(f"replay {name:<18} NRMSE {err:.4f}")
 
-    dup = np.sin(2 * np.pi * (t_train + 0.2) / 8.0)
-    report = model.load_pattern(dup[:, None], dup[:, None])
+    dup = np.sin(2 * np.pi * (t_train + 0.2) / 8.0)[:, None]
+    report, = model.load_patterns([(dup, dup)], names=["near-duplicate"])
     print(f"\nnear-duplicate of the first sine used {report['quota_used']:.4f} "
           f"of the reservoir (a dissimilar pattern costs several times more)")
 

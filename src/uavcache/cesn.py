@@ -28,12 +28,19 @@ The conceptor does two jobs:
   state columns, which ``linalg.solve_ridge`` solves in the smaller of N and T.
 
 The linear readout is ridge-regressed jointly over every loaded pattern's
-states, so one output matrix serves all patterns.
+states, so one output matrix serves all patterns; its sums are added up one
+pattern at a time.
+
+A pattern's states are driven from a zero state by ``w`` and ``w_in`` alone,
+so a model's patterns are independent until they are loaded.  ``drive`` steps
+them together as one state block, and ``recall`` replays them the same way.
 
 A model's life has four steps:
 
-1. ``load_pattern`` for each pattern.  The model buffers the pattern's states
-   and targets for the readout and ORs its conceptor into the running memory.
+1. ``load_patterns`` with one or more patterns.  It checks every pattern,
+   drives them together, then ``load_pattern`` stores each in order on its
+   states: it updates B, buffers the states and targets for the readout and
+   ORs the pattern's conceptor into the running memory.
 2. ``train_readout`` fits the readout and records each pattern's fit NRMSE.
    Steps 1 and 2 may alternate: a pattern loaded after a readout joins the
    next one.
@@ -44,13 +51,14 @@ A model's life has four steps:
    ``load_model`` hold the same state and both refuse further training with
    ``ReadOnlyModel``; only the released one still reports its fit NRMSEs,
    which the model file does not store.
-4. ``recall`` replays a stored pattern.
+4. ``recall`` replays stored patterns together.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -187,36 +195,83 @@ class EsnModel:
     def n_patterns(self) -> int:
         return len(self.conceptors)
 
-    def drive(self, inputs: np.ndarray) -> np.ndarray:
-        """Run the input-driven update; returns states as columns (N_w, T)."""
-        inputs = np.atleast_2d(np.asarray(inputs, dtype=float))
-        if inputs.shape[1] != self.input_dim:
-            raise ValueError(f"input dim {inputs.shape[1]} != model dim {self.input_dim}")
-        n = self.cfg.reservoir_size
-        v = np.zeros(n)
-        out = np.empty((n, inputs.shape[0]))
-        drive_terms = inputs @ self.w_in.T
-        for t in range(inputs.shape[0]):
-            v = np.tanh(self.w @ v + drive_terms[t])
-            out[:, t] = v
-        return out
+    def drive(self, inputs: Sequence[np.ndarray]) -> list[np.ndarray]:
+        """Run the input-driven update of several patterns together, each from a zero state.
 
-    def load_pattern(self, inputs: np.ndarray, targets: np.ndarray) -> dict:
-        """Store one pattern: update B inside the free memory, add its conceptor.
+        ``inputs`` holds each pattern's (T_p, input width) inputs.  The patterns
+        step as the rows of one (P, N) state block, longest first, so a step is
+        one product with ``w`` for every pattern still running; a shorter
+        pattern leaves the block when it ends.  Returns each pattern's states as
+        columns (N, T_p), in the given order: views of one (sum of T_p, N) array.
+        """
+        inputs = [np.atleast_2d(np.asarray(u, dtype=float)) for u in inputs]
+        for u in inputs:
+            if u.shape[1] != self.input_dim:
+                raise ValueError(f"input dim {u.shape[1]} != model dim {self.input_dim}")
+        if not inputs:
+            return []
+        order = sorted(range(len(inputs)), key=lambda p: -len(inputs[p]))
+        lengths = np.array([len(inputs[p]) for p in order])
+        starts = np.cumsum(lengths) - lengths
+        # row j of the block steps pattern order[j]; its states fill rows starts[j] + t
+        block_inputs = np.zeros((lengths[0], len(order), self.input_dim))
+        for j, p in enumerate(order):
+            block_inputs[:lengths[j], j] = inputs[p]
+        out = np.empty((lengths.sum(), self.cfg.reservoir_size))
+        v = np.zeros((len(order), self.cfg.reservoir_size))
+        running = len(order)
+        for t in range(lengths[0]):
+            while lengths[running - 1] <= t:
+                running -= 1
+            v[:running] = np.tanh(v[:running] @ self.w.T
+                                  + block_inputs[t, :running] @ self.w_in.T)
+            out[starts[:running] + t] = v[:running]
+        states = {p: out[starts[j]:starts[j] + lengths[j]].T for j, p in enumerate(order)}
+        return [states[p] for p in range(len(inputs))]
 
-        Returns a small report with the free-memory quota before and after.
+    def load_patterns(self, patterns: Sequence[tuple[np.ndarray, np.ndarray]],
+                      names: Sequence[str] | None = None) -> list[dict]:
+        """Store patterns in order, given as (inputs, targets) pairs.
+
+        Every pattern is checked before any is driven, and an error names the
+        pattern by ``names`` (default "pattern i", i its index in the model).
+        The patterns are driven together, then ``load_pattern`` stores each on
+        its states.  Returns ``load_pattern``'s reports.
         """
         self._check_trainable()
-        inputs = np.atleast_2d(np.asarray(inputs, dtype=float))
-        targets = np.atleast_2d(np.asarray(targets, dtype=float))
-        if inputs.shape[0] != targets.shape[0]:
-            raise ValueError("inputs and targets must have equal length")
-        if targets.shape[1] != self.output_dim:
-            raise ValueError(f"target dim {targets.shape[1]} != model dim {self.output_dim}")
-        if inputs.shape[0] <= self.cfg.washout:
-            raise TooFewSamples(f"{inputs.shape[0]} samples leave none after the washout of "
-                                f"{self.cfg.washout}; lower esn.washout or train longer")
+        patterns = [(np.atleast_2d(np.asarray(inputs, dtype=float)),
+                     np.atleast_2d(np.asarray(targets, dtype=float)))
+                    for inputs, targets in patterns]
+        if names is None:
+            names = [f"pattern {self.n_patterns + i}" for i in range(len(patterns))]
+        for name, (inputs, targets) in zip(names, patterns, strict=True):
+            self._check_pattern(name, inputs, targets)
+        states = self.drive([inputs for inputs, _ in patterns])
+        return [self.load_pattern(inputs, targets, x)
+                for (inputs, targets), x in zip(patterns, states)]
 
+    def _check_pattern(self, name: str, inputs: np.ndarray, targets: np.ndarray) -> None:
+        if inputs.shape[1] != self.input_dim:
+            raise ValueError(f"{name}: input width {inputs.shape[1]} != model width "
+                             f"{self.input_dim}")
+        if targets.shape[1] != self.output_dim:
+            raise ValueError(f"{name}: target width {targets.shape[1]} != model width "
+                             f"{self.output_dim}")
+        if inputs.shape[0] != targets.shape[0]:
+            raise ValueError(f"{name}: {inputs.shape[0]} input rows but {targets.shape[0]} "
+                             "target rows")
+        if inputs.shape[0] <= self.cfg.washout:
+            raise TooFewSamples(f"{name}: {inputs.shape[0]} samples leave none after the "
+                                f"washout of {self.cfg.washout}; lower esn.washout or train "
+                                "longer")
+
+    def load_pattern(self, inputs: np.ndarray, targets: np.ndarray, states: np.ndarray) -> dict:
+        """Store one pattern on its driven states: update B inside the free memory, add
+        its conceptor.
+
+        ``load_patterns`` checks the pattern and drives it to ``states``.
+        Returns a small report with the free-memory quota before and after.
+        """
         n = self.cfg.reservoir_size
         quota_before = free_memory(self.memory, n)
         if quota_before <= QUOTA_MIN:
@@ -224,7 +279,6 @@ class EsnModel:
                 f"free memory {quota_before:.4f} <= {QUOTA_MIN}; retrain with a larger reservoir"
             )
 
-        states = self.drive(inputs)
         keep = slice(self.cfg.washout, states.shape[1])
         v_old = np.concatenate([np.zeros((n, 1)), states[:, :-1]], axis=1)[:, keep]
 
@@ -266,13 +320,16 @@ class EsnModel:
         if not self._train_states:
             raise UntrainedModel("no patterns loaded")
         lam = self.cfg.ridge
-        v = np.concatenate(self._train_states, axis=1)
-        y = np.concatenate(self._train_targets, axis=1)
-        gram = v @ v.T + lam ** 2 * np.eye(v.shape[0])
+        # sums over the patterns, one pattern at a time: no copy of all states
+        gram = lam ** 2 * np.eye(self.cfg.reservoir_size)
+        cross = np.zeros((self.cfg.reservoir_size, len(self._train_targets[0])))
+        for v, y in zip(self._train_states, self._train_targets):
+            gram += v @ v.T
+            cross += v @ y.T
         if lam > 0.0:
-            self.w_out = linalg.solve_spd(gram, v @ y.T).T
+            self.w_out = linalg.solve_spd(gram, cross).T
         else:
-            self.w_out = (linalg.pinv(gram) @ (v @ y.T)).T
+            self.w_out = (linalg.pinv(gram) @ cross).T
         self._fit_nrmse = []
         for v, y in zip(self._train_states, self._train_targets):
             try:
@@ -303,25 +360,43 @@ class EsnModel:
             raise ValueError(f"pattern {pattern} has identically zero targets; NRMSE undefined")
         return fit
 
-    def recall(self, pattern: int, steps: int) -> np.ndarray:
-        """Autonomous conceptor-filtered replay of one stored pattern.
+    def recall(self, patterns: Sequence[int], steps: int) -> np.ndarray:
+        """Autonomous conceptor-filtered replay of several stored patterns together.
 
-        The run starts from the pattern's final training state, so the replay
-        continues the training sequence in phase.
+        Each pattern's run starts from its final training state, so the replay
+        continues its training sequence in phase.  The patterns step as the
+        rows of one (P, N) state block x: one product with w + w_in b per step,
+        then u_p (s_p * u_p^T tanh(.)) per row, with the conceptor factors
+        stacked as ``save_model`` stores them.  Returns (P, steps, output width).
         """
-        if not (0 <= pattern < self.n_patterns):
-            raise IndexError(f"pattern {pattern} not loaded (have {self.n_patterns})")
+        patterns = list(patterns)
+        for p in patterns:
+            if not (0 <= p < self.n_patterns):
+                raise IndexError(f"pattern {p} not loaded (have {self.n_patterns})")
         if self.w_out is None:
             raise UntrainedModel("readout not trained")
-        c = self.conceptors[pattern]
-        u, s = c.u, c.s
-        v = self.pattern_states[pattern].copy()
-        outputs = np.empty((steps, self.output_dim))
+        u, lam = _stacked_factors([self.conceptors[p] for p in patterns],
+                                  self.cfg.reservoir_size)
+        s = (lam / (lam + self.cfg.aperture ** -2))[:, :, None]
+        ut = u.transpose(0, 2, 1)
+        v = np.stack([self.pattern_states[p] for p in patterns])
         wd = self.w + self.w_in @ self.b
+        outputs = np.empty((len(patterns), steps, self.output_dim))
         for t in range(steps):
-            v = u @ (s * (u.T @ np.tanh(wd @ v)))
-            outputs[t] = self.w_out @ v
+            x = np.tanh(v @ wd.T)
+            v = (u @ (s * (ut @ x[:, :, None])))[:, :, 0]
+            outputs[:, t] = v @ self.w_out.T
         return outputs
+
+
+def _stacked_factors(conceptors: list[Conceptor], dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """The conceptors' (P, dim, rank) ``u`` and (P, rank) ``lam``, each zero-padded to the
+    largest rank; a zero eigenvalue adds nothing to a conceptor."""
+    rank = max((len(c.lam) for c in conceptors), default=0)
+    us, lams = np.zeros((len(conceptors), dim, rank)), np.zeros((len(conceptors), rank))
+    for c, u, lam in zip(conceptors, us, lams):
+        u[:, :len(c.lam)], lam[:len(c.lam)] = c.u, c.lam
+    return us, lams
 
 
 def nrmse(predicted, truth) -> float:
@@ -369,11 +444,7 @@ def save_model(model: EsnModel, path) -> None:
     if model.w_out is None:
         raise UntrainedModel("readout not trained")
     cfg_doc = json.dumps(dataclasses.asdict(model.cfg))
-    # pattern p's factors fill the first columns of row p; the rest are zero
-    p, rank = model.n_patterns, max(len(c.lam) for c in model.conceptors)
-    us, lams = np.zeros((p, model.cfg.reservoir_size, rank)), np.zeros((p, rank))
-    for c, u, lam in zip(model.conceptors, us, lams):
-        u[:, :len(c.lam)], lam[:len(c.lam)] = c.u, c.lam
+    us, lams = _stacked_factors(model.conceptors, model.cfg.reservoir_size)
     _write_npz_deterministic(path, {
         "format_version": np.int64(MODEL_FORMAT_VERSION),
         "cfg": np.frombuffer(cfg_doc.encode("utf-8"), dtype=np.uint8),

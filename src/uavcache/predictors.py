@@ -60,26 +60,27 @@ def mobility_pattern_data(world: SyntheticWorld, user: int, dtype_idx: int,
     return inputs, world.collections[user, slots // h + 1] / cfg.area_radius_m
 
 
-def _request_distribution(model: cesn.EsnModel, pattern: int, steps: int,
-                          warmup: int) -> np.ndarray:
-    """Replay a content pattern and read its mean readout as a distribution.
+def _request_distributions(model: cesn.EsnModel, steps: int, warmup: int) -> np.ndarray:
+    """Replay every content pattern together and read each one's mean readout as a
+    distribution, (patterns, contents).
 
     ``warmup`` autonomous steps are discarded before averaging, letting the
     replay settle onto the pattern's attractor.  A readout with no positive
     mass gives the uniform distribution.
     """
-    raw = model.recall(pattern, warmup + steps)[warmup:].mean(axis=0)
+    raw = model.recall(range(model.n_patterns), warmup + steps)[:, warmup:].mean(axis=1)
     clipped = np.clip(raw, 0.0, None)
-    total = clipped.sum()
-    if total <= 0.0:
-        return np.full(raw.shape, 1.0 / raw.size)
-    return clipped / total
+    total = clipped.sum(axis=1, keepdims=True)
+    has_mass = total[:, 0] > 0.0
+    distributions = np.full(raw.shape, 1.0 / raw.shape[1])
+    distributions[has_mass] = clipped[has_mass] / total[has_mass]
+    return distributions
 
 
 def _next_waypoints(model: cesn.EsnModel, pattern: int, steps: int,
                     area_radius_m: float) -> np.ndarray:
     """Replay a mobility pattern; (steps, 2) next waypoints in meters, clamped to the disk."""
-    pos = model.recall(pattern, steps) * area_radius_m
+    pos = model.recall([pattern], steps)[0] * area_radius_m
     norms = np.linalg.norm(pos, axis=1, keepdims=True)
     scale = np.where(norms > area_radius_m, area_radius_m / np.where(norms > 0, norms, 1.0), 1.0)
     return pos * scale
@@ -90,17 +91,23 @@ def _pattern_count(world: SyntheticWorld, task: str) -> int:
     return world.n_sub if task == "content" else len(DAY_TYPES)
 
 
+def _pattern_names(user: int, task: str, n_patterns: int) -> list[str]:
+    """How errors name each pattern of a user's task model: by sub-period or day type."""
+    return [f"user {user} {task} " + (f"sub-period {p}" if task == "content"
+                                      else f"day type {DAY_TYPES[p]}")
+            for p in range(n_patterns)]
+
+
 def _train(cfg: ScenarioConfig, world: SyntheticWorld, user: int, task: str,
            pattern_data) -> tuple[cesn.EsnModel, list[dict]]:
     """A released, recall-only model of the task's patterns, as wide as the first
-    pattern's arrays."""
-    rs = RandomSource(cfg.seed).derive(f"esn-{task}-{user}")
-    model, reports = None, []
-    for p in range(_pattern_count(world, task)):
-        inputs, targets = pattern_data(world, user, p, cfg.esn.training_length)
-        if model is None:
-            model = cesn.EsnModel(cfg.esn, inputs.shape[1], targets.shape[1], rs)
-        reports.append(model.load_pattern(inputs, targets))
+    pattern's arrays; the patterns are driven together."""
+    n_patterns = _pattern_count(world, task)
+    patterns = [pattern_data(world, user, p, cfg.esn.training_length) for p in range(n_patterns)]
+    inputs, targets = patterns[0]
+    model = cesn.EsnModel(cfg.esn, inputs.shape[1], targets.shape[1],
+                          RandomSource(cfg.seed).derive(f"esn-{task}-{user}"))
+    reports = model.load_patterns(patterns, _pattern_names(user, task, n_patterns))
     model.train_readout()
     model.release_training_state()
     return model, reports
@@ -189,8 +196,7 @@ class EsnPredictor:
     def _replay_user(self, u: int, content: cesn.EsnModel, mobility: cesn.EsnModel) -> None:
         cfg = self.world.cfg
         t, h = cfg.slots_per_cache_period, cfg.slots_per_collection
-        for sub in range(self.world.n_sub):
-            self.distributions[u, sub] = _request_distribution(content, sub, steps=h, warmup=h)
+        self.distributions[u] = _request_distributions(content, steps=h, warmup=h)
         # Replay one full warmup day, then read each upcoming collection
         # point from the interior of its preceding sub-period (the replayed
         # readout smooths the step transitions at collection boundaries).

@@ -94,6 +94,55 @@ def echo_state_gap(w: np.ndarray, w_in: np.ndarray, inputs: np.ndarray,
     return float(np.max(np.abs(v1 - v2)))
 
 
+def one_pattern_drive(model: cesn.EsnModel, inputs: np.ndarray) -> np.ndarray:
+    """One pattern's states (N, T) from a zero state, one matrix-vector product with
+    ``w`` per step."""
+    inputs = np.atleast_2d(np.asarray(inputs, dtype=float))
+    v = np.zeros(model.cfg.reservoir_size)
+    out = np.empty((model.cfg.reservoir_size, inputs.shape[0]))
+    drive_terms = inputs @ model.w_in.T
+    for t in range(inputs.shape[0]):
+        v = np.tanh(model.w @ v + drive_terms[t])
+        out[:, t] = v
+    return out
+
+
+def one_pattern_recall(model: cesn.EsnModel, conceptor, pattern: int, wd: np.ndarray,
+                       steps: int) -> np.ndarray:
+    """One pattern's (steps, output width) replay from its final training state through
+    the recurrent matrix ``wd`` and ``conceptor``, a dense N x N matrix or a
+    ``cesn.Conceptor`` applied as u (s * u^T x)."""
+    def apply(x):
+        if isinstance(conceptor, cesn.Conceptor):
+            return conceptor.u @ (conceptor.s * (conceptor.u.T @ x))
+        return conceptor @ x
+
+    v = model.pattern_states[pattern]
+    outputs = np.empty((steps, model.output_dim))
+    for t in range(steps):
+        v = apply(np.tanh(wd @ v))
+        outputs[t] = model.w_out @ v
+    return outputs
+
+
+class OnePatternEsn(cesn.EsnModel):
+    """Reference model that drives and recalls one pattern at a time.
+
+    ``drive`` steps each pattern alone (``one_pattern_drive``), and ``recall``
+    replays each pattern alone as u (s * u^T tanh((w + w_in b) v)) with its own
+    conceptor, as models did before a model's patterns stepped together as one
+    state block.
+    """
+
+    def drive(self, inputs) -> list[np.ndarray]:
+        return [one_pattern_drive(self, u) for u in inputs]
+
+    def recall(self, patterns, steps: int) -> np.ndarray:
+        wd = self.w + self.w_in @ self.b
+        return np.stack([one_pattern_recall(self, self.conceptors[p], p, wd, steps)
+                         for p in patterns])
+
+
 def conceptor_matrix(c: cesn.Conceptor) -> np.ndarray:
     """The dense N x N conceptor u diag(s) u^T that ``cesn`` applies without forming."""
     return (c.u * c.s) @ c.u.T
@@ -127,12 +176,11 @@ class DenseConceptors(cesn.EsnModel):
     ``recall`` filters with the dense matrices.  Inputs are not validated.
     """
 
-    def load_pattern(self, inputs, targets) -> dict:
+    def load_pattern(self, inputs, targets, states) -> dict:
         n, aperture = self.cfg.reservoir_size, self.cfg.aperture
         free = np.eye(n) if self.memory is None \
             else dense_not(dense_conceptor(self.memory, aperture))
         quota_before = np.trace(free) / n
-        states = self.drive(inputs)
         keep = slice(self.cfg.washout, states.shape[1])
         v_old = np.concatenate([np.zeros((n, 1)), states[:, :-1]], axis=1)[:, keep]
         s = free @ v_old
@@ -149,14 +197,10 @@ class DenseConceptors(cesn.EsnModel):
             np.trace(dense_not(dense_conceptor(self.memory, aperture))) / n)
         return {"quota_before": quota_before, "quota_after": self.quota_history[-1]}
 
-    def recall(self, pattern: int, steps: int) -> np.ndarray:
-        c, v = self.conceptors[pattern], self.pattern_states[pattern]
+    def recall(self, patterns, steps: int) -> np.ndarray:
         wd = self.w + self.w_in @ self.b
-        outputs = np.empty((steps, self.output_dim))
-        for t in range(steps):
-            v = c @ np.tanh(wd @ v)
-            outputs[t] = self.w_out @ v
-        return outputs
+        return np.stack([one_pattern_recall(self, self.conceptors[p], p, wd, steps)
+                         for p in patterns])
 
 
 class DenseInputSimulation(cesn.EsnModel):
@@ -174,11 +218,10 @@ class DenseInputSimulation(cesn.EsnModel):
         del self.b
         self.d = np.zeros((self.cfg.reservoir_size,) * 2)
 
-    def load_pattern(self, inputs, targets) -> dict:
+    def load_pattern(self, inputs, targets, states) -> dict:
         n = self.cfg.reservoir_size
         quota_before = cesn.free_memory(self.memory, n)
         free = np.eye(n) if self.memory is None else dense_not(conceptor_matrix(self.memory))
-        states = self.drive(inputs)
         keep = slice(self.cfg.washout, states.shape[1])
         v_old = np.concatenate([np.zeros((n, 1)), states[:, :-1]], axis=1)[:, keep]
         s = free @ v_old
@@ -193,14 +236,9 @@ class DenseInputSimulation(cesn.EsnModel):
         self.quota_history.append(cesn.free_memory(self.memory, n))
         return {"quota_before": quota_before, "quota_after": self.quota_history[-1]}
 
-    def recall(self, pattern: int, steps: int) -> np.ndarray:
-        c = conceptor_matrix(self.conceptors[pattern])
-        v, wd = self.pattern_states[pattern], self.w + self.d
-        outputs = np.empty((steps, self.output_dim))
-        for t in range(steps):
-            v = c @ np.tanh(wd @ v)
-            outputs[t] = self.w_out @ v
-        return outputs
+    def recall(self, patterns, steps: int) -> np.ndarray:
+        return np.stack([one_pattern_recall(self, conceptor_matrix(self.conceptors[p]), p,
+                                            self.w + self.d, steps) for p in patterns])
 
 
 def reference_associate_rrh(rates_bits, user_xy, device_req_bps, clusters, cfg, bound_s):

@@ -67,14 +67,14 @@ def pattern_memory():
     used, after_own = [], []
     for i, kind in enumerate(kinds):
         s = _memory_signal(kind, n)
-        used.append(model.load_pattern(s[:, None], s[:, None])["quota_used"])
+        used.append(model.load_patterns([(s[:, None], s[:, None])])[0]["quota_used"])
         model.train_readout()
-        out = model.recall(i, 60)[:, 0]
+        out = model.recall([i], 60)[0, :, 0]
         after_own.append(cesn.nrmse(out, _memory_signal(kind, 60, t0=n)))
-    final = [cesn.nrmse(model.recall(i, 60)[:, 0], _memory_signal(kind, 60, t0=n))
+    final = [cesn.nrmse(model.recall([i], 60)[0, :, 0], _memory_signal(kind, 60, t0=n))
              for i, kind in enumerate(kinds)]
-    dup = model.load_pattern(_memory_signal("near_dup", n)[:, None],
-                             _memory_signal("near_dup", n)[:, None])
+    dup_signal = _memory_signal("near_dup", n)[:, None]
+    dup, = model.load_patterns([(dup_signal, dup_signal)])
     return {
         "quota_history": model.quota_history[:5],
         "used": used,

@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (conceptor_matrix, dense_conceptor, dense_not, echo_state_gap,
-                      zero_conceptor)
+from conftest import (OnePatternEsn, conceptor_matrix, dense_conceptor, dense_not,
+                      echo_state_gap, one_pattern_drive, zero_conceptor)
 from uavcache import cesn, linalg
 from uavcache.config import EsnConfig, RandomSource
 
@@ -29,7 +29,12 @@ def signal_model(seed: int = 42, aperture: float = 60.0, n_res: int = 120,
 
 
 def load_signal(model: cesn.EsnModel, signal: np.ndarray) -> dict:
-    return model.load_pattern(signal[:, None], signal[:, None])
+    return model.load_patterns([(signal[:, None], signal[:, None])])[0]
+
+
+# Bound fixed before the first run; a scratch prototype of the batched drive read 8.9e-16.
+BATCHED_STATE_TOL = 1e-12
+BATCHED_RECALL_RTOL = 1e-7
 
 
 def last_entry_set(a: np.ndarray, value: float) -> np.ndarray:
@@ -43,26 +48,45 @@ class TestDrive:
         model = signal_model()
         model.w = np.zeros_like(model.w)
         model.w_in = np.zeros_like(model.w_in)
-        states = model.drive(np.ones((10, 1)))
+        states, = model.drive([np.ones((10, 1))])
         assert np.all(states == 0.0)
 
     def test_single_step_tanh(self):
         model = signal_model(n_res=4)
         model.w = np.zeros_like(model.w)
         model.w_in = np.eye(4)[:, :1]
-        states = model.drive(np.array([[0.7]]))
+        states, = model.drive([np.array([[0.7]])])
         assert states[0, 0] == pytest.approx(np.tanh(0.7))
         assert np.all(states[1:, 0] == 0.0)
 
     def test_states_inside_unit_box(self):
         model = signal_model()
-        states = model.drive(sine(8.0, 200)[:, None])
+        states, = model.drive([sine(8.0, 200)[:, None]])
         assert np.abs(states).max() < 1.0
 
     def test_dimension_mismatch(self):
         model = signal_model()
         with pytest.raises(ValueError):
-            model.drive(np.ones((5, 3)))
+            model.drive([np.ones((5, 3))])
+
+    def test_one_pattern_matches_the_reference(self):
+        model = signal_model()
+        signal = sine(8.0, 200)[:, None]
+        states, = model.drive([signal])
+        assert np.abs(states - one_pattern_drive(model, signal)).max() <= BATCHED_STATE_TOL
+
+    def test_patterns_out_of_length_order(self):
+        # the block steps longest first; the states come back in the given order
+        model = signal_model()
+        signals = [sine(8.0, 90)[:, None], triangle(14.0, 300)[:, None],
+                   np.full((150, 1), 0.6), sine(13.0, 300)[:, None]]
+        states = model.drive(signals)
+        assert [x.shape for x in states] == [(120, 90), (120, 300), (120, 150), (120, 300)]
+        for x, signal in zip(states, signals):
+            assert np.abs(x - one_pattern_drive(model, signal)).max() <= BATCHED_STATE_TOL
+
+    def test_no_patterns(self):
+        assert signal_model().drive([]) == []
 
 
 class TestConceptorAlgebra:
@@ -246,14 +270,14 @@ class TestLoadingAndRecall:
         b_before = model.b.copy()
         d_before = model.w_in @ b_before
         washout = model.cfg.washout
-        v = model.drive(signal)
+        v = model.drive([signal])[0]
         v_old = np.concatenate([np.zeros((n_res, 1)), v[:, :-1]], axis=1)[:, washout:]
         s = free @ v_old
         t_mat = model.w_in @ signal[washout:].T - d_before @ v_old
         n = s.shape[1]
         gram = s @ s.T / n + model.cfg.aperture ** -2 * np.eye(n_res)
         expected = (linalg.pinv(gram) @ (s @ t_mat.T / n)).T
-        model.load_pattern(signal, signal)
+        model.load_patterns([(signal, signal)])
         # D = w_in b, so the D increment is w_in times the b increment
         assert np.abs(model.w_in @ (model.b - b_before) - expected).max() \
             <= linalg.SOLVE_AGREEMENT_TOL
@@ -278,14 +302,14 @@ class TestLoadingAndRecall:
             load_signal(model, sine(period, 400))
         model.train_readout()
         for i, period in enumerate(periods):
-            out = model.recall(i, 60)[:, 0]
+            out = model.recall([i], 60)[0, :, 0]
             assert cesn.nrmse(out, sine(period, 60, t0=400)) <= 0.1
 
     def test_constant_pattern_recall(self):
         model = signal_model()
         load_signal(model, np.full(400, 0.6))
         model.train_readout()
-        out = model.recall(0, 50)[:, 0]
+        out = model.recall([0], 50)[0, :, 0]
         assert cesn.nrmse(out, np.full(50, 0.6)) <= 0.05
 
     def test_wrong_conceptor_recalls_worse(self):
@@ -294,8 +318,8 @@ class TestLoadingAndRecall:
         load_signal(model, triangle(14.0, 400))
         model.train_readout()
         truth = sine(8.0, 60, t0=400)
-        right = cesn.nrmse(model.recall(0, 60)[:, 0], truth)
-        wrong = cesn.nrmse(model.recall(1, 60)[:, 0], truth)
+        right = cesn.nrmse(model.recall([0], 60)[0, :, 0], truth)
+        wrong = cesn.nrmse(model.recall([1], 60)[0, :, 0], truth)
         assert right < wrong
 
     def test_states_stay_bounded_long_run(self):
@@ -316,10 +340,10 @@ class TestLoadingAndRecall:
         periods = (8.0, 13.0)
         load_signal(model, sine(periods[0], 400))
         model.train_readout()
-        before = cesn.nrmse(model.recall(0, 60)[:, 0], sine(periods[0], 60, t0=400))
+        before = cesn.nrmse(model.recall([0], 60)[0, :, 0], sine(periods[0], 60, t0=400))
         load_signal(model, sine(periods[1], 400))
         model.train_readout()
-        after = cesn.nrmse(model.recall(0, 60)[:, 0], sine(periods[0], 60, t0=400))
+        after = cesn.nrmse(model.recall([0], 60)[0, :, 0], sine(periods[0], 60, t0=400))
         assert after <= before + 0.05
 
     def test_memory_exhaustion_signalled(self):
@@ -330,7 +354,7 @@ class TestLoadingAndRecall:
         rng = np.random.default_rng(0)
         with pytest.raises(cesn.MemoryExhausted):
             for _ in range(10):
-                model.load_pattern(rng.standard_normal((120, 6)), np.zeros((120, 1)))
+                model.load_patterns([(rng.standard_normal((120, 6)), np.zeros((120, 1)))])
 
     @pytest.mark.parametrize("n_samples", [10, 50])
     def test_washout_must_leave_samples(self, n_samples):
@@ -343,14 +367,50 @@ class TestLoadingAndRecall:
         model = signal_model()
         load_signal(model, sine(8.0, 400))
         with pytest.raises(cesn.UntrainedModel):
-            model.recall(0, 5)
+            model.recall([0], 5)
 
     def test_unknown_pattern_rejected(self):
         model = signal_model()
         load_signal(model, sine(8.0, 400))
         model.train_readout()
         with pytest.raises(IndexError):
-            model.recall(3, 5)
+            model.recall([3], 5)
+
+    @pytest.mark.parametrize("patterns", [[1], [2, 0, 1], [1, 1]],
+                             ids=["one", "out-of-order", "repeated"])
+    def test_recall_matches_one_pattern_at_a_time(self, patterns):
+        # a constant keeps fewer directions than a sine, so the stacked factors are padded
+        model = signal_model()
+        for signal in (sine(8.0, 400), np.full(400, 0.6), triangle(14.0, 400)):
+            load_signal(model, signal)
+        model.train_readout()
+        assert len({len(c.lam) for c in model.conceptors}) > 1
+        expected = OnePatternEsn.recall(model, patterns, 60)
+        got = model.recall(patterns, 60)
+        assert got.shape == (len(patterns), 60, 1)
+        assert np.abs(got - expected).max() <= BATCHED_RECALL_RTOL * np.abs(expected).max()
+
+    def test_every_pattern_checked_before_any_is_driven(self, monkeypatch):
+        model = signal_model()
+        monkeypatch.setattr(model, "drive", lambda inputs: pytest.fail("drove"))
+        good, short = sine(8.0, 400)[:, None], sine(8.0, 50)[:, None]
+        with pytest.raises(cesn.TooFewSamples,
+                           match="^short one: 50 samples leave none after the washout of 50"):
+            model.load_patterns([(good, good), (short, short)], names=["good", "short one"])
+        with pytest.raises(cesn.TooFewSamples, match="^pattern 1: 50 samples"):
+            model.load_patterns([(good, good), (short, short)])
+        assert model.n_patterns == 0
+
+    @pytest.mark.parametrize("inputs, targets, message", [
+        (np.ones((100, 2)), np.ones((100, 1)), "input width 2 != model width 1"),
+        (np.ones((100, 1)), np.ones((100, 3)), "target width 3 != model width 1"),
+        (np.ones((100, 1)), np.ones((99, 1)), "100 input rows but 99 target rows"),
+    ], ids=["inputs", "targets", "lengths"])
+    def test_shape_errors_name_the_pattern(self, inputs, targets, message):
+        model = signal_model()
+        with pytest.raises(ValueError, match=f"^sub-period 3: {message}$"):
+            model.load_patterns([(inputs, targets)], names=["sub-period 3"])
+        assert model.n_patterns == 0
 
 
 class TestReadoutRegression:
@@ -437,11 +497,11 @@ class TestSerialization:
         load_signal(model, sine(8.0, 400))
         load_signal(model, sine(13.0, 400))
         model.train_readout()
-        expected = model.recall(1, 30)
+        expected = model.recall([1], 30)[0]
         path = tmp_path / "model.npz"
         cesn.save_model(model, path)
         restored = cesn.load_model(path)
-        assert np.array_equal(restored.recall(1, 30), expected)
+        assert np.array_equal(restored.recall([1], 30)[0], expected)
         assert restored.cfg == model.cfg
         assert restored.quota_history == model.quota_history
 
@@ -497,7 +557,7 @@ class TestSerialization:
             [v.tobytes() for v in model.pattern_states]
         for name in ("memory", "_train_states", "_train_targets", "quota_history"):
             assert getattr(restored, name) == getattr(model, name)
-        assert np.array_equal(restored.recall(1, 30), model.recall(1, 30))
+        assert np.array_equal(restored.recall([1], 30)[0], model.recall([1], 30)[0])
         # the file keeps no fit figures; only the released model still reports them
         assert model.training_nrmse(1) > 0.0
         with pytest.raises(IndexError):

@@ -244,8 +244,11 @@ def _raise_channel_error(*args, **kwargs):
      "esn.washout: must be smaller than the 42 training samples"),
     ({"esn": {"washout": 40}, "generators": {"request_probability": 0.5}}, "train", 2,
      "TooFewSamples: "),
+    ({"esn": {"washout": 36}, "generators": {"request_probability": 0.9}}, "train", 2,
+     "TooFewSamples: user 0 content sub-period 2: 34 samples leave none after the washout "
+     "of 36"),
     ({"generators": {"request_probability": 0.0}}, "train", 2,
-     "TooFewSamples: 0 samples leave none"),
+     "TooFewSamples: user 0 content sub-period 0: 0 samples leave none"),
     ({}, "garbage models", 2, "unreadable model file"),
     ({"slots_per_collection": 2}, "trained models", 2,
      "user 0 content model holds 4 patterns, config needs 6"),
@@ -267,7 +270,8 @@ def _raise_channel_error(*args, **kwargs):
     ({}, "undecodable config", 2, "cannot read config file"),
     ({}, "config is a directory", 2, "cannot read config file"),
 ], ids=["degenerate-reservoir", "memory-exhausted", "washout-vs-samples",
-        "washout-vs-drawn-samples", "no-requests", "garbage-model-file", "pattern-count-mismatch",
+        "washout-vs-drawn-samples", "drawn-samples-name-the-pattern", "no-requests",
+        "garbage-model-file", "pattern-count-mismatch",
         "mobility-pattern-count-mismatch", "mobility-pattern-count-mismatch-at-equal-width",
         "content-file-as-mobility-at-equal-pattern-count", "flat-model-files", "channel-error",
         "out-is-a-file", "version-1-model-file", "one-dimensional-input-map",
