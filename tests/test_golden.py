@@ -70,14 +70,14 @@ TINY_IDLE = ("c44f27b2f66f98eb3d19065bfcefbb564b4385f1b64f3d13228981d3513c4e11",
              "46f9546bb510a96cb878728adbf8b023588a2a0657b26944775fbb9896302c9c")
 
 # tiny_cfg user 0: cesn.save_model bytes (format version 5, conceptors as eigenbases,
-# the input simulation's factor b, next-waypoint mobility readout) and the exact quota
-# history per task
+# the input simulation's factor b, next-waypoint mobility readout, patterns driven
+# together) and the exact quota history per task
 TINY_USER0_MODELS = {
-    "content": ("e3061b50546f7f4c4f55e067bed5dfbf4df3796859fffa863ed7815e0c23d7f0",
-                [1.0, 0.9499998580460384, 0.9001541603431975, 0.8510343137343321,
-                 0.8022369504152738]),
-    "mobility": ("a2f72751c007eaaf6c519af6da742b92b11decd01ff370706c2def89234c26b8",
-                 [1.0, 0.8523196341111046, 0.8240778871275749]),
+    "content": ("5bedc35d23102404a6865728dfd7cffbde0f3b3d331a2e37692b6f15a2a9a394",
+                [1.0, 0.9499998580460338, 0.9001541603432109, 0.8510343137342945,
+                 0.8022369504152644]),
+    "mobility": ("0a3719960137e7ac48d14f7fe4f46bc19ae918b56adceb95861776320c813d17",
+                 [1.0, 0.8523196341111056, 0.8240778871276042]),
 }
 
 # tiny_cfg through `uavcache train`: training_report.csv, fits included; the mobility
