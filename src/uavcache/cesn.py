@@ -202,7 +202,7 @@ class EsnModel:
         step as the rows of one (P, N) state block, longest first, so a step is
         one product with ``w`` for every pattern still running; a shorter
         pattern leaves the block when it ends.  Returns each pattern's states as
-        columns (N, T_p), in the given order: views of one (sum of T_p, N) array.
+        columns (N, T_p), in the given order.
         """
         inputs = [np.atleast_2d(np.asarray(u, dtype=float)) for u in inputs]
         for u in inputs:
@@ -211,13 +211,14 @@ class EsnModel:
         if not inputs:
             return []
         order = sorted(range(len(inputs)), key=lambda p: -len(inputs[p]))
-        lengths = np.array([len(inputs[p]) for p in order])
-        starts = np.cumsum(lengths) - lengths
-        # row j of the block steps pattern order[j]; its states fill rows starts[j] + t
+        lengths = [len(inputs[p]) for p in order]
+        # row j of the block steps pattern order[j], and its states fill out[j]
         block_inputs = np.zeros((lengths[0], len(order), self.input_dim))
         for j, p in enumerate(order):
             block_inputs[:lengths[j], j] = inputs[p]
-        out = np.empty((lengths.sum(), self.cfg.reservoir_size))
+        # one array per pattern: freeing one array of every pattern's states
+        # would raise glibc's mmap threshold and the process's peak RSS
+        out = [np.empty((length, self.cfg.reservoir_size)) for length in lengths]
         v = np.zeros((len(order), self.cfg.reservoir_size))
         running = len(order)
         for t in range(lengths[0]):
@@ -225,8 +226,9 @@ class EsnModel:
                 running -= 1
             v[:running] = np.tanh(v[:running] @ self.w.T
                                   + block_inputs[t, :running] @ self.w_in.T)
-            out[starts[:running] + t] = v[:running]
-        states = {p: out[starts[j]:starts[j] + lengths[j]].T for j, p in enumerate(order)}
+            for j in range(running):
+                out[j][t] = v[j]
+        states = {p: out[j].T for j, p in enumerate(order)}
         return [states[p] for p in range(len(inputs))]
 
     def load_patterns(self, patterns: Sequence[tuple[np.ndarray, np.ndarray]],
