@@ -31,16 +31,14 @@ The linear readout is ridge-regressed jointly over every loaded pattern's
 states, so one output matrix serves all patterns; its sums are added up one
 pattern at a time.
 
-A pattern's states are driven from a zero state by ``w`` and ``w_in`` alone,
-so a model's patterns are independent until they are loaded.  ``drive`` steps
-them together as one state block, and ``recall`` replays them the same way.
-
 A model's life has four steps:
 
-1. ``load_patterns`` with one or more patterns.  It checks every pattern,
-   drives them together, then ``load_pattern`` stores each in order on its
-   states: it updates B, buffers the states and targets for the readout and
-   ORs the pattern's conceptor into the running memory.
+1. ``load_patterns`` with one or more patterns.  It checks every pattern and
+   drives them together as one state block (``drive``): a pattern's states
+   depend on ``w`` and ``w_in`` alone, so patterns are independent until they
+   are loaded.  Then ``load_pattern`` stores each in order on its states: it
+   updates B, buffers the states and targets for the readout and ORs the
+   pattern's conceptor into the running memory.
 2. ``train_readout`` fits the readout and records each pattern's fit NRMSE.
    Steps 1 and 2 may alternate: a pattern loaded after a readout joins the
    next one.
@@ -51,7 +49,7 @@ A model's life has four steps:
    ``load_model`` hold the same state and both refuse further training with
    ``ReadOnlyModel``; only the released one still reports its fit NRMSEs,
    which the model file does not store.
-4. ``recall`` replays stored patterns together.
+4. ``recall`` replays stored patterns together, as one state block.
 """
 
 from __future__ import annotations

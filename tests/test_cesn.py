@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (OnePatternEsn, conceptor_matrix, dense_conceptor, dense_not,
-                      echo_state_gap, one_pattern_drive, zero_conceptor)
+from conftest import (BATCHED_RECALL_RTOL, BATCHED_STATE_TOL, OnePatternEsn, conceptor_matrix,
+                      dense_conceptor, dense_not, echo_state_gap, one_pattern_drive,
+                      zero_conceptor)
 from uavcache import cesn, linalg
 from uavcache.config import EsnConfig, RandomSource
 
@@ -30,11 +31,6 @@ def signal_model(seed: int = 42, aperture: float = 60.0, n_res: int = 120,
 
 def load_signal(model: cesn.EsnModel, signal: np.ndarray) -> dict:
     return model.load_patterns([(signal[:, None], signal[:, None])])[0]
-
-
-# Bound fixed before the first run; a scratch prototype of the batched drive read 8.9e-16.
-BATCHED_STATE_TOL = 1e-12
-BATCHED_RECALL_RTOL = 1e-7
 
 
 def last_entry_set(a: np.ndarray, value: float) -> np.ndarray:

@@ -3,8 +3,9 @@ import dataclasses
 import numpy as np
 import pytest
 
-from conftest import (DenseConceptors, DenseInputSimulation, OnePatternEsn, conceptor_matrix,
-                      desk_config, one_pattern_drive, reference_context)
+from conftest import (BATCHED_RECALL_RTOL, BATCHED_STATE_TOL, DenseConceptors,
+                      DenseInputSimulation, OnePatternEsn, conceptor_matrix, desk_config,
+                      one_pattern_drive, reference_context)
 from uavcache import cesn
 from uavcache.config import (ConfigError, EsnConfig, RandomSource, ScenarioConfig,
                              load_config_dict)
@@ -324,14 +325,10 @@ def test_factored_conceptors_match_the_dense_reference(monkeypatch, cfg, task):
                 <= FACTORED_CONCEPTOR_RECALL_RTOL * np.abs(expected).max())
 
 
-# Bounds fixed before the first run.  A scratch prototype read 8.9e-16 on the
-# train_p12 states and 1.3e-14 on a paper-scale content recall; recall gets the
-# slack of the factored-conceptor test above, whose seed-99 model amplifies ulps.
-BATCHED_STATE_TOL = 1e-12
+# Bounds fixed before the first run, with BATCHED_STATE_TOL and BATCHED_RECALL_RTOL.
 BATCHED_QUOTA_TOL = 1e-9
 BATCHED_FIT_RTOL = 1e-9
 BATCHED_B_RTOL = 1e-9
-BATCHED_RECALL_RTOL = 1e-7
 
 
 @pytest.mark.parametrize("cfg, task", [
