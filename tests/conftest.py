@@ -94,6 +94,16 @@ def echo_state_gap(w: np.ndarray, w_in: np.ndarray, inputs: np.ndarray,
     return float(np.max(np.abs(v1 - v2)))
 
 
+# Bound of linalg.spectral_radius against the dense reference, relative, fixed before
+# the first run.  A prototype of the restarted Arnoldi read at most 3.0e-14.
+RADIUS_AGREEMENT_RTOL = 1e-12
+
+
+def dense_radius(a: np.ndarray) -> float:
+    """Largest eigenvalue magnitude of a from all N of its eigenvalues, by ``eigvals``."""
+    return float(np.abs(np.linalg.eigvals(a)).max())
+
+
 # Bounds of the block drive and recall against the one-pattern references, fixed
 # before the first run.  A prototype read 8.9e-16 on the train_p12 states and
 # 1.3e-14 on a paper-scale content recall; recall gets the slack of the
