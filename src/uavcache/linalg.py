@@ -30,7 +30,8 @@ LINEAR_LOSS_RTOL = 1e-12      # linear-unit path loss and objective vs the dB ro
 
 
 # The spectral radius's size rule: a matrix whose core (what the peel leaves) has fewer rows
-# than ARNOLDI_MIN_N goes to the dense eigvals, which is faster there.
+# than ARNOLDI_MIN_N goes to the dense eigvals, faster there on one BLAS thread: Arnoldi was
+# faster in 11 of 32 draws of 145 rows and in 24 of 32 of 150 (densities 0.1 and 1).
 ARNOLDI_MIN_N = 150
 ARNOLDI_BASIS = 40            # Krylov vectors per restart cycle
 ARNOLDI_KEPT = 12             # Ritz vectors a restart keeps, one more to keep a pair whole
@@ -147,15 +148,14 @@ def _peel(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     its diagonal entry is an eigenvalue and it can be taken off. Repeated until
     none is left, this turns a permuted triangular matrix into an empty core.
     """
-    off = a != 0
-    np.fill_diagonal(off, False)
+    block = a != 0
+    np.fill_diagonal(block, False)
     live = np.arange(a.shape[0])
     while live.size:
-        block = off[np.ix_(live, live)]
         keep = block.any(axis=0) & block.any(axis=1)
         if keep.all():
             break
-        live = live[keep]
+        live, block = live[keep], block[np.ix_(keep, keep)]
     isolated = np.delete(np.diag(a), live)
     return (a if live.size == a.shape[0] else a[np.ix_(live, live)]), isolated
 
@@ -176,7 +176,7 @@ def _arnoldi_radius(a: np.ndarray) -> float | None:
     """
     n, m = a.shape[0], ARNOLDI_BASIS
     v, h = np.empty((m + 1, n)), np.zeros((m + 1, m))
-    start = np.random.default_rng(0).standard_normal(n)  # fixed, and nothing a matrix can share
+    start = np.random.default_rng(0).standard_normal(n)  # fixed, with no structure to share
     v[0] = start / np.linalg.norm(start)
     breakdown = RITZ_RESIDUAL_RTOL * np.linalg.norm(a)
     k = 0
