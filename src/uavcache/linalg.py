@@ -31,7 +31,7 @@ LINEAR_LOSS_RTOL = 1e-12      # linear-unit path loss and objective vs the dB ro
 
 # The spectral radius's size rule: a matrix whose core (what the peel leaves) has fewer rows
 # than ARNOLDI_MIN_N goes to the dense eigvals, faster there on one BLAS thread: Arnoldi was
-# faster in 11 of 32 draws of 145 rows and in 24 of 32 of 150 (densities 0.1 and 1).
+# faster in 6 of 32 draws of 140 rows and in 18 of 32 of 150 (densities 0.1 and 1).
 ARNOLDI_MIN_N = 150
 ARNOLDI_BASIS = 40            # Krylov vectors per restart cycle
 ARNOLDI_KEPT = 12             # Ritz vectors a restart keeps, one more to keep a pair whole
