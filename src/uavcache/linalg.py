@@ -194,9 +194,10 @@ def _arnoldi_radius(a: np.ndarray) -> float | None:
             np.divide(w, beta, out=v[j + 1])
         theta, y = np.linalg.eig(h[:m])
         order = np.argsort(-np.abs(theta), kind="stable")
-        top, rtol = theta[order[0]], RITZ_RESIDUAL_RTOL * abs(theta[order[0]])
-        if abs(h[m] @ y[:, order[0]]) <= rtol:
-            x = v[:m].T @ np.stack((y[:, order[0]].real, y[:, order[0]].imag), axis=1)
+        top, y_top = theta[order[0]], y[:, order[0]]
+        rtol = RITZ_RESIDUAL_RTOL * abs(top)
+        if abs(h[m] @ y_top) <= rtol:
+            x = v[:m].T @ np.stack((y_top.real, y_top.imag), axis=1)
             r = a @ x - x @ np.array([[top.real, top.imag], [-top.imag, top.real]])
             return float(abs(top)) if np.linalg.norm(r) <= rtol else None
         # eig lists a conjugate pair together, the positive imaginary part first
