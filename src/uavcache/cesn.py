@@ -89,7 +89,7 @@ class ReadOnlyModel(RuntimeError):
 def validate_esn(cfg: EsnConfig) -> None:
     problems = esn_violations(cfg)
     if problems:
-        raise ValueError("; ".join(problems))
+        raise ValueError("; ".join(f"esn.{problem}" for problem in problems))
 
 
 # -- conceptor algebra --------------------------------------------------------

@@ -14,6 +14,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -216,11 +217,13 @@ def esn_violations(e: EsnConfig) -> list[str]:
         v.append(f"spectral_radius: must lie in (0, 1), got {e.spectral_radius}")
     if not (0.0 < e.density <= 1.0):
         v.append(f"density: must lie in (0, 1], got {e.density}")
+    if e.washout < 0:
+        v.append(f"washout: must be nonnegative, got {e.washout}")
     if e.washout >= e.training_length:
         v.append(f"washout: must be smaller than training_length ({e.washout} >= {e.training_length})")
-    if e.aperture <= 0:
+    if not e.aperture > 0:
         v.append(f"aperture: must be positive, got {e.aperture}")
-    if e.ridge < 0:
+    if not e.ridge >= 0:
         v.append(f"ridge: must be nonnegative, got {e.ridge}")
     _at_most("reservoir_size", e.reservoir_size, MAX_RESERVOIR_SIZE, v)
     _at_most("training_length", e.training_length, MAX_TRAINING_LENGTH, v)
@@ -299,6 +302,7 @@ def validate(cfg: ScenarioConfig) -> list[str]:
     if p.env_x <= 0 or p.env_y <= 0:
         v.append(f"pathloss.env_x/env_y: must be positive, got {p.env_x}/{p.env_y}")
     _positive("pathloss.fs_ref_distance_m", p.fs_ref_distance_m, v)
+    _positive("pathloss.g2a_exponent", p.g2a_exponent, v)
     _positive("pathloss.carrier_hz", p.carrier_hz, v)
 
     v.extend(f"esn.{problem}" for problem in esn_violations(cfg.esn))
@@ -355,6 +359,14 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+def _is_finite(value) -> bool:
+    """A number a float holds finitely; JSON's Infinity and NaN, and a longer integer, are not."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 def _type_problem(annotation: str, value) -> str | None:
     """Why ``value`` cannot fill a field annotated ``annotation``; None if it can."""
     if value is None:
@@ -364,10 +376,12 @@ def _type_problem(annotation: str, value) -> str | None:
         ok = isinstance(value, int) and not isinstance(value, bool)
         return None if ok else f"expected an integer, got {value!r}"
     if kind == "float":
-        return None if _is_number(value) else f"expected a number, got {value!r}"
-    if isinstance(value, (list, tuple)) and all(_is_number(x) for x in value):
-        return None
-    return f"expected a list of numbers, got {value!r}"
+        if not _is_number(value):
+            return f"expected a number, got {value!r}"
+        return None if _is_finite(value) else f"must be finite, got {value!r}"
+    if not (isinstance(value, (list, tuple)) and all(_is_number(x) for x in value)):
+        return f"expected a list of numbers, got {value!r}"
+    return None if all(map(_is_finite, value)) else f"every entry must be finite, got {value!r}"
 
 
 def _build(cls, doc: dict, path: str, violations: list[str]):

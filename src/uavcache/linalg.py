@@ -13,18 +13,12 @@ import numpy as np
 from .config import RandomSource
 
 # Tolerance policy (single source of truth).
-SPD_RESIDUAL_RTOL = 1e-9      # relative residual accepted from solve_spd
-PINV_PENROSE_TOL = 1e-9       # Moore-Penrose identity slack
 PINV_RCOND = 1e-12            # singular-value cutoff relative to the largest
-EIG_RECONSTRUCT_TOL = 1e-9    # symmetric eigendecomposition reconstruction slack
 SPD_SYMMETRY_TOL = 1e-10      # solve_spd: max |a - a^T| allowed, relative to max(1, max |a|)
 EIG_SYMMETRY_TOL = 1e-9       # sym_eig: the same slack
 RESERVOIR_RADIUS_TOL = 1e-6   # spectral-radius targeting slack
 RITZ_RESIDUAL_RTOL = 1e-13    # Arnoldi stops at a top Ritz pair residual of at most this |theta|
-SOLVE_AGREEMENT_TOL = 1e-8    # solve_spd vs pinv-based solve agreement
-RIDGE_FORM_TOL = 1e-10        # solve_ridge's T x T form vs the N x N one, O(1) data, a >= 1e-2
 CONCEPTOR_S_CUT = 1e-10       # conceptor directions with eigenvalue s at most this are dropped
-ALGEBRA_TOL = 1e-12           # exact-algebra identities (involution, commutativity)
 ZF_NULLING_TOL = 1e-9         # zero-forcing residual ||H F - I||
 LINEAR_LOSS_RTOL = 1e-12      # linear-unit path loss and objective vs the dB route
 

@@ -1,11 +1,13 @@
-"""Prediction front-ends for the slot pipeline, plus model training.
+"""Predictions for the slot pipeline, plus model training.
 
-Two interchangeable predictors feed the optimizer: the oracle reads the
-generator's exact distributions and trajectories (isolating the optimizer from
-prediction error), while the ESN predictor replays trained conceptor patterns.
-Both answer the same two questions for the period being planned: each user's
-request distribution per sub-period, and each user's positions within any slot,
-one point per interval.
+A prediction is two arrays for the simulated day: ``distributions`` (U,
+n_sub, F), each user's request distribution per sub-period, and
+``collections`` (U, n_sub + 1, 2), each user's collection points from the
+day's start.  The planner interpolates every position it needs from
+``collections``.  The oracle's prediction is the generator's truth
+(``world.distributions`` and :func:`period_collections`), which isolates the
+optimizer from prediction error; the learned predictor replays trained
+conceptor patterns into the same two arrays.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import numpy as np
 
 from . import cesn
 from .config import ConfigError, RandomSource, ScenarioConfig
-from .generators import DAY_TYPES, SyntheticWorld, day_type, point_norms, track_positions
+from .generators import DAY_TYPES, SyntheticWorld, day_type, point_norms
 
 
 # -- training data assembly -----------------------------------------------------
@@ -134,33 +136,19 @@ class ModelsByUser(Protocol):
     def __getitem__(self, user: int) -> cesn.EsnModel: ...
 
 
-def _period_collections(world: SyntheticWorld) -> np.ndarray:
+def period_collections(world: SyntheticWorld) -> np.ndarray:
     """The simulated day's true collected waypoints, (U, n_sub + 1, 2), from its start."""
     c0 = world.period_slot0 // world.cfg.slots_per_collection
     return world.collections[:, c0:c0 + world.n_sub + 1]
-
-
-class OraclePredictor:
-    """Feeds the optimizer the generator's exact ground truth."""
-
-    def __init__(self, world: SyntheticWorld):
-        self.world = world
-        self.distributions = world.distributions
-        self.collections = _period_collections(world)
-
-    def slot_positions(self, users, global_slot: int, n_intervals: int) -> np.ndarray:
-        return self.world.interval_positions(users, global_slot, n_intervals)
 
 
 class EsnPredictor:
     """Replays each user's stored patterns to plan the simulated period.
 
     Request distributions (``distributions``, (U, n_sub, F)) come from
-    conceptor recall of the sub-period patterns; trajectories from the
-    mobility pattern of the planned day's type, re-anchored at the user's last
-    collected position and interpolated between predicted collection points
-    (``collections``, (U, n_sub + 1, 2)) exactly like the mobility model
-    itself moves users.
+    conceptor recall of the sub-period patterns; collection points
+    (``collections``, (U, n_sub + 1, 2)) from the mobility pattern of the
+    planned day's type, starting at the user's last collected position.
 
     Each model is indexed by user once, checked against the config (a mismatch
     raises ``ConfigError``), replayed and dropped, so a reader that loads a
@@ -173,7 +161,7 @@ class EsnPredictor:
         self.world = world
         self.distributions = np.empty((cfg.num_users, world.n_sub, cfg.num_contents))
         self.collections = np.empty((cfg.num_users, world.n_sub + 1, 2))
-        self.collections[:, 0] = _period_collections(world)[:, 0]
+        self.collections[:, 0] = period_collections(world)[:, 0]
         # a user's models live only through their _replay_user call
         for u in range(cfg.num_users):
             self._replay_user(u, self._checked(u, "content", content_models[u]),
@@ -207,25 +195,16 @@ class EsnPredictor:
         for c, lo in enumerate(starts, start=1):
             self.collections[u, c] = track[lo:lo + span].mean(axis=0)
 
-    def slot_positions(self, users, global_slot: int, n_intervals: int) -> np.ndarray:
-        """Predicted per-interval positions within one slot of the planned day.
-
-        Shapes as :func:`~uavcache.generators.track_positions`.  A slot of the
-        day never reaches past the predicted track's last point.
-        """
-        times = global_slot - self.world.period_slot0 + (np.arange(n_intervals) + 0.5) / n_intervals
-        return track_positions(self.collections, users, times,
-                               self.world.cfg.slots_per_collection)
-
 
 def _mean(values: np.ndarray) -> float:
     return float(values.mean()) if values.size else 0.0
 
 
-def prediction_gap(world: SyntheticWorld, predictor: OraclePredictor | EsnPredictor) -> dict:
+def prediction_gap(world: SyntheticWorld, distributions: np.ndarray,
+                   collections: np.ndarray) -> dict:
     """Mean position error at the predicted collection points and mean request
-    total variation of a predictor over the simulated day; 0 with no users."""
-    truth = _period_collections(world)[:, 1:]
-    tv = 0.5 * np.abs(predictor.distributions - world.distributions).sum(axis=2)
-    return {"position_error_m": _mean(point_norms(predictor.collections[:, 1:] - truth)),
+    total variation of a prediction of the simulated day; 0 with no users."""
+    truth = period_collections(world)[:, 1:]
+    tv = 0.5 * np.abs(distributions - world.distributions).sum(axis=2)
+    return {"position_error_m": _mean(point_norms(collections[:, 1:] - truth)),
             "distribution_tv": _mean(tv)}

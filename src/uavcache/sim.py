@@ -1,8 +1,9 @@
 """Slot-by-slot orchestration in four stages: plan, cache, place, deliver.
 
 One run covers one caching period (a synthetic day of T slots).  ``plan_slots``,
-``select_caches`` and ``place_uavs`` work from predicted positions and request
-distributions; ``deliver`` serves and scores the generator's true state, so
+``select_caches`` and ``place_uavs`` work from a prediction's request
+distributions and collection points, and interpolate every position on the
+period's own clock; ``deliver`` serves and scores the generator's true state, so
 prediction error shows up as extra transmit power and missed QoE, exactly where
 it would hurt a real deployment.  The stages pass one :class:`PeriodPlan`.
 Delivery fills one route table per slot (:data:`ROUTE`) and scores it into one
@@ -28,8 +29,8 @@ from . import placement
 from .channel import (db_to_linear, g2a_fronthaul_bits, link_rates_bps, slot_capacity_bits,
                       uav_user_pathloss_db, uav_user_snr, zfbf_sinr)
 from .config import ConfigError, RandomSource, RrhCluster, ScenarioConfig, validate
-from .generators import SyntheticWorld
-from .predictors import EsnPredictor, OraclePredictor, prediction_gap
+from .generators import SyntheticWorld, track_positions
+from .predictors import EsnPredictor, period_collections, prediction_gap
 from .qoe import (LINK_IDLE, LINK_RRH, LINK_UAV_CACHE, LINK_UAV_FRONTHAUL, LINK_UNSERVED,
                   MOS_BINS, delay_lower_bound_s, delay_rate_requirement_bits,
                   delay_score, device_score, min_uav_power_w, qoe_rate_target_bps, qoe_score,
@@ -143,26 +144,31 @@ class PeriodPlan:
 
     cfg: ScenarioConfig
     world: SyntheticWorld
-    predictor: OraclePredictor | EsnPredictor
+    distributions: np.ndarray  # (U, n_sub, F) predicted request distributions
+    collections: np.ndarray  # (U, n_sub + 1, 2) predicted collection points of the period
     rs: RandomSource
     n_uavs: int
     clusters: list[RrhCluster]
-    screen: np.ndarray  # (U,) screen factor per user
     likely: np.ndarray  # (U, n_sub) each user's most likely content per sub-period
     bound_s: float  # qoe.delay_lower_bound_s, which depends on the config alone
     req_hit: float  # a cache hit's delay-rate requirement (bits/slot)
     rrh: list[np.ndarray] = field(default_factory=list)  # (U,) cluster index or -1
     uav: list[np.ndarray] = field(default_factory=list)  # (U,) UAV index or -1
     anchors: list[np.ndarray] = field(default_factory=list)  # (K, 3) centroids at the floor
-    midpoints: list[np.ndarray] = field(default_factory=list)  # (U, 2) predicted mid-slot xy
     fading: list[list[np.ndarray]] = field(default_factory=list)  # per RRH cluster
     # A cache miss's delay-rate requirement over the fronthaul at each anchor;
     # None where a UAV serves nobody.
     req_miss: list[list[float | None]] = field(default_factory=list)
 
 
-def plan_slots(cfg: ScenarioConfig, world: SyntheticWorld, predictor,
-               n_uavs: int | None = None) -> PeriodPlan:
+def _predicted_positions(plan: PeriodPlan, users, s: int, n_intervals: int) -> np.ndarray:
+    """Predicted positions of ``users`` at the interval midpoints of the period's slot ``s``."""
+    times = s + (np.arange(n_intervals) + 0.5) / n_intervals
+    return track_positions(plan.collections, users, times, plan.cfg.slots_per_collection)
+
+
+def plan_slots(cfg: ScenarioConfig, world: SyntheticWorld, distributions: np.ndarray,
+               collections: np.ndarray, n_uavs: int | None = None) -> PeriodPlan:
     """Stage 1: per slot, associate users with the radio heads and cluster the rest."""
     n_uavs = cfg.num_uavs if n_uavs is None else n_uavs
     n_users = cfg.num_users
@@ -173,18 +179,18 @@ def plan_slots(cfg: ScenarioConfig, world: SyntheticWorld, predictor,
     clusters = [RrhCluster(id=q, antennas=world.rrh_xy[labels == q])
                 for q in range(cfg.num_rrh_clusters) if np.any(labels == q)]
     bound_s = delay_lower_bound_s(cfg)
-    plan = PeriodPlan(cfg, world, predictor, rs, n_uavs, clusters, world.screen_factors,
-                      predictor.distributions.argmax(axis=2), bound_s,
+    plan = PeriodPlan(cfg, world, distributions, collections, rs, n_uavs, clusters,
+                      distributions.argmax(axis=2), bound_s,
                       delay_rate_requirement_bits(cfg, bound_s))
     prev_centroids = None
     for s in range(cfg.slots_per_cache_period):
-        pred_xy = predictor.slot_positions(range(n_users), world.period_slot0 + s, 1)[:, 0]
+        pred_xy = _predicted_positions(plan, range(n_users), s, 1)[:, 0]
         fading = _zf_fading(rs, s, clusters, n_users)
         rates = _rrh_rates_bits(cfg, world, clusters, _reference_clusters(pred_xy, clusters),
                                 pred_xy, fading, n_uavs > 0)
-        likely = plan.likely[:, s // cfg.slots_per_collection]
-        rrh = placement.associate_rrh(
-            rates, pred_xy, cfg.device_rate_bps(plan.screen, likely), clusters, cfg, bound_s)
+        floors = cfg.device_rate_bps(world.screen_factors,
+                                     plan.likely[:, s // cfg.slots_per_collection])
+        rrh = placement.associate_rrh(rates, pred_xy, floors, clusters, cfg, bound_s)
         uav = np.full(n_users, -1)
         pool = np.flatnonzero(rrh < 0)
         if n_uavs and pool.size:
@@ -196,7 +202,6 @@ def plan_slots(cfg: ScenarioConfig, world: SyntheticWorld, predictor,
         plan.rrh.append(rrh)
         plan.uav.append(uav)
         plan.anchors.append(np.column_stack([centroids, np.full(n_uavs, cfg.min_altitude_m)]))
-        plan.midpoints.append(pred_xy)
         plan.fading.append(fading)
         plan.req_miss.append([_cache_miss(plan, plan.anchors[s][k], 1)[1]
                               if np.any(uav == k) else None for k in range(n_uavs)])
@@ -216,7 +221,7 @@ def _cache_miss(plan: PeriodPlan, position: np.ndarray, n_shares: int) -> tuple[
 
 def select_caches(plan: PeriodPlan) -> list[tuple[int, ...]]:
     """Stage 2: each UAV caches the contents with the largest expected power saving."""
-    cfg, predictor = plan.cfg, plan.predictor
+    cfg, screen = plan.cfg, plan.world.screen_factors
     all_contents = np.arange(cfg.num_contents)
     caches: list[tuple[int, ...]] = []
     for k in range(plan.n_uavs):
@@ -225,12 +230,12 @@ def select_caches(plan: PeriodPlan) -> list[tuple[int, ...]]:
             members = np.flatnonzero(uav == k)
             if not members.size:
                 continue
-            pls = uav_user_pathloss_db(plan.anchors[s][k], plan.midpoints[s][members],
-                                       cfg.pathloss)
+            xy = _predicted_positions(plan, members, s, 1)[:, 0]
+            pls = uav_user_pathloss_db(plan.anchors[s][k], xy, cfg.pathloss)
             # One user at a time: a scalar path loss keeps numpy's scalar power.
             loss = np.array([db_to_linear(pl) for pl in pls.tolist()])[:, None]
-            device_req = cfg.device_rate_bps(plan.screen[members][:, None], all_contents)
-            prob_rows.append(predictor.distributions[members, s // cfg.slots_per_collection])
+            device_req = cfg.device_rate_bps(screen[members][:, None], all_contents)
+            prob_rows.append(plan.distributions[members, s // cfg.slots_per_collection])
             saving_rows.append(placement.delta_power_saving(
                 loss, plan.req_hit, plan.req_miss[s][k], device_req, len(members), cfg))
         caches.append(placement.select_cache(np.vstack(prob_rows), np.vstack(saving_rows),
@@ -267,8 +272,7 @@ def _place_slot(plan: PeriodPlan, caches: list[tuple[int, ...]], s: int,
     positions = np.zeros((plan.n_uavs, 3))
     served = np.flatnonzero(uav >= 0)
     if served.size:
-        slot_pos = plan.predictor.slot_positions(served, plan.world.period_slot0 + s,
-                                                  cfg.intervals_per_slot)
+        slot_pos = _predicted_positions(plan, served, s, cfg.intervals_per_slot)
     for k in range(plan.n_uavs):
         held = prev_positions[k] if prev_positions is not None else plan.anchors[s][k]
         rows = uav[served] == k
@@ -282,7 +286,7 @@ def _place_slot(plan: PeriodPlan, caches: list[tuple[int, ...]], s: int,
             req_miss = plan.req_hit
         targets = qoe_rate_target_bps(
             np.where([c in caches[k] for c in contents], plan.req_hit, req_miss),
-            cfg.device_rate_bps(plan.screen[members], contents), cfg.slot_duration_s)
+            cfg.device_rate_bps(plan.world.screen_factors[members], contents), cfg.slot_duration_s)
         positions[k] = placement.place_uav(slot_pos[rows], targets, held, len(members), cfg)
     return positions
 
@@ -312,7 +316,7 @@ def _deliver_uav(plan: PeriodPlan, cache: tuple[int, ...], users: np.ndarray,
     hits = [c in cache for c in contents]
     fronthaul_bits, req_miss = (np.inf, plan.req_hit) if all(hits) else _cache_miss(
         plan, position, max(n_fetch, 1))
-    device_req = cfg.device_rate_bps(plan.screen[users], contents)
+    device_req = cfg.device_rate_bps(plan.world.screen_factors[users], contents)
     targets = qoe_rate_target_bps(np.where(hits, plan.req_hit, req_miss), device_req,
                                   cfg.slot_duration_s)[:, None]
     loss = db_to_linear(uav_user_pathloss_db(position, user_pos, cfg.pathloss))
@@ -361,7 +365,7 @@ def _deliver_slot(plan: PeriodPlan, caches: list[tuple[int, ...]], s: int,
     rates_true = _rrh_rates_bits(cfg, world, plan.clusters, rrh, true_xy, plan.fading[s],
                                  n_fetch > 0)
     fr = np.flatnonzero((rrh >= 0) & ~idle)
-    device_req = cfg.device_rate_bps(plan.screen[fr], content[fr])
+    device_req = cfg.device_rate_bps(world.screen_factors[fr], content[fr])
     routes[fr] = _routes(
         fr.size, link=LINK_RRH, access_bits=rates_true[fr],
         fronthaul_bits=cfg.fronthaul_rate_bps / max(n_fr, 1) * cfg.slot_duration_s,
@@ -436,14 +440,15 @@ def run_period(cfg: ScenarioConfig, mode: str = "oracle", models=None,
         raise ValueError(f"unknown mode {mode!r}")
     world = world if world is not None else SyntheticWorld(cfg)
     if mode == "oracle":
-        predictor = OraclePredictor(world)
+        prediction = world.distributions, period_collections(world)
     elif models is None:
         raise ValueError("esn mode needs trained models")
     else:
         predictor = EsnPredictor(world, *models)
+        prediction = predictor.distributions, predictor.collections
 
     swap = BASELINES.get(baseline, {})
-    plan = swap.get("plan_slots", plan_slots)(cfg, world, predictor)
+    plan = swap.get("plan_slots", plan_slots)(cfg, world, *prediction)
     caches = swap.get("select_caches", select_caches)(plan)
     positions = swap.get("place_uavs", place_uavs)(plan, caches)
     logs = swap.get("deliver", deliver)(plan, caches, positions)
@@ -483,7 +488,7 @@ def _summarize(plan: PeriodPlan, logs, mode, baseline) -> dict:
         "n_fr_mean": float(np.mean([log.n_fr for log in logs])) if logs else 0.0,
         "delay_lower_bound_s": plan.bound_s,
         "min_delivered_delay_s": min(delays) if delays else None,
-        "prediction_gap": prediction_gap(plan.world, plan.predictor),
+        "prediction_gap": prediction_gap(plan.world, plan.distributions, plan.collections),
     }
 
 

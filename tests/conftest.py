@@ -98,6 +98,15 @@ def echo_state_gap(w: np.ndarray, w_in: np.ndarray, inputs: np.ndarray,
 # the first run.  A prototype of the restarted Arnoldi read at most 3.0e-14.
 RADIUS_AGREEMENT_RTOL = 1e-12
 
+# Bounds the tests hold the linalg kernels and the conceptor algebra to; the
+# package itself reads none of them.
+SPD_RESIDUAL_RTOL = 1e-9      # relative residual accepted from solve_spd
+PINV_PENROSE_TOL = 1e-9       # Moore-Penrose identity slack
+EIG_RECONSTRUCT_TOL = 1e-9    # symmetric eigendecomposition reconstruction slack
+SOLVE_AGREEMENT_TOL = 1e-8    # solve_spd vs pinv-based solve agreement
+RIDGE_FORM_TOL = 1e-10        # solve_ridge's T x T form vs the N x N one, O(1) data, a >= 1e-2
+ALGEBRA_TOL = 1e-12           # exact-algebra identities (involution, commutativity)
+
 
 def dense_radius(a: np.ndarray) -> float:
     """Largest eigenvalue magnitude of a from all N of its eigenvalues, by ``eigvals``."""

@@ -3,9 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (BATCHED_RECALL_RTOL, BATCHED_STATE_TOL, OnePatternEsn, conceptor_matrix,
-                      dense_conceptor, dense_not, echo_state_gap, one_pattern_drive,
-                      zero_conceptor)
+from conftest import (ALGEBRA_TOL, BATCHED_RECALL_RTOL, BATCHED_STATE_TOL, RIDGE_FORM_TOL,
+                      SOLVE_AGREEMENT_TOL, OnePatternEsn, conceptor_matrix, dense_conceptor,
+                      dense_not, echo_state_gap, one_pattern_drive, zero_conceptor)
 from uavcache import cesn, linalg
 from uavcache.config import EsnConfig, RandomSource
 
@@ -110,8 +110,8 @@ class TestConceptorAlgebra:
         states = np.random.default_rng(dim + n_steps).standard_normal((dim, n_steps))
         c = cesn.compute_conceptor(states, aperture=3.0)
         expected = dense_conceptor(states @ states.T / n_steps, 3.0)
-        assert np.abs(conceptor_matrix(c) - expected).max() <= linalg.RIDGE_FORM_TOL
-        assert np.abs(c.u.T @ c.u - np.eye(len(c.lam))).max() <= linalg.RIDGE_FORM_TOL
+        assert np.abs(conceptor_matrix(c) - expected).max() <= RIDGE_FORM_TOL
+        assert np.abs(c.u.T @ c.u - np.eye(len(c.lam))).max() <= RIDGE_FORM_TOL
         assert len(c.lam) == min(dim, n_steps)
 
     def test_cut_drops_directions_at_or_below_the_tolerance(self):
@@ -128,7 +128,7 @@ class TestConceptorAlgebra:
     def test_double_negation(self):
         c = conceptor_matrix(
             cesn.compute_conceptor(np.random.default_rng(0).standard_normal((6, 30)), 15.0))
-        assert np.abs(dense_not(dense_not(c)) - c).max() <= linalg.ALGEBRA_TOL
+        assert np.abs(dense_not(dense_not(c)) - c).max() <= ALGEBRA_TOL
 
     def test_not_complements_eigenvalues(self):
         c = cesn.compute_conceptor(np.random.default_rng(1).standard_normal((6, 30)), 15.0)
@@ -138,7 +138,7 @@ class TestConceptorAlgebra:
     def test_or_with_zero_is_identity_element(self):
         c = cesn.compute_conceptor(np.random.default_rng(2).standard_normal((6, 30)), 15.0)
         either = cesn.conceptor_or(c, zero_conceptor(6))
-        assert np.abs(conceptor_matrix(either) - conceptor_matrix(c)).max() <= linalg.ALGEBRA_TOL
+        assert np.abs(conceptor_matrix(either) - conceptor_matrix(c)).max() <= ALGEBRA_TOL
 
     def test_self_or_grows_eigenvalues(self):
         c = cesn.compute_conceptor(np.random.default_rng(3).standard_normal((6, 30)), 15.0)
@@ -150,14 +150,14 @@ class TestConceptorAlgebra:
         x, y = rng.standard_normal((8, 5)), rng.standard_normal((8, 4))
         either = cesn.conceptor_or(cesn.compute_conceptor(x, 2.0), cesn.compute_conceptor(y, 2.0))
         expected = dense_conceptor(x @ x.T / 5 + y @ y.T / 4, 2.0)
-        assert np.abs(conceptor_matrix(either) - expected).max() <= linalg.RIDGE_FORM_TOL
+        assert np.abs(conceptor_matrix(either) - expected).max() <= RIDGE_FORM_TOL
 
     def test_or_commutes(self):
         rng = np.random.default_rng(4)
         a = cesn.compute_conceptor(rng.standard_normal((6, 30)), 15.0)
         b = cesn.compute_conceptor(rng.standard_normal((6, 30)), 15.0)
         assert np.abs(conceptor_matrix(cesn.conceptor_or(a, b))
-                      - conceptor_matrix(cesn.conceptor_or(b, a))).max() <= linalg.ALGEBRA_TOL
+                      - conceptor_matrix(cesn.conceptor_or(b, a))).max() <= ALGEBRA_TOL
 
     def test_aperture_mismatch_rejected(self):
         a = cesn.compute_conceptor(np.eye(3), 15.0)
@@ -182,7 +182,7 @@ class TestConceptorAlgebra:
         r = states @ states.T / steps
         expected = r @ np.linalg.inv(r + aperture ** -2 * np.eye(n))
         c = cesn.compute_conceptor(states, aperture)
-        assert np.abs(conceptor_matrix(c) - expected).max() <= linalg.RIDGE_FORM_TOL
+        assert np.abs(conceptor_matrix(c) - expected).max() <= RIDGE_FORM_TOL
         assert len(c.lam) <= steps
         assert c.s.min() > linalg.CONCEPTOR_S_CUT
         assert c.s.max() < 1.0
@@ -276,7 +276,7 @@ class TestLoadingAndRecall:
         model.load_patterns([(signal, signal)])
         # D = w_in b, so the D increment is w_in times the b increment
         assert np.abs(model.w_in @ (model.b - b_before) - expected).max() \
-            <= linalg.SOLVE_AGREEMENT_TOL
+            <= SOLVE_AGREEMENT_TOL
 
     def test_first_pattern_sees_identity_free_memory(self):
         model = signal_model()

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 import platform
 import sys
 import tempfile
@@ -98,12 +99,31 @@ class TestTrain:
         ({"esn": {"context_dim": 5}}, "esn.context_dim"),
         ({"esn": {"input_dim": 99}}, "esn.input_dim"),
         ({"esn": {"output_dim": 7}}, "esn.output_dim"),
+        ({"esn": {"washout": -1}}, "esn.washout"),
+        ({"pathloss": {"g2a_exponent": -3.0}}, "pathloss.g2a_exponent"),
+        ({"pathloss": {"g2a_exponent": 0}}, "pathloss.g2a_exponent"),
     ])
     def test_bad_value_exits_2_naming_the_field(self, tmp_path, capsys, override, field):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(merge_documents(TINY, override)))
         assert main(["train", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
         assert f"  - {field}: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan],
+                             ids=["Infinity", "-Infinity", "NaN"])
+    @pytest.mark.parametrize("field", ["uav_bandwidth_hz", "area_radius_m", "min_altitude_m",
+                                       "content_size_bits", "pathloss.carrier_hz",
+                                       "screen_factors", "esn.aperture"])
+    def test_non_finite_number_exits_2_naming_the_field(self, tmp_path, capsys, field, value):
+        leaf = [value] if field == "screen_factors" else value
+        for key in reversed(field.split(".")):
+            leaf = {key: leaf}
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(merge_documents(TINY, leaf)))  # JSON's Infinity and NaN
+        assert main(["simulate", "--oracle", "--config", str(bad),
+                     "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert f"  - {field}: " in err and "must be finite" in err
 
 
 class TestSimulate:
@@ -205,8 +225,8 @@ class TestSimulate:
 
 
 def _bound_above_every_delay(plan_slots):
-    def planned(cfg, world, predictor):
-        plan = plan_slots(cfg, world, predictor)
+    def planned(cfg, world, distributions, collections):
+        plan = plan_slots(cfg, world, distributions, collections)
         plan.bound_s = cfg.slot_duration_s / 2  # TINY delivers within 0.21 s
         return plan
     return planned
@@ -269,6 +289,7 @@ def _raise_channel_error(*args, **kwargs):
     ({}, "stored aperture 0", 2, "aperture: must be positive, got 0"),
     ({}, "undecodable config", 2, "cannot read config file"),
     ({}, "config is a directory", 2, "cannot read config file"),
+    ({}, "stored washout -1", 2, "esn.washout: must be nonnegative, got -1"),
 ], ids=["degenerate-reservoir", "memory-exhausted", "washout-vs-samples",
         "washout-vs-drawn-samples", "drawn-samples-name-the-pattern", "no-requests",
         "garbage-model-file", "pattern-count-mismatch",
@@ -276,7 +297,8 @@ def _raise_channel_error(*args, **kwargs):
         "content-file-as-mobility-at-equal-pattern-count", "flat-model-files", "channel-error",
         "out-is-a-file", "version-1-model-file", "one-dimensional-input-map",
         "inconsistent-model-shapes", "non-finite-model-entry", "version-4-model-file",
-        "stored-aperture-zero", "config-not-utf8", "config-is-a-directory"])
+        "stored-aperture-zero", "config-not-utf8", "config-is-a-directory",
+        "stored-washout-negative"])
 def test_domain_errors_map_to_exit_codes(tmp_path, capsys, monkeypatch, override, source,
                                          code, message):
     cfg = tmp_path / "cfg.json"
@@ -291,7 +313,8 @@ def test_domain_errors_map_to_exit_codes(tmp_path, capsys, monkeypatch, override
         argv = ["simulate", "--models", str(tmp_path)] + argv
     elif source in ("trained models", "content model as mobility", "flat models",
                     "version 1 models", "one-dimensional input map", "cut pattern states",
-                    "NaN readout entry", "version 4 models", "stored aperture 0"):
+                    "NaN readout entry", "version 4 models", "stored aperture 0",
+                    "stored washout -1"):
         trained_cfg = tmp_path / "trained.json"
         trained_cfg.write_text(json.dumps(
             merge_documents(TINY, override) if source == "content model as mobility" else TINY))
@@ -302,16 +325,18 @@ def test_domain_errors_map_to_exit_codes(tmp_path, capsys, monkeypatch, override
             (models / "user000_mobility.npz").write_bytes(
                 (models / "user000_content.npz").read_bytes())
         if source in ("version 1 models", "one-dimensional input map", "cut pattern states",
-                      "NaN readout entry", "version 4 models", "stored aperture 0"):
+                      "NaN readout entry", "version 4 models", "stored aperture 0",
+                      "stored washout -1"):
             path = tmp_path / "trained" / "models" / "user000_content.npz"
             with np.load(path) as data:
                 members = dict(data)
             if source in ("version 1 models", "version 4 models"):
                 members["format_version"] = np.int64(int(source.split()[1]))
-            elif source == "stored aperture 0":
+            elif source.startswith("stored "):  # "stored <hyperparameter> <JSON value>"
+                _, name, value = source.split()
                 stored = json.loads(bytes(members["cfg"]).decode("utf-8"))
-                members["cfg"] = np.frombuffer(
-                    json.dumps(dict(stored, aperture=0.0)).encode("utf-8"), dtype=np.uint8)
+                members["cfg"] = np.frombuffer(json.dumps(
+                    dict(stored, **{name: json.loads(value)})).encode("utf-8"), dtype=np.uint8)
             elif source == "one-dimensional input map":
                 members["w_in"] = members["w_in"][:, 0]
             elif source == "NaN readout entry":

@@ -110,6 +110,9 @@ def test_merge_documents_is_deep():
     ({"screen_factors": [1.0, "big"]}, "screen_factors"),
     ({"esn": {"washout": False}}, "esn.washout"),
     ({"pathloss": {"env_x": [11.9]}}, "pathloss.env_x"),
+    ({"content_size_bits": 10 ** 400}, "content_size_bits"),  # too long for a float
+    ({"screen_factors": [1.0, float("nan")]}, "screen_factors"),
+    ({"content_base_rates_bps": [float("inf")] * 25}, "content_base_rates_bps"),
 ])
 def test_wrong_type_rejected_with_path(doc, field):
     with pytest.raises(ConfigError) as err:
@@ -131,11 +134,14 @@ def test_integers_accepted_for_float_fields():
     ({"aperture": 0.0}, "aperture"),
     ({"ridge": -1.0}, "ridge"),
     ({"washout": 2000}, "washout"),
+    ({"washout": -1}, "washout"),
+    ({"aperture": float("nan")}, "aperture"),
+    ({"ridge": float("nan")}, "ridge"),
 ])
 def test_esn_invariants_shared_by_validate_and_model_build(esn, field):
     cfg = dataclasses.replace(ScenarioConfig(), esn=dataclasses.replace(EsnConfig(), **esn))
     assert [v.split(":")[0] for v in validate(cfg)] == [f"esn.{field}"]
-    with pytest.raises(ValueError, match=f"^{field}: "):
+    with pytest.raises(ValueError, match=f"^esn.{field}: "):
         validate_esn(cfg.esn)
 
 

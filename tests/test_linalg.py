@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import RADIUS_AGREEMENT_RTOL, dense_radius
+from conftest import (EIG_RECONSTRUCT_TOL, PINV_PENROSE_TOL, RADIUS_AGREEMENT_RTOL,
+                      RIDGE_FORM_TOL, SOLVE_AGREEMENT_TOL, SPD_RESIDUAL_RTOL, dense_radius)
 from uavcache import linalg
 from uavcache.config import RandomSource
 
@@ -27,7 +28,7 @@ class TestSolveSpd:
         b = rng().standard_normal((8, 3))
         x = linalg.solve_spd(spd, b)
         residual = np.linalg.norm(spd @ x - b) / np.linalg.norm(b)
-        assert residual <= linalg.SPD_RESIDUAL_RTOL
+        assert residual <= SPD_RESIDUAL_RTOL
 
     def test_non_spd_detected(self):
         with pytest.raises(linalg.LinalgError):
@@ -43,7 +44,7 @@ class TestSolveSpd:
         b = rng().standard_normal((6, 1))
         x1 = linalg.solve_spd(spd, b)
         x2 = linalg.pinv(spd) @ b
-        assert np.abs(x1 - x2).max() <= linalg.SOLVE_AGREEMENT_TOL
+        assert np.abs(x1 - x2).max() <= SOLVE_AGREEMENT_TOL
 
 
 class TestSymmetryCheck:
@@ -83,7 +84,7 @@ class TestSolveRidge:
         b = gen.standard_normal((t, 3))
         a = 1e-2
         reference = linalg.solve_spd(x @ x.T + a * np.eye(n), x @ b)
-        assert np.abs(linalg.solve_ridge(x, a, b) - reference).max() <= linalg.RIDGE_FORM_TOL
+        assert np.abs(linalg.solve_ridge(x, a, b) - reference).max() <= RIDGE_FORM_TOL
 
     @pytest.mark.parametrize("n, t, solved", [(12, 5, 5), (12, 12, 12), (12, 30, 12)])
     def test_solves_in_the_smaller_dimension(self, monkeypatch, n, t, solved):
@@ -120,11 +121,11 @@ class TestPinv:
 
     def test_rank_one_penrose(self):
         a = np.array([[1.0, 2.0], [2.0, 4.0]])
-        assert penrose_ok(a, linalg.pinv(a), linalg.PINV_PENROSE_TOL)
+        assert penrose_ok(a, linalg.pinv(a), PINV_PENROSE_TOL)
 
     def test_orthogonal_pinv_is_transpose(self):
         q, _ = np.linalg.qr(rng().standard_normal((6, 6)))
-        assert np.abs(linalg.pinv(q) - q.T).max() <= linalg.PINV_PENROSE_TOL
+        assert np.abs(linalg.pinv(q) - q.T).max() <= PINV_PENROSE_TOL
 
 
 class TestSymEig:
@@ -141,7 +142,7 @@ class TestSymEig:
         sym = 0.5 * (a + a.T)
         vals, vecs = linalg.sym_eig(sym)
         rebuilt = vecs @ np.diag(vals) @ vecs.T
-        assert np.abs(rebuilt - sym).max() <= linalg.EIG_RECONSTRUCT_TOL
+        assert np.abs(rebuilt - sym).max() <= EIG_RECONSTRUCT_TOL
         assert (np.diff(vals) <= 1e-12).all()
 
     def test_rejects_nonsymmetric(self):

@@ -1,14 +1,17 @@
 """Every public module-level function and class in the package, and every public
-method of a public class, has a non-test caller.
+method of a public class, has a non-test caller, and every module-level
+UPPER_CASE constant a non-test reader.
 
 A name counts as used when some top-level statement of ``src/uavcache/*.py``
 or ``scripts/*.py``, other than its own definition, refers to it as a name,
 an attribute or a ``from`` import.  A method also counts as used when another
-statement of its own class refers to it.  Code only the tests reach belongs
-in the tests.
+statement of its own class refers to it.  A constant counts as used when its
+name appears anywhere in those files, docstrings and comments included, outside
+its own assignment.  Code and constants only the tests reach belong in the tests.
 """
 
 import ast
+import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -54,6 +57,30 @@ def unreferenced_definitions() -> list[str]:
     return unused
 
 
+def constant_assignments(tree: ast.Module) -> list[tuple[str, ast.stmt]]:
+    """The module-level UPPER_CASE names a module assigns, with the assigning statement."""
+    found = []
+    for stmt in tree.body:
+        targets = stmt.targets if isinstance(stmt, ast.Assign) else \
+            [stmt.target] if isinstance(stmt, ast.AnnAssign) else []
+        found.extend((t.id, stmt) for t in targets
+                     if isinstance(t, ast.Name) and re.fullmatch(r"[A-Z][A-Z0-9_]*", t.id))
+    return found
+
+
+def unread_constants() -> list[str]:
+    texts = {path: path.read_text() for path in SOURCES}
+    unread = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for name, stmt in constant_assignments(ast.parse(texts[path], filename=str(path))):
+            lines = texts[path].splitlines()
+            del lines[stmt.lineno - 1:stmt.end_lineno]  # the assignment itself
+            others = ["\n".join(lines)] + [text for p, text in texts.items() if p != path]
+            if not any(re.search(rf"\b{name}\b", text) for text in others):
+                unread.append(f"{path.stem}.{name}")
+    return unread
+
+
 def test_sources_are_found():
     assert (PACKAGE / "cli.py") in SOURCES
     assert any(path.parent.name == "scripts" for path in SOURCES)
@@ -61,3 +88,7 @@ def test_sources_are_found():
 
 def test_every_public_definition_has_a_non_test_reference():
     assert unreferenced_definitions() == []
+
+
+def test_every_module_constant_has_a_non_test_reader():
+    assert unread_constants() == []

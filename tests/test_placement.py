@@ -15,7 +15,7 @@ from uavcache import linalg, placement, sim
 from uavcache.channel import ChannelError, db_to_linear
 from uavcache.config import ChannelParams, RandomSource, RrhCluster, ScenarioConfig
 from uavcache.generators import SyntheticWorld
-from uavcache.predictors import OraclePredictor
+from uavcache.predictors import period_collections
 from uavcache.qoe import (delay_lower_bound_s, delay_rate_requirement_bits, min_uav_power_w,
                           qoe_rate_target_bps)
 
@@ -566,7 +566,7 @@ class TestPricer:
         monkeypatch.setattr(placement.PlacementPricer, "__call__", watched_price)
         monkeypatch.setattr(placement, "place_uav_local_search", counted_search)
         world = SyntheticWorld(cfg)
-        plan = sim.plan_slots(cfg, world, OraclePredictor(world))
+        plan = sim.plan_slots(cfg, world, world.distributions, period_collections(world))
         sim.place_uavs(plan, sim.select_caches(plan))
         monkeypatch.undo()
         assert len(pricers) == len(evaluations)

@@ -9,11 +9,10 @@ from conftest import (BATCHED_RECALL_RTOL, BATCHED_STATE_TOL, DenseConceptors,
 from uavcache import cesn
 from uavcache.config import (ConfigError, EsnConfig, RandomSource, ScenarioConfig,
                              load_config_dict)
-from uavcache.generators import SyntheticWorld, day_type
-from uavcache.predictors import (EsnPredictor, OraclePredictor, _next_waypoints,
-                                 _request_distributions, content_pattern_data,
-                                 mobility_pattern_data, prediction_gap, train_content_model,
-                                 train_mobility_model)
+from uavcache.generators import SyntheticWorld, day_type, track_positions
+from uavcache.predictors import (EsnPredictor, _next_waypoints, _request_distributions,
+                                 content_pattern_data, mobility_pattern_data, period_collections,
+                                 prediction_gap, train_content_model, train_mobility_model)
 
 
 def prediction_setup(**overrides):
@@ -140,23 +139,29 @@ class TestReadoutDecoding:
         assert np.all(np.linalg.norm(track, axis=1) <= 500.0 + 1e-9)
 
 
-class TestOraclePredictor:
-    def test_returns_generator_truth(self):
-        cfg, world = prediction_setup()
-        oracle = OraclePredictor(world)
-        assert np.array_equal(oracle.distributions, world.distributions)
-        gs = world.training_days * cfg.slots_per_cache_period + 3
-        assert np.allclose(oracle.slot_positions(0, gs, 10),
-                           world.interval_positions(0, gs, 10))
-        assert prediction_gap(world, oracle) == {"position_error_m": 0.0, "distribution_tv": 0.0}
+def test_period_collections_start_at_the_simulated_day():
+    cfg, world = prediction_setup()
+    got = period_collections(world)
+    assert got.shape == (cfg.num_users, world.n_sub + 1, 2)
+    for c in range(world.n_sub + 1):
+        t = world.period_slot0 + c * cfg.slots_per_collection
+        assert np.array_equal(got[:, c], world.position_at(range(cfg.num_users), [t])[:, 0])
+
+
+def test_the_truth_has_no_gap():
+    _, world = prediction_setup()
+    assert prediction_gap(world, world.distributions, period_collections(world)) == {
+        "position_error_m": 0.0, "distribution_tv": 0.0}
 
 
 def test_no_users_no_gap():
     cfg, _ = prediction_setup()
     world = SyntheticWorld(dataclasses.replace(cfg, num_users=0, num_uavs=0))
-    for predictor in (OraclePredictor(world), EsnPredictor(world, [], [])):
-        assert prediction_gap(world, predictor) == {"position_error_m": 0.0,
-                                                    "distribution_tv": 0.0}
+    learned = EsnPredictor(world, [], [])
+    for distributions, collections in ((world.distributions, period_collections(world)),
+                                       (learned.distributions, learned.collections)):
+        assert prediction_gap(world, distributions, collections) == {"position_error_m": 0.0,
+                                                                     "distribution_tv": 0.0}
 
 
 class TestEsnPrediction:
@@ -186,7 +191,7 @@ class TestEsnPrediction:
         content_model, _ = train_content_model(cfg, world, 0)
         mobility_model, _ = train_mobility_model(cfg, world, 0)
         predictor = EsnPredictor(world, [content_model], [mobility_model])
-        gap = prediction_gap(world, predictor)
+        gap = prediction_gap(world, predictor.distributions, predictor.collections)
         assert gap["position_error_m"] <= 0.1 * cfg.area_radius_m
 
     def test_predicted_positions_inside_disk(self):
@@ -194,9 +199,9 @@ class TestEsnPrediction:
         content_model, _ = train_content_model(cfg, world, 0)
         mobility_model, _ = train_mobility_model(cfg, world, 0)
         predictor = EsnPredictor(world, [content_model], [mobility_model])
-        gs = world.training_days * cfg.slots_per_cache_period
         for slot in range(cfg.slots_per_cache_period):
-            pos = predictor.slot_positions(0, gs + slot, 5)
+            pos = track_positions(predictor.collections, 0, slot + (np.arange(5) + 0.5) / 5,
+                                  cfg.slots_per_collection)
             assert np.all(np.linalg.norm(pos, axis=1) <= cfg.area_radius_m + 1e-6)
 
     def test_quota_history_nonincreasing(self):

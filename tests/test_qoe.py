@@ -10,7 +10,7 @@ from uavcache import qoe, sim
 from uavcache.config import ScenarioConfig
 from uavcache.channel import db_to_linear, uav_user_pathloss_db, uav_user_snr
 from uavcache.generators import SyntheticWorld
-from uavcache.predictors import OraclePredictor
+from uavcache.predictors import period_collections
 
 
 def cfg_with_bound_001() -> ScenarioConfig:
@@ -34,7 +34,7 @@ class TestDelay:
     def test_terrestrial_and_aerial_symmetric(self, tiny_cfg):
         # the route table scores every tier the same way
         world = SyntheticWorld(tiny_cfg)
-        plan = sim.plan_slots(tiny_cfg, world, OraclePredictor(world))
+        plan = sim.plan_slots(tiny_cfg, world, world.distributions, period_collections(world))
         bits = [0.3, 0.9, 1.7, 40.0]  # multiples of the content size
         routes = sim._routes(
             2 * len(bits), link=[qoe.LINK_RRH] * len(bits) + [qoe.LINK_UAV_FRONTHAUL] * len(bits),

@@ -5,8 +5,9 @@ import pytest
 
 from conftest import desk_config, idle_config, infeasible_config, reference_reports
 from uavcache import placement, sim
+from uavcache.config import ScenarioConfig
 from uavcache.generators import SyntheticWorld
-from uavcache.predictors import OraclePredictor, train_content_model, train_mobility_model
+from uavcache.predictors import period_collections, train_content_model, train_mobility_model
 from uavcache.qoe import LINK_UAV_CACHE, LINK_UAV_FRONTHAUL, delay_lower_bound_s
 
 
@@ -168,13 +169,60 @@ class TestStageTable:
         assert [log.n_fr for log in swapped] == [log.n_fr for log in planned]
 
 
+# Bound of the oracle's planned positions against the world's, in meters, fixed
+# before the first run.  The planner interpolates from the period's first
+# collection point, the world from the horizon's, so the two differ in rounding.
+PLANNED_POSITION_TOL_M = 1e-9
+
+PREDICTION_SCALES = {"tiny": lambda tiny: tiny, "desk": lambda tiny: desk_config(),
+                     "paper": lambda tiny: ScenarioConfig()}
+
+
+class TestPrediction:
+    @pytest.mark.parametrize("scale", list(PREDICTION_SCALES))
+    def test_oracle_positions_match_the_world_within_the_bound(self, tiny_cfg, scale):
+        cfg = PREDICTION_SCALES[scale](tiny_cfg)
+        world = SyntheticWorld(cfg)
+        plan = sim.plan_slots(cfg, world, world.distributions, period_collections(world))
+        users, f = range(cfg.num_users), cfg.intervals_per_slot
+        worst = max(np.abs(sim._predicted_positions(plan, users, s, f)
+                           - world.interval_positions(users, world.period_slot0 + s, f)).max()
+                    for s in range(cfg.slots_per_cache_period))
+        assert worst <= PLANNED_POSITION_TOL_M
+
+    def test_a_hand_built_truth_plans_the_oracle_run(self):
+        cfg = desk_config()
+        world = SyntheticWorld(cfg)
+        c0 = world.training_days * world.n_sub
+        plan = sim.plan_slots(cfg, world, world.distributions.copy(),
+                              world.collections[:, c0:c0 + world.n_sub + 1].copy())
+        caches = sim.select_caches(plan)
+        logs = sim.deliver(plan, caches, sim.place_uavs(plan, caches))
+        oracle, _ = run(cfg, mode="oracle")
+        assert sim.slots_csv_text(logs).encode() == sim.slots_csv_text(oracle).encode()
+
+    def test_planning_never_reads_the_simulated_days_first_slot(self, tiny_cfg):
+        world = SyntheticWorld(tiny_cfg)
+        prediction = world.distributions, period_collections(world)
+        slot0 = world.period_slot0
+        del world.period_slot0  # any read by a planning stage raises AttributeError
+        plan = sim.plan_slots(tiny_cfg, world, *prediction)
+        caches = sim.select_caches(plan)
+        positions = sim.place_uavs(plan, caches)
+        world.period_slot0 = slot0
+        logs = sim.deliver(plan, caches, positions)
+        oracle, _ = run(tiny_cfg, mode="oracle")
+        assert sim.slots_csv_text(logs) == sim.slots_csv_text(oracle)
+
+
 class TestSlotPartition:
     @pytest.mark.parametrize("case", ["desk", "desk_no_uav", "tiny_infeasible"])
     def test_each_slot_splits_the_users_between_the_tiers(self, tiny_cfg, case):
         cfg = infeasible_config(tiny_cfg) if case == "tiny_infeasible" else desk_config()
         stages = sim.BASELINES["no_uav"] if case == "desk_no_uav" else {}
         world = SyntheticWorld(cfg)
-        plan = stages.get("plan_slots", sim.plan_slots)(cfg, world, OraclePredictor(world))
+        plan = stages.get("plan_slots", sim.plan_slots)(cfg, world, world.distributions,
+                                                        period_collections(world))
         caches = sim.select_caches(plan)
         logs = sim.deliver(plan, caches, sim.place_uavs(plan, caches))
         antennas = [c.n_antennas for c in plan.clusters]
@@ -225,7 +273,7 @@ class TestScoring:
     def test_each_uav_power_adds_its_users_in_ascending_order(self):
         cfg = desk_config()
         world = SyntheticWorld(cfg)
-        plan = sim.plan_slots(cfg, world, OraclePredictor(world))
+        plan = sim.plan_slots(cfg, world, world.distributions, period_collections(world))
         caches = sim.select_caches(plan)
         logs = sim.deliver(plan, caches, sim.place_uavs(plan, caches))
         for uav, log in zip(plan.uav, logs):

@@ -13,8 +13,8 @@ import pytest
 from conftest import desk_config, infeasible_config, placement_objective, placement_objective_db
 from uavcache import channel, placement, qoe, sim
 from uavcache.config import ChannelParams, ScenarioConfig
-from uavcache.generators import SyntheticWorld
-from uavcache.predictors import (EsnPredictor, OraclePredictor, train_content_model,
+from uavcache.generators import SyntheticWorld, track_positions
+from uavcache.predictors import (EsnPredictor, period_collections, train_content_model,
                                  train_mobility_model)
 from uavcache.qoe import LINK_UAV_CACHE, LINK_UAV_FRONTHAUL
 
@@ -280,20 +280,28 @@ def test_world_positions_for_all_users_equal_per_user(tiny_cfg):
     assert world.interval_positions([], 3, 4).shape == (0, 4, 2)
 
 
-def test_esn_positions_for_all_users_equal_per_user():
+@pytest.mark.parametrize("mode", ["esn", "oracle"])
+def test_planned_positions_for_all_users_equal_per_user(mode):
     cfg = desk_config(num_users=3, num_uavs=1, num_rrhs=4, num_rrh_clusters=1,
                       intervals_per_slot=6, slots_per_collection=3, slots_per_cache_period=12,
                       esn={"reservoir_size": 40, "training_length": 60, "washout": 10},
                       generators={"training_weeks": 2})
     world = SyntheticWorld(cfg)
     users = list(range(cfg.num_users))
-    predictor = EsnPredictor(world, [train_content_model(cfg, world, u)[0] for u in users],
-                             [train_mobility_model(cfg, world, u)[0] for u in users])
-    gs0 = world.training_days * cfg.slots_per_cache_period
-    for gs in range(gs0, gs0 + cfg.slots_per_cache_period):
-        every = predictor.slot_positions(users, gs, cfg.intervals_per_slot)
-        for u in users:
-            assert np.array_equal(every[u], predictor.slot_positions(u, gs, cfg.intervals_per_slot))
+    if mode == "esn":
+        predictor = EsnPredictor(world, [train_content_model(cfg, world, u)[0] for u in users],
+                                 [train_mobility_model(cfg, world, u)[0] for u in users])
+        prediction = predictor.distributions, predictor.collections
+    else:
+        prediction = world.distributions, period_collections(world)
+    plan = sim.plan_slots(cfg, world, *prediction)
+    for s in range(cfg.slots_per_cache_period):
+        for f in (1, cfg.intervals_per_slot):
+            every = sim._predicted_positions(plan, users, s, f)
+            assert every.shape == (len(users), f, 2)
+            for u in users:
+                assert np.array_equal(every[u], sim._predicted_positions(plan, u, s, f))
+            assert np.array_equal(sim._predicted_positions(plan, [2, 0], s, f), every[[2, 0]])
 
 
 # -- per-UAV rows against per-user references --------------------------------------------
@@ -301,31 +309,33 @@ def test_esn_positions_for_all_users_equal_per_user():
 
 def reference_cache_rows(plan, k):
     """One UAV's probability and saving rows, priced one user at a time."""
-    cfg = plan.cfg
+    cfg, screen = plan.cfg, plan.world.screen_factors
     all_contents = np.arange(cfg.num_contents)
     prob_rows, saving_rows = [], []
     for s, uav in enumerate(plan.uav):
         members = np.flatnonzero(uav == k).tolist()
         if not members:
             continue
-        pls = channel.uav_user_pathloss_db(plan.anchors[s][k], plan.midpoints[s][members],
-                                           cfg.pathloss)
+        # each member's predicted mid-slot position, interpolated for that user alone
+        midpoints = [track_positions(plan.collections, u, [s + 0.5], cfg.slots_per_collection)[0]
+                     for u in members]
+        pls = channel.uav_user_pathloss_db(plan.anchors[s][k], np.array(midpoints), cfg.pathloss)
         for u, pl in zip(members, pls):
-            prob_rows.append(plan.predictor.distributions[u, s // cfg.slots_per_collection])
+            prob_rows.append(plan.distributions[u, s // cfg.slots_per_collection])
             saving_rows.append(placement.delta_power_saving(
                 channel.db_to_linear(float(pl)), plan.req_hit, plan.req_miss[s][k],
-                cfg.device_rate_bps(plan.screen[u], all_contents), len(members), cfg))
+                cfg.device_rate_bps(screen[u], all_contents), len(members), cfg))
     return np.array(prob_rows), np.array(saving_rows)
 
 
 def reference_deliver_uav(plan, cache, users, contents, n_served, position, user_pos, n_fetch):
     """``sim._deliver_uav`` with every per-user quantity reduced from that user's 1-D row."""
-    cfg = plan.cfg
+    cfg, screen = plan.cfg, plan.world.screen_factors
     hits = [c in cache for c in contents]
     fronthaul_bits, req_miss = (np.inf, plan.req_hit) if all(hits) else sim._cache_miss(
         plan, position, max(n_fetch, 1))
     targets = qoe.qoe_rate_target_bps(
-        np.where(hits, plan.req_hit, req_miss), cfg.device_rate_bps(plan.screen[users], contents),
+        np.where(hits, plan.req_hit, req_miss), cfg.device_rate_bps(screen[users], contents),
         cfg.slot_duration_s)[:, None]
     pl = channel.uav_user_pathloss_db(position, user_pos, cfg.pathloss)
     power = qoe.min_uav_power_w(channel.db_to_linear(pl), targets, n_served,
@@ -341,7 +351,7 @@ def reference_deliver_uav(plan, cache, users, contents, n_served, position, user
         row["link"] = LINK_UAV_CACHE if hit else LINK_UAV_FRONTHAUL
         row["access_bits"] = channel.slot_capacity_bits(rates, cfg.slot_duration_s)
         row["fronthaul_bits"] = np.inf if hit else fronthaul_bits
-        row["device_frac"] = qoe.device_score(rates, cfg.device_rate_bps(plan.screen[u], content))
+        row["device_frac"] = qoe.device_score(rates, cfg.device_rate_bps(screen[u], content))
         row["power_w"] = float(user_power.mean())
         row["cache_hit"], row["feasible"] = hit, ok
     return routes
@@ -350,7 +360,7 @@ def reference_deliver_uav(plan, cache, users, contents, n_served, position, user
 def test_uav_rows_equal_per_user_references_on_the_infeasible_config(tiny_cfg, monkeypatch):
     cfg = infeasible_config(tiny_cfg)
     world = SyntheticWorld(cfg)
-    plan = sim.plan_slots(cfg, world, OraclePredictor(world))
+    plan = sim.plan_slots(cfg, world, world.distributions, period_collections(world))
     assert any(np.isinf(r) for per_slot in plan.req_miss for r in per_slot if r is not None)
 
     rows = []
@@ -459,10 +469,11 @@ def test_desk_period_counts(monkeypatch):
     monkeypatch.setattr(placement, "place_uav_local_search", counted_search)
     sim.run_period(cfg, mode="oracle", world=world)
 
-    # Per slot: planned midpoints, placement intervals, true midpoints, delivery intervals.
+    # Per slot: true midpoints and delivery intervals.  The planner interpolates its
+    # positions from the prediction and never asks the world.
     per_slot = np.bincount(np.asarray(position_calls) - min(position_calls))
-    assert len(position_calls) > 0 and per_slot.max() <= 4
-    # run_period samples positions only through interval_positions, a slot at a time.
+    assert len(position_calls) > 0 and per_slot.max() <= 2
+    # Delivery samples the world's positions only through interval_positions, a slot at a time.
     assert len(position_at_calls) == len(position_calls)
     assert searches
     # Delivery and cache selection take the dB route; the search prices positions in
