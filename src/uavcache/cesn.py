@@ -44,8 +44,8 @@ A model's life has four steps:
    next one.
 3. ``release_training_state`` drops the running memory and the buffers, which
    are most of a trained model's bytes.  What is left is what recall needs:
-   ``w``, ``w_in``, ``b``, ``w_out``, the pattern conceptors and the
-   patterns' final states.  A released model and one restored by
+   ``w`` as its nonzeros, ``w_in``, ``b``, ``w_out``, the pattern conceptors
+   and the patterns' final states.  A released model and one restored by
    ``load_model`` hold the same state and both refuse further training with
    ``ReadOnlyModel``; only the released one still reports its fit NRMSEs,
    which the model file does not store.
@@ -193,6 +193,22 @@ class EsnModel:
     def n_patterns(self) -> int:
         return len(self.conceptors)
 
+    @property
+    def w(self) -> np.ndarray:
+        """The N x N reservoir, rebuilt from its nonzeros on every read: read it once per call,
+        and keep nothing of it on the model."""
+        n = self.cfg.reservoir_size
+        w = np.zeros(n * n)
+        w[self._w_index] = self._w_value
+        return w.reshape(n, n)
+
+    @w.setter
+    def w(self, w: np.ndarray) -> None:
+        """Keep only the nonzeros: flat int32 indices (N^2 <= MAX_RESERVOIR_SIZE^2 < 2^31)
+        and their float64 values."""
+        self._w_index = np.flatnonzero(w).astype(np.int32)
+        self._w_value = np.asarray(w, dtype=float).ravel()[self._w_index]
+
     def drive(self, inputs: Sequence[np.ndarray]) -> list[np.ndarray]:
         """Run the input-driven update of several patterns together, each from a zero state.
 
@@ -218,11 +234,12 @@ class EsnModel:
         # would raise glibc's mmap threshold and the process's peak RSS
         out = [np.empty((length, self.cfg.reservoir_size)) for length in lengths]
         v = np.zeros((len(order), self.cfg.reservoir_size))
+        w = self.w
         running = len(order)
         for t in range(lengths[0]):
             while lengths[running - 1] <= t:
                 running -= 1
-            v[:running] = np.tanh(v[:running] @ self.w.T
+            v[:running] = np.tanh(v[:running] @ w.T
                                   + block_inputs[t, :running] @ self.w_in.T)
             for j in range(running):
                 out[j][t] = v[j]
@@ -341,6 +358,8 @@ class EsnModel:
     def release_training_state(self) -> None:
         """Drop the running memory and the training buffers; keep what recall needs.
 
+        Recall needs ``w`` (kept as its nonzeros), ``w_in``, ``b``, ``w_out``,
+        the pattern conceptors and the patterns' final states.
         The model is then in the state ``load_model`` gives: ``load_pattern``
         and ``train_readout`` raise ``ReadOnlyModel``.  Only the fit figures
         of ``training_nrmse`` stay, as a report of the training just done.
@@ -380,7 +399,8 @@ class EsnModel:
         s = (lam / (lam + self.cfg.aperture ** -2))[:, :, None]
         ut = u.transpose(0, 2, 1)
         v = np.stack([self.pattern_states[p] for p in patterns])
-        wd = self.w + self.w_in @ self.b
+        wd = self.w
+        wd += self.w_in @ self.b
         outputs = np.empty((len(patterns), steps, self.output_dim))
         for t in range(steps):
             x = np.tanh(v @ wd.T)

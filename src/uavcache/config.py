@@ -176,8 +176,11 @@ MAX_INTERVALS_PER_SLOT = 100_000
 # waypoint arrays; 83 times the paper's 120-slot period.
 MAX_SLOTS = 10_000
 # The N x N float64 arrays, 200 MB each at this bound (5 times the paper's
-# N = 1,000): w, recall's w + w_in b, the readout Gram, and a conceptor's Gram
-# when its factor has at least N columns.  Conceptors are kept N x rank.
+# N = 1,000), all transient: w, rebuilt from its nonzeros inside drive, recall
+# and save_model; recall's w + w_in b; the readout Gram; and a conceptor's Gram
+# when its factor has at least N columns.  A model keeps w as its nonzeros
+# (flat int32 indices, as N^2 at this bound is below 2^31) and conceptors
+# N x rank.
 MAX_RESERVOIR_SIZE = 5_000
 # Training drives N x T states per pattern: 800 MB at N = 1,000.
 MAX_TRAINING_LENGTH = 100_000
@@ -368,20 +371,29 @@ def _is_finite(value) -> bool:
 
 
 def _type_problem(annotation: str, value) -> str | None:
-    """Why ``value`` cannot fill a field annotated ``annotation``; None if it can."""
+    """Why ``value`` cannot fill a field annotated ``annotation``; None if it can.
+
+    An accepted number is one a float holds, so every later message can print it;
+    Python refuses to print an integer of more than 4,300 digits.
+    """
+    try:
+        shown = repr(value)
+    except ValueError:
+        shown = "a value holding an integer too long to print"
     if value is None:
         return None if annotation.endswith(" | None") else "must not be null"
     kind = annotation.removesuffix(" | None")
     if kind == "int":
-        ok = isinstance(value, int) and not isinstance(value, bool)
-        return None if ok else f"expected an integer, got {value!r}"
+        if not (isinstance(value, int) and not isinstance(value, bool)):
+            return f"expected an integer, got {shown}"
+        return None if _is_finite(value) else f"must be finite, got {shown}"
     if kind == "float":
         if not _is_number(value):
-            return f"expected a number, got {value!r}"
-        return None if _is_finite(value) else f"must be finite, got {value!r}"
+            return f"expected a number, got {shown}"
+        return None if _is_finite(value) else f"must be finite, got {shown}"
     if not (isinstance(value, (list, tuple)) and all(_is_number(x) for x in value)):
-        return f"expected a list of numbers, got {value!r}"
-    return None if all(map(_is_finite, value)) else f"every entry must be finite, got {value!r}"
+        return f"expected a list of numbers, got {shown}"
+    return None if all(map(_is_finite, value)) else f"every entry must be finite, got {shown}"
 
 
 def _build(cls, doc: dict, path: str, violations: list[str]):
@@ -432,7 +444,8 @@ def parse_document(text: str) -> dict:
     """Parse the JSON text of a config document; blank text is an empty document."""
     try:
         doc = json.loads(text) if text.strip() else {}
-    except json.JSONDecodeError as exc:
+    # beyond malformed JSON: an integer of more than 4,300 digits, or nesting too deep
+    except (ValueError, RecursionError) as exc:
         raise ConfigError([f"parse failure: {exc}"]) from exc
     if not isinstance(doc, dict):
         raise ConfigError(["parse failure: top-level value must be an object"])

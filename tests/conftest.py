@@ -127,9 +127,9 @@ def one_pattern_drive(model: cesn.EsnModel, inputs: np.ndarray) -> np.ndarray:
     inputs = np.atleast_2d(np.asarray(inputs, dtype=float))
     v = np.zeros(model.cfg.reservoir_size)
     out = np.empty((model.cfg.reservoir_size, inputs.shape[0]))
-    drive_terms = inputs @ model.w_in.T
+    w, drive_terms = model.w, inputs @ model.w_in.T
     for t in range(inputs.shape[0]):
-        v = np.tanh(model.w @ v + drive_terms[t])
+        v = np.tanh(w @ v + drive_terms[t])
         out[:, t] = v
     return out
 

@@ -1,10 +1,13 @@
-"""The benchmark's period checks pass on small oracle runs, and its digest is slots.csv's.
+"""The benchmark's checks pass on small runs, and its digest is slots.csv's.
 
 ``perfbench/workloads.py`` checks every simulated period from outside: it
 reconciles each slot log, reads ``log.reports`` row by row with attribute
 access (``r.user``, ``r.delivered``, ``r.delay_s``) and hashes ``slots.csv``.
-A changed slot log breaks only benchmark runs, so this smoke test runs those
-checks on small periods.  The workloads file is only read, never changed.
+Its training and learned workloads also check the trained models' quotas and
+fits and the learned run's prediction gap against an oracle reference.  A
+change to any of these breaks only benchmark runs, so this smoke test runs
+those checks on small oracle periods and on the training and learned
+operations at tiny scale.  The workloads file is only read, never changed.
 """
 
 import hashlib
@@ -16,6 +19,7 @@ import pytest
 
 from conftest import idle_config
 from uavcache import sim
+from uavcache.generators import SyntheticWorld
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 
@@ -41,3 +45,20 @@ def test_period_checks_pass_and_digest_is_the_slots_csv(tiny_cfg, monkeypatch, i
     assert outputs == {"summary": summary}
     csv_bytes = sim.slots_csv_text(logs).encode("utf-8")
     assert info == {"slots_sha256": hashlib.sha256(csv_bytes).hexdigest()}
+
+
+def test_training_checks_pass(tiny_cfg, monkeypatch):
+    workloads = load_workloads(monkeypatch)
+    outcome = workloads.train_op(tiny_cfg, SyntheticWorld(tiny_cfg))
+    assert outcome.problems == []
+    assert set(outcome.outputs) == {"quota_history", "fit_nrmse"}
+
+
+def test_learned_checks_pass(tiny_cfg, monkeypatch):
+    workloads = load_workloads(monkeypatch)
+    world = SyntheticWorld(tiny_cfg)
+    learned = workloads.learned_op(tiny_cfg, world)
+    assert learned.problems == []
+    reference = workloads.learned_reference(tiny_cfg, world, learned)
+    assert reference.problems == []
+    assert set(reference.quality) >= {"learned_power_ratio"}

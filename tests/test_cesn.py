@@ -487,6 +487,42 @@ class TestEchoStateProperty:
         assert gap > 1e-6
 
 
+class TestStoredReservoir:
+    """The model keeps w as its nonzeros; every read rebuilds the drawn matrix."""
+
+    @pytest.mark.parametrize("n_res", [60, 200], ids=["dense-radius", "arnoldi"])
+    def test_rebuilt_reservoir_is_the_draw(self, tmp_path, n_res):
+        model = signal_model(n_res=n_res)
+        cfg = model.cfg
+        drawn = linalg.random_reservoir(n_res, cfg.density, cfg.spectral_radius,
+                                        RandomSource(42).derive("test-esn").derive("reservoir"))
+        fresh = model.w
+        load_signal(model, sine(8.0, 400))
+        model.train_readout()
+        model.release_training_state()
+        released = model.w
+        cesn.save_model(model, tmp_path / "model.npz")
+        restored = cesn.load_model(tmp_path / "model.npz").w
+        assert (n_res >= linalg.ARNOLDI_MIN_N) == (n_res == 200)
+        for w in (fresh, released, restored):
+            assert w.dtype == drawn.dtype
+            assert np.array_equal(w, drawn)
+
+    def test_a_read_is_a_copy(self):
+        model = signal_model(n_res=30)
+        w = model.w
+        expected = w.copy()
+        w[:] = 1.0
+        assert np.array_equal(model.w, expected)
+
+    def test_only_nonzeros_are_stored(self):
+        model = signal_model(n_res=30)
+        w = model.w
+        assert model._w_index.dtype == np.int32
+        assert np.array_equal(model._w_index, np.flatnonzero(w))
+        assert np.array_equal(model._w_value, w[w != 0.0])
+
+
 class TestSerialization:
     def test_roundtrip_recall_identical(self, tmp_path):
         model = signal_model(n_res=80)

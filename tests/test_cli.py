@@ -109,6 +109,15 @@ class TestTrain:
         assert main(["train", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
         assert f"  - {field}: " in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text", ['{"num_users": 1' + "0" * 5000 + "}", "[" * 100_000],
+                             ids=["integer-of-5001-digits", "nested-too-deep"])
+    def test_unparseable_document_exits_2(self, tmp_path, capsys, text):
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        assert main(["simulate", "--oracle", "--config", str(bad),
+                     "--out", str(tmp_path / "o")]) == 2
+        assert "  - parse failure: " in capsys.readouterr().err
+
     @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan],
                              ids=["Infinity", "-Infinity", "NaN"])
     @pytest.mark.parametrize("field", ["uav_bandwidth_hz", "area_radius_m", "min_altitude_m",

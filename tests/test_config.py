@@ -1,9 +1,10 @@
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from uavcache import config
@@ -113,6 +114,9 @@ def test_merge_documents_is_deep():
     ({"content_size_bits": 10 ** 400}, "content_size_bits"),  # too long for a float
     ({"screen_factors": [1.0, float("nan")]}, "screen_factors"),
     ({"content_base_rates_bps": [float("inf")] * 25}, "content_base_rates_bps"),
+    ({"num_users": 10 ** 400}, "num_users"),  # too long for a float
+    ({"num_users": 10 ** 5000}, "num_users"),  # too long to print
+    ({"screen_factors": [10 ** 5000]}, "screen_factors"),
 ])
 def test_wrong_type_rejected_with_path(doc, field):
     with pytest.raises(ConfigError) as err:
@@ -123,6 +127,43 @@ def test_wrong_type_rejected_with_path(doc, field):
 def test_integers_accepted_for_float_fields():
     cfg = load_config_dict({"uav_max_power_w": 20})
     assert cfg.uav_max_power_w == 20.0
+
+
+# Values any field may be given: zero, negative, huge (past a float, and past the
+# 4,300 digits Python prints of an integer) and non-finite numbers, and wrong types.
+ODD_NUMBERS = [0, -1, 10 ** 6, 10 ** 400, -10 ** 400, 10 ** 5000, 0.0, -0.5, 1e-300, 1e308,
+               -1e308, math.inf, -math.inf, math.nan]
+WRONG_TYPES = ["7", True, None, [], {}, [1, "x"], [10 ** 5000], {"a": 1}]
+
+
+def field_values(field: dataclasses.Field) -> st.SearchStrategy:
+    if field.name in config._NESTED:
+        return st.one_of(documents(config._NESTED[field.name]), st.sampled_from(WRONG_TYPES))
+    default = field.default
+    numbers = st.one_of(st.sampled_from(ODD_NUMBERS), st.integers(), st.floats())
+    return st.one_of(st.just(list(default) if isinstance(default, tuple) else default),
+                     numbers, st.sampled_from(WRONG_TYPES), st.lists(numbers, max_size=30))
+
+
+def documents(cls) -> st.SearchStrategy:
+    """Documents of some of ``cls``'s fields, each valid (its default) or odd."""
+    return st.fixed_dictionaries({}, optional={f.name: field_values(f)
+                                               for f in dataclasses.fields(cls)})
+
+
+@settings(max_examples=300, deadline=None)
+@given(doc=documents(ScenarioConfig))
+@example(doc={"num_users": 10 ** 5000})
+@example(doc={"content_size_bits": 10 ** 5000})
+@example(doc={"screen_factors": [10 ** 5000]})
+@example(doc={"esn": {"washout": [10 ** 5000]}})
+def test_any_document_gives_a_config_or_a_config_error(doc):
+    """Each explicit example raised ValueError: Python refuses to print an integer of more
+    than 4,300 digits, and the violation message printed it."""
+    try:
+        load_config_dict(doc)
+    except ConfigError as err:
+        assert err.violations
 
 
 @pytest.mark.parametrize("esn, field", [

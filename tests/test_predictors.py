@@ -242,6 +242,11 @@ TRAINERS = {"content": (train_content_model, content_pattern_data),
             "mobility": (train_mobility_model, mobility_pattern_data)}
 
 
+# Bound fixed before the first run: an int32 index and a float64 value per nonzero.
+RESERVOIR_BYTES_PER_NONZERO = 12
+RESERVOIR_BYTES_SLACK = 1024
+
+
 @pytest.mark.parametrize("task", list(TRAINERS))
 def test_trained_model_keeps_only_recall_state(task):
     cfg = desk_config()
@@ -250,10 +255,14 @@ def test_trained_model_keeps_only_recall_state(task):
     model, _ = trainer(cfg, world, 0)
     assert model.memory is None
     assert model._train_states == [] and model._train_targets == []
-    recall_bytes = (model.w.nbytes + model.w_in.nbytes + model.b.nbytes + model.w_out.nbytes
+    reservoir_bytes = model._w_index.nbytes + model._w_value.nbytes
+    recall_bytes = (reservoir_bytes + model.w_in.nbytes + model.b.nbytes + model.w_out.nbytes
                     + sum(c.u.nbytes + c.lam.nbytes for c in model.conceptors)
                     + sum(s.nbytes for s in model.pattern_states))
     assert reachable_buffer_bytes(model) == recall_bytes
+    # w is kept as its nonzeros, so no dense N x N copy (8 N^2 bytes) fits the bound
+    assert reservoir_bytes <= (RESERVOIR_BYTES_PER_NONZERO * np.count_nonzero(model.w)
+                               + RESERVOIR_BYTES_SLACK)
     washout = cfg.esn.washout
     # driven together, as training drives them
     patterns = [pattern_data(world, 0, p, cfg.esn.training_length)
