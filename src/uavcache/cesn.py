@@ -207,7 +207,7 @@ class EsnModel:
         """Keep only the nonzeros: flat int32 indices (N^2 <= MAX_RESERVOIR_SIZE^2 < 2^31)
         and their float64 values."""
         self._w_index = np.flatnonzero(w).astype(np.int32)
-        self._w_value = np.asarray(w, dtype=float).ravel()[self._w_index]
+        self._w_value = w.ravel()[self._w_index]
 
     def drive(self, inputs: Sequence[np.ndarray]) -> list[np.ndarray]:
         """Run the input-driven update of several patterns together, each from a zero state.

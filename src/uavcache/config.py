@@ -176,11 +176,10 @@ MAX_INTERVALS_PER_SLOT = 100_000
 # waypoint arrays; 83 times the paper's 120-slot period.
 MAX_SLOTS = 10_000
 # The N x N float64 arrays, 200 MB each at this bound (5 times the paper's
-# N = 1,000), all transient: w, rebuilt from its nonzeros inside drive, recall
-# and save_model; recall's w + w_in b; the readout Gram; and a conceptor's Gram
-# when its factor has at least N columns.  A model keeps w as its nonzeros
-# (flat int32 indices, as N^2 at this bound is below 2^31) and conceptors
-# N x rank.
+# N = 1,000), are all transient: w, which a model keeps as its nonzeros (flat
+# int32 indices: N^2 < 2^31) and rebuilds in drive, recall and save_model;
+# recall's w + w_in b; the readout Gram; and a conceptor's Gram when its
+# factor has at least N columns.  Conceptors are kept N x rank.
 MAX_RESERVOIR_SIZE = 5_000
 # Training drives N x T states per pattern: 800 MB at N = 1,000.
 MAX_TRAINING_LENGTH = 100_000

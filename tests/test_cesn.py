@@ -507,20 +507,9 @@ class TestStoredReservoir:
         for w in (fresh, released, restored):
             assert w.dtype == drawn.dtype
             assert np.array_equal(w, drawn)
-
-    def test_a_read_is_a_copy(self):
-        model = signal_model(n_res=30)
-        w = model.w
-        expected = w.copy()
-        w[:] = 1.0
-        assert np.array_equal(model.w, expected)
-
-    def test_only_nonzeros_are_stored(self):
-        model = signal_model(n_res=30)
-        w = model.w
-        assert model._w_index.dtype == np.int32
-        assert np.array_equal(model._w_index, np.flatnonzero(w))
-        assert np.array_equal(model._w_value, w[w != 0.0])
+        # a read is the caller's own copy: the model keeps no dense matrix to write into
+        released[:] = 1.0
+        assert np.array_equal(model.w, drawn)
 
 
 class TestSerialization:
