@@ -206,7 +206,8 @@ class EsnModel:
     def w(self, w: np.ndarray) -> None:
         """Keep only the nonzeros: flat int32 indices (N^2 <= MAX_RESERVOIR_SIZE^2 < 2^31)
         and their float64 values."""
-        self._w_index = np.flatnonzero(w).astype(np.int32)
+        # a boolean mask is several times faster to scan than the floats
+        self._w_index = np.flatnonzero(w != 0.0).astype(np.int32)
         self._w_value = w.ravel()[self._w_index]
 
     def drive(self, inputs: Sequence[np.ndarray]) -> list[np.ndarray]:
