@@ -62,7 +62,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .config import EsnConfig, RandomSource, esn_violations
+from .config import (ConfigError, EsnConfig, RandomSource, esn_violations, load_esn_dict,
+                     parse_document)
 
 # Free-memory fraction below which further loading must grow the reservoir.
 QUOTA_MIN = 0.01
@@ -481,7 +482,7 @@ def save_model(model: EsnModel, path) -> None:
 
 
 def _check_arrays(cfg: EsnConfig, arrays: dict) -> None:
-    """Raise ``ValueError`` unless every stored array is finite and fits the model's sizes,
+    """Raise ``ConfigError`` unless every stored array is finite and fits the model's sizes,
     and every stored eigenvalue is nonnegative."""
     n, p, width = cfg.reservoir_size, len(arrays["conceptor_lam"]), arrays["w_in"].shape[-1:]
     rank = arrays["conceptor_u"].shape[-1:]
@@ -490,24 +491,26 @@ def _check_arrays(cfg: EsnConfig, arrays: dict) -> None:
                 "conceptor_lam": (p,) + rank, "pattern_states": (p, n), "quota_history": (p + 1,)}
     for name, shape in expected.items():
         if arrays[name].shape != shape:
-            raise ValueError(f"{name} has shape {arrays[name].shape}, not {shape}, in a model "
-                             f"of {n} reservoir units and {p} patterns")
+            raise ConfigError([f"{name} has shape {arrays[name].shape}, not {shape}, in a model "
+                               f"of {n} reservoir units and {p} patterns"])
         if not np.isfinite(arrays[name]).all():
-            raise ValueError(f"{name} has a non-finite entry")
+            raise ConfigError([f"{name} has a non-finite entry"])
     if (arrays["conceptor_lam"] < 0.0).any():
-        raise ValueError("conceptor_lam has a negative eigenvalue")
+        raise ConfigError(["conceptor_lam has a negative eigenvalue"])
 
 
 def load_model(path) -> EsnModel:
-    """Restore a trained model for recall; loaded models cannot accept new patterns."""
+    """Restore a trained model for recall; loaded models cannot accept new patterns.
+
+    A file whose contents fail a check, its stored ``esn`` block's included, raises
+    ``ConfigError``."""
     with np.load(path) as data:
         arrays = dict(data)
     version = int(arrays["format_version"])
     if version != MODEL_FORMAT_VERSION:
-        raise ValueError(f"model format version {version} is not the supported "
-                         f"version {MODEL_FORMAT_VERSION}; retrain the models")
-    cfg = EsnConfig(**json.loads(bytes(arrays["cfg"]).decode("utf-8")))
-    validate_esn(cfg)
+        raise ConfigError([f"model format version {version} is not the supported "
+                           f"version {MODEL_FORMAT_VERSION}; retrain the models"])
+    cfg = load_esn_dict(parse_document(bytes(arrays["cfg"]).decode("utf-8")))
     _check_arrays(cfg, arrays)
     model = EsnModel.__new__(EsnModel)
     model.cfg = cfg

@@ -1,9 +1,11 @@
 """Scenario configuration, the radio-head cluster type, and deterministic random streams.
 
 Every tunable constant of the simulator lives in :class:`ScenarioConfig` and its
-nested blocks.  Configs are immutable, JSON round-trippable, and validated as a
-whole: :func:`load_config_dict` reports *all* violated invariants with their field
-paths instead of stopping at the first one.
+nested blocks, each setting with its accepted values beside its default.
+Configs are immutable, JSON round-trippable, and validated as a whole:
+:func:`load_config_dict` reports *all* violated invariants with their field
+paths instead of stopping at the first one, and :func:`load_esn_dict` checks a
+model file's stored ``esn`` block the same way.
 
 All values in config files are SI (meters, watts, hertz, bits, seconds); dB
 conversions happen inside the channel code only.
@@ -27,132 +29,6 @@ class ConfigError(ValueError):
     def __init__(self, violations: list[str]):
         self.violations = list(violations)
         super().__init__("; ".join(self.violations))
-
-
-@dataclass(frozen=True)
-class ChannelParams:
-    """Radio propagation constants for the air-to-ground and terrestrial links.
-
-    ``env_x``/``env_y`` are the urban-environment constants of the logistic
-    line-of-sight probability curve (elevation angle in degrees).  The
-    ground-to-air fronthaul uses a plain power-law gain ``d**-g2a_exponent``
-    with an extra attenuation factor ``g2a_nlos_factor`` (>= 1) on NLoS links.
-    """
-
-    fs_ref_distance_m: float = 5.0
-    carrier_hz: float = 38e9
-    exponent_los: float = 2.0
-    exponent_nlos: float = 2.4
-    shadow_std_los_db: float = 5.3
-    env_x: float = 11.9
-    env_y: float = 0.13
-    g2a_exponent: float = 2.0
-    g2a_nlos_factor: float = 100.0
-
-
-@dataclass(frozen=True)
-class EsnConfig:
-    """Hyperparameters of one echo-state network with conceptor memory.
-
-    The model's input and output widths come from its task (content or
-    mobility prediction), not from here.
-    """
-
-    reservoir_size: int = 1000
-    spectral_radius: float = 0.9
-    density: float = 0.1
-    input_scale: float = 1.0
-    aperture: float = 15.0
-    ridge: float = 0.01
-    washout: int = 50
-    training_length: int = 1000
-
-
-@dataclass(frozen=True)
-class GeneratorConfig:
-    """Knobs of the synthetic mobility / context / request generators.
-
-    Mobility: each user follows a daily schedule of anchor locations (one
-    schedule per day type, weekday vs weekend), visited at constant speed
-    between collection instants, with Gaussian noise on every collected
-    waypoint.  Speeds are interpreted on the narrative clock where one
-    collection interval corresponds to one hour.
-
-    Requests: each user draws one content per slot from a concentrated
-    (zipf-like) base distribution over a user-specific content ranking,
-    reshaped by the hour of day: work-class contents are boosted during
-    working hours, entertainment-class contents outside them.
-    """
-
-    waypoints_per_day: int = 3
-    speed_max_mps: float = 1.5
-    position_noise_m: float = 5.0
-    request_concentration: float = 1.2
-    taste_spread: float = 0.5
-    work_hour_boost: float = 3.0
-    request_probability: float = 1.0
-    training_weeks: int = 4
-
-
-@dataclass(frozen=True)
-class ScenarioConfig:
-    """Full description of one simulated deployment.
-
-    Defaults reproduce the reference urban setup: a 500 m disk, 70 users,
-    20 radio heads in 4 zero-forcing clusters, 5 cache-equipped UAVs and a
-    25-content catalog.
-    """
-
-    area_radius_m: float = 500.0
-    num_users: int = 70
-    num_rrhs: int = 20
-    num_rrh_clusters: int = 4
-    num_uavs: int = 5
-    num_contents: int = 25
-    cache_size: int = 1
-    content_size_bits: float = 1e6
-    intervals_per_slot: int = 1000
-    slots_per_collection: int = 10
-    slots_per_cache_period: int = 120
-    slot_duration_s: float = 1.0
-    rrh_power_w: float = 0.1
-    bbu_power_w: float = 1.0
-    uav_max_power_w: float = 20.0
-    rrh_bandwidth_hz: float = 1e6
-    uav_bandwidth_hz: float = 1e9
-    noise_power_w: float = 10.0 ** (-12.5)
-    fronthaul_rate_bps: float = 1e8
-    qoe_weight_delay: float = 0.5
-    qoe_weight_device: float = 0.5
-    mos_min: float = 0.8
-    content_base_rate_bps: float = 5e6
-    content_base_rates_bps: tuple[float, ...] | None = None
-    screen_factors: tuple[float, ...] = (0.5, 1.0, 1.5)
-    min_altitude_m: float = 100.0
-    pathloss: ChannelParams = field(default_factory=ChannelParams)
-    esn: EsnConfig = field(default_factory=EsnConfig)
-    generators: GeneratorConfig = field(default_factory=GeneratorConfig)
-    seed: int = 20240001
-
-    def device_rate_bps(self, screen_factor, content):
-        """Rate floor of a device with this screen factor; ``content`` may be an index array."""
-        if self.content_base_rates_bps is not None:
-            return screen_factor * np.asarray(self.content_base_rates_bps)[content]
-        return screen_factor * np.full(np.shape(content), self.content_base_rate_bps)[()]
-
-
-# Desk-scale preset applied by the CLI unless --paper-scale is given.  Fewer
-# intervals and a shorter period keep runs CI-friendly; the smaller content and
-# device rates keep the shared wireless fronthaul feasible for up to 7 UAVs at
-# this compressed timescale while preserving the cached/uncached rate contrast.
-DESK_PRESET: dict[str, Any] = {
-    "intervals_per_slot": 100,
-    "slots_per_collection": 6,
-    "slots_per_cache_period": 24,
-    "content_size_bits": 5e5,
-    "content_base_rate_bps": 1.5e6,
-    "esn": {"reservoir_size": 200, "training_length": 400},
-}
 
 
 # Upper bounds of the counts.  A count past its bound is a config error (exit
@@ -200,82 +76,206 @@ MAX_USER_SUBPERIOD_CONTENTS = 10_000_000
 MAX_USER_INTERVALS = 10_000_000
 
 
+# A setting's accepted values are its domain, declared beside its default: a
+# function from a value to the words of its violation, or to None when the value
+# is accepted.  A tuple setting applies its domain to every entry.  Settings with
+# no domain are bounded by a cross-field check in ``validate`` or not at all.
+def _domain(holds, words: str):
+    return lambda value: None if holds(value) else words
+
+
+POSITIVE = _domain(lambda x: x > 0, "must be positive")
+NONNEGATIVE = _domain(lambda x: x >= 0, "must be nonnegative")
+AT_LEAST_ONE = _domain(lambda x: x >= 1, "must be at least 1")
+UNIT = _domain(lambda x: 0 <= x <= 1, "must lie in [0, 1]")
+OPEN_UNIT = _domain(lambda x: 0 < x < 1, "must lie in (0, 1)")
+LEFT_OPEN_UNIT = _domain(lambda x: 0 < x <= 1, "must lie in (0, 1]")
+
+
+def _count(bound: int):
+    """[1, bound], for a count whose bound is one of the MAX_* above."""
+    return lambda n: AT_LEAST_ONE(n) or (f"must be at most {bound}" if n > bound else None)
+
+
+def _setting(default, domain):
+    """A field holding ``default`` whose accepted values are ``domain``."""
+    return field(default=default, metadata={"domain": domain})
+
+
+@dataclass(frozen=True)
+class ChannelParams:
+    """Radio propagation constants for the air-to-ground and terrestrial links.
+
+    ``env_x``/``env_y`` are the urban-environment constants of the logistic
+    line-of-sight probability curve (elevation angle in degrees).  The
+    ground-to-air fronthaul uses a plain power-law gain ``d**-g2a_exponent``
+    with an extra attenuation factor ``g2a_nlos_factor`` (>= 1) on NLoS links.
+    """
+
+    fs_ref_distance_m: float = _setting(5.0, POSITIVE)
+    carrier_hz: float = _setting(38e9, POSITIVE)
+    exponent_los: float = _setting(2.0, POSITIVE)
+    exponent_nlos: float = 2.4
+    shadow_std_los_db: float = _setting(5.3, NONNEGATIVE)
+    env_x: float = _setting(11.9, POSITIVE)
+    env_y: float = _setting(0.13, POSITIVE)
+    g2a_exponent: float = _setting(2.0, POSITIVE)
+    g2a_nlos_factor: float = _setting(100.0, AT_LEAST_ONE)
+
+
+@dataclass(frozen=True)
+class EsnConfig:
+    """Hyperparameters of one echo-state network with conceptor memory.
+
+    The model's input and output widths come from its task (content or
+    mobility prediction), not from here.
+    """
+
+    reservoir_size: int = _setting(1000, _count(MAX_RESERVOIR_SIZE))
+    spectral_radius: float = _setting(0.9, OPEN_UNIT)
+    density: float = _setting(0.1, LEFT_OPEN_UNIT)
+    input_scale: float = 1.0
+    aperture: float = _setting(15.0, POSITIVE)
+    ridge: float = _setting(0.01, NONNEGATIVE)
+    washout: int = _setting(50, NONNEGATIVE)
+    training_length: int = _setting(1000, _count(MAX_TRAINING_LENGTH))
+
+
+@dataclass(frozen=True)
+class GeneratorConfig:
+    """Knobs of the synthetic mobility / context / request generators.
+
+    Mobility: each user follows a daily schedule of anchor locations (one
+    schedule per day type, weekday vs weekend), visited at constant speed
+    between collection instants, with Gaussian noise on every collected
+    waypoint.  Speeds are interpreted on the narrative clock where one
+    collection interval corresponds to one hour.
+
+    Requests: each user draws one content per slot from a concentrated
+    (zipf-like) base distribution over a user-specific content ranking,
+    reshaped by the hour of day: work-class contents are boosted during
+    working hours, entertainment-class contents outside them.
+    """
+
+    waypoints_per_day: int = _setting(3, _count(MAX_WAYPOINTS_PER_DAY))
+    speed_max_mps: float = _setting(1.5, POSITIVE)
+    position_noise_m: float = _setting(5.0, NONNEGATIVE)
+    request_concentration: float = 1.2
+    taste_spread: float = _setting(0.5, NONNEGATIVE)
+    work_hour_boost: float = _setting(3.0, NONNEGATIVE)
+    request_probability: float = _setting(1.0, UNIT)
+    training_weeks: int = _setting(4, _count(MAX_TRAINING_WEEKS))
+
+
+@dataclass(frozen=True)
+class ScenarioConfig:
+    """Full description of one simulated deployment.
+
+    Defaults reproduce the reference urban setup: a 500 m disk, 70 users,
+    20 radio heads in 4 zero-forcing clusters, 5 cache-equipped UAVs and a
+    25-content catalog.
+    """
+
+    area_radius_m: float = _setting(500.0, POSITIVE)
+    num_users: int = _setting(70, _count(MAX_USERS))
+    num_rrhs: int = _setting(20, _count(MAX_RRHS))
+    num_rrh_clusters: int = _setting(4, _count(MAX_RRH_CLUSTERS))
+    num_uavs: int = _setting(5, _count(MAX_UAVS))
+    num_contents: int = _setting(25, _count(MAX_CONTENTS))
+    cache_size: int = _setting(1, AT_LEAST_ONE)
+    content_size_bits: float = _setting(1e6, POSITIVE)
+    intervals_per_slot: int = _setting(1000, _count(MAX_INTERVALS_PER_SLOT))
+    slots_per_collection: int = _setting(10, _count(MAX_SLOTS))
+    slots_per_cache_period: int = _setting(120, _count(MAX_SLOTS))
+    slot_duration_s: float = _setting(1.0, POSITIVE)
+    rrh_power_w: float = _setting(0.1, POSITIVE)
+    bbu_power_w: float = _setting(1.0, POSITIVE)
+    uav_max_power_w: float = _setting(20.0, POSITIVE)
+    rrh_bandwidth_hz: float = _setting(1e6, POSITIVE)
+    uav_bandwidth_hz: float = _setting(1e9, POSITIVE)
+    noise_power_w: float = _setting(10.0 ** (-12.5), POSITIVE)
+    fronthaul_rate_bps: float = _setting(1e8, POSITIVE)
+    qoe_weight_delay: float = _setting(0.5, UNIT)
+    qoe_weight_device: float = _setting(0.5, UNIT)
+    mos_min: float = _setting(0.8, LEFT_OPEN_UNIT)
+    content_base_rate_bps: float = _setting(5e6, POSITIVE)
+    content_base_rates_bps: tuple[float, ...] | None = _setting(None, POSITIVE)
+    screen_factors: tuple[float, ...] = _setting((0.5, 1.0, 1.5), POSITIVE)
+    min_altitude_m: float = _setting(100.0, POSITIVE)
+    pathloss: ChannelParams = field(default_factory=ChannelParams)
+    esn: EsnConfig = field(default_factory=EsnConfig)
+    generators: GeneratorConfig = field(default_factory=GeneratorConfig)
+    seed: int = 20240001
+
+    def device_rate_bps(self, screen_factor, content):
+        """Rate floor of a device with this screen factor; ``content`` may be an index array."""
+        if self.content_base_rates_bps is not None:
+            return screen_factor * np.asarray(self.content_base_rates_bps)[content]
+        return screen_factor * np.full(np.shape(content), self.content_base_rate_bps)[()]
+
+
+# Desk-scale preset applied by the CLI unless --paper-scale is given.  Fewer
+# intervals and a shorter period keep runs CI-friendly; the smaller content and
+# device rates keep the shared wireless fronthaul feasible for up to 7 UAVs at
+# this compressed timescale while preserving the cached/uncached rate contrast.
+DESK_PRESET: dict[str, Any] = {
+    "intervals_per_slot": 100,
+    "slots_per_collection": 6,
+    "slots_per_cache_period": 24,
+    "content_size_bits": 5e5,
+    "content_base_rate_bps": 1.5e6,
+    "esn": {"reservoir_size": 200, "training_length": 400},
+}
+
+
 def _at_most(name: str, value: int, bound: int, out: list[str]) -> None:
     if value > bound:
         out.append(f"{name}: must be at most {bound}, got {value}")
 
 
-def _positive(name: str, value: float, out: list[str]) -> None:
-    if not (value > 0):
-        out.append(f"{name}: must be strictly positive, got {value!r}")
+def _domain_violations(block, path: str = "") -> list[str]:
+    """Every setting of ``block`` and of its nested blocks that lies outside its domain.
+
+    The ESN block is checked by :func:`esn_violations`, its cross-field check included.
+    """
+    v: list[str] = []
+    for f in dataclasses.fields(block):
+        value, where = getattr(block, f.name), path + f.name
+        if isinstance(value, EsnConfig):
+            v.extend(f"{where}.{problem}" for problem in esn_violations(value))
+        elif dataclasses.is_dataclass(value):
+            v.extend(_domain_violations(value, where + "."))
+        elif "domain" in f.metadata and value is not None:
+            if isinstance(value, tuple):
+                words = next(filter(None, map(f.metadata["domain"], value)), None)
+                words = words and f"every entry {words}"
+            else:
+                words = f.metadata["domain"](value)
+            if words:
+                v.append(f"{where}: {words}, got {value}")
+    return v
 
 
 def esn_violations(e: EsnConfig) -> list[str]:
     """Violated invariants of one ESN's hyperparameters, as "field: problem"."""
-    v: list[str] = []
-    if e.reservoir_size < 1:
-        v.append(f"reservoir_size: must be positive, got {e.reservoir_size}")
-    if not (0.0 < e.spectral_radius < 1.0):
-        v.append(f"spectral_radius: must lie in (0, 1), got {e.spectral_radius}")
-    if not (0.0 < e.density <= 1.0):
-        v.append(f"density: must lie in (0, 1], got {e.density}")
-    if e.washout < 0:
-        v.append(f"washout: must be nonnegative, got {e.washout}")
+    v = _domain_violations(e)
     if e.washout >= e.training_length:
         v.append(f"washout: must be smaller than training_length ({e.washout} >= {e.training_length})")
-    if not e.aperture > 0:
-        v.append(f"aperture: must be positive, got {e.aperture}")
-    if not e.ridge >= 0:
-        v.append(f"ridge: must be nonnegative, got {e.ridge}")
-    _at_most("reservoir_size", e.reservoir_size, MAX_RESERVOIR_SIZE, v)
-    _at_most("training_length", e.training_length, MAX_TRAINING_LENGTH, v)
     return v
 
 
 def validate(cfg: ScenarioConfig) -> list[str]:
     """Return the list of violated invariants (empty when the config is valid)."""
-    v: list[str] = []
-    if not (cfg.num_users >= cfg.num_uavs >= 1):
-        v.append(f"num_users/num_uavs: need num_users >= num_uavs >= 1, got {cfg.num_users}/{cfg.num_uavs}")
+    v = _domain_violations(cfg)
+    if cfg.num_users < cfg.num_uavs:
+        v.append(f"num_users/num_uavs: need num_users >= num_uavs, got {cfg.num_users}/{cfg.num_uavs}")
     if cfg.cache_size > cfg.num_contents:
         v.append(f"cache_size: cache size exceeds catalog ({cfg.cache_size} > {cfg.num_contents})")
-    if cfg.cache_size < 1:
-        v.append(f"cache_size: must be at least 1, got {cfg.cache_size}")
     if cfg.qoe_weight_delay + cfg.qoe_weight_device != 1.0:
         v.append(
             "qoe_weight_delay/qoe_weight_device: weights must sum to 1, got "
             f"{cfg.qoe_weight_delay} + {cfg.qoe_weight_device}"
         )
-    for name in ("qoe_weight_delay", "qoe_weight_device"):
-        if not (0.0 <= getattr(cfg, name) <= 1.0):
-            v.append(f"{name}: must lie in [0, 1], got {getattr(cfg, name)}")
-    for name in (
-        "area_radius_m",
-        "content_size_bits",
-        "slot_duration_s",
-        "rrh_power_w",
-        "bbu_power_w",
-        "uav_max_power_w",
-        "rrh_bandwidth_hz",
-        "uav_bandwidth_hz",
-        "noise_power_w",
-        "fronthaul_rate_bps",
-        "content_base_rate_bps",
-        "min_altitude_m",
-    ):
-        _positive(name, getattr(cfg, name), v)
-    for name in ("num_rrhs", "num_rrh_clusters", "num_contents", "intervals_per_slot",
-                 "slots_per_collection", "slots_per_cache_period"):
-        if getattr(cfg, name) < 1:
-            v.append(f"{name}: must be a positive integer, got {getattr(cfg, name)}")
-    for name, bound in (("num_users", MAX_USERS), ("num_uavs", MAX_UAVS),
-                        ("num_contents", MAX_CONTENTS), ("num_rrhs", MAX_RRHS),
-                        ("num_rrh_clusters", MAX_RRH_CLUSTERS),
-                        ("intervals_per_slot", MAX_INTERVALS_PER_SLOT),
-                        ("slots_per_collection", MAX_SLOTS), ("slots_per_cache_period", MAX_SLOTS)):
-        _at_most(name, getattr(cfg, name), bound, v)
-    if not (0.0 < cfg.mos_min <= 1.0):
-        v.append(f"mos_min: must lie in (0, 1], got {cfg.mos_min}")
     if cfg.slots_per_collection >= 1 and cfg.slots_per_cache_period % cfg.slots_per_collection != 0:
         v.append(
             "slots_per_collection: must divide slots_per_cache_period "
@@ -286,46 +286,16 @@ def validate(cfg: ScenarioConfig) -> list[str]:
             "content_base_rates_bps: need one rate per content "
             f"({len(cfg.content_base_rates_bps)} given, {cfg.num_contents} contents)"
         )
-    if cfg.content_base_rates_bps is not None and any(not r > 0 for r in cfg.content_base_rates_bps):
-        v.append(f"content_base_rates_bps: every rate must be positive, got {cfg.content_base_rates_bps}")
-    if not cfg.screen_factors or any(s <= 0 for s in cfg.screen_factors):
-        v.append(f"screen_factors: need at least one factor, all positive, got {cfg.screen_factors}")
-
+    if not cfg.screen_factors:
+        v.append(f"screen_factors: need at least one factor, got {cfg.screen_factors}")
     p = cfg.pathloss
-    if not (p.exponent_nlos >= p.exponent_los > 0):
+    if not p.exponent_nlos >= p.exponent_los:
         v.append(
-            "pathloss.exponent_los/exponent_nlos: need exponent_nlos >= exponent_los > 0, "
+            "pathloss.exponent_los/exponent_nlos: need exponent_nlos >= exponent_los, "
             f"got {p.exponent_los}/{p.exponent_nlos}"
         )
-    if p.g2a_nlos_factor < 1:
-        v.append(f"pathloss.g2a_nlos_factor: must be >= 1, got {p.g2a_nlos_factor}")
-    if p.shadow_std_los_db < 0:
-        v.append(f"pathloss.shadow_std_los_db: must be nonnegative, got {p.shadow_std_los_db}")
-    if p.env_x <= 0 or p.env_y <= 0:
-        v.append(f"pathloss.env_x/env_y: must be positive, got {p.env_x}/{p.env_y}")
-    _positive("pathloss.fs_ref_distance_m", p.fs_ref_distance_m, v)
-    _positive("pathloss.g2a_exponent", p.g2a_exponent, v)
-    _positive("pathloss.carrier_hz", p.carrier_hz, v)
-
-    v.extend(f"esn.{problem}" for problem in esn_violations(cfg.esn))
 
     g = cfg.generators
-    if g.position_noise_m < 0:
-        v.append(f"generators.position_noise_m: must be nonnegative, got {g.position_noise_m}")
-    if not (0.0 <= g.request_probability <= 1.0):
-        v.append(f"generators.request_probability: must lie in [0, 1], got {g.request_probability}")
-    if g.training_weeks < 1:
-        v.append(f"generators.training_weeks: must be at least 1, got {g.training_weeks}")
-    if g.waypoints_per_day < 1:
-        v.append(f"generators.waypoints_per_day: must be at least 1, got {g.waypoints_per_day}")
-    _at_most("generators.training_weeks", g.training_weeks, MAX_TRAINING_WEEKS, v)
-    _at_most("generators.waypoints_per_day", g.waypoints_per_day, MAX_WAYPOINTS_PER_DAY, v)
-    if g.taste_spread < 0:
-        v.append(f"generators.taste_spread: must be nonnegative, got {g.taste_spread}")
-    if g.work_hour_boost < 0:
-        v.append(f"generators.work_hour_boost: must be nonnegative, got {g.work_hour_boost}")
-    _positive("generators.speed_max_mps", g.speed_max_mps, v)
-
     _at_most("num_users x slots_per_cache_period x 7 (generators.training_weeks + 1)",
              cfg.num_users * cfg.slots_per_cache_period * 7 * (g.training_weeks + 1),
              MAX_USER_SLOTS, v)
@@ -353,8 +323,8 @@ def training_violations(cfg: ScenarioConfig) -> list[str]:
     return []
 
 
-_NESTED = {"pathloss": ChannelParams, "esn": EsnConfig, "generators": GeneratorConfig}
-_TUPLE_FIELDS = {"screen_factors", "content_base_rates_bps"}
+_NESTED = {f.name: f.default_factory for f in dataclasses.fields(ScenarioConfig)
+           if dataclasses.is_dataclass(f.default_factory)}
 
 
 def _is_number(value) -> bool:
@@ -412,10 +382,8 @@ def _build(cls, doc: dict, path: str, violations: list[str]):
         problem = _type_problem(annotations[key], value)
         if problem is not None:
             violations.append(f"{where}: {problem}")
-        elif key in _TUPLE_FIELDS and value is not None:
-            kwargs[key] = tuple(value)
-        else:
-            kwargs[key] = value
+        else:  # a list passes only for a tuple field
+            kwargs[key] = tuple(value) if isinstance(value, list) else value
     return cls(**kwargs)
 
 
@@ -430,13 +398,22 @@ def merge_documents(base: dict, override: dict) -> dict:
     return out
 
 
-def load_config_dict(doc: dict) -> ScenarioConfig:
+def _load(cls, doc: dict, path: str, check):
     violations: list[str] = []
-    cfg = _build(ScenarioConfig, doc, "", violations)
-    violations.extend(validate(cfg))
+    block = _build(cls, doc, path, violations)
+    violations.extend(path + problem for problem in check(block))
     if violations:
         raise ConfigError(violations)
-    return cfg
+    return block
+
+
+def load_config_dict(doc: dict) -> ScenarioConfig:
+    return _load(ScenarioConfig, doc, "", validate)
+
+
+def load_esn_dict(doc: dict) -> EsnConfig:
+    """The ``esn`` block a model file stores, parsed and checked as a config document's is."""
+    return _load(EsnConfig, doc, "esn.", esn_violations)
 
 
 def parse_document(text: str) -> dict:
@@ -453,11 +430,7 @@ def parse_document(text: str) -> dict:
 
 def serialize(cfg: ScenarioConfig) -> str:
     """Emit the config as a JSON document; load_config_dict(parse_document(serialize(c))) == c."""
-    doc = dataclasses.asdict(cfg)
-    for key in _TUPLE_FIELDS:
-        if doc.get(key) is not None:
-            doc[key] = list(doc[key])
-    return json.dumps(doc, indent=2, sort_keys=True)
+    return json.dumps(dataclasses.asdict(cfg), indent=2, sort_keys=True)
 
 
 @dataclass

@@ -1,13 +1,18 @@
+import json
+import sys
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (ALGEBRA_TOL, BATCHED_RECALL_RTOL, BATCHED_STATE_TOL, RIDGE_FORM_TOL,
                       SOLVE_AGREEMENT_TOL, OnePatternEsn, conceptor_matrix, dense_conceptor,
                       dense_not, echo_state_gap, one_pattern_drive, zero_conceptor)
 from uavcache import cesn, linalg
-from uavcache.config import EsnConfig, RandomSource
+from uavcache.config import ConfigError, EsnConfig, RandomSource
+
+from test_config import documents
 
 
 def sine(period: float, n: int, t0: int = 0, phase: float = 0.0) -> np.ndarray:
@@ -630,3 +635,42 @@ class TestSerialization:
         np.savez(path, **data)
         with pytest.raises(ValueError):
             cesn.load_model(path)
+
+
+@pytest.fixture(scope="module")
+def tiny_model_file(tmp_path_factory):
+    model = signal_model(n_res=10)
+    load_signal(model, sine(8.0, 400))
+    model.train_readout()
+    path = tmp_path_factory.mktemp("stored") / "model.npz"
+    cesn.save_model(model, path)
+    with np.load(path) as data:
+        return path, dict(data)
+
+
+def json_text(doc) -> str:
+    """``doc`` as JSON, integers too long for Python to print included."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return json.dumps(doc)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(esn=documents(EsnConfig))
+@example(esn={"washout": 10 ** 5000})
+@example(esn={"reservoir_size": 11})
+def test_any_stored_esn_block_loads_or_is_a_config_error(tiny_model_file, esn):
+    """The stored ``esn`` block is the saved model's with the drawn fields over it."""
+    path, members = tiny_model_file
+    stored = json.loads(bytes(members["cfg"]).decode("utf-8"))
+    text = json_text(dict(stored, **esn))
+    np.savez(path, **dict(members, cfg=np.frombuffer(text.encode("utf-8"), dtype=np.uint8)))
+    try:
+        model = cesn.load_model(path)
+    except ConfigError as err:
+        assert err.violations
+    else:
+        assert model.cfg.reservoir_size == 10

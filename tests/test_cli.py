@@ -299,6 +299,12 @@ def _raise_channel_error(*args, **kwargs):
     ({}, "undecodable config", 2, "cannot read config file"),
     ({}, "config is a directory", 2, "cannot read config file"),
     ({}, "stored washout -1", 2, "esn.washout: must be nonnegative, got -1"),
+    ({}, "stored washout NaN", 2, "esn.washout: expected an integer, got nan"),
+    ({}, "stored training_length NaN", 2, "esn.training_length: expected an integer, got nan"),
+    ({}, "stored input_scale NaN", 2, "esn.input_scale: must be finite, got nan"),
+    ({}, "stored ridge Infinity", 2, "esn.ridge: must be finite, got inf"),
+    ({}, "stored washout 2.5", 2, "esn.washout: expected an integer, got 2.5"),
+    ({}, 'stored washout "5"', 2, "esn.washout: expected an integer, got '5'"),
 ], ids=["degenerate-reservoir", "memory-exhausted", "washout-vs-samples",
         "washout-vs-drawn-samples", "drawn-samples-name-the-pattern", "no-requests",
         "garbage-model-file", "pattern-count-mismatch",
@@ -307,7 +313,9 @@ def _raise_channel_error(*args, **kwargs):
         "out-is-a-file", "version-1-model-file", "one-dimensional-input-map",
         "inconsistent-model-shapes", "non-finite-model-entry", "version-4-model-file",
         "stored-aperture-zero", "config-not-utf8", "config-is-a-directory",
-        "stored-washout-negative"])
+        "stored-washout-negative", "stored-washout-nan", "stored-training-length-nan",
+        "stored-input-scale-nan", "stored-ridge-infinite", "stored-washout-fractional",
+        "stored-washout-string"])
 def test_domain_errors_map_to_exit_codes(tmp_path, capsys, monkeypatch, override, source,
                                          code, message):
     cfg = tmp_path / "cfg.json"
@@ -322,8 +330,7 @@ def test_domain_errors_map_to_exit_codes(tmp_path, capsys, monkeypatch, override
         argv = ["simulate", "--models", str(tmp_path)] + argv
     elif source in ("trained models", "content model as mobility", "flat models",
                     "version 1 models", "one-dimensional input map", "cut pattern states",
-                    "NaN readout entry", "version 4 models", "stored aperture 0",
-                    "stored washout -1"):
+                    "NaN readout entry", "version 4 models") or source.startswith("stored "):
         trained_cfg = tmp_path / "trained.json"
         trained_cfg.write_text(json.dumps(
             merge_documents(TINY, override) if source == "content model as mobility" else TINY))
@@ -334,8 +341,7 @@ def test_domain_errors_map_to_exit_codes(tmp_path, capsys, monkeypatch, override
             (models / "user000_mobility.npz").write_bytes(
                 (models / "user000_content.npz").read_bytes())
         if source in ("version 1 models", "one-dimensional input map", "cut pattern states",
-                      "NaN readout entry", "version 4 models", "stored aperture 0",
-                      "stored washout -1"):
+                      "NaN readout entry", "version 4 models") or source.startswith("stored "):
             path = tmp_path / "trained" / "models" / "user000_content.npz"
             with np.load(path) as data:
                 members = dict(data)
@@ -512,6 +518,25 @@ def test_overflowing_placement_weights_still_simulate(tmp_path):
     assert main(["simulate", "--oracle", "--config", str(cfg), "--out", str(tmp_path)]) == 0
     summary = json.loads((tmp_path / "summary.json").read_text())
     assert np.isfinite(summary["avg_altitude_m"]) and np.isfinite(summary["total_uav_power_w"])
+
+
+# A swept value as --values spells it: small counts, which run on TINY, and counts
+# past every bound, which exit 2 before any run, never one in between (10,000
+# users would run).  Zero, negatives, a non-integer and an integer of more digits
+# than Python converts are among them.
+SWEEP_VALUE = st.one_of(
+    st.integers(-3, 8), st.integers(10_001, 10 ** 30), st.sampled_from([10 ** 22, -10 ** 22]),
+).map(str) | st.sampled_from(["9" * 5_000, "1.5", " "])
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(param=st.sampled_from(sorted(sim.SWEEP_PARAMS) + ["radius"]),
+       values=st.lists(SWEEP_VALUE, max_size=3))
+@example(param="users", values=["9" * 5_000])
+@example(param="cache", values=["0", str(10 ** 22)])
+def test_fuzzed_sweep_values_never_end_in_a_traceback(param, values):
+    command = ["sweep", "--param", param, "--values=" + ",".join(values)]
+    assert quiet_main(command, TINY) in (0, 1, 2)
 
 
 class TestSweep:

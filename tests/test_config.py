@@ -165,6 +165,29 @@ def test_any_document_gives_a_config_or_a_config_error(doc):
         assert err.violations
 
 
+# Leaf settings that declare no domain, each with the reason it needs none.
+UNDECLARED_DOMAINS = {
+    "pathloss.exponent_nlos": "validate checks it against exponent_los",
+    "esn.input_scale": "any finite scale, zero and negative ones included, scales the input map",
+    "generators.request_concentration": "any finite zipf exponent shapes the request weights; "
+                                        "one that overflows them fails the world build",
+    "seed": "every integer names a random stream",
+}
+
+
+def leaf_fields(cls, path: str = ""):
+    for f in dataclasses.fields(cls):
+        if f.name in config._NESTED:
+            yield from leaf_fields(config._NESTED[f.name], f"{path}{f.name}.")
+        else:
+            yield path + f.name, f
+
+
+def test_every_leaf_setting_declares_a_domain():
+    undeclared = {path for path, f in leaf_fields(ScenarioConfig) if "domain" not in f.metadata}
+    assert sorted(undeclared) == sorted(UNDECLARED_DOMAINS)
+
+
 @pytest.mark.parametrize("esn, field", [
     ({"spectral_radius": 1.2}, "spectral_radius"),
     ({"spectral_radius": 0.0}, "spectral_radius"),
