@@ -437,7 +437,7 @@ def nrmse(predicted, truth) -> float:
     power = float(np.mean(truth ** 2))
     # Rounding makes the variance of a constant signal tiny but nonzero, so
     # treat anything below a relative floor as constant.
-    if var > 1e-12 * power:
+    if var > linalg.CONSTANT_SIGNAL_RTOL * power:
         return float(np.sqrt(mse / var))
     if power > 0.0:
         return float(np.sqrt(mse / power))

@@ -32,7 +32,7 @@ import numpy as np
 from . import cesn, linalg, sim
 from .channel import ChannelError
 from .config import (DESK_PRESET, ConfigError, ScenarioConfig, load_config_dict, merge_documents,
-                     parse_document, serialize, training_violations)
+                     parse_document, serialize)
 from .generators import SyntheticWorld
 from .predictors import train_content_model, train_mobility_model
 
@@ -155,17 +155,18 @@ def _manifest(out: Path, args, cfg: ScenarioConfig):
 # -- commands ----------------------------------------------------------------------
 
 
+TRAINING_COLUMNS = ("user", "task", "pattern", "quota_before", "quota_after", "quota_used",
+                    "nrmse")
+
+
 def cmd_train(args) -> int:
     cfg = _load_scenario(args)
-    problems = training_violations(cfg)
-    if problems:
-        raise ConfigError(problems)
     out = _out_dir(args)
     with _manifest(out, args, cfg) as manifest:
         world = SyntheticWorld(cfg)
         models_dir = out / "models"
         models_dir.mkdir(exist_ok=True)
-        lines = ["user,task,pattern,quota_before,quota_after,quota_used,nrmse"]
+        rows = []
         for u in range(cfg.num_users):
             for task, trainer in (("content", train_content_model),
                                   ("mobility", train_mobility_model)):
@@ -173,16 +174,11 @@ def cmd_train(args) -> int:
                 path = _model_path(models_dir, u, task)
                 cesn.save_model(model, path)
                 manifest["outputs"].append(str(path))
-                for rep in reports:
-                    fit = model.training_nrmse(rep["pattern"])
-                    lines.append(",".join([
-                        str(u), task, str(rep["pattern"]),
-                        format(rep["quota_before"], ".9g"),
-                        format(rep["quota_after"], ".9g"),
-                        format(rep["quota_used"], ".9g"),
-                        format(fit, ".9g")]))
+                rows += [(u, task, rep["pattern"], rep["quota_before"], rep["quota_after"],
+                          rep["quota_used"], model.training_nrmse(rep["pattern"]))
+                         for rep in reports]
         report_path = out / "training_report.csv"
-        report_path.write_text("\n".join(lines) + "\n")
+        report_path.write_text(sim.csv_text(TRAINING_COLUMNS, rows))
         manifest["outputs"].append(str(report_path))
     print(f"trained {cfg.num_users} users x 2 tasks -> {models_dir}")
     return EXIT_OK
@@ -259,6 +255,9 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
+COMMANDS = {"train": cmd_train, "simulate": cmd_simulate, "sweep": cmd_sweep}
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     parser = _build_parser()
@@ -269,13 +268,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     args.argv = argv  # recorded in the run manifest
     try:
-        if args.command == "train":
-            return cmd_train(args)
-        if args.command == "simulate":
-            return cmd_simulate(args)
-        if args.command == "sweep":
-            return cmd_sweep(args)
-        raise UsageError(f"unknown command {args.command!r}")
+        return COMMANDS[args.command](args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -21,6 +21,9 @@ RITZ_RESIDUAL_RTOL = 1e-13    # Arnoldi stops at a top Ritz pair residual of at 
 CONCEPTOR_S_CUT = 1e-10       # conceptor directions with eigenvalue s at most this are dropped
 ZF_NULLING_TOL = 1e-9         # zero-forcing residual ||H F - I||
 LINEAR_LOSS_RTOL = 1e-12      # linear-unit path loss and objective vs the dB route
+POWER_SUM_RTOL = 1e-9         # a slot's per-user power sum vs its per-UAV sum, relative
+POWER_SUM_ATOL = 1e-12        # ... and absolute, in W
+CONSTANT_SIGNAL_RTOL = 1e-12  # nrmse: a variance at most this times the mean square is constant
 
 
 # The spectral radius's size rule: a matrix whose core (what the peel leaves) has fewer rows

@@ -20,12 +20,13 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import itertools
 import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import placement
+from . import linalg, placement
 from .channel import (db_to_linear, g2a_fronthaul_bits, link_rates_bps, slot_capacity_bits,
                       uav_user_pathloss_db, uav_user_snr, zfbf_sinr)
 from .config import ConfigError, RandomSource, RrhCluster, ScenarioConfig, validate
@@ -86,7 +87,7 @@ class SlotLog:
                 f"slot {self.slot}: {self.requests} requests vs {self.delivered} delivered "
                 f"+ {self.failures} failed")
         if not np.isclose(self.reports.power_w.sum(), self.uav_power_w.sum(),
-                          rtol=1e-9, atol=1e-12):
+                          rtol=linalg.POWER_SUM_RTOL, atol=linalg.POWER_SUM_ATOL):
             raise SimInvariantError(f"slot {self.slot}: per-UAV power does not add up")
 
 
@@ -526,13 +527,17 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def csv_text(columns, rows) -> str:
+    """The header ``columns``, then one line per row of Python values, each written by
+    :func:`_fmt`.  ``rows`` is read once, a row at a time, so it may be a generator."""
+    return "".join(",".join(map(_fmt, row)) + "\n" for row in itertools.chain([columns], rows))
+
+
 def slots_csv_text(logs: list[SlotLog]) -> str:
-    lines = [",".join(SLOTS_COLUMNS)]
-    for log in logs:
-        # tolist() gives the Python bool, int, float and str values _fmt formats
-        columns = [map(_fmt, log.reports[name].tolist()) for name in REPORT.names]
-        lines.extend(",".join((str(log.slot), *row)) for row in zip(*columns))
-    return "\n".join(lines) + "\n"
+    # tolist() gives the Python bool, int, float and str values _fmt formats
+    return csv_text(SLOTS_COLUMNS, (
+        (log.slot, *row) for log in logs
+        for row in zip(*(log.reports[name].tolist() for name in REPORT.names))))
 
 
 def summary_json_text(summary: dict) -> str:
@@ -547,7 +552,4 @@ def summary_json_text(summary: dict) -> str:
 
 
 def sweep_csv_text(rows: list[dict]) -> str:
-    lines = [",".join(SWEEP_COLUMNS)]
-    for row in rows:
-        lines.append(",".join(_fmt(row[c]) for c in SWEEP_COLUMNS))
-    return "\n".join(lines) + "\n"
+    return csv_text(SWEEP_COLUMNS, ([row[c] for c in SWEEP_COLUMNS] for row in rows))

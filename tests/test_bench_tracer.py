@@ -1,9 +1,11 @@
-"""A traced run gives the untraced run's output and counts every stage.
+"""The benchmark's tracer still finds, runs and counts what it traces.
 
-``perfbench/tracer.py`` reads work counts from what the traced functions
-return, so a changed return type breaks only traced benchmark runs.  This
-smoke test runs a small period and one small content model under the tracer.
-The tracer file is only read, never changed.
+``perfbench/tracer.py`` looks each target up with ``vars(owner)[attr]``, so a
+rename under ``src/`` would crash every benchmark run.  It reads work counts
+from what the traced functions return, so a changed return type breaks only
+traced benchmark runs.  These checks fail the test suite instead: every target
+must resolve, and a small period and one small content model run under the
+tracer.  The tracer file is only read, never changed.
 """
 
 import importlib.util
@@ -22,6 +24,15 @@ def load_tracer(monkeypatch):
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
     return tracer
+
+
+def test_every_tracer_target_resolves(monkeypatch):
+    tracer = load_tracer(monkeypatch)
+    assert tracer.TARGETS
+    for prefix, owner_spec, attr, _ in tracer.TARGETS:
+        owner = tracer._owner(owner_spec)
+        assert attr in vars(owner), f"{prefix}: {owner_spec}.{attr} is gone"
+        assert callable(vars(owner)[attr]), f"{prefix}: {owner_spec}.{attr} is not callable"
 
 
 def test_traced_run_matches_untraced_and_counts_stages(tiny_cfg, monkeypatch):

@@ -270,7 +270,8 @@ def _raise_channel_error(*args, **kwargs):
     ({"esn": {"reservoir_size": 1}}, "train", 2, "LinalgError: degenerate reservoir draw"),
     ({"esn": {"reservoir_size": 2, "aperture": 1000.0}}, "train", 2, "MemoryExhausted: "),
     ({"esn": {"washout": 50, "training_length": 400}}, "train", 2,
-     "esn.washout: must be smaller than the 42 training samples"),
+     "TooFewSamples: user 0 content sub-period 0: 42 samples leave none after the washout "
+     "of 50; lower esn.washout"),
     ({"esn": {"washout": 40}, "generators": {"request_probability": 0.5}}, "train", 2,
      "TooFewSamples: "),
     ({"esn": {"washout": 36}, "generators": {"request_probability": 0.9}}, "train", 2,
@@ -381,6 +382,9 @@ def test_domain_errors_map_to_exit_codes(tmp_path, capsys, monkeypatch, override
         assert "user000_content.npz" in err
     if source == "out is a file":
         assert str(tmp_path / "out") in err
+    if source == "train":  # every training failure comes after the manifest is written
+        manifest = json.loads((tmp_path / "out" / "run_manifest.json").read_text())
+        assert manifest["status"] == "failed" and message in manifest["error"]
     assert "Traceback" not in err
 
 

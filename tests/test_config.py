@@ -7,11 +7,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import desk_config
 from uavcache import config
-from uavcache.cesn import validate_esn
+from uavcache.cesn import TooFewSamples, validate_esn
 from uavcache.config import (DESK_PRESET, ConfigError, EsnConfig, RandomSource, ScenarioConfig,
                              load_config_dict, merge_documents, parse_document, serialize,
-                             training_violations, validate)
+                             validate)
+from uavcache.generators import SyntheticWorld
+from uavcache.predictors import train_content_model
 
 
 def test_empty_document_gives_reference_defaults():
@@ -277,12 +280,18 @@ def test_products_of_counts_are_bounded(doc, bound_name, past, product):
 @pytest.mark.parametrize("washout, ok", [(41, True), (42, False), (50, False)])
 def test_training_needs_samples_after_the_washout(washout, ok):
     # 2 weeks x 7 days x 3 slots per sub-period = 42 samples per content pattern
-    cfg = load_config_dict({
-        "slots_per_collection": 3, "slots_per_cache_period": 12,
-        "generators": {"training_weeks": 2},
-        "esn": {"training_length": 400, "washout": washout}})  # valid for oracle runs
-    assert training_violations(cfg) == ([] if ok else [
-        f"esn.washout: must be smaller than the 42 training samples per pattern, got {washout}"])
+    cfg = desk_config(  # valid: only training needs samples after the washout
+        num_users=6, num_rrhs=6, num_rrh_clusters=2, num_uavs=2, slots_per_collection=3,
+        slots_per_cache_period=12, generators={"training_weeks": 2},
+        esn={"reservoir_size": 20, "training_length": 400, "washout": washout})
+    world = SyntheticWorld(cfg)
+    if ok:
+        model, _ = train_content_model(cfg, world, 0)
+        assert model.n_patterns == world.n_sub
+    else:
+        with pytest.raises(TooFewSamples, match=f"user 0 content sub-period 0: 42 samples "
+                                                f"leave none after the washout of {washout}"):
+            train_content_model(cfg, world, 0)
 
 
 def test_device_rate_over_content_array_matches_scalar_calls():

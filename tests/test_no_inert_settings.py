@@ -18,7 +18,7 @@ from pathlib import Path
 from uavcache.config import ChannelParams, EsnConfig, GeneratorConfig, ScenarioConfig
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "uavcache"
-CHECKS_ONLY = {"validate", "esn_violations", "training_violations"}
+CHECKS_ONLY = {"validate", "esn_violations"}
 BLOCKS = (ScenarioConfig, ChannelParams, EsnConfig, GeneratorConfig)
 
 
