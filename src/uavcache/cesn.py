@@ -482,14 +482,16 @@ def save_model(model: EsnModel, path) -> None:
 
 
 def _check_arrays(cfg: EsnConfig, arrays: dict) -> None:
-    """Raise ``ConfigError`` unless every stored array is finite and fits the model's sizes,
-    and every stored eigenvalue is nonnegative."""
+    """Raise ``ConfigError`` unless every stored array is finite float64, as ``save_model``
+    writes it, and fits the model's sizes, and every stored eigenvalue is nonnegative."""
     n, p, width = cfg.reservoir_size, len(arrays["conceptor_lam"]), arrays["w_in"].shape[-1:]
     rank = arrays["conceptor_u"].shape[-1:]
     expected = {"w": (n, n), "w_in": (n,) + width, "b": width + (n,),
                 "w_out": arrays["w_out"].shape[:1] + (n,), "conceptor_u": (p, n) + rank,
                 "conceptor_lam": (p,) + rank, "pattern_states": (p, n), "quota_history": (p + 1,)}
     for name, shape in expected.items():
+        if arrays[name].dtype != np.float64:
+            raise ConfigError([f"{name} has dtype {arrays[name].dtype}, not float64"])
         if arrays[name].shape != shape:
             raise ConfigError([f"{name} has shape {arrays[name].shape}, not {shape}, in a model "
                                f"of {n} reservoir units and {p} patterns"])

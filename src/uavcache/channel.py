@@ -39,7 +39,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import linalg
-from .config import ChannelParams, RrhCluster
+from .config import ChannelParams
 
 SPEED_OF_LIGHT = 3e8
 # np.degrees multiplies by this same constant.
@@ -244,16 +244,17 @@ def zf_beamformer(h: np.ndarray) -> np.ndarray:
     return f
 
 
-def zfbf_sinr(clusters: list[RrhCluster], assigned: np.ndarray,
+def zfbf_sinr(clusters: list[np.ndarray], assigned: np.ndarray,
               user_xy: np.ndarray, fading_power: list[np.ndarray],
               rrh_power_w: float, bbu_interference_w: np.ndarray,
               noise_w: float, exponent: float) -> np.ndarray:
     """Per-user SINR under zero-forcing within clusters; 0 for users on no cluster.
 
-    ``assigned`` holds each user's cluster index (-1: none), ``fading_power[q]``
-    holds unit-mean exponential power gains of shape (num_users, R_q) toward
-    cluster q's antennas (rows are indexed by global user id so the same draws
-    serve both the direct and the cross channels).  Intra-cluster interference
+    ``clusters[q]`` holds cluster q's (R_q, 2) antenna positions, ``assigned``
+    each user's cluster index (-1: none), and ``fading_power[q]`` unit-mean
+    exponential power gains of shape (num_users, R_q) toward cluster q's
+    antennas (rows are indexed by global user id so the same draws serve both
+    the direct and the cross channels).  Intra-cluster interference
     is nulled exactly; other clusters' beams and the wireless-fronthaul term
     enter the denominator.
     """
@@ -263,12 +264,12 @@ def zfbf_sinr(clusters: list[RrhCluster], assigned: np.ndarray,
         users = np.flatnonzero(assigned == q)
         if not users.size:
             continue
-        h = rayleigh_channel_rows(user_xy[users], cluster.antennas,
+        h = rayleigh_channel_rows(user_xy[users], cluster,
                                   fading_power[q][users], exponent)
         try:
             beams[q] = zf_beamformer(h)
         except ChannelError as exc:
-            raise ChannelError(f"cluster {cluster.id}: {exc}") from exc
+            raise ChannelError(f"cluster {q}: {exc}") from exc
 
     sinr = np.zeros(user_xy.shape[0])
     for q, cluster in enumerate(clusters):
@@ -277,7 +278,7 @@ def zfbf_sinr(clusters: list[RrhCluster], assigned: np.ndarray,
             for j, other in enumerate(clusters):
                 if j == q or j not in beams:
                     continue
-                cross = rayleigh_channel_rows(user_xy[i], other.antennas,
+                cross = rayleigh_channel_rows(user_xy[i], other,
                                               fading_power[j][i], exponent)
                 powers = (cross @ beams[j]) ** 2
                 interference += rrh_power_w * float(np.sum(powers))

@@ -192,8 +192,8 @@ def _model_path(models_dir: Path, user: int, task: str) -> Path:
 def _read_model(path: Path) -> cesn.EsnModel:
     try:
         return cesn.load_model(path)
-    except (OSError, EOFError, LookupError, TypeError, ValueError, zipfile.BadZipFile,
-            zlib.error) as exc:
+    except (OSError, EOFError, LookupError, OverflowError, TypeError, ValueError,
+            zipfile.BadZipFile, zlib.error) as exc:
         raise ConfigError([f"unreadable model file {path}: {exc}"]) from exc
 
 
@@ -239,13 +239,13 @@ def cmd_simulate(args) -> int:
 
 def cmd_sweep(args) -> int:
     cfg = _load_scenario(args)
-    out = _out_dir(args)
     try:
         values = [int(v) for v in args.values.split(",") if v.strip() != ""]
     except ValueError as exc:
         raise UsageError(f"--values must be comma-separated integers: {exc}") from exc
     if not values:
         raise UsageError("--values must list at least one value")
+    out = _out_dir(args)
     with _manifest(out, args, cfg) as manifest:
         rows = sim.sweep(cfg, args.param, values, baseline=args.baseline)
         sweep_path = out / "sweep.csv"

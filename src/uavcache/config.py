@@ -1,4 +1,4 @@
-"""Scenario configuration, the radio-head cluster type, and deterministic random streams.
+"""Scenario configuration and deterministic random streams.
 
 Every tunable constant of the simulator lives in :class:`ScenarioConfig` and its
 nested blocks, each setting with its accepted values beside its default.
@@ -415,22 +415,6 @@ def parse_document(text: str) -> dict:
 def serialize(cfg: ScenarioConfig) -> str:
     """Emit the config as a JSON document; load_config_dict(parse_document(serialize(c))) == c."""
     return json.dumps(dataclasses.asdict(cfg), indent=2, sort_keys=True)
-
-
-@dataclass
-class RrhCluster:
-    """A zero-forcing cluster of radio heads acting as one distributed array."""
-
-    id: int
-    antennas: np.ndarray  # (R_q, 2) meters
-
-    @property
-    def n_antennas(self) -> int:
-        return int(self.antennas.shape[0])
-
-    @property
-    def centroid(self) -> np.ndarray:
-        return self.antennas.mean(axis=0)
 
 
 # -- deterministic random streams --------------------------------------------

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import pathloss_linear_into
-from .config import ChannelParams, RandomSource, RrhCluster, ScenarioConfig
+from .config import ChannelParams, RandomSource, ScenarioConfig
 from .qoe import (delay_rate_requirement_bits, min_uav_power_w, power_per_loss_w,
                   qoe_rate_target_bps)
 
@@ -41,7 +41,7 @@ def rrh_rate_threshold_bits(n_fr: int, device_req_bps, cfg: ScenarioConfig, boun
                       np.asarray(device_req_bps, dtype=float) * cfg.slot_duration_s)
 
 
-def associate_rrh(rates_bits, user_xy, device_req_bps, clusters: list[RrhCluster],
+def associate_rrh(rates_bits, user_xy, device_req_bps, clusters: list[np.ndarray],
                   cfg: ScenarioConfig, bound_s: float) -> np.ndarray:
     """Each user's radio-head cluster index, or -1: the largest admitted set whose
     rates all clear the shared-fronthaul threshold.
@@ -54,14 +54,14 @@ def associate_rrh(rates_bits, user_xy, device_req_bps, clusters: list[RrhCluster
     rates = np.asarray(rates_bits, dtype=float)
     user_xy = np.asarray(user_xy, dtype=float)
     assigned = np.full(rates.shape[0], -1)
-    capacity = [c.n_antennas for c in clusters]
+    capacity = [len(c) for c in clusters]
     for m in range(min(rates.shape[0], sum(capacity)), 0, -1):
         clears = ~(rates < rrh_rate_threshold_bits(m, device_req_bps, cfg, bound_s))
         if np.count_nonzero(clears) >= m:
             break
     else:
         return assigned
-    centroids = [c.centroid for c in clusters]
+    centroids = [c.mean(axis=0) for c in clusters]
     ranked = sorted(np.flatnonzero(clears).tolist(), key=lambda i: (-rates[i], i))
     for i in ranked[:m]:
         q = min((q for q in range(len(clusters)) if capacity[q] > 0),

@@ -279,13 +279,13 @@ def reference_associate_rrh(rates_bits, user_xy, device_req_bps, clusters, cfg, 
     rates = np.asarray(rates_bits, dtype=float)
     user_xy = np.asarray(user_xy, dtype=float)
     n_users = rates.shape[0]
-    total_antennas = sum(c.n_antennas for c in clusters)
+    total_antennas = sum(len(c) for c in clusters)
     order = sorted(range(n_users), key=lambda i: (-rates[i], i))
-    centroids = [c.antennas.mean(axis=0) for c in clusters]
+    centroids = [c.mean(axis=0) for c in clusters]
     for m in range(min(n_users, total_antennas), 0, -1):
         thresholds = rrh_rate_threshold_bits(m, device_req_bps, cfg, bound_s)
         chosen: dict[int, int] = {}
-        capacity = [c.n_antennas for c in clusters]
+        capacity = [len(c) for c in clusters]
         for i in order:
             if len(chosen) == m:
                 break

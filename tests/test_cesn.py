@@ -608,6 +608,11 @@ class TestSerialization:
                             ("conceptor_u", np.nan), ("conceptor_lam", np.nan),
                             ("pattern_states", np.inf), ("quota_history", np.nan)]
     ] + [
+        pytest.param(name, lambda a, t=dtype: a.astype(t), "has dtype ",
+                     id=f"{name}-{np.dtype(dtype).name}")
+        for name, dtype in [("b", np.complex128), ("w_out", np.complex128), ("w", np.float32),
+                            ("quota_history", np.int64), ("conceptor_lam", np.bool_)]
+    ] + [
         pytest.param("conceptor_lam", lambda a: last_entry_set(a, -1e-3),
                      "has a negative eigenvalue", id="conceptor_lam-negative"),
     ])

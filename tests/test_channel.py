@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import access_links, uav_user_pathloss_linear
 from uavcache import channel, linalg
-from uavcache.config import ChannelParams, RrhCluster
+from uavcache.config import ChannelParams
 
 P = ChannelParams()
 
@@ -224,7 +224,7 @@ class TestFronthaul:
 
 class TestZfbf:
     def _cluster(self, positions):
-        return RrhCluster(id=0, antennas=np.asarray(positions, dtype=float))
+        return np.asarray(positions, dtype=float)
 
     def test_single_user_identity(self):
         clusters = [self._cluster([[0.0, 0.0], [10.0, 0.0]])]
@@ -247,7 +247,7 @@ class TestZfbf:
         near = self._cluster([[0.0, 0.0], [5.0, 0.0]])
         gains = [np.ones((2, 2)), np.ones((2, 2))]
         users = np.array([[10.0, 10.0], [1e6, 1e6]])
-        far = RrhCluster(id=1, antennas=np.array([[1e6, 1e6 + 5.0], [1e6 + 5.0, 1e6]]))
+        far = np.array([[1e6, 1e6 + 5.0], [1e6 + 5.0, 1e6]])
         sinr = channel.zfbf_sinr([near, far], np.array([0, 1]), users, gains,
                                  rrh_power_w=0.1, bbu_interference_w=np.zeros(2),
                                  noise_w=1e-13, exponent=2.0)
@@ -271,6 +271,15 @@ class TestZfbf:
         with pytest.raises(channel.ChannelError, match="cluster 0"):
             channel.zfbf_sinr([cluster], np.array([0, 0]), users, gains, 0.1,
                               np.zeros(2), 1e-13, 2.0)
+
+    def test_error_names_the_cluster_by_its_index(self):
+        healthy = self._cluster([[-500.0, 0.0], [-505.0, 0.0]])
+        degenerate = self._cluster([[0.0, 0.0], [5.0, 0.0]])
+        users = np.array([[-450.0, 30.0], [100.0, 0.0], [100.0, 0.0]])
+        gains = [np.ones((3, 2)), np.ones((3, 2))]
+        with pytest.raises(channel.ChannelError, match="^cluster 1: rank-deficient"):
+            channel.zfbf_sinr([healthy, degenerate], np.array([0, 1, 1]), users, gains, 0.1,
+                              np.zeros(3), 1e-13, 2.0)
 
     def test_bbu_interference_lowers_sinr(self):
         cluster = self._cluster([[0.0, 0.0], [10.0, 0.0]])

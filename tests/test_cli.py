@@ -3,6 +3,7 @@ import io
 import json
 import math
 import platform
+import shutil
 import sys
 import tempfile
 import warnings
@@ -266,6 +267,13 @@ def _raise_channel_error(*args, **kwargs):
     raise ChannelError("zero distance between user and antenna")
 
 
+def edits_the_content_file(source: str) -> bool:
+    """Whether ``source`` trains the tiny models and then edits user 0's content file."""
+    return source in ("version 1 models", "one-dimensional input map", "cut pattern states",
+                      "NaN readout entry", "version 4 models") or \
+        source.startswith(("stored ", "complex "))
+
+
 @pytest.mark.parametrize("override, source, code, message", [
     ({"esn": {"reservoir_size": 1}}, "train", 2, "LinalgError: degenerate reservoir draw"),
     ({"esn": {"reservoir_size": 2, "aperture": 1000.0}}, "train", 2, "MemoryExhausted: "),
@@ -306,6 +314,8 @@ def _raise_channel_error(*args, **kwargs):
     ({}, "stored ridge Infinity", 2, "esn.ridge: must be finite, got inf"),
     ({}, "stored washout 2.5", 2, "esn.washout: expected an integer, got 2.5"),
     ({}, 'stored washout "5"', 2, "esn.washout: expected an integer, got '5'"),
+    ({}, "complex b", 2, "b has dtype complex128, not float64"),
+    ({}, "complex w_out", 2, "w_out has dtype complex128, not float64"),
 ], ids=["degenerate-reservoir", "memory-exhausted", "washout-vs-samples",
         "washout-vs-drawn-samples", "drawn-samples-name-the-pattern", "no-requests",
         "garbage-model-file", "pattern-count-mismatch",
@@ -316,7 +326,7 @@ def _raise_channel_error(*args, **kwargs):
         "stored-aperture-zero", "config-not-utf8", "config-is-a-directory",
         "stored-washout-negative", "stored-washout-nan", "stored-training-length-nan",
         "stored-input-scale-nan", "stored-ridge-infinite", "stored-washout-fractional",
-        "stored-washout-string"])
+        "stored-washout-string", "complex-input-simulation", "complex-readout"])
 def test_domain_errors_map_to_exit_codes(tmp_path, capsys, monkeypatch, override, source,
                                          code, message):
     cfg = tmp_path / "cfg.json"
@@ -329,9 +339,8 @@ def test_domain_errors_map_to_exit_codes(tmp_path, capsys, monkeypatch, override
         for task in ("content", "mobility"):
             (tmp_path / "models" / f"user000_{task}.npz").write_bytes(b"not a model")
         argv = ["simulate", "--models", str(tmp_path)] + argv
-    elif source in ("trained models", "content model as mobility", "flat models",
-                    "version 1 models", "one-dimensional input map", "cut pattern states",
-                    "NaN readout entry", "version 4 models") or source.startswith("stored "):
+    elif source in ("trained models", "content model as mobility", "flat models") or \
+            edits_the_content_file(source):
         trained_cfg = tmp_path / "trained.json"
         trained_cfg.write_text(json.dumps(
             merge_documents(TINY, override) if source == "content model as mobility" else TINY))
@@ -341,8 +350,7 @@ def test_domain_errors_map_to_exit_codes(tmp_path, capsys, monkeypatch, override
             models = tmp_path / "trained" / "models"
             (models / "user000_mobility.npz").write_bytes(
                 (models / "user000_content.npz").read_bytes())
-        if source in ("version 1 models", "one-dimensional input map", "cut pattern states",
-                      "NaN readout entry", "version 4 models") or source.startswith("stored "):
+        if edits_the_content_file(source):
             path = tmp_path / "trained" / "models" / "user000_content.npz"
             with np.load(path) as data:
                 members = dict(data)
@@ -353,6 +361,9 @@ def test_domain_errors_map_to_exit_codes(tmp_path, capsys, monkeypatch, override
                 stored = json.loads(bytes(members["cfg"]).decode("utf-8"))
                 members["cfg"] = np.frombuffer(json.dumps(
                     dict(stored, **{name: json.loads(value)})).encode("utf-8"), dtype=np.uint8)
+            elif source.startswith("complex "):
+                name = source.split()[1]
+                members[name] = members[name].astype(np.complex128)
             elif source == "one-dimensional input map":
                 members["w_in"] = members["w_in"][:, 0]
             elif source == "NaN readout entry":
@@ -392,13 +403,14 @@ def no_world(*args, **kwargs):
     raise AssertionError("a world was built")
 
 
-def quiet_main(command: list[str], doc: dict) -> int:
-    """``main(command + --config --out)`` on ``doc`` in a throwaway directory, output muted."""
+def quiet_main(command: list[str], doc: dict, out: Path | None = None) -> int:
+    """``main(command + --config --out)`` on ``doc``, output muted; the config, and the
+    output unless ``out`` names it, go to a throwaway directory."""
     with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()), \
             contextlib.redirect_stderr(io.StringIO()):
         cfg = Path(tmp) / "cfg.json"
         cfg.write_text(json.dumps(doc))
-        return main(command + ["--config", str(cfg), "--out", str(Path(tmp) / "out")])
+        return main(command + ["--config", str(cfg), "--out", str(out or Path(tmp) / "out")])
 
 
 FUZZ_ESN = st.fixed_dictionaries({
@@ -543,6 +555,54 @@ def test_fuzzed_sweep_values_never_end_in_a_traceback(param, values):
     assert quiet_main(command, TINY) in (0, 1, 2)
 
 
+@pytest.fixture(scope="module")
+def tiny_models(tmp_path_factory) -> Path:
+    """A run directory holding the tiny config's trained models."""
+    run = tmp_path_factory.mktemp("tiny-models")
+    assert quiet_main(["train"], TINY, run) == 0
+    return run
+
+
+MODEL_MEMBERS = ("format_version", "cfg", "w", "w_in", "b", "w_out", "conceptor_u",
+                 "conceptor_lam", "pattern_states", "quota_history")
+
+
+def edit_member(array: np.ndarray, edit: str, entry: int) -> np.ndarray:
+    """``array`` under one ``edit``: a dtype, an added or dropped axis, or a NaN or inf entry."""
+    if edit == "add axis":
+        return array[None]
+    if edit == "drop axis":  # a 0-d or empty array gains one instead
+        return array[0] if array.ndim and len(array) else array[None]
+    if edit in ("nan", "inf"):
+        array = array.astype(np.float64)
+        if array.size:
+            array.flat[entry % array.size] = float(edit)
+        return array
+    return array.astype(edit)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(task=st.sampled_from(["content", "mobility"]),
+       member=st.sampled_from(MODEL_MEMBERS),
+       edit=st.sampled_from(["complex128", "float32", "int64", "bool", "add axis", "drop axis",
+                             "nan", "inf", "delete"]),
+       entry=st.integers(0, 10 ** 6))
+@example(task="content", member="b", edit="complex128", entry=0)
+def test_fuzzed_model_files_never_end_in_a_traceback(tiny_models, task, member, edit, entry):
+    with tempfile.TemporaryDirectory() as tmp:
+        run = Path(tmp) / "run"
+        shutil.copytree(tiny_models / "models", run / "models")
+        path = run / "models" / f"user000_{task}.npz"
+        with np.load(path) as data:
+            members = dict(data)
+        if edit == "delete":
+            del members[member]
+        else:
+            members[member] = edit_member(members[member], edit, entry)
+        np.savez(path, **members)
+        assert quiet_main(["simulate", "--models", str(run)], TINY) in (0, 2, 3)
+
+
 class TestSweep:
     def test_rows_written(self, cfg_file, tmp_path):
         out = tmp_path / "run"
@@ -560,6 +620,12 @@ class TestSweep:
     def test_non_integer_values_usage_error(self, cfg_file, tmp_path):
         assert main(["sweep", "--config", cfg_file, "--param", "cache",
                      "--values", "1,two", "--out", str(tmp_path)]) == 1
+
+    def test_usage_error_leaves_no_output_directory(self, cfg_file, tmp_path):
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", cfg_file, "--param", "cache",
+                     "--values", "a,b", "--out", str(out)]) == 1
+        assert not out.exists()
 
     def test_invalid_swept_value_is_config_error(self, cfg_file, tmp_path):
         assert main(["sweep", "--config", cfg_file, "--param", "cache",

@@ -13,7 +13,7 @@ from conftest import (access_links, log_uniform, place_uav_exhaustive, placement
                       placement_objective_db, reference_associate_rrh)
 from uavcache import linalg, placement, sim
 from uavcache.channel import ChannelError, db_to_linear
-from uavcache.config import ChannelParams, RandomSource, RrhCluster, ScenarioConfig
+from uavcache.config import ChannelParams, RandomSource, ScenarioConfig
 from uavcache.generators import SyntheticWorld
 from uavcache.predictors import period_collections
 from uavcache.qoe import (delay_lower_bound_s, delay_rate_requirement_bits, min_uav_power_w,
@@ -26,8 +26,7 @@ SLOW_FRONTHAUL = ScenarioConfig(slot_duration_s=0.5, fronthaul_rate_bps=1e7)
 
 
 def two_clusters():
-    return [RrhCluster(id=0, antennas=np.array([[-100.0, 0.0], [-110.0, 0.0]])),
-            RrhCluster(id=1, antennas=np.array([[100.0, 0.0], [110.0, 0.0]]))]
+    return [np.array([[-100.0, 0.0], [-110.0, 0.0]]), np.array([[100.0, 0.0], [110.0, 0.0]])]
 
 
 class TestAssociation:
@@ -48,7 +47,7 @@ class TestAssociation:
         assert assigned.tolist() == [-1] * 5
 
     def test_threshold_boundary_inclusive(self):
-        clusters = [RrhCluster(id=0, antennas=np.array([[0.0, 0.0]]))]
+        clusters = [np.array([[0.0, 0.0]])]
         device = np.array([5e6])
         threshold = placement.rrh_rate_threshold_bits(1, device, CFG, BOUND_S)
         assigned = placement.associate_rrh(threshold, np.array([[10.0, 0.0]]), device,
@@ -88,9 +87,8 @@ class TestAssociation:
         # Points on a coarse grid, so that users tie on distance to clusters.
         point = st.tuples(st.integers(-2, 2), st.integers(-2, 2)).map(
             lambda p: [100.0 * p[0], 100.0 * p[1]])
-        clusters = [RrhCluster(id=q, antennas=np.array(data.draw(st.lists(point, min_size=1,
-                                                                          max_size=3))))
-                    for q in range(data.draw(st.integers(0, 3)))]
+        clusters = [np.array(data.draw(st.lists(point, min_size=1, max_size=3)))
+                    for _ in range(data.draw(st.integers(0, 3)))]
         n = data.draw(st.integers(0, 10))
         xy = np.array(data.draw(st.lists(point, min_size=n, max_size=n)), dtype=float)
         xy = xy.reshape(n, 2)

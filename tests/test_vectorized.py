@@ -319,11 +319,12 @@ def reference_cache_rows(plan, k):
         # each member's predicted mid-slot position, interpolated for that user alone
         midpoints = [track_positions(plan.collections, u, [s + 0.5], cfg.slots_per_collection)[0]
                      for u in members]
-        pls = channel.uav_user_pathloss_db(plan.anchors[s][k], np.array(midpoints), cfg.pathloss)
-        for u, pl in zip(members, pls):
+        losses = channel.db_to_linear(
+            channel.uav_user_pathloss_db(plan.anchors[s][k], np.array(midpoints), cfg.pathloss))
+        for u, loss in zip(members, losses):
             prob_rows.append(plan.distributions[u, s // cfg.slots_per_collection])
             saving_rows.append(placement.delta_power_saving(
-                channel.db_to_linear(float(pl)), plan.req_hit, plan.req_miss[s][k],
+                loss, plan.req_hit, plan.req_miss[s][k],
                 cfg.device_rate_bps(screen[u], all_contents), len(members), cfg))
     return np.array(prob_rows), np.array(saving_rows)
 
