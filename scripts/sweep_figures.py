@@ -1,7 +1,9 @@
 #!/usr/bin/env python3
 """Emit the three standard sweep CSVs (user count, UAV count, cache size).
 
-Each CSV holds one row per swept value at a fixed seed, ready for plotting.
+Each CSV holds one row per swept value and baseline at a fixed seed, values
+outer, ready for plotting: the proposed pipeline (baseline ``none``) against
+every ablation baseline.
 """
 
 import argparse
@@ -34,7 +36,7 @@ def main() -> None:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     for param, values in SWEEPS.items():
-        rows = sim.sweep(cfg, param, values)
+        rows = sim.sweep(cfg, param, values, tuple(sim.BASELINES))
         path = out / f"sweep_{param}.csv"
         path.write_text(sim.sweep_csv_text(rows))
         print(f"wrote {path} ({len(rows)} rows)")

@@ -508,11 +508,14 @@ def load_model(path) -> EsnModel:
     ``ConfigError``."""
     with np.load(path) as data:
         arrays = dict(data)
-    version = int(arrays["format_version"])
+    version, stored = arrays["format_version"], arrays["cfg"]
+    if (version.dtype, version.ndim, stored.dtype, stored.ndim) != (np.int64, 0, np.uint8, 1):
+        raise ConfigError([f"format_version is {version.ndim}-d {version.dtype} and cfg "
+                           f"{stored.ndim}-d {stored.dtype}, not 0-d int64 and 1-d uint8"])
     if version != MODEL_FORMAT_VERSION:
         raise ConfigError([f"model format version {version} is not the supported "
                            f"version {MODEL_FORMAT_VERSION}; retrain the models"])
-    cfg = load_esn_dict(parse_document(bytes(arrays["cfg"]).decode("utf-8")))
+    cfg = load_esn_dict(parse_document(bytes(stored).decode("utf-8")))
     _check_arrays(cfg, arrays)
     model = EsnModel.__new__(EsnModel)
     model.cfg = cfg

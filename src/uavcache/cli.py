@@ -5,8 +5,8 @@ Subcommands::
     uavcache train    --config cfg.json --out DIR [--seed S] [--paper-scale]
     uavcache simulate --config cfg.json (--oracle | --models DIR) --out DIR
                       [--seed S] [--baseline NAME] [--paper-scale]
-    uavcache sweep    --config cfg.json --param {users,uavs,cache}
-                      --values 3,5,7 --out DIR [--seed S] [--paper-scale]
+    uavcache sweep    --config cfg.json --param {users,uavs,cache} --values 3,5,7
+                      --out DIR [--seed S] [--baseline NAME ...] [--paper-scale]
 
 Exit codes: 0 success, 1 usage error, 2 invalid config or inputs, 3 runtime
 invariant violation.  The default output directory comes from $UAVCACHE_OUT.
@@ -74,13 +74,14 @@ def _build_parser() -> _Parser:
     source.add_argument("--oracle", action="store_true",
                         help="plan with the generator's exact ground truth")
     source.add_argument("--models", default=None, help="directory of trained models")
-    p_sim.add_argument("--baseline", choices=sim.BASELINES, default=None)
+    p_sim.add_argument("--baseline", choices=sim.BASELINES, default="none")
 
     p_sweep = sub.add_parser("sweep", help="re-run the period across one parameter")
     common(p_sweep)
     p_sweep.add_argument("--param", required=True, choices=sorted(sim.SWEEP_PARAMS))
     p_sweep.add_argument("--values", required=True, help="comma-separated integers")
-    p_sweep.add_argument("--baseline", choices=sim.BASELINES, default=None)
+    p_sweep.add_argument("--baseline", choices=sim.BASELINES, action="append",
+                         help="repeat for several; none, the default, is the proposed pipeline")
     return parser
 
 
@@ -219,12 +220,9 @@ def cmd_simulate(args) -> int:
     cfg = _load_scenario(args)
     out = _out_dir(args)
     with _manifest(out, args, cfg) as manifest:
-        if args.oracle:
-            mode, models = "oracle", None
-        else:
-            mode = "esn"
-            models = tuple(_UserModels(Path(args.models), task)
-                           for task in ("content", "mobility"))
+        mode = "oracle" if args.oracle else "esn"
+        models = None if args.oracle else tuple(_UserModels(Path(args.models), task)
+                                                for task in ("content", "mobility"))
         logs, summary = sim.run_period(cfg, mode=mode, models=models, baseline=args.baseline)
         slots_path = out / "slots.csv"
         summary_path = out / "summary.json"
@@ -247,7 +245,7 @@ def cmd_sweep(args) -> int:
         raise UsageError("--values must list at least one value")
     out = _out_dir(args)
     with _manifest(out, args, cfg) as manifest:
-        rows = sim.sweep(cfg, args.param, values, baseline=args.baseline)
+        rows = sim.sweep(cfg, args.param, values, args.baseline or ("none",))
         sweep_path = out / "sweep.csv"
         sweep_path.write_text(sim.sweep_csv_text(rows))
         manifest["outputs"].append(str(sweep_path))
@@ -260,14 +258,9 @@ COMMANDS = {"train": cmd_train, "simulate": cmd_simulate, "sweep": cmd_sweep}
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    args.argv = argv  # recorded in the run manifest
-    try:
+        args = _build_parser().parse_args(argv)
+        args.argv = argv  # recorded in the run manifest
         return COMMANDS[args.command](args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

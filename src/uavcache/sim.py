@@ -10,10 +10,10 @@ Delivery fills one route table per slot (:data:`ROUTE`) and scores it into one
 record array of reports (:data:`REPORT`), whose fields are the ``slots.csv``
 columns; the slot checks, the summary and the CSV read it a column at a time.
 
-Each ablation baseline swaps stages (:data:`BASELINES`): ``no_uav`` plans with
-no UAVs, ``no_cache`` and ``random_cache`` replace ``select_caches`` with empty
-or uniform caches, and ``fixed_placement`` replaces ``place_uavs`` by parking
-each UAV over its first-slot anchor.
+Each baseline swaps stages (:data:`BASELINES`): ``none``, the proposed pipeline,
+swaps none, ``no_uav`` plans with no UAVs, ``no_cache`` and ``random_cache``
+replace ``select_caches`` with empty or uniform caches, and ``fixed_placement``
+replaces ``place_uavs`` by parking each UAV over its first-slot anchor.
 """
 
 from __future__ import annotations
@@ -418,6 +418,7 @@ def _score_routes(plan: PeriodPlan, content: np.ndarray, routes: np.ndarray) -> 
 
 # Each ablation baseline replaces the stages it names and keeps the rest.
 BASELINES = {
+    "none": {},
     "no_uav": {"plan_slots": functools.partial(plan_slots, n_uavs=0)},
     "no_cache": {"select_caches": _no_cache},
     "random_cache": {"select_caches": _random_cache},
@@ -426,10 +427,10 @@ BASELINES = {
 
 
 def run_period(cfg: ScenarioConfig, mode: str = "oracle", models=None,
-               baseline: str | None = None,
+               baseline: str = "none",
                world: SyntheticWorld | None = None) -> tuple[list[SlotLog], dict]:
     """Simulate one caching period; returns per-slot logs and the summary."""
-    if baseline is not None and baseline not in BASELINES:
+    if baseline not in BASELINES:
         raise ValueError(f"unknown baseline {baseline!r}; expected one of {tuple(BASELINES)}")
     if mode not in ("oracle", "esn"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -442,7 +443,7 @@ def run_period(cfg: ScenarioConfig, mode: str = "oracle", models=None,
         predictor = EsnPredictor(world, *models)
         prediction = predictor.distributions, predictor.collections
 
-    swap = BASELINES.get(baseline, {})
+    swap = BASELINES[baseline]
     plan = swap.get("plan_slots", plan_slots)(cfg, world, *prediction)
     caches = swap.get("select_caches", select_caches)(plan)
     positions = swap.get("place_uavs", place_uavs)(plan, caches)
@@ -466,7 +467,7 @@ def _summarize(plan: PeriodPlan, logs, mode, baseline) -> dict:
     return {
         "schema_version": SUMMARY_SCHEMA_VERSION,
         "mode": mode,
-        "baseline": baseline or "none",
+        "baseline": baseline,
         "seed": cfg.seed,
         "slots": len(logs),
         "num_users": cfg.num_users,
@@ -492,14 +493,16 @@ def _summarize(plan: PeriodPlan, logs, mode, baseline) -> dict:
 
 SWEEP_PARAMS = {"users": "num_users", "uavs": "num_uavs", "cache": "cache_size"}
 
-SWEEP_COLUMNS = ("param", "value", "total_uav_power_w", "avg_uav_power_w",
+SWEEP_COLUMNS = ("param", "value", "baseline", "total_uav_power_w", "avg_uav_power_w",
                  "satisfied_fraction", "cache_hit_rate", "avg_altitude_m")
 
 
-def sweep(cfg: ScenarioConfig, param: str, values, baseline: str | None = None) -> list[dict]:
-    """Re-run the oracle period for each swept value with the same seed; one row per value."""
+def sweep(cfg: ScenarioConfig, param: str, values, baselines=("none",)) -> list[dict]:
+    """Re-run the seeded oracle period per value and baseline; a row each, values outer."""
     if param not in SWEEP_PARAMS:
         raise ValueError(f"unknown sweep parameter {param!r}; expected one of {sorted(SWEEP_PARAMS)}")
+    if not set(baselines) <= BASELINES.keys():
+        raise ValueError(f"unknown baseline in {baselines!r}; expected some of {tuple(BASELINES)}")
     configs = [dataclasses.replace(cfg, **{SWEEP_PARAMS[param]: int(value)}) for value in values]
     # every value is checked before the first run starts
     violations = [f"sweep value {param}={value}: {v}"
@@ -508,9 +511,10 @@ def sweep(cfg: ScenarioConfig, param: str, values, baseline: str | None = None) 
         raise ConfigError(violations)
     rows = []
     for value, swept in zip(values, configs):
-        _, summary = run_period(swept, baseline=baseline)
-        rows.append({"param": param, "value": int(value),
-                     **{c: summary[c] for c in SWEEP_COLUMNS[2:]}})
+        for baseline in baselines:
+            _, summary = run_period(swept, baseline=baseline)
+            rows.append({"param": param, "value": int(value),
+                         **{c: summary[c] for c in SWEEP_COLUMNS[2:]}})
     return rows
 
 

@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import io
 import json
 import math
@@ -269,9 +270,8 @@ def _raise_channel_error(*args, **kwargs):
 
 def edits_the_content_file(source: str) -> bool:
     """Whether ``source`` trains the tiny models and then edits user 0's content file."""
-    return source in ("version 1 models", "one-dimensional input map", "cut pattern states",
-                      "NaN readout entry", "version 4 models") or \
-        source.startswith(("stored ", "complex "))
+    return source in ("one-dimensional input map", "cut pattern states", "NaN readout entry",
+                      "2-D cfg") or source.startswith(("stored ", "complex ", "version "))
 
 
 @pytest.mark.parametrize("override, source, code, message", [
@@ -316,6 +316,12 @@ def edits_the_content_file(source: str) -> bool:
     ({}, 'stored washout "5"', 2, "esn.washout: expected an integer, got '5'"),
     ({}, "complex b", 2, "b has dtype complex128, not float64"),
     ({}, "complex w_out", 2, "w_out has dtype complex128, not float64"),
+    ({}, "version float32 5.0", 2,
+     "format_version is 0-d float32 and cfg 1-d uint8, not 0-d int64 and 1-d uint8"),
+    ({}, "version float64 5.9", 2,
+     "format_version is 0-d float64 and cfg 1-d uint8, not 0-d int64 and 1-d uint8"),
+    ({}, "2-D cfg", 2,
+     "format_version is 0-d int64 and cfg 2-d uint8, not 0-d int64 and 1-d uint8"),
 ], ids=["degenerate-reservoir", "memory-exhausted", "washout-vs-samples",
         "washout-vs-drawn-samples", "drawn-samples-name-the-pattern", "no-requests",
         "garbage-model-file", "pattern-count-mismatch",
@@ -326,7 +332,8 @@ def edits_the_content_file(source: str) -> bool:
         "stored-aperture-zero", "config-not-utf8", "config-is-a-directory",
         "stored-washout-negative", "stored-washout-nan", "stored-training-length-nan",
         "stored-input-scale-nan", "stored-ridge-infinite", "stored-washout-fractional",
-        "stored-washout-string", "complex-input-simulation", "complex-readout"])
+        "stored-washout-string", "complex-input-simulation", "complex-readout",
+        "float32-model-version", "fractional-model-version", "two-dimensional-stored-config"])
 def test_domain_errors_map_to_exit_codes(tmp_path, capsys, monkeypatch, override, source,
                                          code, message):
     cfg = tmp_path / "cfg.json"
@@ -356,6 +363,11 @@ def test_domain_errors_map_to_exit_codes(tmp_path, capsys, monkeypatch, override
                 members = dict(data)
             if source in ("version 1 models", "version 4 models"):
                 members["format_version"] = np.int64(int(source.split()[1]))
+            elif source.startswith("version "):  # "version <dtype> <value>"
+                _, dtype, value = source.split()
+                members["format_version"] = np.array(float(value), dtype=dtype)
+            elif source == "2-D cfg":
+                members["cfg"] = members["cfg"][None]
             elif source.startswith("stored "):  # "stored <hyperparameter> <JSON value>"
                 _, name, value = source.split()
                 stored = json.loads(bytes(members["cfg"]).decode("utf-8"))
@@ -612,6 +624,25 @@ class TestSweep:
         lines = (out / "sweep.csv").read_text().strip().split("\n")
         assert len(lines) == 4
         assert lines[1].startswith("cache,1,")
+
+    def test_each_row_is_the_summary_of_its_baseline(self, cfg_file, tmp_path):
+        assert main(["sweep", "--config", cfg_file, "--param", "cache", "--values", "2",
+                     "--baseline", "none", "--baseline", "no_cache",
+                     "--out", str(tmp_path / "sweep")]) == 0
+        with open(tmp_path / "sweep" / "sweep.csv", newline="") as f:
+            rows = list(csv.DictReader(f))
+        assert [row["baseline"] for row in rows] == ["none", "no_cache"]
+        cfg = tmp_path / "cache2.json"
+        cfg.write_text(json.dumps(merge_documents(TINY, {"cache_size": 2})))
+        for row in rows:
+            out = tmp_path / row["baseline"]
+            assert main(["simulate", "--oracle", "--config", str(cfg),
+                         "--baseline", row["baseline"], "--out", str(out)]) == 0
+            summary = json.loads((out / "summary.json").read_text())
+            assert (row.pop("param"), int(row.pop("value")), row.pop("baseline")) == \
+                ("cache", summary["cache_size"], summary["baseline"])
+            assert {name: float(text) for name, text in row.items()} == \
+                {name: summary[name] for name in row}
 
     def test_empty_values_usage_error(self, cfg_file, tmp_path):
         assert main(["sweep", "--config", cfg_file, "--param", "cache",

@@ -23,8 +23,8 @@ from conftest import desk_config, idle_config, infeasible_config
 
 # baseline -> (slots.csv, summary.json) for the desk preset in oracle mode
 DESK_ORACLE = {
-    None: ("96a228cbdb0d6740f88c047786e6f1427934f13417309b8aee749803732b4fbb",
-           "9264b392941cba5de7af2b526406a3b01b15cd3baa5a21d3dfcf0d320948e30d"),
+    "none": ("96a228cbdb0d6740f88c047786e6f1427934f13417309b8aee749803732b4fbb",
+             "9264b392941cba5de7af2b526406a3b01b15cd3baa5a21d3dfcf0d320948e30d"),
     "no_uav": ("dea52a99c74e5abf337c4347fc321313016498c6143cf8e718cb35b9ff13b0cc",
                "e5694f460ffdfac3d302bed3a5bc2ff3d7bcf97d1f789a6d1449f0612c08a4d4"),
     "no_cache": ("cd28748e71810c64311db0ed06f360f7feb1d07402fe32e4ef4bcbf496ddfcbe",
@@ -90,7 +90,7 @@ def digests(logs, summary) -> tuple[str, str]:
             hashlib.sha256(sim.summary_json_text(summary).encode("utf-8")).hexdigest())
 
 
-@pytest.mark.parametrize("baseline", list(DESK_ORACLE), ids=lambda b: b or "none")
+@pytest.mark.parametrize("baseline", list(DESK_ORACLE))
 def test_desk_oracle_artifacts_pinned(baseline):
     logs, summary = sim.run_period(desk_config(), mode="oracle", baseline=baseline)
     assert digests(logs, summary) == DESK_ORACLE[baseline]

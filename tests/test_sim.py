@@ -165,8 +165,10 @@ class TestBaselines:
 
 class TestStageTable:
     def test_baselines_replace_named_stages_only(self):
-        for stages in sim.BASELINES.values():
-            assert stages and set(stages) <= {"plan_slots", "select_caches", "place_uavs"}
+        # the proposed pipeline is the one baseline that swaps no stage
+        for name, stages in sim.BASELINES.items():
+            assert bool(stages) == (name != "none")
+            assert set(stages) <= {"plan_slots", "select_caches", "place_uavs"}
 
     @pytest.mark.parametrize("baseline", ["no_cache", "random_cache", "fixed_placement"])
     def test_planning_unchanged_when_a_later_stage_is_swapped(self, tiny_cfg, baseline):
@@ -246,13 +248,13 @@ class TestSlotPartition:
 
 # config, baseline and the (link, delivered) rows each run must reach
 SCORING_CASES = {
-    "desk": (lambda tiny: desk_config(), None,
+    "desk": (lambda tiny: desk_config(), "none",
              {("rrh", True), ("uav_cache", True), ("uav_fronthaul", True)}),
     "desk_no_uav": (lambda tiny: desk_config(), "no_uav", {("rrh", True), ("unserved", False)}),
-    "tiny_infeasible": (infeasible_config, None, {("uav_cache", True), ("uav_fronthaul", True)}),
-    "tiny_idle": (idle_config, None, {("idle", False), ("rrh", True), ("uav_cache", True)}),
+    "tiny_infeasible": (infeasible_config, "none", {("uav_cache", True), ("uav_fronthaul", True)}),
+    "tiny_idle": (idle_config, "none", {("idle", False), ("rrh", True), ("uav_cache", True)}),
     # the BBU -> UAV link carries 0 bits, so every fetch is late
-    "tiny_dead_fronthaul": (lambda tiny: dataclasses.replace(tiny, bbu_power_w=1e-300), None,
+    "tiny_dead_fronthaul": (lambda tiny: dataclasses.replace(tiny, bbu_power_w=1e-300), "none",
                             {("uav_cache", True), ("uav_fronthaul", False)}),
 }
 
@@ -332,15 +334,23 @@ class TestSweep:
         assert all(a >= b - 1e-9 for a, b in zip(power, power[1:]))
 
     def test_users_sweep_baseline_comparison(self, tiny_cfg):
-        for value in (10, 14):
-            cfg = dataclasses.replace(tiny_cfg, num_users=value)
-            _, with_uavs = run(cfg)
-            _, without = run(cfg, baseline="no_uav")
+        rows = sim.sweep(tiny_cfg, "users", [10, 14], baselines=("none", "no_uav"))
+        assert [(r["value"], r["baseline"]) for r in rows] == \
+            [(10, "none"), (10, "no_uav"), (14, "none"), (14, "no_uav")]
+        for with_uavs, without in zip(rows[::2], rows[1::2]):
             assert with_uavs["satisfied_fraction"] >= without["satisfied_fraction"]
 
     def test_unknown_param_rejected(self, tiny_cfg):
         with pytest.raises(ValueError):
             sim.sweep(tiny_cfg, "altitude", [1])
+
+    def test_unknown_baseline_rejected_before_any_run(self, tiny_cfg, monkeypatch):
+        def no_run(*args, **kwargs):
+            raise AssertionError("a run started")
+
+        monkeypatch.setattr(sim, "run_period", no_run)
+        with pytest.raises(ValueError, match="half_cache"):
+            sim.sweep(tiny_cfg, "cache", [1, 2], baselines=("none", "half_cache"))
 
 
 class TestEsnMode:
