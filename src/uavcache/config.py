@@ -195,23 +195,16 @@ class ScenarioConfig:
     uav_bandwidth_hz: float = _setting(1e9, POSITIVE)
     noise_power_w: float = _setting(10.0 ** (-12.5), POSITIVE)
     fronthaul_rate_bps: float = _setting(1e8, POSITIVE)
-    qoe_weight_delay: float = _setting(0.5, UNIT)
-    qoe_weight_device: float = _setting(0.5, UNIT)
+    qoe_weight_delay: float = _setting(0.5, UNIT)  # the device score weighs the rest
     mos_min: float = _setting(0.8, LEFT_OPEN_UNIT)
-    content_base_rate_bps: float = _setting(5e6, POSITIVE)
-    content_base_rates_bps: tuple[float, ...] | None = _setting(None, POSITIVE)
+    # One rate that every content uses, or one rate per content
+    content_base_rates_bps: tuple[float, ...] = _setting((5e6,), POSITIVE)
     screen_factors: tuple[float, ...] = _setting((0.5, 1.0, 1.5), POSITIVE)
     min_altitude_m: float = _setting(100.0, POSITIVE)
     pathloss: ChannelParams = field(default_factory=ChannelParams)
     esn: EsnConfig = field(default_factory=EsnConfig)
     generators: GeneratorConfig = field(default_factory=GeneratorConfig)
     seed: int = 20240001
-
-    def device_rate_bps(self, screen_factor, content):
-        """Rate floor of a device with this screen factor; ``content`` may be an index array."""
-        if self.content_base_rates_bps is not None:
-            return screen_factor * np.asarray(self.content_base_rates_bps)[content]
-        return screen_factor * np.full(np.shape(content), self.content_base_rate_bps)[()]
 
 
 # Desk-scale preset applied by the CLI unless --paper-scale is given.  Fewer
@@ -223,7 +216,7 @@ DESK_PRESET: dict[str, Any] = {
     "slots_per_collection": 6,
     "slots_per_cache_period": 24,
     "content_size_bits": 5e5,
-    "content_base_rate_bps": 1.5e6,
+    "content_base_rates_bps": [1.5e6],
     "esn": {"reservoir_size": 200, "training_length": 400},
 }
 
@@ -271,19 +264,14 @@ def validate(cfg: ScenarioConfig) -> list[str]:
         v.append(f"num_users/num_uavs: need num_users >= num_uavs, got {cfg.num_users}/{cfg.num_uavs}")
     if cfg.cache_size > cfg.num_contents:
         v.append(f"cache_size: cache size exceeds catalog ({cfg.cache_size} > {cfg.num_contents})")
-    if cfg.qoe_weight_delay + cfg.qoe_weight_device != 1.0:
-        v.append(
-            "qoe_weight_delay/qoe_weight_device: weights must sum to 1, got "
-            f"{cfg.qoe_weight_delay} + {cfg.qoe_weight_device}"
-        )
     if cfg.slots_per_collection >= 1 and cfg.slots_per_cache_period % cfg.slots_per_collection != 0:
         v.append(
             "slots_per_collection: must divide slots_per_cache_period "
             f"({cfg.slots_per_collection} does not divide {cfg.slots_per_cache_period})"
         )
-    if cfg.content_base_rates_bps is not None and len(cfg.content_base_rates_bps) != cfg.num_contents:
+    if len(cfg.content_base_rates_bps) not in (1, cfg.num_contents):
         v.append(
-            "content_base_rates_bps: need one rate per content "
+            "content_base_rates_bps: need one rate, or one per content "
             f"({len(cfg.content_base_rates_bps)} given, {cfg.num_contents} contents)"
         )
     if not cfg.screen_factors:

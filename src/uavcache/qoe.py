@@ -103,9 +103,9 @@ def mos_label(qoe):
                      "Poor")[()]
 
 
-def qoe_score(delay_score_value, device_score_value, weight_delay: float, weight_device: float):
-    """The weighted QoE and its opinion label, elementwise."""
-    q = weight_delay * delay_score_value + weight_device * device_score_value
+def qoe_score(delay_score_value, device_score_value, weight_delay: float):
+    """The weighted QoE, the device score weighing 1 - ``weight_delay``, and its label."""
+    q = weight_delay * delay_score_value + (1.0 - weight_delay) * device_score_value
     return q, mos_label(q)
 
 

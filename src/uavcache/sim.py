@@ -5,7 +5,9 @@ One run covers one caching period (a synthetic day of T slots).  ``plan_slots``,
 distributions and collection points, and interpolate every position on the
 period's own clock; ``deliver`` serves and scores the generator's true state, so
 prediction error shows up as extra transmit power and missed QoE, exactly where
-it would hurt a real deployment.  The stages pass one :class:`PeriodPlan`.
+it would hurt a real deployment.  The stages pass one :class:`PeriodPlan`, whose
+rate floors (screen factor times content rate, per user and content) ``plan_slots``
+builds once for admission, cache selection, placement and delivery to index.
 Delivery fills one route table per slot (:data:`ROUTE`) and scores it into one
 record array of reports (:data:`REPORT`), whose fields are the ``slots.csv``
 columns; the slot checks, the summary and the CSV read it a column at a time.
@@ -150,6 +152,7 @@ class PeriodPlan:
     n_uavs: int
     clusters: list[np.ndarray]  # (R_q, 2) antenna positions of each radio-head cluster
     likely: np.ndarray  # (U, n_sub) each user's most likely content per sub-period
+    floors: np.ndarray  # (U, F) each user's device rate floor per content (bps)
     bound_s: float  # qoe.delay_lower_bound_s, which depends on the config alone
     req_hit: float  # a cache hit's delay-rate requirement (bits/slot)
     rrh: list[np.ndarray] = field(default_factory=list)  # (U,) cluster index or -1
@@ -179,17 +182,17 @@ def plan_slots(cfg: ScenarioConfig, world: SyntheticWorld, distributions: np.nda
     clusters = [world.rrh_xy[labels == q] for q in range(cfg.num_rrh_clusters)
                 if np.any(labels == q)]
     bound_s = delay_lower_bound_s(cfg)
+    base_rates = np.broadcast_to(cfg.content_base_rates_bps, (cfg.num_contents,))
     plan = PeriodPlan(cfg, world, distributions, collections, rs, n_uavs, clusters,
-                      distributions.argmax(axis=2), bound_s,
-                      delay_rate_requirement_bits(cfg, bound_s))
+                      distributions.argmax(axis=2), world.screen_factors[:, None] * base_rates,
+                      bound_s, delay_rate_requirement_bits(cfg, bound_s))
     prev_centroids = None
     for s in range(cfg.slots_per_cache_period):
         pred_xy = _predicted_positions(plan, range(n_users), s, 1)[:, 0]
         fading = _zf_fading(rs, s, clusters, n_users)
         rates = _rrh_rates_bits(cfg, world, clusters, _reference_clusters(pred_xy, clusters),
                                 pred_xy, fading, n_uavs > 0)
-        floors = cfg.device_rate_bps(world.screen_factors,
-                                     plan.likely[:, s // cfg.slots_per_collection])
+        floors = plan.floors[np.arange(n_users), plan.likely[:, s // cfg.slots_per_collection]]
         rrh = placement.associate_rrh(rates, pred_xy, floors, clusters, cfg, bound_s)
         uav = np.full(n_users, -1)
         pool = np.flatnonzero(rrh < 0)
@@ -221,8 +224,7 @@ def _cache_miss(plan: PeriodPlan, position: np.ndarray, n_shares: int) -> tuple[
 
 def select_caches(plan: PeriodPlan) -> list[tuple[int, ...]]:
     """Stage 2: each UAV caches the contents with the largest expected power saving."""
-    cfg, screen = plan.cfg, plan.world.screen_factors
-    all_contents = np.arange(cfg.num_contents)
+    cfg = plan.cfg
     caches: list[tuple[int, ...]] = []
     for k in range(plan.n_uavs):
         prob_rows, saving_rows = [], []
@@ -233,10 +235,9 @@ def select_caches(plan: PeriodPlan) -> list[tuple[int, ...]]:
             xy = _predicted_positions(plan, members, s, 1)[:, 0]
             pls = uav_user_pathloss_db(plan.anchors[s][k], xy, cfg.pathloss)
             loss = db_to_linear(pls)[:, None]
-            device_req = cfg.device_rate_bps(screen[members][:, None], all_contents)
             prob_rows.append(plan.distributions[members, s // cfg.slots_per_collection])
             saving_rows.append(placement.delta_power_saving(
-                loss, plan.req_hit, plan.req_miss[s][k], device_req, len(members), cfg))
+                loss, plan.req_hit, plan.req_miss[s][k], plan.floors[members], len(members), cfg))
         caches.append(placement.select_cache(np.vstack(prob_rows), np.vstack(saving_rows),
                                              cfg.cache_size) if prob_rows else ())
     return caches
@@ -285,7 +286,7 @@ def _place_slot(plan: PeriodPlan, caches: list[tuple[int, ...]], s: int,
             req_miss = plan.req_hit
         targets = qoe_rate_target_bps(
             np.where([c in caches[k] for c in contents], plan.req_hit, req_miss),
-            cfg.device_rate_bps(plan.world.screen_factors[members], contents), cfg.slot_duration_s)
+            plan.floors[members, contents], cfg.slot_duration_s)
         positions[k] = placement.place_uav(slot_pos[rows], targets, held, len(members), cfg)
     return positions
 
@@ -315,7 +316,7 @@ def _deliver_uav(plan: PeriodPlan, cache: tuple[int, ...], users: np.ndarray,
     hits = [c in cache for c in contents]
     fronthaul_bits, req_miss = (np.inf, plan.req_hit) if all(hits) else _cache_miss(
         plan, position, max(n_fetch, 1))
-    device_req = cfg.device_rate_bps(plan.world.screen_factors[users], contents)
+    device_req = plan.floors[users, contents]
     targets = qoe_rate_target_bps(np.where(hits, plan.req_hit, req_miss), device_req,
                                   cfg.slot_duration_s)[:, None]
     loss = db_to_linear(uav_user_pathloss_db(position, user_pos, cfg.pathloss))
@@ -364,7 +365,7 @@ def _deliver_slot(plan: PeriodPlan, caches: list[tuple[int, ...]], s: int,
     rates_true = _rrh_rates_bits(cfg, world, plan.clusters, rrh, true_xy, plan.fading[s],
                                  n_fetch > 0)
     fr = np.flatnonzero((rrh >= 0) & ~idle)
-    device_req = cfg.device_rate_bps(world.screen_factors[fr], content[fr])
+    device_req = plan.floors[fr, content[fr]]
     routes[fr] = _routes(
         fr.size, link=LINK_RRH, access_bits=rates_true[fr],
         fronthaul_bits=cfg.fronthaul_rate_bps / max(n_fr, 1) * cfg.slot_duration_s,
@@ -409,7 +410,7 @@ def _score_routes(plan: PeriodPlan, content: np.ndarray, routes: np.ndarray) -> 
     delivered = (content >= 0) & (delay <= cfg.slot_duration_s)
     d_score = np.where(delivered, delay_score(delay, cfg, plan.bound_s), 0.0)
     device_frac = np.where(delivered, routes["device_frac"], 0.0)
-    q, label = qoe_score(d_score, device_frac, cfg.qoe_weight_delay, cfg.qoe_weight_device)
+    q, label = qoe_score(d_score, device_frac, cfg.qoe_weight_delay)
     return np.rec.fromarrays(
         (np.arange(len(routes)), content, routes["link"], delivered, delay, d_score, device_frac,
          q, label, q >= SATISFIED_QOE, routes["power_w"], routes["cache_hit"], routes["feasible"]),

@@ -422,7 +422,7 @@ def reference_reports(plan, s: int, routes) -> list[tuple]:
             reports.append(_failed_report(u, content, link, delay, power_w, hit, feasible))
             continue
         d_score = float(np.clip((dt - delay) / (dt - plan.bound_s), 0.0, 1.0))
-        q = cfg.qoe_weight_delay * d_score + cfg.qoe_weight_device * device_frac
+        q = cfg.qoe_weight_delay * d_score + (1.0 - cfg.qoe_weight_delay) * device_frac
         label = next((name for floor, name in MOS_BINS if q >= floor), "Poor")
         reports.append((u, content, link, True, delay, d_score, device_frac, q, label,
                         q >= MOS_BINS[0][0], power_w, hit, feasible))

@@ -87,8 +87,8 @@ class TestTrain:
         ({"esn": {"spectral_radius": 1.2}}, "esn.spectral_radius"),
         ({"esn": {"density": 0}}, "esn.density"),
         ({"esn": {"horizon": 0}}, "esn.horizon"),  # retired: now an unknown field
-        ({"qoe_weight_delay": 1.5, "qoe_weight_device": -0.5}, "qoe_weight_delay"),
-        ({"qoe_weight_delay": 1.5, "qoe_weight_device": -0.5}, "qoe_weight_device"),
+        ({"qoe_weight_delay": 1.5}, "qoe_weight_delay"),
+        ({"qoe_weight_device": 0.5}, "qoe_weight_device"),  # retired: now an unknown field
         ({"num_contents": 25, "content_base_rates_bps": [-1e6] * 25}, "content_base_rates_bps"),
         ({"esn": {"spectral_radius": 2.5}}, "esn.spectral_radius"),
         ({"generators": {"taste_spread": -1.0}}, "generators.taste_spread"),
@@ -104,6 +104,9 @@ class TestTrain:
         ({"esn": {"washout": -1}}, "esn.washout"),
         ({"pathloss": {"g2a_exponent": -3.0}}, "pathloss.g2a_exponent"),
         ({"pathloss": {"g2a_exponent": 0}}, "pathloss.g2a_exponent"),
+        ({"content_base_rate_bps": 5e6}, "content_base_rate_bps"),  # retired
+        ({"content_base_rates_bps": [1e6, 2e6]}, "content_base_rates_bps"),  # 2 of 25
+        ({"content_base_rates_bps": []}, "content_base_rates_bps"),
     ])
     def test_bad_value_exits_2_naming_the_field(self, tmp_path, capsys, override, field):
         bad = tmp_path / "bad.json"
@@ -729,3 +732,58 @@ class TestScalePreset:
         assert cfg.content_size_bits == 1e6
         assert cfg.esn.reservoir_size == 1000
 
+
+# Documents the tiny models are simulated under: TINY with its counts, its ESN
+# block and the QoE inputs redrawn, and at most one of them broken.  Every
+# redrawn count keeps the models' users, catalog and four sub-periods; the ESN
+# block only trains, so the stored one is replayed; the content rates are one
+# for every content or one each.
+VALID_OVER_MODELS = {
+    "num_users": st.integers(2, 6), "num_uavs": st.integers(1, 2),
+    "cache_size": st.integers(1, 4), "num_rrhs": st.integers(1, 8),
+    "num_rrh_clusters": st.integers(1, 3), "intervals_per_slot": st.integers(1, 12),
+    "periods": st.sampled_from([(2, 8), (3, 12), (6, 24)]),
+    "esn": st.fixed_dictionaries({}, optional={
+        "reservoir_size": st.integers(1, 40), "spectral_radius": st.floats(0.05, 0.95),
+        "density": st.floats(0.05, 1.0), "aperture": log_uniform(-3.0, 6.0),
+        "ridge": st.floats(0.0, 10.0), "input_scale": st.floats(-2.0, 2.0),
+        "washout": st.integers(0, 59)}),
+    "content_base_rates_bps": st.integers(0, 1).flatmap(
+        lambda per_content: st.lists(log_uniform(4.0, 8.0), min_size=1 + 24 * per_content,
+                                     max_size=1 + 24 * per_content)),
+    "qoe_weight_delay": st.floats(0.0, 1.0),
+    "screen_factors": st.lists(log_uniform(-1.0, 1.0), min_size=1, max_size=4),
+}
+BROKEN_OVER_MODELS = {
+    "num_users": st.integers(7, 8),  # no models for the seventh user
+    "num_uavs": st.just(0),
+    "num_contents": st.sampled_from([23, 24, 26, 27]),
+    "cache_size": st.just(0),
+    # 3 sub-periods, a collection that does not divide the period, 8 sub-periods
+    "periods": st.sampled_from([(4, 12), (5, 12), (3, 24)]),
+    "esn": st.sampled_from([{"spectral_radius": 1.2}, {"density": 0.0}, {"reservoir_size": 0},
+                            {"washout": 60}]),
+    "content_base_rates_bps": st.sampled_from([0, 2, 26]).flatmap(
+        lambda n: st.lists(log_uniform(4.0, 8.0), min_size=n, max_size=n)),
+    "qoe_weight_delay": st.floats(-0.5, 0.0, exclude_max=True) | st.floats(1.0, 1.5,
+                                                                           exclude_min=True),
+    "screen_factors": st.sampled_from([[], [1.0, 0.0], [-0.5]]),
+}
+
+
+def config_over_models(draw, broken: str | None) -> dict:
+    """A document of VALID_OVER_MODELS values, with ``broken`` drawn from BROKEN_OVER_MODELS."""
+    values = {key: draw(valid) for key, valid in VALID_OVER_MODELS.items()}
+    if broken is not None:
+        values[broken] = draw(BROKEN_OVER_MODELS[broken])
+    values["slots_per_collection"], values["slots_per_cache_period"] = values.pop("periods")
+    return merge_documents(TINY, values)
+
+
+@pytest.mark.parametrize("broken", [None, *BROKEN_OVER_MODELS])
+@settings(max_examples=15, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_fuzzed_config_over_trained_models_exits_0_or_2(tiny_models, broken, data):
+    doc = config_over_models(data.draw, broken)
+    code = quiet_main(["simulate", "--models", str(tiny_models)], doc)
+    assert code == (0 if broken is None else 2)

@@ -2,7 +2,6 @@ import dataclasses
 import json
 import math
 
-import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -15,6 +14,7 @@ from uavcache.config import (DESK_PRESET, ConfigError, EsnConfig, RandomSource, 
                              validate)
 from uavcache.generators import SyntheticWorld
 from uavcache.predictors import train_content_model
+from uavcache.qoe import qoe_score
 
 
 def test_empty_document_gives_reference_defaults():
@@ -30,10 +30,11 @@ def test_empty_document_gives_reference_defaults():
 
 
 def test_weights_must_sum_to_one():
-    with pytest.raises(ConfigError) as err:
-        load_config_dict(parse_document(
-            json.dumps({"qoe_weight_delay": 0.7, "qoe_weight_device": 0.2})))
-    assert any("sum to 1" in v for v in err.value.violations)
+    """The document sets the delay weight alone; the device score weighs what it leaves."""
+    for w in (0.0, 0.2, 0.5, 0.7, 1.0):
+        cfg = load_config_dict({"qoe_weight_delay": w})
+        assert qoe_score(1.0, 1.0, cfg.qoe_weight_delay)[0] == pytest.approx(1.0)
+        assert qoe_score(0.0, 1.0, cfg.qoe_weight_delay)[0] == pytest.approx(1.0 - w)
 
 
 def test_cache_size_exceeding_catalog_rejected():
@@ -43,8 +44,8 @@ def test_cache_size_exceeding_catalog_rejected():
 
 
 def test_all_violations_reported_not_just_first():
-    doc = {"cache_size": 30, "num_contents": 25, "qoe_weight_delay": 0.7,
-           "qoe_weight_device": 0.2, "uav_max_power_w": -1.0}
+    doc = {"cache_size": 30, "num_contents": 25, "qoe_weight_delay": 1.7,
+           "uav_max_power_w": -1.0}
     with pytest.raises(ConfigError) as err:
         load_config_dict(parse_document(json.dumps(doc)))
     assert len(err.value.violations) >= 3
@@ -60,6 +61,16 @@ def test_retired_horizon_is_an_unknown_field():
     with pytest.raises(ConfigError) as err:
         load_config_dict({"esn": {"horizon": 12}})
     assert err.value.violations == ["esn.horizon: unknown field"]
+
+
+@pytest.mark.parametrize("field, value", [("qoe_weight_device", 0.5),
+                                          ("content_base_rate_bps", 5e6)])
+def test_retired_qoe_inputs_are_unknown_fields(field, value):
+    """The device weight is 1 - qoe_weight_delay, and content_base_rates_bps takes one
+    rate for every content."""
+    with pytest.raises(ConfigError) as err:
+        load_config_dict({field: value})
+    assert err.value.violations == [f"{field}: unknown field"]
 
 
 def test_parse_failure():
@@ -92,8 +103,7 @@ def test_roundtrip_default():
 def test_roundtrip_random_valid_configs(users, uavs, contents, radius, w1, seed):
     cfg = dataclasses.replace(
         ScenarioConfig(), num_users=users, num_uavs=uavs, num_contents=contents,
-        cache_size=1, area_radius_m=radius, qoe_weight_delay=w1,
-        qoe_weight_device=1.0 - w1, seed=seed)
+        cache_size=1, area_radius_m=radius, qoe_weight_delay=w1, seed=seed)
     assert validate(cfg) == []
     assert load_config_dict(parse_document(serialize(cfg))) == cfg
 
@@ -294,24 +304,14 @@ def test_training_needs_samples_after_the_washout(washout, ok):
             train_content_model(cfg, world, 0)
 
 
-def test_device_rate_over_content_array_matches_scalar_calls():
-    for rates in (None, tuple(1e6 + 1e5 * i for i in range(25))):
-        cfg = dataclasses.replace(ScenarioConfig(), content_base_rates_bps=rates)
-        contents = np.arange(cfg.num_contents)
-        for screen in (0.5, 1.5):
-            expected = [cfg.device_rate_bps(screen, int(n)) for n in contents]
-            assert cfg.device_rate_bps(screen, contents).tolist() == expected
-        screens = np.array([0.5, 1.0, 1.5])
-        picks = np.array([3, 0, 24])
-        assert cfg.device_rate_bps(screens, picks).tolist() == [
-            cfg.device_rate_bps(f, int(n)) for f, n in zip(screens, picks)]
-
-
 def test_per_content_rates_validated_against_catalog():
-    with pytest.raises(ConfigError):
-        load_config_dict({"num_contents": 3, "content_base_rates_bps": [1e6, 2e6]})
-    cfg = load_config_dict({"num_contents": 2, "content_base_rates_bps": [1e6, 2e6]})
-    assert cfg.device_rate_bps(0.5, 1) == 1e6
+    for given in ([1e6, 2e6], [1e6] * 4, []):
+        with pytest.raises(ConfigError) as err:
+            load_config_dict({"num_contents": 3, "content_base_rates_bps": given})
+        assert [v.split(":")[0] for v in err.value.violations] == ["content_base_rates_bps"]
+    for given in ([1e6], [1e6, 2e6, 3e6]):
+        cfg = load_config_dict({"num_contents": 3, "content_base_rates_bps": given})
+        assert cfg.content_base_rates_bps == tuple(given)
 
 
 class TestRandomSource:

@@ -48,3 +48,14 @@ def test_every_leaf_setting_is_read_outside_the_checks():
         reads |= attributes_read_outside_checks(ast.parse(path.read_text(), filename=str(path)))
     assert "exponent_los" in reads  # the scan sees the package
     assert sorted(leaf_fields() - reads) == []
+
+
+# The number of leaf values a config document can set.  A change that adds or
+# removes a setting edits this pin and says so in CHANGES.md.
+SETTABLE_VALUES = 50
+
+
+def test_settable_value_count_is_pinned():
+    leaves = [f for cls in BLOCKS for f in dataclasses.fields(cls)
+              if not dataclasses.is_dataclass(f.default_factory)]
+    assert len(leaves) == SETTABLE_VALUES

@@ -402,6 +402,35 @@ class TestLocalSearch:
                                                   **self.kwargs(p))
         assert result.evaluations <= 10_000
 
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(n_users=st.integers(1, 6), n_intervals=st.integers(1, 40),
+           seed=st.integers(0, 2 ** 32 - 1), floor=st.sampled_from([1.0, 10.0, 100.0]),
+           step=st.sampled_from([1.0, 3.0, 10.0]), max_evals=st.sampled_from([40, 10_000]))
+    def test_ends_where_no_step_prices_lower_unless_the_budget_ran_out(
+            self, n_users, n_intervals, seed, floor, step, max_evals):
+        rng = np.random.default_rng(seed)
+        # each user walks a straight segment through the slot, sampled at interval midpoints
+        start = rng.uniform(-500.0, 500.0, (n_users, 1, 2))
+        end = start + rng.uniform(-60.0, 60.0, (n_users, 1, 2))
+        along = ((np.arange(n_intervals) + 0.5) / n_intervals)[None, :, None]
+        users = start + (end - start) * along
+        targets = 10.0 ** rng.uniform(5.0, 8.0, n_users)
+        init = np.array([*rng.uniform(-600.0, 600.0, 2), rng.uniform(0.0, 400.0)])
+        args = (users, targets, n_users, CFG.pathloss, CFG.uav_bandwidth_hz, CFG.noise_power_w)
+        result = placement.place_uav_local_search(*args[:2], init, *args[2:], floor,
+                                                  step_m=step, max_evals=max_evals)
+        assert result.evaluations <= max_evals
+        if result.evaluations == max_evals:
+            return
+        price = placement.PlacementPricer(*args)
+        best = price(result.position)
+        assert best == result.objective_w and result.position[2] >= floor
+        for axis, delta in itertools.product(range(3), (step, -step)):
+            move = result.position.copy()
+            move[axis] += delta
+            move[2] = max(move[2], floor)
+            assert price(move) >= best, (axis, delta)
+
     def test_multistart_close_to_grid(self):
         users, targets, p = low_regime_instance(7)
         grid = place_uav_exhaustive(users, targets, 3.0, [10.0], 6, p,

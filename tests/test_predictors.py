@@ -6,7 +6,7 @@ import pytest
 from conftest import (BATCHED_RECALL_RTOL, BATCHED_STATE_TOL, DenseConceptors,
                       DenseInputSimulation, OnePatternEsn, conceptor_matrix, desk_config,
                       one_pattern_drive, reference_context)
-from uavcache import cesn
+from uavcache import cesn, sim
 from uavcache.config import (ConfigError, EsnConfig, RandomSource, ScenarioConfig,
                              load_config_dict)
 from uavcache.generators import SyntheticWorld, day_type, track_positions
@@ -424,3 +424,26 @@ class TestEsnPredictorChecks:
 
         with pytest.raises(ConfigError, match="user 0 content model holds"):
             EsnPredictor(world, [content], Unread())
+
+
+@pytest.mark.slow
+def test_learned_run_at_paper_scale_with_six_users():
+    """The paper's reservoir, catalog, period and intervals, with 6 users and 2 UAVs: both
+    models trained per user in process, then one learned period.  The bounds were fixed
+    before the first run."""
+    cfg = dataclasses.replace(ScenarioConfig(), num_users=6, num_uavs=2)
+    world = SyntheticWorld(cfg)
+    content = [train_content_model(cfg, world, u)[0] for u in range(cfg.num_users)]
+    mobility = [train_mobility_model(cfg, world, u)[0] for u in range(cfg.num_users)]
+    fits = [m.training_nrmse(p) for m in content + mobility for p in range(m.n_patterns)]
+    assert 0.0 < np.mean(fits) < 1.0
+    logs, summary = sim.run_period(cfg, mode="esn", models=(content, mobility), world=world)
+    assert len(logs) == cfg.slots_per_cache_period
+    gap = summary["prediction_gap"]
+    assert 0.0 <= gap["distribution_tv"] <= 1.0
+    assert 0.0 <= gap["position_error_m"] <= 2.0 * cfg.area_radius_m
+    for log in logs:
+        log.reconcile()
+    bound = summary["delay_lower_bound_s"]
+    assert all(log.reports.delay_s[log.reports.delivered].min(initial=np.inf) >= bound
+               for log in logs)

@@ -57,7 +57,7 @@ class TestDelay:
                          (qoe.device_score, ([1e6, 6e6], 5e6)), (qoe.mos_label, (0.5,))):
             got = fn(*args)
             assert np.ndim(got) == 0 and not isinstance(got, np.ndarray)
-        q, label = qoe.qoe_score(1.0, 0.5, 0.5, 0.5)
+        q, label = qoe.qoe_score(1.0, 0.5, 0.5)
         assert not isinstance(q, np.ndarray) and not isinstance(label, np.ndarray)
 
 
@@ -137,24 +137,31 @@ class TestDeviceScore:
         assert got.tolist() == [qoe.device_score(r, f) for r, f in zip(rates, floors)]
 
     def test_screen_factor_scales_threshold(self):
-        cfg = ScenarioConfig()
-        assert cfg.device_rate_bps(1.0, 0) == 5e6
-        assert cfg.device_rate_bps(2.0, 0) == 1e7
+        """The plan's floor table: each user's screen factor times each content's rate,
+        from one rate for every content or one per content."""
+        for rates in ((5e6,), tuple(1e6 + 1e5 * i for i in range(25))):
+            cfg = dataclasses.replace(ScenarioConfig(), num_users=6, num_uavs=2,
+                                      screen_factors=(1.0, 2.0), content_base_rates_bps=rates)
+            world = SyntheticWorld(cfg)
+            plan = sim.plan_slots(cfg, world, world.distributions, period_collections(world))
+            assert set(world.screen_factors) == {1.0, 2.0}
+            assert plan.floors.tolist() == [[f * rates[n % len(rates)] for n in range(25)]
+                                            for f in world.screen_factors.tolist()]
 
 
 class TestQoeScore:
     def test_perfect(self):
-        q, label = qoe.qoe_score(1.0, qoe.device_score(np.full(10, 5e6), 5e6), 0.5, 0.5)
+        q, label = qoe.qoe_score(1.0, qoe.device_score(np.full(10, 5e6), 5e6), 0.5)
         assert q == pytest.approx(1.0)
         assert label == "Excellent"
 
     def test_worst(self):
-        q, label = qoe.qoe_score(0.0, qoe.device_score(np.zeros(10), 5e6), 0.5, 0.5)
+        q, label = qoe.qoe_score(0.0, qoe.device_score(np.zeros(10), 5e6), 0.5)
         assert q == 0.0
         assert label == "Poor"
 
     def test_half_is_good(self):
-        q, label = qoe.qoe_score(1.0, qoe.device_score(np.zeros(10), 5e6), 0.5, 0.5)
+        q, label = qoe.qoe_score(1.0, qoe.device_score(np.zeros(10), 5e6), 0.5)
         assert q == pytest.approx(0.5)
         assert label == "Good"
 

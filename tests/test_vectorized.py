@@ -309,8 +309,7 @@ def test_planned_positions_for_all_users_equal_per_user(mode):
 
 def reference_cache_rows(plan, k):
     """One UAV's probability and saving rows, priced one user at a time."""
-    cfg, screen = plan.cfg, plan.world.screen_factors
-    all_contents = np.arange(cfg.num_contents)
+    cfg = plan.cfg
     prob_rows, saving_rows = [], []
     for s, uav in enumerate(plan.uav):
         members = np.flatnonzero(uav == k).tolist()
@@ -324,20 +323,19 @@ def reference_cache_rows(plan, k):
         for u, loss in zip(members, losses):
             prob_rows.append(plan.distributions[u, s // cfg.slots_per_collection])
             saving_rows.append(placement.delta_power_saving(
-                loss, plan.req_hit, plan.req_miss[s][k],
-                cfg.device_rate_bps(screen[u], all_contents), len(members), cfg))
+                loss, plan.req_hit, plan.req_miss[s][k], plan.floors[u], len(members), cfg))
     return np.array(prob_rows), np.array(saving_rows)
 
 
 def reference_deliver_uav(plan, cache, users, contents, n_served, position, user_pos, n_fetch):
     """``sim._deliver_uav`` with every per-user quantity reduced from that user's 1-D row."""
-    cfg, screen = plan.cfg, plan.world.screen_factors
+    cfg = plan.cfg
     hits = [c in cache for c in contents]
     fronthaul_bits, req_miss = (np.inf, plan.req_hit) if all(hits) else sim._cache_miss(
         plan, position, max(n_fetch, 1))
-    targets = qoe.qoe_rate_target_bps(
-        np.where(hits, plan.req_hit, req_miss), cfg.device_rate_bps(screen[users], contents),
-        cfg.slot_duration_s)[:, None]
+    floors = [plan.floors[u, c] for u, c in zip(users, contents)]
+    targets = qoe.qoe_rate_target_bps(np.where(hits, plan.req_hit, req_miss), floors,
+                                      cfg.slot_duration_s)[:, None]
     pl = channel.uav_user_pathloss_db(position, user_pos, cfg.pathloss)
     power = qoe.min_uav_power_w(channel.db_to_linear(pl), targets, n_served,
                                 cfg.uav_bandwidth_hz, cfg.noise_power_w)
@@ -352,7 +350,7 @@ def reference_deliver_uav(plan, cache, users, contents, n_served, position, user
         row["link"] = LINK_UAV_CACHE if hit else LINK_UAV_FRONTHAUL
         row["access_bits"] = channel.slot_capacity_bits(rates, cfg.slot_duration_s)
         row["fronthaul_bits"] = np.inf if hit else fronthaul_bits
-        row["device_frac"] = qoe.device_score(rates, cfg.device_rate_bps(screen[u], content))
+        row["device_frac"] = qoe.device_score(rates, plan.floors[u, content])
         row["power_w"] = float(user_power.mean())
         row["cache_hit"], row["feasible"] = hit, ok
     return routes
