@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -13,8 +14,9 @@ from uavcache.config import (DESK_PRESET, ConfigError, EsnConfig, RandomSource, 
                              load_config_dict, merge_documents, parse_document, serialize,
                              validate)
 from uavcache.generators import SyntheticWorld
-from uavcache.predictors import train_content_model
+from uavcache.predictors import period_collections, train_content_model
 from uavcache.qoe import qoe_score
+from uavcache.sim import plan_slots
 
 
 def test_empty_document_gives_reference_defaults():
@@ -302,6 +304,24 @@ def test_training_needs_samples_after_the_washout(washout, ok):
         with pytest.raises(TooFewSamples, match=f"user 0 content sub-period 0: 42 samples "
                                                 f"leave none after the washout of {washout}"):
             train_content_model(cfg, world, 0)
+
+
+def test_device_rate_over_content_array_matches_scalar_calls():
+    """Floor lookups over arrays of contents, as admission and delivery make them, give
+    the screen factor times the content rate of each pair, from one rate or one per content."""
+    for rates in ((5e6,), tuple(1e6 + 1e5 * i for i in range(25))):
+        cfg = dataclasses.replace(ScenarioConfig(), num_users=6, num_uavs=2,
+                                  screen_factors=(0.5, 1.5), content_base_rates_bps=rates)
+        world = SyntheticWorld(cfg)
+        plan = plan_slots(cfg, world, world.distributions, period_collections(world))
+        contents = np.arange(cfg.num_contents)
+        for u, screen in enumerate(world.screen_factors.tolist()):
+            expected = [screen * rates[n % len(rates)] for n in range(cfg.num_contents)]
+            assert plan.floors[u, contents].tolist() == expected
+        users = np.array([0, 2, 5])
+        picks = np.array([3, 0, 24])
+        assert plan.floors[users, picks].tolist() == [
+            float(world.screen_factors[u]) * rates[n % len(rates)] for u, n in zip(users, picks)]
 
 
 def test_per_content_rates_validated_against_catalog():
