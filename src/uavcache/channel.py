@@ -72,14 +72,15 @@ def _distance_from_squares(sq_x, sq_y, altitude, out: np.ndarray) -> np.ndarray:
 
 
 def _distance_3d(uav_xyz, user_xy) -> np.ndarray:
-    uav_xyz = np.asarray(uav_xyz, dtype=float)
+    """Distances from UAV positions (..., 3) to users'; one (3,) UAV gives scalar coordinates."""
+    x0, y0, height = np.moveaxis(np.asarray(uav_xyz, dtype=float), -1, 0)
     user_xy = np.asarray(user_xy, dtype=float)
     x, y = user_xy[..., 0], user_xy[..., 1]
-    d = np.subtract(x, uav_xyz[0], out=_buffer_like(x))
+    d = np.subtract(x, x0, out=_buffer_like(x, x0))
     np.multiply(d, d, out=d)
-    dy = np.subtract(y, uav_xyz[1], out=_buffer_like(y))
+    dy = np.subtract(y, y0, out=_buffer_like(y, y0))
     np.multiply(dy, dy, out=dy)
-    return _distance_from_squares(d, dy, uav_xyz[2], d)
+    return _distance_from_squares(d, dy, height, d)
 
 
 def distance_3d(uav_xyz, user_xy):
@@ -135,9 +136,9 @@ def mixed_pathloss_db(dist, altitude, p: ChannelParams):
 
 
 def uav_user_pathloss_db(uav_xyz, user_xy, p: ChannelParams):
-    """Average access-link path loss in dB from a UAV to users' positions."""
+    """Average access-link path loss in dB from a UAV, or one per user row, to users."""
     uav_xyz = np.asarray(uav_xyz, dtype=float)
-    return mixed_pathloss_db(_distance_3d(uav_xyz, user_xy), uav_xyz[2], p)
+    return mixed_pathloss_db(_distance_3d(uav_xyz, user_xy), uav_xyz[..., 2], p)
 
 
 def pathloss_linear_into(sq_x, sq_y, altitude, p: ChannelParams, dist: np.ndarray,
@@ -272,15 +273,15 @@ def zfbf_sinr(clusters: list[np.ndarray], assigned: np.ndarray,
             raise ChannelError(f"cluster {q}: {exc}") from exc
 
     sinr = np.zeros(user_xy.shape[0])
-    for q, cluster in enumerate(clusters):
-        for i in np.flatnonzero(assigned == q).tolist():
-            interference = float(bbu_interference_w[i])
-            for j, other in enumerate(clusters):
-                if j == q or j not in beams:
-                    continue
-                cross = rayleigh_channel_rows(user_xy[i], other,
-                                              fading_power[j][i], exponent)
-                powers = (cross @ beams[j]) ** 2
-                interference += rrh_power_w * float(np.sum(powers))
-            sinr[i] = rrh_power_w / (interference + noise_w)
+    for q in beams:
+        users = np.flatnonzero(assigned == q)
+        interference = bbu_interference_w[users]
+        for j, beam in beams.items():
+            if j != q:
+                cross = rayleigh_channel_rows(user_xy[users], clusters[j],
+                                              fading_power[j][users], exponent)
+                # a (1, R_j) row per user: one (n, R_j) product rounds differently
+                powers = (cross.reshape(users.size, 1, -1) @ beam)[:, 0] ** 2
+                interference += rrh_power_w * powers.sum(axis=1)
+        sinr[users] = rrh_power_w / (interference + noise_w)
     return sinr

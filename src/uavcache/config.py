@@ -238,7 +238,7 @@ def _domain_violations(block, path: str = "") -> list[str]:
             v.extend(f"{where}.{problem}" for problem in esn_violations(value))
         elif dataclasses.is_dataclass(value):
             v.extend(_domain_violations(value, where + "."))
-        elif "domain" in f.metadata and value is not None:
+        elif "domain" in f.metadata:
             if isinstance(value, tuple):
                 words = next(filter(None, map(f.metadata["domain"], value)), None)
                 words = words and f"every entry {words}"
@@ -322,13 +322,12 @@ def _type_problem(annotation: str, value) -> str | None:
     except ValueError:
         shown = "a value holding an integer too long to print"
     if value is None:
-        return None if annotation.endswith(" | None") else "must not be null"
-    kind = annotation.removesuffix(" | None")
-    if kind == "int":
+        return "must not be null"
+    if annotation == "int":
         if not (isinstance(value, int) and not isinstance(value, bool)):
             return f"expected an integer, got {shown}"
         return None if _is_finite(value) else f"must be finite, got {shown}"
-    if kind == "float":
+    if annotation == "float":
         if not _is_number(value):
             return f"expected a number, got {shown}"
         return None if _is_finite(value) else f"must be finite, got {shown}"

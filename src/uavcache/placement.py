@@ -13,6 +13,7 @@ candidates with one :class:`PlacementPricer` per search.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,7 +21,7 @@ import numpy as np
 from .channel import pathloss_linear_into
 from .config import ChannelParams, RandomSource, ScenarioConfig
 from .qoe import (delay_rate_requirement_bits, min_uav_power_w, power_per_loss_w,
-                  qoe_rate_target_bps)
+                  qoe_rate_target_bps, transfer_s)
 
 
 @dataclass
@@ -30,42 +31,45 @@ class PlacementResult:
     evaluations: int
 
 
+def wired_share_bits(n_sharers: int, cfg: ScenarioConfig) -> float:
+    """Each sharer's bits per slot of the wired fronthaul v_F; inf, a 0 s leg, for none."""
+    return cfg.fronthaul_rate_bps / n_sharers * cfg.slot_duration_s if n_sharers else math.inf
+
+
 def rrh_rate_threshold_bits(n_fr: int, device_req_bps, cfg: ScenarioConfig, bound_s: float):
     """Per-slot rate floor for terrestrial admission when n_fr users share v_F.
 
     ``bound_s`` is ``qoe.delay_lower_bound_s``.  Returns inf when the shared
     fronthaul alone blows the delay budget.
     """
-    wired_s = cfg.content_size_bits * n_fr / cfg.fronthaul_rate_bps
+    wired_s = transfer_s(wired_share_bits(n_fr, cfg), cfg.content_size_bits, cfg.slot_duration_s)
     return np.maximum(delay_rate_requirement_bits(cfg, bound_s, wired_s),
                       np.asarray(device_req_bps, dtype=float) * cfg.slot_duration_s)
 
 
-def associate_rrh(rates_bits, user_xy, device_req_bps, clusters: list[np.ndarray],
-                  cfg: ScenarioConfig, bound_s: float) -> np.ndarray:
+def associate_rrh(rates_bits, dists, device_req_bps, antennas, cfg: ScenarioConfig,
+                  bound_s: float) -> np.ndarray:
     """Each user's radio-head cluster index, or -1: the largest admitted set whose
     rates all clear the shared-fronthaul threshold.
 
-    The admitted count m is the largest at which m users or more clear the
-    threshold for m sharers.  The m of them ranked highest by predicted rate
-    (ties by id) are placed in rank order on the nearest cluster with a free
-    antenna.
+    ``dists`` is the (users, clusters) distance table to the cluster
+    centroids and ``antennas`` each cluster's antenna count.  The admitted
+    count m is the largest at which m users or more clear the threshold for m
+    sharers.  The m of them ranked highest by predicted rate (ties by id) are
+    placed in rank order on the nearest cluster with a free antenna.
     """
     rates = np.asarray(rates_bits, dtype=float)
-    user_xy = np.asarray(user_xy, dtype=float)
     assigned = np.full(rates.shape[0], -1)
-    capacity = [len(c) for c in clusters]
-    for m in range(min(rates.shape[0], sum(capacity)), 0, -1):
-        clears = ~(rates < rrh_rate_threshold_bits(m, device_req_bps, cfg, bound_s))
-        if np.count_nonzero(clears) >= m:
+    capacity = np.array(antennas, dtype=int)
+    for m in range(min(rates.shape[0], int(capacity.sum())), 0, -1):
+        clears = np.flatnonzero(~(rates < rrh_rate_threshold_bits(m, device_req_bps, cfg,
+                                                                   bound_s)))
+        if clears.size >= m:
             break
     else:
         return assigned
-    centroids = [c.mean(axis=0) for c in clusters]
-    ranked = sorted(np.flatnonzero(clears).tolist(), key=lambda i: (-rates[i], i))
-    for i in ranked[:m]:
-        q = min((q for q in range(len(clusters)) if capacity[q] > 0),
-                key=lambda q: (float(np.linalg.norm(user_xy[i] - centroids[q])), q))
+    for i in clears[np.argsort(-rates[clears], kind="stable")[:m]].tolist():
+        q = int(np.argmin(np.where(capacity > 0, dists[i], np.inf)))
         assigned[i] = q
         capacity[q] -= 1
     return assigned
@@ -157,13 +161,13 @@ def select_cache(probabilities, savings, cache_size: int) -> tuple[int, ...]:
 # -- positioning ----------------------------------------------------------------
 
 
-def _flatten_positions(user_pos) -> tuple[np.ndarray, int]:
+def _flatten_positions(user_pos) -> np.ndarray:
     pos = np.asarray(user_pos, dtype=float)
     if pos.ndim == 2:
         pos = pos[:, None, :]
     if pos.ndim != 3 or pos.shape[2] != 2:
         raise ValueError(f"expected (n_users, n_intervals, 2) positions, got {pos.shape}")
-    return pos, pos.shape[1]
+    return pos
 
 
 # Squared-offset planes a pricer keeps per axis.  The search moves one axis at
@@ -190,7 +194,7 @@ class PlacementPricer:
 
     def __init__(self, user_pos, rate_targets_bps, n_served: int, p: ChannelParams,
                  bandwidth_hz: float, noise_w: float):
-        pos, _ = _flatten_positions(user_pos)
+        pos = _flatten_positions(user_pos)
         self.planes = (np.ascontiguousarray(pos[..., 0]), np.ascontiguousarray(pos[..., 1]))
         self.price = power_per_loss_w(rate_targets_bps, n_served, bandwidth_hz, noise_w)
         self.p = p
@@ -229,12 +233,10 @@ def place_uav_closed_form(user_pos, rate_targets_bps, n_served: int,
     deterministic.  Weights that overflow to inf share the limit: the
     centroid of their users alone.
     """
-    pos, _ = _flatten_positions(user_pos)
+    pos = _flatten_positions(user_pos)
     if pos.shape[0] == 0:
         raise ValueError("cannot place a UAV for an empty user set")
-    targets = np.asarray(rate_targets_bps, dtype=float)
-    with np.errstate(over="ignore"):
-        weights = 2.0 ** (targets * n_served / bandwidth_hz) - 1.0
+    weights = power_per_loss_w(rate_targets_bps, n_served, bandwidth_hz, 1.0)
     if np.isinf(weights).any():
         weights = np.isinf(weights).astype(float)
     w = np.repeat(weights, pos.shape[1])
@@ -248,7 +250,7 @@ def closed_form_regime(altitude_m: float, user_pos) -> str | None:
     Returns "low" when the altitude is small against the users' spread,
     "high" when it dominates it, else None (use local search).
     """
-    pos, _ = _flatten_positions(user_pos)
+    pos = _flatten_positions(user_pos)
     flat = pos.reshape(-1, 2)
     dx, dy = np.array(flat[:, 0]), np.array(flat[:, 1])
     for d in (dx, dy):

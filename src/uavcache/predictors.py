@@ -12,6 +12,7 @@ conceptor patterns into the same two arrays.
 
 from __future__ import annotations
 
+import dataclasses
 from typing import Protocol
 
 import numpy as np
@@ -150,7 +151,8 @@ class EsnPredictor:
     (``collections``, (U, n_sub + 1, 2)) from the mobility pattern of the
     planned day's type, starting at the user's last collected position.
 
-    Each model is indexed by user once, checked against the config (a mismatch
+    Each model is indexed by user once, checked against the config (its output
+    width, pattern count and the ``esn`` block it was trained with; a mismatch
     raises ``ConfigError``), replayed and dropped, so a reader that loads a
     model when indexed lets the predictor hold one user's two models at a time.
     """
@@ -179,6 +181,11 @@ class EsnPredictor:
             raise ConfigError([
                 f"model/config pattern mismatch: user {u} {task} model holds "
                 f"{model.n_patterns} patterns, config needs {n_patterns}"])
+        trained, given = dataclasses.asdict(model.cfg), dataclasses.asdict(self.world.cfg.esn)
+        stale = [f"esn.{name}: user {u} {task} model was trained with {value}, config has "
+                 f"{given[name]}" for name, value in trained.items() if value != given[name]]
+        if stale:
+            raise ConfigError(stale)
         return model
 
     def _replay_user(self, u: int, content: cesn.EsnModel, mobility: cesn.EsnModel) -> None:

@@ -5,12 +5,14 @@ One run covers one caching period (a synthetic day of T slots).  ``plan_slots``,
 distributions and collection points, and interpolate every position on the
 period's own clock; ``deliver`` serves and scores the generator's true state, so
 prediction error shows up as extra transmit power and missed QoE, exactly where
-it would hurt a real deployment.  The stages pass one :class:`PeriodPlan`, whose
-rate floors (screen factor times content rate, per user and content) ``plan_slots``
-builds once for admission, cache selection, placement and delivery to index.
-Delivery fills one route table per slot (:data:`ROUTE`) and scores it into one
-record array of reports (:data:`REPORT`), whose fields are the ``slots.csv``
-columns; the slot checks, the summary and the CSV read it a column at a time.
+it would hurt a real deployment.  The stages pass one :class:`PeriodPlan`, which
+holds each per-slot quantity as one array over the period's slots and the rate
+floors (screen factor times content rate, per user and content), built once for
+admission, cache selection, placement and delivery to index.  Cache selection
+prices each UAV's (slot, member) rows in one pass.  Delivery fills one route
+table per slot (:data:`ROUTE`) and scores it into one record array of reports
+(:data:`REPORT`), whose fields are the ``slots.csv`` columns; the slot checks,
+the summary and the CSV read it a column at a time.
 
 Each baseline swaps stages (:data:`BASELINES`): ``none``, the proposed pipeline,
 swaps none, ``no_uav`` plans with no UAVs, ``no_cache`` and ``random_cache``
@@ -32,7 +34,7 @@ from . import linalg, placement
 from .channel import (db_to_linear, g2a_fronthaul_bits, link_rates_bps, slot_capacity_bits,
                       uav_user_pathloss_db, uav_user_snr, zfbf_sinr)
 from .config import ConfigError, RandomSource, ScenarioConfig, validate
-from .generators import SyntheticWorld, track_positions
+from .generators import SyntheticWorld, point_norms, track_positions
 from .predictors import EsnPredictor, period_collections, prediction_gap
 from .qoe import (LINK_IDLE, LINK_RRH, LINK_UAV_CACHE, LINK_UAV_FRONTHAUL, LINK_UNSERVED,
                   MOS_BINS, delay_lower_bound_s, delay_rate_requirement_bits,
@@ -92,43 +94,33 @@ class SlotLog:
             raise SimInvariantError(f"slot {self.slot}: per-UAV power does not add up")
 
 
-def _reference_clusters(user_xy: np.ndarray, clusters: list[np.ndarray]) -> np.ndarray:
+def _reference_clusters(dists: np.ndarray, antennas: np.ndarray) -> np.ndarray:
     """Capacity-capped nearest-cluster assignment used to estimate rates; -1: none.
 
-    Each cluster keeps its nearest users, ties by id.
+    Each cluster keeps as many of its nearest users as it has ``antennas``, ties by id.
     """
-    centroids = np.array([c.mean(axis=0) for c in clusters])
-    dists = np.linalg.norm(user_xy[:, None, :] - centroids[None, :, :], axis=2)
     nearest = np.argmin(dists, axis=1)
-    assigned = np.full(user_xy.shape[0], -1)
-    for q, cluster in enumerate(clusters):
+    assigned = np.full(dists.shape[0], -1)
+    for q, capacity in enumerate(antennas.tolist()):
         members = np.flatnonzero(nearest == q)
         order = np.argsort(dists[members, q], kind="stable")
-        assigned[members[order[:len(cluster)]]] = q
+        assigned[members[order[:capacity]]] = q
     return assigned
 
 
 def _zf_fading(rs: RandomSource, slot: int, clusters: list[np.ndarray],
                n_users: int) -> list[np.ndarray]:
     """Per-slot unit-mean exponential power gains toward every cluster antenna."""
-    draws = []
-    for q, cluster in enumerate(clusters):
-        rng = rs.derive(f"zf-fading-{slot}-{q}").generator()
-        draws.append(rng.exponential(1.0, (n_users, len(cluster))))
-    return draws
+    return [rs.derive(f"zf-fading-{slot}-{q}").generator().exponential(1.0, (n_users, len(c)))
+            for q, c in enumerate(clusters)]
 
 
-def _bbu_interference(cfg: ScenarioConfig, world: SyntheticWorld, user_xy: np.ndarray,
-                      active: bool) -> np.ndarray:
-    if not active:
-        return np.zeros(user_xy.shape[0])
-    d = np.linalg.norm(user_xy - world.bbu_xy[None, :], axis=1)
-    d = np.maximum(d, 1.0)
-    return cfg.bbu_power_w * d ** (-cfg.pathloss.g2a_exponent)
-
-
-def _rrh_rates_bits(cfg, world, clusters, assigned, user_xy, fading, interference_active):
-    bbu = _bbu_interference(cfg, world, user_xy, interference_active)
+def _rrh_rates_bits(cfg, world, clusters, assigned, user_xy, fading, bbu_active):
+    """Each user's zero-forcing bits per slot, 0 off the clusters; the BBU interferes if active."""
+    bbu = np.zeros(len(user_xy))
+    if bbu_active:
+        d = np.maximum(np.linalg.norm(user_xy - world.bbu_xy[None, :], axis=1), 1.0)
+        bbu = cfg.bbu_power_w * d ** (-cfg.pathloss.g2a_exponent)
     sinr = zfbf_sinr(clusters, assigned, user_xy, fading, cfg.rrh_power_w, bbu,
                      cfg.noise_power_w, cfg.pathloss.g2a_exponent)
     return slot_capacity_bits(link_rates_bps(sinr[:, None], cfg.rrh_bandwidth_hz),
@@ -139,9 +131,10 @@ def _rrh_rates_bits(cfg, world, clusters, assigned, user_xy, fading, interferenc
 class PeriodPlan:
     """What planning fixes for one period; the cache, placement and delivery stages read it.
 
-    The per-slot lists hold one entry per slot.  A slot's ``rrh`` and ``uav``
-    give each user's radio-head cluster and UAV, -1 for none; its ``anchors``
-    and ``req_miss`` hold one entry per UAV.
+    Each per-slot quantity is one array whose first axis is the slot, except
+    ``fading``, a per-slot list of per-cluster gains.  ``rrh`` and ``uav`` are
+    -1 where no cluster or UAV serves a user, ``req_miss`` NaN where a UAV
+    serves nobody.
     """
 
     cfg: ScenarioConfig
@@ -155,13 +148,12 @@ class PeriodPlan:
     floors: np.ndarray  # (U, F) each user's device rate floor per content (bps)
     bound_s: float  # qoe.delay_lower_bound_s, which depends on the config alone
     req_hit: float  # a cache hit's delay-rate requirement (bits/slot)
-    rrh: list[np.ndarray] = field(default_factory=list)  # (U,) cluster index or -1
-    uav: list[np.ndarray] = field(default_factory=list)  # (U,) UAV index or -1
-    anchors: list[np.ndarray] = field(default_factory=list)  # (K, 3) centroids at the floor
-    fading: list[list[np.ndarray]] = field(default_factory=list)  # per RRH cluster
-    # A cache miss's delay-rate requirement over the fronthaul at each anchor;
-    # None where a UAV serves nobody.
-    req_miss: list[list[float | None]] = field(default_factory=list)
+    xy: np.ndarray  # (T, U, 2) predicted positions at the slot midpoints
+    rrh: np.ndarray  # (T, U) cluster index
+    uav: np.ndarray  # (T, U) UAV index
+    anchors: np.ndarray  # (T, K, 3) cluster centroids at the altitude floor
+    req_miss: np.ndarray  # (T, K) a cache miss's delay-rate requirement at each anchor
+    fading: list[list[np.ndarray]] = field(default_factory=list)  # per slot, per RRH cluster
 
 
 def _predicted_positions(plan: PeriodPlan, users, s: int, n_intervals: int) -> np.ndarray:
@@ -174,40 +166,41 @@ def plan_slots(cfg: ScenarioConfig, world: SyntheticWorld, distributions: np.nda
                collections: np.ndarray, n_uavs: int | None = None) -> PeriodPlan:
     """Stage 1: per slot, associate users with the radio heads and cluster the rest."""
     n_uavs = cfg.num_uavs if n_uavs is None else n_uavs
-    n_users = cfg.num_users
+    t, n_users = cfg.slots_per_cache_period, cfg.num_users
     rs = RandomSource(cfg.seed).derive("sim")
     # Terrestrial infrastructure: group radio heads into beamforming clusters.
     labels, _ = placement.cluster_users(world.rrh_xy, cfg.num_rrh_clusters,
                                         rs.derive("rrh-grouping"))
     clusters = [world.rrh_xy[labels == q] for q in range(cfg.num_rrh_clusters)
                 if np.any(labels == q)]
+    antennas = np.array([len(c) for c in clusters])
+    centroids = np.array([c.mean(axis=0) for c in clusters])
     bound_s = delay_lower_bound_s(cfg)
     base_rates = np.broadcast_to(cfg.content_base_rates_bps, (cfg.num_contents,))
-    plan = PeriodPlan(cfg, world, distributions, collections, rs, n_uavs, clusters,
-                      distributions.argmax(axis=2), world.screen_factors[:, None] * base_rates,
-                      bound_s, delay_rate_requirement_bits(cfg, bound_s))
-    prev_centroids = None
-    for s in range(cfg.slots_per_cache_period):
-        pred_xy = _predicted_positions(plan, range(n_users), s, 1)[:, 0]
-        fading = _zf_fading(rs, s, clusters, n_users)
-        rates = _rrh_rates_bits(cfg, world, clusters, _reference_clusters(pred_xy, clusters),
-                                pred_xy, fading, n_uavs > 0)
+    plan = PeriodPlan(
+        cfg, world, distributions, collections, rs, n_uavs, clusters,
+        distributions.argmax(axis=2), world.screen_factors[:, None] * base_rates, bound_s,
+        delay_rate_requirement_bits(cfg, bound_s),
+        track_positions(collections, range(n_users), np.arange(t) + 0.5,
+                        cfg.slots_per_collection).swapaxes(0, 1),
+        np.full((t, n_users), -1), np.full((t, n_users), -1),
+        np.tile([0.0, 0.0, cfg.min_altitude_m], (t, n_uavs, 1)), np.full((t, n_uavs), np.nan))
+    for s, pred_xy in enumerate(plan.xy):
+        plan.fading.append(_zf_fading(rs, s, clusters, n_users))
+        dists = point_norms(pred_xy[:, None, :] - centroids)
+        rates = _rrh_rates_bits(cfg, world, clusters, _reference_clusters(dists, antennas),
+                                pred_xy, plan.fading[s], n_uavs > 0)
         floors = plan.floors[np.arange(n_users), plan.likely[:, s // cfg.slots_per_collection]]
-        rrh = placement.associate_rrh(rates, pred_xy, floors, clusters, cfg, bound_s)
-        uav = np.full(n_users, -1)
-        pool = np.flatnonzero(rrh < 0)
-        if n_uavs and pool.size:
-            uav[pool], centroids = placement.cluster_users(
-                pred_xy[pool], n_uavs, rs.derive(f"kmeans-{s}"), init_centroids=prev_centroids)
-            prev_centroids = centroids
-        else:
-            centroids = prev_centroids if prev_centroids is not None else np.zeros((n_uavs, 2))
-        plan.rrh.append(rrh)
-        plan.uav.append(uav)
-        plan.anchors.append(np.column_stack([centroids, np.full(n_uavs, cfg.min_altitude_m)]))
-        plan.fading.append(fading)
-        plan.req_miss.append([_cache_miss(plan, plan.anchors[s][k], 1)[1]
-                              if np.any(uav == k) else None for k in range(n_uavs)])
+        plan.rrh[s] = placement.associate_rrh(rates, dists, floors, antennas, cfg, bound_s)
+        pool = np.flatnonzero(plan.rrh[s] < 0)
+        # A slot with no one to cluster keeps the anchors (at s = 0, the initial last row).
+        plan.anchors[s] = plan.anchors[s - 1]
+        if n_uavs and pool.size:  # warm-started once any earlier slot was clustered
+            warm = plan.anchors[s, :, :2] if (plan.uav[:s] >= 0).any() else None
+            plan.uav[s, pool], plan.anchors[s, :, :2] = placement.cluster_users(
+                pred_xy[pool], n_uavs, rs.derive(f"kmeans-{s}"), init_centroids=warm)
+    for s, k in zip(*np.nonzero((plan.uav[..., None] == np.arange(n_uavs)).any(axis=1))):
+        plan.req_miss[s, k] = _cache_miss(plan, plan.anchors[s, k], 1)[1]
     return plan
 
 
@@ -223,23 +216,24 @@ def _cache_miss(plan: PeriodPlan, position: np.ndarray, n_shares: int) -> tuple[
 
 
 def select_caches(plan: PeriodPlan) -> list[tuple[int, ...]]:
-    """Stage 2: each UAV caches the contents with the largest expected power saving."""
+    """Stage 2: each UAV caches the contents with the largest expected power saving.
+
+    A UAV's rows are its (slot, member) pairs, priced in one pass at each
+    row's slot anchor and predicted midpoint, for that slot's member count.
+    """
     cfg = plan.cfg
     caches: list[tuple[int, ...]] = []
     for k in range(plan.n_uavs):
-        prob_rows, saving_rows = [], []
-        for s, uav in enumerate(plan.uav):
-            members = np.flatnonzero(uav == k)
-            if not members.size:
-                continue
-            xy = _predicted_positions(plan, members, s, 1)[:, 0]
-            pls = uav_user_pathloss_db(plan.anchors[s][k], xy, cfg.pathloss)
-            loss = db_to_linear(pls)[:, None]
-            prob_rows.append(plan.distributions[members, s // cfg.slots_per_collection])
-            saving_rows.append(placement.delta_power_saving(
-                loss, plan.req_hit, plan.req_miss[s][k], plan.floors[members], len(members), cfg))
-        caches.append(placement.select_cache(np.vstack(prob_rows), np.vstack(saving_rows),
-                                             cfg.cache_size) if prob_rows else ())
+        mine = plan.uav == k
+        slots, users = np.nonzero(mine)
+        loss = db_to_linear(uav_user_pathloss_db(plan.anchors[slots, k], plan.xy[slots, users],
+                                                 cfg.pathloss))[:, None]
+        savings = placement.delta_power_saving(
+            loss, plan.req_hit, plan.req_miss[slots, k, None], plan.floors[users],
+            np.count_nonzero(mine, axis=1)[slots, None], cfg)
+        caches.append(placement.select_cache(
+            plan.distributions[users, slots // cfg.slots_per_collection], savings,
+            cfg.cache_size) if slots.size else ())
     return caches
 
 
@@ -255,39 +249,35 @@ def _random_cache(plan: PeriodPlan) -> list[tuple[int, ...]]:
 
 
 def place_uavs(plan: PeriodPlan, caches: list[tuple[int, ...]]) -> list[np.ndarray]:
-    """Stage 3: per slot, position each UAV to minimize the power toward its users."""
-    positions_per_slot: list[np.ndarray] = []
-    prev_positions: np.ndarray | None = None
+    """Stage 3: per slot, position each UAV to minimize the power toward its users.
+
+    Each search starts from the UAV's previous position, the first from its anchor.
+    """
+    positions = [plan.anchors[0]]
     # One call per slot frees a slot's position arrays before the next are built.
     for s in range(len(plan.uav)):
-        prev_positions = _place_slot(plan, caches, s, prev_positions)
-        positions_per_slot.append(prev_positions)
-    return positions_per_slot
+        positions.append(_place_slot(plan, caches, s, positions[-1]))
+    return positions[1:]
 
 
 def _place_slot(plan: PeriodPlan, caches: list[tuple[int, ...]], s: int,
-                prev_positions: np.ndarray | None) -> np.ndarray:
-    """One slot's UAV positions; a UAV that serves nobody holds its previous position."""
+                held: np.ndarray) -> np.ndarray:
+    """One slot's UAV positions; a UAV that serves nobody keeps its ``held`` position."""
     cfg, uav = plan.cfg, plan.uav[s]
-    positions = np.zeros((plan.n_uavs, 3))
+    positions = held.copy()
     served = np.flatnonzero(uav >= 0)
-    if served.size:
-        slot_pos = _predicted_positions(plan, served, s, cfg.intervals_per_slot)
+    slot_pos = _predicted_positions(plan, served, s, cfg.intervals_per_slot)
+    # where the fronthaul is too slow, aim as if cached
+    req_miss = np.where(np.isinf(plan.req_miss[s]), plan.req_hit, plan.req_miss[s])
     for k in range(plan.n_uavs):
-        held = prev_positions[k] if prev_positions is not None else plan.anchors[s][k]
         rows = uav[served] == k
         members = served[rows]
-        if not members.size:
-            positions[k] = held
-            continue
-        contents = plan.likely[members, s // cfg.slots_per_collection]
-        req_miss = plan.req_miss[s][k]
-        if np.isinf(req_miss):  # the fronthaul is too slow: aim as if cached
-            req_miss = plan.req_hit
-        targets = qoe_rate_target_bps(
-            np.where([c in caches[k] for c in contents], plan.req_hit, req_miss),
-            plan.floors[members, contents], cfg.slot_duration_s)
-        positions[k] = placement.place_uav(slot_pos[rows], targets, held, len(members), cfg)
+        if members.size:
+            contents = plan.likely[members, s // cfg.slots_per_collection]
+            targets = qoe_rate_target_bps(
+                np.where([c in caches[k] for c in contents], plan.req_hit, req_miss[k]),
+                plan.floors[members, contents], cfg.slot_duration_s)
+            positions[k] = placement.place_uav(slot_pos[rows], targets, held[k], len(members), cfg)
     return positions
 
 
@@ -368,7 +358,7 @@ def _deliver_slot(plan: PeriodPlan, caches: list[tuple[int, ...]], s: int,
     device_req = plan.floors[fr, content[fr]]
     routes[fr] = _routes(
         fr.size, link=LINK_RRH, access_bits=rates_true[fr],
-        fronthaul_bits=cfg.fronthaul_rate_bps / max(n_fr, 1) * cfg.slot_duration_s,
+        fronthaul_bits=placement.wired_share_bits(n_fr, cfg),
         device_frac=device_score((rates_true[fr] / cfg.slot_duration_s)[:, None],
                                  device_req[:, None]), feasible=True)
 

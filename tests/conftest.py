@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from uavcache import cesn, linalg
 from uavcache.channel import (ChannelError, db_to_linear, free_space_pl_db, mixed_pathloss_db,
-                              uav_user_pathloss_db)
+                              rayleigh_channel_rows, uav_user_pathloss_db, zf_beamformer)
 from uavcache.config import (DESK_PRESET, ChannelParams, RandomSource, ScenarioConfig,
                              load_config_dict, merge_documents)
 from uavcache.generators import DAY_TYPES, day_type
@@ -306,6 +306,31 @@ def reference_associate_rrh(rates_bits, user_xy, device_req_bps, clusters, cfg, 
     return np.full(n_users, -1)
 
 
+def reference_zfbf_sinr(clusters, assigned, user_xy, fading_power, rrh_power_w,
+                        bbu_interference_w, noise_w, exponent):
+    """Zero-forcing SINR with each user's interference summed on its own, one
+    (1, R_j) cross channel row per other cluster with users."""
+    user_xy = np.asarray(user_xy, dtype=float)
+    beams = {}
+    for q, cluster in enumerate(clusters):
+        users = np.flatnonzero(assigned == q)
+        if users.size:
+            beams[q] = zf_beamformer(rayleigh_channel_rows(user_xy[users], cluster,
+                                                           fading_power[q][users], exponent))
+    sinr = np.zeros(user_xy.shape[0])
+    for q, cluster in enumerate(clusters):
+        for i in np.flatnonzero(assigned == q).tolist():
+            interference = float(bbu_interference_w[i])
+            for j, other in enumerate(clusters):
+                if j == q or j not in beams:
+                    continue
+                cross = rayleigh_channel_rows(user_xy[i], other, fading_power[j][i], exponent)
+                powers = (cross @ beams[j]) ** 2
+                interference += rrh_power_w * float(np.sum(powers))
+            sinr[i] = rrh_power_w / (interference + noise_w)
+    return sinr
+
+
 def uav_user_pathloss_linear(uav_xyz, user_xy, p: ChannelParams):
     """Linear path loss from a UAV to users' positions, one plain expression per step.
 
@@ -329,7 +354,7 @@ def uav_user_pathloss_linear(uav_xyz, user_xy, p: ChannelParams):
 def placement_objective(xyz, user_pos, rate_targets_bps, n_served: int,
                         p: ChannelParams, bandwidth_hz: float, noise_w: float) -> float:
     """The placement objective at one position, priced from scratch in linear units."""
-    pos, _ = _flatten_positions(user_pos)
+    pos = _flatten_positions(user_pos)
     scale = power_per_loss_w(rate_targets_bps, n_served, bandwidth_hz, noise_w)
     with np.errstate(over="ignore"):  # a loss or price past the float range is inf
         loss = uav_user_pathloss_linear(xyz, pos, p)
@@ -339,7 +364,7 @@ def placement_objective(xyz, user_pos, rate_targets_bps, n_served: int,
 def placement_objective_db(xyz, user_pos, rate_targets_bps, n_served: int,
                            p: ChannelParams, bandwidth_hz: float, noise_w: float) -> float:
     """The placement objective by the dB route: ``min_uav_power_w`` of each path loss, summed."""
-    pos, _ = _flatten_positions(user_pos)
+    pos = _flatten_positions(user_pos)
     pl = uav_user_pathloss_db(np.asarray(xyz, dtype=float), pos, p)
     power = min_uav_power_w(db_to_linear(pl), np.asarray(rate_targets_bps, dtype=float)[:, None],
                             n_served, bandwidth_hz, noise_w)
@@ -351,7 +376,7 @@ def place_uav_exhaustive(user_pos, rate_targets_bps, grid_step_m: float,
                          bandwidth_hz: float, noise_w: float,
                          pad_m: float = 100.0) -> PlacementResult:
     """Global grid minimum of the power objective over the padded user bounding box."""
-    pos, _ = _flatten_positions(user_pos)
+    pos = _flatten_positions(user_pos)
     altitudes = np.atleast_1d(np.asarray(altitudes_m, dtype=float))
     if pos.shape[0] == 0 or altitudes.size == 0:
         raise ValueError("exhaustive search needs users and at least one altitude")

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import access_links, uav_user_pathloss_linear
+from conftest import access_links, reference_zfbf_sinr, uav_user_pathloss_linear
 from uavcache import channel, linalg
 from uavcache.config import ChannelParams
 
@@ -280,6 +280,35 @@ class TestZfbf:
         with pytest.raises(channel.ChannelError, match="^cluster 1: rank-deficient"):
             channel.zfbf_sinr([healthy, degenerate], np.array([0, 1, 1]), users, gains, 0.1,
                               np.zeros(3), 1e-13, 2.0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_cluster_arrays_equal_the_per_user_reference(self, data):
+        # one cluster, or several that may hold no users; users on no cluster
+        n_clusters = data.draw(st.integers(1, 3))
+        sizes = [data.draw(st.integers(1, 4)) for _ in range(n_clusters)]
+        n_users = data.draw(st.integers(0, 8))
+        seed = data.draw(st.integers(0, 2 ** 32 - 1))
+        rng = np.random.default_rng(seed)
+        clusters = [rng.uniform(-300.0, 300.0, (r, 2)) for r in sizes]
+        free = [slot for q, r in enumerate(sizes) for slot in [q] * r]
+        assigned = np.full(n_users, -1)
+        for u in range(n_users):
+            choice = data.draw(st.integers(-1, len(free) - 1))
+            if choice >= 0:
+                assigned[u] = free.pop(choice)
+        users = rng.uniform(-400.0, 400.0, (n_users, 2))
+        fading = [rng.exponential(1.0, (n_users, r)) for r in sizes]
+        bbu = rng.exponential(1e-12, n_users) * data.draw(st.sampled_from([0.0, 1.0]))
+        args = (clusters, assigned, users, fading, 0.1, bbu, 1e-13,
+                data.draw(st.sampled_from([2.0, 3.7])))
+        try:
+            want = reference_zfbf_sinr(*args)
+        except channel.ChannelError:  # an ill-conditioned draw fails both ways
+            with pytest.raises(channel.ChannelError):
+                channel.zfbf_sinr(*args)
+            return
+        assert channel.zfbf_sinr(*args).tobytes() == want.tobytes()
 
     def test_bbu_interference_lowers_sinr(self):
         cluster = self._cluster([[0.0, 0.0], [10.0, 0.0]])

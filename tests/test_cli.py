@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -19,7 +20,7 @@ from conftest import log_uniform
 from uavcache import cli, sim
 from uavcache.channel import ChannelError
 from uavcache.cli import main
-from uavcache.config import merge_documents
+from uavcache.config import load_config_dict, merge_documents
 
 TINY = {
     "num_users": 6, "num_rrhs": 6, "num_rrh_clusters": 2, "num_uavs": 2,
@@ -207,6 +208,20 @@ class TestSimulate:
         code = main(["simulate", "--config", str(other_file), "--models", str(out),
                      "--out", str(tmp_path / "x")])
         assert code == 2
+
+    def test_models_trained_under_another_esn_block_rejected(self, cfg_file, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert main(["train", "--config", cfg_file, "--out", str(out)]) == 0
+        other_file = tmp_path / "other.json"
+        other_file.write_text(json.dumps(merge_documents(TINY, {"esn": {"reservoir_size": 20}})))
+        capsys.readouterr()
+        code = main(["simulate", "--config", str(other_file), "--models", str(out),
+                     "--out", str(tmp_path / "x")])
+        assert code == 2
+        err = capsys.readouterr().err
+        want = "  - esn.reservoir_size: user 0 content model was trained with 50, config has 20"
+        assert want in err
+        assert err.count("  - esn.") == 1
 
     def test_manifest_records_the_argv_given_to_main(self, cfg_file, tmp_path, monkeypatch):
         monkeypatch.setattr(sys, "argv", ["harness", "--whatever"])
@@ -733,21 +748,18 @@ class TestScalePreset:
         assert cfg.esn.reservoir_size == 1000
 
 
-# Documents the tiny models are simulated under: TINY with its counts, its ESN
-# block and the QoE inputs redrawn, and at most one of them broken.  Every
-# redrawn count keeps the models' users, catalog and four sub-periods; the ESN
-# block only trains, so the stored one is replayed; the content rates are one
-# for every content or one each.
+# Documents the tiny models are simulated under: TINY with its counts and the
+# QoE inputs redrawn, and at most one of them or its ESN block broken.  Every
+# redrawn count keeps the models' users, catalog and four sub-periods; the
+# content rates are one for every content or one each.  The models replay only
+# under the ESN block they were trained with, so any other block, valid or
+# not, is a broken one.
+TRAINED_ESN = dataclasses.asdict(load_config_dict(TINY).esn)
 VALID_OVER_MODELS = {
     "num_users": st.integers(2, 6), "num_uavs": st.integers(1, 2),
     "cache_size": st.integers(1, 4), "num_rrhs": st.integers(1, 8),
     "num_rrh_clusters": st.integers(1, 3), "intervals_per_slot": st.integers(1, 12),
     "periods": st.sampled_from([(2, 8), (3, 12), (6, 24)]),
-    "esn": st.fixed_dictionaries({}, optional={
-        "reservoir_size": st.integers(1, 40), "spectral_radius": st.floats(0.05, 0.95),
-        "density": st.floats(0.05, 1.0), "aperture": log_uniform(-3.0, 6.0),
-        "ridge": st.floats(0.0, 10.0), "input_scale": st.floats(-2.0, 2.0),
-        "washout": st.integers(0, 59)}),
     "content_base_rates_bps": st.integers(0, 1).flatmap(
         lambda per_content: st.lists(log_uniform(4.0, 8.0), min_size=1 + 24 * per_content,
                                      max_size=1 + 24 * per_content)),
@@ -762,7 +774,12 @@ BROKEN_OVER_MODELS = {
     # 3 sub-periods, a collection that does not divide the period, 8 sub-periods
     "periods": st.sampled_from([(4, 12), (5, 12), (3, 24)]),
     "esn": st.sampled_from([{"spectral_radius": 1.2}, {"density": 0.0}, {"reservoir_size": 0},
-                            {"washout": 60}]),
+                            {"washout": 60}]) | st.fixed_dictionaries({}, optional={
+        "reservoir_size": st.integers(1, 40), "spectral_radius": st.floats(0.05, 0.95),
+        "density": st.floats(0.05, 1.0), "aperture": log_uniform(-3.0, 6.0),
+        "ridge": st.floats(0.0, 10.0), "input_scale": st.floats(-2.0, 2.0),
+        "washout": st.integers(0, 59)}).filter(
+            lambda block: any(TRAINED_ESN[key] != value for key, value in block.items())),
     "content_base_rates_bps": st.sampled_from([0, 2, 26]).flatmap(
         lambda n: st.lists(log_uniform(4.0, 8.0), min_size=n, max_size=n)),
     "qoe_weight_delay": st.floats(-0.5, 0.0, exclude_max=True) | st.floats(1.0, 1.5,

@@ -14,7 +14,7 @@ from conftest import (access_links, log_uniform, place_uav_exhaustive, placement
 from uavcache import linalg, placement, sim
 from uavcache.channel import ChannelError, db_to_linear
 from uavcache.config import ChannelParams, RandomSource, ScenarioConfig
-from uavcache.generators import SyntheticWorld
+from uavcache.generators import SyntheticWorld, point_norms
 from uavcache.predictors import period_collections
 from uavcache.qoe import (delay_lower_bound_s, delay_rate_requirement_bits, min_uav_power_w,
                           qoe_rate_target_bps)
@@ -29,29 +29,35 @@ def two_clusters():
     return [np.array([[-100.0, 0.0], [-110.0, 0.0]]), np.array([[100.0, 0.0], [110.0, 0.0]])]
 
 
+def associate(rates, xy, device, clusters, cfg=CFG, bound_s=BOUND_S):
+    """``placement.associate_rrh`` given the users' and antennas' positions, as
+    ``sim.plan_slots`` calls it: a centroid distance table and antenna counts."""
+    centroids = np.array([c.mean(axis=0) for c in clusters]).reshape(len(clusters), 2)
+    dists = point_norms(np.asarray(xy, dtype=float).reshape(-1, 1, 2) - centroids)
+    return placement.associate_rrh(rates, dists, device, [len(c) for c in clusters], cfg,
+                                   bound_s)
+
+
 class TestAssociation:
     def test_infinite_rates_fill_antennas(self):
         clusters = two_clusters()
         n = 6
         xy = np.array([[float(40 * i - 100), 0.0] for i in range(n)])
-        assigned = placement.associate_rrh(np.full(n, np.inf), xy, np.full(n, 5e6),
-                                           clusters, CFG, BOUND_S)
+        assigned = associate(np.full(n, np.inf), xy, np.full(n, 5e6), clusters)
         assert np.count_nonzero(assigned >= 0) == 4  # capped by total antennas
         assert np.count_nonzero(assigned < 0) == 2
 
     def test_zero_rates_send_everyone_to_pool(self):
         clusters = two_clusters()
         xy = np.zeros((5, 2))
-        assigned = placement.associate_rrh(np.zeros(5), xy, np.full(5, 5e6), clusters, CFG,
-                                           BOUND_S)
+        assigned = associate(np.zeros(5), xy, np.full(5, 5e6), clusters)
         assert assigned.tolist() == [-1] * 5
 
     def test_threshold_boundary_inclusive(self):
         clusters = [np.array([[0.0, 0.0]])]
         device = np.array([5e6])
         threshold = placement.rrh_rate_threshold_bits(1, device, CFG, BOUND_S)
-        assigned = placement.associate_rrh(threshold, np.array([[10.0, 0.0]]), device,
-                                           clusters, CFG, BOUND_S)
+        assigned = associate(threshold, np.array([[10.0, 0.0]]), device, clusters)
         assert assigned.tolist() == [0]
 
     def test_admitted_set_is_a_fixed_point(self):
@@ -61,7 +67,7 @@ class TestAssociation:
         xy = rng.uniform(-200, 200, (n, 2))
         rates = rng.uniform(0.0, 2e7, n)
         device = rng.choice([2.5e6, 5e6, 7.5e6], n)
-        assigned = placement.associate_rrh(rates, xy, device, clusters, CFG, BOUND_S)
+        assigned = associate(rates, xy, device, clusters)
         admitted, pool = np.flatnonzero(assigned >= 0), np.flatnonzero(assigned < 0)
         n_fr = admitted.size
         if n_fr:
@@ -75,8 +81,7 @@ class TestAssociation:
             assert not (candidates and admitted_ok and n_fr < 4)
 
     def test_no_clusters_all_pool(self):
-        assigned = placement.associate_rrh(np.full(3, np.inf), np.zeros((3, 2)),
-                                           np.full(3, 5e6), [], CFG, BOUND_S)
+        assigned = associate(np.full(3, np.inf), np.zeros((3, 2)), np.full(3, 5e6), [])
         assert np.count_nonzero(assigned >= 0) == 0
 
     @settings(max_examples=400, deadline=None)
@@ -106,7 +111,7 @@ class TestAssociation:
                 rates[i] = placement.rrh_rate_threshold_bits(m, device, cfg, bound_s)[i]
             else:
                 rates[i] = data.draw(st.floats(4e6, 1.2e7))
-        got = placement.associate_rrh(rates, xy, device, clusters, cfg, bound_s)
+        got = associate(rates, xy, device, clusters, cfg, bound_s)
         want = reference_associate_rrh(rates, xy, device, clusters, cfg, bound_s)
         assert np.array_equal(got, want)
 

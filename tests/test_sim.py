@@ -1,11 +1,15 @@
 import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import desk_config, idle_config, infeasible_config, reference_reports
 from uavcache import placement, sim
-from uavcache.config import ScenarioConfig
+from uavcache.config import ScenarioConfig, serialize
 from uavcache.generators import SyntheticWorld
 from uavcache.predictors import period_collections, train_content_model, train_mobility_model
 from uavcache.qoe import LINK_UAV_CACHE, LINK_UAV_FRONTHAUL, delay_lower_bound_s
@@ -391,3 +395,31 @@ class TestSerializationText:
         text = sim.sweep_csv_text(rows)
         assert text.startswith(",".join(sim.SWEEP_COLUMNS))
         assert len(text.strip().split("\n")) == 3
+
+
+# A tiny oracle period and a tiny learned period in a fresh interpreter; it prints
+# whether numpy.ma was imported.  In numpy 2.4 the first np.unique call imports
+# numpy.ma and inspect, about a megabyte of live memory the run has no use for.
+LAZY_IMPORT_SCRIPT = """
+import sys
+from uavcache import predictors, sim
+from uavcache.config import load_config_dict, parse_document
+from uavcache.generators import SyntheticWorld
+
+cfg = load_config_dict(parse_document(sys.stdin.read()))
+world = SyntheticWorld(cfg)
+sim.run_period(cfg, world=world)
+models = [[train(cfg, world, u)[0] for u in range(cfg.num_users)]
+          for train in (predictors.train_content_model, predictors.train_mobility_model)]
+sim.run_period(cfg, mode="esn", models=models, world=world)
+print("numpy.ma" in sys.modules)
+"""
+
+
+def test_a_period_never_imports_masked_arrays(tiny_cfg):
+    src = Path(sim.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"}
+    done = subprocess.run([sys.executable, "-c", LAZY_IMPORT_SCRIPT], input=serialize(tiny_cfg),
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["False"]

@@ -7,6 +7,8 @@ and the dB path loss in place and the other kernels as these same
 expressions, so every comparison here is exact, never a tolerance.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -304,6 +306,34 @@ def test_planned_positions_for_all_users_equal_per_user(mode):
             assert np.array_equal(sim._predicted_positions(plan, [2, 0], s, f), every[[2, 0]])
 
 
+# every UAV busy, some UAVs idle in every slot, the desk, and a plan with no UAVs
+PLAN_CASES = {
+    "tiny": lambda tiny: tiny,
+    "tiny_uav_per_user": lambda tiny: dataclasses.replace(tiny, num_uavs=tiny.num_users),
+    "desk": lambda tiny: desk_config(),
+    "desk_no_uav": lambda tiny: dataclasses.replace(desk_config(), num_uavs=0),
+}
+
+
+@pytest.mark.parametrize("case", list(PLAN_CASES))
+def test_plan_rows_hold_each_slots_midpoints_and_miss_requirements(tiny_cfg, case):
+    cfg = PLAN_CASES[case](tiny_cfg)
+    world = SyntheticWorld(cfg)
+    plan = sim.plan_slots(cfg, world, world.distributions, period_collections(world))
+    t, users = cfg.slots_per_cache_period, range(cfg.num_users)
+    assert plan.xy.shape == (t, cfg.num_users, 2)
+    assert plan.rrh.shape == plan.uav.shape == (t, cfg.num_users)
+    assert plan.anchors.shape == (t, cfg.num_uavs, 3)
+    assert plan.req_miss.shape == (t, cfg.num_uavs)
+    for s in range(t):
+        midpoints = sim._predicted_positions(plan, users, s, 1)[:, 0]
+        assert plan.xy[s].tobytes() == midpoints.tobytes()
+        idle = [not np.any(plan.uav[s] == k) for k in range(plan.n_uavs)]
+        assert np.isnan(plan.req_miss[s]).tolist() == idle
+    if case == "tiny_uav_per_user":
+        assert np.isnan(plan.req_miss).any()
+
+
 # -- per-UAV rows against per-user references --------------------------------------------
 
 
@@ -319,11 +349,11 @@ def reference_cache_rows(plan, k):
         midpoints = [track_positions(plan.collections, u, [s + 0.5], cfg.slots_per_collection)[0]
                      for u in members]
         losses = channel.db_to_linear(
-            channel.uav_user_pathloss_db(plan.anchors[s][k], np.array(midpoints), cfg.pathloss))
+            channel.uav_user_pathloss_db(plan.anchors[s, k], np.array(midpoints), cfg.pathloss))
         for u, loss in zip(members, losses):
             prob_rows.append(plan.distributions[u, s // cfg.slots_per_collection])
             saving_rows.append(placement.delta_power_saving(
-                loss, plan.req_hit, plan.req_miss[s][k], plan.floors[u], len(members), cfg))
+                loss, plan.req_hit, plan.req_miss[s, k], plan.floors[u], len(members), cfg))
     return np.array(prob_rows), np.array(saving_rows)
 
 
@@ -360,7 +390,7 @@ def test_uav_rows_equal_per_user_references_on_the_infeasible_config(tiny_cfg, m
     cfg = infeasible_config(tiny_cfg)
     world = SyntheticWorld(cfg)
     plan = sim.plan_slots(cfg, world, world.distributions, period_collections(world))
-    assert any(np.isinf(r) for per_slot in plan.req_miss for r in per_slot if r is not None)
+    assert np.isinf(plan.req_miss).any()
 
     rows = []
     select_cache = placement.select_cache
@@ -410,6 +440,14 @@ def test_delay_bound_is_computed_once_per_period(tiny_cfg, monkeypatch):
     _, summary = sim.run_period(tiny_cfg, mode="oracle")
     assert len(calls) == 1
     assert summary["delay_lower_bound_s"] == bound(tiny_cfg)
+
+
+def test_a_uav_that_never_serves_caches_nothing(tiny_cfg):
+    world = SyntheticWorld(tiny_cfg)
+    plan = sim.plan_slots(tiny_cfg, world, world.distributions, period_collections(world))
+    plan.uav[plan.uav == 1] = 0
+    caches = sim.select_caches(plan)
+    assert caches[1] == () and len(caches[0]) == tiny_cfg.cache_size
 
 
 # -- call counts of one desk-scale period ------------------------------------------------
