@@ -22,7 +22,7 @@ inputs give scalar results.
 
 The placement search prices every candidate position with
 :func:`pathloss_linear_into`.  It takes the users' squared x and y offsets
-from the UAV, which ``placement.PlacementPricer`` keeps per coordinate, and
+from the UAV, which ``placement.PlacementPricer`` computes per call, and
 writes into the caller's buffers.  It runs the distance and LoS steps above
 and then the linear loss, 10**(PL/10) = 10**(L_fs/10) * d**(a_nlos + pr
 (a_los - a_nlos)), with one log and one exp per point.  That skips the dB
@@ -147,7 +147,7 @@ def pathloss_linear_into(sq_x, sq_y, altitude, p: ChannelParams, dist: np.ndarra
 
     ``sq_x`` and ``sq_y`` hold the users' squared x and y offsets from a UAV
     at height ``altitude`` (a numpy float); ``dist`` is a work buffer of their
-    shape.  The distance and LoS steps are those of :func:`_distance_3d` and
+    shape, and it and ``out`` may be ``sq_x`` and ``sq_y`` themselves.  The distance and LoS steps are those of :func:`_distance_3d` and
     :func:`_los_probability`, except that the zero-distance scan runs only
     when ``altitude ** 2`` is 0: every distance is at least its square root.
     The LoS-weighted mixture of two log-distance laws is one power of the

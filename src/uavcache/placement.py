@@ -8,7 +8,8 @@ expected transmit-power saving, and each UAV's position minimizes the summed
 minimum transmit power toward its users.  :func:`place_uav` picks the method:
 a weighted-centroid closed form where it is valid (the low/high altitude
 regimes), 3 m coordinate descent elsewhere.  The descent prices its
-candidates with one :class:`PlacementPricer` per search.
+candidates with one :class:`PlacementPricer` per search, on each user's
+in-slot track at the slot's Gauss–Legendre nodes.
 """
 
 from __future__ import annotations
@@ -170,76 +171,76 @@ def _flatten_positions(user_pos) -> np.ndarray:
     return pos
 
 
-# Squared-offset planes a pricer keeps per axis.  The search moves one axis at
-# a time by one step, so the current coordinate and its two neighbours cover
-# every candidate.
-OFFSET_WINDOW = 3
+# Gauss–Legendre nodes a search prices each user's in-slot track on.  The track is
+# one segment run at constant speed, and its F interval losses a midpoint rule of a
+# smooth integral along it: 8 nodes are within 3e-7 relative of the 1,000-interval
+# sum at paper-scale optima (4: 1.5e-6, 16: 7.5e-8), and no search ends elsewhere.
+QUADRATURE_NODES = 8
+
+
+def _gauss_legendre(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The m-node Gauss–Legendre rule on [0, 1]: nodes, and weights that sum to 1.
+
+    Golub–Welsch: the nodes on [-1, 1] are the eigenvalues of the Jacobi matrix
+    with off-diagonal k / sqrt(4k² - 1), the weights 2 v0² of its eigenvectors v.
+    """
+    k = np.arange(1.0, m)
+    nodes, vectors = np.linalg.eigh(np.diag(k / np.sqrt(4.0 * k * k - 1.0), 1), UPLO="U")
+    return (nodes + 1.0) / 2.0, vectors[0] ** 2
+
+
+# Where a slot's nodes fall, as fractions of the slot, and their weights.
+NODE_OFFSETS, NODE_WEIGHTS = _gauss_legendre(QUADRATURE_NODES)
 
 
 class PlacementPricer:
     """The placement objective of one user set, priced at one UAV position per call.
 
-    The objective is the summed per-interval minimum power,
-    sum_u (2**(r_u n / B) - 1) N0 sum_f loss[u, f], in linear units: within
+    The objective is the weighted per-point minimum power,
+    sum_u (2**(r_u n / B) - 1) N0 sum_f w_f loss[u, f], in linear units: within
     ``linalg.LINEAR_LOSS_RTOL`` of summing ``min_uav_power_w`` over the dB
     path losses, not bit for bit.  Searches only compare its values.
+    ``weights`` gives each position's share of the slot in intervals: 1 each by
+    default (the interval sum), :data:`NODE_WEIGHTS` scaled to the interval
+    count at a slot's quadrature nodes.
 
-    Everything that depends only on the users is done once: the price
-    vector, the contiguous x and y planes and the output buffers.  The
-    squared offsets of the last :data:`OFFSET_WINDOW` coordinates per axis
-    are kept in :attr:`offsets`; a new coordinate replaces the one farthest
-    from it.  Each call runs the same ufunc sequence on the same operands as
-    pricing the position from scratch, so it returns the same bits.
+    The price vector and the contiguous x and y planes, which depend only on
+    the users, are built once; a call's squared offsets are its work buffers.
     """
 
     def __init__(self, user_pos, rate_targets_bps, n_served: int, p: ChannelParams,
-                 bandwidth_hz: float, noise_w: float):
+                 bandwidth_hz: float, noise_w: float, weights=1.0):
         pos = _flatten_positions(user_pos)
         self.planes = (np.ascontiguousarray(pos[..., 0]), np.ascontiguousarray(pos[..., 1]))
         self.price = power_per_loss_w(rate_targets_bps, n_served, bandwidth_hz, noise_w)
+        self.weights = weights
         self.p = p
-        self.offsets: tuple[dict[float, np.ndarray], ...] = ({}, {})
-        self._dist = np.empty_like(self.planes[0])
-        self._loss = np.empty_like(self.planes[0])
-
-    def _squared_offsets(self, axis: int, coord: float) -> np.ndarray:
-        cache = self.offsets[axis]
-        sq = cache.get(coord)
-        if sq is None:
-            if len(cache) < OFFSET_WINDOW:
-                sq = np.empty_like(self._dist)
-            else:
-                sq = cache.pop(max(cache, key=lambda c: abs(c - coord)))
-            np.subtract(self.planes[axis], coord, out=sq)
-            np.multiply(sq, sq, out=sq)
-            cache[coord] = sq
-        return sq
 
     def __call__(self, xyz) -> float:
-        xyz = np.asarray(xyz, dtype=float)
+        x, y, z = np.asarray(xyz, dtype=float)
         with np.errstate(over="ignore"):  # a loss or price past the float range is inf
-            loss = pathloss_linear_into(
-                self._squared_offsets(0, float(xyz[0])), self._squared_offsets(1, float(xyz[1])),
-                xyz[2], self.p, self._dist, self._loss)
-            return float(loss.sum(axis=1) @ self.price)
+            sq_x, sq_y = np.square(self.planes[0] - x), np.square(self.planes[1] - y)
+            loss = pathloss_linear_into(sq_x, sq_y, z, self.p, sq_x, sq_y)
+            return float(np.multiply(loss, self.weights, out=loss).sum(axis=1) @ self.price)
 
 
 def place_uav_closed_form(user_pos, rate_targets_bps, n_served: int,
-                          bandwidth_hz: float) -> np.ndarray:
-    """Weighted centroid of the served users' interval positions.
+                          bandwidth_hz: float, weights=1.0) -> np.ndarray:
+    """Weighted centroid of the served users' positions.
 
-    Weights are the rate-dependent power prefactors (distance-independent
-    factors cancel); shadowing enters at its zero mean so the placement is
-    deterministic.  Weights that overflow to inf share the limit: the
-    centroid of their users alone.
+    A position weighs its user's rate-dependent power prefactor (distance-
+    independent factors cancel) times its ``weights`` entry, as the pricer's, so
+    on a slot's quadrature nodes this is the in-slot tracks' centroid.  Shadowing
+    enters at its zero mean so the placement is deterministic.  Prefactors that
+    overflow to inf share the limit: the centroid of their users alone.
     """
     pos = _flatten_positions(user_pos)
     if pos.shape[0] == 0:
         raise ValueError("cannot place a UAV for an empty user set")
-    weights = power_per_loss_w(rate_targets_bps, n_served, bandwidth_hz, 1.0)
-    if np.isinf(weights).any():
-        weights = np.isinf(weights).astype(float)
-    w = np.repeat(weights, pos.shape[1])
+    prefactors = power_per_loss_w(rate_targets_bps, n_served, bandwidth_hz, 1.0)
+    if np.isinf(prefactors).any():
+        prefactors = np.isinf(prefactors).astype(float)
+    w = np.broadcast_to(prefactors[:, None] * weights, pos.shape[:2]).ravel()
     flat = pos.reshape(-1, 2)
     return (flat * w[:, None]).sum(axis=0) / w.sum()
 
@@ -273,7 +274,7 @@ def closed_form_regime(altitude_m: float, user_pos) -> str | None:
 def place_uav_local_search(user_pos, rate_targets_bps, init_xyz, n_served: int,
                            p: ChannelParams, bandwidth_hz: float, noise_w: float,
                            min_altitude_m: float, step_m: float = 3.0,
-                           max_evals: int = 10_000) -> PlacementResult:
+                           max_evals: int = 10_000, weights=1.0) -> PlacementResult:
     """Coordinate descent over +/-step moves in x, y, altitude.
 
     Moves are accepted only on strict objective improvement; the scan order is
@@ -284,7 +285,7 @@ def place_uav_local_search(user_pos, rate_targets_bps, init_xyz, n_served: int,
     """
     pos = np.asarray(init_xyz, dtype=float).copy()
     pos[2] = max(pos[2], min_altitude_m)
-    price = PlacementPricer(user_pos, rate_targets_bps, n_served, p, bandwidth_hz, noise_w)
+    price = PlacementPricer(user_pos, rate_targets_bps, n_served, p, bandwidth_hz, noise_w, weights)
     seen: dict[bytes, float] = {}
 
     def objective(xyz):
@@ -324,8 +325,8 @@ def place_uav_local_search(user_pos, rate_targets_bps, init_xyz, n_served: int,
 
 
 def place_uav(user_pos, rate_targets_bps, init_xyz, n_served: int,
-              cfg: ScenarioConfig) -> np.ndarray:
-    """One UAV's position for its users' interval positions and rate targets.
+              cfg: ScenarioConfig, weights=1.0) -> np.ndarray:
+    """One UAV's position for its users' positions, weighted as the pricer's, and rate targets.
 
     In the low regime most links are near the horizon, so the NLoS law rules
     and the power is close to a weighted sum of d**exponent_nlos: at exponent
@@ -338,10 +339,11 @@ def place_uav(user_pos, rate_targets_bps, init_xyz, n_served: int,
     if regime == "low" and cfg.pathloss.exponent_nlos != 2.0:
         regime = None
     if regime is not None:
-        xy = place_uav_closed_form(user_pos, rate_targets_bps, n_served, cfg.uav_bandwidth_hz)
+        xy = place_uav_closed_form(user_pos, rate_targets_bps, n_served, cfg.uav_bandwidth_hz,
+                                   weights)
         if regime == "low":
             return np.array([xy[0], xy[1], cfg.min_altitude_m])
         init_xyz = np.array([xy[0], xy[1], init_xyz[2]])
     return place_uav_local_search(user_pos, rate_targets_bps, init_xyz, n_served, cfg.pathloss,
                                   cfg.uav_bandwidth_hz, cfg.noise_power_w,
-                                  cfg.min_altitude_m).position
+                                  cfg.min_altitude_m, weights=weights).position

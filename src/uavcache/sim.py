@@ -156,12 +156,6 @@ class PeriodPlan:
     fading: list[list[np.ndarray]] = field(default_factory=list)  # per slot, per RRH cluster
 
 
-def _predicted_positions(plan: PeriodPlan, users, s: int, n_intervals: int) -> np.ndarray:
-    """Predicted positions of ``users`` at the interval midpoints of the period's slot ``s``."""
-    times = s + (np.arange(n_intervals) + 0.5) / n_intervals
-    return track_positions(plan.collections, users, times, plan.cfg.slots_per_collection)
-
-
 def plan_slots(cfg: ScenarioConfig, world: SyntheticWorld, distributions: np.ndarray,
                collections: np.ndarray, n_uavs: int | None = None) -> PeriodPlan:
     """Stage 1: per slot, associate users with the radio heads and cluster the rest."""
@@ -262,11 +256,14 @@ def place_uavs(plan: PeriodPlan, caches: list[tuple[int, ...]]) -> list[np.ndarr
 
 def _place_slot(plan: PeriodPlan, caches: list[tuple[int, ...]], s: int,
                 held: np.ndarray) -> np.ndarray:
-    """One slot's UAV positions; a UAV that serves nobody keeps its ``held`` position."""
+    """One slot's UAV positions, each priced on its members' predicted tracks at the slot's
+    quadrature nodes; a UAV that serves nobody keeps its ``held`` position."""
     cfg, uav = plan.cfg, plan.uav[s]
     positions = held.copy()
     served = np.flatnonzero(uav >= 0)
-    slot_pos = _predicted_positions(plan, served, s, cfg.intervals_per_slot)
+    slot_pos = track_positions(plan.collections, served, s + placement.NODE_OFFSETS,
+                               cfg.slots_per_collection)
+    weights = cfg.intervals_per_slot * placement.NODE_WEIGHTS
     # where the fronthaul is too slow, aim as if cached
     req_miss = np.where(np.isinf(plan.req_miss[s]), plan.req_hit, plan.req_miss[s])
     for k in range(plan.n_uavs):
@@ -277,7 +274,8 @@ def _place_slot(plan: PeriodPlan, caches: list[tuple[int, ...]], s: int,
             targets = qoe_rate_target_bps(
                 np.where([c in caches[k] for c in contents], plan.req_hit, req_miss[k]),
                 plan.floors[members, contents], cfg.slot_duration_s)
-            positions[k] = placement.place_uav(slot_pos[rows], targets, held[k], len(members), cfg)
+            positions[k] = placement.place_uav(slot_pos[rows], targets, held[k], len(members), cfg,
+                                               weights)
     return positions
 
 

@@ -10,7 +10,7 @@ from uavcache.channel import (ChannelError, db_to_linear, free_space_pl_db, mixe
                               rayleigh_channel_rows, uav_user_pathloss_db, zf_beamformer)
 from uavcache.config import (DESK_PRESET, ChannelParams, RandomSource, ScenarioConfig,
                              load_config_dict, merge_documents)
-from uavcache.generators import DAY_TYPES, day_type
+from uavcache.generators import DAY_TYPES, day_type, track_positions
 from uavcache.placement import PlacementResult, _flatten_positions, rrh_rate_threshold_bits
 from uavcache.qoe import (LINK_RRH, LINK_UAV_CACHE, LINK_UAV_FRONTHAUL, MOS_BINS,
                           min_uav_power_w, power_per_loss_w)
@@ -352,13 +352,15 @@ def uav_user_pathloss_linear(uav_xyz, user_xy, p: ChannelParams):
 
 
 def placement_objective(xyz, user_pos, rate_targets_bps, n_served: int,
-                        p: ChannelParams, bandwidth_hz: float, noise_w: float) -> float:
-    """The placement objective at one position, priced from scratch in linear units."""
+                        p: ChannelParams, bandwidth_hz: float, noise_w: float,
+                        weights=1.0) -> float:
+    """The placement objective at one position, priced from scratch in linear units,
+    each position's loss times its ``weights`` entry."""
     pos = _flatten_positions(user_pos)
     scale = power_per_loss_w(rate_targets_bps, n_served, bandwidth_hz, noise_w)
     with np.errstate(over="ignore"):  # a loss or price past the float range is inf
         loss = uav_user_pathloss_linear(xyz, pos, p)
-        return float(loss.sum(axis=1) @ scale)
+        return float((loss * weights).sum(axis=1) @ scale)
 
 
 def placement_objective_db(xyz, user_pos, rate_targets_bps, n_served: int,
@@ -369,6 +371,12 @@ def placement_objective_db(xyz, user_pos, rate_targets_bps, n_served: int,
     power = min_uav_power_w(db_to_linear(pl), np.asarray(rate_targets_bps, dtype=float)[:, None],
                             n_served, bandwidth_hz, noise_w)
     return float(power.sum())
+
+
+def predicted_positions(plan, users, s: int, n_intervals: int) -> np.ndarray:
+    """A plan's predicted positions of ``users`` at the interval midpoints of its slot ``s``."""
+    times = s + (np.arange(n_intervals) + 0.5) / n_intervals
+    return track_positions(plan.collections, users, times, plan.cfg.slots_per_collection)
 
 
 def place_uav_exhaustive(user_pos, rate_targets_bps, grid_step_m: float,

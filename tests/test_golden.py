@@ -35,9 +35,10 @@ DESK_ORACLE = {
                         "647e5f4160ccf577c1445e77f9e4e052193823a132acb93060bc4e9fcd2e439a"),
 }
 
-# tiny_cfg in esn mode, models trained from the same world
-TINY_ESN = ("b9c955801c4ce598843d37cff88b68e24f7ff6306bd38446dab6db4774ca8f53",
-            "588f28e7789dcfed68ae0fc44ab46febb3b4ae51d1ea2efcedd6b381c0783df7")
+# tiny_cfg in esn mode, models trained from the same world; re-pinned when placement
+# moved from the 10-interval sum to the 8-node quadrature (slot 2, UAV 0 moved 3 m)
+TINY_ESN = ("39675b8a016b6776c5541fd6583fd59d39da5422a04388af92fddbf76415ef73",
+            "166941b7296a6d68822f0107910dd519f708e8edaa1ffa315640a3bd5cb56035")
 
 
 # the built-in defaults (paper scale) in oracle mode
@@ -60,9 +61,10 @@ DESK_ORACLE_SEED99 = ("5b0494661a3906eb4cb4182a02b8cdd320701c7fa606f7d86d2bdeac4
 # tiny_cfg at a half-second slot with a slow wired fronthaul, a faint BBU link and a
 # one-content cache: the RRH threshold goes infinite, select_caches meets uncached
 # routes that cannot make the delay, _place_slot aims those users as if cached, and
-# delivery prices unreachable targets at the power cap
-TINY_INFEASIBLE = ("0db330ceca192cd5a39a4975998aa97882d02c507a237ff819f3082e4ef96357",
-                   "f06d3d30e2fd72895bf552426c24ee863a81f3d8e95323689bd996f3f54cd721")
+# delivery prices unreachable targets at the power cap; re-pinned with TINY_ESN
+# (slot 2, UAV 0 rose 3 m)
+TINY_INFEASIBLE = ("dedf4a23616020444459bd0ae985c980123d38b98fcde15f2719ce604ad19d17",
+                   "8ac18ea01dd18ce7de2afb4ec6dd0047406ea6b9cdddd9e668bc7e541863a379")
 
 # tiny_cfg with a request probability of 0.6, so every slot has idle users;
 # pinned before delivery scored each slot in one pass over a route table

@@ -1,8 +1,8 @@
 import dataclasses
 import itertools
 import math
-import tracemalloc
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,11 +11,10 @@ from hypothesis import strategies as st
 
 from conftest import (access_links, log_uniform, place_uav_exhaustive, placement_objective,
                       placement_objective_db, reference_associate_rrh)
-from uavcache import linalg, placement, sim
+from uavcache import linalg, placement
 from uavcache.channel import ChannelError, db_to_linear
 from uavcache.config import ChannelParams, RandomSource, ScenarioConfig
-from uavcache.generators import SyntheticWorld, point_norms
-from uavcache.predictors import period_collections
+from uavcache.generators import point_norms
 from uavcache.qoe import (delay_lower_bound_s, delay_rate_requirement_bits, min_uav_power_w,
                           qoe_rate_target_bps)
 
@@ -530,9 +529,10 @@ class TestPricer:
            case=st.sampled_from(["plain", "overhead", "floor", "overflow", "zero distance"]),
            moves=st.lists(st.tuples(st.integers(0, 2), st.sampled_from([-1.0, 1.0])),
                           max_size=24),
-           step=st.sampled_from([0.7, 3.0, 10.0]), seed=st.integers(0, 2 ** 32 - 1))
+           step=st.sampled_from([0.7, 3.0, 10.0]), seed=st.integers(0, 2 ** 32 - 1),
+           weighted=st.booleans())
     def test_equals_the_reference_bit_for_bit(self, link, bandwidth, noise, case, moves, step,
-                                              seed):
+                                              seed, weighted):
         uav, users, p = link
         n = users.shape[0]
         rng = np.random.default_rng(seed)
@@ -549,7 +549,9 @@ class TestPricer:
         elif case == "zero distance":  # on the ground (or below z**2's range) over a user
             uav[2] = rng.choice([0.0, 1e-170])
             users[0, 0] = uav[:2]
-        args = (users, targets, n, p, bandwidth, noise)
+        # a position's share of the slot: one interval each, or any positive weights
+        weights = rng.uniform(0.5, 2.0, users.shape[1]) if weighted else 1.0
+        args = (users, targets, n, p, bandwidth, noise, weights)
         price = placement.PlacementPricer(*args)
         pos = uav
         outcomes = set()
@@ -560,7 +562,6 @@ class TestPricer:
                 pos[2] = max(pos[2], floor)
             got = priced(price, pos)
             assert got == priced(lambda xyz: placement_objective(xyz, *args), pos)
-            assert all(len(cache) <= placement.OFFSET_WINDOW for cache in price.offsets)
             outcomes.add(got if isinstance(got, str) else math.isfinite(got))
         if case == "zero distance":
             assert "zero distance" in outcomes
@@ -569,57 +570,78 @@ class TestPricer:
         else:
             assert outcomes == {True}
 
-    def test_offsets_stay_in_the_window_where_searches_hit_the_budget(self, tiny_cfg,
-                                                                      monkeypatch):
-        # 3 m steps cannot cross a 31.6 km disk: searches from a 1 m floor run
-        # out of evaluations on their way to the users.
-        cfg = dataclasses.replace(tiny_cfg, area_radius_m=31_623.0, min_altitude_m=1.0)
-        pricers, evaluations, widest = [], [], []  # per search, in order
-        init, price = placement.PlacementPricer.__init__, placement.PlacementPricer.__call__
-        search = placement.place_uav_local_search
 
-        def recorded_init(self, *args):
-            init(self, *args)
-            pricers.append((args, []))
-            widest.append(0)
+# Where the quadrature search and the interval-sum search end more than one step
+# apart, the largest relative gap between the interval-sum objectives at their ends;
+# fixed before the first run.  The 8-node rule is within about 1e-5 of a 100-interval
+# sum and 3e-7 of a 1,000-interval one, so ends that a near tie sent apart differ by
+# a few times that at most.
+QUADRATURE_SEARCH_RTOL = 1e-4
 
-        def watched_price(self, xyz):
-            value = price(self, xyz)
-            pricers[-1][1].append(np.array(xyz, dtype=float))
-            widest[-1] = max(widest[-1], *(len(cache) for cache in self.offsets))
-            return value
 
-        def counted_search(*args, **kwargs):
-            result = search(*args, **kwargs)
-            evaluations.append(result.evaluations)
-            return result
+class TestQuadrature:
+    """The slot's Gauss–Legendre rule, and searches priced on it."""
 
-        monkeypatch.setattr(placement.PlacementPricer, "__init__", recorded_init)
-        monkeypatch.setattr(placement.PlacementPricer, "__call__", watched_price)
-        monkeypatch.setattr(placement, "place_uav_local_search", counted_search)
-        world = SyntheticWorld(cfg)
-        plan = sim.plan_slots(cfg, world, world.distributions, period_collections(world))
-        sim.place_uavs(plan, sim.select_caches(plan))
-        monkeypatch.undo()
-        assert len(pricers) == len(evaluations)
-        cut = [i for i, n in enumerate(evaluations) if n == 10_000]
-        assert cut
-        assert max(widest) == placement.OFFSET_WINDOW
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(coefficients=st.lists(st.one_of(st.just(0.0), st.floats(1e-3, 1e3)),
+                                 min_size=2 * placement.QUADRATURE_NODES,
+                                 max_size=2 * placement.QUADRATURE_NODES),
+           degree=st.integers(0, 2 * placement.QUADRATURE_NODES - 1),
+           start=st.floats(0.0, 1e3), length=st.floats(1e-3, 1e3))
+    def test_integrates_every_polynomial_up_to_degree_2m_minus_1(self, coefficients, degree,
+                                                                 start, length):
+        # Nonnegative coefficients on a nonnegative segment: no cancellation, so
+        # the rule's rounding is the only error.  The reference is exact.
+        coefficients = coefficients[:degree + 1]
+        if not any(coefficients):
+            coefficients[-1] = 1.0
+        a, b = Fraction(start), Fraction(start) + Fraction(length)
+        exact = sum(Fraction(c) * (b ** (d + 1) - a ** (d + 1)) / (d + 1)
+                    for d, c in enumerate(coefficients))
+        x = start + length * placement.NODE_OFFSETS
+        values = np.polyval(coefficients[::-1], x)
+        got = length * float(placement.NODE_WEIGHTS @ values)
+        assert abs(Fraction(got) - exact) <= Fraction(1e-14) * exact
 
-        # Replay the positions one cut search priced on a fresh pricer.
-        args, positions = pricers[cut[0]]
-        plane_bytes = 8 * np.asarray(args[0]).size // 2
-        coords = {(axis, float(xyz[axis])) for xyz in positions for axis in (0, 1)}
-        assert len(coords) > 100 * placement.OFFSET_WINDOW
-        # Fixed before the first run: two planes, two buffers and the two
-        # windows of planes, plus 16 KiB for the scalars and the row sums.
-        bound = (4 + 2 * placement.OFFSET_WINDOW) * plane_bytes + 16 * 1024
-        tracemalloc.start()
-        try:
-            replay = placement.PlacementPricer(*args)
-            for xyz in positions:
-                replay(xyz)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak <= bound
+    def test_is_exact_no_further_than_degree_2m_minus_1(self):
+        m = placement.QUADRATURE_NODES
+        got = placement.NODE_WEIGHTS @ placement.NODE_OFFSETS ** (2 * m)
+        assert abs(got - 1.0 / (2 * m + 1)) > 1e-12
+
+    @pytest.mark.parametrize("intervals", [1, 10, 100, 1000])
+    def test_scaled_weights_sum_to_the_interval_count(self, intervals):
+        weights = intervals * placement.NODE_WEIGHTS
+        assert weights.shape == placement.NODE_OFFSETS.shape == (placement.QUADRATURE_NODES,)
+        assert abs(weights.sum() - intervals) <= 1e-14 * intervals
+        assert np.all(weights > 0.0)
+        assert np.all(np.diff(placement.NODE_OFFSETS) > 0.0)
+        assert 0.0 < placement.NODE_OFFSETS[0] and placement.NODE_OFFSETS[-1] < 1.0
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(n_users=st.integers(1, 14), intervals=st.sampled_from([100, 1000]),
+           spread=st.sampled_from([30.0, 300.0]), seed=st.integers(0, 2 ** 32 - 1))
+    def test_search_ends_within_a_step_of_the_interval_search(self, n_users, intervals, spread,
+                                                              seed):
+        rng = np.random.default_rng(seed)
+        # each user walks a straight segment through the slot at constant speed
+        start = rng.uniform(-spread, spread, (n_users, 1, 2))
+        end = start + rng.uniform(-60.0, 60.0, (n_users, 1, 2))
+
+        def track(along):
+            return start + (end - start) * along[None, :, None]
+
+        targets = 10.0 ** rng.uniform(5.0, 8.0, n_users)
+        init = np.array([*rng.uniform(-spread, spread, 2), rng.uniform(0.0, 400.0)])
+        channel = (n_users, CFG.pathloss, CFG.uav_bandwidth_hz, CFG.noise_power_w)
+        intervals_pos = track((np.arange(intervals) + 0.5) / intervals)
+        full = placement.place_uav_local_search(intervals_pos, targets, init, *channel,
+                                                CFG.min_altitude_m)
+        quad = placement.place_uav_local_search(track(placement.NODE_OFFSETS), targets, init,
+                                                *channel, CFG.min_altitude_m,
+                                                weights=intervals * placement.NODE_WEIGHTS)
+        assert full.evaluations < 10_000 and quad.evaluations < 10_000
+        if np.abs(quad.position - full.position).max() <= 3.0 * (1.0 + 1e-12):
+            return
+        price = placement.PlacementPricer(intervals_pos, targets, *channel)
+        assert abs(price(quad.position) - full.objective_w) <= (
+            QUADRATURE_SEARCH_RTOL * full.objective_w)

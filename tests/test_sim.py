@@ -7,10 +7,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import desk_config, idle_config, infeasible_config, reference_reports
+from conftest import (desk_config, idle_config, infeasible_config, predicted_positions,
+                      reference_reports)
 from uavcache import placement, sim
 from uavcache.config import ScenarioConfig, serialize
-from uavcache.generators import SyntheticWorld
+from uavcache.generators import SyntheticWorld, track_positions
 from uavcache.predictors import period_collections, train_content_model, train_mobility_model
 from uavcache.qoe import LINK_UAV_CACHE, LINK_UAV_FRONTHAUL, delay_lower_bound_s
 
@@ -187,6 +188,10 @@ class TestStageTable:
 # collection point, the world from the horizon's, so the two differ in rounding.
 PLANNED_POSITION_TOL_M = 1e-9
 
+# Bound of a slot's track against the straight segment between its ends, in
+# meters, fixed before the first run: the two interpolations round differently.
+SEGMENT_TOL_M = 1e-9
+
 PREDICTION_SCALES = {"tiny": lambda tiny: tiny, "desk": lambda tiny: desk_config(),
                      "paper": lambda tiny: ScenarioConfig()}
 
@@ -198,10 +203,27 @@ class TestPrediction:
         world = SyntheticWorld(cfg)
         plan = sim.plan_slots(cfg, world, world.distributions, period_collections(world))
         users, f = range(cfg.num_users), cfg.intervals_per_slot
-        worst = max(np.abs(sim._predicted_positions(plan, users, s, f)
+        worst = max(np.abs(predicted_positions(plan, users, s, f)
                            - world.interval_positions(users, world.period_slot0 + s, f)).max()
                     for s in range(cfg.slots_per_cache_period))
         assert worst <= PLANNED_POSITION_TOL_M
+
+    @pytest.mark.parametrize("scale", list(PREDICTION_SCALES))
+    def test_every_slot_track_is_one_segment_at_constant_speed(self, tiny_cfg, scale):
+        # What placement's quadrature rests on: within a slot, a predicted track
+        # is the straight segment from the slot's start to its end, run at
+        # constant speed, so the nodes and the interval midpoints sit on it.
+        cfg = PREDICTION_SCALES[scale](tiny_cfg)
+        plan = oracle_plan(cfg)
+        f = cfg.intervals_per_slot
+        along = np.concatenate([placement.NODE_OFFSETS, (np.arange(f) + 0.5) / f])
+        for s in range(cfg.slots_per_cache_period):
+            ends = track_positions(plan.collections, range(cfg.num_users), [s, s + 1.0],
+                                   cfg.slots_per_collection)
+            track = track_positions(plan.collections, range(cfg.num_users), s + along,
+                                    cfg.slots_per_collection)
+            segment = ends[:, :1] + along[:, None] * (ends[:, 1:] - ends[:, :1])
+            assert np.abs(track - segment).max() <= SEGMENT_TOL_M
 
     def test_a_hand_built_truth_plans_the_oracle_run(self):
         cfg = desk_config()
@@ -398,8 +420,10 @@ class TestSerializationText:
 
 
 # A tiny oracle period and a tiny learned period in a fresh interpreter; it prints
-# whether numpy.ma was imported.  In numpy 2.4 the first np.unique call imports
-# numpy.ma and inspect, about a megabyte of live memory the run has no use for.
+# whether numpy.ma and numpy.polynomial were imported.  In numpy 2.4 the first
+# np.unique call imports numpy.ma and inspect, about a megabyte of live memory the
+# run has no use for; importing numpy.polynomial (for its Gauss–Legendre nodes)
+# costs 1.75 MB.
 LAZY_IMPORT_SCRIPT = """
 import sys
 from uavcache import predictors, sim
@@ -412,7 +436,7 @@ sim.run_period(cfg, world=world)
 models = [[train(cfg, world, u)[0] for u in range(cfg.num_users)]
           for train in (predictors.train_content_model, predictors.train_mobility_model)]
 sim.run_period(cfg, mode="esn", models=models, world=world)
-print("numpy.ma" in sys.modules)
+print("numpy.ma" in sys.modules, "numpy.polynomial" in sys.modules)
 """
 
 
@@ -422,4 +446,4 @@ def test_a_period_never_imports_masked_arrays(tiny_cfg):
     done = subprocess.run([sys.executable, "-c", LAZY_IMPORT_SCRIPT], input=serialize(tiny_cfg),
                           env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == ["False"]
+    assert done.stdout.split() == ["False", "False"]

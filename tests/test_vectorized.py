@@ -12,7 +12,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from conftest import desk_config, infeasible_config, placement_objective, placement_objective_db
+from conftest import (desk_config, infeasible_config, placement_objective, placement_objective_db,
+                      predicted_positions)
 from uavcache import channel, placement, qoe, sim
 from uavcache.config import ChannelParams, ScenarioConfig
 from uavcache.generators import SyntheticWorld, track_positions
@@ -299,11 +300,11 @@ def test_planned_positions_for_all_users_equal_per_user(mode):
     plan = sim.plan_slots(cfg, world, *prediction)
     for s in range(cfg.slots_per_cache_period):
         for f in (1, cfg.intervals_per_slot):
-            every = sim._predicted_positions(plan, users, s, f)
+            every = predicted_positions(plan, users, s, f)
             assert every.shape == (len(users), f, 2)
             for u in users:
-                assert np.array_equal(every[u], sim._predicted_positions(plan, u, s, f))
-            assert np.array_equal(sim._predicted_positions(plan, [2, 0], s, f), every[[2, 0]])
+                assert np.array_equal(every[u], predicted_positions(plan, u, s, f))
+            assert np.array_equal(predicted_positions(plan, [2, 0], s, f), every[[2, 0]])
 
 
 # every UAV busy, some UAVs idle in every slot, the desk, and a plan with no UAVs
@@ -326,7 +327,7 @@ def test_plan_rows_hold_each_slots_midpoints_and_miss_requirements(tiny_cfg, cas
     assert plan.anchors.shape == (t, cfg.num_uavs, 3)
     assert plan.req_miss.shape == (t, cfg.num_uavs)
     for s in range(t):
-        midpoints = sim._predicted_positions(plan, users, s, 1)[:, 0]
+        midpoints = predicted_positions(plan, users, s, 1)[:, 0]
         assert plan.xy[s].tobytes() == midpoints.tobytes()
         idle = [not np.any(plan.uav[s] == k) for k in range(plan.n_uavs)]
         assert np.isnan(plan.req_miss[s]).tolist() == idle
