@@ -18,7 +18,8 @@ spends its time.  The distance, the LoS probability and the dB path loss run
 their ufunc sequence in place on fresh buffers from :func:`_buffer_like`, and
 never write into their inputs.  They take the same steps on the same operands
 as their plain expressions, so they are bit for bit those expressions.  Scalar
-inputs give scalar results.
+inputs give scalar results.  A height is squared by libm's ``pow``, as numpy
+squares one float, whether it comes alone or as one UAV height per row.
 
 The placement search prices every candidate position with
 :func:`pathloss_linear_into`.  It takes the users' squared x and y offsets
@@ -64,11 +65,22 @@ def _buffer_like(*arrays) -> np.ndarray:
     return np.empty(shapes.pop() if shapes else ())
 
 
-def _distance_from_squares(sq_x, sq_y, altitude, out: np.ndarray) -> np.ndarray:
-    """3-D distance from squared horizontal offsets and a transmitter height, into ``out``."""
+def _distance_from_squares(sq_x, sq_y, altitude_sq, out: np.ndarray) -> np.ndarray:
+    """3-D distance from squared horizontal offsets and a squared transmitter height, into
+    ``out``."""
     np.add(sq_x, sq_y, out=out)
-    np.add(out, altitude ** 2, out=out)
+    np.add(out, altitude_sq, out=out)
     return np.sqrt(out, out=out)
+
+
+def _square_heights(altitude):
+    """Each height squared by libm's ``pow``, as numpy squares one float (``h ** 2``).
+
+    ``float_power`` calls ``pow`` per element, so an array of heights squares
+    each bit for bit as a lone float would; an array's ``** 2`` multiplies,
+    which can differ in the last bit.
+    """
+    return np.float_power(altitude, 2.0)
 
 
 def _distance_3d(uav_xyz, user_xy) -> np.ndarray:
@@ -80,7 +92,7 @@ def _distance_3d(uav_xyz, user_xy) -> np.ndarray:
     np.multiply(d, d, out=d)
     dy = np.subtract(y, y0, out=_buffer_like(y, y0))
     np.multiply(dy, dy, out=dy)
-    return _distance_from_squares(d, dy, height, d)
+    return _distance_from_squares(d, dy, _square_heights(height), d)
 
 
 def distance_3d(uav_xyz, user_xy):
@@ -146,15 +158,18 @@ def pathloss_linear_into(sq_x, sq_y, altitude, p: ChannelParams, dist: np.ndarra
     """Average access-link path loss in linear units, ``10 ** (PL / 10)``, into ``out``.
 
     ``sq_x`` and ``sq_y`` hold the users' squared x and y offsets from a UAV
-    at height ``altitude`` (a numpy float); ``dist`` is a work buffer of their
-    shape, and it and ``out`` may be ``sq_x`` and ``sq_y`` themselves.  The distance and LoS steps are those of :func:`_distance_3d` and
-    :func:`_los_probability`, except that the zero-distance scan runs only
-    when ``altitude ** 2`` is 0: every distance is at least its square root.
+    at height ``altitude``: a float, or a column with one UAV height per row;
+    ``dist`` is a work buffer of their shape, and it and ``out`` may be
+    ``sq_x`` and ``sq_y`` themselves.  The distance and LoS steps are those of
+    :func:`_distance_3d` and :func:`_los_probability`, except that the
+    zero-distance scan runs only when some squared height is 0: every distance
+    is at least its row's height.
     The LoS-weighted mixture of two log-distance laws is one power of the
     distance, so the loss costs one log and one exp per point.
     """
-    dist = _distance_from_squares(sq_x, sq_y, altitude, dist)
-    if altitude ** 2 == 0.0 and (dist <= 0.0).any():
+    altitude_sq = _square_heights(altitude)
+    dist = _distance_from_squares(sq_x, sq_y, altitude_sq, dist)
+    if not altitude_sq.all() and (dist <= 0.0).any():
         raise ChannelError("zero distance between transmitter and receiver")
     exponent = _los_from_sine(np.divide(altitude, dist, out=out), p)
     np.multiply(exponent, p.exponent_los - p.exponent_nlos, out=exponent)
@@ -166,25 +181,30 @@ def pathloss_linear_into(sq_x, sq_y, altitude, p: ChannelParams, dist: np.ndarra
     return np.multiply(exponent, 10.0 ** (l_fs / 10.0), out=exponent)
 
 
-def db_to_linear(db):
-    """``10 ** (db / 10)``.
+def db_to_linear(db, out=None):
+    """``10 ** (db / 10)``, into the array ``out`` if given (it may be ``db``).
 
     A scalar ``db`` gives a numpy scalar from numpy's scalar ``**``, which is
     libm's pow and can differ in the last bit from the array power.
     """
-    return 10.0 ** (np.asarray(db, dtype=float) / 10.0)
+    if out is None:
+        return 10.0 ** (np.asarray(db, dtype=float) / 10.0)
+    return np.power(10.0, np.divide(db, 10.0, out=out), out=out)
 
 
-def uav_user_snr(power_w, loss_linear, noise_w: float):
-    """SNR of a transmit power over a linear path loss (``db_to_linear`` of the dB loss)."""
-    return np.asarray(power_w) / (loss_linear * noise_w)
+def uav_user_snr(power_w, loss_linear, noise_w: float, out=None):
+    """SNR of a transmit power over a linear path loss (``db_to_linear`` of the dB loss),
+    into the array ``out`` if given (it may be ``loss_linear``)."""
+    return np.divide(power_w, np.multiply(loss_linear, noise_w, out=out), out=out)
 
 
-def link_rates_bps(sinr, bandwidth_hz: float, n_served: int = 1):
-    """Per-interval Shannon rate of one user on a band split n_served ways."""
-    if n_served < 1:
+def link_rates_bps(sinr, bandwidth_hz: float, n_served=1, out=None):
+    """Per-interval Shannon rate of one user on a band split n_served ways (one count, or
+    one per row), into the array ``out`` if given (it may be ``sinr``)."""
+    if np.less(n_served, 1).any():
         raise ChannelError("capacity undefined for an empty association set")
-    return (bandwidth_hz / n_served) * np.log2(1.0 + np.asarray(sinr, dtype=float))
+    log2 = np.log2(np.add(1.0, sinr, out=out, dtype=float), out=out)
+    return np.multiply(bandwidth_hz / n_served, log2, out=out)
 
 
 def slot_capacity_bits(rates_bps, slot_duration_s: float):
@@ -203,20 +223,24 @@ def g2a_gain(uav_xyz, bbu_xy, p: ChannelParams):
     """Expected linear channel gain of the ground-to-air fronthaul link.
 
     NLoS links suffer an extra attenuation factor g2a_nlos_factor, so the
-    average gain is Pr_LoS * d**-beta + (1 - Pr_LoS) * d**-beta / eta.
+    average gain is Pr_LoS * d**-beta + (1 - Pr_LoS) * d**-beta / eta.  One
+    UAV (3,) gives a float, UAVs (..., 3) one gain each; ``float_power`` takes
+    libm's ``pow``, as numpy's power of one float does.
     """
+    uav_xyz = np.asarray(uav_xyz, dtype=float)
     d = distance_3d(uav_xyz, bbu_xy)
-    pr = los_probability(d, uav_xyz[2], p)
-    base = d ** (-p.g2a_exponent)
+    pr = los_probability(d, uav_xyz[..., 2], p)
+    base = np.float_power(d, -p.g2a_exponent)
     return pr * base + (1.0 - pr) * base / p.g2a_nlos_factor
 
 
 def g2a_fronthaul_bits(uav_xyz, bbu_xy, p: ChannelParams, bbu_power_w: float,
-                       bandwidth_hz: float, noise_w: float,
-                       slot_duration_s: float) -> float:
-    """Bits per slot of the BBU -> UAV wireless fronthaul at expected gain."""
+                       bandwidth_hz: float, noise_w: float, slot_duration_s: float):
+    """Bits per slot of the BBU -> UAV wireless fronthaul at expected gain, per UAV."""
     snr = bbu_power_w * g2a_gain(uav_xyz, bbu_xy, p) / noise_w
-    return slot_capacity_bits(link_rates_bps(snr, bandwidth_hz), slot_duration_s)
+    # one rate per UAV over the slot: a last axis of one interval
+    return slot_capacity_bits(link_rates_bps(np.asarray(snr)[..., None], bandwidth_hz),
+                              slot_duration_s)
 
 
 def rayleigh_channel_rows(user_xy, antennas, gains, exponent: float) -> np.ndarray:

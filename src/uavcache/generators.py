@@ -56,13 +56,19 @@ def track_positions(tracks: np.ndarray, users, times, slots_per_collection: int)
     last = tracks.shape[1] - 1
     lo, hi = np.minimum(c, last), np.minimum(c + 1, last)
     first, stop = int(np.min(lo)), int(np.max(hi)) + 1
-    rows = tracks[:, first:stop][np.asarray(users, dtype=np.intp)]
-    weight = np.repeat(((g - c * h) / h)[:, None], 2, axis=1)  # same for x and y
-    a = np.take(rows, lo - first, axis=-2)
-    b = np.take(rows, hi - first, axis=-2)
-    a *= 1.0 - weight
-    b *= weight
-    return np.add(a, b, out=a)
+    users = np.asarray(users, dtype=np.intp)
+    weight = (g - c * h) / h
+    out = np.empty((*users.shape, g.size, 2))
+    # x, then y: each a (..., waypoints) plane, interpolated through one work buffer.
+    # Every index is in range, and mode="clip" lets take write into the buffer unbuffered.
+    rows, work = tracks[users, first:stop], np.empty(out.shape[:-1])
+    for axis in (0, 1):
+        plane, into = rows[..., axis], out[..., axis]
+        np.multiply(np.take(plane, lo - first, axis=-1, out=work, mode="clip"), 1.0 - weight,
+                    out=into)
+        b = np.take(plane, hi - first, axis=-1, out=work, mode="clip")
+        np.add(into, np.multiply(b, weight, out=work), out=into)
+    return out
 
 
 def point_norms(points: np.ndarray) -> np.ndarray:

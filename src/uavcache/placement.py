@@ -5,15 +5,17 @@ the admission threshold (which tightens as more users share the wired
 fronthaul) stay on the radio heads; the rest are clustered and served by one
 UAV per cluster.  Cache contents are chosen once per period to maximize the
 expected transmit-power saving, and each UAV's position minimizes the summed
-minimum transmit power toward its users.  :func:`place_uav` picks the method:
-a weighted-centroid closed form where it is valid (the low/high altitude
-regimes), 3 m coordinate descent elsewhere.  The descent prices its
-candidates with one :class:`PlacementPricer` per search, on each user's
-in-slot track at the slot's Gauss–Legendre nodes.
+minimum transmit power toward its users.  :func:`place_uav` picks each UAV's
+method: a weighted-centroid closed form where it is valid (the low/high
+altitude regimes), 3 m coordinate descent elsewhere.  A slot's UAVs are
+placed together: every UAV that searches runs in one lockstep batch, whose
+rounds price all their candidates in one :class:`PlacementPricer` call, on
+each user's in-slot track at the slot's Gauss–Legendre nodes.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -27,9 +29,10 @@ from .qoe import (delay_rate_requirement_bits, min_uav_power_w, power_per_loss_w
 
 @dataclass
 class PlacementResult:
-    position: np.ndarray  # (3,)
-    objective_w: float
-    evaluations: int
+    position: np.ndarray  # (3,), or (K, 3) for K searches
+    objective_w: float | np.ndarray  # or (K,)
+    evaluations: int  # the total over the searches
+    search_evaluations: np.ndarray | None = None  # (K,) each search's count
 
 
 def wired_share_bits(n_sharers: int, cfg: ScenarioConfig) -> float:
@@ -177,51 +180,70 @@ def _flatten_positions(user_pos) -> np.ndarray:
 # sum at paper-scale optima (4: 1.5e-6, 16: 7.5e-8), and no search ends elsewhere.
 QUADRATURE_NODES = 8
 
-
-def _gauss_legendre(m: int) -> tuple[np.ndarray, np.ndarray]:
-    """The m-node Gauss–Legendre rule on [0, 1]: nodes, and weights that sum to 1.
-
-    Golub–Welsch: the nodes on [-1, 1] are the eigenvalues of the Jacobi matrix
-    with off-diagonal k / sqrt(4k² - 1), the weights 2 v0² of its eigenvectors v.
-    """
-    k = np.arange(1.0, m)
-    nodes, vectors = np.linalg.eigh(np.diag(k / np.sqrt(4.0 * k * k - 1.0), 1), UPLO="U")
-    return (nodes + 1.0) / 2.0, vectors[0] ** 2
-
-
-# Where a slot's nodes fall, as fractions of the slot, and their weights.
-NODE_OFFSETS, NODE_WEIGHTS = _gauss_legendre(QUADRATURE_NODES)
+# Where a slot's QUADRATURE_NODES nodes fall, as fractions of the slot, and their
+# weights, which sum to 1: the Golub–Welsch rule on [0, 1] (Golub & Welsch, Math.
+# Comp. 23, 1969), written out bit for bit so that importing this module runs no
+# eigensolver.
+NODE_OFFSETS = np.array([
+    0.019855071751231912, 0.10166676129318664, 0.23723379504183562, 0.40828267875217505,
+    0.5917173212478251, 0.7627662049581644, 0.8983332387068135, 0.980144928248768])
+NODE_WEIGHTS = np.array([
+    0.05061426814518822, 0.11119051722668728, 0.15685332293894366, 0.18134189168918108,
+    0.18134189168918116, 0.1568533229389436, 0.11119051722668728, 0.050614268145188254])
 
 
 class PlacementPricer:
-    """The placement objective of one user set, priced at one UAV position per call.
+    """The placement objectives of K user sets, each priced at its own UAV positions.
 
-    The objective is the weighted per-point minimum power,
+    A set's objective is the weighted per-point minimum power,
     sum_u (2**(r_u n / B) - 1) N0 sum_f w_f loss[u, f], in linear units: within
     ``linalg.LINEAR_LOSS_RTOL`` of summing ``min_uav_power_w`` over the dB
     path losses, not bit for bit.  Searches only compare its values.
     ``weights`` gives each position's share of the slot in intervals: 1 each by
     default (the interval sum), :data:`NODE_WEIGHTS` scaled to the interval
-    count at a slot's quadrature nodes.
+    count at a slot's quadrature nodes.  ``sizes`` splits the rows of
+    ``user_pos`` into the sets, in order (by default one set of every row), and
+    ``n_served`` is one count or one per set.
 
-    The price vector and the contiguous x and y planes, which depend only on
-    the users, are built once; a call's squared offsets are its work buffers.
+    The price vector and each set's contiguous x and y planes, which depend
+    only on the users, are built once.  A call prices C candidate positions,
+    candidate c for set ``sets[c]``, in one pass over a buffer that stacks each
+    candidate's set rows.  Each value is then the 1-D dot product of the
+    candidate's row sums with its set's prices, never a 2-D product, which can
+    round differently, so a candidate prices the same bits in any batch.
     """
 
-    def __init__(self, user_pos, rate_targets_bps, n_served: int, p: ChannelParams,
-                 bandwidth_hz: float, noise_w: float, weights=1.0):
+    def __init__(self, user_pos, rate_targets_bps, n_served, p: ChannelParams,
+                 bandwidth_hz: float, noise_w: float, weights=1.0, sizes=None):
         pos = _flatten_positions(user_pos)
-        self.planes = (np.ascontiguousarray(pos[..., 0]), np.ascontiguousarray(pos[..., 1]))
-        self.price = power_per_loss_w(rate_targets_bps, n_served, bandwidth_hz, noise_w)
+        self.sizes = [pos.shape[0]] if sizes is None else np.asarray(sizes).tolist()
+        ends = list(itertools.accumulate(self.sizes, initial=0))
+        price = power_per_loss_w(rate_targets_bps, np.repeat(np.broadcast_to(
+            n_served, (len(self.sizes),)), self.sizes), bandwidth_hz, noise_w)
+        self.prices = [price[a:b] for a, b in zip(ends, ends[1:])]
+        # each set's (2, rows, positions) x and y planes
+        self.planes = [np.ascontiguousarray(pos[a:b].transpose(2, 0, 1))
+                       for a, b in zip(ends, ends[1:])]
         self.weights = weights
         self.p = p
 
-    def __call__(self, xyz) -> float:
-        x, y, z = np.asarray(xyz, dtype=float)
+    def __call__(self, xyz, sets=None):
+        """The objective at each of C positions ``xyz`` (C, 3) of set ``sets[c]`` (set 0
+        by default), a list of C floats; a (3,) position gives one float."""
+        xyz = np.asarray(xyz, dtype=float)
+        cands = xyz.reshape(-1, 3)
+        sets = [0] * len(cands) if sets is None else sets
+        counts = [self.sizes[k] for k in sets]
+        at = cands.repeat(counts, axis=0).T[:, :, None]  # each row's UAV x, y and z
         with np.errstate(over="ignore"):  # a loss or price past the float range is inf
-            sq_x, sq_y = np.square(self.planes[0] - x), np.square(self.planes[1] - y)
-            loss = pathloss_linear_into(sq_x, sq_y, z, self.p, sq_x, sq_y)
-            return float(np.multiply(loss, self.weights, out=loss).sum(axis=1) @ self.price)
+            sq = np.concatenate([self.planes[k] for k in sets], axis=1)
+            sq = np.square(np.subtract(sq, at[:2], out=sq), out=sq)
+            loss = pathloss_linear_into(sq[0], sq[1], at[2], self.p, sq[0], sq[1])
+            sums = np.multiply(loss, self.weights, out=loss).sum(axis=1)
+            ends = list(itertools.accumulate(counts, initial=0))
+            values = [float(sums[a:b].dot(self.prices[k]))
+                      for a, b, k in zip(ends, ends[1:], sets)]
+        return values[0] if xyz.ndim == 1 else values
 
 
 def place_uav_closed_form(user_pos, rate_targets_bps, n_served: int,
@@ -271,79 +293,107 @@ def closed_form_regime(altitude_m: float, user_pos) -> str | None:
     return None
 
 
-def place_uav_local_search(user_pos, rate_targets_bps, init_xyz, n_served: int,
-                           p: ChannelParams, bandwidth_hz: float, noise_w: float,
-                           min_altitude_m: float, step_m: float = 3.0,
-                           max_evals: int = 10_000, weights=1.0) -> PlacementResult:
-    """Coordinate descent over +/-step moves in x, y, altitude.
+def place_uav_local_search(user_pos, rate_targets_bps, init_xyz, n_served, p: ChannelParams,
+                           bandwidth_hz: float, noise_w: float, min_altitude_m: float,
+                           step_m: float = 3.0, max_evals: int = 10_000, weights=1.0,
+                           sizes=None) -> PlacementResult:
+    """Coordinate descent over +/-step moves in x, y, altitude: one search, or K in lockstep.
 
-    Moves are accepted only on strict objective improvement; the scan order is
-    x, then y, then altitude (floored), so the search is deterministic.  The
-    objective at each exact position is computed once per search (a move and
-    its reverse often land on a point already seen); every candidate still
-    counts as an evaluation.  One :class:`PlacementPricer` prices them all.
+    A (3,) ``init_xyz`` starts one search over every row of ``user_pos``; a
+    (K, 3) one starts K independent searches, search k over the next
+    ``sizes[k]`` rows, with ``n_served`` one count or one per search.  A search
+    moves only on strict objective improvement; its scan order is x, then y,
+    then altitude (floored; a candidate the floor puts back on the current
+    altitude is skipped), so it is deterministic.  Every candidate counts as an
+    evaluation, and a search stops at ``max_evals``, between its + and -
+    candidates if need be.  Each round, every search still running tries its
+    candidates on its current axis, and one :class:`PlacementPricer` call
+    prices them all.  ``evaluations`` is the batch's total and
+    ``search_evaluations`` each search's count; a (3,) start gives a (3,)
+    position and a float objective.
     """
-    pos = np.asarray(init_xyz, dtype=float).copy()
-    pos[2] = max(pos[2], min_altitude_m)
-    price = PlacementPricer(user_pos, rate_targets_bps, n_served, p, bandwidth_hz, noise_w, weights)
-    seen: dict[bytes, float] = {}
-
-    def objective(xyz):
-        key = xyz.tobytes()
-        if key not in seen:
-            seen[key] = price(xyz)
-        return seen[key]
-
-    best = objective(pos)
-    evals = 1
-    improved = True
-    while improved and evals < max_evals:
-        improved = False
-        for axis in range(3):
-            best_cand = None
-            best_val = best
+    start = np.asarray(init_xyz, dtype=float)
+    floor = float(min_altitude_m)
+    xyz = [[x, y, max(z, floor)] for x, y, z in start.reshape(-1, 3).tolist()]
+    price = PlacementPricer(user_pos, rate_targets_bps, n_served, p, bandwidth_hz, noise_w,
+                            weights, sizes)
+    best = price(xyz, range(len(xyz))) if xyz else []
+    evals, axis, improved = [1] * len(xyz), [0] * len(xyz), [False] * len(xyz)
+    running = [k for k, n in enumerate(evals) if n < max_evals]
+    while running:
+        cands, sets = [], []
+        for k in running:
+            here, budget = xyz[k], max_evals - evals[k]
             for delta in (step_m, -step_m):
-                cand = pos.copy()
-                cand[axis] += delta
-                if axis == 2:
-                    cand[2] = max(cand[2], min_altitude_m)
-                    if cand[2] == pos[2]:
+                cand = here.copy()
+                cand[axis[k]] += delta
+                if axis[k] == 2:
+                    cand[2] = max(cand[2], floor)
+                    if cand[2] == here[2]:
                         continue
-                val = objective(cand)
-                evals += 1
-                if val < best_val:
-                    best_val = val
-                    best_cand = cand
-                if evals >= max_evals:
+                cands.append(cand)
+                sets.append(k)
+                budget -= 1
+                if not budget:
                     break
-            if best_cand is not None:
-                pos, best = best_cand, best_val
-                improved = True
-            if evals >= max_evals:
-                break
-    return PlacementResult(position=pos, objective_w=best, evaluations=evals)
+        # A search weighs its + candidate, then its -, against its best so far.
+        for cand, k, val in zip(cands, sets, price(cands, sets) if cands else ()):
+            evals[k] += 1
+            if val < best[k]:
+                xyz[k], best[k], improved[k] = cand, val, True
+        still = []
+        for k in running:
+            if evals[k] >= max_evals:
+                continue
+            if axis[k] < 2:
+                axis[k] += 1
+            elif improved[k]:
+                axis[k], improved[k] = 0, False
+            else:
+                continue
+            still.append(k)
+        running = still
+    position = np.array(xyz, dtype=float).reshape(-1, 3)
+    if start.ndim == 1:
+        return PlacementResult(position[0], best[0], evals[0], np.array(evals))
+    return PlacementResult(position, np.array(best), sum(evals), np.array(evals))
 
 
-def place_uav(user_pos, rate_targets_bps, init_xyz, n_served: int,
-              cfg: ScenarioConfig, weights=1.0) -> np.ndarray:
-    """One UAV's position for its users' positions, weighted as the pricer's, and rate targets.
+def place_uav(user_pos, rate_targets_bps, init_xyz, n_served, cfg: ScenarioConfig,
+              weights=1.0, sizes=None) -> np.ndarray:
+    """UAV positions for their users' positions, weighted as the pricer's, and rate targets.
 
-    In the low regime most links are near the horizon, so the NLoS law rules
-    and the power is close to a weighted sum of d**exponent_nlos: at exponent
-    2 the weighted centroid at the altitude floor is its minimum, and at any
-    other exponent the regime gives no closed form.  In the high regime the
-    users' spread is negligible against the altitude, so the search starts
-    from the centroid's xy at ``init_xyz``'s altitude; otherwise from ``init_xyz``.
+    The rows, starts and counts split into UAVs as in
+    :func:`place_uav_local_search`: a (3,) ``init_xyz`` places one UAV, a
+    (K, 3) one K UAVs.  In the low regime most links are near the horizon, so
+    the NLoS law rules and the power is close to a weighted sum of
+    d**exponent_nlos: at exponent 2 the weighted centroid at the altitude floor
+    is its minimum, and at any other exponent the regime gives no closed form.
+    In the high regime the users' spread is negligible against the altitude, so
+    the search starts from the centroid's xy at the start's altitude; otherwise
+    from the start.  Every UAV left to search runs in one lockstep batch.
     """
-    regime = closed_form_regime(cfg.min_altitude_m, user_pos)
-    if regime == "low" and cfg.pathloss.exponent_nlos != 2.0:
-        regime = None
-    if regime is not None:
-        xy = place_uav_closed_form(user_pos, rate_targets_bps, n_served, cfg.uav_bandwidth_hz,
-                                   weights)
+    start = np.asarray(init_xyz, dtype=float)
+    pos = _flatten_positions(user_pos)
+    targets = np.asarray(rate_targets_bps, dtype=float)
+    xyz = np.array(start.reshape(-1, 3))
+    sizes = np.array([pos.shape[0]] if sizes is None else sizes)
+    n_served = np.broadcast_to(n_served, sizes.shape)
+    ends = np.cumsum(sizes).tolist()
+    search = np.ones(len(xyz), dtype=bool)
+    for k, (a, b) in enumerate(zip([0, *ends], ends)):
+        regime = closed_form_regime(cfg.min_altitude_m, pos[a:b])
+        if regime == "low" and cfg.pathloss.exponent_nlos != 2.0:
+            regime = None
+        if regime is not None:
+            xyz[k, :2] = place_uav_closed_form(pos[a:b], targets[a:b], n_served[k],
+                                               cfg.uav_bandwidth_hz, weights)
         if regime == "low":
-            return np.array([xy[0], xy[1], cfg.min_altitude_m])
-        init_xyz = np.array([xy[0], xy[1], init_xyz[2]])
-    return place_uav_local_search(user_pos, rate_targets_bps, init_xyz, n_served, cfg.pathloss,
-                                  cfg.uav_bandwidth_hz, cfg.noise_power_w,
-                                  cfg.min_altitude_m, weights=weights).position
+            xyz[k, 2], search[k] = cfg.min_altitude_m, False
+    if search.any():
+        rows = np.repeat(search, sizes)
+        xyz[search] = place_uav_local_search(
+            pos[rows], targets[rows], xyz[search], n_served[search], cfg.pathloss,
+            cfg.uav_bandwidth_hz, cfg.noise_power_w, cfg.min_altitude_m, weights=weights,
+            sizes=sizes[search]).position
+    return xyz.reshape(start.shape)

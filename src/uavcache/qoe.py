@@ -109,20 +109,18 @@ def qoe_score(delay_score_value, device_score_value, weight_delay: float):
     return q, mos_label(q)
 
 
-def delay_rate_requirement_bits(cfg: ScenarioConfig, bound_s: float,
-                                fronthaul_s: float = 0.0) -> float:
+def delay_rate_requirement_bits(cfg: ScenarioConfig, bound_s: float, fronthaul_s=0.0):
     """Access rate (bits/slot) at which the delay score reaches its target.
 
     ``bound_s`` is :func:`delay_lower_bound_s`, and ``fronthaul_s`` is the
     time the route's fronthaul leg takes (0 for a cache hit); it eats into the
-    delay budget, so caching strictly lowers the requirement.  When the leg
-    leaves no budget the requirement is inf.
+    delay budget, so caching strictly lowers the requirement.  Where the leg
+    leaves no budget the requirement is inf.  Elementwise over ``fronthaul_s``.
     """
     dt = cfg.slot_duration_s
-    budget_s = dt - cfg.mos_min * (dt - bound_s) - fronthaul_s
-    if budget_s <= 0.0:
-        return math.inf
-    return cfg.content_size_bits * dt / budget_s
+    budget_s = np.asarray(dt - cfg.mos_min * (dt - bound_s) - fronthaul_s, dtype=float)
+    return np.divide(cfg.content_size_bits * dt, budget_s, out=np.full(budget_s.shape, math.inf),
+                     where=budget_s > 0.0)[()]
 
 
 def qoe_rate_target_bps(delay_req_bits_per_slot, device_req_bps, slot_duration_s: float):

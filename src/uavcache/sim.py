@@ -9,10 +9,12 @@ it would hurt a real deployment.  The stages pass one :class:`PeriodPlan`, which
 holds each per-slot quantity as one array over the period's slots and the rate
 floors (screen factor times content rate, per user and content), built once for
 admission, cache selection, placement and delivery to index.  Cache selection
-prices each UAV's (slot, member) rows in one pass.  Delivery fills one route
-table per slot (:data:`ROUTE`) and scores it into one record array of reports
-(:data:`REPORT`), whose fields are the ``slots.csv`` columns; the slot checks,
-the summary and the CSV read it a column at a time.
+prices each UAV's (slot, member) rows in one pass.  The slot, not the UAV, is
+the unit of placement and delivery: a slot's UAVs are searched in lockstep by
+one ``placement.place_uav`` call, and their users served in one pass.
+Delivery fills one route table per slot (:data:`ROUTE`) and scores it into one
+record array of reports (:data:`REPORT`), whose fields are the ``slots.csv``
+columns; the slot checks, the summary and the CSV read it a column at a time.
 
 Each baseline swaps stages (:data:`BASELINES`): ``none``, the proposed pipeline,
 swaps none, ``no_uav`` plans with no UAVs, ``no_cache`` and ``random_cache``
@@ -193,14 +195,16 @@ def plan_slots(cfg: ScenarioConfig, world: SyntheticWorld, distributions: np.nda
             warm = plan.anchors[s, :, :2] if (plan.uav[:s] >= 0).any() else None
             plan.uav[s, pool], plan.anchors[s, :, :2] = placement.cluster_users(
                 pred_xy[pool], n_uavs, rs.derive(f"kmeans-{s}"), init_centroids=warm)
-    for s, k in zip(*np.nonzero((plan.uav[..., None] == np.arange(n_uavs)).any(axis=1))):
-        plan.req_miss[s, k] = _cache_miss(plan, plan.anchors[s, k], 1)[1]
+    busy = (plan.uav[..., None] == np.arange(n_uavs)).any(axis=1)
+    plan.req_miss[busy] = _cache_miss(plan, plan.anchors[busy], 1)[1]
     return plan
 
 
-def _cache_miss(plan: PeriodPlan, position: np.ndarray, n_shares: int) -> tuple[float, float]:
+def _cache_miss(plan: PeriodPlan, position: np.ndarray, n_shares: int):
     """A cache miss at ``position``: its fronthaul bits per slot, split ``n_shares`` ways,
-    and the delay-rate requirement (bits/slot) that fetching over that share leaves."""
+    and the delay-rate requirement (bits/slot) that fetching over that share leaves.
+
+    One position (3,) gives two floats, positions (N, 3) two arrays of N."""
     cfg = plan.cfg
     bits = g2a_fronthaul_bits(position, plan.world.bbu_xy, cfg.pathloss, cfg.bbu_power_w,
                               cfg.rrh_bandwidth_hz, cfg.noise_power_w,
@@ -248,34 +252,48 @@ def place_uavs(plan: PeriodPlan, caches: list[tuple[int, ...]]) -> list[np.ndarr
     Each search starts from the UAV's previous position, the first from its anchor.
     """
     positions = [plan.anchors[0]]
+    cached = _cached(plan, caches)
     # One call per slot frees a slot's position arrays before the next are built.
     for s in range(len(plan.uav)):
-        positions.append(_place_slot(plan, caches, s, positions[-1]))
+        positions.append(_place_slot(plan, cached, s, positions[-1]))
     return positions[1:]
 
 
-def _place_slot(plan: PeriodPlan, caches: list[tuple[int, ...]], s: int,
-                held: np.ndarray) -> np.ndarray:
+def _cached(plan: PeriodPlan, caches: list[tuple[int, ...]]) -> np.ndarray:
+    """(K, F): whether each UAV caches each content."""
+    cached = np.zeros((plan.n_uavs, plan.cfg.num_contents), dtype=bool)
+    for k, cache in enumerate(caches):
+        cached[k, list(cache)] = True
+    return cached
+
+
+def _by_uav(uav: np.ndarray, users: np.ndarray, n_uavs: int) -> tuple[np.ndarray, np.ndarray]:
+    """``users`` grouped by their UAV, ascending within each, and each UAV's count."""
+    users = users[np.argsort(uav[users], kind="stable")]
+    return users, np.bincount(uav[users], minlength=n_uavs)
+
+
+def _place_slot(plan: PeriodPlan, cached: np.ndarray, s: int, held: np.ndarray) -> np.ndarray:
     """One slot's UAV positions, each priced on its members' predicted tracks at the slot's
-    quadrature nodes; a UAV that serves nobody keeps its ``held`` position."""
+    quadrature nodes, all in one :func:`placement.place_uav` call; a UAV that serves
+    nobody keeps its ``held`` position."""
     cfg, uav = plan.cfg, plan.uav[s]
     positions = held.copy()
-    served = np.flatnonzero(uav >= 0)
-    slot_pos = track_positions(plan.collections, served, s + placement.NODE_OFFSETS,
-                               cfg.slots_per_collection)
-    weights = cfg.intervals_per_slot * placement.NODE_WEIGHTS
+    served, sizes = _by_uav(uav, np.flatnonzero(uav >= 0), plan.n_uavs)
+    if not served.size:
+        return positions
+    owner, contents = uav[served], plan.likely[served, s // cfg.slots_per_collection]
     # where the fronthaul is too slow, aim as if cached
     req_miss = np.where(np.isinf(plan.req_miss[s]), plan.req_hit, plan.req_miss[s])
-    for k in range(plan.n_uavs):
-        rows = uav[served] == k
-        members = served[rows]
-        if members.size:
-            contents = plan.likely[members, s // cfg.slots_per_collection]
-            targets = qoe_rate_target_bps(
-                np.where([c in caches[k] for c in contents], plan.req_hit, req_miss[k]),
-                plan.floors[members, contents], cfg.slot_duration_s)
-            positions[k] = placement.place_uav(slot_pos[rows], targets, held[k], len(members), cfg,
-                                               weights)
+    targets = qoe_rate_target_bps(
+        np.where(cached[owner, contents], plan.req_hit, req_miss[owner]),
+        plan.floors[served, contents], cfg.slot_duration_s)
+    busy = sizes > 0
+    positions[busy] = placement.place_uav(
+        track_positions(plan.collections, served, s + placement.NODE_OFFSETS,
+                        cfg.slots_per_collection),
+        targets, held[busy], sizes[busy], cfg, cfg.intervals_per_slot * placement.NODE_WEIGHTS,
+        sizes=sizes[busy])
     return positions
 
 
@@ -292,44 +310,59 @@ def _routes(n_users: int, **columns) -> np.ndarray:
     return routes
 
 
-def _deliver_uav(plan: PeriodPlan, cache: tuple[int, ...], users: np.ndarray,
-                 contents: list[int], n_served: int, position: np.ndarray,
-                 user_pos: np.ndarray, n_fetch: int) -> np.ndarray:
-    """Price one UAV's deliveries of ``contents`` to its requesting ``users``: their routes.
+def _uav_routes(plan: PeriodPlan, positions: np.ndarray, owner: np.ndarray, users: np.ndarray,
+                contents: np.ndarray, hits: np.ndarray, n_served: np.ndarray,
+                user_pos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Price every UAV delivery of a slot in one pass: the routes of the requesting
+    ``users``, grouped by their UAV ``owner`` and ascending within each, and each UAV's
+    summed power.
 
-    ``user_pos`` holds their true interval positions.  Every per-user
-    quantity is a row reduction over the (users, intervals) arrays.
+    Row i is priced at UAV ``owner[i]``'s position, for its associated count
+    ``n_served`` and, on a miss, its cache-miss requirement; ``user_pos`` holds the
+    users' true interval positions.  Every per-user quantity is a row reduction
+    over the (users, intervals) arrays.
     """
     cfg = plan.cfg
-    hits = [c in cache for c in contents]
-    fronthaul_bits, req_miss = (np.inf, plan.req_hit) if all(hits) else _cache_miss(
-        plan, position, max(n_fetch, 1))
+    # A UAV that fetches shares the fronthaul with every other one that does.
+    fetching = np.bincount(owner[~hits], minlength=plan.n_uavs) > 0
+    fronthaul_bits, req_miss = np.full(plan.n_uavs, np.inf), np.full(plan.n_uavs, plan.req_hit)
+    fronthaul_bits[fetching], req_miss[fetching] = _cache_miss(
+        plan, positions[fetching], int(np.count_nonzero(fetching)))
     device_req = plan.floors[users, contents]
-    targets = qoe_rate_target_bps(np.where(hits, plan.req_hit, req_miss), device_req,
+    targets = qoe_rate_target_bps(np.where(hits, plan.req_hit, req_miss[owner]), device_req,
                                   cfg.slot_duration_s)[:, None]
-    loss = db_to_linear(uav_user_pathloss_db(position, user_pos, cfg.pathloss))
+    # One (users, intervals) buffer runs from the dB path loss to the rates.
+    loss = uav_user_pathloss_db(positions[owner, None], user_pos, cfg.pathloss)
+    loss = db_to_linear(loss, out=loss)
+    n_served = n_served[owner, None]
     power = min_uav_power_w(loss, targets, n_served, cfg.uav_bandwidth_hz, cfg.noise_power_w)
     feasible = np.all(power <= cfg.uav_max_power_w, axis=1)
     tx_power = np.minimum(power, cfg.uav_max_power_w, out=power)
-    rates_bps = link_rates_bps(uav_user_snr(tx_power, loss, cfg.noise_power_w),
-                               cfg.uav_bandwidth_hz, n_served)
-    return _routes(len(users), link=np.where(hits, LINK_UAV_CACHE, LINK_UAV_FRONTHAUL),
-                   access_bits=slot_capacity_bits(rates_bps, cfg.slot_duration_s),
-                   fronthaul_bits=np.where(hits, np.inf, fronthaul_bits),
-                   device_frac=device_score(rates_bps, device_req[:, None]),
-                   power_w=tx_power.mean(axis=1), cache_hit=hits, feasible=feasible)
+    rates_bps = link_rates_bps(uav_user_snr(tx_power, loss, cfg.noise_power_w, out=loss),
+                               cfg.uav_bandwidth_hz, n_served, out=loss)
+    routes = _routes(len(users), link=np.where(hits, LINK_UAV_CACHE, LINK_UAV_FRONTHAUL),
+                     access_bits=slot_capacity_bits(rates_bps, cfg.slot_duration_s),
+                     fronthaul_bits=np.where(hits, np.inf, fronthaul_bits[owner]),
+                     device_frac=device_score(rates_bps, device_req[:, None]),
+                     power_w=tx_power.mean(axis=1), cache_hit=hits, feasible=feasible)
+    # Each UAV's powers in a row of their own, zero-padded: a cumsum along the row adds
+    # one user at a time, in ascending user order, and the padding adds nothing.
+    counts = np.bincount(owner, minlength=plan.n_uavs)
+    table = np.zeros((plan.n_uavs, counts.max()))
+    table[owner, np.arange(len(users)) - (np.cumsum(counts) - counts)[owner]] = routes["power_w"]
+    return routes, np.cumsum(table, axis=1)[:, -1]
 
 
 def deliver(plan: PeriodPlan, caches: list[tuple[int, ...]],
             positions_per_slot: list[np.ndarray]) -> list[SlotLog]:
     """Stage 4: serve each slot's true requests at true positions and score them."""
+    cached = _cached(plan, caches)
     # One call per slot frees a slot's link arrays before the next are built.
-    return [_deliver_slot(plan, caches, s, positions)
+    return [_deliver_slot(plan, cached, s, positions)
             for s, positions in enumerate(positions_per_slot)]
 
 
-def _deliver_slot(plan: PeriodPlan, caches: list[tuple[int, ...]], s: int,
-                  positions: np.ndarray) -> SlotLog:
+def _deliver_slot(plan: PeriodPlan, cached: np.ndarray, s: int, positions: np.ndarray) -> SlotLog:
     cfg, world, n_uavs, n_users = plan.cfg, plan.world, plan.n_uavs, plan.cfg.num_users
     rrh, uav = plan.rrh[s], plan.uav[s]
     n_fr = int(np.count_nonzero(rrh >= 0))
@@ -338,11 +371,9 @@ def _deliver_slot(plan: PeriodPlan, caches: list[tuple[int, ...]], s: int,
     content = world.requests[:, gs]
     idle = content < 0
 
-    # The requesting users the UAVs serve, and each UAV's rows among them.
-    served = np.flatnonzero((uav >= 0) & ~idle)
-    uav_rows = [uav[served] == k for k in range(n_uavs)]
-    n_fetch = sum(any(c not in caches[k] for c in content[served[rows]].tolist())
-                  for k, rows in enumerate(uav_rows))
+    # The requesting users the UAVs serve, grouped by UAV, and whether each is a hit.
+    served, _ = _by_uav(uav, np.flatnonzero((uav >= 0) & ~idle), n_uavs)
+    hits = cached[uav[served], content[served]]
 
     # Idle users take no time; requesting users no tier serves have no access rate.
     routes = _routes(n_users, link=np.where(idle, LINK_IDLE, LINK_UNSERVED),
@@ -351,7 +382,7 @@ def _deliver_slot(plan: PeriodPlan, caches: list[tuple[int, ...]], s: int,
 
     # Terrestrial deliveries (admitted sets, true positions, same fading).
     rates_true = _rrh_rates_bits(cfg, world, plan.clusters, rrh, true_xy, plan.fading[s],
-                                 n_fetch > 0)
+                                 not hits.all())
     fr = np.flatnonzero((rrh >= 0) & ~idle)
     device_req = plan.floors[fr, content[fr]]
     routes[fr] = _routes(
@@ -360,18 +391,13 @@ def _deliver_slot(plan: PeriodPlan, caches: list[tuple[int, ...]], s: int,
         device_frac=device_score((rates_true[fr] / cfg.slot_duration_s)[:, None],
                                  device_req[:, None]), feasible=True)
 
-    # Aerial deliveries, UAV by UAV, over one positions array for the slot.
-    if served.size:
-        true_pos = world.interval_positions(served, gs, cfg.intervals_per_slot)
+    # Aerial deliveries, every UAV's in one pass.
     uav_power = np.zeros(n_uavs)
-    for k, rows in enumerate(uav_rows):
-        if rows.any():
-            users = served[rows]
-            routes[users] = _deliver_uav(plan, caches[k], users, content[users].tolist(),
-                                         int(np.count_nonzero(uav == k)), positions[k],
-                                         true_pos[rows], n_fetch)
-            # cumsum adds one user at a time, in ascending user order
-            uav_power[k] = np.cumsum(routes["power_w"][users])[-1]
+    if served.size:
+        routes[served], uav_power = _uav_routes(
+            plan, positions, uav[served], served, content[served], hits,
+            np.bincount(uav[uav >= 0], minlength=n_uavs),
+            world.interval_positions(served, gs, cfg.intervals_per_slot))
 
     reports = _score_routes(plan, content, routes)
     log = SlotLog(slot=s, reports=reports, n_fr=n_fr, uav_positions=positions,

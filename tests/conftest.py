@@ -363,6 +363,52 @@ def placement_objective(xyz, user_pos, rate_targets_bps, n_served: int,
         return float((loss * weights).sum(axis=1) @ scale)
 
 
+def reference_local_search(user_pos, rate_targets_bps, init_xyz, n_served, p, bandwidth_hz,
+                           noise_w, min_altitude_m, step_m=3.0, max_evals=10_000, weights=1.0,
+                           placement_objective=placement_objective):
+    """One coordinate search, alone, pricing every candidate from scratch: the search as
+    it ran before searches stepped in lockstep.  Returns (position, objective,
+    evaluations)."""
+    pos = np.asarray(init_xyz, dtype=float).copy()
+    pos[2] = max(pos[2], min_altitude_m)
+
+    # one interval each is every objective's default; the dB route takes no weights
+    weighted = () if np.isscalar(weights) and weights == 1.0 else (weights,)
+
+    def objective(xyz):
+        return placement_objective(xyz, user_pos, rate_targets_bps, n_served,
+                                   p, bandwidth_hz, noise_w, *weighted)
+
+    best = objective(pos)
+    evals = 1
+    improved = True
+    while improved and evals < max_evals:
+        improved = False
+        for axis in range(3):
+            best_cand = None
+            best_val = best
+            for delta in (step_m, -step_m):
+                cand = pos.copy()
+                cand[axis] += delta
+                if axis == 2:
+                    cand[2] = max(cand[2], min_altitude_m)
+                    if cand[2] == pos[2]:
+                        continue
+                val = objective(cand)
+                evals += 1
+                if val < best_val:
+                    best_val = val
+                    best_cand = cand
+                if evals >= max_evals:
+                    break
+            if best_cand is not None:
+                pos, best = best_cand, best_val
+                improved = True
+            if evals >= max_evals:
+                break
+    return pos, best, evals
+
+
 def placement_objective_db(xyz, user_pos, rate_targets_bps, n_served: int,
                            p: ChannelParams, bandwidth_hz: float, noise_w: float) -> float:
     """The placement objective by the dB route: ``min_uav_power_w`` of each path loss, summed."""
@@ -371,6 +417,36 @@ def placement_objective_db(xyz, user_pos, rate_targets_bps, n_served: int,
     power = min_uav_power_w(db_to_linear(pl), np.asarray(rate_targets_bps, dtype=float)[:, None],
                             n_served, bandwidth_hz, noise_w)
     return float(power.sum())
+
+
+def gauss_legendre_reference(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The m-node Gauss–Legendre rule on [0, 1]: nodes, and weights that sum to 1.
+
+    Golub–Welsch: the nodes on [-1, 1] are the eigenvalues of the Jacobi matrix
+    with off-diagonal k / sqrt(4k² - 1), the weights 2 v0² of its eigenvectors v.
+    """
+    k = np.arange(1.0, m)
+    nodes, vectors = np.linalg.eigh(np.diag(k / np.sqrt(4.0 * k * k - 1.0), 1), UPLO="U")
+    return (nodes + 1.0) / 2.0, vectors[0] ** 2
+
+
+def reference_track_positions(tracks: np.ndarray, users, times,
+                              slots_per_collection: int) -> np.ndarray:
+    """``generators.track_positions`` as it interpolated before x and y were planes: both
+    coordinates of each waypoint taken together, the weights repeated for each."""
+    h = slots_per_collection
+    g = np.asarray(times, dtype=float)
+    c = (g // h).astype(int)
+    last = tracks.shape[1] - 1
+    lo, hi = np.minimum(c, last), np.minimum(c + 1, last)
+    first, stop = int(np.min(lo)), int(np.max(hi)) + 1
+    rows = tracks[:, first:stop][np.asarray(users, dtype=np.intp)]
+    weight = np.repeat(((g - c * h) / h)[:, None], 2, axis=1)  # same for x and y
+    a = np.take(rows, lo - first, axis=-2)
+    b = np.take(rows, hi - first, axis=-2)
+    a *= 1.0 - weight
+    b *= weight
+    return np.add(a, b, out=a)
 
 
 def predicted_positions(plan, users, s: int, n_intervals: int) -> np.ndarray:

@@ -319,3 +319,15 @@ class TestZfbf:
         clean = channel.zfbf_sinr(bbu_interference_w=np.zeros(1), **common)[0]
         noisy = channel.zfbf_sinr(bbu_interference_w=np.array([1e-9]), **common)[0]
         assert noisy < clean
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(heights=st.lists(st.floats(0.0, 1e150), min_size=1, max_size=40))
+def test_an_array_of_heights_squares_each_as_one_float(heights):
+    """Per-row heights, as a lockstep search or a one-pass delivery gives them, square
+    bit for bit as each height alone does; an array's ``** 2`` can differ in the last
+    bit (``h * h``)."""
+    column = np.array(heights)[:, None]
+    alone = [np.float64(h) ** 2 for h in heights]
+    assert channel._square_heights(column).tobytes() == np.array(alone)[:, None].tobytes()
+    assert all(channel._square_heights(np.float64(h)) == sq for h, sq in zip(heights, alone))

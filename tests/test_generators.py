@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import desk_config, reference_collections, reference_context, reference_requests
-from uavcache.generators import SyntheticWorld, day_type, is_work_subperiod
+from conftest import (desk_config, reference_collections, reference_context, reference_requests,
+                      reference_track_positions)
+from uavcache.generators import SyntheticWorld, day_type, is_work_subperiod, track_positions
 
 
 def small_world(**overrides) -> SyntheticWorld:
@@ -200,3 +203,23 @@ class TestTables:
         radius = np.linalg.norm(world.collections, axis=-1)
         assert np.sum(np.isclose(radius, world.cfg.area_radius_m, rtol=1e-12)) > 1000
         assert radius.max() <= world.cfg.area_radius_m * (1 + 1e-12)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(n_users=st.integers(1, 8), n_points=st.integers(1, 12), h=st.integers(1, 12),
+       n_times=st.integers(1, 300), one_user=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+def test_track_positions_equals_the_pointwise_reference(n_users, n_points, h, n_times,
+                                                        one_user, seed):
+    """Planar interpolation gives the bits, shape and layout of interpolating both
+    coordinates of each waypoint together, inside the track and past its end."""
+    rng = np.random.default_rng(seed)
+    tracks = rng.normal(0.0, 10.0 ** rng.uniform(0.0, 4.0), (n_users, n_points, 2))
+    users = int(rng.integers(n_users)) if one_user else rng.integers(n_users, size=n_users)
+    times = np.sort(rng.uniform(0.0, (n_points + 1) * h, n_times))
+    if rng.random() < 0.5:  # a slot's interval midpoints, as delivery samples them
+        slot = int(rng.integers((n_points + 1) * h))
+        times = slot + (np.arange(n_times) + 0.5) / n_times
+    got = track_positions(tracks, users, times, h)
+    want = reference_track_positions(tracks, users, times, h)
+    assert got.shape == want.shape and got.flags["C_CONTIGUOUS"]
+    assert got.tobytes() == want.tobytes()

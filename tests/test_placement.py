@@ -9,8 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (access_links, log_uniform, place_uav_exhaustive, placement_objective,
-                      placement_objective_db, reference_associate_rrh)
+from conftest import (access_links, gauss_legendre_reference, log_uniform, place_uav_exhaustive,
+                      placement_objective, placement_objective_db, reference_associate_rrh,
+                      reference_local_search)
 from uavcache import linalg, placement
 from uavcache.channel import ChannelError, db_to_linear
 from uavcache.config import ChannelParams, RandomSource, ScenarioConfig
@@ -446,6 +447,72 @@ class TestLocalSearch:
             assert res.objective_w <= 1.05 * grid.objective_w
 
 
+class TestLockstep:
+    """K searches in one lockstep batch walk as K searches alone."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(sizes=st.lists(st.integers(1, 5), min_size=1, max_size=6),
+           n_intervals=st.sampled_from([1, 8]), seed=st.integers(0, 2 ** 32 - 1),
+           floor=st.sampled_from([1.0, 10.0, 100.0]), step=st.sampled_from([1.0, 3.0, 10.0]),
+           max_evals=st.sampled_from([2, 3, 40, 41, 10_000]), weighted=st.booleans(),
+           unreachable=st.booleans())
+    def test_each_search_equals_its_solo_run(self, sizes, n_intervals, seed, floor, step,
+                                             max_evals, weighted, unreachable):
+        rng = np.random.default_rng(seed)
+        along = ((np.arange(n_intervals) + 0.5) / n_intervals)[None, :, None]
+        users, targets = [], []
+        for m in sizes:  # each UAV's users walk straight segments around their own centre
+            start = rng.uniform(-300.0, 300.0, 2) + rng.uniform(-100.0, 100.0, (m, 1, 2))
+            users.append(start + rng.uniform(-60.0, 60.0, (m, 1, 2)) * along)
+            targets.append(10.0 ** rng.uniform(5.0, 8.0, m))
+        if unreachable:  # one user of the first UAV prices at inf
+            targets[0][rng.integers(sizes[0])] = math.inf
+        init = np.column_stack([rng.uniform(-300.0, 300.0, (len(sizes), 2)),
+                                rng.uniform(0.0, 400.0, len(sizes))])
+        weights = rng.uniform(0.5, 2.0, n_intervals) if weighted else 1.0
+        channel = (CFG.pathloss, CFG.uav_bandwidth_hz, CFG.noise_power_w, floor)
+        got = placement.place_uav_local_search(
+            np.concatenate(users), np.concatenate(targets), init, np.array(sizes), *channel,
+            step_m=step, max_evals=max_evals, weights=weights, sizes=sizes)
+        assert got.position.shape == (len(sizes), 3)
+        for k, m in enumerate(sizes):
+            pos, best, evals = reference_local_search(users[k], targets[k], init[k], m, *channel,
+                                                      step_m=step, max_evals=max_evals,
+                                                      weights=weights)
+            assert got.position[k].tobytes() == pos.tobytes()
+            assert got.objective_w[k:k + 1].tobytes() == np.float64(best).tobytes()
+            assert got.search_evaluations[k] == evals
+        assert got.evaluations == got.search_evaluations.sum()
+
+    def test_a_lone_start_gives_one_search(self):
+        users, targets, p = low_regime_instance(4)
+        init = np.array([400.0, 400.0, 60.0])
+        args = (6, p, CFG.uav_bandwidth_hz, CFG.noise_power_w, 10.0)
+        one = placement.place_uav_local_search(users, targets, init, *args)
+        batch = placement.place_uav_local_search(users, targets, init[None], *args)
+        assert one.position.shape == (3,) and isinstance(one.objective_w, float)
+        assert one.position.tobytes() == batch.position[0].tobytes()
+        assert one.objective_w == batch.objective_w[0]
+        assert one.evaluations == batch.evaluations == batch.search_evaluations[0]
+
+    def test_place_uav_places_each_uav_as_alone(self):
+        rng = np.random.default_rng(9)
+        cfg = dataclasses.replace(CFG, min_altitude_m=10.0,
+                                  pathloss=ChannelParams(exponent_nlos=2.0))
+        # a low-regime UAV (closed form), a high-regime one and one that searches
+        spreads, sizes = (400.0, 0.05, 30.0), [4, 3, 5]
+        users = [rng.uniform(-spread, spread, (m, 2, 2)) for spread, m in zip(spreads, sizes)]
+        targets = [rng.uniform(1e6, 8e6, m) for m in sizes]
+        init = np.array([[50.0, -20.0, 40.0], [5.0, 5.0, 200.0], [-30.0, 60.0, 45.0]])
+        regimes = [placement.closed_form_regime(10.0, u) for u in users]
+        assert regimes == ["low", "high", None]
+        got = placement.place_uav(np.concatenate(users), np.concatenate(targets), init,
+                                  np.array(sizes), cfg, sizes=sizes)
+        for k, m in enumerate(sizes):
+            alone = placement.place_uav(users[k], targets[k], init[k], m, cfg)
+            assert got[k].tobytes() == alone.tobytes()
+
+
 class TestExhaustive:
     def test_single_user_optimum_overhead(self):
         users = np.array([[[30.0, -60.0]]])
@@ -602,6 +669,11 @@ class TestQuadrature:
         values = np.polyval(coefficients[::-1], x)
         got = length * float(placement.NODE_WEIGHTS @ values)
         assert abs(Fraction(got) - exact) <= Fraction(1e-14) * exact
+
+    def test_literals_are_the_golub_welsch_rule_bit_for_bit(self):
+        offsets, weights = gauss_legendre_reference(placement.QUADRATURE_NODES)
+        assert placement.NODE_OFFSETS.tobytes() == offsets.tobytes()
+        assert placement.NODE_WEIGHTS.tobytes() == weights.tobytes()
 
     def test_is_exact_no_further_than_degree_2m_minus_1(self):
         m = placement.QUADRATURE_NODES

@@ -12,8 +12,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from conftest import (desk_config, infeasible_config, placement_objective, placement_objective_db,
-                      predicted_positions)
+from conftest import (desk_config, infeasible_config, placement_objective_db,
+                      predicted_positions, reference_local_search)
 from uavcache import channel, placement, qoe, sim
 from uavcache.config import ChannelParams, ScenarioConfig
 from uavcache.generators import SyntheticWorld, track_positions
@@ -64,47 +64,6 @@ def ref_uav_user_snr(power_w, loss_linear, noise_w):
 
 def ref_link_rates_bps(sinr, bandwidth_hz, n_served=1):
     return (bandwidth_hz / n_served) * np.log2(1.0 + np.asarray(sinr, dtype=float))
-
-
-def ref_local_search(user_pos, rate_targets_bps, init_xyz, n_served, p, bandwidth_hz,
-                     noise_w, min_altitude_m, step_m=3.0, max_evals=10_000,
-                     placement_objective=placement_objective):
-    """Coordinate descent that evaluates the objective at every candidate."""
-    pos = np.asarray(init_xyz, dtype=float).copy()
-    pos[2] = max(pos[2], min_altitude_m)
-
-    def objective(xyz):
-        return placement_objective(xyz, user_pos, rate_targets_bps, n_served,
-                                   p, bandwidth_hz, noise_w)
-
-    best = objective(pos)
-    evals = 1
-    improved = True
-    while improved and evals < max_evals:
-        improved = False
-        for axis in range(3):
-            best_cand = None
-            best_val = best
-            for delta in (step_m, -step_m):
-                cand = pos.copy()
-                cand[axis] += delta
-                if axis == 2:
-                    cand[2] = max(cand[2], min_altitude_m)
-                    if cand[2] == pos[2]:
-                        continue
-                val = objective(cand)
-                evals += 1
-                if val < best_val:
-                    best_val = val
-                    best_cand = cand
-                if evals >= max_evals:
-                    break
-            if best_cand is not None:
-                pos, best = best_cand, best_val
-                improved = True
-            if evals >= max_evals:
-                break
-    return pos, best, evals
 
 
 # -- kernel cases: (name, kernel, reference, args) -------------------------------------
@@ -210,7 +169,7 @@ def test_local_search_matches_reference(users, targets, init, n_served, step, ma
     args = (users, targets, init, n_served, P, CFG.uav_bandwidth_hz, CFG.noise_power_w,
             CFG.min_altitude_m)
     got = placement.place_uav_local_search(*args, step_m=step, max_evals=max_evals)
-    pos, best, evals = ref_local_search(*args, step_m=step, max_evals=max_evals)
+    pos, best, evals = reference_local_search(*args, step_m=step, max_evals=max_evals)
     assert got.position.tobytes() == pos.tobytes()
     assert got.objective_w == best
     assert got.evaluations == evals
@@ -235,7 +194,7 @@ def test_local_search_lands_where_the_db_route_objective_lands():
         args = (users, targets, init, n_served, p, CFG.uav_bandwidth_hz, CFG.noise_power_w,
                 CFG.min_altitude_m)
         got = placement.place_uav_local_search(*args)
-        pos, _, evals = ref_local_search(*args, placement_objective=placement_objective_db)
+        pos, _, evals = reference_local_search(*args, placement_objective=placement_objective_db)
         assert got.position.tobytes() == pos.tobytes()
         assert got.evaluations == evals
 
@@ -331,6 +290,10 @@ def test_plan_rows_hold_each_slots_midpoints_and_miss_requirements(tiny_cfg, cas
         assert plan.xy[s].tobytes() == midpoints.tobytes()
         idle = [not np.any(plan.uav[s] == k) for k in range(plan.n_uavs)]
         assert np.isnan(plan.req_miss[s]).tolist() == idle
+        # each busy UAV's requirement is its anchor's own cache miss, bit for bit
+        for k in np.flatnonzero(~np.array(idle, dtype=bool)).tolist():
+            want = sim._cache_miss(plan, plan.anchors[s, k], 1)[1]
+            assert plan.req_miss[s, k:k + 1].tobytes() == np.float64(want).tobytes()
     if case == "tiny_uav_per_user":
         assert np.isnan(plan.req_miss).any()
 
@@ -359,7 +322,8 @@ def reference_cache_rows(plan, k):
 
 
 def reference_deliver_uav(plan, cache, users, contents, n_served, position, user_pos, n_fetch):
-    """``sim._deliver_uav`` with every per-user quantity reduced from that user's 1-D row."""
+    """One UAV's delivery routes, priced at its own position with every per-user quantity
+    reduced from that user's 1-D row."""
     cfg = plan.cfg
     hits = [c in cache for c in contents]
     fronthaul_bits, req_miss = (np.inf, plan.req_hit) if all(hits) else sim._cache_miss(
@@ -387,6 +351,54 @@ def reference_deliver_uav(plan, cache, users, contents, n_served, position, user
     return routes
 
 
+def deliver_checked_per_uav(plan, caches, monkeypatch) -> np.ndarray:
+    """Deliver ``plan``'s period with each slot's one-pass UAV routes checked, UAV by UAV,
+    against ``reference_deliver_uav`` and each UAV's power against the cumsum of its
+    reference rows in ascending user order; returns every slot's UAV routes and the
+    most UAVs that delivered in one slot."""
+    delivered = []
+    uav_routes = sim._uav_routes
+
+    def checked(plan, positions, owner, users, contents, hits, n_served, user_pos):
+        routes, power = uav_routes(plan, positions, owner, users, contents, hits, n_served,
+                                   user_pos)
+        assert routes.dtype == sim.ROUTE and len(routes) == len(users)
+        # the UAVs whose users request a content they do not cache
+        n_fetch = sum(any(c not in caches[k] for c in contents[owner == k].tolist())
+                      for k in range(plan.n_uavs))
+        for k in range(plan.n_uavs):
+            rows = np.flatnonzero(owner == k)
+            assert np.array_equal(users[rows], np.sort(users[rows]))
+            assert np.array_equal(rows, np.arange(rows.size) + np.count_nonzero(owner < k))
+            want = reference_deliver_uav(plan, caches[k], users[rows], contents[rows].tolist(),
+                                         int(n_served[k]), positions[k], user_pos[rows],
+                                         n_fetch)
+            assert routes[rows].tobytes() == want.tobytes()
+            total = np.cumsum(want["power_w"])[-1] if rows.size else 0.0
+            assert power[k:k + 1].tobytes() == np.float64(total).tobytes()
+        delivered.append((routes, np.unique(owner).size))
+        return routes, power
+
+    monkeypatch.setattr(sim, "_uav_routes", checked)
+    sim.deliver(plan, caches, sim.place_uavs(plan, caches))
+    return np.concatenate([r for r, _ in delivered]), max(n for _, n in delivered)
+
+
+DELIVERY_CASES = {"tiny": lambda tiny: tiny, "desk": lambda tiny: desk_config(),
+                  "infeasible": infeasible_config}
+
+
+@pytest.mark.parametrize("case", list(DELIVERY_CASES))
+def test_one_pass_uav_rows_equal_per_uav_references(tiny_cfg, case, monkeypatch):
+    cfg = DELIVERY_CASES[case](tiny_cfg)
+    world = SyntheticWorld(cfg)
+    plan = sim.plan_slots(cfg, world, world.distributions, period_collections(world))
+    routes, most = deliver_checked_per_uav(plan, sim.select_caches(plan), monkeypatch)
+    # Some slot's one pass serves the users of more than one UAV.
+    assert len(routes) > 0 and most > 1
+    assert set(routes["link"].tolist()) <= {LINK_UAV_CACHE, LINK_UAV_FRONTHAUL}
+
+
 def test_uav_rows_equal_per_user_references_on_the_infeasible_config(tiny_cfg, monkeypatch):
     cfg = infeasible_config(tiny_cfg)
     world = SyntheticWorld(cfg)
@@ -409,20 +421,8 @@ def test_uav_rows_equal_per_user_references_on_the_infeasible_config(tiny_cfg, m
         assert probs.tobytes() == ref_probs.tobytes()
         assert savings.tobytes() == ref_savings.tobytes()
 
-    delivered = []
-    deliver_uav = sim._deliver_uav
-
-    def checked(*args):
-        got = deliver_uav(*args)
-        assert got.dtype == sim.ROUTE
-        assert got.tobytes() == reference_deliver_uav(*args).tobytes()
-        delivered.append(got)
-        return got
-
-    monkeypatch.setattr(sim, "_deliver_uav", checked)
-    sim.deliver(plan, caches, sim.place_uavs(plan, caches))
+    routes, _ = deliver_checked_per_uav(plan, caches, monkeypatch)
     # The config reaches misses, hits and power clamped at the cap.
-    routes = np.concatenate(delivered)
     assert set(routes["link"].tolist()) == {LINK_UAV_CACHE, LINK_UAV_FRONTHAUL}
     assert not routes["feasible"].all()
 
@@ -454,6 +454,12 @@ def test_a_uav_that_never_serves_caches_nothing(tiny_cfg):
 # -- call counts of one desk-scale period ------------------------------------------------
 
 
+# The desk oracle period's local searches and their evaluations, counted when each UAV
+# searched alone.  Positions alone do not show a changed walk; these counts do.
+DESK_SEARCHES = 120
+DESK_SEARCH_EVALUATIONS = 8933
+
+
 def test_desk_period_counts(monkeypatch):
     cfg = desk_config()
     world = SyntheticWorld(cfg)
@@ -464,22 +470,26 @@ def test_desk_period_counts(monkeypatch):
         position_calls.append(global_slot)
         return interval_positions(self, users, global_slot, n_intervals)
 
-    searches = []  # per search: the positions handed to the pricer
+    batches = []  # per lockstep call: per search, the positions handed to the pricer
+    searches = []  # per search: those positions and its evaluation count
     db_route_calls = []  # (kernel, called from inside a search)
     in_search = []
     price = placement.PlacementPricer.__call__
     local_search = placement.place_uav_local_search
 
-    def counted_price(self, xyz):
-        searches[-1].append(np.asarray(xyz, dtype=float).tobytes())
-        return price(self, xyz)
+    def counted_price(self, xyz, sets=None):
+        cands = np.asarray(xyz, dtype=float).reshape(-1, 3)
+        for cand, k in zip(cands, [0] * len(cands) if sets is None else sets):
+            batches[-1][k].append(cand.tobytes())
+        return price(self, xyz, sets)
 
     def counted_search(*args, **kwargs):
-        searches.append([])
+        batches.append([[] for _ in np.asarray(args[2], dtype=float).reshape(-1, 3)])
         in_search.append(True)
         result = local_search(*args, **kwargs)
         in_search.pop()
-        searches[-1] = (searches[-1], result.evaluations)
+        assert result.evaluations == result.search_evaluations.sum()
+        searches.extend(zip(batches[-1], result.search_evaluations.tolist()))
         return result
 
     def db_route(name, kernel):
@@ -518,8 +528,15 @@ def test_desk_period_counts(monkeypatch):
     # linear units only: no dB path loss, no 10 ** (PL / 10).
     assert {name for name, inside in db_route_calls if not inside} == set(db_kernels)
     assert [name for name, inside in db_route_calls if inside] == []
+    # One lockstep call per slot places every searching UAV of the slot.
+    assert 0 < len(batches) <= cfg.slots_per_cache_period
+    assert max(len(batch) for batch in batches) > 1
+    # Every evaluation prices exactly one position, and a position a search revisits is
+    # priced again.
     for evaluated, evaluations in searches:
-        assert len(evaluated) == len(set(evaluated))
-        assert evaluations >= len(evaluated)
-    # Some search revisits a position, so the memo is exercised.
-    assert any(evaluations > len(evaluated) for evaluated, evaluations in searches)
+        assert len(evaluated) == evaluations
+    assert any(len(set(evaluated)) < len(evaluated) for evaluated, _ in searches)
+    # Each search walks as it did alone: the desk period's counts before searches
+    # stepped in lockstep.
+    assert len(searches) == DESK_SEARCHES
+    assert sum(evaluations for _, evaluations in searches) == DESK_SEARCH_EVALUATIONS
