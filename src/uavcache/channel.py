@@ -15,11 +15,14 @@ them come out in seconds.
 
 Each quantity is one plain numpy expression, except where the slot pipeline
 spends its time.  The distance, the LoS probability and the dB path loss run
-their ufunc sequence in place on fresh buffers from :func:`_buffer_like`, and
-never write into their inputs.  They take the same steps on the same operands
-as their plain expressions, so they are bit for bit those expressions.  Scalar
-inputs give scalar results.  A height is squared by libm's ``pow``, as numpy
-squares one float, whether it comes alone or as one UAV height per row.
+their ufunc sequence in place on buffers from an ``empty`` argument shaped
+like ``np.empty``, its default, so that delivery can hand them a period's
+reused buffers; they never write into their inputs.  The SNR, the rates and
+``db_to_linear`` take an ``out`` buffer instead.  All take the same steps on
+the same operands as their plain expressions, so they are bit for bit those
+expressions.  Scalar inputs give scalar results.  A height is squared by
+libm's ``pow``, as numpy squares one float, whether it comes alone or as one
+UAV height per row.
 
 The placement search prices every candidate position with
 :func:`pathloss_linear_into`.  It takes the users' squared x and y offsets
@@ -57,12 +60,13 @@ def free_space_pl_db(d0_m: float, carrier_hz: float) -> float:
     return 20.0 * np.log10(4.0 * np.pi * d0_m * carrier_hz / SPEED_OF_LIGHT)
 
 
-def _buffer_like(*arrays) -> np.ndarray:
-    """A fresh float array of the arguments' broadcast shape (0-d when all are scalars)."""
+def _buffer_like(empty, *arrays) -> np.ndarray:
+    """A float buffer from ``empty`` of the arguments' broadcast shape (0-d when all are
+    scalars)."""
     shapes = {np.shape(a) for a in arrays} - {()}
     if len(shapes) > 1:
-        return np.empty(np.broadcast_shapes(*shapes))
-    return np.empty(shapes.pop() if shapes else ())
+        return empty(np.broadcast_shapes(*shapes))
+    return empty(shapes.pop() if shapes else ())
 
 
 def _distance_from_squares(sq_x, sq_y, altitude_sq, out: np.ndarray) -> np.ndarray:
@@ -83,14 +87,14 @@ def _square_heights(altitude):
     return np.float_power(altitude, 2.0)
 
 
-def _distance_3d(uav_xyz, user_xy) -> np.ndarray:
+def _distance_3d(uav_xyz, user_xy, empty=np.empty) -> np.ndarray:
     """Distances from UAV positions (..., 3) to users'; one (3,) UAV gives scalar coordinates."""
     x0, y0, height = np.moveaxis(np.asarray(uav_xyz, dtype=float), -1, 0)
     user_xy = np.asarray(user_xy, dtype=float)
     x, y = user_xy[..., 0], user_xy[..., 1]
-    d = np.subtract(x, x0, out=_buffer_like(x, x0))
+    d = np.subtract(x, x0, out=_buffer_like(empty, x, x0))
     np.multiply(d, d, out=d)
-    dy = np.subtract(y, y0, out=_buffer_like(y, y0))
+    dy = np.subtract(y, y0, out=_buffer_like(empty, y, y0))
     np.multiply(dy, dy, out=dy)
     return _distance_from_squares(d, dy, _square_heights(height), d)
 
@@ -99,11 +103,11 @@ def distance_3d(uav_xyz, user_xy):
     return _distance_3d(uav_xyz, user_xy)[()]
 
 
-def _los_probability(dist: np.ndarray, altitude, p: ChannelParams) -> np.ndarray:
+def _los_probability(dist: np.ndarray, altitude, p: ChannelParams, empty=np.empty) -> np.ndarray:
     if (dist <= 0.0).any():
         raise ChannelError("zero distance between transmitter and receiver")
     altitude = np.asarray(altitude, dtype=float)
-    return _los_from_sine(np.divide(altitude, dist, out=_buffer_like(altitude, dist)), p)
+    return _los_from_sine(np.divide(altitude, dist, out=_buffer_like(empty, altitude, dist)), p)
 
 
 def _los_from_sine(pr: np.ndarray, p: ChannelParams) -> np.ndarray:
@@ -128,16 +132,17 @@ def los_probability(dist, altitude, p: ChannelParams):
     return _los_probability(np.asarray(dist, dtype=float), altitude, p)[()]
 
 
-def mixed_pathloss_db(dist, altitude, p: ChannelParams):
+def mixed_pathloss_db(dist, altitude, p: ChannelParams, empty=np.empty):
     """LoS-probability-weighted log-distance path loss, vectorized over links.
 
-    Shadowing sits at its zero mean, so the result is deterministic.
+    Shadowing sits at its zero mean, so the result is deterministic.  Its
+    three buffers come from ``empty``, the result's first.
     """
     dist = np.asarray(dist, dtype=float)
-    pr = _los_probability(dist, altitude, p)
+    pr = _los_probability(dist, altitude, p, empty)
     l_fs = free_space_pl_db(p.fs_ref_distance_m, p.carrier_hz)
-    log_d = np.log10(dist, out=_buffer_like(pr))
-    l_los = np.multiply(log_d, 10.0 * p.exponent_los, out=_buffer_like(pr))
+    log_d = np.log10(dist, out=_buffer_like(empty, pr))
+    l_los = np.multiply(log_d, 10.0 * p.exponent_los, out=_buffer_like(empty, pr))
     np.add(l_los, l_fs, out=l_los)
     l_nlos = np.multiply(log_d, 10.0 * p.exponent_nlos, out=log_d)
     np.add(l_nlos, l_fs, out=l_nlos)
@@ -147,10 +152,14 @@ def mixed_pathloss_db(dist, altitude, p: ChannelParams):
     return np.add(l_los, pr, out=pr)[()]
 
 
-def uav_user_pathloss_db(uav_xyz, user_xy, p: ChannelParams):
-    """Average access-link path loss in dB from a UAV, or one per user row, to users."""
+def uav_user_pathloss_db(uav_xyz, user_xy, p: ChannelParams, empty=np.empty):
+    """Average access-link path loss in dB from a UAV, or one per user row, to users.
+
+    Its five buffers come from ``empty``: the distance's two, then
+    :func:`mixed_pathloss_db`'s three.
+    """
     uav_xyz = np.asarray(uav_xyz, dtype=float)
-    return mixed_pathloss_db(_distance_3d(uav_xyz, user_xy), uav_xyz[..., 2], p)
+    return mixed_pathloss_db(_distance_3d(uav_xyz, user_xy, empty), uav_xyz[..., 2], p, empty)
 
 
 def pathloss_linear_into(sq_x, sq_y, altitude, p: ChannelParams, dist: np.ndarray,

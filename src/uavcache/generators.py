@@ -40,7 +40,8 @@ def is_work_subperiod(sub: int, n_sub: int) -> bool:
     return any(lo <= frac < hi for lo, hi in WORK_HOUR_WINDOWS)
 
 
-def track_positions(tracks: np.ndarray, users, times, slots_per_collection: int) -> np.ndarray:
+def track_positions(tracks: np.ndarray, users, times, slots_per_collection: int,
+                    empty=np.empty) -> np.ndarray:
     """Positions at absolute slot times ``times`` (a 1-D sequence of floats).
 
     ``tracks`` is (n_users, n_points, 2), one collected waypoint every
@@ -48,7 +49,8 @@ def track_positions(tracks: np.ndarray, users, times, slots_per_collection: int)
     Users move at constant speed between waypoints and hold the last one past
     the track's end.  One user id gives (len(times), 2), a sequence of ids
     (len(users), len(times), 2).  A slot's interval midpoints are
-    ``slot + (np.arange(F) + 0.5) / F``.
+    ``slot + (np.arange(F) + 0.5) / F``.  The result and one work buffer of
+    its shape without the last axis come from ``empty``, in that order.
     """
     h = slots_per_collection
     g = np.asarray(times, dtype=float)
@@ -58,10 +60,10 @@ def track_positions(tracks: np.ndarray, users, times, slots_per_collection: int)
     first, stop = int(np.min(lo)), int(np.max(hi)) + 1
     users = np.asarray(users, dtype=np.intp)
     weight = (g - c * h) / h
-    out = np.empty((*users.shape, g.size, 2))
+    out = empty((*users.shape, g.size, 2))
     # x, then y: each a (..., waypoints) plane, interpolated through one work buffer.
     # Every index is in range, and mode="clip" lets take write into the buffer unbuffered.
-    rows, work = tracks[users, first:stop], np.empty(out.shape[:-1])
+    rows, work = tracks[users, first:stop], empty(out.shape[:-1])
     for axis in (0, 1):
         plane, into = rows[..., axis], out[..., axis]
         np.multiply(np.take(plane, lo - first, axis=-1, out=work, mode="clip"), 1.0 - weight,
@@ -189,13 +191,16 @@ class SyntheticWorld:
         collections[out] *= (cfg.area_radius_m / radius[out])[:, None]
         self.collections = collections
 
-    def position_at(self, users, times) -> np.ndarray:
+    def position_at(self, users, times, empty=np.empty) -> np.ndarray:
         """True positions at absolute slot times (see :func:`track_positions`)."""
-        return track_positions(self.collections, users, times, self.cfg.slots_per_collection)
+        return track_positions(self.collections, users, times, self.cfg.slots_per_collection,
+                               empty)
 
-    def interval_positions(self, users, global_slot: int, n_intervals: int) -> np.ndarray:
+    def interval_positions(self, users, global_slot: int, n_intervals: int,
+                           empty=np.empty) -> np.ndarray:
         """True positions at the interval midpoints of one slot."""
-        return self.position_at(users, global_slot + (np.arange(n_intervals) + 0.5) / n_intervals)
+        return self.position_at(users, global_slot + (np.arange(n_intervals) + 0.5) / n_intervals,
+                                empty)
 
     # -- requests ----------------------------------------------------------------
 

@@ -16,7 +16,6 @@ each user's in-slot track at the slot's Gauss–Legendre nodes.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,16 +34,19 @@ class PlacementResult:
     search_evaluations: np.ndarray | None = None  # (K,) each search's count
 
 
-def wired_share_bits(n_sharers: int, cfg: ScenarioConfig) -> float:
-    """Each sharer's bits per slot of the wired fronthaul v_F; inf, a 0 s leg, for none."""
-    return cfg.fronthaul_rate_bps / n_sharers * cfg.slot_duration_s if n_sharers else math.inf
+def wired_share_bits(n_sharers, cfg: ScenarioConfig):
+    """Each sharer's bits per slot of the wired fronthaul v_F; inf, a 0 s leg, for none.
+
+    Elementwise over counts of sharers."""
+    with np.errstate(divide="ignore"):
+        return (cfg.fronthaul_rate_bps / np.asarray(n_sharers) * cfg.slot_duration_s)[()]
 
 
-def rrh_rate_threshold_bits(n_fr: int, device_req_bps, cfg: ScenarioConfig, bound_s: float):
+def rrh_rate_threshold_bits(n_fr, device_req_bps, cfg: ScenarioConfig, bound_s: float):
     """Per-slot rate floor for terrestrial admission when n_fr users share v_F.
 
     ``bound_s`` is ``qoe.delay_lower_bound_s``.  Returns inf when the shared
-    fronthaul alone blows the delay budget.
+    fronthaul alone blows the delay budget.  Elementwise over counts and floors.
     """
     wired_s = transfer_s(wired_share_bits(n_fr, cfg), cfg.content_size_bits, cfg.slot_duration_s)
     return np.maximum(delay_rate_requirement_bits(cfg, bound_s, wired_s),
@@ -61,17 +63,26 @@ def associate_rrh(rates_bits, dists, device_req_bps, antennas, cfg: ScenarioConf
     count m is the largest at which m users or more clear the threshold for m
     sharers.  The m of them ranked highest by predicted rate (ties by id) are
     placed in rank order on the nearest cluster with a free antenna.
+
+    A user clears m sharers when its rate clears its own device floor and the
+    delay requirement for m sharers, or when its rate or floor is NaN.  So every
+    count is read off one sorted array of the rates that clear their floors, by
+    one ``searchsorted`` of the requirement for each count: O(users + counts)
+    memory.
     """
     rates = np.asarray(rates_bits, dtype=float)
     assigned = np.full(rates.shape[0], -1)
     capacity = np.array(antennas, dtype=int)
-    for m in range(min(rates.shape[0], int(capacity.sum())), 0, -1):
-        clears = np.flatnonzero(~(rates < rrh_rate_threshold_bits(m, device_req_bps, cfg,
-                                                                   bound_s)))
-        if clears.size >= m:
-            break
-    else:
+    floors = np.asarray(device_req_bps, dtype=float) * cfg.slot_duration_s
+    counts = np.arange(1, min(rates.shape[0], int(capacity.sum())) + 1)
+    delay_req = rrh_rate_threshold_bits(counts, 0.0, cfg, bound_s)  # no floor: delay alone
+    # NaN sorts last, so it clears every requirement; a NaN floor makes the threshold NaN.
+    key = np.sort(np.where(np.isnan(floors), np.nan, rates)[~(rates < floors)])
+    fits = np.flatnonzero(key.size - np.searchsorted(key, delay_req) >= counts)
+    if not fits.size:
         return assigned
+    m = int(counts[fits[-1]])
+    clears = np.flatnonzero(~(rates < np.maximum(delay_req[m - 1], floors)))
     for i in clears[np.argsort(-rates[clears], kind="stable")[:m]].tolist():
         q = int(np.argmin(np.where(capacity > 0, dists[i], np.inf)))
         assigned[i] = q

@@ -142,12 +142,14 @@ def power_per_loss_w(rate_target_bps, n_served: int, bandwidth_hz: float, noise_
 
 
 def min_uav_power_w(loss_linear, rate_target_bps, n_served: int,
-                    bandwidth_hz: float, noise_w: float):
-    """Transmit power making the shared-band rate hit the target exactly.
+                    bandwidth_hz: float, noise_w: float, out=None):
+    """Transmit power making the shared-band rate hit the target exactly, into the array
+    ``out`` if given (it may be ``loss_linear``).
 
     ``loss_linear`` is the path loss in linear units (``db_to_linear`` of the
     dB loss).  Vectorized over loss and rate target; feasibility against the
     power cap is the caller's concern (values are returned unclamped).
     """
     with np.errstate(over="ignore"):  # unreachable targets price at infinity
-        return power_per_loss_w(rate_target_bps, n_served, bandwidth_hz, noise_w) * loss_linear
+        return np.multiply(power_per_loss_w(rate_target_bps, n_served, bandwidth_hz, noise_w),
+                           loss_linear, out=out)

@@ -15,6 +15,9 @@ one ``placement.place_uav`` call, and their users served in one pass.
 Delivery fills one route table per slot (:data:`ROUTE`) and scores it into one
 record array of reports (:data:`REPORT`), whose fields are the ``slots.csv``
 columns; the slot checks, the summary and the CSV read it a column at a time.
+Its (users, intervals) arrays are buffers of one :class:`Workspace` per
+``deliver`` call, sized by the period's largest set of UAV-served requesting
+users, so that after its first slot the period allocates none of them.
 
 Each baseline swaps stages (:data:`BASELINES`): ``none``, the proposed pipeline,
 swaps none, ``no_uav`` plans with no UAVs, ``no_cache`` and ``random_cache``
@@ -70,6 +73,31 @@ SLOTS_COLUMNS = ("slot", *REPORT.names)
 
 class SimInvariantError(RuntimeError):
     """An internal bookkeeping invariant broke during a run."""
+
+
+class Workspace:
+    """Float work buffers handed out like ``np.empty``, kept from one round to the next.
+
+    The i-th call since the last :meth:`reset` gets the leading rows of block i,
+    which the first such call made with room for ``rows`` rows.  A round that
+    asks for the same trailing shapes in the same order, none for more than
+    ``rows`` rows, allocates nothing.
+    """
+
+    def __init__(self, rows: int):
+        self.rows, self._blocks, self._taken = rows, [], 0
+
+    def __call__(self, shape) -> np.ndarray:
+        if self._taken == len(self._blocks):
+            self._blocks.append(np.empty((self.rows, *shape[1:])))
+        view = self._blocks[self._taken][:shape[0]]
+        self._taken += 1
+        if view.shape != tuple(shape):
+            raise SimInvariantError(f"workspace buffer {view.shape} cannot hold {tuple(shape)}")
+        return view
+
+    def reset(self) -> None:
+        self._taken = 0
 
 
 @dataclass
@@ -312,7 +340,7 @@ def _routes(n_users: int, **columns) -> np.ndarray:
 
 def _uav_routes(plan: PeriodPlan, positions: np.ndarray, owner: np.ndarray, users: np.ndarray,
                 contents: np.ndarray, hits: np.ndarray, n_served: np.ndarray,
-                user_pos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+                user_pos: np.ndarray, work: Workspace) -> tuple[np.ndarray, np.ndarray]:
     """Price every UAV delivery of a slot in one pass: the routes of the requesting
     ``users``, grouped by their UAV ``owner`` and ascending within each, and each UAV's
     summed power.
@@ -320,7 +348,7 @@ def _uav_routes(plan: PeriodPlan, positions: np.ndarray, owner: np.ndarray, user
     Row i is priced at UAV ``owner[i]``'s position, for its associated count
     ``n_served`` and, on a miss, its cache-miss requirement; ``user_pos`` holds the
     users' true interval positions.  Every per-user quantity is a row reduction
-    over the (users, intervals) arrays.
+    over the (users, intervals) arrays, which are buffers of ``work``.
     """
     cfg = plan.cfg
     # A UAV that fetches shares the fronthaul with every other one that does.
@@ -332,10 +360,11 @@ def _uav_routes(plan: PeriodPlan, positions: np.ndarray, owner: np.ndarray, user
     targets = qoe_rate_target_bps(np.where(hits, plan.req_hit, req_miss[owner]), device_req,
                                   cfg.slot_duration_s)[:, None]
     # One (users, intervals) buffer runs from the dB path loss to the rates.
-    loss = uav_user_pathloss_db(positions[owner, None], user_pos, cfg.pathloss)
+    loss = uav_user_pathloss_db(positions[owner, None], user_pos, cfg.pathloss, work)
     loss = db_to_linear(loss, out=loss)
     n_served = n_served[owner, None]
-    power = min_uav_power_w(loss, targets, n_served, cfg.uav_bandwidth_hz, cfg.noise_power_w)
+    power = min_uav_power_w(loss, targets, n_served, cfg.uav_bandwidth_hz, cfg.noise_power_w,
+                            out=work(loss.shape))
     feasible = np.all(power <= cfg.uav_max_power_w, axis=1)
     tx_power = np.minimum(power, cfg.uav_max_power_w, out=power)
     rates_bps = link_rates_bps(uav_user_snr(tx_power, loss, cfg.noise_power_w, out=loss),
@@ -355,14 +384,21 @@ def _uav_routes(plan: PeriodPlan, positions: np.ndarray, owner: np.ndarray, user
 
 def deliver(plan: PeriodPlan, caches: list[tuple[int, ...]],
             positions_per_slot: list[np.ndarray]) -> list[SlotLog]:
-    """Stage 4: serve each slot's true requests at true positions and score them."""
+    """Stage 4: serve each slot's true requests at true positions and score them.
+
+    Every slot's UAV deliveries run in one :class:`Workspace`, sized by the
+    period's largest set of UAV-served requesting users and dropped on return.
+    """
     cached = _cached(plan, caches)
-    # One call per slot frees a slot's link arrays before the next are built.
-    return [_deliver_slot(plan, cached, s, positions)
+    slot0 = plan.world.period_slot0
+    requesting = plan.world.requests[:, slot0:slot0 + len(plan.uav)].T >= 0
+    work = Workspace(int(np.count_nonzero((plan.uav >= 0) & requesting, axis=1).max(initial=0)))
+    return [_deliver_slot(plan, cached, s, positions, work)
             for s, positions in enumerate(positions_per_slot)]
 
 
-def _deliver_slot(plan: PeriodPlan, cached: np.ndarray, s: int, positions: np.ndarray) -> SlotLog:
+def _deliver_slot(plan: PeriodPlan, cached: np.ndarray, s: int, positions: np.ndarray,
+                  work: Workspace) -> SlotLog:
     cfg, world, n_uavs, n_users = plan.cfg, plan.world, plan.n_uavs, plan.cfg.num_users
     rrh, uav = plan.rrh[s], plan.uav[s]
     n_fr = int(np.count_nonzero(rrh >= 0))
@@ -394,10 +430,11 @@ def _deliver_slot(plan: PeriodPlan, cached: np.ndarray, s: int, positions: np.nd
     # Aerial deliveries, every UAV's in one pass.
     uav_power = np.zeros(n_uavs)
     if served.size:
+        work.reset()
         routes[served], uav_power = _uav_routes(
             plan, positions, uav[served], served, content[served], hits,
             np.bincount(uav[uav >= 0], minlength=n_uavs),
-            world.interval_positions(served, gs, cfg.intervals_per_slot))
+            world.interval_positions(served, gs, cfg.intervals_per_slot, work), work)
 
     reports = _score_routes(plan, content, routes)
     log = SlotLog(slot=s, reports=reports, n_fr=n_fr, uav_positions=positions,

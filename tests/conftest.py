@@ -272,18 +272,25 @@ def reference_associate_rrh(rates_bits, user_xy, device_req_bps, clusters, cfg, 
     """Terrestrial admission tried at every count from the largest down.
 
     Each count m rebuilds the whole greedy placement: the users ranked by
-    rate (ties by id) that clear the threshold for m sharers go, in rank
-    order, to the nearest cluster with a free antenna, until m are placed.
-    The first m that fills returns; each user's cluster index, or -1.
+    rate (ties by id, NaN rates last) that clear the threshold for m sharers
+    go, in rank order, to the nearest cluster with a free antenna, until m are
+    placed.  The first m that fills returns; each user's cluster index, or -1.
+    A count that fewer than m users clear cannot fill, so it skips the placement.
     """
     rates = np.asarray(rates_bits, dtype=float)
     user_xy = np.asarray(user_xy, dtype=float)
     n_users = rates.shape[0]
     total_antennas = sum(len(c) for c in clusters)
-    order = sorted(range(n_users), key=lambda i: (-rates[i], i))
+    order = sorted(range(n_users), key=lambda i: (bool(np.isnan(rates[i])),
+                                                  0.0 if np.isnan(rates[i]) else -rates[i], i))
     centroids = [c.mean(axis=0) for c in clusters]
+    by_distance = [sorted(range(len(clusters)),
+                          key=lambda q: (float(np.linalg.norm(user_xy[i] - centroids[q])), q))
+                   for i in range(n_users)]
     for m in range(min(n_users, total_antennas), 0, -1):
         thresholds = rrh_rate_threshold_bits(m, device_req_bps, cfg, bound_s)
+        if np.count_nonzero(~(rates < thresholds)) < m:
+            continue
         chosen: dict[int, int] = {}
         capacity = [len(c) for c in clusters]
         for i in order:
@@ -291,10 +298,7 @@ def reference_associate_rrh(rates_bits, user_xy, device_req_bps, clusters, cfg, 
                 break
             if rates[i] < thresholds[i]:
                 continue
-            by_distance = sorted(
-                range(len(clusters)),
-                key=lambda q: (float(np.linalg.norm(user_xy[i] - centroids[q])), q))
-            for q in by_distance:
+            for q in by_distance[i]:
                 if capacity[q] > 0:
                     chosen[i] = q
                     capacity[q] -= 1

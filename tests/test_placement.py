@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 from conftest import (access_links, gauss_legendre_reference, log_uniform, place_uav_exhaustive,
                       placement_objective, placement_objective_db, reference_associate_rrh,
                       reference_local_search)
-from uavcache import linalg, placement
+from uavcache import config, linalg, placement
 from uavcache.channel import ChannelError, db_to_linear
 from uavcache.config import ChannelParams, RandomSource, ScenarioConfig
 from uavcache.generators import point_norms
@@ -23,10 +24,30 @@ CFG = ScenarioConfig()
 BOUND_S = delay_lower_bound_s(CFG)
 # A slow wired fronthaul: the threshold is finite for one sharer, infinite from three.
 SLOW_FRONTHAUL = ScenarioConfig(slot_duration_s=0.5, fronthaul_rate_bps=1e7)
+# A fast one: the threshold is finite for every count up to MAX_USERS sharers.
+FAST_FRONTHAUL = ScenarioConfig(fronthaul_rate_bps=1e11)
+FAST_BOUND_S = delay_lower_bound_s(FAST_FRONTHAUL)
+# Admission's traced peak at the validated bounds: 50 float arrays of MAX_USERS.
+ASSOCIATE_PEAK_BYTES = 50 * 8 * config.MAX_USERS
 
 
 def two_clusters():
     return [np.array([[-100.0, 0.0], [-110.0, 0.0]]), np.array([[100.0, 0.0], [110.0, 0.0]])]
+
+
+def large_draw(rng, n, cluster_sizes):
+    """Rates, positions, device floors and radio-head clusters of ``n`` users, for
+    admission under ``FAST_FRONTHAUL``.  A fifth of the rates each: at the threshold of
+    a random count, spread over the thresholds, inf, NaN, and 0; 5% of the floors NaN."""
+    clusters = [rng.uniform(-500.0, 500.0, (size, 2)) for size in cluster_sizes]
+    xy = rng.uniform(-500.0, 500.0, (n, 2))
+    device = rng.choice([2.5e6, 5e6, 7.5e6, np.nan], n, p=[0.3, 0.3, 0.35, 0.05])
+    at_count = placement.rrh_rate_threshold_bits(rng.integers(1, n + 1, n), device,
+                                                 FAST_FRONTHAUL, FAST_BOUND_S)
+    rates = np.choose(rng.integers(0, 5, n),
+                      [at_count, rng.uniform(5e6, 1e7, n), np.full(n, np.inf), np.full(n, np.nan),
+                       np.zeros(n)])
+    return rates, xy, device, clusters
 
 
 def associate(rates, xy, device, clusters, cfg=CFG, bound_s=BOUND_S):
@@ -87,25 +108,26 @@ class TestAssociation:
     @settings(max_examples=400, deadline=None)
     @given(st.data())
     def test_one_pass_equals_the_count_by_count_reference(self, data):
-        cfg = data.draw(st.sampled_from([CFG, SLOW_FRONTHAUL]))
+        cfg = data.draw(st.sampled_from([CFG, SLOW_FRONTHAUL, FAST_FRONTHAUL]))
         bound_s = delay_lower_bound_s(cfg)
         # Points on a coarse grid, so that users tie on distance to clusters.
         point = st.tuples(st.integers(-2, 2), st.integers(-2, 2)).map(
             lambda p: [100.0 * p[0], 100.0 * p[1]])
-        clusters = [np.array(data.draw(st.lists(point, min_size=1, max_size=3)))
+        # Up to 18 antennas for up to 10 users.
+        clusters = [np.array(data.draw(st.lists(point, min_size=1, max_size=6)))
                     for _ in range(data.draw(st.integers(0, 3)))]
         n = data.draw(st.integers(0, 10))
         xy = np.array(data.draw(st.lists(point, min_size=n, max_size=n)), dtype=float)
         xy = xy.reshape(n, 2)
-        device = np.array(data.draw(st.lists(st.sampled_from([2.5e6, 5e6, 7.5e6]),
+        device = np.array(data.draw(st.lists(st.sampled_from([2.5e6, 5e6, 7.5e6, np.nan]),
                                              min_size=n, max_size=n)))
         rates = np.empty(n)
         for i in range(n):
-            kind = data.draw(st.sampled_from(["tied", "inf", "at_threshold", "free"]))
+            kind = data.draw(st.sampled_from(["tied", "inf", "nan", "at_threshold", "free"]))
             if kind == "tied":
                 rates[i] = data.draw(st.sampled_from([0.0, 6e6, 7.5e6, 1e7]))
-            elif kind == "inf":
-                rates[i] = np.inf
+            elif kind in ("inf", "nan"):
+                rates[i] = float(kind)
             elif kind == "at_threshold":
                 m = data.draw(st.integers(1, n))
                 rates[i] = placement.rrh_rate_threshold_bits(m, device, cfg, bound_s)[i]
@@ -114,6 +136,44 @@ class TestAssociation:
         got = associate(rates, xy, device, clusters, cfg, bound_s)
         want = reference_associate_rrh(rates, xy, device, clusters, cfg, bound_s)
         assert np.array_equal(got, want)
+
+    def test_4000_users_equal_the_count_by_count_reference(self):
+        rates, xy, device, clusters = large_draw(np.random.default_rng(4), 4_000, (900,) * 5)
+        got = associate(rates, xy, device, clusters, FAST_FRONTHAUL, FAST_BOUND_S)
+        want = reference_associate_rrh(rates, xy, device, clusters, FAST_FRONTHAUL,
+                                       FAST_BOUND_S)
+        assert 0 < np.count_nonzero(got >= 0) < 4_000
+        assert np.array_equal(got, want)
+
+    def test_the_validated_bounds_admit_in_linear_memory(self):
+        """10,000 users and 10,000 antennas: a (counts x users) table would take
+        800 MB, the sorted count a few arrays of 10,000."""
+        n = config.MAX_USERS
+        rates, xy, device, clusters = large_draw(np.random.default_rng(5), n,
+                                                 (config.MAX_RRHS // 4,) * 4)
+        centroids = np.array([c.mean(axis=0) for c in clusters])
+        dists = point_norms(xy[:, None, :] - centroids)
+        antennas = [len(c) for c in clusters]
+        tracemalloc.start()
+        try:
+            got = placement.associate_rrh(rates, dists, device, antennas, FAST_FRONTHAUL,
+                                          FAST_BOUND_S)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < ASSOCIATE_PEAK_BYTES
+        want = reference_associate_rrh(rates, xy, device, clusters, FAST_FRONTHAUL,
+                                       FAST_BOUND_S)
+        assert np.array_equal(got, want)
+
+    def test_count_thresholds_are_the_scalar_thresholds(self):
+        counts = np.arange(1, config.MAX_USERS + 1)
+        for cfg in (CFG, SLOW_FRONTHAUL, FAST_FRONTHAUL):
+            bound_s = delay_lower_bound_s(cfg)
+            got = placement.rrh_rate_threshold_bits(counts, 0.0, cfg, bound_s)
+            want = [placement.rrh_rate_threshold_bits(int(m), np.zeros(1), cfg, bound_s)[0]
+                    for m in counts]
+            assert got.tobytes() == np.array(want).tobytes()
 
     @pytest.mark.parametrize("n_fr", [0, 1, 7, 1000])
     def test_threshold_is_the_requirement_with_the_wired_leg(self, n_fr):

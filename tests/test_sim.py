@@ -330,6 +330,54 @@ class TestInvariants:
             broken.reconcile()
 
 
+# A steady paper period's delivery makes about 1,000 minor page faults, its workspace's
+# first touches; before the workspace it made about 85,000, faulting every slot's arrays in.
+DELIVER_FAULT_BOUND = 5_000
+
+
+class TestDeliveryWorkspace:
+    def test_reused_buffers_leak_nothing_between_slots(self, tiny_cfg):
+        cfg = idle_config(tiny_cfg)
+        plan = oracle_plan(cfg)
+        caches = sim.select_caches(plan)
+        positions = sim.place_uavs(plan, caches)
+        logs = sim.deliver(plan, caches, positions)
+        served = [np.count_nonzero(np.isin(log.reports.link, (LINK_UAV_CACHE, LINK_UAV_FRONTHAUL)))
+                  for log in logs]
+        steps = np.sign(np.diff(served))
+        # the served count shrinks and then grows again
+        assert any(-1 in steps[:i] and 1 in steps[i:] for i in range(len(steps)))
+        cached = sim._cached(plan, caches)
+        for s, log in enumerate(logs):
+            alone = sim._deliver_slot(plan, cached, s, positions[s], sim.Workspace(max(served)))
+            assert alone.reports.tobytes() == log.reports.tobytes()
+
+    def test_a_round_reuses_the_blocks_of_the_first(self):
+        work = sim.Workspace(4)
+        first = [work((3, 5)), work((3, 5, 2))]
+        work.reset()
+        again = [work((4, 5)), work((2, 5, 2))]
+        assert [a.shape for a in again] == [(4, 5), (2, 5, 2)]
+        assert all(np.shares_memory(a, b) for a, b in zip(first, again))
+        assert not np.shares_memory(*again)
+        with pytest.raises(sim.SimInvariantError):
+            work((5, 5))  # more rows than the workspace holds
+
+    @pytest.mark.slow
+    def test_a_steady_paper_period_delivers_without_page_faults(self):
+        resource = pytest.importorskip("resource")
+        cfg = ScenarioConfig()
+        world = SyntheticWorld(cfg)
+        for _ in range(2):  # the second period is the steady one
+            plan = sim.plan_slots(cfg, world, world.distributions, period_collections(world))
+            caches = sim.select_caches(plan)
+            positions = sim.place_uavs(plan, caches)
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            sim.deliver(plan, caches, positions)
+            faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+        assert faults < DELIVER_FAULT_BOUND
+
+
 class TestDeterminism:
     def test_identical_runs_identical_artifacts(self, tiny_cfg):
         logs1, s1 = run(tiny_cfg)

@@ -359,9 +359,9 @@ def deliver_checked_per_uav(plan, caches, monkeypatch) -> np.ndarray:
     delivered = []
     uav_routes = sim._uav_routes
 
-    def checked(plan, positions, owner, users, contents, hits, n_served, user_pos):
+    def checked(plan, positions, owner, users, contents, hits, n_served, user_pos, work):
         routes, power = uav_routes(plan, positions, owner, users, contents, hits, n_served,
-                                   user_pos)
+                                   user_pos, work)
         assert routes.dtype == sim.ROUTE and len(routes) == len(users)
         # the UAVs whose users request a content they do not cache
         n_fetch = sum(any(c not in caches[k] for c in contents[owner == k].tolist())
@@ -466,9 +466,9 @@ def test_desk_period_counts(monkeypatch):
     position_calls = []
     interval_positions = SyntheticWorld.interval_positions
 
-    def counted_positions(self, users, global_slot, n_intervals=None):
+    def counted_positions(self, users, global_slot, n_intervals=None, *empty):
         position_calls.append(global_slot)
-        return interval_positions(self, users, global_slot, n_intervals)
+        return interval_positions(self, users, global_slot, n_intervals, *empty)
 
     batches = []  # per lockstep call: per search, the positions handed to the pricer
     searches = []  # per search: those positions and its evaluation count
@@ -507,9 +507,9 @@ def test_desk_period_counts(monkeypatch):
     position_at_calls = []
     position_at = SyntheticWorld.position_at
 
-    def counted_position_at(self, users, times):
+    def counted_position_at(self, users, times, *empty):
         position_at_calls.append(len(times))
-        return position_at(self, users, times)
+        return position_at(self, users, times, *empty)
 
     monkeypatch.setattr(SyntheticWorld, "interval_positions", counted_positions)
     monkeypatch.setattr(SyntheticWorld, "position_at", counted_position_at)
