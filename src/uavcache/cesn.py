@@ -8,8 +8,11 @@ with R = u diag(lam) u^T.  C shares those eigenvectors, with eigenvalues
 s = lam / (lam + aperture^-2), and is applied as u (s * u^T v), never formed.
 All conceptors come from one helper that eigendecomposes the smaller Gram of a
 factor Z with R = Z Z^T (Jaeger 2014, arXiv:1403.3369, section 3) and drops
-directions whose s is at most ``linalg.CONCEPTOR_S_CUT``.  A paper-scale
-content pattern keeps 10 of its N = 1,000 directions.
+directions whose s is at most ``linalg.CONCEPTOR_S_CUT`` (1e-6).  A paper-scale
+content pattern keeps 10 of its N = 1,000 directions and a mobility pattern
+about 160; each dropped direction held at most 1e-6 of sum(s).  A model file
+that stores a direction at or below the cut was saved under another cut, and
+``load_model`` refuses it.
 
 The conceptor does two jobs:
 
@@ -113,7 +116,14 @@ class Conceptor:
 
     @property
     def s(self) -> np.ndarray:
-        return self.lam / (self.lam + self.aperture ** -2)
+        return _conceptor_eigenvalues(self.lam, self.aperture)
+
+
+def _conceptor_eigenvalues(lam: np.ndarray, aperture: float) -> np.ndarray:
+    """s = lam / (lam + aperture^-2) of correlation eigenvalues ``lam``; an aperture whose
+    -2nd power overflows gives s = 0."""
+    with np.errstate(over="ignore"):
+        return lam / (lam + np.float64(aperture) ** -2)
 
 
 def _conceptor_of_factor(z: np.ndarray, aperture: float) -> Conceptor:
@@ -125,7 +135,7 @@ def _conceptor_of_factor(z: np.ndarray, aperture: float) -> Conceptor:
     """
     n, k = z.shape
     lam, vecs = linalg.sym_eig(z.T @ z if k < n else z @ z.T)
-    keep = lam / (lam + aperture ** -2) > linalg.CONCEPTOR_S_CUT
+    keep = _conceptor_eigenvalues(lam, aperture) > linalg.CONCEPTOR_S_CUT
     lam, u = lam[keep], vecs[:, keep]
     if k < n:
         u = (z @ u) / np.sqrt(lam)
@@ -398,7 +408,7 @@ class EsnModel:
             raise UntrainedModel("readout not trained")
         u, lam = _stacked_factors([self.conceptors[p] for p in patterns],
                                   self.cfg.reservoir_size)
-        s = (lam / (lam + self.cfg.aperture ** -2))[:, :, None]
+        s = _conceptor_eigenvalues(lam, self.cfg.aperture)[:, :, None]
         ut = u.transpose(0, 2, 1)
         v = np.stack([self.pattern_states[p] for p in patterns])
         wd = self.w
@@ -483,7 +493,8 @@ def save_model(model: EsnModel, path) -> None:
 
 def _check_arrays(cfg: EsnConfig, arrays: dict) -> None:
     """Raise ``ConfigError`` unless every stored array is finite float64, as ``save_model``
-    writes it, and fits the model's sizes, and every stored eigenvalue is nonnegative."""
+    writes it, and fits the model's sizes, and every stored eigenvalue is nonnegative and,
+    unless it is a row's zero padding, kept by ``linalg.CONCEPTOR_S_CUT``."""
     n, p, width = cfg.reservoir_size, len(arrays["conceptor_lam"]), arrays["w_in"].shape[-1:]
     rank = arrays["conceptor_u"].shape[-1:]
     expected = {"w": (n, n), "w_in": (n,) + width, "b": width + (n,),
@@ -497,8 +508,14 @@ def _check_arrays(cfg: EsnConfig, arrays: dict) -> None:
                                f"of {n} reservoir units and {p} patterns"])
         if not np.isfinite(arrays[name]).all():
             raise ConfigError([f"{name} has a non-finite entry"])
-    if (arrays["conceptor_lam"] < 0.0).any():
+    lam = arrays["conceptor_lam"]
+    if (lam < 0.0).any():
         raise ConfigError(["conceptor_lam has a negative eigenvalue"])
+    lam = lam[lam > 0.0]
+    if (_conceptor_eigenvalues(lam, cfg.aperture) <= linalg.CONCEPTOR_S_CUT).any():
+        raise ConfigError([f"conceptor_lam keeps a direction whose s is at most the conceptor "
+                           f"cut {linalg.CONCEPTOR_S_CUT:g}: the model was saved under another "
+                           "cut; retrain the models"])
 
 
 def load_model(path) -> EsnModel:

@@ -180,8 +180,18 @@ def zero_conceptor(dim: int, aperture: float = 15.0) -> cesn.Conceptor:
     return cesn.Conceptor(u=np.zeros((dim, 0)), lam=np.zeros(0), aperture=aperture)
 
 
+def dense_cut(r: np.ndarray, aperture: float) -> np.ndarray:
+    """A state correlation R less its eigendirections whose conceptor eigenvalue
+    lam / (lam + aperture^-2) is at most ``linalg.CONCEPTOR_S_CUT``: what ``cesn`` keeps."""
+    lam, v = np.linalg.eigh(r)
+    low = lam / (lam + aperture ** -2) <= linalg.CONCEPTOR_S_CUT
+    return r - (v[:, low] * lam[low]) @ v[:, low].T
+
+
 def dense_conceptor(r: np.ndarray, aperture: float) -> np.ndarray:
-    """M = R (R + aperture^-2 I)^-1 of a state correlation R, solved densely."""
+    """M = R (R + aperture^-2 I)^-1 of a state correlation R, solved densely after
+    ``dense_cut``."""
+    r = dense_cut(r, aperture)
     m = np.linalg.solve(r + aperture ** -2 * np.eye(r.shape[0]), r)
     return 0.5 * (m + m.T)
 
@@ -198,7 +208,9 @@ class DenseConceptors(cesn.EsnModel):
     factors: a pattern's conceptor is ``dense_conceptor`` of its state
     correlation, the running memory is the OR of the stored ones, formed as
     the conceptor of the summed correlations, and the free memory is its NOT,
-    with quota trace(I - M) / N.  ``b`` grows as in ``cesn``.  ``conceptors``
+    with quota trace(I - M) / N.  As in ``cesn``, each pattern's correlation
+    and each running sum lose the directions the cut drops (``dense_cut``)
+    before they are summed.  ``b`` grows as in ``cesn``.  ``conceptors``
     holds the dense matrices, ``memory`` the summed correlation, and
     ``recall`` filters with the dense matrices.  Inputs are not validated.
     """
@@ -214,8 +226,8 @@ class DenseConceptors(cesn.EsnModel):
         error = inputs[keep].T - self.b @ v_old
         self.b = self.b + linalg.solve_ridge(s, aperture ** -2 * s.shape[1], error.T).T
         x = states[:, keep]
-        r = x @ x.T / x.shape[1]
-        self.memory = r if self.memory is None else self.memory + r
+        r = dense_cut(x @ x.T / x.shape[1], aperture)
+        self.memory = r if self.memory is None else dense_cut(self.memory + r, aperture)
         self.conceptors.append(dense_conceptor(r, aperture))
         self.pattern_states.append(states[:, -1].copy())
         self._train_states.append(x)

@@ -589,6 +589,38 @@ class TestSerialization:
         with pytest.raises(IndexError):
             restored.training_nrmse(1)
 
+    def test_model_saved_under_another_cut_refused(self, tmp_path, monkeypatch):
+        model = signal_model(n_res=40)
+        with monkeypatch.context() as patched:
+            patched.setattr(linalg, "CONCEPTOR_S_CUT", 1e-10)
+            # a period of 8.3 steps keeps directions of s from 1e-10 to 1e-6
+            load_signal(model, sine(8.3, 400))
+            model.train_readout()
+        s = model.conceptors[0].s
+        assert ((s > 1e-10) & (s <= linalg.CONCEPTOR_S_CUT)).any()
+        path = tmp_path / "model.npz"
+        cesn.save_model(model, path)
+        with pytest.raises(ConfigError, match=r"conceptor_lam keeps a direction whose s is at "
+                                              r"most the conceptor cut 1e-06: .* retrain"):
+            cesn.load_model(path)
+
+    def test_patterns_with_no_direction_above_the_cut(self, tmp_path):
+        # zero inputs drive zero states, so every direction's s is 0 and none is kept
+        model = signal_model(n_res=30)
+        zeros, ones = np.zeros((200, 1)), np.ones((200, 1))
+        model.load_patterns([(zeros, ones), (zeros, -ones)])
+        assert [c.u.shape for c in model.conceptors] == [(30, 0), (30, 0)]
+        assert model.memory.u.shape == (30, 0)
+        assert model.quota_history == [1.0, 1.0, 1.0]
+        model.train_readout()
+        path = tmp_path / "model.npz"
+        cesn.save_model(model, path)
+        with np.load(path) as data:
+            assert data["conceptor_u"].shape == (2, 30, 0)
+        restored = cesn.load_model(path)
+        assert np.array_equal(restored.recall([0, 1], 20), model.recall([0, 1], 20))
+        assert restored.recall([0, 1], 20).shape == (2, 20, 1)
+
     def test_untrained_model_not_saved(self, tmp_path):
         model = signal_model(n_res=10)
         load_signal(model, sine(8.0, 400))

@@ -17,7 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import log_uniform
-from uavcache import cli, sim
+from uavcache import cli, linalg, sim
 from uavcache.channel import ChannelError
 from uavcache.cli import main
 from uavcache.config import load_config_dict, merge_documents
@@ -222,6 +222,19 @@ class TestSimulate:
         want = "  - esn.reservoir_size: user 0 content model was trained with 50, config has 20"
         assert want in err
         assert err.count("  - esn.") == 1
+
+    def test_models_saved_under_another_conceptor_cut_rejected(self, cfg_file, tmp_path,
+                                                               monkeypatch, capsys):
+        out = tmp_path / "run"
+        with monkeypatch.context() as patched:
+            patched.setattr(linalg, "CONCEPTOR_S_CUT", 1e-10)
+            assert main(["train", "--config", cfg_file, "--out", str(out)]) == 0
+        capsys.readouterr()
+        code = main(["simulate", "--config", cfg_file, "--models", str(out),
+                     "--out", str(tmp_path / "x")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "at most the conceptor cut 1e-06: the model was saved under another cut" in err
 
     def test_manifest_records_the_argv_given_to_main(self, cfg_file, tmp_path, monkeypatch):
         monkeypatch.setattr(sys, "argv", ["harness", "--whatever"])
