@@ -17,7 +17,8 @@ record array of reports (:data:`REPORT`), whose fields are the ``slots.csv``
 columns; the slot checks, the summary and the CSV read it a column at a time.
 Its (users, intervals) arrays are buffers of one :class:`Workspace` per
 ``deliver`` call, sized by the period's largest set of UAV-served requesting
-users, so that after its first slot the period allocates none of them.
+users, so that after its first slot the period allocates none of them; a dead
+buffer's block serves the slot's later buffers.
 
 Each baseline swaps stages (:data:`BASELINES`): ``none``, the proposed pipeline,
 swaps none, ``no_uav`` plans with no UAVs, ``no_cache`` and ``random_cache``
@@ -78,26 +79,37 @@ class SimInvariantError(RuntimeError):
 class Workspace:
     """Float work buffers handed out like ``np.empty``, kept from one round to the next.
 
-    The i-th call since the last :meth:`reset` gets the leading rows of block i,
-    which the first such call made with room for ``rows`` rows.  A round that
-    asks for the same trailing shapes in the same order, none for more than
-    ``rows`` rows, allocates nothing.
+    A call gets the leading rows of the first free block of its trailing shape,
+    or of a new block with room for ``rows`` rows.  :meth:`reset` frees every
+    block, and :meth:`keep` every block but those of the arrays still needed,
+    so a dead buffer's block serves a later call.  A round that asks for the
+    same trailing shapes and frees the same blocks in the same order, none for
+    more than ``rows`` rows, allocates nothing.
     """
 
     def __init__(self, rows: int):
-        self.rows, self._blocks, self._taken = rows, [], 0
+        self.rows, self._blocks, self._taken = rows, [], []
 
     def __call__(self, shape) -> np.ndarray:
-        if self._taken == len(self._blocks):
-            self._blocks.append(np.empty((self.rows, *shape[1:])))
-        view = self._blocks[self._taken][:shape[0]]
-        self._taken += 1
+        trailing = tuple(shape[1:])
+        i = next((i for i, (block, taken) in enumerate(zip(self._blocks, self._taken))
+                  if not taken and block.shape[1:] == trailing), len(self._blocks))
+        if i == len(self._blocks):
+            self._blocks.append(np.empty((self.rows, *trailing)))
+            self._taken.append(False)
+        self._taken[i] = True
+        view = self._blocks[i][:shape[0]]
         if view.shape != tuple(shape):
             raise SimInvariantError(f"workspace buffer {view.shape} cannot hold {tuple(shape)}")
         return view
 
+    def keep(self, *arrays: np.ndarray) -> None:
+        """Free every block that holds none of ``arrays``."""
+        self._taken = [any(np.may_share_memory(block, a) for a in arrays)
+                       for block in self._blocks]
+
     def reset(self) -> None:
-        self._taken = 0
+        self.keep()
 
 
 @dataclass
@@ -351,6 +363,7 @@ def _uav_routes(plan: PeriodPlan, positions: np.ndarray, owner: np.ndarray, user
     over the (users, intervals) arrays, which are buffers of ``work``.
     """
     cfg = plan.cfg
+    work.keep(user_pos)  # the interpolation's work buffer is dead
     # A UAV that fetches shares the fronthaul with every other one that does.
     fetching = np.bincount(owner[~hits], minlength=plan.n_uavs) > 0
     fronthaul_bits, req_miss = np.full(plan.n_uavs, np.inf), np.full(plan.n_uavs, plan.req_hit)
@@ -361,6 +374,7 @@ def _uav_routes(plan: PeriodPlan, positions: np.ndarray, owner: np.ndarray, user
                                   cfg.slot_duration_s)[:, None]
     # One (users, intervals) buffer runs from the dB path loss to the rates.
     loss = uav_user_pathloss_db(positions[owner, None], user_pos, cfg.pathloss, work)
+    work.keep(loss)  # the positions, distances and log terms are dead
     loss = db_to_linear(loss, out=loss)
     n_served = n_served[owner, None]
     power = min_uav_power_w(loss, targets, n_served, cfg.uav_bandwidth_hz, cfg.noise_power_w,

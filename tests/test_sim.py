@@ -363,6 +363,15 @@ class TestDeliveryWorkspace:
         with pytest.raises(sim.SimInvariantError):
             work((5, 5))  # more rows than the workspace holds
 
+    def test_keep_hands_the_blocks_of_dead_buffers_to_later_calls(self):
+        work = sim.Workspace(4)
+        live, dead, plane = work((4, 5)), work((4, 5)), work((4, 5, 2))
+        work.keep(live[1:])  # a view keeps its whole block
+        reused = [work((3, 5)), work((2, 5, 2))]
+        assert np.shares_memory(reused[0], dead) and np.shares_memory(reused[1], plane)
+        fresh = work((4, 5))
+        assert not any(np.shares_memory(fresh, a) for a in (live, dead, plane))
+
     @pytest.mark.slow
     def test_a_steady_paper_period_delivers_without_page_faults(self):
         resource = pytest.importorskip("resource")
