@@ -7,11 +7,15 @@ Its training and learned workloads also check the trained models' quotas and
 fits and the learned run's prediction gap against an oracle reference.  A
 change to any of these breaks only benchmark runs, so this smoke test runs
 those checks on small oracle periods and on the training and learned
-operations at tiny scale.  The workloads file is only read, never changed.
+operations at tiny scale.  It also runs the ``train_p12`` and ``oracle_paper``
+operations at benchmark seed 0 and compares their outputs with the pins, so a
+change that breaks a pin fails here and not only in a benchmark run.  The
+workloads and pins files are only read, never changed.
 """
 
 import hashlib
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
@@ -22,6 +26,7 @@ from uavcache import sim
 from uavcache.generators import SyntheticWorld
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+PINS = WORKLOADS.with_name("pins.json")
 
 
 def load_workloads(monkeypatch):
@@ -62,3 +67,14 @@ def test_learned_checks_pass(tiny_cfg, monkeypatch):
     reference = workloads.learned_reference(tiny_cfg, world, learned)
     assert reference.problems == []
     assert "learned_power_ratio" in reference.quality
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("name", ["train_p12", "oracle_paper"])
+def test_seed0_operation_matches_its_pins(monkeypatch, name):
+    workloads = load_workloads(monkeypatch)
+    workload = workloads.WORKLOADS[name]
+    outcome = workload.op(*workloads.setup(workload, 0))
+    assert outcome.problems == []
+    pinned = json.loads(PINS.read_text())[name]["0"]["outputs"]
+    assert workloads.mismatches(pinned, outcome.outputs) == []
