@@ -72,7 +72,7 @@ MAX_USER_SLOTS = 42_000_000
 # MAX_CONTENTS allows at the paper's 70 users and 12 sub-periods.
 MAX_USER_SUBPERIOD_CONTENTS = 10_000_000
 # Each slot prices every served (user, interval) link in float64 arrays, about
-# 72 bytes per link: 720 MB at this bound, what MAX_USERS allows at 1,000 intervals.
+# 56 bytes per link: 560 MB at this bound, what MAX_USERS allows at 1,000 intervals.
 MAX_USER_INTERVALS = 10_000_000
 
 

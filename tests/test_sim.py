@@ -363,6 +363,23 @@ class TestDeliveryWorkspace:
         with pytest.raises(sim.SimInvariantError):
             work((5, 5))  # more rows than the workspace holds
 
+    def test_a_period_delivers_in_seven_interval_planes(self, tiny_cfg, monkeypatch):
+        made = []
+
+        class Recorded(sim.Workspace):
+            def __init__(self, rows):
+                super().__init__(rows)
+                made.append(self)
+
+        monkeypatch.setattr(sim, "Workspace", Recorded)
+        plan = oracle_plan(tiny_cfg)
+        caches = sim.select_caches(plan)
+        sim.deliver(plan, caches, sim.place_uavs(plan, caches))
+        work, = made
+        # the positions' two planes and five more: dead buffers' blocks serve later ones
+        plane = work.rows * tiny_cfg.intervals_per_slot
+        assert sorted(b.size // plane for b in work._blocks) == [1, 1, 1, 1, 1, 2]
+
     def test_keep_hands_the_blocks_of_dead_buffers_to_later_calls(self):
         work = sim.Workspace(4)
         live, dead, plane = work((4, 5)), work((4, 5)), work((4, 5, 2))
