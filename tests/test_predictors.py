@@ -6,7 +6,7 @@ import pytest
 from conftest import (BATCHED_RECALL_RTOL, BATCHED_STATE_TOL, DenseConceptors,
                       DenseInputSimulation, OnePatternEsn, conceptor_matrix, desk_config,
                       one_pattern_drive, reference_context)
-from uavcache import cesn, sim
+from uavcache import cesn, linalg, sim
 from uavcache.config import (ConfigError, EsnConfig, RandomSource, ScenarioConfig,
                              load_config_dict)
 from uavcache.generators import SyntheticWorld, day_type, track_positions
@@ -337,6 +337,42 @@ def test_factored_conceptors_match_the_dense_reference(monkeypatch, cfg, task):
     for got, expected in zip(model.recall(patterns, steps), dense.recall(patterns, steps)):
         assert (np.abs(got - expected).max()
                 <= FACTORED_CONCEPTOR_RECALL_RTOL * np.abs(expected).max())
+
+
+# Bounds fixed before the first run, from the cut's definition: each of at most N dropped
+# directions has s <= 1e-6, so a quota moves by at most 1e-6.  Over every desk model at
+# seeds 0 and 99 and paper user 0, a scratch run read at most 1.5e-7 on the quotas and
+# 6.7e-6 on recall, and every content model bit for bit unchanged.
+CUT_QUOTA_ATOL = 1e-6
+CUT_RECALL_RTOL = 1e-4
+
+
+@pytest.mark.parametrize("task", ["content", "mobility"])
+def test_the_cut_moves_models_little_against_a_1e_10_cut(monkeypatch, task):
+    """Every seventh desk user's model at ``linalg.CONCEPTOR_S_CUT`` against the same model
+    cut at 1e-10, which keeps every direction above rounding."""
+    cfg = desk_config()
+    world, trainer = SyntheticWorld(cfg), TRAINERS[task][0]
+    steps, kept, finer_kept = 2 * cfg.slots_per_cache_period, 0, 0
+    for user in range(0, cfg.num_users, 7):
+        model, _ = trainer(cfg, world, user)
+        with monkeypatch.context() as patched:
+            patched.setattr(linalg, "CONCEPTOR_S_CUT", 1e-10)
+            finer, _ = trainer(cfg, world, user)
+        assert np.abs(np.subtract(model.quota_history, finer.quota_history)).max() \
+            <= CUT_QUOTA_ATOL
+        patterns = range(model.n_patterns)
+        expected = finer.recall(patterns, steps)
+        assert (np.abs(model.recall(patterns, steps) - expected).max()
+                <= CUT_RECALL_RTOL * np.abs(expected).max())
+        kept += sum(len(c.lam) for c in model.conceptors)
+        finer_kept += sum(len(c.lam) for c in finer.conceptors)
+        if task == "content":
+            assert model.quota_history == finer.quota_history
+            for c, f in zip(model.conceptors, finer.conceptors):
+                assert np.array_equal(c.u, f.u) and np.array_equal(c.lam, f.lam)
+    # the content patterns keep every direction either way; mobility drops about half
+    assert (kept == finer_kept) if task == "content" else (kept < 0.6 * finer_kept)
 
 
 # Bounds fixed before the first run, with BATCHED_STATE_TOL and BATCHED_RECALL_RTOL.
