@@ -10,7 +10,7 @@ All conceptors come from one helper that eigendecomposes the smaller Gram of a
 factor Z with R = Z Z^T (Jaeger 2014, arXiv:1403.3369, section 3) and drops
 directions whose s is at most ``linalg.CONCEPTOR_S_CUT`` (1e-6).  A paper-scale
 content pattern keeps 10 of its N = 1,000 directions and a mobility pattern
-about 160; each dropped direction held at most 1e-6 of sum(s).  A model file
+about 160; each dropped direction adds at most 1e-6 to sum(s).  A model file
 that stores a direction at or below the cut was saved under another cut, and
 ``load_model`` refuses it.
 
