@@ -191,8 +191,11 @@ def _model_path(models_dir: Path, user: int, task: str) -> Path:
 
 
 def _read_model(path: Path) -> cesn.EsnModel:
+    """A model file, read; one that was read but failed a check names the check."""
     try:
         return cesn.load_model(path)
+    except ConfigError as exc:
+        raise ConfigError([f"model file {path}: {v}" for v in exc.violations]) from exc
     except (OSError, EOFError, LookupError, OverflowError, TypeError, ValueError,
             zipfile.BadZipFile, zlib.error) as exc:
         raise ConfigError([f"unreadable model file {path}: {exc}"]) from exc

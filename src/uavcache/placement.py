@@ -28,10 +28,9 @@ from .qoe import (delay_rate_requirement_bits, min_uav_power_w, power_per_loss_w
 
 @dataclass
 class PlacementResult:
-    position: np.ndarray  # (3,), or (K, 3) for K searches
-    objective_w: float | np.ndarray  # or (K,)
+    position: np.ndarray  # (K, 3), one row per search
+    objective_w: np.ndarray  # (K,)
     evaluations: int  # the total over the searches
-    search_evaluations: np.ndarray | None = None  # (K,) each search's count
 
 
 def wired_share_bits(n_sharers, cfg: ScenarioConfig):
@@ -178,8 +177,6 @@ def select_cache(probabilities, savings, cache_size: int) -> tuple[int, ...]:
 
 def _flatten_positions(user_pos) -> np.ndarray:
     pos = np.asarray(user_pos, dtype=float)
-    if pos.ndim == 2:
-        pos = pos[:, None, :]
     if pos.ndim != 3 or pos.shape[2] != 2:
         raise ValueError(f"expected (n_users, n_intervals, 2) positions, got {pos.shape}")
     return pos
@@ -210,11 +207,10 @@ class PlacementPricer:
     sum_u (2**(r_u n / B) - 1) N0 sum_f w_f loss[u, f], in linear units: within
     ``linalg.LINEAR_LOSS_RTOL`` of summing ``min_uav_power_w`` over the dB
     path losses, not bit for bit.  Searches only compare its values.
-    ``weights`` gives each position's share of the slot in intervals: 1 each by
-    default (the interval sum), :data:`NODE_WEIGHTS` scaled to the interval
-    count at a slot's quadrature nodes.  ``sizes`` splits the rows of
-    ``user_pos`` into the sets, in order (by default one set of every row), and
-    ``n_served`` is one count or one per set.
+    ``weights`` gives each position's share of the slot in intervals, as
+    :data:`NODE_WEIGHTS` scaled to the interval count at a slot's quadrature
+    nodes.  ``sizes`` splits the rows of ``user_pos`` into the sets, in order,
+    and is each set's member count n.
 
     The price vector and each set's contiguous x and y planes, which depend
     only on the users, are built once.  A call prices C candidate positions,
@@ -224,13 +220,13 @@ class PlacementPricer:
     round differently, so a candidate prices the same bits in any batch.
     """
 
-    def __init__(self, user_pos, rate_targets_bps, n_served, p: ChannelParams,
-                 bandwidth_hz: float, noise_w: float, weights=1.0, sizes=None):
+    def __init__(self, user_pos, rate_targets_bps, sizes, p: ChannelParams,
+                 bandwidth_hz: float, noise_w: float, weights):
         pos = _flatten_positions(user_pos)
-        self.sizes = [pos.shape[0]] if sizes is None else np.asarray(sizes).tolist()
+        self.sizes = np.asarray(sizes).tolist()
         ends = list(itertools.accumulate(self.sizes, initial=0))
-        price = power_per_loss_w(rate_targets_bps, np.repeat(np.broadcast_to(
-            n_served, (len(self.sizes),)), self.sizes), bandwidth_hz, noise_w)
+        price = power_per_loss_w(rate_targets_bps, np.repeat(self.sizes, self.sizes),
+                                 bandwidth_hz, noise_w)
         self.prices = [price[a:b] for a, b in zip(ends, ends[1:])]
         # each set's (2, rows, positions) x and y planes
         self.planes = [np.ascontiguousarray(pos[a:b].transpose(2, 0, 1))
@@ -238,12 +234,10 @@ class PlacementPricer:
         self.weights = weights
         self.p = p
 
-    def __call__(self, xyz, sets=None):
-        """The objective at each of C positions ``xyz`` (C, 3) of set ``sets[c]`` (set 0
-        by default), a list of C floats; a (3,) position gives one float."""
-        xyz = np.asarray(xyz, dtype=float)
-        cands = xyz.reshape(-1, 3)
-        sets = [0] * len(cands) if sets is None else sets
+    def __call__(self, xyz, sets):
+        """The objective at each of C positions ``xyz`` (C, 3) of set ``sets[c]``, a list
+        of C floats."""
+        cands = np.asarray(xyz, dtype=float)
         counts = [self.sizes[k] for k in sets]
         at = cands.repeat(counts, axis=0).T[:, :, None]  # each row's UAV x, y and z
         with np.errstate(over="ignore"):  # a loss or price past the float range is inf
@@ -252,9 +246,8 @@ class PlacementPricer:
             loss = pathloss_linear_into(sq[0], sq[1], at[2], self.p, sq[0], sq[1])
             sums = np.multiply(loss, self.weights, out=loss).sum(axis=1)
             ends = list(itertools.accumulate(counts, initial=0))
-            values = [float(sums[a:b].dot(self.prices[k]))
-                      for a, b, k in zip(ends, ends[1:], sets)]
-        return values[0] if xyz.ndim == 1 else values
+            return [float(sums[a:b].dot(self.prices[k]))
+                    for a, b, k in zip(ends, ends[1:], sets)]
 
 
 def place_uav_closed_form(user_pos, rate_targets_bps, n_served: int,
@@ -304,30 +297,26 @@ def closed_form_regime(altitude_m: float, user_pos) -> str | None:
     return None
 
 
-def place_uav_local_search(user_pos, rate_targets_bps, init_xyz, n_served, p: ChannelParams,
+def place_uav_local_search(user_pos, rate_targets_bps, init_xyz, sizes, p: ChannelParams,
                            bandwidth_hz: float, noise_w: float, min_altitude_m: float,
-                           step_m: float = 3.0, max_evals: int = 10_000, weights=1.0,
-                           sizes=None) -> PlacementResult:
-    """Coordinate descent over +/-step moves in x, y, altitude: one search, or K in lockstep.
+                           weights, step_m: float = 3.0,
+                           max_evals: int = 10_000) -> PlacementResult:
+    """Coordinate descent over +/-step moves in x, y, altitude: K searches in lockstep.
 
-    A (3,) ``init_xyz`` starts one search over every row of ``user_pos``; a
-    (K, 3) one starts K independent searches, search k over the next
-    ``sizes[k]`` rows, with ``n_served`` one count or one per search.  A search
-    moves only on strict objective improvement; its scan order is x, then y,
-    then altitude (floored; a candidate the floor puts back on the current
-    altitude is skipped), so it is deterministic.  Every candidate counts as an
-    evaluation, and a search stops at ``max_evals``, between its + and -
-    candidates if need be.  Each round, every search still running tries its
-    candidates on its current axis, and one :class:`PlacementPricer` call
-    prices them all.  ``evaluations`` is the batch's total and
-    ``search_evaluations`` each search's count; a (3,) start gives a (3,)
-    position and a float objective.
+    The (K, 3) ``init_xyz`` starts K independent searches, search k over the
+    next ``sizes[k]`` rows of ``user_pos``, priced as :class:`PlacementPricer`
+    prices them.  A search moves only on strict objective improvement; its scan
+    order is x, then y, then altitude (floored; a candidate the floor puts back
+    on the current altitude is skipped), so it is deterministic.  Every
+    candidate counts as an evaluation, and a search stops at ``max_evals``,
+    between its + and - candidates if need be.  Each round, every search still
+    running tries its candidates on its current axis, and one pricer call
+    prices them all.  ``evaluations`` is the batch's total.
     """
-    start = np.asarray(init_xyz, dtype=float)
     floor = float(min_altitude_m)
-    xyz = [[x, y, max(z, floor)] for x, y, z in start.reshape(-1, 3).tolist()]
-    price = PlacementPricer(user_pos, rate_targets_bps, n_served, p, bandwidth_hz, noise_w,
-                            weights, sizes)
+    xyz = [[x, y, max(z, floor)] for x, y, z in np.asarray(init_xyz, dtype=float).tolist()]
+    price = PlacementPricer(user_pos, rate_targets_bps, sizes, p, bandwidth_hz, noise_w,
+                            weights)
     best = price(xyz, range(len(xyz))) if xyz else []
     evals, axis, improved = [1] * len(xyz), [0] * len(xyz), [False] * len(xyz)
     running = [k for k, n in enumerate(evals) if n < max_evals]
@@ -364,32 +353,27 @@ def place_uav_local_search(user_pos, rate_targets_bps, init_xyz, n_served, p: Ch
                 continue
             still.append(k)
         running = still
-    position = np.array(xyz, dtype=float).reshape(-1, 3)
-    if start.ndim == 1:
-        return PlacementResult(position[0], best[0], evals[0], np.array(evals))
-    return PlacementResult(position, np.array(best), sum(evals), np.array(evals))
+    return PlacementResult(np.array(xyz, dtype=float).reshape(-1, 3), np.array(best),
+                           sum(evals))
 
 
-def place_uav(user_pos, rate_targets_bps, init_xyz, n_served, cfg: ScenarioConfig,
-              weights=1.0, sizes=None) -> np.ndarray:
-    """UAV positions for their users' positions, weighted as the pricer's, and rate targets.
+def place_uav(user_pos, rate_targets_bps, init_xyz, sizes, cfg: ScenarioConfig,
+              weights) -> np.ndarray:
+    """K UAV positions for their users' positions, weighted as the pricer's, and rate targets.
 
-    The rows, starts and counts split into UAVs as in
-    :func:`place_uav_local_search`: a (3,) ``init_xyz`` places one UAV, a
-    (K, 3) one K UAVs.  In the low regime most links are near the horizon, so
-    the NLoS law rules and the power is close to a weighted sum of
+    The rows and the (K, 3) starts split into UAVs as in
+    :func:`place_uav_local_search`.  In the low regime most links are near the
+    horizon, so the NLoS law rules and the power is close to a weighted sum of
     d**exponent_nlos: at exponent 2 the weighted centroid at the altitude floor
     is its minimum, and at any other exponent the regime gives no closed form.
     In the high regime the users' spread is negligible against the altitude, so
     the search starts from the centroid's xy at the start's altitude; otherwise
     from the start.  Every UAV left to search runs in one lockstep batch.
     """
-    start = np.asarray(init_xyz, dtype=float)
     pos = _flatten_positions(user_pos)
     targets = np.asarray(rate_targets_bps, dtype=float)
-    xyz = np.array(start.reshape(-1, 3))
-    sizes = np.array([pos.shape[0]] if sizes is None else sizes)
-    n_served = np.broadcast_to(n_served, sizes.shape)
+    xyz = np.array(init_xyz, dtype=float)
+    sizes = np.asarray(sizes)
     ends = np.cumsum(sizes).tolist()
     search = np.ones(len(xyz), dtype=bool)
     for k, (a, b) in enumerate(zip([0, *ends], ends)):
@@ -397,14 +381,13 @@ def place_uav(user_pos, rate_targets_bps, init_xyz, n_served, cfg: ScenarioConfi
         if regime == "low" and cfg.pathloss.exponent_nlos != 2.0:
             regime = None
         if regime is not None:
-            xyz[k, :2] = place_uav_closed_form(pos[a:b], targets[a:b], n_served[k],
+            xyz[k, :2] = place_uav_closed_form(pos[a:b], targets[a:b], sizes[k],
                                                cfg.uav_bandwidth_hz, weights)
         if regime == "low":
             xyz[k, 2], search[k] = cfg.min_altitude_m, False
     if search.any():
         rows = np.repeat(search, sizes)
         xyz[search] = place_uav_local_search(
-            pos[rows], targets[rows], xyz[search], n_served[search], cfg.pathloss,
-            cfg.uav_bandwidth_hz, cfg.noise_power_w, cfg.min_altitude_m, weights=weights,
-            sizes=sizes[search]).position
-    return xyz.reshape(start.shape)
+            pos[rows], targets[rows], xyz[search], sizes[search], cfg.pathloss,
+            cfg.uav_bandwidth_hz, cfg.noise_power_w, cfg.min_altitude_m, weights).position
+    return xyz

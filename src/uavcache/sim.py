@@ -80,11 +80,11 @@ class Workspace:
     """Float work buffers handed out like ``np.empty``, kept from one round to the next.
 
     A call gets the leading rows of the first free block of its trailing shape,
-    or of a new block with room for ``rows`` rows.  :meth:`reset` frees every
-    block, and :meth:`keep` every block but those of the arrays still needed,
-    so a dead buffer's block serves a later call.  A round that asks for the
-    same trailing shapes and frees the same blocks in the same order, none for
-    more than ``rows`` rows, allocates nothing.
+    or of a new block with room for ``rows`` rows.  :meth:`keep` frees every
+    block but those of the arrays still needed, so a dead buffer's block serves
+    a later call.  A round that asks for the same trailing shapes and frees the
+    same blocks in the same order, none for more than ``rows`` rows, allocates
+    nothing.
     """
 
     def __init__(self, rows: int):
@@ -107,9 +107,6 @@ class Workspace:
         """Free every block that holds none of ``arrays``."""
         self._taken = [any(np.may_share_memory(block, a) for a in arrays)
                        for block in self._blocks]
-
-    def reset(self) -> None:
-        self.keep()
 
 
 @dataclass
@@ -332,8 +329,7 @@ def _place_slot(plan: PeriodPlan, cached: np.ndarray, s: int, held: np.ndarray) 
     positions[busy] = placement.place_uav(
         track_positions(plan.collections, served, s + placement.NODE_OFFSETS,
                         cfg.slots_per_collection),
-        targets, held[busy], sizes[busy], cfg, cfg.intervals_per_slot * placement.NODE_WEIGHTS,
-        sizes=sizes[busy])
+        targets, held[busy], sizes[busy], cfg, cfg.intervals_per_slot * placement.NODE_WEIGHTS)
     return positions
 
 
@@ -388,12 +384,8 @@ def _uav_routes(plan: PeriodPlan, positions: np.ndarray, owner: np.ndarray, user
                      fronthaul_bits=np.where(hits, np.inf, fronthaul_bits[owner]),
                      device_frac=device_score(rates_bps, device_req[:, None]),
                      power_w=tx_power.mean(axis=1), cache_hit=hits, feasible=feasible)
-    # Each UAV's powers in a row of their own, zero-padded: a cumsum along the row adds
-    # one user at a time, in ascending user order, and the padding adds nothing.
-    counts = np.bincount(owner, minlength=plan.n_uavs)
-    table = np.zeros((plan.n_uavs, counts.max()))
-    table[owner, np.arange(len(users)) - (np.cumsum(counts) - counts)[owner]] = routes["power_w"]
-    return routes, np.cumsum(table, axis=1)[:, -1]
+    # bincount adds each UAV's powers one user at a time, in ascending user order.
+    return routes, np.bincount(owner, weights=routes["power_w"], minlength=plan.n_uavs)
 
 
 def deliver(plan: PeriodPlan, caches: list[tuple[int, ...]],
@@ -444,7 +436,7 @@ def _deliver_slot(plan: PeriodPlan, cached: np.ndarray, s: int, positions: np.nd
     # Aerial deliveries, every UAV's in one pass.
     uav_power = np.zeros(n_uavs)
     if served.size:
-        work.reset()
+        work.keep()
         routes[served], uav_power = _uav_routes(
             plan, positions, uav[served], served, content[served], hits,
             np.bincount(uav[uav >= 0], minlength=n_uavs),

@@ -11,7 +11,8 @@ from uavcache.channel import (ChannelError, db_to_linear, free_space_pl_db, mixe
 from uavcache.config import (DESK_PRESET, ChannelParams, RandomSource, ScenarioConfig,
                              load_config_dict, merge_documents)
 from uavcache.generators import DAY_TYPES, day_type, track_positions
-from uavcache.placement import PlacementResult, _flatten_positions, rrh_rate_threshold_bits
+from uavcache.placement import (PlacementPricer, PlacementResult, _flatten_positions,
+                                place_uav_local_search, rrh_rate_threshold_bits)
 from uavcache.qoe import (LINK_RRH, LINK_UAV_CACHE, LINK_UAV_FRONTHAUL, MOS_BINS,
                           min_uav_power_w, power_per_loss_w)
 
@@ -379,6 +380,23 @@ def placement_objective(xyz, user_pos, rate_targets_bps, n_served: int,
         return float((loss * weights).sum(axis=1) @ scale)
 
 
+def price_alone(user_pos, rate_targets_bps, p, bandwidth_hz, noise_w, weights=1.0):
+    """A ``PlacementPricer`` of one set of every row, as a function of one (3,) position."""
+    price = PlacementPricer(user_pos, rate_targets_bps, [len(rate_targets_bps)], p,
+                            bandwidth_hz, noise_w, weights)
+    return lambda xyz: price([xyz], [0])[0]
+
+
+def search_alone(user_pos, rate_targets_bps, init_xyz, p, bandwidth_hz, noise_w,
+                 min_altitude_m, weights=1.0, **kwargs):
+    """``place_uav_local_search`` over every row as a batch of one search, in
+    ``reference_local_search``'s form: (position, objective, evaluations)."""
+    got = place_uav_local_search(user_pos, rate_targets_bps, np.asarray(init_xyz)[None],
+                                 [len(rate_targets_bps)], p, bandwidth_hz, noise_w,
+                                 min_altitude_m, weights, **kwargs)
+    return got.position[0], float(got.objective_w[0]), got.evaluations
+
+
 def reference_local_search(user_pos, rate_targets_bps, init_xyz, n_served, p, bandwidth_hz,
                            noise_w, min_altitude_m, step_m=3.0, max_evals=10_000, weights=1.0,
                            placement_objective=placement_objective):
@@ -475,7 +493,8 @@ def place_uav_exhaustive(user_pos, rate_targets_bps, grid_step_m: float,
                          altitudes_m, n_served: int, p: ChannelParams,
                          bandwidth_hz: float, noise_w: float,
                          pad_m: float = 100.0) -> PlacementResult:
-    """Global grid minimum of the power objective over the padded user bounding box."""
+    """Global grid minimum of the power objective over the padded user bounding box, as
+    the result of one search."""
     pos = _flatten_positions(user_pos)
     altitudes = np.atleast_1d(np.asarray(altitudes_m, dtype=float))
     if pos.shape[0] == 0 or altitudes.size == 0:
@@ -504,7 +523,8 @@ def place_uav_exhaustive(user_pos, rate_targets_bps, grid_step_m: float,
         if totals[idx] < best_val:
             best_val = float(totals[idx])
             best_pos = np.array([grid[idx, 0], grid[idx, 1], h])
-    return PlacementResult(position=best_pos, objective_w=best_val, evaluations=evals)
+    return PlacementResult(position=best_pos[None], objective_w=np.array([best_val]),
+                           evaluations=evals)
 
 
 def _failed_report(user: int, content: int, link: str, delay_s: float = math.inf,

@@ -14,7 +14,8 @@ import time
 import numpy as np
 import pytest
 
-from conftest import conceptor_matrix, desk_config, place_uav_exhaustive, zero_conceptor
+from conftest import (conceptor_matrix, desk_config, place_uav_exhaustive, price_alone,
+                      search_alone, zero_conceptor)
 from uavcache import cesn, placement, sim
 from uavcache.channel import zf_beamformer
 from uavcache.cli import main
@@ -161,16 +162,12 @@ def test_criterion_05_placement_optimality():
         targets = rng.uniform(1e6, 8e6, n_users)
         assert placement.closed_form_regime(h, users) == "low"
         xy = placement.place_uav_closed_form(users, targets, n_users, cfg.uav_bandwidth_hz)
-        obj_cf = placement.PlacementPricer(users, targets, n_users, p, cfg.uav_bandwidth_hz,
-                                           cfg.noise_power_w)([xy[0], xy[1], h])
-        grid = place_uav_exhaustive(users, targets, 3.0, [h], n_users, p,
-                                    cfg.uav_bandwidth_hz, cfg.noise_power_w)
-        refined = placement.place_uav_local_search(users, targets,
-                                                   [xy[0], xy[1], h], n_users, p,
-                                                   cfg.uav_bandwidth_hz, cfg.noise_power_w,
-                                                   min_altitude_m=h)
-        worst_cf = max(worst_cf, obj_cf / grid.objective_w)
-        worst_ls = max(worst_ls, refined.objective_w / grid.objective_w)
+        channel = (p, cfg.uav_bandwidth_hz, cfg.noise_power_w)
+        obj_cf = price_alone(users, targets, *channel)([xy[0], xy[1], h])
+        grid = place_uav_exhaustive(users, targets, 3.0, [h], n_users, *channel).objective_w[0]
+        _, refined, _ = search_alone(users, targets, [xy[0], xy[1], h], *channel, h)
+        worst_cf = max(worst_cf, obj_cf / grid)
+        worst_ls = max(worst_ls, refined / grid)
     _verdict(5, worst_cf <= 1.10 and worst_ls <= 1.05,
              f"closed form within {(worst_cf - 1) * 100:.1f}% of the 3 m grid (<=10%), "
              f"local search within {(worst_ls - 1) * 100:.1f}% (<=5%)")

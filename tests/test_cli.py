@@ -235,6 +235,7 @@ class TestSimulate:
         assert code == 2
         err = capsys.readouterr().err
         assert "at most the conceptor cut 1e-06: the model was saved under another cut" in err
+        assert "unreadable" not in err
 
     def test_manifest_records_the_argv_given_to_main(self, cfg_file, tmp_path, monkeypatch):
         monkeypatch.setattr(sys, "argv", ["harness", "--whatever"])
@@ -331,7 +332,7 @@ def edits_the_content_file(source: str) -> bool:
     ({}, "channel error", 3, "ChannelError: zero distance"),
     ({}, "out is a file", 2, "cannot use output directory"),
     ({}, "version 1 models", 2, "model format version 1 is not the supported version 5"),
-    ({}, "one-dimensional input map", 2, "unreadable model file"),
+    ({}, "one-dimensional input map", 2, "w_in has shape (50,), not (50, 50)"),
     ({}, "cut pattern states", 2, "pattern_states has shape (4, 25), not (4, 50)"),
     ({}, "NaN readout entry", 2, "w_out has a non-finite entry"),
     ({}, "version 4 models", 2, "model format version 4 is not the supported version 5"),
@@ -434,6 +435,8 @@ def test_domain_errors_map_to_exit_codes(tmp_path, capsys, monkeypatch, override
     assert message in err
     if source == "garbage models":
         assert "user000_content.npz" in err
+    elif edits_the_content_file(source):  # read, then refused by a check
+        assert "unreadable" not in err and "user000_content.npz" in err
     if source == "out is a file":
         assert str(tmp_path / "out") in err
     if source == "train":  # every training failure comes after the manifest is written

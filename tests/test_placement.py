@@ -11,8 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (access_links, gauss_legendre_reference, log_uniform, place_uav_exhaustive,
-                      placement_objective, placement_objective_db, reference_associate_rrh,
-                      reference_local_search)
+                      placement_objective, placement_objective_db, price_alone,
+                      reference_associate_rrh, reference_local_search, search_alone)
 from uavcache import config, linalg, placement
 from uavcache.channel import ChannelError, db_to_linear
 from uavcache.config import ChannelParams, RandomSource, ScenarioConfig
@@ -346,12 +346,11 @@ class TestClosedForm:
         h = 10.0
         assert placement.closed_form_regime(h, users) == "low"
         xy = placement.place_uav_closed_form(users, targets, len(targets), CFG.uav_bandwidth_hz)
-        price = placement.PlacementPricer(users, targets, len(targets), p,
-                                          CFG.uav_bandwidth_hz, CFG.noise_power_w)
+        price = price_alone(users, targets, p, CFG.uav_bandwidth_hz, CFG.noise_power_w)
         obj_cf = price([xy[0], xy[1], h])
         grid = place_uav_exhaustive(users, targets, 3.0, [h], len(targets), p,
                                     CFG.uav_bandwidth_hz, CFG.noise_power_w)
-        assert obj_cf <= 1.10 * grid.objective_w
+        assert obj_cf <= 1.10 * grid.objective_w[0]
 
 
 class TestRegime:
@@ -394,16 +393,19 @@ class TestPlaceUav:
                                    pathloss=ChannelParams(exponent_nlos=exponent_nlos))
 
     def search(self, users, targets, init, cfg):
-        return placement.place_uav_local_search(
-            users, targets, init, len(targets), cfg.pathloss, cfg.uav_bandwidth_hz,
-            cfg.noise_power_w, cfg.min_altitude_m).position
+        return search_alone(users, targets, init, cfg.pathloss, cfg.uav_bandwidth_hz,
+                            cfg.noise_power_w, cfg.min_altitude_m)[0]
+
+    def place(self, users, targets, init, cfg):
+        """One UAV, a batch of K = 1."""
+        return placement.place_uav(users, targets, init[None], [len(targets)], cfg, 1.0)[0]
 
     def test_low_regime_at_exponent_two_is_the_closed_form_at_the_floor(self):
         users, targets, _ = low_regime_instance(1)
         cfg = self.cfg(10.0, exponent_nlos=2.0)
         assert placement.closed_form_regime(10.0, users) == "low"
         xy = placement.place_uav_closed_form(users, targets, 6, cfg.uav_bandwidth_hz)
-        got = placement.place_uav(users, targets, np.array([90.0, -40.0, 70.0]), 6, cfg)
+        got = self.place(users, targets, np.array([90.0, -40.0, 70.0]), cfg)
         assert got.tobytes() == np.array([xy[0], xy[1], 10.0]).tobytes()
 
     def test_low_regime_at_another_exponent_is_the_plain_search(self):
@@ -411,7 +413,7 @@ class TestPlaceUav:
         cfg = self.cfg(10.0)
         init = np.array([90.0, -40.0, 70.0])
         assert placement.closed_form_regime(10.0, users) == "low"
-        got = placement.place_uav(users, targets, init, 6, cfg)
+        got = self.place(users, targets, init, cfg)
         assert got.tobytes() == self.search(users, targets, init, cfg).tobytes()
 
     def test_high_regime_searches_from_the_closed_form_xy(self):
@@ -420,7 +422,7 @@ class TestPlaceUav:
         cfg = self.cfg(500.0)
         assert placement.closed_form_regime(500.0, users) == "high"
         xy = placement.place_uav_closed_form(users, targets, 4, cfg.uav_bandwidth_hz)
-        got = placement.place_uav(users, targets, np.array([300.0, -200.0, 700.0]), 4, cfg)
+        got = self.place(users, targets, np.array([300.0, -200.0, 700.0]), cfg)
         want = self.search(users, targets, np.array([xy[0], xy[1], 700.0]), cfg)
         assert got.tobytes() == want.tobytes()
 
@@ -430,42 +432,40 @@ class TestPlaceUav:
         cfg = self.cfg(100.0)
         init = np.array([30.0, 20.0, 150.0])
         assert placement.closed_form_regime(100.0, users) is None
-        got = placement.place_uav(users, targets, init, 2, cfg)
+        got = self.place(users, targets, init, cfg)
         assert got.tobytes() == self.search(users, targets, init, cfg).tobytes()
 
 
 class TestLocalSearch:
-    def kwargs(self, p):
-        return dict(n_served=6, p=p, bandwidth_hz=CFG.uav_bandwidth_hz,
-                    noise_w=CFG.noise_power_w, min_altitude_m=10.0)
+    def search(self, users, targets, init, p):
+        return search_alone(users, targets, init, p, CFG.uav_bandwidth_hz, CFG.noise_power_w,
+                            10.0)
 
     def test_stationary_at_closed_form_optimum(self):
         users, targets, p = low_regime_instance(2)
         xy = placement.place_uav_closed_form(users, targets, 6, CFG.uav_bandwidth_hz)
         init = np.array([xy[0], xy[1], 10.0])
-        result = placement.place_uav_local_search(users, targets, init, **self.kwargs(p))
-        assert np.abs(result.position - init).sum() <= 3.0 + 1e-9
+        position, _, _ = self.search(users, targets, init, p)
+        assert np.abs(position - init).sum() <= 3.0 + 1e-9
 
     def test_final_not_worse_than_init(self):
         users, targets, p = low_regime_instance(4)
         init = np.array([400.0, 400.0, 60.0])
-        result = placement.place_uav_local_search(users, targets, init, **self.kwargs(p))
+        _, objective, _ = self.search(users, targets, init, p)
         init_obj = placement_objective(init, users, targets, 6, p,
                                        CFG.uav_bandwidth_hz, CFG.noise_power_w)
-        assert result.objective_w <= init_obj
+        assert objective <= init_obj
 
     def test_altitude_floor_respected(self):
         users, targets, p = low_regime_instance(5)
         init = np.array([0.0, 0.0, 10.0])
-        result = placement.place_uav_local_search(users, targets, init, **self.kwargs(p))
-        assert result.position[2] >= 10.0
+        position, _, _ = self.search(users, targets, init, p)
+        assert position[2] >= 10.0
 
     def test_evaluation_budget_respected(self):
         users, targets, p = low_regime_instance(6)
-        result = placement.place_uav_local_search(users, targets,
-                                                  np.array([1000.0, 1000.0, 10.0]),
-                                                  **self.kwargs(p))
-        assert result.evaluations <= 10_000
+        _, _, evaluations = self.search(users, targets, np.array([1000.0, 1000.0, 10.0]), p)
+        assert evaluations <= 10_000
 
     @settings(max_examples=100, deadline=None, derandomize=True, database=None)
     @given(n_users=st.integers(1, 6), n_intervals=st.integers(1, 40),
@@ -481,17 +481,17 @@ class TestLocalSearch:
         users = start + (end - start) * along
         targets = 10.0 ** rng.uniform(5.0, 8.0, n_users)
         init = np.array([*rng.uniform(-600.0, 600.0, 2), rng.uniform(0.0, 400.0)])
-        args = (users, targets, n_users, CFG.pathloss, CFG.uav_bandwidth_hz, CFG.noise_power_w)
-        result = placement.place_uav_local_search(*args[:2], init, *args[2:], floor,
-                                                  step_m=step, max_evals=max_evals)
-        assert result.evaluations <= max_evals
-        if result.evaluations == max_evals:
+        channel = (CFG.pathloss, CFG.uav_bandwidth_hz, CFG.noise_power_w)
+        position, objective, evaluations = search_alone(users, targets, init, *channel, floor,
+                                                        step_m=step, max_evals=max_evals)
+        assert evaluations <= max_evals
+        if evaluations == max_evals:
             return
-        price = placement.PlacementPricer(*args)
-        best = price(result.position)
-        assert best == result.objective_w and result.position[2] >= floor
+        price = price_alone(users, targets, *channel)
+        best = price(position)
+        assert best == objective and position[2] >= floor
         for axis, delta in itertools.product(range(3), (step, -step)):
-            move = result.position.copy()
+            move = position.copy()
             move[axis] += delta
             move[2] = max(move[2], floor)
             assert price(move) >= best, (axis, delta)
@@ -503,8 +503,8 @@ class TestLocalSearch:
         rng = np.random.default_rng(0)
         for _ in range(5):
             init = np.array([rng.uniform(-150, 150), rng.uniform(-150, 150), 10.0])
-            res = placement.place_uav_local_search(users, targets, init, **self.kwargs(p))
-            assert res.objective_w <= 1.05 * grid.objective_w
+            _, objective, _ = self.search(users, targets, init, p)
+            assert objective <= 1.05 * grid.objective_w[0]
 
 
 class TestLockstep:
@@ -532,28 +532,18 @@ class TestLockstep:
         weights = rng.uniform(0.5, 2.0, n_intervals) if weighted else 1.0
         channel = (CFG.pathloss, CFG.uav_bandwidth_hz, CFG.noise_power_w, floor)
         got = placement.place_uav_local_search(
-            np.concatenate(users), np.concatenate(targets), init, np.array(sizes), *channel,
-            step_m=step, max_evals=max_evals, weights=weights, sizes=sizes)
+            np.concatenate(users), np.concatenate(targets), init, sizes, *channel, weights,
+            step_m=step, max_evals=max_evals)
         assert got.position.shape == (len(sizes), 3)
+        total = 0
         for k, m in enumerate(sizes):
             pos, best, evals = reference_local_search(users[k], targets[k], init[k], m, *channel,
                                                       step_m=step, max_evals=max_evals,
                                                       weights=weights)
             assert got.position[k].tobytes() == pos.tobytes()
             assert got.objective_w[k:k + 1].tobytes() == np.float64(best).tobytes()
-            assert got.search_evaluations[k] == evals
-        assert got.evaluations == got.search_evaluations.sum()
-
-    def test_a_lone_start_gives_one_search(self):
-        users, targets, p = low_regime_instance(4)
-        init = np.array([400.0, 400.0, 60.0])
-        args = (6, p, CFG.uav_bandwidth_hz, CFG.noise_power_w, 10.0)
-        one = placement.place_uav_local_search(users, targets, init, *args)
-        batch = placement.place_uav_local_search(users, targets, init[None], *args)
-        assert one.position.shape == (3,) and isinstance(one.objective_w, float)
-        assert one.position.tobytes() == batch.position[0].tobytes()
-        assert one.objective_w == batch.objective_w[0]
-        assert one.evaluations == batch.evaluations == batch.search_evaluations[0]
+            total += evals
+        assert got.evaluations == total
 
     def test_place_uav_places_each_uav_as_alone(self):
         rng = np.random.default_rng(9)
@@ -566,11 +556,11 @@ class TestLockstep:
         init = np.array([[50.0, -20.0, 40.0], [5.0, 5.0, 200.0], [-30.0, 60.0, 45.0]])
         regimes = [placement.closed_form_regime(10.0, u) for u in users]
         assert regimes == ["low", "high", None]
-        got = placement.place_uav(np.concatenate(users), np.concatenate(targets), init,
-                                  np.array(sizes), cfg, sizes=sizes)
+        got = placement.place_uav(np.concatenate(users), np.concatenate(targets), init, sizes,
+                                  cfg, 1.0)
         for k, m in enumerate(sizes):
-            alone = placement.place_uav(users[k], targets[k], init[k], m, cfg)
-            assert got[k].tobytes() == alone.tobytes()
+            alone = placement.place_uav(users[k], targets[k], init[k:k + 1], [m], cfg, 1.0)
+            assert got[k].tobytes() == alone[0].tobytes()
 
 
 class TestExhaustive:
@@ -580,8 +570,8 @@ class TestExhaustive:
         res = place_uav_exhaustive(users, targets, 3.0, [CFG.min_altitude_m],
                                    1, CFG.pathloss, CFG.uav_bandwidth_hz,
                                    CFG.noise_power_w, pad_m=50.0)
-        assert abs(res.position[0] - 30.0) <= 1.5 + 1e-9
-        assert abs(res.position[1] + 60.0) <= 1.5 + 1e-9
+        assert abs(res.position[0, 0] - 30.0) <= 1.5 + 1e-9
+        assert abs(res.position[0, 1] + 60.0) <= 1.5 + 1e-9
 
     def test_refinement_never_hurts(self):
         users, targets, p = low_regime_instance(8)
@@ -589,7 +579,7 @@ class TestExhaustive:
                                       CFG.uav_bandwidth_hz, CFG.noise_power_w)
         fine = place_uav_exhaustive(users, targets, 6.0, [10.0], 6, p,
                                     CFG.uav_bandwidth_hz, CFG.noise_power_w)
-        assert fine.objective_w <= coarse.objective_w + 1e-12
+        assert fine.objective_w[0] <= coarse.objective_w[0] + 1e-12
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
@@ -599,15 +589,16 @@ class TestExhaustive:
 
 class TestObjective:
     def objective(self, users, targets):
-        return placement.PlacementPricer(users, targets, 4, CFG.pathloss, 1e9, 1e-12)(
-            [0.0, 0.0, 100.0])
+        return price_alone(users, targets, CFG.pathloss, 1e9, 1e-12)([0.0, 0.0, 100.0])
 
     def test_no_users_zero(self):
         assert self.objective(np.zeros((0, 1, 2)), np.zeros(0)) == 0.0
 
     def test_additive_over_users(self):
         users, targets, _ = low_regime_instance(1, n_users=4)
-        parts = self.objective(users[:2], targets[:2]) + self.objective(users[2:], targets[2:])
+        # a price takes r n: each half's users at n = 2 and 2 r price as at n = 4 and r
+        parts = (self.objective(users[:2], 2.0 * targets[:2])
+                 + self.objective(users[2:], 2.0 * targets[2:]))
         assert self.objective(users, targets) == pytest.approx(parts, rel=1e-12)
 
     def test_lower_rate_targets_cost_less(self):
@@ -632,7 +623,7 @@ class TestLinearObjective:
         elif unreachable == "some":
             targets[rng.random(n) < 0.5] = math.inf
         args = (uav, users, targets, n, p, bandwidth, noise)
-        got = placement.PlacementPricer(*args[1:])(uav)
+        got = price_alone(users, targets, p, bandwidth, noise)(uav)
         want = placement_objective_db(*args)
         assert not math.isnan(got) and not math.isnan(want)
         assert math.isfinite(got) == math.isfinite(want) == np.isfinite(targets).all()
@@ -679,7 +670,7 @@ class TestPricer:
         # a position's share of the slot: one interval each, or any positive weights
         weights = rng.uniform(0.5, 2.0, users.shape[1]) if weighted else 1.0
         args = (users, targets, n, p, bandwidth, noise, weights)
-        price = placement.PlacementPricer(*args)
+        price = price_alone(users, targets, p, bandwidth, noise, weights)
         pos = uav
         outcomes = set()
         for axis, sign in [(0, 0.0), *moves]:
@@ -696,6 +687,21 @@ class TestPricer:
             assert outcomes == {False}
         else:
             assert outcomes == {True}
+
+    def test_each_set_prices_at_its_own_member_count(self):
+        rng = np.random.default_rng(21)
+        sizes = [2, 5]
+        users = rng.uniform(-300.0, 300.0, (sum(sizes), 3, 2))
+        targets = 10.0 ** rng.uniform(5.0, 8.0, sum(sizes))
+        channel = (CFG.pathloss, CFG.uav_bandwidth_hz, CFG.noise_power_w)
+        weights = rng.uniform(0.5, 2.0, 3)
+        cands = np.column_stack([rng.uniform(-300.0, 300.0, (6, 2)), rng.uniform(10.0, 400.0, 6)])
+        sets = [1, 0, 0, 1, 1, 0]
+        got = placement.PlacementPricer(users, targets, sizes, *channel, weights)(cands, sets)
+        rows = np.split(np.arange(sum(sizes)), sizes[:1])
+        for cand, k, value in zip(cands, sets, got):
+            assert value == placement_objective(cand, users[rows[k]], targets[rows[k]], sizes[k],
+                                                *channel, weights)
 
 
 # Where the quadrature search and the interval-sum search end more than one step
@@ -764,16 +770,15 @@ class TestQuadrature:
 
         targets = 10.0 ** rng.uniform(5.0, 8.0, n_users)
         init = np.array([*rng.uniform(-spread, spread, 2), rng.uniform(0.0, 400.0)])
-        channel = (n_users, CFG.pathloss, CFG.uav_bandwidth_hz, CFG.noise_power_w)
+        channel = (CFG.pathloss, CFG.uav_bandwidth_hz, CFG.noise_power_w)
         intervals_pos = track((np.arange(intervals) + 0.5) / intervals)
-        full = placement.place_uav_local_search(intervals_pos, targets, init, *channel,
+        full, full_w, full_evals = search_alone(intervals_pos, targets, init, *channel,
                                                 CFG.min_altitude_m)
-        quad = placement.place_uav_local_search(track(placement.NODE_OFFSETS), targets, init,
-                                                *channel, CFG.min_altitude_m,
-                                                weights=intervals * placement.NODE_WEIGHTS)
-        assert full.evaluations < 10_000 and quad.evaluations < 10_000
-        if np.abs(quad.position - full.position).max() <= 3.0 * (1.0 + 1e-12):
+        quad, _, quad_evals = search_alone(track(placement.NODE_OFFSETS), targets, init,
+                                           *channel, CFG.min_altitude_m,
+                                           intervals * placement.NODE_WEIGHTS)
+        assert full_evals < 10_000 and quad_evals < 10_000
+        if np.abs(quad - full).max() <= 3.0 * (1.0 + 1e-12):
             return
-        price = placement.PlacementPricer(intervals_pos, targets, *channel)
-        assert abs(price(quad.position) - full.objective_w) <= (
-            QUADRATURE_SEARCH_RTOL * full.objective_w)
+        price = price_alone(intervals_pos, targets, *channel)
+        assert abs(price(quad) - full_w) <= QUADRATURE_SEARCH_RTOL * full_w

@@ -355,7 +355,7 @@ class TestDeliveryWorkspace:
     def test_a_round_reuses_the_blocks_of_the_first(self):
         work = sim.Workspace(4)
         first = [work((3, 5)), work((3, 5, 2))]
-        work.reset()
+        work.keep()
         again = [work((4, 5)), work((2, 5, 2))]
         assert [a.shape for a in again] == [(4, 5), (2, 5, 2)]
         assert all(np.shares_memory(a, b) for a, b in zip(first, again))

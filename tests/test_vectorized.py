@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from conftest import (desk_config, infeasible_config, placement_objective_db,
-                      predicted_positions, reference_local_search)
+                      predicted_positions, reference_local_search, search_alone)
 from uavcache import channel, placement, qoe, sim
 from uavcache.config import ChannelParams, ScenarioConfig
 from uavcache.generators import SyntheticWorld, track_positions
@@ -166,13 +166,12 @@ SEARCHES = list(search_instances())
 @pytest.mark.parametrize("users, targets, init, n_served, step, max_evals", SEARCHES,
                          ids=[f"search{i}" for i in range(len(SEARCHES))])
 def test_local_search_matches_reference(users, targets, init, n_served, step, max_evals):
-    args = (users, targets, init, n_served, P, CFG.uav_bandwidth_hz, CFG.noise_power_w,
-            CFG.min_altitude_m)
-    got = placement.place_uav_local_search(*args, step_m=step, max_evals=max_evals)
-    pos, best, evals = reference_local_search(*args, step_m=step, max_evals=max_evals)
-    assert got.position.tobytes() == pos.tobytes()
-    assert got.objective_w == best
-    assert got.evaluations == evals
+    channel = (P, CFG.uav_bandwidth_hz, CFG.noise_power_w, CFG.min_altitude_m)
+    got = search_alone(users, targets, init, *channel, step_m=step, max_evals=max_evals)
+    pos, best, evals = reference_local_search(users, targets, init, n_served, *channel,
+                                              step_m=step, max_evals=max_evals)
+    assert got[0].tobytes() == pos.tobytes()
+    assert got[1:] == (best, evals)
 
 
 def db_route_instances():
@@ -191,22 +190,22 @@ def db_route_instances():
 def test_local_search_lands_where_the_db_route_objective_lands():
     """The objective is not bit for bit the dB route's, yet every move the search makes is."""
     for users, targets, init, n_served, p in db_route_instances():
-        args = (users, targets, init, n_served, p, CFG.uav_bandwidth_hz, CFG.noise_power_w,
-                CFG.min_altitude_m)
-        got = placement.place_uav_local_search(*args)
-        pos, _, evals = reference_local_search(*args, placement_objective=placement_objective_db)
-        assert got.position.tobytes() == pos.tobytes()
-        assert got.evaluations == evals
+        channel = (p, CFG.uav_bandwidth_hz, CFG.noise_power_w, CFG.min_altitude_m)
+        got, _, got_evals = search_alone(users, targets, init, *channel)
+        pos, _, evals = reference_local_search(users, targets, init, n_served, *channel,
+                                               placement_objective=placement_objective_db)
+        assert got.tobytes() == pos.tobytes()
+        assert got_evals == evals
 
 
 def test_local_search_reaches_the_floor_and_the_cut():
     hits = {"floor": False, "cut": False}
-    for users, targets, init, n_served, step, max_evals in SEARCHES:
-        res = placement.place_uav_local_search(
-            users, targets, init, n_served, P, CFG.uav_bandwidth_hz, CFG.noise_power_w,
+    for users, targets, init, _, step, max_evals in SEARCHES:
+        position, _, evaluations = search_alone(
+            users, targets, init, P, CFG.uav_bandwidth_hz, CFG.noise_power_w,
             CFG.min_altitude_m, step_m=step, max_evals=max_evals)
-        hits["floor"] |= res.position[2] == CFG.min_altitude_m
-        hits["cut"] |= res.evaluations == max_evals
+        hits["floor"] |= position[2] == CFG.min_altitude_m
+        hits["cut"] |= evaluations == max_evals
     assert hits == {"floor": True, "cut": True}
 
 
@@ -477,19 +476,19 @@ def test_desk_period_counts(monkeypatch):
     price = placement.PlacementPricer.__call__
     local_search = placement.place_uav_local_search
 
-    def counted_price(self, xyz, sets=None):
-        cands = np.asarray(xyz, dtype=float).reshape(-1, 3)
-        for cand, k in zip(cands, [0] * len(cands) if sets is None else sets):
+    def counted_price(self, xyz, sets):
+        for cand, k in zip(np.asarray(xyz, dtype=float), sets):
             batches[-1][k].append(cand.tobytes())
         return price(self, xyz, sets)
 
     def counted_search(*args, **kwargs):
-        batches.append([[] for _ in np.asarray(args[2], dtype=float).reshape(-1, 3)])
+        batches.append([[] for _ in args[2]])
         in_search.append(True)
         result = local_search(*args, **kwargs)
         in_search.pop()
-        assert result.evaluations == result.search_evaluations.sum()
-        searches.extend(zip(batches[-1], result.search_evaluations.tolist()))
+        # Every evaluation prices exactly one position.
+        assert result.evaluations == sum(map(len, batches[-1]))
+        searches.extend(batches[-1])
         return result
 
     def db_route(name, kernel):
@@ -531,12 +530,9 @@ def test_desk_period_counts(monkeypatch):
     # One lockstep call per slot places every searching UAV of the slot.
     assert 0 < len(batches) <= cfg.slots_per_cache_period
     assert max(len(batch) for batch in batches) > 1
-    # Every evaluation prices exactly one position, and a position a search revisits is
-    # priced again.
-    for evaluated, evaluations in searches:
-        assert len(evaluated) == evaluations
-    assert any(len(set(evaluated)) < len(evaluated) for evaluated, _ in searches)
+    # A position a search revisits is priced again.
+    assert any(len(set(evaluated)) < len(evaluated) for evaluated in searches)
     # Each search walks as it did alone: the desk period's counts before searches
     # stepped in lockstep.
     assert len(searches) == DESK_SEARCHES
-    assert sum(evaluations for _, evaluations in searches) == DESK_SEARCH_EVALUATIONS
+    assert sum(map(len, searches)) == DESK_SEARCH_EVALUATIONS
