@@ -51,7 +51,10 @@ A model's life has four steps:
    and the patterns' final states.  A released model and one restored by
    ``load_model`` hold the same state and both refuse further training with
    ``ReadOnlyModel``; only the released one still reports its fit NRMSEs,
-   which the model file does not store.
+   which the model file does not store.  The file (model format 6) stores
+   that state as the model holds it, ``w`` as ``w_index`` and ``w_value``,
+   with no member compressed, so neither ``save_model`` nor ``load_model``
+   forms the N x N ``w``.
 4. ``recall`` replays stored patterns together, as one state block.
 """
 
@@ -71,7 +74,7 @@ from .config import (ConfigError, EsnConfig, RandomSource, esn_violations, load_
 # Free-memory fraction below which further loading must grow the reservoir.
 QUOTA_MIN = 0.01
 
-MODEL_FORMAT_VERSION = 5
+MODEL_FORMAT_VERSION = 6
 
 
 class MemoryExhausted(RuntimeError):
@@ -183,8 +186,12 @@ class EsnModel:
         self.input_dim = input_dim
         self.output_dim = output_dim
         n = cfg.reservoir_size
-        self.w = linalg.random_reservoir(n, cfg.density, cfg.spectral_radius,
-                                         rs.derive("reservoir"))
+        w = linalg.random_reservoir(n, cfg.density, cfg.spectral_radius, rs.derive("reservoir"))
+        # w's nonzeros, as the model file stores them: strictly increasing flat int32 indices
+        # (N^2 <= MAX_RESERVOIR_SIZE^2 < 2^31) and their float64 values.  A boolean mask is
+        # several times faster to scan than the floats
+        self._w_index = np.flatnonzero(w != 0.0).astype(np.int32)
+        self._w_value = w.ravel()[self._w_index]
         rng = rs.derive("input").generator()
         self.w_in = cfg.input_scale * rng.uniform(-1.0, 1.0, (n, input_dim))
         self.b = np.zeros((input_dim, n))
@@ -212,14 +219,6 @@ class EsnModel:
         w = np.zeros(n * n)
         w[self._w_index] = self._w_value
         return w.reshape(n, n)
-
-    @w.setter
-    def w(self, w: np.ndarray) -> None:
-        """Keep only the nonzeros: flat int32 indices (N^2 <= MAX_RESERVOIR_SIZE^2 < 2^31)
-        and their float64 values."""
-        # a boolean mask is several times faster to scan than the floats
-        self._w_index = np.flatnonzero(w != 0.0).astype(np.int32)
-        self._w_value = w.ravel()[self._w_index]
 
     def drive(self, inputs: Sequence[np.ndarray]) -> list[np.ndarray]:
         """Run the input-driven update of several patterns together, each from a zero state.
@@ -458,17 +457,17 @@ def nrmse(predicted, truth) -> float:
 
 
 def _write_npz_deterministic(path, arrays: dict) -> None:
-    """npz writer with pinned zip metadata so equal arrays give equal bytes."""
+    """npz writer, every member stored uncompressed, with pinned zip metadata so equal arrays
+    give equal bytes."""
     import io
     import zipfile
 
-    with zipfile.ZipFile(path, "w", compression=zipfile.ZIP_DEFLATED) as zf:
+    with zipfile.ZipFile(path, "w") as zf:
         for name, array in arrays.items():
             buf = io.BytesIO()
             np.lib.format.write_array(buf, np.asarray(array))
-            info = zipfile.ZipInfo(name + ".npy", date_time=(1980, 1, 1, 0, 0, 0))
-            info.compress_type = zipfile.ZIP_DEFLATED
-            zf.writestr(info, buf.getvalue())
+            zf.writestr(zipfile.ZipInfo(name + ".npy", date_time=(1980, 1, 1, 0, 0, 0)),
+                        buf.getvalue())
 
 
 def save_model(model: EsnModel, path) -> None:
@@ -480,7 +479,8 @@ def save_model(model: EsnModel, path) -> None:
     _write_npz_deterministic(path, {
         "format_version": np.int64(MODEL_FORMAT_VERSION),
         "cfg": np.frombuffer(cfg_doc.encode("utf-8"), dtype=np.uint8),
-        "w": model.w,
+        "w_index": model._w_index,
+        "w_value": model._w_value,
         "w_in": model.w_in,
         "b": model.b,
         "w_out": model.w_out,
@@ -492,12 +492,20 @@ def save_model(model: EsnModel, path) -> None:
 
 
 def _check_arrays(cfg: EsnConfig, arrays: dict) -> None:
-    """Raise ``ConfigError`` unless every stored array is finite float64, as ``save_model``
-    writes it, and fits the model's sizes, and every stored eigenvalue is nonnegative and,
+    """Raise ``ConfigError`` unless the arrays are as ``save_model`` writes them: ``w_index``
+    1-d int32, strictly increasing within [0, N^2); every other array finite float64 and fit
+    to the model's sizes, ``w_value`` to ``w_index``; every stored eigenvalue nonnegative and,
     unless it is a row's zero padding, kept by ``linalg.CONCEPTOR_S_CUT``."""
     n, p, width = cfg.reservoir_size, len(arrays["conceptor_lam"]), arrays["w_in"].shape[-1:]
+    index = arrays["w_index"]
+    # numpy would wrap a negative index, and a repeated one would keep one of its values
+    if (index.dtype, index.ndim) != (np.int32, 1):
+        raise ConfigError([f"w_index is {index.ndim}-d {index.dtype}, not 1-d int32"])
+    if len(index) and (index[0] < 0 or index[-1] >= n * n or (index[1:] <= index[:-1]).any()):
+        raise ConfigError([f"w_index is not strictly increasing within [0, {n * n}), the flat "
+                           f"entries of a {n} x {n} reservoir"])
     rank = arrays["conceptor_u"].shape[-1:]
-    expected = {"w": (n, n), "w_in": (n,) + width, "b": width + (n,),
+    expected = {"w_value": index.shape, "w_in": (n,) + width, "b": width + (n,),
                 "w_out": arrays["w_out"].shape[:1] + (n,), "conceptor_u": (p, n) + rank,
                 "conceptor_lam": (p,) + rank, "pattern_states": (p, n), "quota_history": (p + 1,)}
     for name, shape in expected.items():
@@ -505,7 +513,8 @@ def _check_arrays(cfg: EsnConfig, arrays: dict) -> None:
             raise ConfigError([f"{name} has dtype {arrays[name].dtype}, not float64"])
         if arrays[name].shape != shape:
             raise ConfigError([f"{name} has shape {arrays[name].shape}, not {shape}, in a model "
-                               f"of {n} reservoir units and {p} patterns"])
+                               f"of {n} reservoir units, {len(index)} w_index entries and {p} "
+                               "patterns"])
         if not np.isfinite(arrays[name]).all():
             raise ConfigError([f"{name} has a non-finite entry"])
     lam = arrays["conceptor_lam"]
@@ -536,7 +545,8 @@ def load_model(path) -> EsnModel:
     _check_arrays(cfg, arrays)
     model = EsnModel.__new__(EsnModel)
     model.cfg = cfg
-    model.w, model.w_in, model.b, model.w_out = (arrays[k] for k in ("w", "w_in", "b", "w_out"))
+    model._w_index, model._w_value, model.w_in, model.b, model.w_out = (
+        arrays[k] for k in ("w_index", "w_value", "w_in", "b", "w_out"))
     model.input_dim = model.w_in.shape[1]
     model.output_dim = model.w_out.shape[0]
     # zero eigenvalues only pad a row; they add nothing to the conceptor

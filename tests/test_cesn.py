@@ -1,5 +1,6 @@
 import json
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -47,14 +48,14 @@ def last_entry_set(a: np.ndarray, value: float) -> np.ndarray:
 class TestDrive:
     def test_zero_weights_zero_states(self):
         model = signal_model()
-        model.w = np.zeros_like(model.w)
+        model._w_value[:] = 0.0
         model.w_in = np.zeros_like(model.w_in)
         states, = model.drive([np.ones((10, 1))])
         assert np.all(states == 0.0)
 
     def test_single_step_tanh(self):
         model = signal_model(n_res=4)
-        model.w = np.zeros_like(model.w)
+        model._w_value[:] = 0.0
         model.w_in = np.eye(4)[:, :1]
         states, = model.drive([np.array([[0.7]])])
         assert states[0, 0] == pytest.approx(np.tanh(0.7))
@@ -576,6 +577,9 @@ class TestSerialization:
         assert vars(restored).keys() == vars(model).keys()
         for name in ("w", "w_in", "b", "w_out"):
             assert np.array_equal(getattr(restored, name), getattr(model, name))
+        for name in ("_w_index", "_w_value"):
+            assert getattr(restored, name).dtype == getattr(model, name).dtype
+            assert getattr(restored, name).tobytes() == getattr(model, name).tobytes()
         for name in ("u", "lam"):
             assert [getattr(c, name).tobytes() for c in restored.conceptors] == \
                 [getattr(c, name).tobytes() for c in model.conceptors]
@@ -621,6 +625,26 @@ class TestSerialization:
         assert np.array_equal(restored.recall([0, 1], 20), model.recall([0, 1], 20))
         assert restored.recall([0, 1], 20).shape == (2, 20, 1)
 
+    def test_round_trip_forms_no_dense_reservoir(self, tmp_path):
+        """Saving and loading each peak below the N^2 * 8 bytes of one dense ``w``."""
+        n = 400
+        model = signal_model(n_res=n)
+        model.load_patterns([(sine(period, 400)[:, None],) * 2 for period in (8.0, 13.0, 21.0)])
+        model.train_readout()
+        model.release_training_state()
+        path = tmp_path / "model.npz"
+        tracemalloc.start()
+        try:
+            cesn.save_model(model, path)
+            save_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            restored = cesn.load_model(path)
+            load_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert max(save_peak, load_peak) < n * n * 8
+        assert np.array_equal(restored.recall([2], 10), model.recall([2], 10))
+
     def test_untrained_model_not_saved(self, tmp_path):
         model = signal_model(n_res=10)
         load_signal(model, sine(8.0, 400))
@@ -628,25 +652,39 @@ class TestSerialization:
             cesn.save_model(model, tmp_path / "model.npz")
 
     @pytest.mark.parametrize("name, edit, message", [
-        pytest.param(name, cut, "has shape ", id=f"{name}-cut") for name, cut in [
-            ("w", lambda a: a[:-1]), ("b", lambda a: a[:, :-1]), ("w_in", lambda a: a[:-1]),
+        pytest.param(name, cut, f"^{name} has shape ", id=f"{name}-cut") for name, cut in [
+            ("w_value", lambda a: a[:-1]), ("b", lambda a: a[:, :-1]), ("w_in", lambda a: a[:-1]),
             ("w_out", lambda a: a[:, :-1]), ("conceptor_u", lambda a: a[:, :-1]),
             ("conceptor_lam", lambda a: a[:, :-1]), ("pattern_states", lambda a: a[:1]),
             ("quota_history", lambda a: a[:-1])]
     ] + [
-        pytest.param(name, lambda a, v=value: last_entry_set(a, v), "has a non-finite entry",
-                     id=f"{name}-{value}")
-        for name, value in [("w", np.nan), ("w_in", np.inf), ("b", np.nan), ("w_out", np.inf),
+        pytest.param(name, lambda a, v=value: last_entry_set(a, v), f"^{name} has a non-finite "
+                     "entry", id=f"{name}-{value}")
+        for name, value in [("w_value", np.nan), ("w_in", np.inf), ("b", np.nan), ("w_out", np.inf),
                             ("conceptor_u", np.nan), ("conceptor_lam", np.nan),
                             ("pattern_states", np.inf), ("quota_history", np.nan)]
     ] + [
-        pytest.param(name, lambda a, t=dtype: a.astype(t), "has dtype ",
+        pytest.param(name, lambda a, t=dtype: a.astype(t), f"^{name} has dtype ",
                      id=f"{name}-{np.dtype(dtype).name}")
-        for name, dtype in [("b", np.complex128), ("w_out", np.complex128), ("w", np.float32),
-                            ("quota_history", np.int64), ("conceptor_lam", np.bool_)]
+        for name, dtype in [("b", np.complex128), ("w_out", np.complex128),
+                            ("w_value", np.float32), ("quota_history", np.int64),
+                            ("conceptor_lam", np.bool_)]
     ] + [
         pytest.param("conceptor_lam", lambda a: last_entry_set(a, -1e-3),
-                     "has a negative eigenvalue", id="conceptor_lam-negative"),
+                     "^conceptor_lam has a negative eigenvalue", id="conceptor_lam-negative"),
+    ] + [
+        pytest.param("w_index", lambda a: a.astype(np.int64),
+                     "^w_index is 1-d int64, not 1-d int32", id="w_index-int64"),
+        # the pair's lengths disagree: w_value is checked against w_index
+        pytest.param("w_index", lambda a: a[:-1], r"^w_value has shape .* \d+ w_index entries",
+                     id="w_index-cut"),
+    ] + [
+        pytest.param("w_index", edit, r"^w_index is not strictly increasing within \[0, 100\)",
+                     id=f"w_index-{case}") for case, edit in [
+            ("negative", lambda a: np.concatenate([[-1], a[1:]]).astype(np.int32)),
+            ("past-the-end", lambda a: last_entry_set(a, 100)),
+            ("swapped", lambda a: a[[1, 0, *range(2, len(a))]]),
+            ("repeated", lambda a: a[[0, 0, *range(2, len(a))]])]
     ])
     def test_inconsistent_arrays_rejected(self, tmp_path, name, edit, message):
         model = signal_model(n_res=10)
@@ -658,7 +696,7 @@ class TestSerialization:
         data = dict(np.load(path))
         data[name] = edit(data[name])
         np.savez(path, **data)
-        with pytest.raises(ValueError, match=f"^{name} {message}"):
+        with pytest.raises(ConfigError, match=message):
             cesn.load_model(path)
 
     def test_version_checked(self, tmp_path):

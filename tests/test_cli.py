@@ -331,11 +331,13 @@ def edits_the_content_file(source: str) -> bool:
     ({}, "flat models", 2, "missing model files for user 0"),
     ({}, "channel error", 3, "ChannelError: zero distance"),
     ({}, "out is a file", 2, "cannot use output directory"),
-    ({}, "version 1 models", 2, "model format version 1 is not the supported version 5"),
+    ({}, "version 1 models", 2, "model format version 1 is not the supported version 6"),
     ({}, "one-dimensional input map", 2, "w_in has shape (50,), not (50, 50)"),
     ({}, "cut pattern states", 2, "pattern_states has shape (4, 25), not (4, 50)"),
     ({}, "NaN readout entry", 2, "w_out has a non-finite entry"),
-    ({}, "version 4 models", 2, "model format version 4 is not the supported version 5"),
+    ({}, "version 4 models", 2, "model format version 4 is not the supported version 6"),
+    ({}, "version 5 models", 2,
+     "model format version 5 is not the supported version 6; retrain the models"),
     ({}, "stored aperture 0", 2, "aperture: must be positive, got 0"),
     ({}, "undecodable config", 2, "cannot read config file"),
     ({}, "config is a directory", 2, "cannot read config file"),
@@ -361,7 +363,7 @@ def edits_the_content_file(source: str) -> bool:
         "content-file-as-mobility-at-equal-pattern-count", "flat-model-files", "channel-error",
         "out-is-a-file", "version-1-model-file", "one-dimensional-input-map",
         "inconsistent-model-shapes", "non-finite-model-entry", "version-4-model-file",
-        "stored-aperture-zero", "config-not-utf8", "config-is-a-directory",
+        "version-5-model-file", "stored-aperture-zero", "config-not-utf8", "config-is-a-directory",
         "stored-washout-negative", "stored-washout-nan", "stored-training-length-nan",
         "stored-input-scale-nan", "stored-ridge-infinite", "stored-washout-fractional",
         "stored-washout-string", "complex-input-simulation", "complex-readout",
@@ -393,7 +395,7 @@ def test_domain_errors_map_to_exit_codes(tmp_path, capsys, monkeypatch, override
             path = tmp_path / "trained" / "models" / "user000_content.npz"
             with np.load(path) as data:
                 members = dict(data)
-            if source in ("version 1 models", "version 4 models"):
+            if source in ("version 1 models", "version 4 models", "version 5 models"):
                 members["format_version"] = np.int64(int(source.split()[1]))
             elif source.startswith("version "):  # "version <dtype> <value>"
                 _, dtype, value = source.split()
@@ -414,7 +416,13 @@ def test_domain_errors_map_to_exit_codes(tmp_path, capsys, monkeypatch, override
                 members["w_out"][0, 0] = np.nan
             else:
                 members["pattern_states"] = members["pattern_states"][:, :25]
-            np.savez(path, **members)
+            if source == "version 5 models":  # the dense w, every member deflated
+                n = len(members["pattern_states"][0])
+                w = np.zeros(n * n)
+                w[members.pop("w_index")] = members.pop("w_value")
+                np.savez_compressed(path, **members, w=w.reshape(n, n))
+            else:
+                np.savez(path, **members)
         if source == "flat models":  # DIR/userNNN_*.npz instead of DIR/models/userNNN_*.npz
             for path in (tmp_path / "trained" / "models").glob("*.npz"):
                 path.rename(tmp_path / "trained" / path.name)
@@ -609,8 +617,8 @@ def tiny_models(tmp_path_factory) -> Path:
     return run
 
 
-MODEL_MEMBERS = ("format_version", "cfg", "w", "w_in", "b", "w_out", "conceptor_u",
-                 "conceptor_lam", "pattern_states", "quota_history")
+MODEL_MEMBERS = ("format_version", "cfg", "w_index", "w_value", "w_in", "b", "w_out",
+                 "conceptor_u", "conceptor_lam", "pattern_states", "quota_history")
 
 
 def edit_member(array: np.ndarray, edit: str, entry: int) -> np.ndarray:
