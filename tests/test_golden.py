@@ -74,16 +74,16 @@ TINY_INFEASIBLE = ("dedf4a23616020444459bd0ae985c980123d38b98fcde15f2719ce604ad1
 TINY_IDLE = ("c44f27b2f66f98eb3d19065bfcefbb564b4385f1b64f3d13228981d3513c4e11",
              "46f9546bb510a96cb878728adbf8b023588a2a0657b26944775fbb9896302c9c")
 
-# tiny_cfg user 0: cesn.save_model bytes (format version 5, conceptors as eigenbases cut
-# at s > 1e-6, the input simulation's factor b, next-waypoint mobility readout, patterns
-# driven together) and the exact quota history per task.  The 1e-6 cut kept content ranks
-# 11, 10, 9, 10 of 19, 17, 17, 18 and mobility ranks 43, 38 of 50, 38; quotas rose by at
-# most 8.8e-8
+# tiny_cfg user 0: cesn.save_model bytes (format version 6, w as its nonzeros and no member
+# compressed, conceptors as eigenbases cut at s > 1e-6, the input simulation's factor b,
+# next-waypoint mobility readout, patterns driven together) and the exact quota history per
+# task.  The 1e-6 cut kept content ranks 11, 10, 9, 10 of 19, 17, 17, 18 and mobility ranks
+# 43, 38 of 50, 38; quotas rose by at most 8.8e-8.  Format 6 kept every array's bits
 TINY_USER0_MODELS = {
-    "content": ("e9f1ae8d75d1f3bf9445e2328b3670f64ef62db91a47c6d228e07bee18d47969",
+    "content": ("e55ce4c7e02a73e0197c07ba388f7659f714c372e6d9730b855d7db6a531f8af",
                 [1.0, 0.9499998711329111, 0.9001541914723121, 0.8510343620562363,
                  0.8022370362412615]),
-    "mobility": ("6a43f14526353146e2a08cbb606f73d844f074fb2b9517bba702466b75e012bd",
+    "mobility": ("8e0b81b70a9ec7f38af4b8ab18e40fcb6881a0175b0f1e0e8091b1a316dcf81d",
                  [1.0, 0.8523196739379312, 0.8240779750679825]),
 }
 
