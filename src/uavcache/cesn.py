@@ -46,15 +46,13 @@ A model's life has four steps:
    Steps 1 and 2 may alternate: a pattern loaded after a readout joins the
    next one.
 3. ``release_training_state`` drops the running memory and the buffers, which
-   are most of a trained model's bytes.  What is left is what recall needs:
-   ``w`` as its nonzeros, ``w_in``, ``b``, ``w_out``, the pattern conceptors
-   and the patterns' final states.  A released model and one restored by
-   ``load_model`` hold the same state and both refuse further training with
-   ``ReadOnlyModel``; only the released one still reports its fit NRMSEs,
-   which the model file does not store.  The file (model format 6) stores
-   that state as the model holds it, ``w`` as ``w_index`` and ``w_value``,
-   with no member compressed, so neither ``save_model`` nor ``load_model``
-   forms the N x N ``w``.
+   are most of a trained model's bytes.  What is left is what recall needs,
+   and what ``save_model`` stores uncompressed (model format 6): ``w`` as its
+   nonzeros ``w_index`` and ``w_value``, ``w_in``, ``b``, ``w_out``, the
+   pattern conceptors and the patterns' final states.  A released model and
+   one restored by ``load_model`` hold the same state and both refuse further
+   training with ``ReadOnlyModel``; only the released one still reports its
+   fit NRMSEs, which the model file does not store.
 4. ``recall`` replays stored patterns together, as one state block.
 """
 
@@ -187,9 +185,8 @@ class EsnModel:
         self.output_dim = output_dim
         n = cfg.reservoir_size
         w = linalg.random_reservoir(n, cfg.density, cfg.spectral_radius, rs.derive("reservoir"))
-        # w's nonzeros, as the model file stores them: strictly increasing flat int32 indices
-        # (N^2 <= MAX_RESERVOIR_SIZE^2 < 2^31) and their float64 values.  A boolean mask is
-        # several times faster to scan than the floats
+        # w's nonzeros as the file stores them: increasing flat int32 indices (N^2 < 2^31) and
+        # float64 values.  A boolean mask is several times faster to scan than the floats
         self._w_index = np.flatnonzero(w != 0.0).astype(np.int32)
         self._w_value = w.ravel()[self._w_index]
         rng = rs.derive("input").generator()
@@ -457,8 +454,7 @@ def nrmse(predicted, truth) -> float:
 
 
 def _write_npz_deterministic(path, arrays: dict) -> None:
-    """npz writer, every member stored uncompressed, with pinned zip metadata so equal arrays
-    give equal bytes."""
+    """npz writer, uncompressed, with pinned zip metadata so equal arrays give equal bytes."""
     import io
     import zipfile
 
@@ -493,9 +489,8 @@ def save_model(model: EsnModel, path) -> None:
 
 def _check_arrays(cfg: EsnConfig, arrays: dict) -> None:
     """Raise ``ConfigError`` unless the arrays are as ``save_model`` writes them: ``w_index``
-    1-d int32, strictly increasing within [0, N^2); every other array finite float64 and fit
-    to the model's sizes, ``w_value`` to ``w_index``; every stored eigenvalue nonnegative and,
-    unless it is a row's zero padding, kept by ``linalg.CONCEPTOR_S_CUT``."""
+    1-d int32 and strictly increasing within [0, N^2), the rest finite float64 that fit the
+    model's sizes, and every eigenvalue nonnegative and, but for zero padding, above the cut."""
     n, p, width = cfg.reservoir_size, len(arrays["conceptor_lam"]), arrays["w_in"].shape[-1:]
     index = arrays["w_index"]
     # numpy would wrap a negative index, and a repeated one would keep one of its values
@@ -512,9 +507,8 @@ def _check_arrays(cfg: EsnConfig, arrays: dict) -> None:
         if arrays[name].dtype != np.float64:
             raise ConfigError([f"{name} has dtype {arrays[name].dtype}, not float64"])
         if arrays[name].shape != shape:
-            raise ConfigError([f"{name} has shape {arrays[name].shape}, not {shape}, in a model "
-                               f"of {n} reservoir units, {len(index)} w_index entries and {p} "
-                               "patterns"])
+            raise ConfigError([f"{name} has shape {arrays[name].shape}, not {shape}, in a model of "
+                               f"{n} reservoir units, {p} patterns, {len(index)} w_index entries"])
         if not np.isfinite(arrays[name]).all():
             raise ConfigError([f"{name} has a non-finite entry"])
     lam = arrays["conceptor_lam"]

@@ -52,8 +52,8 @@ MAX_INTERVALS_PER_SLOT = 100_000
 # waypoint arrays; 83 times the paper's 120-slot period.
 MAX_SLOTS = 10_000
 # The N x N float64 arrays, 200 MB each at this bound (5 times the paper's
-# N = 1,000), are all transient: w, which a model keeps as its nonzeros (flat
-# int32 indices: N^2 < 2^31) and rebuilds in drive, recall and save_model;
+# N = 1,000), are all transient: w, which a model and its file keep as its
+# nonzeros (flat int32 indices: N^2 < 2^31) and drive and recall rebuild;
 # recall's w + w_in b; the readout Gram; and a conceptor's Gram when its
 # factor has at least N columns.  Conceptors are kept N x rank.
 MAX_RESERVOIR_SIZE = 5_000
